@@ -24,12 +24,7 @@ import numpy as np
 
 from . import __version__, io
 from .constants import QubitParams, qp_coupling_constant
-from .errors import (DegenerateSystemError, DegenerateTraceError, DomainError,
-                     InsufficientDataError, InsufficientSpreadError,
-                     InvalidGeometryError, InvalidParameterError,
-                     InvalidResolutionError, NegativeRateError,
-                     NoRootFoundError, NonConvergenceError,
-                     StepSizeUnderflowError, TraceParseError, UnitParseError)
+from .errors import InvalidParameterError, QpdynError, UnitParseError
 from .eigenmode import (TransportParams, VortexConfig, field_sweep,
                         smallest_root, step_sequence)
 from .estimates import (CavityQs, VortexMicro, frequency_shift,
@@ -42,9 +37,6 @@ from .trace_fit import (FitResult, extract_rates, fit_gamma_trace,
 from .units import parse_angular_frequency, parse_quantity
 
 _EXIT_MISSING_FILE = 3
-_EXIT_PARSE = 4
-_EXIT_INVALID = 5
-_EXIT_NUMERICAL = 6
 
 _MG = 1e-7  # tesla per milligauss
 
@@ -484,7 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tmax", type=_qty("time"), default=10e-3)
     sp.add_argument("--points", type=int, default=100)
     sp.add_argument("--tol", type=float, default=1e-8,
-                    help="step-control tolerance (evolve)")
+                    help="relative tolerance of the stiff integrator "
+                         "(evolve)")
     _add_common(sp)
     sp.set_defaults(func=_cmd_pde)
 
@@ -570,19 +563,9 @@ def main(argv=None) -> int:
         print(f"qpdyn: file not found: {exc.filename or exc}",
               file=sys.stderr)
         return _EXIT_MISSING_FILE
-    except (TraceParseError, UnitParseError) as exc:
+    except QpdynError as exc:
         print(f"qpdyn: {exc}", file=sys.stderr)
-        return _EXIT_PARSE
-    except (InvalidParameterError, DomainError, InvalidGeometryError,
-            InsufficientDataError, DegenerateTraceError,
-            InsufficientSpreadError, NegativeRateError,
-            DegenerateSystemError, InvalidResolutionError) as exc:
-        print(f"qpdyn: {exc}", file=sys.stderr)
-        return _EXIT_INVALID
-    except (NonConvergenceError, NoRootFoundError,
-            StepSizeUnderflowError) as exc:
-        print(f"qpdyn: {exc}", file=sys.stderr)
-        return _EXIT_NUMERICAL
+        return exc.exit_code
 
 
 if __name__ == "__main__":

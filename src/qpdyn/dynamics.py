@@ -16,7 +16,7 @@ r' = r tau_ss x_i / (1 + r tau_ss x_i) in [0, 1):  r' = 0 is a pure
 exponential, r' -> 1 the pure-recombination hyperbola.
 
 All algebraic relations here are exact; integrate_ode provides an
-independent adaptive Runge-Kutta oracle for them.
+independent numerical oracle for them (scipy's DOP853 Runge-Kutta).
 """
 
 from __future__ import annotations
@@ -227,34 +227,19 @@ def recombination_theory(phonon_factor: float, tau0: float, delta: float,
 CANONICAL_GAP_RATIO = (21.8 / 4.0) ** (1.0 / 3.0)
 
 
-# Dormand-Prince RK45 tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
-                   11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
-
-
 def integrate_ode(rp: RateParams, x_init: float, t_grid,
                   rel_tol: float = 1e-10) -> np.ndarray:
     """Numerical oracle: integrate dx/dt = -r x^2 - s x + g on t_grid.
 
-    Adaptive Dormand-Prince RK45 with per-step relative error control at
-    rel_tol; steps land exactly on each requested time.  t_grid must be
-    strictly increasing with t_grid[0] >= 0 (integration starts at
-    t_grid[0] with x = x_init).
+    scipy's DOP853 (Dormand-Prince 8(5,3)) at relative tolerance rel_tol,
+    with an absolute floor of 1e-6 * rel_tol * x_init; output times are
+    read off its dense output.  t_grid must be strictly increasing with
+    t_grid[0] >= 0 (integration starts at t_grid[0] with x = x_init).
 
     Raises StepSizeUnderflowError if the tolerance cannot be met.
     """
+    from scipy.integrate import solve_ivp
+
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1:
         raise InvalidParameterError("t_grid must be a non-empty 1-D sequence")
@@ -264,46 +249,18 @@ def integrate_ode(rp: RateParams, x_init: float, t_grid,
         raise InvalidParameterError("t_grid must start at t >= 0")
     if not (x_init >= 0):
         raise InvalidParameterError(f"x_init must be >= 0, got {x_init}")
+    if not (0 < rel_tol < 1):
+        raise InvalidParameterError(
+            f"rel_tol must lie in (0, 1), got {rel_tol}")
+    if t.size == 1:
+        return np.array([float(x_init)])
 
-    def f(x):
-        return -rp.r * x * x - rp.s * x + rp.g
-
-    out = np.empty_like(t)
-    out[0] = x_init
-    x = float(x_init)
-    t_now = t[0]
-    t_span = t[-1] - t[0] if t.size > 1 else 1.0
-    if t_span == 0:
-        return out
-    # initial step from the local rate scale
-    rate = abs(f(x)) / max(abs(x), 1e-300)
-    h = min(t_span, 0.1 / rate) if rate > 0 else t_span
-    h_min = 1e-16 * max(t[-1], 1.0)
-    scale_floor = 1e-6 * max(abs(x_init), 1e-300)
-
-    for i in range(1, t.size):
-        t_target = t[i]
-        while t_now < t_target:
-            h = min(h, t_target - t_now)
-            k = np.empty(7)
-            k[0] = f(x)
-            for stage in range(1, 7):
-                k[stage] = f(x + h * float(np.dot(_DP_A[stage],
-                                                  k[:stage])))
-            x5 = x + h * float(np.dot(_DP_B5, k))
-            x4 = x + h * float(np.dot(_DP_B4, k))
-            err = abs(x5 - x4)
-            tol = rel_tol * max(abs(x), abs(x5), scale_floor)
-            if err <= tol:
-                t_now += h
-                x = x5
-                grow = 2.0 if err == 0 else min(2.0, 0.9 * (tol / err) ** 0.2)
-                h *= grow
-            else:
-                h *= max(0.1, 0.9 * (tol / err) ** 0.2)
-                if h < h_min:
-                    raise StepSizeUnderflowError(
-                        f"step size underflow at t = {t_now:.6g} s "
-                        f"(err = {err:.3g}, tol = {tol:.3g})")
-        out[i] = x
-    return out
+    sol = solve_ivp(lambda _, x: -rp.r * x * x - rp.s * x + rp.g,
+                    (t[0], t[-1]), [float(x_init)], method="DOP853",
+                    t_eval=t, rtol=rel_tol,
+                    atol=1e-6 * rel_tol * x_init or np.finfo(float).tiny)
+    if not sol.success:
+        raise StepSizeUnderflowError(
+            f"ODE oracle failed on [{t[0]:.6g}, {t[-1]:.6g}] s: "
+            f"{sol.message}")
+    return sol.y[0]

@@ -42,9 +42,11 @@ class VortexConfig:
             raise InvalidParameterError(
                 f"vortex counts must be non-negative integers, got "
                 f"({self.n_left}, {self.n_right})")
-        if not (self.trapping_power >= 0):
+        if not (self.trapping_power >= 0) \
+                or not math.isfinite(self.trapping_power):
             raise InvalidParameterError(
-                f"trapping_power must be >= 0, got {self.trapping_power}")
+                f"trapping_power must be finite and >= 0, got "
+                f"{self.trapping_power}")
 
 
 @dataclass(frozen=True)
@@ -55,10 +57,12 @@ class TransportParams:
     s0: float = 0.0
 
     def __post_init__(self):
-        if not (self.d > 0):
-            raise InvalidParameterError(f"D must be > 0, got {self.d}")
-        if not (self.s0 >= 0):
-            raise InvalidParameterError(f"s0 must be >= 0, got {self.s0}")
+        if not (self.d > 0) or not math.isfinite(self.d):
+            raise InvalidParameterError(
+                f"D must be finite and > 0, got {self.d}")
+        if not (self.s0 >= 0) or not math.isfinite(self.s0):
+            raise InvalidParameterError(
+                f"s0 must be finite and >= 0, got {self.s0}")
 
 
 @dataclass(frozen=True)

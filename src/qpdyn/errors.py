@@ -1,12 +1,16 @@
 """Exception types raised by the library.
 
 Every failure mode that callers may want to handle separately gets its own
-class; the CLI maps these onto distinct exit codes.
+class.  Each class carries the CLI exit code it maps to: 4 for an input
+file or unit parse error, 5 (the default) for invalid or degenerate
+parameters, 6 for a numerical failure.
 """
 
 
 class QpdynError(Exception):
     """Base class for all library errors."""
+
+    exit_code = 5
 
 
 class InvalidParameterError(QpdynError, ValueError):
@@ -37,6 +41,8 @@ class NegativeRateError(QpdynError, ValueError):
 class StepSizeUnderflowError(QpdynError, RuntimeError):
     """Adaptive integrator cannot meet its tolerance at any step size."""
 
+    exit_code = 6
+
 
 class InsufficientDataError(QpdynError, ValueError):
     """Too few samples remain for the requested fit."""
@@ -48,6 +54,8 @@ class DegenerateTraceError(QpdynError, ValueError):
 
 class NonConvergenceError(QpdynError, RuntimeError):
     """Iteration limit reached.  Carries the best parameters seen so far."""
+
+    exit_code = 6
 
     def __init__(self, message: str, best_params=None, best_cost: float | None = None):
         self.best_params = best_params
@@ -70,6 +78,8 @@ class InvalidGeometryError(QpdynError, ValueError):
 class NoRootFoundError(QpdynError, RuntimeError):
     """Root scan found no sign change.  Carries scan diagnostics."""
 
+    exit_code = 6
+
     def __init__(self, message: str, diagnostics: dict | None = None):
         self.diagnostics = diagnostics or {}
         super().__init__(message)
@@ -82,6 +92,8 @@ class InvalidResolutionError(QpdynError, ValueError):
 class TraceParseError(QpdynError, ValueError):
     """A data file does not conform to its format.  Carries the line number."""
 
+    exit_code = 4
+
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         where = f" (line {line})" if line is not None else ""
@@ -90,3 +102,5 @@ class TraceParseError(QpdynError, ValueError):
 
 class UnitParseError(QpdynError, ValueError):
     """A quantity string is missing a unit or carries an unknown one."""
+
+    exit_code = 4

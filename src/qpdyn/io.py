@@ -75,6 +75,9 @@ def _read_table(text: str, columns, kinds, min_cols: int):
         except ValueError:
             raise TraceParseError(f"non-numeric value in {line!r}",
                                   line=lineno) from None
+        if not np.all(np.isfinite(vals)):
+            raise TraceParseError(f"non-finite value in {line!r}",
+                                  line=lineno)
         rows.append((lineno, vals))
     if header is None:
         raise TraceParseError("file has no header row")

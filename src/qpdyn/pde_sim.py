@@ -2,14 +2,16 @@
 
 Independent oracle for the transcendental eigenmode solver, and a full
 nonlinear time evolver (diffusion + recombination + generation +
-injection drive).  The network mirrors the analytic model exactly: 1-D
+injection drive) built on scipy's stiff Radau IIA integrator with the
+exact sparse Jacobian.  The network mirrors the analytic model exactly: 1-D
 wire segments joined with width-weighted flux matching, pads as lumped
 nodes carrying the vortex trapping, up/down capacitor halves combined
 into single arms of doubled width.
 
 The spatial operator is a conservative finite-volume generator G
 (dx/dt = G x): with s0 = P = 0 the area-weighted column sums of G vanish
-identically, so total QP number is conserved to round-off.
+identically, so total QP number is conserved to round-off; Radau's
+collocation steps preserve that linear invariant.
 """
 
 from __future__ import annotations
@@ -231,83 +233,50 @@ class EvolveSpec:
     t_inj: float = 0.0
 
     def __post_init__(self):
-        if self.r < 0 or self.g < 0 or self.t_inj < 0 \
-                or self.injection_rate < 0:
-            raise InvalidParameterError(
-                "r, g, t_inj and injection_rate must be >= 0")
+        for name in ("r", "g", "t_inj", "injection_rate",
+                     "injection_density"):
+            v = getattr(self, name)
+            if v is not None and (not (v >= 0) or not math.isfinite(v)):
+                raise InvalidParameterError(
+                    f"{name} must be finite and >= 0, got {v}")
         t = np.asarray(self.t_grid, dtype=float)
         if t.ndim != 1 or t.size < 1 or np.any(np.diff(t) <= 0) or t[0] < 0:
             raise InvalidParameterError(
                 "t_grid must be strictly increasing with t[0] >= 0")
 
 
-def _recomb_flow(x: np.ndarray, r: float, dt: float) -> np.ndarray:
-    """Exact flow of dx/dt = -r x^2 over dt, elementwise (x >= 0)."""
-    if r == 0.0:
-        return x
-    return x / (1.0 + r * dt * x)
+def _solve_piece(gen, src: np.ndarray, r: float, y0: np.ndarray, t0: float,
+                 t_eval: np.ndarray, tol: float, atol: float) -> np.ndarray:
+    """Radau IIA solve of dy/dt = gen y - r y^2 + src from t0 to t_eval[-1].
 
-
-class _LinearStepper:
-    """Cached Crank-Nicolson solves of dx/dt = G x + c, optional junction clamp.
-
-    The source vector c (generation + injection) lives inside the affine
-    CN step, so stationary balances G x + c = 0 are reproduced exactly and
-    the operator splitting only has to handle the mild -r x^2 term.
+    Returns the (n_nodes, n_times) states at t_eval, clipped at zero.
     """
+    from scipy.integrate import solve_ivp
 
-    def __init__(self, disc: Discretization, max_cache: int = 64):
-        self.gen = disc.generator
-        self.n = disc.n_nodes
-        self.jj = disc.junction_index
-        self.eye = sp.identity(self.n, format="csc")
-        self.cache: dict = {}
-        self.max_cache = max_cache
-
-    def _factor(self, dt: float, theta: float, clamped: bool):
-        key = (dt, theta, clamped)
-        entry = self.cache.get(key)
-        if entry is None:
-            lhs = (self.eye - theta * dt * self.gen).tolil()
-            if clamped:
-                lhs.rows[self.jj] = [self.jj]
-                lhs.data[self.jj] = [1.0]
-            if len(self.cache) >= self.max_cache:
-                self.cache.clear()
-            entry = spla.splu(sp.csc_matrix(lhs))
-            self.cache[key] = entry
-        return entry
-
-    def step(self, x: np.ndarray, dt: float, c: np.ndarray,
-             clamp: float | None):
-        """Trapezoidal (Crank-Nicolson) step of dx/dt = G x + c."""
-        lu = self._factor(dt, 0.5, clamp is not None)
-        rhs = x + 0.5 * dt * (self.gen @ x) + dt * c
-        if clamp is not None:
-            rhs[self.jj] = clamp
-        return lu.solve(rhs)
-
-    def step_be(self, x: np.ndarray, dt: float, c: np.ndarray,
-                clamp: float | None):
-        """Backward-Euler step; L-stable, used to damp restart transients."""
-        lu = self._factor(dt, 1.0, clamp is not None)
-        rhs = x + dt * c
-        if clamp is not None:
-            rhs[self.jj] = clamp
-        return lu.solve(rhs)
+    sol = solve_ivp(lambda t, y: gen @ y - r * y * y + src,
+                    (t0, t_eval[-1]), y0, method="Radau", t_eval=t_eval,
+                    jac=lambda t, y: gen - sp.diags(2.0 * r * y),
+                    rtol=tol, atol=atol)
+    if not sol.success:
+        raise StepSizeUnderflowError(
+            f"stiff integrator failed on [{t0:.6g}, {t_eval[-1]:.6g}] s: "
+            f"{sol.message}")
+    return np.maximum(sol.y, 0.0)
 
 
 def evolve(disc: Discretization, spec: EvolveSpec, tol: float = 1e-8,
            return_full: bool = False):
     """Integrate the full nonlinear system; return junction density at t_grid.
 
-    Strang splitting: exact nodewise recombination half-flows for the
-    -r x^2 term around an affine Crank-Nicolson step of the linear
-    generator plus sources.  Step size is controlled by comparing one full step against
-    two half steps at relative tolerance `tol` (relative to the largest
-    density seen so far); accepted sizes move on a power-of-two ladder so
-    matrix factorizations are reused, and steps align exactly with t_inj
-    and every output time.
+    dx/dt = G x - r x^2 + g (+ the junction drive) is integrated by scipy's
+    Radau IIA with the exact sparse Jacobian G - 2 r diag(x), one solve per
+    drive piece, [0, t_inj] and [t_inj, t_end].  A clamped junction is a
+    Dirichlet node: it leaves the unknowns and feeds its neighbours through
+    G[:, junction] * injection_density.  `tol` is the relative tolerance;
+    the absolute tolerance is 1e-3 * tol times the largest density scale
+    of the inputs (x_init, injection_density, injection_rate * t_inj, or
+    g * t_end), so decaying tails keep relative accuracy over three
+    decades.  Densities are clipped at zero.
 
     With return_full=True also returns the (n_times, n_nodes) state matrix.
     """
@@ -318,106 +287,47 @@ def evolve(disc: Discretization, spec: EvolveSpec, tol: float = 1e-8,
     if x.shape != (n,):
         raise InvalidParameterError(
             f"x_init must be scalar or length-{n} array")
-    if np.any(x < 0):
-        raise InvalidParameterError("x_init must be non-negative")
+    if not np.all(np.isfinite(x) & (x >= 0)):
+        raise InvalidParameterError("x_init must be finite and non-negative")
+    if not (0 < tol < 1):
+        raise InvalidParameterError(f"tol must lie in (0, 1), got {tol}")
 
-    stepper = _LinearStepper(disc)
     jj = disc.junction_index
-    c_base = np.full(n, spec.g)
     clamp_on = spec.injection_density is not None and spec.t_inj > 0
-    c_inject = c_base
-    if not clamp_on and spec.injection_rate > 0 and spec.t_inj > 0:
-        c_inject = c_base.copy()
-        c_inject[jj] += spec.injection_rate
-
-    def sources(t_now: float):
-        injecting = t_now < spec.t_inj
-        c = c_inject if injecting else c_base
-        clamp = spec.injection_density if (clamp_on and injecting) else None
-        return c, clamp
-
-    def strang(xv: np.ndarray, t_now: float, dt: float) -> np.ndarray:
-        c, clamp = sources(t_now)
-        xv = _recomb_flow(xv, spec.r, 0.5 * dt)
-        xv = stepper.step(xv, dt, c, clamp)
-        xv = _recomb_flow(xv, spec.r, 0.5 * dt)
-        return np.maximum(xv, 0.0)
-
-    breakpoints = sorted(set(t_grid.tolist())
-                         | ({spec.t_inj} if spec.t_inj > 0 else set()))
-    out_jj = np.empty(t_grid.size)
-    out_full = np.empty((t_grid.size, n)) if return_full else None
-    out_k = 0
-    t = 0.0
     if clamp_on:
         x[jj] = spec.injection_density
-    while out_k < t_grid.size and t_grid[out_k] <= t:
-        out_jj[out_k] = x[jj]
-        if return_full:
-            out_full[out_k] = x
-        out_k += 1
+    t_end = float(t_grid[-1])
+    scale = max(float(x.max()), spec.injection_rate * spec.t_inj,
+                spec.g * t_end)
+    atol = 1e-3 * tol * scale or np.finfo(float).tiny
 
-    t_end = breakpoints[-1]
-    dt_min = 1e-15 * max(t_end, 1e-30)
-    # power-of-two step ladder keyed off the shortest interval
-    gaps = np.diff([0.0] + breakpoints)
-    gaps = gaps[gaps > 0]
-    dt_base = float(gaps.min()) if gaps.size else t_end
-    rung = -6
-    # error scale: current solution magnitude, floored at 1e-3 of the
-    # largest magnitude seen, so decaying tails keep relative accuracy
-    # over three decades while startup from zero stays affordable
-    hist_max = float(np.max(x)) if np.max(x) > 0 else 1e-300
-    # initial data and source switching excite stiff transients that make
-    # the trapezoidal step ring; a burst of backward-Euler micro-steps on
-    # the stiffest time scale damps them (Rannacher smoothing)
-    stiff_rate = float(np.abs(disc.generator.diagonal()).max())
-    needs_smoothing = True
-    for bp in breakpoints:
-        while t < bp:
-            if needs_smoothing:
-                dt_s = min(2.0 / stiff_rate, (bp - t) / 8.0)
-                for _ in range(4):
-                    c, clamp = sources(t)
-                    x = np.maximum(stepper.step_be(
-                        _recomb_flow(x, spec.r, dt_s), dt_s, c, clamp), 0.0)
-                    t += dt_s
-                    hist_max = max(hist_max, float(np.max(x)))
-                needs_smoothing = False
-                continue
-            dt_rung = dt_base * 2.0**rung
-            clipped = bp - t <= dt_rung
-            dt_try = bp - t if clipped else dt_rung
-            x1 = strang(x, t, dt_try)
-            xh = strang(x, t, 0.5 * dt_try)
-            x2 = strang(xh, t + 0.5 * dt_try, 0.5 * dt_try)
-            err = float(np.max(np.abs(x1 - x2)))
-            hist_max = max(hist_max, float(np.max(x2)))
-            scale = max(float(np.max(x2)), 1e-3 * hist_max)
-            if err <= tol * scale:
-                # keep the two-half-step result; extrapolating the pair
-                # would lose A-stability on the stiff diffusion modes
-                x = x2
-                t = bp if clipped else t + dt_try
-                if err < 0.05 * tol * scale:
-                    rung += 1
-            else:
-                rung -= max(1, int(math.ceil(
-                    math.log2(err / (tol * scale)) / 3.0)))
-                if dt_base * 2.0**rung < dt_min:
-                    raise StepSizeUnderflowError(
-                        f"time step underflow at t = {t:.6g} s "
-                        f"(err = {err:.3g}, scale = {scale:.3g})")
-        if bp == spec.t_inj:
-            needs_smoothing = True
-        while out_k < t_grid.size and t_grid[out_k] <= t * (1 + 1e-12):
-            out_jj[out_k] = x[jj]
-            if return_full:
-                out_full[out_k] = x
-            out_k += 1
-    if return_full:
-        return out_jj, out_full
-    return out_jj
+    out = np.empty((t_grid.size, n))
+    k0 = int(t_grid[0] == 0.0)
+    out[:k0] = x
+    t0 = 0.0
+    for t1 in sorted({min(spec.t_inj, t_end), t_end} - {0.0}):
+        k1 = int(np.searchsorted(t_grid, t1, side="right"))
+        t_eval = np.union1d(t_grid[k0:k1], t1)
+        driven = t1 <= spec.t_inj
+        src = np.full(n, spec.g)
+        if driven and clamp_on:
+            free = np.flatnonzero(np.arange(n) != jj)
+            src = src[free] + spec.injection_density \
+                * disc.generator[free, jj].toarray().ravel()
+            ys = np.insert(
+                _solve_piece(disc.generator[free][:, free], src, spec.r,
+                             x[free], t0, t_eval, tol, atol),
+                jj, spec.injection_density, axis=0)
+        else:
+            if driven:
+                src[jj] += spec.injection_rate
+            ys = _solve_piece(disc.generator, src, spec.r, x, t0, t_eval,
+                              tol, atol)
+        out[k0:k1] = ys[:, :k1 - k0].T
+        x = ys[:, -1]
+        k0, t0 = k1, t1
+    x_jj = out[:, jj].copy()
+    return (x_jj, out) if return_full else x_jj
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,8 @@ class DecayTrace:
         object.__setattr__(self, "gamma", gamma)
         if t.ndim != 1 or gamma.shape != t.shape:
             raise InvalidParameterError("t and gamma must be 1-D and equal length")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(gamma))):
+            raise InvalidParameterError("t and gamma must be finite")
         if t.size and np.any(np.diff(t) <= 0):
             raise InvalidParameterError("t must be strictly increasing")
         if np.any(gamma <= 0):
@@ -67,6 +69,8 @@ class DecayTrace:
             object.__setattr__(self, "sigma", sigma)
             if sigma.shape != t.shape:
                 raise InvalidParameterError("sigma must match t in length")
+            if not np.all(np.isfinite(sigma)):
+                raise InvalidParameterError("sigma must be finite")
             if np.any(sigma <= 0):
                 raise InvalidParameterError("sigma must be positive")
 

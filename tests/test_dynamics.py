@@ -201,6 +201,9 @@ class TestIntegrateOde:
             integrate_ode(B1_RATES, 1e-4, [0.0, 1e-3, 1e-3])
         with pytest.raises(InvalidParameterError):
             integrate_ode(B1_RATES, -1e-4, [0.0, 1e-3])
+        for bad in (0.0, -1e-8, np.nan):
+            with pytest.raises(InvalidParameterError):
+                integrate_ode(B1_RATES, 1e-4, [0.0, 1e-3], rel_tol=bad)
 
 
 class TestRecombinationTheory:

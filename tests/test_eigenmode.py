@@ -98,6 +98,17 @@ class TestEigenResidual:
             eigen_residual(0.1, b1_geom, VortexConfig(1, 0, P_REF),
                            transport, form="bogus")
 
+    @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+    def test_parameter_validation(self, bad):
+        with pytest.raises(InvalidParameterError):
+            VortexConfig(1, 0, bad)
+        with pytest.raises(InvalidParameterError):
+            TransportParams(d=bad)
+        with pytest.raises(InvalidParameterError):
+            TransportParams(d=D_REF, s0=bad)
+        with pytest.raises(InvalidParameterError):
+            VortexConfig(-1, 0, P_REF)
+
 
 class TestSmallestRoot:
     def test_no_vortices(self, b1_geom, transport):

@@ -56,6 +56,14 @@ class TestTraceFiles:
             qio.read_trace(p)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value(self, tmp_path, value):
+        p = tmp_path / "t.csv"
+        p.write_text(f"t,gamma\n1e-4,5e4\n2e-4,{value}\n")
+        with pytest.raises(TraceParseError) as exc:
+            qio.read_trace(p)
+        assert exc.value.line == 3
+
     def test_round_trip_many_random_traces(self, tmp_path):
         rng = np.random.Generator(np.random.Philox(55))
         p = tmp_path / "rt.csv"
@@ -379,11 +387,46 @@ class TestCli:
         code, _, err = run_cli(capsys, "fit", str(bad), "--c", "4.6e10/s")
         assert code == 4
         assert "line" in err
+        # non-finite sample: a parse error naming the line, not a traceback
+        nan = tmp_path / "nan.csv"
+        nan.write_text("t,gamma\n1e-4,2e5\n2e-4,nan\n3e-4,1e5\n")
+        code, _, err = run_cli(capsys, "fit", str(nan), "--c", "4.6e10/s")
+        assert code == 4
+        assert "line 3" in err
         # invalid parameters: missing coupling
         code, _, err = run_cli(capsys, "fit", b1_trace_path)
         assert code == 5
-        # numerical failure domain: eigenrate on pathological input is hard
-        # to trigger; the mapping is covered by unit tests of main()
+
+    def test_integrator_failure_exits_6(self, capsys, monkeypatch):
+        import types
+
+        import scipy.integrate
+        monkeypatch.setattr(scipy.integrate, "solve_ivp",
+                            lambda *a, **k: types.SimpleNamespace(
+                                success=False, message="step size too small"))
+        code, out, err = run_cli(capsys, "pde", "evolve", "--geom", "b1",
+                                 "--nl", "0", "--nr", "0", "--p", "0cm2/s",
+                                 "--d", "18cm2/s", "--xinit", "1e-4",
+                                 "--tmax", "1ms", "--points", "5")
+        assert code == 6
+        assert out == ""
+        assert "step size too small" in err
+
+    def test_every_error_class_maps_to_a_documented_exit_code(self):
+        import inspect
+        import pathlib
+        import re
+
+        from qpdyn import errors
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        table = re.search(r"^Exit codes:(.*?)\n\n", readme, re.M | re.S)
+        documented = {int(c) for c in re.findall(r"`(\d)`", table[1])}
+        classes = [c for _, c in inspect.getmembers(errors, inspect.isclass)
+                   if issubclass(c, errors.QpdynError)
+                   and c is not errors.QpdynError]
+        assert len(classes) == 14
+        for cls in classes:
+            assert cls.exit_code in documented - {0, 2, 3}, cls.__name__
 
     def test_version_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "--version")

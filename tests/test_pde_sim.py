@@ -149,6 +149,43 @@ class TestEvolve:
         assert jj[1] == pytest.approx(2e-4, rel=1e-6)
         assert jj[2] < 2e-4
 
+    @pytest.mark.parametrize("drive", ["rate", "clamp"])
+    def test_linear_drive_matches_matrix_exponential(self, disc_one_vortex,
+                                                     drive):
+        # r = g = 0 makes the system affine, so stepping it with the exact
+        # propagator expm(h A) is exact; the release right after t_inj is
+        # where step control matters most
+        from scipy.linalg import expm
+        disc, h, t_inj = disc_one_vortex, 0.2e-6, 100e-6
+        gen, jj, n = disc.generator.toarray(), disc.junction_index, \
+            disc.n_nodes
+        steps = (1, 5, 20, 250)  # t_inj + 0.2, 1, 4 and 50 us
+        if drive == "rate":
+            # dx/dt = G x + a e_jj as a homogeneous system in (x, 1)
+            aug = np.zeros((n + 1, n + 1))
+            aug[:n, :n], aug[jj, n] = gen, 1e4
+            y = np.eye(n + 1)[n]
+            drive_kw = {"injection_rate": 1e4}
+        else:
+            # the held junction is G with its row zeroed, started at 2e-4
+            aug = gen.copy()
+            aug[jj] = 0.0
+            y = 2e-4 * np.eye(n)[jj]
+            drive_kw = {"injection_density": 2e-4}
+        drive_step = expm(h * aug)
+        for _ in range(round(t_inj / h)):
+            y = drive_step @ y
+        release_step, x, ref = expm(h * gen), y[:n], []
+        for k in range(1, steps[-1] + 1):
+            x = release_step @ x
+            if k in steps:
+                ref.append(x[jj])
+        spec = EvolveSpec(r=0.0, g=0.0,
+                          t_grid=tuple(t_inj + h * np.array(steps)),
+                          t_inj=t_inj, **drive_kw)
+        jj_trace = evolve(disc, spec, tol=1e-8)
+        assert np.max(np.abs(jj_trace - ref) / ref) < 1e-6
+
     def test_invalid_inputs(self, disc_free):
         with pytest.raises(InvalidParameterError):
             EvolveSpec(r=-1.0, g=0.0, t_grid=(1e-3,))
@@ -157,6 +194,18 @@ class TestEvolve:
         with pytest.raises(InvalidParameterError):
             evolve(disc_free, EvolveSpec(r=0.0, g=0.0, t_grid=(1e-3,),
                                          x_init=np.ones(3)))
+        for bad in (-1e-4, np.nan, np.inf):
+            with pytest.raises(InvalidParameterError):
+                evolve(disc_free, EvolveSpec(r=0.0, g=0.0, t_grid=(1e-3,)),
+                       tol=bad)
+            with pytest.raises(InvalidParameterError):
+                EvolveSpec(r=0.0, g=0.0, t_grid=(1e-3,), t_inj=1e-4,
+                           injection_density=bad)
+            with pytest.raises(InvalidParameterError):
+                EvolveSpec(r=bad, g=0.0, t_grid=(1e-3,))
+            with pytest.raises(InvalidParameterError):
+                evolve(disc_free, EvolveSpec(r=0.0, g=0.0, t_grid=(1e-3,),
+                                             x_init=bad))
 
 
 class TestFactorizedDynamics:

@@ -87,6 +87,15 @@ class TestFitGammaTrace:
             fit_gamma_trace(DecayTrace(t=t, gamma=noisy,
                                        sigma=np.full(20, 50.0)))
 
+    @pytest.mark.parametrize("field", ["t", "gamma", "sigma"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_trace_rejected(self, field, bad):
+        cols = {"t": np.linspace(1e-3, 50e-3, 20),
+                "gamma": np.linspace(9e4, 5e4, 20), "sigma": np.full(20, 50.0)}
+        cols[field][-1] = bad
+        with pytest.raises(InvalidParameterError):
+            DecayTrace(**cols)
+
     def test_sigma_weighting_needs_sigma(self):
         truth = FitResult.from_params(1e5, 0.5, 18e-3, 4e4)
         tr = synth_trace(truth, TGRID, 0.0, 0)
