@@ -13,18 +13,39 @@ Dimensionless groups: eps = P * tau_D / A_W measures trapping strength;
 a = S_pad / A_W the pad-to-wire area ratio; nbar = (N_L + N_R)/2 and
 dN = N_R - N_L enter the equation only as nbar and dN^2, so s is exactly
 symmetric under pad exchange.
+
+The equation is written once, in _mode_terms, as a numpy function of z
+(a float or an array); the groups are computed once per configuration.
+The root scan evaluates each inter-pole grid, each dip rescan and each
+fine polish grid in one array call; only Brent's polish and the Newton
+quality estimate evaluate single points.  The residual poles depend on
+the geometry and the form alone, so step_sequence and field_sweep locate
+them once per call, and field_sweep roots each distinct (N_L, N_R) once
+and reuses its rate for every field that maps to it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .errors import InvalidParameterError, NoRootFoundError
 from .geometry import DeviceGeometry, derive
+
+_FORMS = ("reduced", "full")
+# the scan stops just past the first tan(z) pole at pi/2
+_Z_CAP = 0.5 * math.pi * (1.0 + 1e-9)
+
+
+def _check_form(form: str) -> None:
+    if form not in _FORMS:
+        raise InvalidParameterError(
+            f"form must be 'reduced' or 'full', got {form!r}")
 
 
 @dataclass(frozen=True)
@@ -36,9 +57,8 @@ class VortexConfig:
     trapping_power: float
 
     def __post_init__(self):
-        if self.n_left < 0 or self.n_right < 0 \
-                or self.n_left != int(self.n_left) \
-                or self.n_right != int(self.n_right):
+        if not all(math.isfinite(n) and n >= 0 and n == int(n)
+                   for n in (self.n_left, self.n_right)):
             raise InvalidParameterError(
                 f"vortex counts must be non-negative integers, got "
                 f"({self.n_left}, {self.n_right})")
@@ -81,6 +101,19 @@ class ModeSolution:
     branch_note: str
 
 
+def _plate(geom: DeviceGeometry):
+    """Capacitor-plate ratios beta = L_c/L, eta = h/L and w = W_c/W."""
+    return (geom.l_cap / geom.l_wire, geom.h_cap / geom.l_wire,
+            geom.w_cap / geom.w_wire)
+
+
+def _capacitor(z, beta: float, eta: float, w: float):
+    """Numerator and denominator of capacitor_substitution at z."""
+    cb, sb = np.cos(z * beta), np.sin(z * beta)
+    ce, se = np.cos(z * eta), np.sin(z * eta)
+    return cb * se + w * sb * ce, cb * ce - w * sb * se
+
+
 def capacitor_substitution(z, geom: DeviceGeometry):
     """Effective tan of the composite capacitor plate (thin arm + wide arm).
 
@@ -94,14 +127,7 @@ def capacitor_substitution(z, geom: DeviceGeometry):
     value there is an IEEE infinity, not an error -- root finding must
     bracket around those poles (see capacitor_denominator).
     """
-    zz = np.asarray(z, dtype=float)
-    beta = geom.l_cap / geom.l_wire
-    eta = geom.h_cap / geom.l_wire
-    w = geom.w_cap / geom.w_wire
-    num = np.cos(zz * beta) * np.sin(zz * eta) \
-        + w * np.sin(zz * beta) * np.cos(zz * eta)
-    den = np.cos(zz * beta) * np.cos(zz * eta) \
-        - w * np.sin(zz * beta) * np.sin(zz * eta)
+    num, den = _capacitor(np.asarray(z, dtype=float), *_plate(geom))
     with np.errstate(divide="ignore"):
         out = num / den
     return float(out) if np.isscalar(z) else out
@@ -109,68 +135,76 @@ def capacitor_substitution(z, geom: DeviceGeometry):
 
 def capacitor_denominator(z, geom: DeviceGeometry):
     """Denominator of capacitor_substitution; its zeros are pole locations."""
-    zz = np.asarray(z, dtype=float)
-    beta = geom.l_cap / geom.l_wire
-    eta = geom.h_cap / geom.l_wire
-    w = geom.w_cap / geom.w_wire
-    out = np.cos(zz * beta) * np.cos(zz * eta) \
-        - w * np.sin(zz * beta) * np.sin(zz * eta)
+    out = _capacitor(np.asarray(z, dtype=float), *_plate(geom))[1]
     return float(out) if np.isscalar(z) else out
 
 
+class _Groups(NamedTuple):
+    """Dimensionless groups of one mode equation, and its diffusion time."""
+
+    a: float      # S_pad / A_W
+    eps: float    # P tau_D / A_W
+    nbar: float   # (N_L + N_R) / 2
+    dn: int       # N_R - N_L
+    beta: float   # L_c / L
+    eta: float    # h / L
+    w: float      # W_c / W
+    lam: float    # l / L
+    tau_d: float  # L^2 / D, s
+
+
 def _groups(geom: DeviceGeometry, vortices: VortexConfig,
-            tp: TransportParams):
+            tp: TransportParams) -> _Groups:
     der = derive(geom, tp.d)
-    eps = vortices.trapping_power * der.tau_d / der.a_w
-    nbar = 0.5 * (vortices.n_left + vortices.n_right)
-    dn = vortices.n_right - vortices.n_left
-    return der, eps, nbar, dn
+    beta, eta, w = _plate(geom)
+    return _Groups(
+        a=der.aspect_a, eps=vortices.trapping_power * der.tau_d / der.a_w,
+        nbar=0.5 * (vortices.n_left + vortices.n_right),
+        dn=vortices.n_right - vortices.n_left, beta=beta, eta=eta, w=w,
+        lam=geom.l_half_gap / geom.l_wire, tau_d=der.tau_d)
 
 
-def _residual_terms(z: float, geom: DeviceGeometry, vortices: VortexConfig,
-                    tp: TransportParams, form: str):
-    """Residual of the mode equation and a local magnitude scale.
+def _mode_terms(z, g: _Groups, form: str):
+    """The mode equation at z (a float or an array) as (u, v, residual).
 
-    form 'reduced' is the central-wire-length -> 0 equation; 'full'
-    retains the finite half-gap l.  The scale is the sum of absolute
-    values of the additive terms, for judging how small a residual is
-    meaningful at this z.
+    The residual vanishes at admissible modes.  form 'reduced' is the
+    central-wire-length -> 0 equation; 'full' retains the finite half-gap
+    l.  The dN^2 cross term vanishes with equal pads, and the residual is
+    then exactly u * v (for the full form a difference of squares): u and
+    v are the symmetric- and antisymmetric-branch factors, which can be
+    rooted independently -- robust where the two branches nearly cross.
+    Poles give IEEE infinities or NaNs here, not errors; the scan skips
+    non-finite samples.
     """
-    der, eps, nbar, dn = _groups(geom, vortices, tp)
-    a = der.aspect_a
-    tz = math.tan(z)
-    t_cap = capacitor_substitution(z, geom)
-    q = a * z * z - nbar * eps
-    half_dn = 0.5 * dn * eps
-    if form == "reduced":
+    with np.errstate(all="ignore"):
+        tz = np.tan(z)
+        num, den = _capacitor(z, g.beta, g.eta, g.w)
+        t_cap = num / den
+        q = g.a * z * z - g.nbar * g.eps
+        half_dn = 0.5 * g.dn * g.eps
         f1 = z - tz * q
-        f2 = z * (tz + 2.0 * t_cap) + q * (1.0 - 2.0 * t_cap * tz)
-        cross = half_dn**2 * tz * (1.0 - 2.0 * t_cap * tz)
-        resid = f1 * f2 + cross
-        scale = abs(f1 * f2) + abs(cross)
-        return resid, max(scale, 1e-300)
-    if form == "full":
-        lam = geom.l_half_gap / geom.l_wire
-        tl = math.tan(z * lam)
-        cl = 1.0 / tl if tl != 0 else math.inf
+        if form == "reduced":
+            f2 = z * (tz + 2.0 * t_cap) + q * (1.0 - 2.0 * t_cap * tz)
+            cross = half_dn**2 * tz * (1.0 - 2.0 * t_cap * tz)
+            return f1, f2, f1 * f2 + cross
+        tl = np.tan(z * g.lam)
+        cl = 1.0 / tl
         f = 0.5 * tl - 0.5 * cl + 2.0 * t_cap
         g1 = z * (tz + f) + q * (1.0 - tz * f)
-        term1 = g1 * g1
-        term2 = half_dn**2 * (1.0 - tz * f) ** 2
-        inner = (z - tz * q) ** 2 - half_dn**2 * tz * tz
-        term3 = 0.25 * (tl + cl) ** 2 * inner
-        resid = term1 - term2 - term3
-        scale = abs(term1) + abs(term2) + abs(term3)
-        return resid, max(scale, 1e-300)
-    raise InvalidParameterError(f"form must be 'reduced' or 'full', got {form!r}")
+        half = 0.5 * (tl + cl)
+        cross = half_dn**2 * (1.0 - tz * f) ** 2
+        inner = f1**2 - half_dn**2 * tz * tz
+        resid = g1 * g1 - cross - 0.25 * (tl + cl) ** 2 * inner
+        return g1 - half * f1, g1 + half * f1, resid
 
 
 def eigen_residual(z: float, geom: DeviceGeometry, vortices: VortexConfig,
                    tp: TransportParams, form: str = "reduced") -> float:
     """Evaluate the mode equation residual at z (zero at admissible modes)."""
-    if z < 0:
-        raise InvalidParameterError(f"z must be >= 0, got {z}")
-    return _residual_terms(z, geom, vortices, tp, form)[0]
+    if not (0 <= z < math.inf):
+        raise InvalidParameterError(f"z must be finite and >= 0, got {z}")
+    _check_form(form)
+    return float(_mode_terms(z, _groups(geom, vortices, tp), form)[2])
 
 
 def _pole_positions(geom: DeviceGeometry, z_max: float, form: str):
@@ -222,57 +256,33 @@ def _same_branch(za: float, zb: float, geom: DeviceGeometry,
     return all(a * b > 0 for a, b in zip(ia, ib))
 
 
-def _symmetric_factors(z: float, geom: DeviceGeometry,
-                       vortices: VortexConfig, tp: TransportParams,
-                       form: str):
-    """The two factors whose product is the residual when N_L = N_R.
-
-    With equal pads the cross term vanishes and the equation factorizes
-    exactly (for the full form as a difference of squares); the symmetric
-    and antisymmetric mode branches can then be rooted independently,
-    which stays robust when the two branches nearly cross.
-    """
-    der, eps, nbar, _ = _groups(geom, vortices, tp)
-    tz = math.tan(z)
-    t_cap = capacitor_substitution(z, geom)
-    q = der.aspect_a * z * z - nbar * eps
-    f1 = z - tz * q
-    f2 = z * (tz + 2.0 * t_cap) + q * (1.0 - 2.0 * t_cap * tz)
-    if form == "reduced":
-        return f1, f2
-    lam = geom.l_half_gap / geom.l_wire
-    tl = math.tan(z * lam)
-    cl = 1.0 / tl if tl != 0 else math.inf
-    f = 0.5 * tl - 0.5 * cl + 2.0 * t_cap
-    g1 = z * (tz + f) + q * (1.0 - tz * f)
-    half = 0.5 * (tl + cl)
-    return g1 - half * f1, g1 + half * f1
-
-
 def _first_root(fn, geom: DeviceGeometry, form: str, poles, step: float,
                 z_cap: float):
     """Smallest positive root of fn in (0, z_cap), or None.
 
-    Scans each inter-pole interval; a sign change whose bracket stays on
-    one branch of every tan factor is polished with Brent's method.  Deep
-    local minima of |fn| (two roots closer than the scan step) get a local
-    rescan before moving on.
+    fn maps an array of z to an array of residuals.  Scans each
+    inter-pole interval; a sign change whose bracket stays on one branch
+    of every tan factor is polished with Brent's method.  Deep local
+    minima of |fn| (two roots closer than the scan step) get a local
+    rescan before moving on.  Candidate samples are visited in grid
+    order, so the bracket returned is the lowest one.
     """
     edges = [0.0] + [p for p in poles if p < z_cap] + [z_cap]
 
-    def polish(za, zb):
-        if not _same_branch(za, zb, geom, form):
-            # an unlisted pole sneaked inside: resolve it locally
-            fine = np.linspace(za, zb, 33)
-            fvals = [fn(z) for z in fine]
-            for k in range(32):
-                if fvals[k] * fvals[k + 1] < 0 and _same_branch(
-                        fine[k], fine[k + 1], geom, form):
-                    return brentq(fn, fine[k], fine[k + 1], xtol=1e-15,
-                                  rtol=4 * np.finfo(float).eps, maxiter=200)
-            return None
+    def brent(za, zb):
         return brentq(fn, za, zb, xtol=1e-15,
                       rtol=4 * np.finfo(float).eps, maxiter=200)
+
+    def polish(za, zb):
+        if _same_branch(za, zb, geom, form):
+            return brent(za, zb)
+        # an unlisted pole sneaked inside: resolve it locally
+        fine = np.linspace(za, zb, 33)
+        fvals = fn(fine)
+        for k in np.flatnonzero(fvals[:-1] * fvals[1:] < 0):
+            if _same_branch(fine[k], fine[k + 1], geom, form):
+                return brent(fine[k], fine[k + 1])
+        return None
 
     for lo, hi in zip(edges[:-1], edges[1:]):
         guard = max(1e-12, (hi - lo) * 1e-10)
@@ -282,27 +292,29 @@ def _first_root(fn, geom: DeviceGeometry, form: str, poles, step: float,
             continue
         n_sub = max(64, int(math.ceil((z_hi - z_lo) / step)))
         zs = np.linspace(z_lo, z_hi, n_sub + 1)
-        vals = [fn(z) for z in zs]
-        for j in range(n_sub):
-            va, vb = vals[j], vals[j + 1]
-            if not (math.isfinite(va) and math.isfinite(vb)):
-                continue
-            if j > 0 and math.isfinite(vals[j - 1]) and va != 0.0 \
-                    and vals[j - 1] * va > 0 and va * vb > 0 \
-                    and abs(va) < 0.3 * min(abs(vals[j - 1]), abs(vb)):
-                # dip: a root pair may hide between samples
+        vals = fn(zs)
+        va, vb = vals[:-1], vals[1:]
+        prev = np.concatenate(([np.nan], vals[:-2]))
+        finite = np.isfinite(va) & np.isfinite(vb)
+        # dip: a root pair may hide between samples
+        dip = finite & np.isfinite(prev) & (va != 0.0) & (prev * va > 0) \
+            & (va * vb > 0) \
+            & (np.abs(va) < 0.3 * np.minimum(np.abs(prev), np.abs(vb)))
+        hit = finite & ((va == 0.0) | (va * vb < 0))
+        for j in np.flatnonzero(dip | hit):
+            if dip[j]:
                 sub = np.linspace(zs[j - 1], zs[j + 1], 129)
-                svals = [fn(z) for z in sub]
-                for k in range(128):
+                svals = fn(sub)
+                for k in np.flatnonzero((svals[:-1] == 0.0)
+                                        | (svals[:-1] * svals[1:] < 0)):
                     if svals[k] == 0.0:
                         return sub[k], (sub[k], sub[k])
-                    if svals[k] * svals[k + 1] < 0:
-                        root = polish(sub[k], sub[k + 1])
-                        if root is not None:
-                            return root, (sub[k], sub[k + 1])
-            if va == 0.0:
+                    root = polish(sub[k], sub[k + 1])
+                    if root is not None:
+                        return root, (sub[k], sub[k + 1])
+            elif va[j] == 0.0:
                 return zs[j], (zs[j], zs[j])
-            if va * vb < 0:
+            else:
                 root = polish(zs[j], zs[j + 1])
                 if root is not None:
                     return root, (zs[j], zs[j + 1])
@@ -318,6 +330,56 @@ def _newton_quality(fn, root: float) -> float:
     return fn(root) / (slope * root) if slope != 0 else 0.0
 
 
+def _root(geom: DeviceGeometry, vortices: VortexConfig, tp: TransportParams,
+          form: str, poles=None) -> ModeSolution:
+    """smallest_root for a checked form; poles, when given, are the
+    residual poles of (geom, form) below _Z_CAP, located by the caller."""
+    g = _groups(geom, vortices, tp)
+    if g.eps == 0 or vortices.n_left + vortices.n_right == 0:
+        return ModeSolution(z=0.0, s=tp.s0, bracket=(0.0, 0.0),
+                            residual_at_root=0.0,
+                            branch_note=f"{form}: no trapping, uniform mode")
+    if poles is None:
+        poles = _pole_positions(geom, _Z_CAP, form)
+    scales = [1.0, geom.h_cap / geom.l_wire, geom.l_cap / geom.l_wire,
+              (geom.h_cap + geom.l_cap) / geom.l_wire]
+    if form == "full":
+        scales.append(geom.l_half_gap / geom.l_wire)
+    step = 0.25 * math.pi / max(scales)
+
+    if g.dn == 0:
+        candidates = []
+        for idx in (0, 1):
+            def factor(z, idx=idx):
+                return _mode_terms(z, g, form)[idx]
+            hit = _first_root(factor, geom, form, poles, step, _Z_CAP)
+            if hit is not None:
+                candidates.append((hit[0], hit[1], factor, idx))
+        if candidates:
+            root, bracket, fn, idx = min(candidates, key=lambda c: c[0])
+            return ModeSolution(
+                z=root, s=root * root / g.tau_d + tp.s0,
+                bracket=(float(bracket[0]), float(bracket[1])),
+                residual_at_root=float(_newton_quality(fn, root)),
+                branch_note=f"{form}: symmetric-pads factor {idx}")
+    else:
+        def resid(z):
+            return _mode_terms(z, g, form)[2]
+        hit = _first_root(resid, geom, form, poles, step, _Z_CAP)
+        if hit is not None:
+            root, bracket = hit
+            return ModeSolution(
+                z=root, s=root * root / g.tau_d + tp.s0,
+                bracket=(float(bracket[0]), float(bracket[1])),
+                residual_at_root=float(_newton_quality(resid, root)),
+                branch_note=f"{form}: general scan")
+    raise NoRootFoundError(
+        "no sign change below the first pole cluster; geometry or "
+        "parameters are pathological",
+        diagnostics={"poles": poles, "scan_step": step, "eps": g.eps,
+                     "nbar": g.nbar, "dn": g.dn})
+
+
 def smallest_root(geom: DeviceGeometry, vortices: VortexConfig,
                   tp: TransportParams, form: str = "reduced") -> ModeSolution:
     """Smallest strictly positive root of the mode equation, as a ModeSolution.
@@ -330,51 +392,8 @@ def smallest_root(geom: DeviceGeometry, vortices: VortexConfig,
     always a trivial zero of the residual and is excluded by starting the
     scan just above it.
     """
-    der, eps, nbar, dn = _groups(geom, vortices, tp)
-    if eps == 0 or vortices.n_left + vortices.n_right == 0:
-        return ModeSolution(z=0.0, s=tp.s0, bracket=(0.0, 0.0),
-                            residual_at_root=0.0,
-                            branch_note=f"{form}: no trapping, uniform mode")
-
-    z_cap = 0.5 * math.pi * (1.0 + 1e-9)
-    poles = _pole_positions(geom, z_cap, form)
-    scales = [1.0, geom.h_cap / geom.l_wire, geom.l_cap / geom.l_wire,
-              (geom.h_cap + geom.l_cap) / geom.l_wire]
-    if form == "full":
-        scales.append(geom.l_half_gap / geom.l_wire)
-    step = 0.25 * math.pi / max(scales)
-
-    if dn == 0:
-        candidates = []
-        for idx in (0, 1):
-            def factor(z, idx=idx):
-                return _symmetric_factors(z, geom, vortices, tp, form)[idx]
-            hit = _first_root(factor, geom, form, poles, step, z_cap)
-            if hit is not None:
-                candidates.append((hit[0], hit[1], factor, idx))
-        if candidates:
-            root, bracket, fn, idx = min(candidates, key=lambda c: c[0])
-            return ModeSolution(
-                z=root, s=root * root / der.tau_d + tp.s0,
-                bracket=(float(bracket[0]), float(bracket[1])),
-                residual_at_root=float(_newton_quality(fn, root)),
-                branch_note=f"{form}: symmetric-pads factor {idx}")
-    else:
-        def resid(z):
-            return _residual_terms(z, geom, vortices, tp, form)[0]
-        hit = _first_root(resid, geom, form, poles, step, z_cap)
-        if hit is not None:
-            root, bracket = hit
-            return ModeSolution(
-                z=root, s=root * root / der.tau_d + tp.s0,
-                bracket=(float(bracket[0]), float(bracket[1])),
-                residual_at_root=float(_newton_quality(resid, root)),
-                branch_note=f"{form}: general scan")
-    raise NoRootFoundError(
-        "no sign change below the first pole cluster; geometry or "
-        "parameters are pathological",
-        diagnostics={"poles": poles, "scan_step": step, "eps": eps,
-                     "nbar": nbar, "dn": dn})
+    _check_form(form)
+    return _root(geom, vortices, tp, form)
 
 
 def small_p_rate(geom: DeviceGeometry, vortices: VortexConfig,
@@ -413,19 +432,22 @@ def step_sequence(geom: DeviceGeometry, tp: TransportParams,
     s * a_total by nearly the single-vortex trapping power (per vortex),
     reduced a little by the finite speed of diffusion.
     """
-    if max_steps < 1:
-        raise InvalidParameterError(f"max_steps must be >= 1, got {max_steps}")
+    if not isinstance(max_steps, numbers.Integral) or max_steps < 1:
+        raise InvalidParameterError(
+            f"max_steps must be an integer >= 1, got {max_steps!r}")
     if series not in _SERIES:
         raise InvalidParameterError(
             f"series must be one of {sorted(_SERIES)}, got {series!r}")
+    _check_form(form)
     der = derive(geom, tp.d)
+    poles = _pole_positions(geom, _Z_CAP, form)
     rows = []
     for k in range(max_steps + 1):
         nl, nr = _SERIES[series](k)
         vc = VortexConfig(n_left=nl, n_right=nr,
                           trapping_power=trapping_power)
-        sol = smallest_root(geom, vc, tp, form=form)
-        rows.append((nl, nr, sol.s, sol.s * der.a_total))
+        s = _root(geom, vc, tp, form, poles).s
+        rows.append((nl, nr, s, s * der.a_total))
     return rows
 
 
@@ -441,25 +463,33 @@ def field_sweep(geom: DeviceGeometry, tp: TransportParams,
     round(2 * slope * (B - b_k)) is split as evenly as possible with the
     left pad leading.  Returns a list of (B, n_left, n_right, s).
     """
-    if not (b_k > 0):
-        raise InvalidParameterError(f"b_k must be > 0, got {b_k}")
-    if not (vortex_density_slope >= 0):
+    if not (0 < b_k < math.inf):
+        raise InvalidParameterError(f"b_k must be finite and > 0, got {b_k}")
+    if not (0 <= vortex_density_slope < math.inf):
         raise InvalidParameterError(
-            f"slope must be >= 0, got {vortex_density_slope}")
+            f"slope must be finite and >= 0, got {vortex_density_slope}")
     if pads not in ("equal", "alternating"):
         raise InvalidParameterError(
             f"pads must be 'equal' or 'alternating', got {pads!r}")
-    rows = []
-    for b in b_grid:
+    _check_form(form)
+    fields = [float(b) for b in b_grid]
+    counts = []
+    for b in fields:
+        if not math.isfinite(b):
+            raise InvalidParameterError(f"b_grid must be finite, got {b}")
+        per_pad = vortex_density_slope * (b - b_k)
+        if not math.isfinite(2.0 * per_pad):
+            raise InvalidParameterError(
+                f"slope * (B - b_k) overflows at B = {b}")
         if b < b_k:
-            nl = nr = 0
+            counts.append((0, 0))
         elif pads == "equal":
-            nl = nr = int(round(vortex_density_slope * (b - b_k)))
+            counts.append((round(per_pad), round(per_pad)))
         else:
-            total = int(round(2.0 * vortex_density_slope * (b - b_k)))
-            nl, nr = (total + 1) // 2, total // 2
-        vc = VortexConfig(n_left=nl, n_right=nr,
-                          trapping_power=trapping_power)
-        sol = smallest_root(geom, vc, tp, form=form)
-        rows.append((float(b), nl, nr, sol.s))
-    return rows
+            total = round(2.0 * per_pad)
+            counts.append(((total + 1) // 2, total // 2))
+    poles = _pole_positions(geom, _Z_CAP, form)
+    rates = {c: _root(geom, VortexConfig(*c, trapping_power), tp, form,
+                      poles).s
+             for c in dict.fromkeys(counts)}
+    return [(b, nl, nr, rates[nl, nr]) for b, (nl, nr) in zip(fields, counts)]

@@ -18,6 +18,16 @@ from .constants import CODATA
 from .errors import InvalidParameterError
 
 
+def _check(name: str, value: float, allow_zero: bool = False) -> None:
+    """Raise InvalidParameterError unless value is finite and > 0
+    (>= 0 with allow_zero)."""
+    ok = value >= 0 if allow_zero else value > 0
+    if not (ok and math.isfinite(value)):
+        bound = ">=" if allow_zero else ">"
+        raise InvalidParameterError(
+            f"{name} must be finite and {bound} 0, got {value}")
+
+
 @dataclass(frozen=True)
 class CavityQs:
     """Quality factors of the readout cavity loaded with the junction.
@@ -34,9 +44,7 @@ class CavityQs:
 
     def __post_init__(self):
         for name in ("q_in", "q_out", "q_w", "q_j"):
-            if not (getattr(self, name) > 0):
-                raise InvalidParameterError(
-                    f"{name} must be > 0, got {getattr(self, name)}")
+            _check(name, getattr(self, name))
 
     @property
     def q_tot(self) -> float:
@@ -58,8 +66,8 @@ class VortexMicro:
     tau_n: float
 
     def __post_init__(self):
-        if not (self.r_core > 0 and self.tau_n > 0):
-            raise InvalidParameterError("r_core and tau_n must be positive")
+        _check("r_core", self.r_core)
+        _check("tau_n", self.tau_n)
 
 
 def junction_power(r_j: float, delta: float) -> float:
@@ -67,8 +75,8 @@ def junction_power(r_j: float, delta: float) -> float:
 
     P_j = V_j^2 / R_j with V_j = 2 Delta / e, i.e. 4 Delta^2 / (e^2 R_j).
     """
-    if not (r_j > 0):
-        raise InvalidParameterError(f"r_j must be > 0, got {r_j}")
+    _check("r_j", r_j)
+    _check("delta", delta)
     v_j = 2.0 * delta / CODATA.e_charge
     return v_j * v_j / r_j
 
@@ -90,8 +98,8 @@ def qp_injection_rate(r_j: float, delta: float) -> float:
     Each tunneling electron breaks one pair: G = 2 V_j/(R_j e) with
     V_j = 2 Delta/e, giving G = 4 Delta / (e^2 R_j).
     """
-    if not (r_j > 0):
-        raise InvalidParameterError(f"r_j must be > 0, got {r_j}")
+    _check("r_j", r_j)
+    _check("delta", delta, allow_zero=True)
     return 4.0 * delta / (CODATA.e_charge**2 * r_j)
 
 
@@ -147,11 +155,10 @@ def frequency_shift(gamma: float, omega: float, delta: float,
     divided by empirical_factor when a measured calibration is applied
     (EMPIRICAL_SHIFT_FACTOR holds the observed value).
     """
-    if gamma < 0:
-        raise InvalidParameterError(f"gamma must be >= 0, got {gamma}")
-    if not (empirical_factor > 0):
-        raise InvalidParameterError(
-            f"empirical_factor must be > 0, got {empirical_factor}")
+    _check("gamma", gamma, allow_zero=True)
+    _check("omega", omega)
+    _check("delta", delta)
+    _check("empirical_factor", empirical_factor)
     shift = -0.5 * gamma * (
         1.0 + math.pi * math.sqrt(CODATA.hbar * omega / (2.0 * delta)))
     return shift / empirical_factor

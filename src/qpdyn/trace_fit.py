@@ -489,8 +489,9 @@ def synth_trace(f: FitResult, t_grid, noise_rel: float,
     bit-identical traces.  sigma is set to model * noise_rel (omitted when
     noise_rel = 0).
     """
-    if noise_rel < 0:
-        raise InvalidParameterError(f"noise_rel must be >= 0, got {noise_rel}")
+    if not (noise_rel >= 0 and math.isfinite(noise_rel)):
+        raise InvalidParameterError(
+            f"noise_rel must be finite and >= 0, got {noise_rel}")
     t = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t) <= 0):
         raise InvalidParameterError("t_grid must be strictly increasing")

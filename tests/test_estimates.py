@@ -43,6 +43,11 @@ class TestInjectionPower:
         lossier = CavityQs(q_in=2e6, q_out=1e5, q_w=1e5, q_j=1.1e4)
         assert lossier.q_tot < base.q_tot
 
+    def test_injection_needs_a_gap(self):
+        # zero input power has no dBm value
+        with pytest.raises(InvalidParameterError, match="delta"):
+            injection_power(R_J, 0.0, AL_QS)
+
 
 class TestQpInjectionRate:
     def test_reference_value(self):
@@ -144,3 +149,23 @@ class TestFrequencyShift:
             frequency_shift(-1.0, self.OMEGA, DELTA)
         with pytest.raises(InvalidParameterError):
             CavityQs(q_in=0.0, q_out=1e5, q_w=1e5, q_j=1e4)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_inputs(self, bad):
+        with pytest.raises(InvalidParameterError, match="gamma"):
+            frequency_shift(bad, self.OMEGA, DELTA)
+        with pytest.raises(InvalidParameterError, match="omega"):
+            frequency_shift(1e5, bad, DELTA)
+        with pytest.raises(InvalidParameterError, match="delta"):
+            frequency_shift(1e5, self.OMEGA, bad)
+        with pytest.raises(InvalidParameterError, match="empirical_factor"):
+            frequency_shift(1e5, self.OMEGA, DELTA, empirical_factor=bad)
+        for name in ("q_in", "q_out", "q_w", "q_j"):
+            fields = dict(q_in=2e6, q_out=1e5, q_w=1e8, q_j=1.1e4)
+            fields[name] = bad
+            with pytest.raises(InvalidParameterError, match=name):
+                CavityQs(**fields)
+        with pytest.raises(InvalidParameterError, match="delta"):
+            qp_injection_rate(R_J, bad)
+        with pytest.raises(InvalidParameterError, match="r_j"):
+            junction_power(bad, DELTA)

@@ -321,6 +321,34 @@ class TestCli:
         assert json.loads(out)["result"]["p_cm2_per_s"] == pytest.approx(
             0.027, rel=0.1)
 
+    def test_estimate_injection_non_finite_exit_5(self, capsys):
+        code, out, err = run_cli(
+            capsys, "estimate", "injection", "--rj", "8kohm",
+            "--delta", "180ueV", "--qin", "inf", "--qout", "1e5",
+            "--qw", "1e8", "--qj", "1.1e4", "--no-timestamp")
+        assert code == 5
+        assert out == ""
+        assert "q_in must be finite" in err
+
+    def test_estimate_freqshift_non_finite_exit_5(self, capsys):
+        code, out, err = run_cli(
+            capsys, "estimate", "freqshift", "--gamma", "1e5/s",
+            "--omega", "6GHz", "--delta", "180ueV", "--factor", "inf",
+            "--no-timestamp")
+        assert code == 5
+        assert out == ""
+        assert "empirical_factor must be finite" in err
+
+    def test_sweep_non_finite_slope_exit_5(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--geom", "b2", "--p", "0.067cm2/s",
+            "--d", "18cm2/s", "--bk", "11mG", "--slope", "inf",
+            "--bmin", "0mG", "--bmax", "150mG", "--points", "7",
+            "--no-timestamp")
+        assert code == 5
+        assert out == ""
+        assert "slope must be finite" in err
+
     def test_estimate_missing_flags_exit_5(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "qprate", "--rj", "8kohm")
         assert code == 5

@@ -1,0 +1,215 @@
+"""The vectorized mode-equation scan against pinned roots and its own
+scalar path."""
+
+import math
+from importlib import resources
+
+import numpy as np
+import pytest
+
+from qpdyn import eigenmode
+from qpdyn.eigenmode import (TransportParams, VortexConfig, eigen_residual,
+                             field_sweep, smallest_root, step_sequence)
+from qpdyn.errors import InvalidParameterError
+from qpdyn.geometry import load_geometry
+
+P_REF = 0.067e-4  # m^2/s
+TP = TransportParams(d=18e-4, s0=1.0 / 30e-3)
+
+# (n_left, n_right, bracket lo, bracket hi, z) on the bundled geometries,
+# recorded from the point-by-point scalar scan that the array scan
+# replaced.  Both scan the same grids, so brackets must match exactly; z
+# may move by a few ulp where numpy's array and scalar trig kernels round
+# differently.
+PARENT_ROOTS = {
+    ('b1', 'reduced'): [
+        (1, 0, 0.04956532970942322, 0.056646090953626535, 0.04965593484320865),
+        (2, 1, 0.07788837468623648, 0.08496913593043981, 0.08486596611857018),
+        (0, 5, 0.09913065841884644, 0.10621141966304976, 0.10062274995239225),
+        (6, 2, 0.1274537033956597, 0.13453446463986302, 0.12854889469566122),
+        (3, 4, 0.12037294215145639, 0.1274537033956597, 0.1241099344124148),
+        (1, 1, 0.06372685219782985, 0.07080761344203317, 0.07043803989793325),
+        (3, 3, 0.11329218090725307, 0.12037294215145639, 0.11641102356958775),
+        (6, 6, 0.14869598712826965, 0.15577674837247296, 0.15400998695413093),
+        (60, 60, 0.25490740579131943, 0.26198816703552275, 0.25565119878919995),
+    ],
+    ('b1', 'full'): [
+        (1, 0, 0.042484568465219905, 0.04956532970942322, 0.04955049330155886),
+        (2, 1, 0.07788837468623648, 0.08496913593043981, 0.08472064783236834),
+        (0, 5, 0.09913065841884644, 0.10621141966304976, 0.10022691448627621),
+        (6, 2, 0.1274537033956597, 0.13453446463986302, 0.1282624399344977),
+        (3, 4, 0.12037294215145639, 0.1274537033956597, 0.12391409878840665),
+        (1, 1, 0.06372685219782985, 0.07080761344203317, 0.07032818019121789),
+        (3, 3, 0.11329218090725307, 0.12037294215145639, 0.11623246837736823),
+        (6, 6, 0.14869598712826965, 0.15577674837247296, 0.15378081986093964),
+        (60, 60, 0.25490740579131943, 0.26198816703552275, 0.2553667940955531),
+    ],
+    ('b2', 'reduced'): [
+        (1, 0, 0.05185018116098265, 0.05925734975540874, 0.0559468657771085),
+        (2, 1, 0.08888602413311311, 0.09629319272753921, 0.09590580922528505),
+        (0, 5, 0.11110752991639139, 0.11851469851081749, 0.11385846907599764),
+        (6, 2, 0.14073620429409578, 0.14814337288852186, 0.1460545955017819),
+        (3, 4, 0.14073620429409578, 0.14814337288852186, 0.14095636202256215),
+        (1, 1, 0.07407168694426093, 0.08147885553868703, 0.07949064663390996),
+        (3, 3, 0.12592186710524358, 0.13332903569966967, 0.13207052141267606),
+        (6, 6, 0.17036487867180014, 0.17777204726622622, 0.1757207297920019),
+        (60, 60, 0.28887957618261767, 0.29628674477704375, 0.2936063811437693),
+    ],
+    ('b2', 'full'): [
+        (1, 0, 0.05185018116098265, 0.05925734975540874, 0.05585183085797281),
+        (2, 1, 0.08888602413311311, 0.09629319272753921, 0.09576890957795525),
+        (0, 5, 0.11110752991639139, 0.11851469851081749, 0.11352244121755761),
+        (6, 2, 0.14073620429409578, 0.14814337288852186, 0.14579275563325314),
+        (3, 4, 0.14073620429409578, 0.14814337288852186, 0.1407674638465923),
+        (1, 1, 0.07407168694426093, 0.08147885553868703, 0.07938555439724955),
+        (3, 3, 0.12592186710524358, 0.13332903569966967, 0.13189763769512305),
+        (6, 6, 0.17036487867180014, 0.17777204726622622, 0.17549637846031604),
+        (60, 60, 0.28887957618261767, 0.29628674477704375, 0.29333956637592773),
+    ],
+    ('b3', 'reduced'): [
+        (1, 0, 0.037732993325420516, 0.044021825379657264, 0.03881400012878449),
+        (2, 1, 0.06288832154236752, 0.06917715359660427, 0.06605771929828326),
+        (0, 5, 0.07546598565084103, 0.08175481770507778, 0.0781857254148582),
+        (6, 2, 0.09433248181355129, 0.10062131386778804, 0.09934873718337345),
+        (3, 4, 0.09433248181355129, 0.10062131386778804, 0.0959658052665165),
+        (1, 1, 0.05031065743389402, 0.056599489488130775, 0.054932726064798154),
+        (3, 3, 0.08804364975931453, 0.09433248181355129, 0.09013815615235476),
+        (6, 6, 0.11319897797626155, 0.1194878100304983, 0.11840216716171975),
+        (60, 60, 0.19495379468133933, 0.20124262673557608, 0.1950070322239401),
+    ],
+    ('b3', 'full'): [
+        (1, 0, 0.037732993325420516, 0.044021825379657264, 0.03869680122816568),
+        (2, 1, 0.06288832154236752, 0.06917715359660427, 0.06591252619329609),
+        (0, 5, 0.07546598565084103, 0.08175481770507778, 0.07767939305745637),
+        (6, 2, 0.09433248181355129, 0.10062131386778804, 0.09903381983766944),
+        (3, 4, 0.09433248181355129, 0.10062131386778804, 0.0957796130720355),
+        (1, 1, 0.05031065743389402, 0.056599489488130775, 0.05482825613507038),
+        (3, 3, 0.08804364975931453, 0.09433248181355129, 0.08997099604297845),
+        (6, 6, 0.11319897797626155, 0.1194878100304983, 0.11819032240573998),
+        (60, 60, 0.18866496262710258, 0.19495379468133933, 0.19473163966801155),
+    ],
+}
+
+
+def bundled(name):
+    return load_geometry(resources.files("qpdyn.data")
+                         / f"geometry_{name}_like.cfg")
+
+
+@pytest.mark.parametrize("geom_name,form", sorted(PARENT_ROOTS))
+def test_roots_match_pinned_scalar_scan(geom_name, form):
+    geom = bundled(geom_name)
+    for nl, nr, lo, hi, z in PARENT_ROOTS[geom_name, form]:
+        sol = smallest_root(geom, VortexConfig(nl, nr, P_REF), TP, form=form)
+        assert sol.bracket == (lo, hi), (nl, nr)
+        assert sol.z == pytest.approx(z, rel=1e-13, abs=0), (nl, nr)
+
+
+@pytest.mark.parametrize("form", ["reduced", "full"])
+@pytest.mark.parametrize("counts", [(2, 1), (3, 3), (0, 5)])
+def test_array_residual_equals_scalar(form, counts):
+    vc = VortexConfig(*counts, P_REF)
+    zs = np.linspace(1e-3, 1.6, 200)
+    for name in ("b1", "b2", "b3"):
+        geom = bundled(name)
+        groups = eigenmode._groups(geom, vc, TP)
+        grid = eigenmode._mode_terms(zs, groups, form)[2]
+        scalar = [eigen_residual(float(z), geom, vc, TP, form) for z in zs]
+        # equal up to the few-ulp rounding differences between numpy's
+        # vector and scalar trig kernels
+        np.testing.assert_allclose(grid, scalar, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("form", ["reduced", "full"])
+@pytest.mark.parametrize("pads", ["equal", "alternating"])
+def test_sweep_rows_equal_per_field_roots(pads, form):
+    geom = bundled("b2")
+    b_grid = np.linspace(0.0, 150e-7, 41)
+    rows = field_sweep(geom, TP, P_REF, b_grid, b_k=11e-7,
+                       vortex_density_slope=0.3 / 1e-7, pads=pads, form=form)
+    assert len({(nl, nr) for _, nl, nr, _ in rows}) < len(rows)
+    for (b, nl, nr, s), b_in in zip(rows, b_grid):
+        assert b == b_in
+        assert s == smallest_root(geom, VortexConfig(nl, nr, P_REF), TP,
+                                  form=form).s
+
+
+@pytest.mark.parametrize("form", ["reduced", "full"])
+def test_scan_evaluates_each_grid_in_one_call(monkeypatch, form):
+    """A per-point scan would show up as scalar calls outside Brent's
+    polish and the Newton quality estimate."""
+    calls, inside = [], []
+    mode_terms = eigenmode._mode_terms
+
+    def counted(z, *args):
+        calls.append((np.ndim(z) > 0, inside[-1] if inside else None))
+        return mode_terms(z, *args)
+
+    def tagged(name, fn):
+        def run(*args, **kwargs):
+            inside.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return run
+
+    geom = bundled("b1")
+    n_intervals = len(eigenmode._pole_positions(geom, eigenmode._Z_CAP,
+                                                form)) + 1
+    monkeypatch.setattr(eigenmode, "_mode_terms", counted)
+    monkeypatch.setattr(eigenmode, "brentq",
+                        tagged("brent", eigenmode.brentq))
+    monkeypatch.setattr(eigenmode, "_newton_quality",
+                        tagged("newton", eigenmode._newton_quality))
+    smallest_root(geom, VortexConfig(2, 1, P_REF), TP, form=form)
+    grids = [who for is_array, who in calls if is_array]
+    points = [who for is_array, who in calls if not is_array]
+    assert 1 <= len(grids) <= n_intervals
+    assert set(grids) == {None}
+    assert set(points) <= {"brent", "newton"}
+    assert points.count("newton") == 3
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_sweep_rejects_non_finite(self, bad):
+        geom = bundled("b1")
+        ok = dict(b_k=11e-7, vortex_density_slope=0.45 / 1e-7)
+        with pytest.raises(InvalidParameterError, match="slope"):
+            field_sweep(geom, TP, P_REF, [20e-7], 11e-7, bad)
+        with pytest.raises(InvalidParameterError, match="b_k"):
+            field_sweep(geom, TP, P_REF, [20e-7], bad, 0.45 / 1e-7)
+        with pytest.raises(InvalidParameterError, match="b_grid"):
+            field_sweep(geom, TP, P_REF, [20e-7, bad], **ok)
+
+    def test_sweep_rejects_overflowing_counts(self):
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            field_sweep(bundled("b1"), TP, P_REF, [1.0], 1e-7, 1e308)
+
+    def test_form_checked_at_entry(self):
+        geom = bundled("b1")
+        with pytest.raises(InvalidParameterError, match="form"):
+            smallest_root(geom, VortexConfig(0, 0, P_REF), TP, form="bogus")
+        with pytest.raises(InvalidParameterError, match="form"):
+            step_sequence(geom, TP, P_REF, form="bogus")
+        with pytest.raises(InvalidParameterError, match="form"):
+            field_sweep(geom, TP, P_REF, [0.0], 11e-7, 0.45 / 1e-7,
+                        form="bogus")
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 1.5])
+    def test_vortex_counts(self, bad):
+        with pytest.raises(InvalidParameterError, match="vortex counts"):
+            VortexConfig(bad, 0, P_REF)
+        with pytest.raises(InvalidParameterError, match="vortex counts"):
+            VortexConfig(0, bad, P_REF)
+
+    @pytest.mark.parametrize("bad", [2.5, 0, math.inf, math.nan])
+    def test_step_count(self, bad):
+        with pytest.raises(InvalidParameterError, match="max_steps"):
+            step_sequence(bundled("b1"), TP, P_REF, max_steps=bad)
+
+    @pytest.mark.parametrize("bad", [-0.1, math.inf, math.nan])
+    def test_residual_point(self, bad):
+        with pytest.raises(InvalidParameterError, match="z must"):
+            eigen_residual(bad, bundled("b1"), VortexConfig(1, 0, P_REF), TP)

@@ -243,6 +243,12 @@ class TestSynthTrace:
         tr = synth_trace(truth, TGRID, 0.03, 42)
         assert np.allclose(tr.sigma, 0.03 * gamma_model(TGRID, truth))
 
+    @pytest.mark.parametrize("bad", [-0.01, np.nan, np.inf])
+    def test_noise_must_be_finite(self, bad):
+        truth = FitResult.from_params(1e5, 0.7, 9e-3, 2e4)
+        with pytest.raises(InvalidParameterError, match="noise_rel"):
+            synth_trace(truth, TGRID, bad, 42)
+
     def test_law_of_large_numbers(self):
         truth = FitResult.from_params(1e5, 0.7, 9e-3, 2e4)
         t_fix = (5e-3,)
