@@ -22,8 +22,7 @@ from .estimates import (CavityQs, VortexMicro, frequency_shift,
                         frequency_shift_from_xqp, injection_power,
                         microscopic_trapping_power, qp_injection_rate,
                         vortex_profile)
-from .geometry import (DerivedGeometry, DeviceGeometry, derive,
-                       load_geometry, save_geometry)
+from .geometry import DerivedGeometry, DeviceGeometry, derive, load_geometry
 from .pde_sim import (Discretization, EvolveSpec, build, evolve,
                       factorized_dynamics_check, slowest_mode)
 from .trace_fit import (DecayTrace, ExtractedRates, FitResult,

@@ -201,7 +201,8 @@ def extraction_bounds(p: SolutionParams, gamma0: float,
         return ExtractionBounds(s_min=s_max, s_max=s_max, g_max=g_max)
     ratio = p.r_prime / (1.0 - p.r_prime)
     s_min = (1.0 - 2.0 * ratio * gamma0 / (p.x_i * coupling)) / p.tau_ss
-    g_max = p.x_i / (4.0 * ratio * p.tau_ss)
+    den = 4.0 * ratio * p.tau_ss  # underflows to 0 for a subnormal r'
+    g_max = p.x_i / den if den > 0 else math.inf
     return ExtractionBounds(s_min=max(s_min, 0.0), s_max=s_max, g_max=g_max)
 
 

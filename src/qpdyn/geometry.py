@@ -25,6 +25,7 @@ weak-trapping decay rate satisfies s = N P / A + s0.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -61,10 +62,11 @@ class DeviceGeometry:
         for name in ("w_wire", "l_wire", "h_cap", "l_half_gap", "w_cap",
                      "s_pad"):
             v = getattr(self, name)
-            if not (v > 0):
-                violations.append(f"{name} must be > 0, got {v}")
-        if not (self.l_cap >= 0):
-            violations.append(f"l_cap must be >= 0, got {self.l_cap}")
+            if not (0 < v < math.inf):
+                violations.append(f"{name} must be finite and > 0, got {v}")
+        if not (0 <= self.l_cap < math.inf):
+            violations.append(
+                f"l_cap must be finite and >= 0, got {self.l_cap}")
         if violations:
             raise InvalidGeometryError(violations)
         if self.w_wire / self.l_wire >= 0.2:
@@ -159,11 +161,6 @@ def format_geometry(geom: DeviceGeometry) -> str:
 def load_geometry(path) -> DeviceGeometry:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_geometry(fh.read())
-
-
-def save_geometry(geom: DeviceGeometry, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_geometry(geom))
 
 
 def scaled(geom: DeviceGeometry, factor: float) -> DeviceGeometry:

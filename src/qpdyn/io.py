@@ -16,12 +16,13 @@ from __future__ import annotations
 import hashlib
 import io as _io
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import TraceParseError
+from .errors import NonConvergenceError, TraceParseError
 from .trace_fit import DecayTrace, SteadyStatePoint
 from .units import unit_factor
 
@@ -186,10 +187,33 @@ def build_manifest(command: str, parameters: dict, input_paths=(),
         else datetime.now(timezone.utc).isoformat())
 
 
+def _non_finite_paths(obj, path: str):
+    """Dotted paths of the inf/nan floats inside nested dicts and lists."""
+    if isinstance(obj, dict):
+        for key, val in obj.items():
+            yield from _non_finite_paths(val,
+                                         f"{path}.{key}" if path else key)
+    elif isinstance(obj, (list, tuple)):
+        for k, val in enumerate(obj):
+            yield from _non_finite_paths(val, f"{path}[{k}]")
+    elif isinstance(obj, float) and not math.isfinite(obj):
+        yield f"{path} = {obj}"
+
+
 def format_json_result(result: dict, manifest: RunManifest) -> str:
-    """JSON result document with stable field order."""
-    return json.dumps({"result": result, "manifest": manifest.to_dict()},
-                      indent=2) + "\n"
+    """JSON result document with stable field order.
+
+    JSON has no infinity or NaN, so a non-finite value raises
+    NonConvergenceError naming where it sits.
+    """
+    doc = {"result": result, "manifest": manifest.to_dict()}
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        bad = ", ".join(_non_finite_paths(doc, "")) or "unknown field"
+        raise NonConvergenceError(
+            f"{manifest.command}: non-finite value in the output ({bad})"
+        ) from None
 
 
 def format_csv_result(header, rows, manifest: RunManifest) -> str:
@@ -212,19 +236,3 @@ def write_text(text: str, path=None) -> None:
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-
-
-def write_results(result, fmt: str, path, manifest: RunManifest) -> None:
-    """Serialize a result with its manifest.
-
-    fmt 'json' takes a dict; fmt 'csv' takes a (header, rows) pair.  Field
-    order is stable and floats use repr, so identical inputs produce
-    byte-identical files.
-    """
-    if fmt == "json":
-        write_text(format_json_result(result, manifest), path)
-    elif fmt == "csv":
-        header, rows = result
-        write_text(format_csv_result(header, rows, manifest), path)
-    else:
-        raise ValueError(f"fmt must be 'json' or 'csv', got {fmt!r}")

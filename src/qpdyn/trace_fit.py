@@ -14,7 +14,8 @@ fit_t1_vs_tau performs the steady-state linear fit
 
 whose slope reveals the stray generation rate g.
 
-Fitting is a damped Gauss-Newton iteration in the transformed coordinates
+Fitting is scipy's Levenberg-Marquardt least_squares (MINPACK lmder) with
+the analytic Jacobian, in the transformed coordinates
 (log A, logit r', log tau_ss, log(Gamma0 + 1e-3)) so every iterate is
 strictly feasible; default weighting is relative (residuals of log Gamma)
 because traces span several decades.
@@ -35,6 +36,13 @@ from .errors import (DegenerateTraceError, InsufficientDataError,
 _GAMMA0_SHIFT = 1e-3  # 1/s, shift inside log(Gamma0 + eps)
 
 DEFAULT_T_MIN = 200e-6  # s, early-time truncation of trace fits
+
+# least_squares stopping tolerances: relative step, relative cost
+# decrease, scaled gradient.  Variables are scaled by the Jacobian column
+# norms (x_scale="jac"), pinned because scipy's default changed in 1.16.
+_XTOL = 1e-10
+_FTOL = 1e-12
+_GTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -177,20 +185,11 @@ def _model_and_jac(t: np.ndarray, theta: np.ndarray):
     return m, jac
 
 
-def _sigmoid(v: float) -> float:
-    # overflow-safe logistic; large |v| saturates instead of raising
-    if v >= 0:
-        return 1.0 / (1.0 + math.exp(-min(v, 745.0)))
-    ev = math.exp(max(v, -745.0))
-    return ev / (1.0 + ev)
-
-
 def _to_theta(u: np.ndarray) -> np.ndarray:
+    from scipy.special import expit
     with np.errstate(over="ignore"):
-        return np.array([float(np.exp(u[0])),
-                         _sigmoid(u[1]),
-                         float(np.exp(u[2])),
-                         float(np.exp(u[3])) - _GAMMA0_SHIFT])
+        return np.array([np.exp(u[0]), expit(u[1]), np.exp(u[2]),
+                         np.exp(u[3]) - _GAMMA0_SHIFT])
 
 
 def _to_u(theta) -> np.ndarray:
@@ -200,53 +199,19 @@ def _to_u(theta) -> np.ndarray:
                      math.log(tau), math.log(g0 + _GAMMA0_SHIFT)])
 
 
-def damped_gauss_newton(resid_jac, u0: np.ndarray, max_iter: int = 500,
-                        step_tol: float = 1e-10, cost_tol: float = 1e-12):
-    """Damped Gauss-Newton least-squares minimizer.
+def _weighted(m, jac, gamma, weighting: str, sigma):
+    """Weighted residuals and Jacobian rows for model values m.
 
-    resid_jac(u) must return (residuals, Jacobian).  The damping factor
-    follows a Levenberg-Marquardt schedule on the scaled normal equations;
-    iteration stops when the relative parameter step falls below step_tol
-    or the relative cost decrease below cost_tol.  Returns
-    (u, cost_history); the history is non-increasing by construction.
+    relative: log m - log gamma; sigma: (m - gamma) / sigma;
+    absolute: m - gamma.
     """
-    u = np.asarray(u0, dtype=float).copy()
-    res, jac = resid_jac(u)
-    cost = 0.5 * float(res @ res)
-    history = [cost]
-    lam = 1e-3
-    for _ in range(max_iter):
-        jtj = jac.T @ jac
-        jtr = jac.T @ res
-        diag = np.diag(jtj).copy()
-        diag[diag <= 0] = max(diag.max(), 1e-300)
-        accepted = False
-        while lam <= 1e14:
-            try:
-                delta = np.linalg.solve(jtj + lam * np.diag(diag), -jtr)
-            except np.linalg.LinAlgError:
-                delta = None
-            if delta is not None and np.all(np.isfinite(delta)):
-                u_new = u + delta
-                res_new, jac_new = resid_jac(u_new)
-                cost_new = 0.5 * float(res_new @ res_new)
-                if math.isfinite(cost_new) and cost_new <= cost:
-                    accepted = True
-                    break
-            lam *= 10.0
-        if not accepted:
-            # no descent direction survives heavy damping: at a minimum
-            return u, history
-        step_rel = float(np.max(np.abs(delta) / (1.0 + np.abs(u))))
-        decrease_rel = (cost - cost_new) / max(cost, 1e-300)
-        u, res, jac, cost = u_new, res_new, jac_new, cost_new
-        history.append(cost)
-        lam = max(lam / 3.0, 1e-12)
-        if step_rel < step_tol or decrease_rel < cost_tol:
-            return u, history
-    raise NonConvergenceError(
-        f"fit did not converge in {max_iter} iterations",
-        best_params=_to_theta(u), best_cost=cost)
+    with np.errstate(all="ignore"):
+        if weighting == "relative":
+            m_safe = np.maximum(m, 1e-300)
+            return np.log(m_safe) - np.log(gamma), jac / m_safe[:, None]
+        if weighting == "sigma":
+            return (m - gamma) / sigma, jac / sigma[:, None]
+        return m - gamma, jac
 
 
 def _initial_guess(t: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -279,9 +244,14 @@ def fit_gamma_trace(trace: DecayTrace, t_min: float = DEFAULT_T_MIN,
     'absolute', or 'sigma' (per-sample uncertainties, which the trace must
     carry).  The fit is deterministic given identical inputs and guess.
 
-    With full_output=True returns (FitResult, info) where info carries the
-    cost history and iteration count.
+    max_iter bounds the residual evaluations; a fit that exhausts it raises
+    NonConvergenceError carrying the best parameters and cost.  A fit that
+    drives r' to 1 raises DegenerateTraceError.  With full_output=True
+    returns (FitResult, info) where info carries the cost history
+    ([initial, final]) and the number of Jacobian evaluations.
     """
+    from scipy.optimize import least_squares
+
     cut = trace.truncated(t_min)
     t, gamma = cut.t, cut.gamma
     if t.size < 6:
@@ -309,34 +279,38 @@ def fit_gamma_trace(trace: DecayTrace, t_min: float = DEFAULT_T_MIN,
             tscale = np.array([theta[0], theta[1] * (1.0 - theta[1]),
                                theta[2], theta[3] + _GAMMA0_SHIFT])
             jac_u = jac_theta * tscale
-            if weighting == "relative":
-                m_safe = np.maximum(m, 1e-300)
-                return np.log(m_safe) - np.log(gamma), jac_u / m_safe[:, None]
-            if weighting == "sigma":
-                w = 1.0 / cut.sigma
-                return (m - gamma) * w, jac_u * w[:, None]
-            return m - gamma, jac_u
+        return _weighted(m, jac_u, gamma, weighting, cut.sigma)
 
-    if guess is not None and not (guess.amplitude > 0):
-        raise InvalidParameterError(
-            f"guess.amplitude must be > 0, got {guess.amplitude}")
-    u0 = _initial_guess(t, gamma) if guess is None else _to_u(
-        (guess.amplitude, guess.r_prime, guess.tau_ss, guess.gamma0))
-    u, history = damped_gauss_newton(resid_jac, u0, max_iter=max_iter)
-    theta = _to_theta(u)
+    if guess is None:
+        u0 = _initial_guess(t, gamma)
+    else:
+        p = (guess.amplitude, guess.r_prime, guess.tau_ss, guess.gamma0)
+        if not (guess.amplitude > 0 and all(map(math.isfinite, p))):
+            raise InvalidParameterError(
+                f"guess (A, r', tau_ss, Gamma0) must be finite with A > 0, "
+                f"got {p}")
+        u0 = _to_u(p)
+    try:
+        sol = least_squares(lambda u: resid_jac(u)[0], u0,
+                            jac=lambda u: resid_jac(u)[1], method="lm",
+                            xtol=_XTOL, ftol=_FTOL, gtol=_GTOL,
+                            x_scale="jac", max_nfev=max_iter)
+    except ValueError as exc:
+        raise InvalidParameterError(f"cannot start the fit: {exc}") from None
+    if sol.status == 0:
+        raise NonConvergenceError(
+            f"fit did not converge in {max_iter} evaluations",
+            best_params=_to_theta(sol.x), best_cost=float(sol.cost))
+    theta = _to_theta(sol.x)
     theta[3] = max(theta[3], 0.0)
+    if theta[1] >= 1.0:
+        raise DegenerateTraceError(
+            "r' is not identifiable from this trace: the fit drives it to 1 "
+            f"(logit r' = {sol.x[1]:.3g})")
 
     # covariance in original parameters from the weighted Jacobian
     m, jac_theta = _model_and_jac(t, theta)
-    if weighting == "relative":
-        jac_w = jac_theta / np.maximum(m, 1e-300)[:, None]
-        res_w = np.log(np.maximum(m, 1e-300)) - np.log(gamma)
-    elif weighting == "sigma":
-        jac_w = jac_theta / cut.sigma[:, None]
-        res_w = (m - gamma) / cut.sigma
-    else:
-        jac_w = jac_theta
-        res_w = m - gamma
+    res_w, jac_w = _weighted(m, jac_theta, gamma, weighting, cut.sigma)
     rss = float(res_w @ res_w)
     dof = t.size - 4
     scale = 1.0 if weighting == "sigma" else rss / dof
@@ -357,7 +331,10 @@ def fit_gamma_trace(trace: DecayTrace, t_min: float = DEFAULT_T_MIN,
                        residual_norm=resid_norm, n_used=int(t.size),
                        t_min_applied=float(t_min))
     if full_output:
-        return result, {"cost_history": history, "n_iterations": len(history) - 1}
+        res0 = resid_jac(u0)[0]
+        cost0 = 0.5 * float(res0 @ res0)
+        return result, {"cost_history": [cost0, float(sol.cost)],
+                        "n_iterations": int(sol.njev)}
     return result
 
 

@@ -9,6 +9,7 @@ must carry a suffix so that no unit ambiguity survives parsing.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import UnitParseError
@@ -39,17 +40,25 @@ _NUMBER_RE = re.compile(
     r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*(.*?)\s*$")
 
 
+def _finite(value: float, text: str) -> float:
+    if not math.isfinite(value):
+        raise UnitParseError(f"{text!r} is not a finite quantity")
+    return value
+
+
 def parse_quantity(text: str, kind: str) -> float:
     """Parse ``text`` as a quantity of the given kind, returning its SI value.
 
     Raises UnitParseError if the suffix is missing, unknown for the kind,
-    or the number itself does not parse.
+    the number itself does not parse, or the value is not finite (e.g.
+    ``1e400um`` overflows).
     """
     if kind == "dimensionless":
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             raise UnitParseError(f"cannot parse {text!r} as a number") from None
+        return _finite(value, text)
     try:
         table = _UNIT_TABLES[kind]
     except KeyError:
@@ -65,7 +74,7 @@ def parse_quantity(text: str, kind: str) -> float:
     if unit not in table:
         raise UnitParseError(
             f"{text!r}: unknown {kind} unit {unit!r}; accepted: {sorted(table)}")
-    return float(value_str) * table[unit]
+    return _finite(float(value_str) * table[unit], text)
 
 
 def unit_factor(unit: str, kind: str) -> float:
@@ -87,8 +96,7 @@ def parse_angular_frequency(text: str) -> float:
     """
     m = _NUMBER_RE.match(text)
     if m and m.group(2) in ("rad/s", "rads"):
-        return float(m.group(1))
-    import math
+        return _finite(float(m.group(1)), text)
     return 2.0 * math.pi * parse_quantity(text, "frequency")
 
 

@@ -59,6 +59,12 @@ class TestValidation:
                            s_pad=6400e-12)
         assert len(exc.value.violations) == 2
 
+    @pytest.mark.parametrize("name", ["w_wire", "l_cap", "s_pad"])
+    def test_infinite_dimension_rejected(self, b1_geom, name):
+        from dataclasses import replace
+        with pytest.raises(InvalidGeometryError, match=f"{name} must be finite"):
+            replace(b1_geom, **{name: np.inf})
+
     def test_wide_wire_warning(self):
         with pytest.warns(UserWarning, match="W << L"):
             DeviceGeometry(w_wire=50e-6, l_wire=200e-6, h_cap=75e-6,

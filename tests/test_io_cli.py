@@ -108,22 +108,6 @@ class TestPointsFile:
         assert pts[1].sigma_inv_t1 == 2e3
 
 
-class TestWriteResults:
-    def test_json_and_csv_dispatch(self, tmp_path):
-        man = qio.build_manifest("demo", {"x": 1.0}, no_timestamp=True)
-        pj = tmp_path / "r.json"
-        qio.write_results({"a": 1.5}, "json", pj, man)
-        doc = json.loads(pj.read_text())
-        assert doc["result"]["a"] == 1.5
-        pc = tmp_path / "r.csv"
-        qio.write_results((("x", "y"), [(1.0, 2.0)]), "csv", pc, man)
-        lines = pc.read_text().splitlines()
-        assert lines[1] == "x,y"
-        assert lines[2] == "1.0,2.0"
-        with pytest.raises(ValueError):
-            qio.write_results({}, "xml", pj, man)
-
-
 class TestManifest:
     def test_deterministic_without_timestamp(self, tmp_path):
         f = tmp_path / "in.csv"
@@ -186,6 +170,9 @@ class TestCli:
         assert lines[0].startswith("# manifest:")
         assert lines[1] == "step,n_left,n_right,s_per_s,sA_cm2_per_s"
         rows = [ln.split(",") for ln in lines[2:]]
+        assert rows[0][:3] == ["0", "0", "0"]
+        # floats are written with repr, so they read back exactly
+        assert all(repr(float(v)) == v for r in rows for v in r[3:])
         s_a = [float(r[4]) for r in rows]
         assert all(b > a for a, b in zip(s_a, s_a[1:]))
         incr = np.diff(s_a)
@@ -348,6 +335,44 @@ class TestCli:
         assert code == 5
         assert out == ""
         assert "slope must be finite" in err
+
+    def test_rates_non_finite_result_exit_6(self, capsys):
+        # r' = 5e-324 puts g_bound = 1/(4 r tau^2) at infinity, which JSON
+        # cannot carry
+        code, out, err = run_cli(
+            capsys, "rates", "--amplitude", "4.865e5/s", "--rprime",
+            "5e-324", "--tauss", "5.51ms", "--gamma0", "2.22e5/s",
+            "--c", "4.6e10/s", "--no-timestamp")
+        assert code == 6
+        assert out == ""
+        assert "rates.g_bound_per_s = inf" in err
+
+    def test_fit_short_linear_trace_sigma_weighting(self, capsys, tmp_path):
+        trace = str(tmp_path / "short.csv")
+        code, _, _ = run_cli(
+            capsys, "synth", "--amplitude", "4.865e5/s", "--rprime", "0.277",
+            "--tauss", "5.51ms", "--gamma0", "2.22e5/s", "--noise", "0.027",
+            "--seed", "0", "--tgrid", "lin:0.2ms:33.06ms:13",
+            "--out-file", trace, "--no-timestamp")
+        assert code == 0
+        code, out, err = run_cli(capsys, "fit", trace, "--weighting", "sigma",
+                                 "--c", "4.6e10/s", "--no-timestamp")
+        assert code == 0, err
+        fit = json.loads(out)["result"]["fit"]
+        assert abs(fit["tau_ss_s"] - 5.51e-3) < 3 * fit["tau_ss_sigma"]
+
+    def test_geometry_non_finite_length_exit_4(self, capsys, tmp_path):
+        from importlib import resources
+        text = (resources.files("qpdyn.data")
+                / "geometry_b1_like.cfg").read_text()
+        geom = tmp_path / "huge.cfg"
+        geom.write_text(text.replace("l_cap = 600um", "l_cap = 1e400um"))
+        code, out, err = run_cli(
+            capsys, "eigenrate", "--geom", str(geom), "--nl", "1", "--nr",
+            "0", "--p", "0.067cm2/s", "--d", "18cm2/s", "--no-timestamp")
+        assert code == 4
+        assert out == ""
+        assert "not a finite quantity" in err and "line" in err
 
     def test_estimate_missing_flags_exit_5(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "qprate", "--rj", "8kohm")

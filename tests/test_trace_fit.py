@@ -4,7 +4,8 @@ import pytest
 from qpdyn.dynamics import (RateParams, SolutionParams, solution_from_rates,
                             xqp_analytic)
 from qpdyn.errors import (DegenerateTraceError, InsufficientDataError,
-                          InsufficientSpreadError, InvalidParameterError)
+                          InsufficientSpreadError, InvalidParameterError,
+                          NonConvergenceError)
 from qpdyn.trace_fit import (DecayTrace, FitResult, SteadyStatePoint,
                              extract_rates, fit_gamma_trace, fit_t1_vs_tau,
                              gamma_model, synth_trace)
@@ -12,6 +13,24 @@ from qpdyn.trace_fit import (DecayTrace, FitResult, SteadyStatePoint,
 from conftest import log_grid
 
 TGRID = log_grid(0.2e-3, 80e-3, 40)
+
+
+def linear_grid_cases(n_cases):
+    """Seeded linear-grid round trips: r' 0.5-0.95, 40-300 samples, tails of
+    3-6 tau_ss, the three weightings in turn; every other run of three
+    cases carries 2% noise, the rest are noise-free."""
+    rng = np.random.Generator(np.random.Philox(0))
+
+    def log_u(lo, hi):
+        return float(10 ** rng.uniform(np.log10(lo), np.log10(hi)))
+
+    for k in range(n_cases):
+        rp, n = rng.uniform(0.5, 0.95), int(rng.integers(40, 301))
+        tail, tau = rng.uniform(3.0, 6.0), log_u(8e-3, 25e-3)
+        amp = log_u(3e5, 6e6)
+        truth = FitResult.from_params(amp, rp, tau, amp * log_u(3e-3, 0.05))
+        yield (truth, np.linspace(0.2e-3, tail * tau, n),
+               ("relative", "absolute", "sigma")[k % 3], (k // 3) % 2 == 1)
 
 
 def b1_truth(coupling, gamma0=4e4):
@@ -119,6 +138,58 @@ class TestFitGammaTrace:
         assert f2.amplitude == pytest.approx(f1.amplitude, rel=1e-8)
         assert f2.tau_ss == pytest.approx(f1.tau_ss, rel=1e-8)
         assert f2.gamma0 == pytest.approx(f1.gamma0, rel=1e-8)
+
+    def test_linear_grid_round_trips(self):
+        misses = []
+        for k, (truth, grid, weighting, noisy) in enumerate(
+                linear_grid_cases(24)):
+            if noisy:
+                tr = synth_trace(truth, grid, 0.02, seed=k)
+            else:
+                m = gamma_model(grid, truth)
+                tr = DecayTrace(t=grid, gamma=m, sigma=0.02 * m)
+            f = fit_gamma_trace(tr, weighting=weighting)
+            if noisy:
+                ok = abs(f.tau_ss - truth.tau_ss) <= max(
+                    0.05 * truth.tau_ss, 5 * f.sigmas[2])
+            else:
+                got = np.array([f.amplitude, f.r_prime, f.tau_ss, f.gamma0])
+                want = np.array([truth.amplitude, truth.r_prime,
+                                 truth.tau_ss, truth.gamma0])
+                ok = np.all(np.abs(got / want - 1) <= 1e-6)
+            if not ok:
+                misses.append((k, weighting, noisy))
+        assert misses == []
+
+    def test_saturated_r_prime_is_degenerate(self):
+        # pure 1/(exp(t/tau) - 1) shape: the r' -> 1 limit of the model
+        t = log_grid(0.2e-3, 80e-3, 40)
+        rng = np.random.Generator(np.random.Philox(1))
+        gamma = (1e4 / np.expm1(t / 5e-3) + 4e4) * (
+            1 + 0.02 * rng.standard_normal(t.size))
+        with pytest.raises(DegenerateTraceError, match="r' is not identif"):
+            fit_gamma_trace(DecayTrace(t=t, gamma=gamma),
+                            weighting="absolute")
+
+    @pytest.mark.parametrize("guess,error", [
+        ((1e308, 0.5, 18e-3, 1e308), InvalidParameterError),
+        ((1e5, 0.5, 1e-300, 4e4), NonConvergenceError)])
+    @pytest.mark.parametrize("weighting", ["relative", "absolute", "sigma"])
+    def test_overflowing_guess_raises_typed_error(self, guess, error,
+                                                  weighting):
+        truth = FitResult.from_params(1e5, 0.9, 18e-3, 4e4)
+        tr = synth_trace(truth, TGRID, 0.02, 0)
+        with pytest.raises(error):
+            fit_gamma_trace(tr, weighting=weighting,
+                            guess=FitResult.from_params(*guess))
+
+    def test_evaluation_budget_exhausted(self):
+        truth = FitResult.from_params(1e5, 0.9, 18e-3, 4e4)
+        tr = synth_trace(truth, TGRID, 0.02, 0)
+        with pytest.raises(NonConvergenceError) as exc:
+            fit_gamma_trace(tr, max_iter=2)
+        assert exc.value.best_params.shape == (4,)
+        assert np.isfinite(exc.value.best_cost)
 
     def test_homogeneity_in_gamma_scale(self):
         truth = FitResult.from_params(1e5, 0.85, 15e-3, 4e4)

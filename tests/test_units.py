@@ -45,6 +45,13 @@ class TestParseQuantity:
         with pytest.raises(UnitParseError):
             parse_quantity("oops", "dimensionless")
 
+    @pytest.mark.parametrize("text,kind", [
+        ("1e400um", "length"), ("1e308GHz", "frequency"),
+        ("inf", "dimensionless"), ("nan", "dimensionless")])
+    def test_non_finite_rejected(self, text, kind):
+        with pytest.raises(UnitParseError, match="not a finite"):
+            parse_quantity(text, kind)
+
     def test_whitespace_tolerated(self):
         assert parse_quantity(" 200 us ", "time") == pytest.approx(200e-6)
 
@@ -60,6 +67,8 @@ class TestAngularFrequency:
     def test_bad_input(self):
         with pytest.raises(UnitParseError):
             parse_angular_frequency("6")
+        with pytest.raises(UnitParseError, match="not a finite"):
+            parse_angular_frequency("1e400rad/s")
 
 
 def test_unit_factor():
