@@ -70,16 +70,18 @@ class SolutionParams:
     x0: float
 
     def __post_init__(self):
-        if not (self.x_i >= 0):
-            raise InvalidParameterError(f"x_i must be >= 0, got {self.x_i}")
+        if not (self.x_i >= 0 and math.isfinite(self.x_i)):
+            raise InvalidParameterError(
+                f"x_i must be finite and >= 0, got {self.x_i}")
         if not (0 <= self.r_prime < 1):
             raise InvalidParameterError(
                 f"r_prime must lie in [0, 1), got {self.r_prime}")
-        if not (self.tau_ss > 0):
+        if not (self.tau_ss > 0 and math.isfinite(self.tau_ss)):
             raise InvalidParameterError(
-                f"tau_ss must be > 0, got {self.tau_ss}")
-        if not (self.x0 >= 0):
-            raise InvalidParameterError(f"x0 must be >= 0, got {self.x0}")
+                f"tau_ss must be finite and > 0, got {self.tau_ss}")
+        if not (self.x0 >= 0 and math.isfinite(self.x0)):
+            raise InvalidParameterError(
+                f"x0 must be finite and >= 0, got {self.x0}")
 
 
 class SteadyState(NamedTuple):

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InvalidParameterError, NoRootFoundError
 from .geometry import DeviceGeometry, derive
@@ -209,6 +208,8 @@ def eigen_residual(z: float, geom: DeviceGeometry, vortices: VortexConfig,
 
 def _pole_positions(geom: DeviceGeometry, z_max: float, form: str):
     """All residual poles in (0, z_max): tan z, capacitor, central-wire tans."""
+    from scipy.optimize import brentq
+
     poles = []
     # tan(z)
     p = 0.5 * math.pi
@@ -267,6 +268,8 @@ def _first_root(fn, geom: DeviceGeometry, form: str, poles, step: float,
     rescan before moving on.  Candidate samples are visited in grid
     order, so the bracket returned is the lowest one.
     """
+    from scipy.optimize import brentq
+
     edges = [0.0] + [p for p in poles if p < z_cap] + [z_cap]
 
     def brent(za, zb):

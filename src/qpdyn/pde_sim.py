@@ -18,16 +18,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .dynamics import RateParams, integrate_ode, steady_state
 from .errors import (InvalidParameterError, InvalidResolutionError,
                      NonConvergenceError, StepSizeUnderflowError)
 from .eigenmode import TransportParams, VortexConfig
 from .geometry import DeviceGeometry
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,8 @@ def build(geom: DeviceGeometry, vortices: VortexConfig, tp: TransportParams,
     are lumped nodes; the vortex trapping N P enters as a linear sink on
     them, normalized by the pad node's control area.
     """
+    import scipy.sparse as sp
+
     if resolution < 10:
         raise InvalidResolutionError(
             f"resolution must be >= 10 cells per wire length, got {resolution}")
@@ -180,8 +184,10 @@ def slowest_mode(disc: Discretization,
     n = disc.n_nodes
     if total_trapping == 0:
         return tp.s0, np.ones(n)
+    from scipy.sparse.linalg import splu
+
     a_op = (-disc.generator).tocsc()
-    lu = spla.splu(a_op)
+    lu = splu(a_op)
     w = disc.areas
     v = np.ones(n)
     lam_prev = math.inf
@@ -251,6 +257,7 @@ def _solve_piece(gen, src: np.ndarray, r: float, y0: np.ndarray, t0: float,
 
     Returns the (n_nodes, n_times) states at t_eval, clipped at zero.
     """
+    import scipy.sparse as sp
     from scipy.integrate import solve_ivp
 
     sol = solve_ivp(lambda t, y: gen @ y - r * y * y + src,

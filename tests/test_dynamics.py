@@ -59,6 +59,14 @@ class TestAnalyticSolution:
             assert np.max(np.abs(xo - xa) / xa) < 1e-8
 
 
+    @pytest.mark.parametrize("field", ["x_i", "tau_ss", "x0"])
+    def test_non_finite_rejected(self, field):
+        good = dict(x_i=3e-5, r_prime=0.7, tau_ss=5e-3, x0=1e-6)
+        with pytest.raises(InvalidParameterError,
+                           match=f"{field} must be finite"):
+            SolutionParams(**{**good, field: math.inf})
+
+
 class TestSteadyState:
     def test_reference_values(self):
         ss = steady_state(B1_RATES)

@@ -376,7 +376,7 @@ class TestCli:
 
     def test_estimate_missing_flags_exit_5(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "qprate", "--rj", "8kohm")
-        assert code == 5
+        assert code == 2
         assert "--delta" in err
 
     def test_estimate_trapping_power_taun_form(self, capsys):
@@ -484,3 +484,175 @@ class TestCli:
     def test_version_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "--version")
         assert code == 0
+
+    @pytest.mark.parametrize("argv, code, named", [
+        ("synth --amplitude 3.9e6/s --rprime 0.9 --tauss 18ms --gamma0 4e4/s "
+         "--noise 0.02 --seed -1 --tgrid log:0.2ms:80ms:40", 5, "--seed"),
+        ("sweep --geom b1 --p 0.067cm2/s --d 18cm2/s --bk 11mG --slope 0.45 "
+         "--bmin 0mG --bmax 200mG --points -3", 5, "--points"),
+        ("pde evolve --geom b1 --nl 0 --nr 0 --p 0cm2/s --d 18cm2/s "
+         "--xinit 1e-4 --points 0", 5, "--points"),
+        ("estimate trapping-power --rcore 100nm --rate 0/s", 5, "--rate"),
+        ("eigenrate --geom {dir} --nl 1 --nr 0 --p 0.067cm2/s --d 18cm2/s",
+         3, "{dir}"),
+    ], ids=["synth-seed", "sweep-points", "evolve-points",
+            "trapping-power-rate", "geom-directory"])
+    def test_bad_input_exits_without_traceback(self, capsys, tmp_path, argv,
+                                               code, named):
+        got, out, err = run_cli(capsys, *argv.format(dir=tmp_path).split())
+        assert got == code
+        assert out == ""
+        assert named.format(dir=tmp_path) in err
+
+
+def test_import_cli_loads_no_scipy():
+    import pathlib
+    import subprocess
+    import sys
+
+    import qpdyn
+    src = str(pathlib.Path(qpdyn.__file__).parents[1])
+    probe = ("import sys, qpdyn.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, env={"PYTHONPATH": src})
+    assert done.stdout.strip() == "[]"
+
+
+# The README tour with the manifest parameters each command recorded when
+# every command spelled its manifest out by hand: each key must keep its
+# name and value.  "{trace}", "{points}" and "{synth}" are paths under the
+# test's temporary directory.
+README_TOUR = [
+    ("fit {trace} --tmin 200us --omega 6GHz --delta 180ueV",
+     {"trace": "{trace}", "t_min_s": 0.00019999999999999998,
+      "weighting": "relative", "coupling_per_s": 45707140650.4654}),
+    ("rates --amplitude 3.9e6/s --rprime 0.9 --tauss 18ms --gamma0 1e5/s "
+     "--c 4.6e10/s",
+     {"amplitude_per_s": 3900000.0, "r_prime": 0.9,
+      "tau_ss_s": 0.018000000000000002, "gamma0_per_s": 100000.0,
+      "coupling_per_s": 46000000000.0}),
+    ("eigenrate --geom b1 --nl 1 --nr 0 --p 0.067cm2/s --d 18cm2/s --s0 33/s",
+     {"geom": "b1", "n_left": 1, "n_right": 0,
+      "p_m2_per_s": 6.700000000000001e-06,
+      "d_m2_per_s": 0.0018000000000000002, "s0_per_s": 33.0,
+      "form": "reduced"}),
+    ("steps --geom b1 --p 0.067cm2/s --d 18cm2/s --max 4 --out csv",
+     {"geom": "b1", "p_m2_per_s": 6.700000000000001e-06,
+      "d_m2_per_s": 0.0018000000000000002, "s0_per_s": 0.0,
+      "series": "alternating", "max_steps": 4, "form": "reduced"}),
+    ("sweep --geom b1 --p 0.067cm2/s --d 18cm2/s --bk 11mG --slope 0.45 "
+     "--bmin 0mG --bmax 200mG --points 41 --out csv",
+     {"geom": "b1", "p_m2_per_s": 6.700000000000001e-06,
+      "d_m2_per_s": 0.0018000000000000002, "s0_per_s": 0.0,
+      "b_k_t": 1.1e-06, "slope_per_t": 4500000.0, "b_min_t": 0.0,
+      "b_max_t": 1.9999999999999998e-05, "points": 41, "pads": "equal"}),
+    ("pde eigen --geom b1 --nl 1 --nr 0 --p 0.067cm2/s --d 18cm2/s",
+     {"geom": "b1", "n_left": 1, "n_right": 0,
+      "p_m2_per_s": 6.700000000000001e-06,
+      "d_m2_per_s": 0.0018000000000000002, "s0_per_s": 0.0,
+      "resolution": 50}),
+    ("pde evolve --geom b2 --nl 0 --nr 0 --p 0cm2/s --d 18cm2/s --s0 100/s "
+     "--r 6.25e6/s --g 1e-4/s --amp 1e4/s --tinj 600us --tmax 8ms "
+     "--points 100 --out csv",
+     {"geom": "b2", "n_left": 0, "n_right": 0, "p_m2_per_s": 0.0,
+      "d_m2_per_s": 0.0018000000000000002, "s0_per_s": 100.0,
+      "r_per_s": 6250000.0, "g_per_s": 0.0001,
+      "injection_rate_per_s": 10000.0, "t_inj_s": 0.0006, "x_init": 0.0,
+      "t_max_s": 0.008, "points": 100, "resolution": 50, "tol": 1e-08}),
+    ("synth --amplitude 3.9e6/s --rprime 0.9 --tauss 18ms --gamma0 4e4/s "
+     "--noise 0.02 --seed 7 --tgrid log:0.2ms:80ms:40 --out-file {synth}",
+     {"amplitude_per_s": 3900000.0, "r_prime": 0.9,
+      "tau_ss_s": 0.018000000000000002, "gamma0_per_s": 40000.0,
+      "noise_rel": 0.02, "tgrid": "log:0.2ms:80ms:40"}),
+    ("t1fit {points} --c 4.6e10/s",
+     {"points": "{points}", "coupling_per_s": 46000000000.0}),
+    ("estimate injection --rj 8kohm --delta 180ueV --qin 2e6 --qout 1e5 "
+     "--qw 1e8 --qj 1.1e4",
+     {"r_j_ohm": 8000.0, "delta_j": 2.8839179412e-23, "q_in": 2000000.0,
+      "q_out": 100000.0, "q_w": 100000000.0, "q_j": 11000.0}),
+    ("estimate qprate --rj 8kohm --delta 180ueV",
+     {"r_j_ohm": 8000.0, "delta_j": 2.8839179412e-23}),
+    ("estimate trapping-power --rcore 100nm --rate 1.2e7/s",
+     {"r_core_m": 1.0000000000000001e-07, "tau_n_s": 8.333333333333334e-08}),
+    ("estimate freqshift --gamma 1e5/s --omega 6GHz --delta 180ueV",
+     {"gamma_per_s": 100000.0, "omega_rad_per_s": 37699111843.077515,
+      "delta_j": 2.8839179412e-23, "empirical_factor": 1.0}),
+    ("estimate vortex-profile --p 0.067cm2/s --d 18cm2/s --rcore 100nm "
+     "--rho 0nm,100nm,80um",
+     {"p_m2_per_s": 6.700000000000001e-06,
+      "d_m2_per_s": 0.0018000000000000002,
+      "r_core_m": 1.0000000000000001e-07, "rho": "0nm,100nm,80um"}),
+]
+
+
+def _leaf_parsers(parser):
+    """(command name, parser) for every leaf subcommand of the CLI."""
+    import argparse
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield parser.get_default("_command"), parser
+    for action in subs:
+        for sp in action.choices.values():
+            yield from _leaf_parsers(sp)
+
+
+class TestManifestProvenance:
+    @pytest.fixture()
+    def files(self, tmp_path, b1_trace_path):
+        import shutil
+        trace, points = tmp_path / "trace.csv", tmp_path / "points.csv"
+        shutil.copy(b1_trace_path, trace)
+        points.write_text("tau_ss,inv_t1\n2e-3,1e5\n9e-3,2e5\n16e-3,3e5\n")
+        return {"trace": str(trace), "points": str(points),
+                "synth": str(tmp_path / "t.csv")}
+
+    def manifest(self, capsys, files, argv):
+        argv = [a.format(**files) for a in argv.split()]
+        code, out, err = run_cli(capsys, *argv, "--no-timestamp")
+        assert code == 0, err
+        if "--out-file" in argv:
+            out = open(argv[argv.index("--out-file") + 1]).read()
+        if out.startswith("# manifest: "):
+            return json.loads(out.splitlines()[0][len("# manifest: "):])
+        return json.loads(out)["manifest"]
+
+    def test_every_flag_recorded_and_old_keys_kept(self, capsys, files):
+        from qpdyn.cli import build_parser
+        leaves = dict(_leaf_parsers(build_parser()))
+        seen = set()
+        for argv, pinned in README_TOUR:
+            man = self.manifest(capsys, files, argv)
+            params = man["parameters"]
+            for key, value in pinned.items():
+                if isinstance(value, str):
+                    value = value.format(**files)
+                assert params.get(key, "missing") == value, (argv, key)
+            flags = {a.dest for a in leaves[man["command"]]._actions
+                     if a.dest not in ("help", "out", "out_file",
+                                       "no_timestamp")}
+            recorded = set(params) | ({"seed"} if man["seed"] is not None
+                                      else set())
+            assert flags <= recorded, (argv, flags - recorded)
+            seen.add(man["command"])
+        assert seen == set(leaves)
+
+    @pytest.mark.parametrize("argv, key, values", [
+        ("sweep --geom b1 --p 0.067cm2/s --d 18cm2/s --bk 11mG --slope 0.45 "
+         "--bmin 0mG --bmax 200mG --points 5 --form {}", "form",
+         ("reduced", "full")),
+        ("pde evolve --geom b1 --nl 0 --nr 0 --p 0cm2/s --d 18cm2/s "
+         "--s0 100/s --r 6.25e6/s --tinj 300us --tmax 2ms --points 5 "
+         "--tol 1e-6 --clamp-density {}", "clamp_density", (1e-3, 2e-3)),
+    ], ids=["sweep-form", "evolve-clamp"])
+    def test_outputs_that_differ_have_manifests_that_differ(
+            self, capsys, files, argv, key, values):
+        docs = []
+        for v in values:
+            code, out, err = run_cli(capsys, *argv.format(v).split(),
+                                     "--no-timestamp")
+            assert code == 0, err
+            docs.append(json.loads(out))
+        assert docs[0]["result"] != docs[1]["result"]
+        assert [d["manifest"]["parameters"][key] for d in docs] == list(values)

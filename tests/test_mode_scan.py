@@ -6,6 +6,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from qpdyn import eigenmode
 from qpdyn.eigenmode import (TransportParams, VortexConfig, eigen_residual,
@@ -158,8 +159,8 @@ def test_scan_evaluates_each_grid_in_one_call(monkeypatch, form):
     n_intervals = len(eigenmode._pole_positions(geom, eigenmode._Z_CAP,
                                                 form)) + 1
     monkeypatch.setattr(eigenmode, "_mode_terms", counted)
-    monkeypatch.setattr(eigenmode, "brentq",
-                        tagged("brent", eigenmode.brentq))
+    monkeypatch.setattr(scipy.optimize, "brentq",
+                        tagged("brent", scipy.optimize.brentq))
     monkeypatch.setattr(eigenmode, "_newton_quality",
                         tagged("newton", eigenmode._newton_quality))
     smallest_root(geom, VortexConfig(2, 1, P_REF), TP, form=form)

@@ -227,6 +227,12 @@ class TestExtractRates:
         assert ex.s_min <= 1 / 30e-3 <= ex.s_max
         assert ex.r == pytest.approx(1 / 170e-9, rel=1e-9)
 
+    def test_subnormal_coupling_rejected(self):
+        # x_i = A / C overflows to infinity
+        f = FitResult.from_params(3.9e6, 0.9, 18e-3, 4e4)
+        with pytest.raises(InvalidParameterError, match="x_i must be finite"):
+            extract_rates(f, 1e-320)
+
     def test_monte_carlo_coverage(self, coupling):
         rng = np.random.Generator(np.random.Philox(21))
         hits = 0
