@@ -13,15 +13,16 @@ the flags it uses and its manifest records all of them, with the coupling
 and core relaxation time resolved from --omega/--delta and --rate.
 
 Exit codes: 0 success, 2 usage error (unknown or missing flag),
-3 input file missing or unreadable, 4 input file or unit parse error,
-5 invalid parameters or degenerate inputs, 6 numerical failure (no
-convergence, no root, step underflow).
+3 input file missing or unreadable, or output file not writable, 4 input
+file or unit parse error, 5 invalid parameters or degenerate inputs,
+6 numerical failure (no convergence, no root, step underflow, overflow).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from importlib import resources
 
@@ -29,7 +30,8 @@ import numpy as np
 
 from . import __version__, io
 from .constants import QubitParams, qp_coupling_constant
-from .errors import InvalidParameterError, QpdynError, UnitParseError
+from .errors import (InvalidParameterError, NonConvergenceError, QpdynError,
+                     UnitParseError, check_finite)
 from .eigenmode import (TransportParams, VortexConfig, field_sweep,
                         smallest_root, step_sequence)
 from .estimates import (CavityQs, VortexMicro, frequency_shift,
@@ -47,7 +49,7 @@ _EPILOG = """\
 exit codes:
   0  success
   2  usage error (unknown or missing flag or subcommand)
-  3  input file missing or unreadable
+  3  input file missing or unreadable, or output file not writable
   4  input file or quantity parse error
   5  invalid or degenerate parameters
   6  numerical failure (non-convergence, no root, step underflow)
@@ -215,8 +217,12 @@ def _resolve_coupling(args) -> float:
     return args.coupling_per_s
 
 
-def _quantities(result: dict):
-    return result, ("quantity", "value"), list(result.items())
+def _quantities(result: dict, scalars: dict | None = None):
+    """``result`` as JSON, and the scalar entries of ``scalars`` (default
+    ``result``) as quantity,value CSV rows."""
+    rows = [(k, v) for k, v in (scalars or result).items()
+            if not isinstance(v, list)]
+    return result, ("quantity", "value"), rows
 
 
 def _table(name: str, header: tuple, rows: list):
@@ -258,15 +264,13 @@ def _cmd_fit(args):
     f = fit_gamma_trace(trace, t_min=args.t_min_s, weighting=args.weighting)
     fit, rates = _fit_result_dict(f), _rates_dict(extract_rates(f, coupling))
     result = {"fit": fit, "coupling_per_s": coupling, "rates": rates}
-    rows = [(k, v) for k, v in {**fit, **rates}.items()
-            if not isinstance(v, list)]
-    return result, ("quantity", "value"), rows
+    return _quantities(result, {**fit, **rates})
 
 
 def _cmd_rates(args):
     rates = _rates_dict(extract_rates(_fit_params(args), args.coupling_per_s))
     result = {"coupling_per_s": args.coupling_per_s, "rates": rates}
-    return result, ("quantity", "value"), list(rates.items())
+    return _quantities(result, rates)
 
 
 def _mode_params(args):
@@ -281,13 +285,13 @@ def _cmd_eigenrate(args):
                       trapping_power=args.p_m2_per_s)
     sol = smallest_root(geom, vc, tp, form=args.form)
     der = derive(geom, tp.d)
-    result = {"z": sol.z, "s_per_s": sol.s,
-              "sA_cm2_per_s": sol.s * der.a_total * 1e4,
-              "bracket": list(sol.bracket),
-              "residual_at_root": sol.residual_at_root,
-              "branch_note": sol.branch_note,
-              "a_total_cm2": der.a_total * 1e4, "tau_d_s": der.tau_d}
-    return result, None, None
+    return _quantities({"z": sol.z, "s_per_s": sol.s,
+                        "sA_cm2_per_s": sol.s * der.a_total * 1e4,
+                        "bracket": list(sol.bracket),
+                        "residual_at_root": sol.residual_at_root,
+                        "branch_note": sol.branch_note,
+                        "a_total_cm2": der.a_total * 1e4,
+                        "tau_d_s": der.tau_d})
 
 
 def _cmd_steps(args):
@@ -355,15 +359,15 @@ def _parse_tgrid(spec: str) -> np.ndarray:
         lo = parse_quantity(lo, "time")
         hi = parse_quantity(hi, "time")
         n = int(n)
-        if kind == "log":
+        if n >= 2 and kind == "log":
             return np.logspace(math.log10(lo), math.log10(hi), n)
-        if kind == "lin":
+        if n >= 2 and kind == "lin":
             return np.linspace(lo, hi, n)
     except (ValueError, UnitParseError):
         pass
     raise UnitParseError(
-        f"--tgrid must be log:<t0>:<t1>:<n> or lin:<t0>:<t1>:<n>, "
-        f"got {spec!r}")
+        f"--tgrid must be log:<t0>:<t1>:<n> or lin:<t0>:<t1>:<n> with "
+        f"n >= 2, got {spec!r}")
 
 
 def _cmd_synth(args):
@@ -403,9 +407,7 @@ def _cmd_estimate_qprate(args):
 
 def _cmd_estimate_trapping_power(args):
     if args.tau_n_s is None:
-        if not args.rate_per_s > 0:
-            raise InvalidParameterError(
-                f"--rate must be > 0, got {args.rate_per_s}")
+        check_finite("--rate", args.rate_per_s, ">")
         args.tau_n_s = 1.0 / args.rate_per_s
     p = microscopic_trapping_power(VortexMicro(r_core=args.r_core_m,
                                                tau_n=args.tau_n_s))
@@ -520,6 +522,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(path) -> None:
+    """Raise PermissionError unless ``path`` can be written, without
+    creating or truncating it."""
+    target = path if os.path.exists(path) else os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise PermissionError(f"output file {path!r} is not writable")
+
+
 def _manifest(args) -> io.RunManifest:
     """The run manifest: every parsed (or resolved) flag of the command."""
     params = {k: v for k, v in vars(args).items()
@@ -537,18 +547,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.out_file is not None:
+            _check_writable(args.out_file)
         result, csv_header, csv_rows = args._run(args)
         manifest = _manifest(args)
-        if args.out == "csv" and csv_header is not None:
+        if args.out == "csv":
             text = io.format_csv_result(csv_header, csv_rows, manifest)
         else:
             text = io.format_json_result(result, manifest)
         io.write_text(text, args.out_file)
         return 0
-    except (OSError, QpdynError) as exc:
-        print(f"qpdyn: {exc}", file=sys.stderr)
-        # an OSError is an input file missing or unreadable
-        return getattr(exc, "exit_code", 3)
+    except (ArithmeticError, OSError, QpdynError) as exc:
+        if isinstance(exc, ArithmeticError):  # e.g. 1/0 or an overflow
+            exc = NonConvergenceError(
+                f"numerical failure ({type(exc).__name__}: {exc})")
+        print(f"qpdyn {args._command}: {exc}", file=sys.stderr)
+        return getattr(exc, "exit_code", 3)  # OSError: 3
 
 
 if __name__ == "__main__":

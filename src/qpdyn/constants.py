@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError
+from .errors import DomainError, InvalidParameterError, check_finite
 
 
 @dataclass(frozen=True)
@@ -52,18 +52,15 @@ class QubitParams:
     t_c: float | None = None
 
     def __post_init__(self):
-        if not (self.omega_q > 0):
-            raise InvalidParameterError(f"omega_q must be > 0, got {self.omega_q}")
-        if not (self.delta_gap > 0):
-            raise InvalidParameterError(
-                f"delta_gap must be > 0, got {self.delta_gap}")
+        check_finite("omega_q", self.omega_q, ">")
+        check_finite("delta_gap", self.delta_gap, ">")
         if CODATA.hbar * self.omega_q >= 2 * self.delta_gap:
             raise InvalidParameterError(
                 "hbar*omega_q must be below the pair-breaking threshold "
                 f"2*Delta (got hbar*omega = {CODATA.hbar * self.omega_q:.4g} J, "
                 f"2*Delta = {2 * self.delta_gap:.4g} J)")
-        if self.t_c is not None and not (self.t_c > 0):
-            raise InvalidParameterError(f"t_c must be > 0, got {self.t_c}")
+        if self.t_c is not None:
+            check_finite("t_c", self.t_c, ">")
 
     @classmethod
     def from_lab(cls, freq_ghz: float, gap_uev: float,
@@ -88,7 +85,7 @@ def gamma_from_xqp(x_qp, q: QubitParams):
     or array.  Identical to Gamma/omega = (x_qp/pi) * sqrt(2*Delta/(hbar*omega)).
     """
     x = np.asarray(x_qp, dtype=float)
-    if np.any(x < 0) or np.any(x > 1):
+    if not np.all((x >= 0) & (x <= 1)):
         raise DomainError(f"x_qp must lie in [0, 1], got {x_qp}")
     out = qp_coupling_constant(q) * x
     return float(out) if np.isscalar(x_qp) else out

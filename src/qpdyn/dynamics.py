@@ -28,8 +28,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import CODATA
-from .errors import (DegenerateSystemError, DomainError, InvalidParameterError,
-                     NegativeRateError, StepSizeUnderflowError)
+from .errors import (DegenerateSystemError, InvalidParameterError,
+                     NegativeRateError, StepSizeUnderflowError, check_finite,
+                     check_time_grid)
 
 
 @dataclass(frozen=True)
@@ -48,10 +49,7 @@ class RateParams:
 
     def __post_init__(self):
         for name in ("r", "s", "g"):
-            v = getattr(self, name)
-            if not (v >= 0) or not math.isfinite(v):
-                raise InvalidParameterError(
-                    f"rate {name} must be finite and >= 0, got {v}")
+            check_finite(name, getattr(self, name), ">=")
 
 
 @dataclass(frozen=True)
@@ -70,18 +68,12 @@ class SolutionParams:
     x0: float
 
     def __post_init__(self):
-        if not (self.x_i >= 0 and math.isfinite(self.x_i)):
-            raise InvalidParameterError(
-                f"x_i must be finite and >= 0, got {self.x_i}")
+        check_finite("x_i", self.x_i, ">=")
         if not (0 <= self.r_prime < 1):
             raise InvalidParameterError(
                 f"r_prime must lie in [0, 1), got {self.r_prime}")
-        if not (self.tau_ss > 0 and math.isfinite(self.tau_ss)):
-            raise InvalidParameterError(
-                f"tau_ss must be finite and > 0, got {self.tau_ss}")
-        if not (self.x0 >= 0 and math.isfinite(self.x0)):
-            raise InvalidParameterError(
-                f"x0 must be finite and >= 0, got {self.x0}")
+        check_finite("tau_ss", self.tau_ss, ">")
+        check_finite("x0", self.x0, ">=")
 
 
 class SteadyState(NamedTuple):
@@ -104,8 +96,7 @@ def xqp_analytic(t, p: SolutionParams):
     branch.
     """
     ts = np.asarray(t, dtype=float)
-    if np.any(ts < 0):
-        raise DomainError("t must be >= 0")
+    check_finite("t", ts, ">=")
     one_minus = 1.0 - p.r_prime
     out = p.x_i * one_minus / (one_minus + np.expm1(ts / p.tau_ss)) + p.x0
     return float(out) if np.isscalar(t) else out
@@ -119,6 +110,9 @@ def xqp_recombination_only(t, x_init: float, r: float):
     degenerates there.
     """
     ts = np.asarray(t, dtype=float)
+    check_finite("t", ts, ">=")
+    check_finite("x_init", x_init, ">=")
+    check_finite("r", r, ">=")
     out = x_init / (1.0 + r * x_init * ts)
     return float(out) if np.isscalar(t) else out
 
@@ -146,8 +140,7 @@ def steady_state(rp: RateParams) -> SteadyState:
 
 def solution_from_rates(rp: RateParams, x_i: float) -> SolutionParams:
     """Closed-form solution parameters for a decay starting at x0 + x_i."""
-    if not (x_i >= 0):
-        raise InvalidParameterError(f"x_i must be >= 0, got {x_i}")
+    check_finite("x_i", x_i, ">=")
     x0, tau = steady_state(rp)
     if not math.isfinite(tau):
         raise DegenerateSystemError(
@@ -193,10 +186,8 @@ def extraction_bounds(p: SolutionParams, gamma0: float,
     r' = 0 the model is a pure exponential with g = x0/tau_ss exactly, so
     g_max = gamma0 / (C tau_ss).
     """
-    if gamma0 < 0:
-        raise InvalidParameterError(f"gamma0 must be >= 0, got {gamma0}")
-    if coupling <= 0:
-        raise InvalidParameterError(f"coupling must be > 0, got {coupling}")
+    check_finite("gamma0", gamma0, ">=")
+    check_finite("coupling", coupling, ">")
     s_max = 1.0 / p.tau_ss
     if p.r_prime == 0:
         g_max = (gamma0 / coupling) / p.tau_ss
@@ -217,11 +208,12 @@ def recombination_theory(phonon_factor: float, tau0: float, delta: float,
     electron-phonon time of the material.  With the canonical weak-coupling
     gap ratio the prefactor 4 (Delta/(k_B T_c))^3 evaluates to about 21.8.
     """
-    if not (phonon_factor >= 1):
+    if not (1 <= phonon_factor < math.inf):
         raise InvalidParameterError(
-            f"phonon factor must be >= 1, got {phonon_factor}")
-    if not (tau0 > 0):
-        raise InvalidParameterError(f"tau0 must be > 0, got {tau0}")
+            f"phonon factor must lie in [1, inf), got {phonon_factor}")
+    check_finite("tau0", tau0, ">")
+    check_finite("delta", delta, ">")
+    check_finite("t_c", t_c, ">")
     gap_ratio = delta / (CODATA.k_B * t_c)
     return 4.0 * gap_ratio**3 / (phonon_factor * tau0)
 
@@ -243,15 +235,8 @@ def integrate_ode(rp: RateParams, x_init: float, t_grid,
     """
     from scipy.integrate import solve_ivp
 
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 1:
-        raise InvalidParameterError("t_grid must be a non-empty 1-D sequence")
-    if np.any(np.diff(t) <= 0):
-        raise InvalidParameterError("t_grid must be strictly increasing")
-    if t[0] < 0:
-        raise InvalidParameterError("t_grid must start at t >= 0")
-    if not (x_init >= 0):
-        raise InvalidParameterError(f"x_init must be >= 0, got {x_init}")
+    t = check_time_grid("t_grid", t_grid, from_zero=True)
+    check_finite("x_init", x_init, ">=")
     if not (0 < rel_tol < 1):
         raise InvalidParameterError(
             f"rel_tol must lie in (0, 1), got {rel_tol}")

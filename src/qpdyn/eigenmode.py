@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, NoRootFoundError
+from .errors import InvalidParameterError, NoRootFoundError, check_finite
 from .geometry import DeviceGeometry, derive
 
 _FORMS = ("reduced", "full")
@@ -61,11 +61,7 @@ class VortexConfig:
             raise InvalidParameterError(
                 f"vortex counts must be non-negative integers, got "
                 f"({self.n_left}, {self.n_right})")
-        if not (self.trapping_power >= 0) \
-                or not math.isfinite(self.trapping_power):
-            raise InvalidParameterError(
-                f"trapping_power must be finite and >= 0, got "
-                f"{self.trapping_power}")
+        check_finite("trapping_power", self.trapping_power, ">=")
 
 
 @dataclass(frozen=True)
@@ -76,12 +72,8 @@ class TransportParams:
     s0: float = 0.0
 
     def __post_init__(self):
-        if not (self.d > 0) or not math.isfinite(self.d):
-            raise InvalidParameterError(
-                f"D must be finite and > 0, got {self.d}")
-        if not (self.s0 >= 0) or not math.isfinite(self.s0):
-            raise InvalidParameterError(
-                f"s0 must be finite and >= 0, got {self.s0}")
+        check_finite("D", self.d, ">")
+        check_finite("s0", self.s0, ">=")
 
 
 @dataclass(frozen=True)
@@ -126,6 +118,7 @@ def capacitor_substitution(z, geom: DeviceGeometry):
     value there is an IEEE infinity, not an error -- root finding must
     bracket around those poles (see capacitor_denominator).
     """
+    check_finite("z", z)
     num, den = _capacitor(np.asarray(z, dtype=float), *_plate(geom))
     with np.errstate(divide="ignore"):
         out = num / den
@@ -134,6 +127,7 @@ def capacitor_substitution(z, geom: DeviceGeometry):
 
 def capacitor_denominator(z, geom: DeviceGeometry):
     """Denominator of capacitor_substitution; its zeros are pole locations."""
+    check_finite("z", z)
     out = _capacitor(np.asarray(z, dtype=float), *_plate(geom))[1]
     return float(out) if np.isscalar(z) else out
 
@@ -200,8 +194,7 @@ def _mode_terms(z, g: _Groups, form: str):
 def eigen_residual(z: float, geom: DeviceGeometry, vortices: VortexConfig,
                    tp: TransportParams, form: str = "reduced") -> float:
     """Evaluate the mode equation residual at z (zero at admissible modes)."""
-    if not (0 <= z < math.inf):
-        raise InvalidParameterError(f"z must be finite and >= 0, got {z}")
+    check_finite("z", z, ">=")
     _check_form(form)
     return float(_mode_terms(z, _groups(geom, vortices, tp), form)[2])
 
@@ -466,20 +459,16 @@ def field_sweep(geom: DeviceGeometry, tp: TransportParams,
     round(2 * slope * (B - b_k)) is split as evenly as possible with the
     left pad leading.  Returns a list of (B, n_left, n_right, s).
     """
-    if not (0 < b_k < math.inf):
-        raise InvalidParameterError(f"b_k must be finite and > 0, got {b_k}")
-    if not (0 <= vortex_density_slope < math.inf):
-        raise InvalidParameterError(
-            f"slope must be finite and >= 0, got {vortex_density_slope}")
+    check_finite("b_k", b_k, ">")
+    check_finite("slope", vortex_density_slope, ">=")
     if pads not in ("equal", "alternating"):
         raise InvalidParameterError(
             f"pads must be 'equal' or 'alternating', got {pads!r}")
     _check_form(form)
     fields = [float(b) for b in b_grid]
+    check_finite("b_grid", fields)
     counts = []
     for b in fields:
-        if not math.isfinite(b):
-            raise InvalidParameterError(f"b_grid must be finite, got {b}")
         per_pad = vortex_density_slope * (b - b_k)
         if not math.isfinite(2.0 * per_pad):
             raise InvalidParameterError(

@@ -3,8 +3,13 @@
 Every failure mode that callers may want to handle separately gets its own
 class.  Each class carries the CLI exit code it maps to: 4 for an input
 file or unit parse error, 5 (the default) for invalid or degenerate
-parameters, 6 for a numerical failure.
+parameters, 6 for a numerical failure.  The validity rules for numeric
+parameters and time grids are written here once, for every module.
 """
+
+import math
+
+import numpy as np
 
 
 class QpdynError(Exception):
@@ -104,3 +109,51 @@ class UnitParseError(QpdynError, ValueError):
     """A quantity string is missing a unit or carries an unknown one."""
 
     exit_code = 4
+
+
+_WITHIN = {"": lambda v: True, ">": lambda v: v > 0, ">=": lambda v: v >= 0}
+
+
+def finite_violation(name: str, value, bound: str = "") -> str | None:
+    """Why ``value`` breaks the rule for numeric parameters, or None.
+
+    The rule: a scalar, or every element of an array, is finite and, with
+    ``bound`` ">" or ">=", also > 0 or >= 0.  The message reads
+    "<name> must be finite and > 0, got <v>", v the first offending value.
+    """
+    within = _WITHIN[bound]
+    if isinstance(value, (int, float)):
+        if math.isfinite(value) and within(value):
+            return None
+        bad = value
+    else:
+        arr = np.asarray(value, dtype=float)
+        ok = np.isfinite(arr) & within(arr)
+        if ok.all():
+            return None
+        bad = arr[~ok].flat[0]
+    return f"{name} must be finite{bound and f' and {bound} 0'}, got {bad}"
+
+
+def check_finite(name: str, value, bound: str = "") -> None:
+    """Raise InvalidParameterError unless ``value`` obeys the rule of
+    finite_violation."""
+    message = finite_violation(name, value, bound)
+    if message:
+        raise InvalidParameterError(message)
+
+
+def check_time_grid(name: str, t, from_zero: bool = False) -> np.ndarray:
+    """``t`` as a 1-D float array, finite and strictly increasing; with
+    ``from_zero`` also non-empty and starting at t >= 0.  Raises
+    InvalidParameterError otherwise."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1:
+        raise InvalidParameterError(f"{name} must be a 1-D sequence")
+    check_finite(name, t)
+    if np.any(np.diff(t) <= 0):
+        raise InvalidParameterError(f"{name} must be strictly increasing")
+    if from_zero and not (t.size and t[0] >= 0):
+        raise InvalidParameterError(
+            f"{name} must be non-empty and start at t >= 0")
+    return t

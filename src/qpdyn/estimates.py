@@ -15,17 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CODATA
-from .errors import InvalidParameterError
-
-
-def _check(name: str, value: float, allow_zero: bool = False) -> None:
-    """Raise InvalidParameterError unless value is finite and > 0
-    (>= 0 with allow_zero)."""
-    ok = value >= 0 if allow_zero else value > 0
-    if not (ok and math.isfinite(value)):
-        bound = ">=" if allow_zero else ">"
-        raise InvalidParameterError(
-            f"{name} must be finite and {bound} 0, got {value}")
+from .errors import InvalidParameterError, check_finite
 
 
 @dataclass(frozen=True)
@@ -44,7 +34,7 @@ class CavityQs:
 
     def __post_init__(self):
         for name in ("q_in", "q_out", "q_w", "q_j"):
-            _check(name, getattr(self, name))
+            check_finite(name, getattr(self, name), ">")
 
     @property
     def q_tot(self) -> float:
@@ -66,8 +56,8 @@ class VortexMicro:
     tau_n: float
 
     def __post_init__(self):
-        _check("r_core", self.r_core)
-        _check("tau_n", self.tau_n)
+        check_finite("r_core", self.r_core, ">")
+        check_finite("tau_n", self.tau_n, ">")
 
 
 def junction_power(r_j: float, delta: float) -> float:
@@ -75,8 +65,8 @@ def junction_power(r_j: float, delta: float) -> float:
 
     P_j = V_j^2 / R_j with V_j = 2 Delta / e, i.e. 4 Delta^2 / (e^2 R_j).
     """
-    _check("r_j", r_j)
-    _check("delta", delta)
+    check_finite("r_j", r_j, ">")
+    check_finite("delta", delta, ">")
     v_j = 2.0 * delta / CODATA.e_charge
     return v_j * v_j / r_j
 
@@ -98,8 +88,8 @@ def qp_injection_rate(r_j: float, delta: float) -> float:
     Each tunneling electron breaks one pair: G = 2 V_j/(R_j e) with
     V_j = 2 Delta/e, giving G = 4 Delta / (e^2 R_j).
     """
-    _check("r_j", r_j)
-    _check("delta", delta, allow_zero=True)
+    check_finite("r_j", r_j, ">")
+    check_finite("delta", delta, ">=")
     return 4.0 * delta / (CODATA.e_charge**2 * r_j)
 
 
@@ -123,17 +113,16 @@ def vortex_profile(rho, trapping_power: float, diffusivity: float,
     continuous at rho = R_c.  The expansion assumes P/D << 1; a warning is
     emitted above 0.1.
     """
-    if not (trapping_power >= 0 and diffusivity > 0 and r_core > 0):
-        raise InvalidParameterError(
-            "need trapping_power >= 0, diffusivity > 0, r_core > 0")
+    check_finite("trapping_power", trapping_power, ">=")
+    check_finite("diffusivity", diffusivity, ">")
+    check_finite("r_core", r_core, ">")
     if trapping_power / diffusivity > 0.1:
         import warnings
         warnings.warn(
             f"P/D = {trapping_power / diffusivity:.3g} > 0.1; first-order "
             "profile is unreliable", stacklevel=2)
     rr = np.asarray(rho, dtype=float)
-    if np.any(rr < 0):
-        raise InvalidParameterError("rho must be >= 0")
+    check_finite("rho", rr, ">=")
     pd = trapping_power / diffusivity
     inside = 1.0 + pd / (4.0 * math.pi) * (rr / r_core) ** 2
     with np.errstate(divide="ignore"):
@@ -155,10 +144,10 @@ def frequency_shift(gamma: float, omega: float, delta: float,
     divided by empirical_factor when a measured calibration is applied
     (EMPIRICAL_SHIFT_FACTOR holds the observed value).
     """
-    _check("gamma", gamma, allow_zero=True)
-    _check("omega", omega)
-    _check("delta", delta)
-    _check("empirical_factor", empirical_factor)
+    check_finite("gamma", gamma, ">=")
+    check_finite("omega", omega, ">")
+    check_finite("delta", delta, ">")
+    check_finite("empirical_factor", empirical_factor, ">")
     shift = -0.5 * gamma * (
         1.0 + math.pi * math.sqrt(CODATA.hbar * omega / (2.0 * delta)))
     return shift / empirical_factor
@@ -172,5 +161,7 @@ def frequency_shift_from_xqp(x_qp: float, omega: float, delta: float) -> float:
     """
     if not (0 <= x_qp <= 1):
         raise InvalidParameterError(f"x_qp must lie in [0, 1], got {x_qp}")
+    check_finite("omega", omega, ">")
+    check_finite("delta", delta, ">")
     return -0.5 * x_qp * omega * (
         math.sqrt(2.0 * delta / (CODATA.hbar * omega)) / math.pi + 1.0)

@@ -25,12 +25,13 @@ weak-trapping decay rate satisfies s = N P / A + s0.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 
-from .errors import InvalidGeometryError, TraceParseError
+from .errors import InvalidGeometryError, TraceParseError, finite_violation
 from .units import parse_quantity
+
+_LENGTH_KEYS = ("w_wire", "l_wire", "h_cap", "l_half_gap", "w_cap", "l_cap")
 
 
 @dataclass(frozen=True)
@@ -58,15 +59,10 @@ class DeviceGeometry:
     example_only: bool = False
 
     def __post_init__(self):
-        violations = []
-        for name in ("w_wire", "l_wire", "h_cap", "l_half_gap", "w_cap",
-                     "s_pad"):
-            v = getattr(self, name)
-            if not (0 < v < math.inf):
-                violations.append(f"{name} must be finite and > 0, got {v}")
-        if not (0 <= self.l_cap < math.inf):
-            violations.append(
-                f"l_cap must be finite and >= 0, got {self.l_cap}")
+        violations = [finite_violation(name, getattr(self, name),
+                                       ">=" if name == "l_cap" else ">")
+                      for name in (*_LENGTH_KEYS, "s_pad")]
+        violations = [v for v in violations if v]
         if violations:
             raise InvalidGeometryError(violations)
         if self.w_wire / self.l_wire >= 0.2:
@@ -92,8 +88,9 @@ class DerivedGeometry:
 
 def derive(geom: DeviceGeometry, diffusivity: float) -> DerivedGeometry:
     """Compute derived areas and the diffusion time for diffusivity D (m^2/s)."""
-    if not (diffusivity > 0):
-        raise InvalidGeometryError([f"D must be > 0, got {diffusivity}"])
+    message = finite_violation("D", diffusivity, ">")
+    if message:
+        raise InvalidGeometryError([message])
     a_w = geom.l_wire * geom.w_wire
     a_c = 2.0 * (geom.l_cap * geom.w_cap + geom.h_cap * geom.w_wire)
     a_total = (2.0 * geom.s_pad + 2.0 * a_w + 2.0 * a_c
@@ -101,9 +98,6 @@ def derive(geom: DeviceGeometry, diffusivity: float) -> DerivedGeometry:
     return DerivedGeometry(a_w=a_w, a_c=a_c, a_total=a_total,
                            aspect_a=geom.s_pad / a_w,
                            tau_d=geom.l_wire**2 / diffusivity)
-
-
-_LENGTH_KEYS = ("w_wire", "l_wire", "h_cap", "l_half_gap", "w_cap", "l_cap")
 
 
 def parse_geometry(text: str, label_default: str = "") -> DeviceGeometry:

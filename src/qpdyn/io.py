@@ -212,8 +212,7 @@ def format_json_result(result: dict, manifest: RunManifest) -> str:
     except ValueError:
         bad = ", ".join(_non_finite_paths(doc, "")) or "unknown field"
         raise NonConvergenceError(
-            f"{manifest.command}: non-finite value in the output ({bad})"
-        ) from None
+            f"non-finite value in the output ({bad})") from None
 
 
 def format_csv_result(header, rows, manifest: RunManifest) -> str:

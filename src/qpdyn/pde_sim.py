@@ -24,7 +24,8 @@ import numpy as np
 
 from .dynamics import RateParams, integrate_ode, steady_state
 from .errors import (InvalidParameterError, InvalidResolutionError,
-                     NonConvergenceError, StepSizeUnderflowError)
+                     NonConvergenceError, StepSizeUnderflowError, check_finite,
+                     check_time_grid)
 from .eigenmode import TransportParams, VortexConfig
 from .geometry import DeviceGeometry
 
@@ -239,16 +240,12 @@ class EvolveSpec:
     t_inj: float = 0.0
 
     def __post_init__(self):
-        for name in ("r", "g", "t_inj", "injection_rate",
-                     "injection_density"):
+        for name in ("r", "g", "x_init", "injection_rate",
+                     "injection_density", "t_inj"):
             v = getattr(self, name)
-            if v is not None and (not (v >= 0) or not math.isfinite(v)):
-                raise InvalidParameterError(
-                    f"{name} must be finite and >= 0, got {v}")
-        t = np.asarray(self.t_grid, dtype=float)
-        if t.ndim != 1 or t.size < 1 or np.any(np.diff(t) <= 0) or t[0] < 0:
-            raise InvalidParameterError(
-                "t_grid must be strictly increasing with t[0] >= 0")
+            if v is not None:
+                check_finite(name, v, ">=")
+        check_time_grid("t_grid", self.t_grid, from_zero=True)
 
 
 def _solve_piece(gen, src: np.ndarray, r: float, y0: np.ndarray, t0: float,
@@ -260,14 +257,16 @@ def _solve_piece(gen, src: np.ndarray, r: float, y0: np.ndarray, t0: float,
     import scipy.sparse as sp
     from scipy.integrate import solve_ivp
 
-    sol = solve_ivp(lambda t, y: gen @ y - r * y * y + src,
-                    (t0, t_eval[-1]), y0, method="Radau", t_eval=t_eval,
-                    jac=lambda t, y: gen - sp.diags(2.0 * r * y),
-                    rtol=tol, atol=atol)
+    failed = f"stiff integrator failed on [{t0:.6g}, {t_eval[-1]:.6g}] s"
+    try:
+        sol = solve_ivp(lambda t, y: gen @ y - r * y * y + src,
+                        (t0, t_eval[-1]), y0, method="Radau", t_eval=t_eval,
+                        jac=lambda t, y: gen - sp.diags(2.0 * r * y),
+                        rtol=tol, atol=atol)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise StepSizeUnderflowError(f"{failed}: {exc}") from None
     if not sol.success:
-        raise StepSizeUnderflowError(
-            f"stiff integrator failed on [{t0:.6g}, {t_eval[-1]:.6g}] s: "
-            f"{sol.message}")
+        raise StepSizeUnderflowError(f"{failed}: {sol.message}")
     return np.maximum(sol.y, 0.0)
 
 
@@ -294,8 +293,6 @@ def evolve(disc: Discretization, spec: EvolveSpec, tol: float = 1e-8,
     if x.shape != (n,):
         raise InvalidParameterError(
             f"x_init must be scalar or length-{n} array")
-    if not np.all(np.isfinite(x) & (x >= 0)):
-        raise InvalidParameterError("x_init must be finite and non-negative")
     if not (0 < tol < 1):
         raise InvalidParameterError(f"tol must lie in (0, 1), got {tol}")
 
@@ -362,6 +359,7 @@ def factorized_dynamics_check(disc: Discretization, r: float, g: float,
     integrated a decade tighter than the default so solver error stays far
     below the model deviation being measured.
     """
+    check_finite("t_window_start", t_window_start, ">=")
     s_mode, mode = slowest_mode(disc)
     rp = RateParams(r=r, s=s_mode, g=g)
     if t_end is None:

@@ -31,7 +31,7 @@ import numpy as np
 from .dynamics import ExtractionBounds, SolutionParams, extraction_bounds
 from .errors import (DegenerateTraceError, InsufficientDataError,
                      InsufficientSpreadError, InvalidParameterError,
-                     NonConvergenceError)
+                     NonConvergenceError, check_finite, check_time_grid)
 
 _GAMMA0_SHIFT = 1e-3  # 1/s, shift inside log(Gamma0 + eps)
 
@@ -60,33 +60,24 @@ class DecayTrace:
     label: str = ""
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        gamma = np.asarray(self.gamma, dtype=float)
+        t = check_time_grid("t", self.t)
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "gamma", gamma)
-        if t.ndim != 1 or gamma.shape != t.shape:
-            raise InvalidParameterError("t and gamma must be 1-D and equal length")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(gamma))):
-            raise InvalidParameterError("t and gamma must be finite")
-        if t.size and np.any(np.diff(t) <= 0):
-            raise InvalidParameterError("t must be strictly increasing")
-        if np.any(gamma <= 0):
-            raise InvalidParameterError("gamma must be positive")
-        if self.sigma is not None:
-            sigma = np.asarray(self.sigma, dtype=float)
-            object.__setattr__(self, "sigma", sigma)
-            if sigma.shape != t.shape:
-                raise InvalidParameterError("sigma must match t in length")
-            if not np.all(np.isfinite(sigma)):
-                raise InvalidParameterError("sigma must be finite")
-            if np.any(sigma <= 0):
-                raise InvalidParameterError("sigma must be positive")
+        for name in ("gamma", "sigma"):
+            v = getattr(self, name)
+            if v is None and name == "sigma":
+                continue
+            v = np.asarray(v, dtype=float)
+            object.__setattr__(self, name, v)
+            if v.shape != t.shape:
+                raise InvalidParameterError(f"{name} must match t in length")
+            check_finite(name, v, ">")
 
     @property
     def n(self) -> int:
         return self.t.size
 
     def truncated(self, t_min: float) -> "DecayTrace":
+        check_finite("t_min", t_min)
         keep = self.t >= t_min
         return DecayTrace(t=self.t[keep], gamma=self.gamma[keep],
                           sigma=None if self.sigma is None else self.sigma[keep],
@@ -112,18 +103,17 @@ class FitResult:
     t_min_applied: float = 0.0
 
     def __post_init__(self):
-        if not (self.tau_ss > 0):
-            raise InvalidParameterError(f"tau_ss must be > 0, got {self.tau_ss}")
+        check_finite("amplitude", self.amplitude, ">=")
         if not (0 <= self.r_prime < 1):
             raise InvalidParameterError(
                 f"r_prime must lie in [0, 1), got {self.r_prime}")
-        if not (self.gamma0 >= 0):
-            raise InvalidParameterError(
-                f"gamma0 must be >= 0, got {self.gamma0}")
+        check_finite("tau_ss", self.tau_ss, ">")
+        check_finite("gamma0", self.gamma0, ">=")
         cov = np.asarray(self.covariance, dtype=float)
         object.__setattr__(self, "covariance", cov)
         if cov.shape != (4, 4):
             raise InvalidParameterError("covariance must be 4x4")
+        check_finite("covariance", cov)
         if not np.allclose(cov, cov.T, rtol=1e-10, atol=1e-300):
             raise InvalidParameterError("covariance must be symmetric")
         if np.linalg.eigvalsh(0.5 * (cov + cov.T)).min() < -1e-10 * max(
@@ -150,10 +140,10 @@ class SteadyStatePoint:
     sigma_inv_t1: float | None = None
 
     def __post_init__(self):
-        if not (self.tau_ss > 0 and self.inv_t1 > 0):
-            raise InvalidParameterError("tau_ss and inv_t1 must be positive")
-        if self.sigma_inv_t1 is not None and not (self.sigma_inv_t1 > 0):
-            raise InvalidParameterError("sigma_inv_t1 must be positive")
+        check_finite("tau_ss", self.tau_ss, ">")
+        check_finite("inv_t1", self.inv_t1, ">")
+        if self.sigma_inv_t1 is not None:
+            check_finite("sigma_inv_t1", self.sigma_inv_t1, ">")
 
 
 def gamma_model(t, f: FitResult):
@@ -163,6 +153,7 @@ def gamma_model(t, f: FitResult):
     t = 0 and stable as r' -> 1.
     """
     ts = np.asarray(t, dtype=float)
+    check_finite("t", ts)
     one_minus = 1.0 - f.r_prime
     out = f.amplitude * one_minus / (one_minus + np.expm1(ts / f.tau_ss)) \
         + f.gamma0
@@ -284,12 +275,9 @@ def fit_gamma_trace(trace: DecayTrace, t_min: float = DEFAULT_T_MIN,
     if guess is None:
         u0 = _initial_guess(t, gamma)
     else:
-        p = (guess.amplitude, guess.r_prime, guess.tau_ss, guess.gamma0)
-        if not (guess.amplitude > 0 and all(map(math.isfinite, p))):
-            raise InvalidParameterError(
-                f"guess (A, r', tau_ss, Gamma0) must be finite with A > 0, "
-                f"got {p}")
-        u0 = _to_u(p)
+        check_finite("guess amplitude", guess.amplitude, ">")
+        u0 = _to_u((guess.amplitude, guess.r_prime, guess.tau_ss,
+                    guess.gamma0))
     try:
         sol = least_squares(lambda u: resid_jac(u)[0], u0,
                             jac=lambda u: resid_jac(u)[1], method="lm",
@@ -363,8 +351,8 @@ class ExtractedRates:
 
 def extract_rates(f: FitResult, coupling: float) -> ExtractedRates:
     """Map fitted parameters to (r, s-range, g-range) with propagated errors."""
-    if not (coupling > 0):
-        raise InvalidParameterError(f"coupling must be > 0, got {coupling}")
+    check_finite("coupling", coupling, ">")
+    check_finite("amplitude", f.amplitude, ">")
     amp, rp, tau, g0 = f.amplitude, f.r_prime, f.tau_ss, f.gamma0
     cov = f.covariance
     x_i = amp / coupling
@@ -424,6 +412,7 @@ def fit_t1_vs_tau(points, coupling: float) -> T1TauFit:
     Needs at least 3 points whose tau_ss values span a factor >= 3.
     slope/C is the generation rate g; the intercept is Gamma_ex.
     """
+    check_finite("coupling", coupling, ">")
     pts = list(points)
     if len(pts) < 3:
         raise InsufficientDataError(
@@ -466,12 +455,8 @@ def synth_trace(f: FitResult, t_grid, noise_rel: float,
     bit-identical traces.  sigma is set to model * noise_rel (omitted when
     noise_rel = 0).
     """
-    if not (noise_rel >= 0 and math.isfinite(noise_rel)):
-        raise InvalidParameterError(
-            f"noise_rel must be finite and >= 0, got {noise_rel}")
-    t = np.asarray(t_grid, dtype=float)
-    if np.any(np.diff(t) <= 0):
-        raise InvalidParameterError("t_grid must be strictly increasing")
+    check_finite("noise_rel", noise_rel, ">=")
+    t = check_time_grid("t_grid", t_grid)
     m = gamma_model(t, f)
     m = np.atleast_1d(np.asarray(m, dtype=float))
     if noise_rel == 0:

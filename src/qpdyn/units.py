@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 import re
 
+from .constants import EV
 from .errors import UnitParseError
-
-_EV = 1.602176634e-19  # J
 
 
 # unit token -> multiplicative factor to SI, per kind of quantity
@@ -27,8 +26,8 @@ _UNIT_TABLES: dict[str, dict[str, float]] = {
     "diffusivity": {"m2/s": 1.0, "cm2/s": 1e-4, "mm2/s": 1e-6, "um2/s": 1e-12},
     "rate": {"1/s": 1.0, "/s": 1.0, "1/ms": 1e3, "/ms": 1e3, "1/us": 1e6,
              "/us": 1e6, "1/μs": 1e6, "1/ns": 1e9, "/ns": 1e9},
-    "energy": {"J": 1.0, "eV": _EV, "meV": 1e-3 * _EV, "ueV": 1e-6 * _EV,
-               "μeV": 1e-6 * _EV},
+    "energy": {"J": 1.0, "eV": EV, "meV": 1e-3 * EV, "ueV": 1e-6 * EV,
+               "μeV": 1e-6 * EV},
     "field": {"T": 1.0, "G": 1e-4, "mG": 1e-7, "uT": 1e-6, "μT": 1e-6},
     "frequency": {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9},
     "resistance": {"ohm": 1.0, "Ohm": 1.0, "kohm": 1e3, "kOhm": 1e3,
@@ -98,10 +97,3 @@ def parse_angular_frequency(text: str) -> float:
     if m and m.group(2) in ("rad/s", "rads"):
         return _finite(float(m.group(1)), text)
     return 2.0 * math.pi * parse_quantity(text, "frequency")
-
-
-def si_value(text_or_number: str | float, kind: str) -> float:
-    """parse_quantity that also passes through numbers already in SI."""
-    if isinstance(text_or_number, (int, float)):
-        return float(text_or_number)
-    return parse_quantity(text_or_number, kind)

@@ -124,6 +124,41 @@ class TestManifest:
         assert "timestamp" in m.to_dict()
 
 
+# Each numeric flag of the README tour set to an extreme finite value (0,
+# 1e-320 or 1e300 in its unit): every one used to exit 1 with a traceback.
+_EVOLVE = ("pde evolve --geom b2 --nl 0 --nr 0 --p 0cm2/s --d 18cm2/s "
+           "--s0 100/s --r 6.25e6/s --g 1e-4/s --amp 1e4/s --tinj 600us "
+           "--tmax 8ms --points 100")
+_INJECTION = dict(qin="2e6", qout="1e5", qw="1e8", qj="1.1e4")
+EXTREME_INPUTS = [
+    "rates --amplitude 1e-320/s --rprime 0.9 --tauss 18ms --gamma0 1e5/s "
+    "--c 4.6e10/s",
+    "rates --amplitude 3.9e6/s --rprime 0.9 --tauss 1e-320ms --gamma0 1e5/s "
+    "--c 4.6e10/s",
+    "rates --amplitude 3.9e6/s --rprime 0.9 --tauss 1e300ms --gamma0 1e5/s "
+    "--c 4.6e10/s",
+    "eigenrate --geom b1 --nl 1 --nr 0 --p 1e300cm2/s --d 18cm2/s",
+    "steps --geom b1 --p 1e300cm2/s --d 18cm2/s --max 4",
+    *(_EVOLVE.replace(old, new) for old, new in [
+        ("--d 18cm2/s", "--d 1e300cm2/s"), ("--s0 100/s", "--s0 1e300/s"),
+        ("--r 6.25e6/s", "--r 1e300/s"), ("--g 1e-4/s", "--g 1e300/s")]),
+    _EVOLVE + " --xinit 1e300",
+    _EVOLVE + " --clamp-density 1e300",
+    *("estimate injection --rj 8kohm --delta 180ueV "
+      + " ".join(f"--{k} {'1e-320' if k == flag else v}"
+                 for k, v in _INJECTION.items())
+      for flag in _INJECTION),
+    "estimate qprate --rj 1e-320kohm --delta 180ueV",
+    "estimate trapping-power --rcore 1e300nm --rate 1.2e7/s",
+]
+# a zero amplitude or coupling is an invalid parameter (exit 5), not a
+# division by zero
+BAD_INPUTS = [(argv, (5, 6)) for argv in EXTREME_INPUTS] + [
+    ("rates --amplitude 0/s --rprime 0.9 --tauss 18ms --gamma0 1e5/s "
+     "--c 4.6e10/s", (5,)),
+    ("t1fit {points} --c 0/s", (5,))]
+
+
 @pytest.fixture()
 def b1_trace_path():
     from importlib import resources
@@ -503,6 +538,79 @@ class TestCli:
         assert got == code
         assert out == ""
         assert named.format(dir=tmp_path) in err
+
+    @pytest.mark.parametrize(
+        "argv, codes", BAD_INPUTS,
+        ids=[f"{a.split(' --')[0].split(' {')[0].replace(' ', '-')}-{k}"
+             for k, (a, _) in enumerate(BAD_INPUTS)])
+    def test_extreme_finite_input_exits_without_traceback(self, capsys,
+                                                          tmp_path, argv,
+                                                          codes):
+        points = tmp_path / "points.csv"
+        points.write_text("tau_ss,inv_t1\n2e-3,1e5\n9e-3,2e5\n16e-3,3e5\n")
+        argv = argv.format(points=points).split()
+        command = "-".join(a for a in argv[:2] if not a.startswith(("-", "/")))
+        code, out, err = run_cli(capsys, *argv, "--no-timestamp")
+        assert code in codes, err
+        assert out == ""
+        assert "Traceback" not in err
+        # numpy may warn of the overflow first
+        assert err.splitlines()[-1].startswith(f"qpdyn {command}: ")
+
+    def test_unwritable_out_file_stops_before_the_work(self, capsys,
+                                                       monkeypatch, tmp_path,
+                                                       b1_trace_path):
+        import qpdyn.cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("the computation started")
+
+        monkeypatch.setattr(qpdyn.io, "read_trace", never)
+        monkeypatch.setattr(qpdyn.cli, "fit_gamma_trace", never)
+        for target in (tmp_path / "missing" / "x.json", tmp_path):
+            code, out, err = run_cli(capsys, "fit", b1_trace_path, "--c",
+                                     "4.6e10/s", "--out-file", str(target))
+            assert code == 3
+            assert out == ""
+            assert f"{str(target)!r} is not writable" in err
+        assert not (tmp_path / "missing").exists()
+
+    def test_failed_run_leaves_out_file_untouched(self, capsys, tmp_path):
+        target = tmp_path / "kept.json"
+        target.write_text("earlier result\n")
+        code, _, _ = run_cli(capsys, "rates", "--amplitude", "0/s",
+                             "--rprime", "0.9", "--tauss", "18ms",
+                             "--gamma0", "1e5/s", "--c", "4.6e10/s",
+                             "--out-file", str(target))
+        assert code == 5
+        assert target.read_text() == "earlier result\n"
+
+    def test_eigenrate_csv_matches_json(self, capsys):
+        argv = ("eigenrate", "--geom", "b1", "--nl", "1", "--nr", "0", "--p",
+                "0.067cm2/s", "--d", "18cm2/s", "--s0", "33/s",
+                "--no-timestamp")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)["result"]
+        code, out, _ = run_cli(capsys, *argv, "--out", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].startswith("# manifest: ")
+        assert lines[1] == "quantity,value"
+        rows = dict(ln.split(",", 1) for ln in lines[2:])
+        assert float(rows["s_per_s"]) == doc["s_per_s"]
+        assert "bracket" not in rows
+        assert set(rows) == set(doc) - {"bracket"}
+
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_synth_needs_two_grid_points(self, capsys, n):
+        code, out, err = run_cli(
+            capsys, "synth", "--amplitude", "3.9e6/s", "--rprime", "0.9",
+            "--tauss", "18ms", "--gamma0", "4e4/s", "--noise", "0.02",
+            "--seed", "7", "--tgrid", f"log:0.2ms:80ms:{n}")
+        assert code == 4
+        assert out == ""
+        assert "n >= 2" in err
 
 
 def test_import_cli_loads_no_scipy():
