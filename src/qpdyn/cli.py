@@ -541,6 +541,11 @@ def _manifest(args) -> io.RunManifest:
                              seed=seed, no_timestamp=args.no_timestamp)
 
 
+# stray numerical failures, e.g. 1/0, an overflow or an SVD that does not
+# converge, are reported as NonConvergenceError (exit 6)
+_NUMERICAL = (ArithmeticError, np.linalg.LinAlgError)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -557,8 +562,8 @@ def main(argv=None) -> int:
             text = io.format_json_result(result, manifest)
         io.write_text(text, args.out_file)
         return 0
-    except (ArithmeticError, OSError, QpdynError) as exc:
-        if isinstance(exc, ArithmeticError):  # e.g. 1/0 or an overflow
+    except (*_NUMERICAL, OSError, QpdynError) as exc:
+        if isinstance(exc, _NUMERICAL):
             exc = NonConvergenceError(
                 f"numerical failure ({type(exc).__name__}: {exc})")
         print(f"qpdyn {args._command}: {exc}", file=sys.stderr)

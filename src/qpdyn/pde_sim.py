@@ -11,7 +11,9 @@ into single arms of doubled width.
 The spatial operator is a conservative finite-volume generator G
 (dx/dt = G x): with s0 = P = 0 the area-weighted column sums of G vanish
 identically, so total QP number is conserved to round-off; Radau's
-collocation steps preserve that linear invariant.
+collocation steps preserve that linear invariant.  `build` assembles G
+from whole arrays, one set per chain of cells, in one sparse constructor
+call, so its Python-level work grows with the chains, not the nodes.
 """
 
 from __future__ import annotations
@@ -37,6 +39,12 @@ if TYPE_CHECKING:
 class Discretization:
     """Finite-volume mesh and generator for one device configuration.
 
+    Nodes come in build order: the lumped pad, cross and junction nodes,
+    then each chain's interior nodes, with the capacitor arm end nodes
+    just before their chains.  The generator stores each diagonal entry
+    and both directions of every edge, nothing else, so its nnz is
+    n_nodes + 2 * edges; areas[:, None] * generator is symmetric.
+
     Immutable after build; a single instance can be shared by concurrent
     slowest_mode / evolve calls, which only read it.
     """
@@ -59,116 +67,88 @@ class Discretization:
         return self.areas.size
 
 
-class _MeshBuilder:
-    def __init__(self):
-        self.area: list[float] = []
-        self.seg: list[str] = []
-        self.y: list[float] = []
-        self.edges: list[tuple[int, int, float]] = []
-
-    def node(self, seg: str, y: float, area: float = 0.0) -> int:
-        self.area.append(area)
-        self.seg.append(seg)
-        self.y.append(y)
-        return len(self.area) - 1
-
-    def chain(self, name: str, node_a: int, node_b: int, length: float,
-              width: float, n_cells: int, diffusivity: float,
-              y0: float = 0.0) -> float:
-        """Connect node_a to node_b through n_cells uniform cells."""
-        dx = length / n_cells
-        flux = diffusivity * width / dx
-        prev = node_a
-        for k in range(1, n_cells):
-            nd = self.node(name, y0 + k * dx, width * dx)
-            self.edges.append((prev, nd, flux))
-            prev = nd
-        self.edges.append((prev, node_b, flux))
-        self.area[node_a] += 0.5 * width * dx
-        self.area[node_b] += 0.5 * width * dx
-        return dx
-
-
 def build(geom: DeviceGeometry, vortices: VortexConfig, tp: TransportParams,
           resolution: int = 50) -> Discretization:
     """Discretize the device at `resolution` cells per wire length L.
 
-    Shorter segments get proportionally fewer cells (at least 2).  Pads
-    are lumped nodes; the vortex trapping N P enters as a linear sink on
-    them, normalized by the pad node's control area.
+    `resolution` is a whole number >= 10.  Shorter segments get
+    proportionally fewer cells (at least 2).  Pads are lumped nodes; the
+    vortex trapping N P enters as a linear sink on them, normalized by the
+    pad node's control area.  Nodes are numbered in creation order; each
+    chain of cells adds its nodes and edges as whole arrays.
     """
     import scipy.sparse as sp
 
-    if resolution < 10:
+    if not (math.isfinite(resolution) and float(resolution).is_integer()
+            and resolution >= 10):
         raise InvalidResolutionError(
-            f"resolution must be >= 10 cells per wire length, got {resolution}")
+            "resolution must be a whole number >= 10 cells per wire length, "
+            f"got {resolution}")
+    resolution = int(resolution)
     L, W = geom.l_wire, geom.w_wire
-    d = tp.d
+    seg, ys, own_area, half_cells, edges = [], [], [], [], []
+    dx_by_segment = {}
 
-    def cells(length: float) -> int:
-        return max(2, int(round(resolution * length / L)))
+    def node(name: str, y: float = 0.0) -> int:
+        """A lumped node; its area is the half cells of its chains."""
+        seg.append(name)
+        ys.append([y])
+        own_area.append([0.0])
+        return len(seg) - 1
 
-    mb = _MeshBuilder()
-    pad_l = mb.node("pad_left", 0.0)
-    pad_r = mb.node("pad_right", 0.0)
-    cross_l = mb.node("cross_left", 0.0)
-    cross_r = mb.node("cross_right", 0.0)
-    junction = mb.node("junction", 0.0)
+    def chain(name: str, a: int, b: int, length: float, width: float):
+        """Connect node a to node b through uniform cells of `width`."""
+        n_cells = max(2, int(round(resolution * length / L)))
+        dx = dx_by_segment[name] = length / n_cells
+        path = np.arange(len(seg) - 1, len(seg) + n_cells)
+        path[[0, -1]] = a, b
+        seg.extend([name] * (n_cells - 1))
+        ys.append(np.arange(1, n_cells) * dx)
+        own_area.append(np.full(n_cells - 1, width * dx))
+        edges.append((path[:-1], path[1:], np.full(n_cells,
+                                                   tp.d * width / dx)))
+        half_cells.append(([a, b], 0.5 * width * dx))
 
-    dx = {}
-    dx["wire_left"] = mb.chain("wire_left", pad_l, cross_l, L, W, cells(L), d)
-    dx["wire_right"] = mb.chain("wire_right", cross_r, pad_r, L, W,
-                                cells(L), d)
-    n_half = cells(geom.l_half_gap)
-    dx["center_left"] = mb.chain("center_left", cross_l, junction,
-                                 geom.l_half_gap, W, n_half, d)
-    dx["center_right"] = mb.chain("center_right", junction, cross_r,
-                                  geom.l_half_gap, W, n_half, d)
+    pad_l, pad_r, cross_l, cross_r, junction = map(node, (
+        "pad_left", "pad_right", "cross_left", "cross_right", "junction"))
+    chain("wire_left", pad_l, cross_l, L, W)
+    chain("wire_right", cross_r, pad_r, L, W)
+    chain("center_left", cross_l, junction, geom.l_half_gap, W)
+    chain("center_right", junction, cross_r, geom.l_half_gap, W)
     # capacitor plates: up+down halves combined into one arm of twice the width
     for side, cross in (("left", cross_l), ("right", cross_r)):
-        thin_end = mb.node(f"arm_{side}_thin_end", geom.h_cap)
-        dx[f"arm_{side}_thin"] = mb.chain(f"arm_{side}_thin", cross, thin_end,
-                                          geom.h_cap, 2.0 * W,
-                                          cells(geom.h_cap), d)
+        thin_end = node(f"arm_{side}_thin_end", geom.h_cap)
+        chain(f"arm_{side}_thin", cross, thin_end, geom.h_cap, 2.0 * W)
         if geom.l_cap > 0:
-            wide_end = mb.node(f"arm_{side}_wide_end", geom.l_cap)
-            dx[f"arm_{side}_wide"] = mb.chain(
-                f"arm_{side}_wide", thin_end, wide_end, geom.l_cap,
-                2.0 * geom.w_cap, cells(geom.l_cap), d)
+            chain(f"arm_{side}_wide", thin_end,
+                  node(f"arm_{side}_wide_end", geom.l_cap), geom.l_cap,
+                  2.0 * geom.w_cap)
 
-    areas = np.asarray(mb.area)
-    areas[pad_l] += geom.s_pad
-    areas[pad_r] += geom.s_pad
+    areas = np.concatenate(own_area)
+    for ends, half in half_cells:
+        np.add.at(areas, ends, half)
+    areas[[pad_l, pad_r]] += geom.s_pad
 
+    # edge (i, j, flux) puts flux / areas[i] at G[i, j] and flux / areas[j]
+    # at G[j, i]; the diagonal takes the outflow, s0 and the pad sinks
+    i, j, flux = map(np.concatenate, zip(*edges))
     n = areas.size
-    rows, cols, vals = [], [], []
-
-    def add(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-
-    for i, j, flux in mb.edges:
-        add(i, j, flux / areas[i])
-        add(i, i, -flux / areas[i])
-        add(j, i, flux / areas[j])
-        add(j, j, -flux / areas[j])
-    for i in range(n):
-        if tp.s0:
-            add(i, i, -tp.s0)
+    diag = -(np.bincount(i, flux, n) + np.bincount(j, flux, n)) / areas \
+        - tp.s0
     p = vortices.trapping_power
-    if p > 0:
-        if vortices.n_left:
-            add(pad_l, pad_l, -vortices.n_left * p / areas[pad_l])
-        if vortices.n_right:
-            add(pad_r, pad_r, -vortices.n_right * p / areas[pad_r])
-
-    gen = sp.csc_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
+    diag[pad_l] -= vortices.n_left * p / areas[pad_l]
+    diag[pad_r] -= vortices.n_right * p / areas[pad_r]
+    nodes = np.arange(n)
+    gen = sp.csc_matrix(
+        (np.concatenate((flux / areas[i], flux / areas[j], diag)),
+         (np.concatenate((i, j, nodes)), np.concatenate((j, i, nodes)))),
+        shape=(n, n))
     return Discretization(
-        generator=gen, areas=areas, node_segment=mb.seg,
-        node_y=np.asarray(mb.y), junction_index=junction,
-        pad_left_index=pad_l, pad_right_index=pad_r, dx_by_segment=dx,
-        geom=geom, vortices=vortices, tp=tp, resolution=resolution)
+        generator=gen, areas=areas, node_segment=seg,
+        node_y=np.concatenate(ys), junction_index=junction,
+        pad_left_index=pad_l, pad_right_index=pad_r,
+        dx_by_segment=dx_by_segment, geom=geom, vortices=vortices, tp=tp,
+        resolution=resolution)
 
 
 def slowest_mode(disc: Discretization,
@@ -248,26 +228,53 @@ class EvolveSpec:
         check_time_grid("t_grid", self.t_grid, from_zero=True)
 
 
-def _solve_piece(gen, src: np.ndarray, r: float, y0: np.ndarray, t0: float,
-                 t_eval: np.ndarray, tol: float, atol: float) -> np.ndarray:
-    """Radau IIA solve of dy/dt = gen y - r y^2 + src from t0 to t_eval[-1].
+def _solve_piece(disc: Discretization, spec: EvolveSpec, x: np.ndarray,
+                 t0: float, t_eval: np.ndarray, tol: float, scale: float,
+                 driven: bool) -> np.ndarray:
+    """Radau IIA solve of one drive piece, from state x at t0 to t_eval[-1].
 
-    Returns the (n_nodes, n_times) states at t_eval, clipped at zero.
+    dy/dt = G y - r y^2 + g, plus the junction drive when `driven`; the
+    absolute tolerance is 1e-3 * tol * scale.  Returns the (n_nodes,
+    n_times) states at t_eval, clipped at zero.  Float overflow is not
+    left to numpy's warnings: the failed solve it causes raises
+    StepSizeUnderflowError naming the piece, r and the density scale.
     """
     import scipy.sparse as sp
     from scipy.integrate import solve_ivp
 
-    failed = f"stiff integrator failed on [{t0:.6g}, {t_eval[-1]:.6g}] s"
-    try:
-        sol = solve_ivp(lambda t, y: gen @ y - r * y * y + src,
-                        (t0, t_eval[-1]), y0, method="Radau", t_eval=t_eval,
-                        jac=lambda t, y: gen - sp.diags(2.0 * r * y),
-                        rtol=tol, atol=atol)
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise StepSizeUnderflowError(f"{failed}: {exc}") from None
-    if not sol.success:
-        raise StepSizeUnderflowError(f"{failed}: {sol.message}")
-    return np.maximum(sol.y, 0.0)
+    gen, jj, r = disc.generator, disc.junction_index, spec.r
+    src = np.full(x.size, spec.g)
+    clamp = driven and spec.injection_density is not None
+    free = np.flatnonzero(np.arange(x.size) != jj) if clamp else slice(None)
+    overflow = []
+    with np.errstate(over="call", invalid="ignore", divide="ignore",
+                     call=lambda err, flag: overflow.append(err)):
+        if clamp:  # the clamped junction leaves the unknowns
+            src = src[free] + spec.injection_density \
+                * gen[free, jj].toarray().ravel()
+            gen = gen[free][:, free]
+        elif driven:
+            src[jj] += spec.injection_rate
+        try:
+            sol = solve_ivp(lambda t, y: gen @ y - r * y * y + src,
+                            (t0, t_eval[-1]), x[free], method="Radau",
+                            t_eval=t_eval,
+                            jac=lambda t, y: gen - sp.diags(2.0 * r * y),
+                            rtol=tol,
+                            atol=1e-3 * tol * scale or np.finfo(float).tiny)
+            why = None if sol.success else sol.message
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            why = str(exc)
+    if why is not None:
+        if overflow:
+            why = (f"float64 overflow with r = {r:.6g} 1/s, density scale "
+                   f"{scale:.6g} and generator rates up to "
+                   f"{abs(gen.diagonal()).max():.6g} 1/s")
+        raise StepSizeUnderflowError(
+            f"stiff integrator failed on the {'' if driven else 'un'}driven "
+            f"piece [{t0:.6g}, {t_eval[-1]:.6g}] s: {why}")
+    ys = np.maximum(sol.y, 0.0)
+    return np.insert(ys, jj, spec.injection_density, axis=0) if clamp else ys
 
 
 def evolve(disc: Discretization, spec: EvolveSpec, tol: float = 1e-8,
@@ -297,13 +304,11 @@ def evolve(disc: Discretization, spec: EvolveSpec, tol: float = 1e-8,
         raise InvalidParameterError(f"tol must lie in (0, 1), got {tol}")
 
     jj = disc.junction_index
-    clamp_on = spec.injection_density is not None and spec.t_inj > 0
-    if clamp_on:
+    if spec.injection_density is not None and spec.t_inj > 0:
         x[jj] = spec.injection_density
     t_end = float(t_grid[-1])
     scale = max(float(x.max()), spec.injection_rate * spec.t_inj,
                 spec.g * t_end)
-    atol = 1e-3 * tol * scale or np.finfo(float).tiny
 
     out = np.empty((t_grid.size, n))
     k0 = int(t_grid[0] == 0.0)
@@ -312,21 +317,8 @@ def evolve(disc: Discretization, spec: EvolveSpec, tol: float = 1e-8,
     for t1 in sorted({min(spec.t_inj, t_end), t_end} - {0.0}):
         k1 = int(np.searchsorted(t_grid, t1, side="right"))
         t_eval = np.union1d(t_grid[k0:k1], t1)
-        driven = t1 <= spec.t_inj
-        src = np.full(n, spec.g)
-        if driven and clamp_on:
-            free = np.flatnonzero(np.arange(n) != jj)
-            src = src[free] + spec.injection_density \
-                * disc.generator[free, jj].toarray().ravel()
-            ys = np.insert(
-                _solve_piece(disc.generator[free][:, free], src, spec.r,
-                             x[free], t0, t_eval, tol, atol),
-                jj, spec.injection_density, axis=0)
-        else:
-            if driven:
-                src[jj] += spec.injection_rate
-            ys = _solve_piece(disc.generator, src, spec.r, x, t0, t_eval,
-                              tol, atol)
+        ys = _solve_piece(disc, spec, x, t0, t_eval, tol, scale,
+                          driven=t1 <= spec.t_inj)
         out[k0:k1] = ys[:, :k1 - k0].T
         x = ys[:, -1]
         k0, t0 = k1, t1

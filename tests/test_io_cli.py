@@ -544,8 +544,8 @@ class TestCli:
         ids=[f"{a.split(' --')[0].split(' {')[0].replace(' ', '-')}-{k}"
              for k, (a, _) in enumerate(BAD_INPUTS)])
     def test_extreme_finite_input_exits_without_traceback(self, capsys,
-                                                          tmp_path, argv,
-                                                          codes):
+                                                          recwarn, tmp_path,
+                                                          argv, codes):
         points = tmp_path / "points.csv"
         points.write_text("tau_ss,inv_t1\n2e-3,1e5\n9e-3,2e5\n16e-3,3e5\n")
         argv = argv.format(points=points).split()
@@ -554,8 +554,36 @@ class TestCli:
         assert code in codes, err
         assert out == ""
         assert "Traceback" not in err
-        # numpy may warn of the overflow first
-        assert err.splitlines()[-1].startswith(f"qpdyn {command}: ")
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+        assert err.count("\n") == 1
+        assert err.startswith(f"qpdyn {command}: ")
+
+    def test_pde_evolve_overflow_is_one_named_line(self, capsys, recwarn):
+        code, out, err = run_cli(capsys, *(
+            "pde evolve --geom b2 --nl 0 --nr 0 --p 0cm2/s --d 18cm2/s "
+            "--r 1e300/s --xinit 1e300 --tmax 1ms").split())
+        assert code == 6
+        assert out == ""
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+        (line,) = err.splitlines()
+        assert line.startswith("qpdyn pde-evolve: stiff integrator failed on "
+                               "the undriven piece [0, 0.001] s: float64 "
+                               "overflow with r = 1e+300 1/s, density scale "
+                               "1e+300 ")
+
+    def test_linalg_error_exits_6_without_traceback(self, capsys,
+                                                    monkeypatch,
+                                                    b1_trace_path):
+        def svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        code, out, err = run_cli(capsys, "fit", b1_trace_path, "--c",
+                                 "4.6e10/s")
+        assert code == 6
+        assert out == ""
+        assert err == ("qpdyn fit: numerical failure (LinAlgError: SVD did "
+                       "not converge)\n")
 
     def test_unwritable_out_file_stops_before_the_work(self, capsys,
                                                        monkeypatch, tmp_path,

@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,7 +27,90 @@ def disc_free(b1_geom):
                  TransportParams(d=18e-4, s0=0.0), resolution=50)
 
 
+EPS = np.finfo(float).eps
+
+
+@pytest.fixture(scope="module", params=[
+    (1, 0, 0.0, 10, 600e-6), (2, 3, 33.3, 37, 600e-6),
+    (0, 4, 250.0, 200, 0.0)], ids=["b1-res10", "b1-res37", "no-wide-arm"])
+def mesh(request, b1_geom):
+    n_left, n_right, s0, res, l_cap = request.param
+    return build(replace(b1_geom, l_cap=l_cap),
+                 VortexConfig(n_left, n_right, P_REF),
+                 TransportParams(d=18e-4, s0=s0), resolution=res)
+
+
+def _length(geom, segment):
+    """Length of a chain of cells, from its segment name."""
+    kind = segment.split("_")[-1 if segment.startswith("arm") else 0]
+    return {"wire": geom.l_wire, "center": geom.l_half_gap,
+            "thin": geom.h_cap, "wide": geom.l_cap}[kind]
+
+
 class TestBuild:
+    def test_node_order(self, mesh):
+        arms = [f"arm_{side}_{part}" for side in ("left", "right")
+                for part in ("thin_end", "thin", "wide_end", "wide")
+                if mesh.geom.l_cap > 0 or "wide" not in part]
+        runs = [seg for seg, _ in itertools.groupby(mesh.node_segment)]
+        assert runs == ["pad_left", "pad_right", "cross_left", "cross_right",
+                        "junction", "wire_left", "wire_right", "center_left",
+                        "center_right", *arms]
+        assert (mesh.pad_left_index, mesh.pad_right_index,
+                mesh.junction_index) == (0, 1, 4)
+
+    def test_nodes_per_segment_follow_the_cells_rule(self, mesh):
+        geom, res = mesh.geom, mesh.resolution
+        counts = {seg: mesh.node_segment.count(seg)
+                  for seg in set(mesh.node_segment)}
+        for seg, dx in mesh.dx_by_segment.items():
+            length = _length(geom, seg)
+            cells = max(2, int(round(res * length / geom.l_wire)))
+            assert counts.pop(seg) == cells - 1
+            assert dx == length / cells
+        assert set(counts.values()) == {1}  # the lumped nodes
+
+    def test_node_y_is_k_dx_along_each_chain(self, mesh):
+        seg = np.array(mesh.node_segment)
+        for name, dx in mesh.dx_by_segment.items():
+            y = mesh.node_y[seg == name]
+            assert np.array_equal(y, np.arange(1, y.size + 1) * dx)
+
+    def test_pattern_is_diagonal_plus_both_edge_directions(self, mesh):
+        gen, n = mesh.generator, mesh.n_nodes
+        n_edges = sum(mesh.node_segment.count(seg) + 1
+                      for seg in mesh.dx_by_segment)
+        assert gen.nnz == n + 2 * n_edges
+        assert np.all(gen.data != 0)
+        assert np.all(gen.diagonal() != 0)
+
+    def test_area_weighted_generator_is_symmetric(self, mesh):
+        flux = mesh.areas[:, None] * mesh.generator.toarray()
+        assert np.all(np.abs(flux - flux.T) <= 4 * EPS * np.abs(flux))
+
+    def test_diagonal_balances_the_row(self, mesh):
+        gen, vc = mesh.generator.toarray(), mesh.vortices
+        diag = np.diag(gen).copy()
+        sink = np.full(mesh.n_nodes, mesh.tp.s0)
+        for pad, n_vortices in ((mesh.pad_left_index, vc.n_left),
+                                (mesh.pad_right_index, vc.n_right)):
+            sink[pad] += n_vortices * vc.trapping_power / mesh.areas[pad]
+        np.fill_diagonal(gen, 0.0)
+        np.testing.assert_allclose(diag, -gen.sum(axis=1) - sink,
+                                   rtol=1e-14, atol=0)
+
+    def test_trapping_changes_only_the_pad_entry(self, b1_geom, transport):
+        bare, trapped = (build(b1_geom, VortexConfig(n, 0, P_REF), transport,
+                               resolution=37) for n in (0, 3))
+        pad = bare.pad_left_index
+        assert np.array_equal(bare.areas, trapped.areas)
+        delta = (trapped.generator - bare.generator).toarray()
+        step = delta[pad, pad]
+        delta[pad, pad] = 0.0
+        assert not delta.any()
+        assert abs(step + 3 * P_REF / bare.areas[pad]) \
+            <= 4 * EPS * abs(bare.generator[pad, pad])
+
     def test_resolution_floor(self, b1_geom, transport):
         with pytest.raises(InvalidResolutionError):
             build(b1_geom, VortexConfig(0, 0, 0.0), transport, resolution=5)

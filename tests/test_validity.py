@@ -11,12 +11,13 @@ from qpdyn.dynamics import (RateParams, SolutionParams, extraction_bounds,
                             xqp_recombination_only)
 from qpdyn.eigenmode import (TransportParams, VortexConfig,
                              capacitor_substitution)
-from qpdyn.errors import (InvalidParameterError, QpdynError, check_finite,
-                          check_time_grid, finite_violation)
+from qpdyn.errors import (InvalidParameterError, InvalidResolutionError,
+                          QpdynError, check_finite, check_time_grid,
+                          finite_violation)
 from qpdyn.estimates import (CavityQs, VortexMicro, frequency_shift_from_xqp,
                              vortex_profile)
 from qpdyn.geometry import DeviceGeometry, derive
-from qpdyn.pde_sim import EvolveSpec
+from qpdyn.pde_sim import EvolveSpec, build
 from qpdyn.trace_fit import (DecayTrace, FitResult, SteadyStatePoint,
                              extract_rates, fit_t1_vs_tau, gamma_model)
 
@@ -126,6 +127,23 @@ def test_division_by_a_bad_parameter_raises_typed_error(call):
 def test_every_record_states_the_rule_alike(build, name):
     with pytest.raises(QpdynError, match=f"{name} must be finite"):
         build()
+
+
+@pytest.mark.parametrize("resolution", [NAN, INF, -INF, 10.5, 9])
+def test_build_rejects_a_bad_resolution(resolution):
+    with pytest.raises(InvalidResolutionError,
+                       match=f"resolution must be a whole number >= 10 "
+                             f"cells per wire length, got {resolution}"):
+        build(DeviceGeometry(**GEOM), VortexConfig(1, 0, 6.7e-6),
+              TransportParams(d=18e-4), resolution)
+
+
+def test_build_takes_a_whole_float_resolution():
+    args = DeviceGeometry(**GEOM), VortexConfig(1, 0, 6.7e-6), \
+        TransportParams(d=18e-4)
+    disc = build(*args, 20.0)
+    assert disc.resolution == 20 and type(disc.resolution) is int
+    assert disc.n_nodes == build(*args, 20).n_nodes
 
 
 class TestRule:
