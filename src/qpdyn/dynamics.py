@@ -98,7 +98,10 @@ def xqp_analytic(t, p: SolutionParams):
     ts = np.asarray(t, dtype=float)
     check_finite("t", ts, ">=")
     one_minus = 1.0 - p.r_prime
-    out = p.x_i * one_minus / (one_minus + np.expm1(ts / p.tau_ss)) + p.x0
+    # expm1 overflows to inf once t/tau_ss > 709, which gives the exact
+    # limit: the decaying term is 0
+    with np.errstate(over="ignore"):
+        out = p.x_i * one_minus / (one_minus + np.expm1(ts / p.tau_ss)) + p.x0
     return float(out) if np.isscalar(t) else out
 
 

@@ -54,7 +54,8 @@ class InsufficientDataError(QpdynError, ValueError):
 
 
 class DegenerateTraceError(QpdynError, ValueError):
-    """Trace is constant within noise; only the background rate is identifiable."""
+    """The trace does not determine the model: it is constant within noise
+    or rising, or r' = 1 lies within one standard deviation."""
 
 
 class NonConvergenceError(QpdynError, RuntimeError):

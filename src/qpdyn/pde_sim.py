@@ -34,6 +34,11 @@ from .geometry import DeviceGeometry
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
+# Largest mesh `build` assembles, ~140x the 7061 nodes of resolution 800
+# on B1.  Memory grows linearly (build plus slowest_mode peak at ~80 MB for
+# 1e5 nodes), so a finer request is refused before anything is allocated.
+MAX_NODES = 1_000_000
+
 
 @dataclass(frozen=True)
 class Discretization:
@@ -71,11 +76,13 @@ def build(geom: DeviceGeometry, vortices: VortexConfig, tp: TransportParams,
           resolution: int = 50) -> Discretization:
     """Discretize the device at `resolution` cells per wire length L.
 
-    `resolution` is a whole number >= 10.  Shorter segments get
-    proportionally fewer cells (at least 2).  Pads are lumped nodes; the
-    vortex trapping N P enters as a linear sink on them, normalized by the
-    pad node's control area.  Nodes are numbered in creation order; each
-    chain of cells adds its nodes and edges as whole arrays.
+    `resolution` is a whole number >= 10 that gives at most MAX_NODES
+    nodes.  Shorter segments get proportionally fewer cells (at least 2).
+    Pads are lumped nodes; the vortex trapping N P enters as a linear sink
+    on them, normalized by the pad node's control area.  Nodes are
+    numbered in creation order; each chain of cells adds its nodes and
+    edges as whole arrays.  Generator rates that overflow float64 raise
+    InvalidParameterError.
     """
     import scipy.sparse as sp
 
@@ -99,6 +106,10 @@ def build(geom: DeviceGeometry, vortices: VortexConfig, tp: TransportParams,
     def chain(name: str, a: int, b: int, length: float, width: float):
         """Connect node a to node b through uniform cells of `width`."""
         n_cells = max(2, int(round(resolution * length / L)))
+        if len(seg) + n_cells > MAX_NODES:
+            raise InvalidResolutionError(
+                f"resolution {resolution} needs more than {MAX_NODES} mesh "
+                "nodes for this geometry")
         dx = dx_by_segment[name] = length / n_cells
         path = np.arange(len(seg) - 1, len(seg) + n_cells)
         path[[0, -1]] = a, b
@@ -133,14 +144,20 @@ def build(geom: DeviceGeometry, vortices: VortexConfig, tp: TransportParams,
     # at G[j, i]; the diagonal takes the outflow, s0 and the pad sinks
     i, j, flux = map(np.concatenate, zip(*edges))
     n = areas.size
-    diag = -(np.bincount(i, flux, n) + np.bincount(j, flux, n)) / areas \
-        - tp.s0
     p = vortices.trapping_power
-    diag[pad_l] -= vortices.n_left * p / areas[pad_l]
-    diag[pad_r] -= vortices.n_right * p / areas[pad_r]
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = -(np.bincount(i, flux, n) + np.bincount(j, flux, n)) / areas \
+            - tp.s0
+        diag[pad_l] -= vortices.n_left * p / areas[pad_l]
+        diag[pad_r] -= vortices.n_right * p / areas[pad_r]
+        rates = np.concatenate((flux / areas[i], flux / areas[j], diag))
+    if not np.all(np.isfinite(rates)):
+        raise InvalidParameterError(
+            f"generator rates overflow float64 at resolution {resolution}: "
+            f"d = {tp.d:.6g} m^2/s, s0 = {tp.s0:.6g} 1/s, P = {p:.6g} m^2/s")
     nodes = np.arange(n)
     gen = sp.csc_matrix(
-        (np.concatenate((flux / areas[i], flux / areas[j], diag)),
+        (rates,
          (np.concatenate((i, j, nodes)), np.concatenate((j, i, nodes)))),
         shape=(n, n))
     return Discretization(

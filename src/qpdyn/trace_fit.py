@@ -14,11 +14,13 @@ fit_t1_vs_tau performs the steady-state linear fit
 
 whose slope reveals the stray generation rate g.
 
-Fitting is scipy's Levenberg-Marquardt least_squares (MINPACK lmder) with
-the analytic Jacobian, in the transformed coordinates
-(log A, logit r', log tau_ss, log(Gamma0 + 1e-3)) so every iterate is
-strictly feasible; default weighting is relative (residuals of log Gamma)
-because traces span several decades.
+A and Gamma0 enter linearly: the trace fit profiles them out on a
+(logit r', log tau_ss) grid for a global start (variable projection,
+Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)), then polishes with
+scipy's Levenberg-Marquardt least_squares (MINPACK lmder) in
+(A, logit r', log tau_ss, Gamma0) on the model written in exp(-t/tau_ss).
+The default weighting is relative (residuals of log Gamma) because traces
+span several decades.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ from .errors import (DegenerateTraceError, InsufficientDataError,
                      InsufficientSpreadError, InvalidParameterError,
                      NonConvergenceError, check_finite, check_time_grid)
 
-_GAMMA0_SHIFT = 1e-3  # 1/s, shift inside log(Gamma0 + eps)
-
 DEFAULT_T_MIN = 200e-6  # s, early-time truncation of trace fits
 
 # least_squares stopping tolerances: relative step, relative cost
@@ -43,6 +43,11 @@ DEFAULT_T_MIN = 200e-6  # s, early-time truncation of trace fits
 _XTOL = 1e-10
 _FTOL = 1e-12
 _GTOL = 1e-12
+
+# Grid of the global start: logit r' from -4 to 7 (r' 0.018 to 0.999) by
+# 40 geometric steps of tau_ss from the finest sample spacing to ten times
+# the time span of the trace.
+_GRID_LOGIT_RP = np.linspace(-4.0, 7.0, 24)
 
 
 @dataclass(frozen=True)
@@ -155,77 +160,60 @@ def gamma_model(t, f: FitResult):
     ts = np.asarray(t, dtype=float)
     check_finite("t", ts)
     one_minus = 1.0 - f.r_prime
-    out = f.amplitude * one_minus / (one_minus + np.expm1(ts / f.tau_ss)) \
-        + f.gamma0
+    # expm1 overflows to inf once t/tau_ss > 709, which gives the exact
+    # limit: the decaying term is 0
+    with np.errstate(over="ignore"):
+        out = f.amplitude * one_minus \
+            / (one_minus + np.expm1(ts / f.tau_ss)) + f.gamma0
     return float(out) if np.isscalar(t) else out
 
 
-def _model_and_jac(t: np.ndarray, theta: np.ndarray):
-    """Model values and 4-column Jacobian wrt (A, r', tau, Gamma0)."""
-    amp, rp, tau, g0 = theta
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        expo = np.exp(t / tau)
-        e = expo - 1.0  # expm1, but expo reused below
-        den = (1.0 - rp) + e
-        m = amp * (1.0 - rp) / den + g0
-        jac = np.empty((t.size, 4))
-        jac[:, 0] = (1.0 - rp) / den
-        jac[:, 1] = -amp * e / den**2
-        jac[:, 2] = amp * (1.0 - rp) * t * expo / (tau**2 * den**2)
-        jac[:, 3] = 1.0
-    return m, jac
-
-
-def _to_theta(u: np.ndarray) -> np.ndarray:
-    from scipy.special import expit
-    with np.errstate(over="ignore"):
-        return np.array([np.exp(u[0]), expit(u[1]), np.exp(u[2]),
-                         np.exp(u[3]) - _GAMMA0_SHIFT])
-
-
-def _to_u(theta) -> np.ndarray:
-    amp, rp, tau, g0 = theta
-    rp = min(max(rp, 1e-12), 1.0 - 1e-12)
-    return np.array([math.log(amp), math.log(rp / (1.0 - rp)),
-                     math.log(tau), math.log(g0 + _GAMMA0_SHIFT)])
-
-
-def _weighted(m, jac, gamma, weighting: str, sigma):
-    """Weighted residuals and Jacobian rows for model values m.
-
-    relative: log m - log gamma; sigma: (m - gamma) / sigma;
-    absolute: m - gamma.
+def _shape(t, rp, tau, jac: bool = False):
+    """Shape f = (1 - r') e / (1 - r' e), e = exp(-t/tau_ss), of the model
+    A f + Gamma0, broadcast over rp and tau; with jac=True also df/d logit
+    r' and df/d log tau_ss.  Nothing overflows for t >= 0, and the
+    denominator (1 - r') - r' expm1(-t/tau_ss) >= 0 is exact as r' -> 1.
     """
+    em = np.expm1(-t / tau)
+    den = (1.0 - rp) - rp * em
+    f = (1.0 - rp) * (1.0 + em) / den
+    if not jac:
+        return f
+    return f, f * rp * em / den, f * (t / tau) / den
+
+
+def _grid_start(t: np.ndarray, gamma: np.ndarray, unit: np.ndarray):
+    """Best (A, logit r', log tau_ss, Gamma0) on the profile grid.
+
+    At each (logit r', log tau_ss) node, (A, Gamma0 >= 0) solves the 2x2
+    normal equations of the residuals (A f + Gamma0 - gamma) / unit; the
+    node of least cost with A > 0 wins.
+    """
+    from scipy.special import expit
+    tau = np.geomspace(float(np.diff(t).min()), 10.0 * (t[-1] - t[0]),
+                       40)[:, None]
+    f = _shape(t, expit(_GRID_LOGIT_RP)[:, None, None], tau)
+    w2 = unit ** -2.0
+    s_ff, s_f, s_1 = (f * f) @ w2, f @ w2, w2.sum()
+    b_f, b_1 = f @ (w2 * gamma), w2 @ gamma
     with np.errstate(all="ignore"):
-        if weighting == "relative":
-            m_safe = np.maximum(m, 1e-300)
-            return np.log(m_safe) - np.log(gamma), jac / m_safe[:, None]
-        if weighting == "sigma":
-            return (m - gamma) / sigma, jac / sigma[:, None]
-        return m - gamma, jac
-
-
-def _initial_guess(t: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Default starting point: background from the floor, tail slope for tau."""
-    g0 = float(gamma.min())
-    amp = max(float(gamma[0] - g0), 1e-3 * g0, 1e-30)
-    span = t[-1] - t[0]
-    tail = slice(2 * t.size // 3, None)
-    yt = gamma[tail] - g0 + max(1e-6 * g0, 1e-30)
-    tt = t[tail]
-    ok = yt > 0
-    tau = span
-    if ok.sum() >= 2:
-        slope = np.polyfit(tt[ok], np.log(yt[ok]), 1)[0]
-        if slope < 0:
-            tau = -1.0 / slope
-    tau = min(max(tau, span / t.size), 50.0 * span)
-    return _to_u((amp, 0.5, tau, g0))
+        det = s_ff * s_1 - s_f * s_f
+        g0 = (s_ff * b_1 - s_f * b_f) / det
+        clamp = g0 < 0  # then Gamma0 = 0 and A is fit alone
+        amp = np.where(clamp, b_f / s_ff, (s_1 * b_f - s_f * b_1) / det)
+        g0 = np.where(clamp, 0.0, g0)
+        res = amp[..., None] * f + g0[..., None] - gamma
+        cost = np.where(amp > 0, (res * res) @ w2, np.nan)
+    if np.all(np.isnan(cost)):
+        raise DegenerateTraceError(
+            "trace has no decaying component: every start has amplitude <= 0")
+    i, j = np.unravel_index(np.nanargmin(cost), cost.shape)
+    return np.array([amp[i, j], _GRID_LOGIT_RP[i], math.log(tau[j, 0]),
+                     g0[i, j]])
 
 
 def fit_gamma_trace(trace: DecayTrace, t_min: float = DEFAULT_T_MIN,
                     weighting: str = "relative",
-                    guess: FitResult | None = None,
                     max_iter: int = 500,
                     full_output: bool = False):
     """Least-squares fit of a decay trace to the four-parameter model.
@@ -233,15 +221,20 @@ def fit_gamma_trace(trace: DecayTrace, t_min: float = DEFAULT_T_MIN,
     Samples with t < t_min are excluded (diffusion transients); at least 6
     must remain.  weighting is 'relative' (log-residuals, the default),
     'absolute', or 'sigma' (per-sample uncertainties, which the trace must
-    carry).  The fit is deterministic given identical inputs and guess.
+    carry).  The fit is global and deterministic: it starts from the best
+    node of a 24 x 40 (logit r', log tau_ss) grid, with (A, Gamma0 >= 0)
+    profiled out by linear least squares under weights 1/gamma, 1 or
+    1/sigma, then runs one Levenberg-Marquardt polish in
+    (A, logit r', log tau_ss, Gamma0).
 
     max_iter bounds the residual evaluations; a fit that exhausts it raises
-    NonConvergenceError carrying the best parameters and cost.  A fit that
-    drives r' to 1 raises DegenerateTraceError.  With full_output=True
-    returns (FitResult, info) where info carries the cost history
-    ([initial, final]) and the number of Jacobian evaluations.
+    NonConvergenceError carrying the best parameters and cost.  A fit with
+    r' = 1 within one standard deviation raises DegenerateTraceError.  With
+    full_output=True returns (FitResult, info) where info carries the cost
+    history ([initial, final]) and the number of Jacobian evaluations.
     """
     from scipy.optimize import least_squares
+    from scipy.special import expit
 
     cut = trace.truncated(t_min)
     t, gamma = cut.t, cut.gamma
@@ -261,65 +254,67 @@ def fit_gamma_trace(trace: DecayTrace, t_min: float = DEFAULT_T_MIN,
             f"weighting must be relative|absolute|sigma, got {weighting!r}")
     if weighting == "sigma" and cut.sigma is None:
         raise InvalidParameterError("sigma weighting requires trace.sigma")
+    unit = {"relative": gamma, "absolute": np.ones_like(gamma),
+            "sigma": cut.sigma}[weighting]
 
-    def resid_jac(u):
-        theta = _to_theta(u)
-        m, jac_theta = _model_and_jac(t, theta)
+    def resid_jac(x):  # log m - log gamma, or (m - gamma) / unit
+        amp, rp, tau, g0 = x[0], expit(x[1]), math.exp(x[2]), x[3]
         with np.errstate(all="ignore"):
-            # chain rule to the transformed coordinates
-            tscale = np.array([theta[0], theta[1] * (1.0 - theta[1]),
-                               theta[2], theta[3] + _GAMMA0_SHIFT])
-            jac_u = jac_theta * tscale
-        return _weighted(m, jac_u, gamma, weighting, cut.sigma)
+            f, df_u, df_v = _shape(t, rp, tau, jac=True)
+            m = amp * f + g0
+            jac = np.column_stack([f, amp * df_u, amp * df_v,
+                                   np.ones_like(t)])
+            if weighting == "relative":
+                m = np.maximum(m, 1e-300)
+                return np.log(m) - np.log(gamma), jac / m[:, None]
+            return (m - gamma) / unit, jac / unit[:, None]
 
-    if guess is None:
-        u0 = _initial_guess(t, gamma)
-    else:
-        check_finite("guess amplitude", guess.amplitude, ">")
-        u0 = _to_u((guess.amplitude, guess.r_prime, guess.tau_ss,
-                    guess.gamma0))
+    x0 = _grid_start(t, gamma, unit)
     try:
-        sol = least_squares(lambda u: resid_jac(u)[0], u0,
-                            jac=lambda u: resid_jac(u)[1], method="lm",
+        sol = least_squares(lambda x: resid_jac(x)[0], x0,
+                            jac=lambda x: resid_jac(x)[1], method="lm",
                             xtol=_XTOL, ftol=_FTOL, gtol=_GTOL,
                             x_scale="jac", max_nfev=max_iter)
     except ValueError as exc:
         raise InvalidParameterError(f"cannot start the fit: {exc}") from None
+    amp, rp, tau, g0 = (sol.x[0], expit(sol.x[1]), math.exp(sol.x[2]),
+                        sol.x[3])
     if sol.status == 0:
         raise NonConvergenceError(
             f"fit did not converge in {max_iter} evaluations",
-            best_params=_to_theta(sol.x), best_cost=float(sol.cost))
-    theta = _to_theta(sol.x)
-    theta[3] = max(theta[3], 0.0)
-    if theta[1] >= 1.0:
-        raise DegenerateTraceError(
-            "r' is not identifiable from this trace: the fit drives it to 1 "
-            f"(logit r' = {sol.x[1]:.3g})")
+            best_params=np.array([amp, rp, tau, g0]),
+            best_cost=float(sol.cost))
+    g0 = max(g0, 0.0)
 
-    # covariance in original parameters from the weighted Jacobian
-    m, jac_theta = _model_and_jac(t, theta)
-    res_w, jac_w = _weighted(m, jac_theta, gamma, weighting, cut.sigma)
+    # covariance from the weighted Jacobian, its columns scaled to unit
+    # norm for the rank cut, mapped from (A, logit r', log tau_ss, Gamma0)
+    # to (A, r', tau_ss, Gamma0)
+    res_w, jac_w = resid_jac(np.array([amp, sol.x[1], sol.x[2], g0]))
     rss = float(res_w @ res_w)
-    dof = t.size - 4
-    scale = 1.0 if weighting == "sigma" else rss / dof
-    _, sv, vt = np.linalg.svd(jac_w, full_matrices=False)
-    good = sv > sv[0] * 1e-13 if sv.size else sv > 0
-    inv_s2 = np.zeros_like(sv)
-    inv_s2[good] = 1.0 / sv[good] ** 2
-    cov = (vt.T * inv_s2) @ vt * scale
+    norms = np.linalg.norm(jac_w, axis=0)
+    norms[norms == 0] = 1.0
+    _, sv, vt = np.linalg.svd(jac_w / norms, full_matrices=False)
+    inv_s2 = np.where(sv > sv[0] * 1e-13, sv, np.inf) ** -2.0
+    d = np.array([1.0, rp * (1.0 - rp), tau, 1.0]) / norms
+    cov = (vt.T * inv_s2) @ vt * np.outer(d, d) * (
+        1.0 if weighting == "sigma" else rss / (t.size - 4))
     cov = 0.5 * (cov + cov.T)
+    sigma_rp = math.sqrt(cov[1, 1])
+    if 1.0 - rp <= sigma_rp:
+        raise DegenerateTraceError(
+            "r' is not identifiable from this trace: r' = 1 lies within one "
+            f"standard deviation (r' = {rp:.6g} +- {sigma_rp:.3g})")
 
     if weighting == "absolute":
         resid_norm = math.sqrt(rss / t.size) / math.sqrt(
             float(gamma @ gamma) / t.size)
     else:
         resid_norm = math.sqrt(rss / t.size)
-    result = FitResult(amplitude=theta[0], r_prime=theta[1], tau_ss=theta[2],
-                       gamma0=theta[3], covariance=cov,
-                       residual_norm=resid_norm, n_used=int(t.size),
-                       t_min_applied=float(t_min))
+    result = FitResult(amplitude=amp, r_prime=rp, tau_ss=tau, gamma0=g0,
+                       covariance=cov, residual_norm=resid_norm,
+                       n_used=int(t.size), t_min_applied=float(t_min))
     if full_output:
-        res0 = resid_jac(u0)[0]
+        res0 = resid_jac(x0)[0]
         cost0 = 0.5 * float(res0 @ res0)
         return result, {"cost_history": [cost0, float(sol.cost)],
                         "n_iterations": int(sol.njev)}

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,7 +157,11 @@ EXTREME_INPUTS = [
 BAD_INPUTS = [(argv, (5, 6)) for argv in EXTREME_INPUTS] + [
     ("rates --amplitude 0/s --rprime 0.9 --tauss 18ms --gamma0 1e5/s "
      "--c 4.6e10/s", (5,)),
-    ("t1fit {points} --c 0/s", (5,))]
+    ("t1fit {points} --c 0/s", (5,))] + [
+    # generator rates that overflow, and a mesh too fine to allocate
+    (f"pde eigen --geom b1 --nl 1 --nr 0 --p 0.067cm2/s {flags}", (5, 6))
+    for flags in ("--d 1e307cm2/s",
+                  "--d 18cm2/s --resolution 10000000000000")]
 
 
 @pytest.fixture()
@@ -247,7 +252,7 @@ class TestCli:
                 "--no-timestamp")
         run_cli(capsys, *args, "--out-file", a)
         run_cli(capsys, *args, "--out-file", b)
-        assert open(a).read() == open(b).read()
+        assert Path(a).read_text() == Path(b).read_text()
 
     def test_bundled_trace_regenerates_from_library(self, b1_trace_path,
                                                     capsys, tmp_path):
@@ -259,7 +264,8 @@ class TestCli:
             "--tgrid", "log:0.2ms:80ms:40", "--no-timestamp",
             "--out-file", regen)
         assert code == 0
-        assert open(regen).read() == open(b1_trace_path).read()
+        assert Path(regen).read_text() == Path(
+            b1_trace_path).read_text()
 
     def test_t1fit(self, capsys, tmp_path, coupling):
         pts = tmp_path / "pts.csv"
@@ -749,7 +755,7 @@ class TestManifestProvenance:
         code, out, err = run_cli(capsys, *argv, "--no-timestamp")
         assert code == 0, err
         if "--out-file" in argv:
-            out = open(argv[argv.index("--out-file") + 1]).read()
+            out = Path(argv[argv.index("--out-file") + 1]).read_text()
         if out.startswith("# manifest: "):
             return json.loads(out.splitlines()[0][len("# manifest: "):])
         return json.loads(out)["manifest"]

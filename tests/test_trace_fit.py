@@ -33,6 +33,31 @@ def linear_grid_cases(n_cases):
                ("relative", "absolute", "sigma")[k % 3], (k // 3) % 2 == 1)
 
 
+def noise_free_panel(n_cases):
+    """Seeded noise-free traces: r' 0.3-0.98, tau_ss 2-25 ms, Gamma0/A
+    3e-3-0.05, 40-300 samples to 3-6 tau_ss on linear and log grids, each
+    grid with the three weightings in turn; sigma is 2% of the model."""
+    rng = np.random.Generator(np.random.Philox(7))
+
+    def log_u(lo, hi):
+        return float(10 ** rng.uniform(np.log10(lo), np.log10(hi)))
+
+    for k in range(n_cases):
+        rp, n = rng.uniform(0.3, 0.98), int(rng.integers(40, 301))
+        tail, tau = rng.uniform(3.0, 6.0), log_u(2e-3, 25e-3)
+        amp = log_u(3e5, 6e6)
+        truth = FitResult.from_params(amp, rp, tau, amp * log_u(3e-3, 0.05))
+        grid = (np.linspace(0.2e-3, tail * tau, n) if k % 2 == 0
+                else log_grid(0.2e-3, tail * tau, n))
+        m = gamma_model(grid, truth)
+        yield (truth, DecayTrace(t=grid, gamma=m, sigma=0.02 * m),
+               ("relative", "absolute", "sigma")[(k // 2) % 3])
+
+
+def params(f):
+    return np.array([f.amplitude, f.r_prime, f.tau_ss, f.gamma0])
+
+
 def b1_truth(coupling, gamma0=4e4):
     # amplitude chosen so the extracted r is exactly 1/(170 ns)
     x_i = 0.9 / (0.1 * 18e-3 / 170e-9)
@@ -106,6 +131,13 @@ class TestFitGammaTrace:
             fit_gamma_trace(DecayTrace(t=t, gamma=noisy,
                                        sigma=np.full(20, 50.0)))
 
+    @pytest.mark.parametrize("weighting", ["relative", "absolute"])
+    def test_rising_trace_is_degenerate(self, weighting):
+        t = log_grid(0.2e-3, 80e-3, 40)
+        rising = DecayTrace(t=t, gamma=1e5 - 5e4 * np.exp(-t / 10e-3))
+        with pytest.raises(DegenerateTraceError, match="no decaying"):
+            fit_gamma_trace(rising, weighting=weighting)
+
     @pytest.mark.parametrize("field", ["t", "gamma", "sigma"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_trace_rejected(self, field, bad):
@@ -134,10 +166,6 @@ class TestFitGammaTrace:
         f1, info = fit_gamma_trace(tr, full_output=True)
         hist = info["cost_history"]
         assert all(b <= a for a, b in zip(hist, hist[1:]))
-        f2 = fit_gamma_trace(tr, guess=f1)
-        assert f2.amplitude == pytest.approx(f1.amplitude, rel=1e-8)
-        assert f2.tau_ss == pytest.approx(f1.tau_ss, rel=1e-8)
-        assert f2.gamma0 == pytest.approx(f1.gamma0, rel=1e-8)
 
     def test_linear_grid_round_trips(self):
         misses = []
@@ -161,6 +189,30 @@ class TestFitGammaTrace:
                 misses.append((k, weighting, noisy))
         assert misses == []
 
+    def test_global_start_recovers_noise_free_panel(self):
+        misses = []
+        for k, (truth, tr, weighting) in enumerate(noise_free_panel(300)):
+            try:
+                err = np.abs(params(fit_gamma_trace(tr, weighting=weighting))
+                             / params(truth) - 1).max()
+            except DegenerateTraceError:
+                err = np.inf
+            if not err <= 1e-6:
+                misses.append((k, weighting, err))
+        assert misses == []
+
+    @pytest.mark.parametrize("t_end", [80e-3, 0.2])
+    @pytest.mark.parametrize("weighting", ["relative", "absolute", "sigma"])
+    def test_long_tail_trace(self, t_end, weighting):
+        # tau_ss = 0.1 ms sampled to 800 and 2000 tau_ss: exp(t/tau_ss)
+        # overflows on the tail, exp(-t/tau_ss) does not
+        truth = FitResult.from_params(1e5, 0.8, 1e-4, 4e4)
+        grid = log_grid(0.2e-3, t_end, 40)
+        m = gamma_model(grid, truth)
+        f = fit_gamma_trace(DecayTrace(t=grid, gamma=m, sigma=1e-6 * m),
+                            t_min=0, weighting=weighting)
+        assert np.abs(params(f) / params(truth) - 1).max() <= 1e-6
+
     def test_saturated_r_prime_is_degenerate(self):
         # pure 1/(exp(t/tau) - 1) shape: the r' -> 1 limit of the model
         t = log_grid(0.2e-3, 80e-3, 40)
@@ -170,18 +222,6 @@ class TestFitGammaTrace:
         with pytest.raises(DegenerateTraceError, match="r' is not identif"):
             fit_gamma_trace(DecayTrace(t=t, gamma=gamma),
                             weighting="absolute")
-
-    @pytest.mark.parametrize("guess,error", [
-        ((1e308, 0.5, 18e-3, 1e308), InvalidParameterError),
-        ((1e5, 0.5, 1e-300, 4e4), NonConvergenceError)])
-    @pytest.mark.parametrize("weighting", ["relative", "absolute", "sigma"])
-    def test_overflowing_guess_raises_typed_error(self, guess, error,
-                                                  weighting):
-        truth = FitResult.from_params(1e5, 0.9, 18e-3, 4e4)
-        tr = synth_trace(truth, TGRID, 0.02, 0)
-        with pytest.raises(error):
-            fit_gamma_trace(tr, weighting=weighting,
-                            guess=FitResult.from_params(*guess))
 
     def test_evaluation_budget_exhausted(self):
         truth = FitResult.from_params(1e5, 0.9, 18e-3, 4e4)
