@@ -15,6 +15,10 @@ time constant 1/tau_ss = 2 r x0 + s, and shape parameter
 r' = r tau_ss x_i / (1 + r tau_ss x_i) in [0, 1):  r' = 0 is a pure
 exponential, r' -> 1 the pure-recombination hyperbola.
 
+The law is written once, as decay_shape, and the map from
+(r', tau_ss, x_i, x0) to (r, s, g) once, as _rate_map; trace_fit
+evaluates, fits and differentiates both.
+
 All algebraic relations here are exact; integrate_ode provides an
 independent numerical oracle for them (scipy's DOP853 Runge-Kutta).
 """
@@ -87,21 +91,27 @@ class ExtractionBounds(NamedTuple):
     g_max: float
 
 
-def xqp_analytic(t, p: SolutionParams):
-    """Evaluate the closed-form decay at time(s) t >= 0.
-
-    The denominator is computed as (1 - r') + expm1(t/tau_ss), which is
-    exact at t = 0 and avoids the cancellation between exp(t/tau_ss) and
-    r' as r' -> 1, so the pure-recombination limit needs no separate
-    branch.
+def decay_shape(t, r_prime, tau_ss, jac: bool = False):
+    """Shape f = (1 - r') e / (1 - r' e), e = exp(-t/tau_ss), of the law
+    x = x_i f + x0, broadcast; jac=True adds df/d logit r' and
+    df/d log tau_ss.  Nothing overflows for t >= 0 (t/tau_ss is capped at
+    2^1000, where e = 0 anyway), and the denominator
+    (1 - r') - r' (e - 1) is exact as r' -> 1.
     """
+    u = t / np.maximum(tau_ss, t * 2.0**-1000)
+    em = np.expm1(-u)
+    den = (1.0 - r_prime) - r_prime * em
+    f = (1.0 - r_prime) * (1.0 + em) / den
+    if not jac:
+        return f
+    return f, f * r_prime * em / den, f * u / den
+
+
+def xqp_analytic(t, p: SolutionParams):
+    """Evaluate the closed-form decay x_i * decay_shape + x0 at t >= 0."""
     ts = np.asarray(t, dtype=float)
     check_finite("t", ts, ">=")
-    one_minus = 1.0 - p.r_prime
-    # expm1 overflows to inf once t/tau_ss > 709, which gives the exact
-    # limit: the decaying term is 0
-    with np.errstate(over="ignore"):
-        out = p.x_i * one_minus / (one_minus + np.expm1(ts / p.tau_ss)) + p.x0
+    out = p.x_i * decay_shape(ts, p.r_prime, p.tau_ss) + p.x0
     return float(out) if np.isscalar(t) else out
 
 
@@ -153,21 +163,28 @@ def solution_from_rates(rp: RateParams, x_i: float) -> SolutionParams:
     return SolutionParams(x_i=x_i, r_prime=q / (1.0 + q), tau_ss=tau, x0=x0)
 
 
-def rates_from_solution(p: SolutionParams) -> RateParams:
-    """Invert the solution parameters back to the rate triple.
+def _rate_map(r_prime, tau_ss, x_i, x0):
+    """(r, s, g) of the solution parameters, unchecked; complex-step safe.
 
     r  = r' / ((1 - r') tau_ss x_i)
     s  = (1/tau_ss) [1 - 2 r' x0 / ((1 - r') x_i)]
     g  = (x0/tau_ss) [1 - r' x0 / ((1 - r') x_i)]
+    """
+    ratio = r_prime / (1.0 - r_prime)
+    r = ratio / (tau_ss * x_i)
+    s = (1.0 - 2.0 * ratio * x0 / x_i) / tau_ss
+    g = x0 / tau_ss * (1.0 - ratio * x0 / x_i)
+    return r, s, g
+
+
+def rates_from_solution(p: SolutionParams) -> RateParams:
+    """Invert the solution parameters back to the rate triple.
 
     Raises NegativeRateError if the parameters imply s < 0 or g < 0.
     """
     if not (p.x_i > 0):
         raise InvalidParameterError("x_i must be > 0 to extract rates")
-    ratio = p.r_prime / (1.0 - p.r_prime)
-    r = ratio / (p.tau_ss * p.x_i)
-    s = (1.0 - 2.0 * ratio * p.x0 / p.x_i) / p.tau_ss
-    g = p.x0 / p.tau_ss * (1.0 - ratio * p.x0 / p.x_i)
+    r, s, g = _rate_map(p.r_prime, p.tau_ss, p.x_i, p.x0)
     if s < 0:
         raise NegativeRateError("s", s)
     if g < 0:
@@ -195,8 +212,8 @@ def extraction_bounds(p: SolutionParams, gamma0: float,
     if p.r_prime == 0:
         g_max = (gamma0 / coupling) / p.tau_ss
         return ExtractionBounds(s_min=s_max, s_max=s_max, g_max=g_max)
+    s_min = _rate_map(p.r_prime, p.tau_ss, p.x_i, gamma0 / coupling)[1]
     ratio = p.r_prime / (1.0 - p.r_prime)
-    s_min = (1.0 - 2.0 * ratio * gamma0 / (p.x_i * coupling)) / p.tau_ss
     den = 4.0 * ratio * p.tau_ss  # underflows to 0 for a subnormal r'
     g_max = p.x_i / den if den > 0 else math.inf
     return ExtractionBounds(s_min=max(s_min, 0.0), s_max=s_max, g_max=g_max)

@@ -144,6 +144,7 @@ class _Groups(NamedTuple):
     w: float      # W_c / W
     lam: float    # l / L
     tau_d: float  # L^2 / D, s
+    z_w: float    # weak-trapping root sqrt((N_L + N_R) P tau_D / A_total)
 
 
 def _groups(geom: DeviceGeometry, vortices: VortexConfig,
@@ -154,7 +155,9 @@ def _groups(geom: DeviceGeometry, vortices: VortexConfig,
         a=der.aspect_a, eps=vortices.trapping_power * der.tau_d / der.a_w,
         nbar=0.5 * (vortices.n_left + vortices.n_right),
         dn=vortices.n_right - vortices.n_left, beta=beta, eta=eta, w=w,
-        lam=geom.l_half_gap / geom.l_wire, tau_d=der.tau_d)
+        lam=geom.l_half_gap / geom.l_wire, tau_d=der.tau_d,
+        z_w=math.sqrt((vortices.n_left + vortices.n_right)
+                      * vortices.trapping_power * der.tau_d / der.a_total))
 
 
 def _mode_terms(z, g: _Groups, form: str):
@@ -335,6 +338,12 @@ def _root(geom: DeviceGeometry, vortices: VortexConfig, tp: TransportParams,
         return ModeSolution(z=0.0, s=tp.s0, bracket=(0.0, 0.0),
                             residual_at_root=0.0,
                             branch_note=f"{form}: no trapping, uniform mode")
+    if g.z_w < 1e-6:  # the scan from z = 1e-9 errs by ~1.6e-16 / z^2
+        raise InvalidParameterError(
+            f"weak-trapping root estimate z_w = {g.z_w:.3g} is below 1e-6, "
+            "too small for the mode scan to resolve; use the weak-trapping "
+            f"limit s = (N_L + N_R) P / A_total + s0 = "
+            f"{g.z_w**2 / g.tau_d + tp.s0:.6g} 1/s")
     if poles is None:
         poles = _pole_positions(geom, _Z_CAP, form)
     scales = [1.0, geom.h_cap / geom.l_wire, geom.l_cap / geom.l_wire,
@@ -386,7 +395,8 @@ def smallest_root(geom: DeviceGeometry, vortices: VortexConfig,
     the residual itself is scanned between consecutive poles with a step
     no larger than a quarter of the smallest pole spacing.  z = 0 is
     always a trivial zero of the residual and is excluded by starting the
-    scan just above it.
+    scan just above it.  A weak-trapping root estimate below 1e-6, which
+    the scan cannot resolve, raises InvalidParameterError.
     """
     _check_form(form)
     return _root(geom, vortices, tp, form)

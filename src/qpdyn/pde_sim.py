@@ -174,7 +174,10 @@ def slowest_mode(disc: Discretization,
 
     Inverse power iteration on -G with an area-weighted Rayleigh quotient;
     the returned mode is the (strictly positive) slow mode normalized to 1
-    at the junction node, with round-off noise clipped at zero.
+    at the junction node, with round-off noise clipped at zero.  A failed
+    LU factorization, an iterate whose norm leaves the float64 range, and
+    a converged rate not above the rounding error of its Rayleigh quotient
+    raise NonConvergenceError.
     """
     tp = disc.tp
     total_trapping = disc.vortices.trapping_power * (
@@ -185,7 +188,11 @@ def slowest_mode(disc: Discretization,
     from scipy.sparse.linalg import splu
 
     a_op = (-disc.generator).tocsc()
-    lu = splu(a_op)
+    try:
+        lu = splu(a_op)
+    except RuntimeError as exc:  # e.g. "Factor is exactly singular"
+        raise NonConvergenceError(
+            f"LU factorization of the generator failed: {exc}") from None
     w = disc.areas
     v = np.ones(n)
     lam_prev = math.inf
@@ -195,7 +202,13 @@ def slowest_mode(disc: Discretization,
     eps = float(np.finfo(float).eps)
     for _ in range(max_iter):
         v = lu.solve(v)
-        v /= math.sqrt(float(w @ (v * v)) / float(w.sum()))
+        with np.errstate(over="ignore"):  # checked just below
+            norm = math.sqrt(float(w @ (v * v)) / float(w.sum()))
+        if not 0.0 < norm < math.inf:
+            raise NonConvergenceError(
+                f"inverse power iteration: the iterate's norm ({norm}) left "
+                "the float64 range", best_params=v)
+        v /= norm
         lam = float(w @ (v * (a_op @ v))) / float(w @ (v * v))
         if abs(lam - lam_prev) <= 1e-13 * abs(lam) + 4.0 * eps * a_scale:
             resid = a_op @ v - lam * v
@@ -207,6 +220,14 @@ def slowest_mode(disc: Discretization,
         raise NonConvergenceError(
             f"inverse power iteration did not converge in {max_iter} "
             "iterations", best_params=v, best_cost=lam)
+    # rounding error of the Rayleigh quotient: 32 eps (|v|, |A| |v|) / (v, v)
+    floor = 32.0 * eps * float(w @ (np.abs(v) * (abs(a_op) @ np.abs(v)))) \
+        / float(w @ (v * v))
+    if not lam > floor:
+        raise NonConvergenceError(
+            f"slowest rate {lam:.6g} 1/s is not above the round-off floor "
+            f"{floor:.6g} 1/s of its Rayleigh quotient",
+            best_params=v, best_cost=lam)
     if v[disc.junction_index] < 0:
         v = -v
     v = np.where(np.abs(v) < 1e-14 * np.max(np.abs(v)), 0.0, v)

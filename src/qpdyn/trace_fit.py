@@ -6,6 +6,8 @@ The measured qubit decay rate after a QP injection pulse follows
 
 where A = C x_i is the injected density expressed as a rate, r' the shape
 parameter, tau_ss the tail time constant, and Gamma0 the background rate.
+The law and the rate map live in dynamics (decay_shape, _rate_map); this
+module evaluates, fits and propagates errors through them.
 fit_gamma_trace performs the nonlinear least-squares fit; extract_rates
 maps the fitted parameters onto the physical rate triple with bounds;
 fit_t1_vs_tau performs the steady-state linear fit
@@ -18,9 +20,9 @@ A and Gamma0 enter linearly: the trace fit profiles them out on a
 (logit r', log tau_ss) grid for a global start (variable projection,
 Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)), then polishes with
 scipy's Levenberg-Marquardt least_squares (MINPACK lmder) in
-(A, logit r', log tau_ss, Gamma0) on the model written in exp(-t/tau_ss).
-The default weighting is relative (residuals of log Gamma) because traces
-span several decades.
+(A, logit r', log tau_ss, Gamma0), again with Gamma0 pinned at 0 if it
+ends at Gamma0 < 0.  The default weighting is relative (residuals of
+log Gamma) because traces span several decades.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ExtractionBounds, SolutionParams, extraction_bounds
+from .dynamics import (SolutionParams, _rate_map, decay_shape,
+                       extraction_bounds)
 from .errors import (DegenerateTraceError, InsufficientDataError,
                      InsufficientSpreadError, InvalidParameterError,
                      NonConvergenceError, check_finite, check_time_grid)
@@ -152,34 +155,11 @@ class SteadyStatePoint:
 
 
 def gamma_model(t, f: FitResult):
-    """Evaluate the decay model; equals amplitude + gamma0 at t = 0.
-
-    The denominator is computed as (1 - r') + expm1(t/tau_ss), exact at
-    t = 0 and stable as r' -> 1.
-    """
+    """Evaluate the decay model A * decay_shape + Gamma0 at times t >= 0."""
     ts = np.asarray(t, dtype=float)
-    check_finite("t", ts)
-    one_minus = 1.0 - f.r_prime
-    # expm1 overflows to inf once t/tau_ss > 709, which gives the exact
-    # limit: the decaying term is 0
-    with np.errstate(over="ignore"):
-        out = f.amplitude * one_minus \
-            / (one_minus + np.expm1(ts / f.tau_ss)) + f.gamma0
+    check_finite("t", ts, ">=")
+    out = f.amplitude * decay_shape(ts, f.r_prime, f.tau_ss) + f.gamma0
     return float(out) if np.isscalar(t) else out
-
-
-def _shape(t, rp, tau, jac: bool = False):
-    """Shape f = (1 - r') e / (1 - r' e), e = exp(-t/tau_ss), of the model
-    A f + Gamma0, broadcast over rp and tau; with jac=True also df/d logit
-    r' and df/d log tau_ss.  Nothing overflows for t >= 0, and the
-    denominator (1 - r') - r' expm1(-t/tau_ss) >= 0 is exact as r' -> 1.
-    """
-    em = np.expm1(-t / tau)
-    den = (1.0 - rp) - rp * em
-    f = (1.0 - rp) * (1.0 + em) / den
-    if not jac:
-        return f
-    return f, f * rp * em / den, f * (t / tau) / den
 
 
 def _grid_start(t: np.ndarray, gamma: np.ndarray, unit: np.ndarray):
@@ -192,7 +172,7 @@ def _grid_start(t: np.ndarray, gamma: np.ndarray, unit: np.ndarray):
     from scipy.special import expit
     tau = np.geomspace(float(np.diff(t).min()), 10.0 * (t[-1] - t[0]),
                        40)[:, None]
-    f = _shape(t, expit(_GRID_LOGIT_RP)[:, None, None], tau)
+    f = decay_shape(t, expit(_GRID_LOGIT_RP)[:, None, None], tau)
     w2 = unit ** -2.0
     s_ff, s_f, s_1 = (f * f) @ w2, f @ w2, w2.sum()
     b_f, b_1 = f @ (w2 * gamma), w2 @ gamma
@@ -225,13 +205,16 @@ def fit_gamma_trace(trace: DecayTrace, t_min: float = DEFAULT_T_MIN,
     node of a 24 x 40 (logit r', log tau_ss) grid, with (A, Gamma0 >= 0)
     profiled out by linear least squares under weights 1/gamma, 1 or
     1/sigma, then runs one Levenberg-Marquardt polish in
-    (A, logit r', log tau_ss, Gamma0).
+    (A, logit r', log tau_ss, Gamma0).  If that polish ends at Gamma0 < 0,
+    a second one in (A, logit r', log tau_ss) with Gamma0 pinned at 0 gives
+    the optimum under Gamma0 >= 0.
 
-    max_iter bounds the residual evaluations; a fit that exhausts it raises
-    NonConvergenceError carrying the best parameters and cost.  A fit with
-    r' = 1 within one standard deviation raises DegenerateTraceError.  With
-    full_output=True returns (FitResult, info) where info carries the cost
-    history ([initial, final]) and the number of Jacobian evaluations.
+    max_iter bounds the residual evaluations of each polish; a fit that
+    exhausts it raises NonConvergenceError carrying the best parameters and
+    cost.  A fit with r' = 1 within one standard deviation raises
+    DegenerateTraceError.  With full_output=True returns (FitResult, info)
+    where info carries the cost history ([initial, final]) and the number
+    of Jacobian evaluations.
     """
     from scipy.optimize import least_squares
     from scipy.special import expit
@@ -257,34 +240,43 @@ def fit_gamma_trace(trace: DecayTrace, t_min: float = DEFAULT_T_MIN,
     unit = {"relative": gamma, "absolute": np.ones_like(gamma),
             "sigma": cut.sigma}[weighting]
 
+    def params(x):  # (A, r', tau_ss, Gamma0); Gamma0 = 0 when x omits it
+        return x[0], expit(x[1]), math.exp(x[2]), x[3] if len(x) > 3 else 0.0
+
     def resid_jac(x):  # log m - log gamma, or (m - gamma) / unit
-        amp, rp, tau, g0 = x[0], expit(x[1]), math.exp(x[2]), x[3]
+        amp, rp, tau, g0 = params(x)
         with np.errstate(all="ignore"):
-            f, df_u, df_v = _shape(t, rp, tau, jac=True)
+            f, df_u, df_v = decay_shape(t, rp, tau, jac=True)
             m = amp * f + g0
             jac = np.column_stack([f, amp * df_u, amp * df_v,
-                                   np.ones_like(t)])
+                                   np.ones_like(t)])[:, :len(x)]
             if weighting == "relative":
                 m = np.maximum(m, 1e-300)
                 return np.log(m) - np.log(gamma), jac / m[:, None]
             return (m - gamma) / unit, jac / unit[:, None]
 
+    def polish(start):
+        try:
+            sol = least_squares(lambda x: resid_jac(x)[0], start,
+                                jac=lambda x: resid_jac(x)[1], method="lm",
+                                xtol=_XTOL, ftol=_FTOL, gtol=_GTOL,
+                                x_scale="jac", max_nfev=max_iter)
+        except ValueError as exc:
+            raise InvalidParameterError(
+                f"cannot start the fit: {exc}") from None
+        if sol.status == 0:
+            raise NonConvergenceError(
+                f"fit did not converge in {max_iter} evaluations",
+                best_params=np.array(params(sol.x)), best_cost=float(sol.cost))
+        return sol
+
     x0 = _grid_start(t, gamma, unit)
-    try:
-        sol = least_squares(lambda x: resid_jac(x)[0], x0,
-                            jac=lambda x: resid_jac(x)[1], method="lm",
-                            xtol=_XTOL, ftol=_FTOL, gtol=_GTOL,
-                            x_scale="jac", max_nfev=max_iter)
-    except ValueError as exc:
-        raise InvalidParameterError(f"cannot start the fit: {exc}") from None
-    amp, rp, tau, g0 = (sol.x[0], expit(sol.x[1]), math.exp(sol.x[2]),
-                        sol.x[3])
-    if sol.status == 0:
-        raise NonConvergenceError(
-            f"fit did not converge in {max_iter} evaluations",
-            best_params=np.array([amp, rp, tau, g0]),
-            best_cost=float(sol.cost))
-    g0 = max(g0, 0.0)
+    sol = polish(x0)
+    n_jac = sol.njev
+    if sol.x[3] < 0:  # Gamma0 >= 0 is active: the optimum has Gamma0 = 0
+        sol = polish(sol.x[:3])
+        n_jac += sol.njev
+    amp, rp, tau, g0 = params(sol.x)
 
     # covariance from the weighted Jacobian, its columns scaled to unit
     # norm for the rank cut, mapped from (A, logit r', log tau_ss, Gamma0)
@@ -317,7 +309,7 @@ def fit_gamma_trace(trace: DecayTrace, t_min: float = DEFAULT_T_MIN,
         res0 = resid_jac(x0)[0]
         cost0 = 0.5 * float(res0 @ res0)
         return result, {"cost_history": [cost0, float(sol.cost)],
-                        "n_iterations": int(sol.njev)}
+                        "n_iterations": int(n_jac)}
     return result
 
 
@@ -341,7 +333,22 @@ class ExtractedRates:
     s_max_sigma: float
     g_max: float
     g_bound: float
-    bounds: ExtractionBounds
+
+
+def _complex_step_sigmas(fn, theta, steps, cov) -> list[float]:
+    """Standard deviations of the outputs of fn(*theta) under cov, by
+    complex step: d fn/d theta_k = Im fn(theta + i h_k e_k) / h_k, exact to
+    rounding as nothing is subtracted (Squire & Trapp, SIAM Rev. 40, 110
+    (1998)).  A nonzero Im below the normal float64 range has lost its
+    bits and raises FloatingPointError."""
+    im = np.array([[complex(v).imag for v in fn(
+        *theta[:k], theta[k] + 1j * h, *theta[k + 1:])]
+        for k, h in enumerate(steps)])
+    if np.any((im != 0) & (np.abs(im) < np.finfo(float).tiny)):
+        raise FloatingPointError("complex-step derivative underflows; the "
+                                 "error bars are below float64 range")
+    return [math.sqrt(max(float(g @ cov @ g), 0.0))
+            for g in (im / steps[:, None]).T]
 
 
 def extract_rates(f: FitResult, coupling: float) -> ExtractedRates:
@@ -354,40 +361,25 @@ def extract_rates(f: FitResult, coupling: float) -> ExtractedRates:
     x0_max = g0 / coupling
     p = SolutionParams(x_i=x_i, r_prime=rp, tau_ss=tau, x0=x0_max)
     bounds = extraction_bounds(p, gamma0=g0, coupling=coupling)
-
-    ratio = rp / (1.0 - rp)
-    r = ratio / (tau * x_i)
-    grad_r = np.array([-r / amp, 1.0 / ((1.0 - rp) ** 2 * tau * x_i),
-                       -r / tau, 0.0])
-    r_sigma = math.sqrt(max(float(grad_r @ cov @ grad_r), 0.0))
-
-    # s_max = 1/tau; s_min = (1/tau)(1 - 2 ratio g0 / amp), clamped at 0
-    grad_smax = np.array([0.0, 0.0, -1.0 / tau**2, 0.0])
-    s_max_sigma = math.sqrt(max(float(grad_smax @ cov @ grad_smax), 0.0))
-    if rp == 0:
-        s_min_sigma = s_max_sigma
-    else:
-        q = 2.0 * ratio * g0 / amp
-        grad_smin = np.array([
-            q / (amp * tau),
-            -2.0 * g0 / (amp * tau * (1.0 - rp) ** 2),
-            -(1.0 - q) / tau**2,
-            -2.0 * ratio / (amp * tau)])
-        s_min_sigma = math.sqrt(max(float(grad_smin @ cov @ grad_smin), 0.0))
-
     # g(x0) grows on [0, x0_peak]; the reachable maximum caps at x0_max
-    if rp == 0:
-        g_max = x0_max / tau
-    else:
-        x0_peak = (1.0 - rp) * x_i / (2.0 * rp)
-        x0_at = min(x0_max, x0_peak)
-        g_max = x0_at / tau * (1.0 - ratio * x0_at / x_i)
+    x0_at = x0_max if rp == 0 else min(x0_max,
+                                       (1.0 - rp) * x_i / (2.0 * rp))
+    r, _, g_max = _rate_map(rp, tau, x_i, x0_at)
+
+    def r_s_min_s_max(amp, rp, tau, g0):
+        r, s_min, _ = _rate_map(rp, tau, amp / coupling, g0 / coupling)
+        return r, s_min, 1.0 / tau
+
+    # steps of 1e-20 on each parameter's scale; Gamma0 is on A's scale
+    r_sigma, s_min_sigma, s_max_sigma = _complex_step_sigmas(
+        r_s_min_s_max, (amp, rp, tau, g0),
+        1e-20 * np.array([amp, 1.0, tau, amp]), cov)
     return ExtractedRates(
         x_i=x_i, x_i_sigma=math.sqrt(max(cov[0, 0], 0.0)) / coupling,
         x0_max=x0_max, r=r, r_sigma=r_sigma,
         s_min=bounds.s_min, s_max=bounds.s_max,
         s_min_sigma=s_min_sigma, s_max_sigma=s_max_sigma,
-        g_max=g_max, g_bound=bounds.g_max, bounds=bounds)
+        g_max=g_max, g_bound=bounds.g_max)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qpdyn.constants import CODATA
 from qpdyn.dynamics import (CANONICAL_GAP_RATIO, RateParams, SolutionParams,
-                            extraction_bounds, integrate_ode,
+                            decay_shape, extraction_bounds, integrate_ode,
                             rates_from_solution, recombination_theory,
                             solution_from_rates, steady_state, xqp_analytic,
                             xqp_recombination_only)
@@ -43,6 +43,27 @@ class TestAnalyticSolution:
         t = 1.0 / (r * x_init)
         hyp = xqp_recombination_only(t, x_init, r)
         assert xqp_analytic(t, p) == pytest.approx(hyp, rel=1e-6)
+
+    def test_subnormal_tau_ss_long_times(self):
+        # t/tau_ss overflows float64; the decaying term is exactly 0
+        p = SolutionParams(x_i=3e-5, r_prime=0.9, tau_ss=1e-323, x0=1e-6)
+        x = xqp_analytic(np.array([0.0, 0.02, 1e300]), p)
+        assert list(x) == [p.x_i + p.x0, p.x0, p.x0]
+
+    def test_decay_shape_jacobian(self):
+        # df/d logit r' and df/d log tau_ss against central differences
+        t, rp, tau, h = np.linspace(0, 40e-3, 30), 0.8, 6e-3, 1e-6
+        f, df_u, df_v = decay_shape(t, rp, tau, jac=True)
+        assert np.array_equal(f, decay_shape(t, rp, tau))
+
+        def at(u, v):
+            return decay_shape(t, 1 / (1 + math.exp(-u)), math.exp(v))
+
+        u, v = math.log(rp / (1 - rp)), math.log(tau)
+        assert np.allclose(df_u, (at(u + h, v) - at(u - h, v)) / (2 * h),
+                           rtol=1e-7, atol=1e-12)
+        assert np.allclose(df_v, (at(u, v + h) - at(u, v - h)) / (2 * h),
+                           rtol=1e-7, atol=1e-12)
 
     def test_matches_ode_oracle_random_params(self):
         rng = np.random.Generator(np.random.Philox(11))

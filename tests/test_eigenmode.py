@@ -173,6 +173,25 @@ class TestSmallestRoot:
         b = smallest_root(b1_geom, VortexConfig(1, 4, P_REF), transport)
         assert a.z == b.z
 
+    @pytest.mark.parametrize("d_cm2", [1e12, 1e16, 1e20])
+    @pytest.mark.parametrize("counts", [(1, 0), (2, 2)])
+    @pytest.mark.parametrize("form", ["reduced", "full"])
+    def test_unresolvable_weak_trapping_refused(self, b1_geom, d_cm2,
+                                                counts, form):
+        # z_w = sqrt(N P tau_D / A_total) < 1e-6: the scan from z = 1e-9
+        # would miss or misplace the root
+        with pytest.raises(InvalidParameterError, match="z_w = .* weak-"
+                           "trapping limit"):
+            smallest_root(b1_geom, VortexConfig(*counts, P_REF),
+                          TransportParams(d=d_cm2 * 1e-4), form=form)
+
+    def test_weak_trapping_at_resolvable_edge(self, b1_geom):
+        # D = 1e10 cm^2/s gives z ~ 2.2e-6, still above the 1e-6 limit
+        vc, tp = VortexConfig(1, 0, P_REF), TransportParams(d=1e6)
+        sol = smallest_root(b1_geom, vc, tp, form="full")
+        assert sol.s == pytest.approx(small_p_rate(b1_geom, vc, tp),
+                                      rel=1e-3)
+
     def test_trapping_bound(self, b1_geom, transport):
         der = derive(b1_geom, transport.d)
         for n in (1, 3, 8, 20):

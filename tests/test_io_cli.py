@@ -161,7 +161,15 @@ BAD_INPUTS = [(argv, (5, 6)) for argv in EXTREME_INPUTS] + [
     # generator rates that overflow, and a mesh too fine to allocate
     (f"pde eigen --geom b1 --nl 1 --nr 0 --p 0.067cm2/s {flags}", (5, 6))
     for flags in ("--d 1e307cm2/s",
-                  "--d 18cm2/s --resolution 10000000000000")]
+                  "--d 18cm2/s --resolution 10000000000000")] + [
+    # diffusion so fast that the slowest rate drowns in round-off, the LU
+    # factor is singular, or the iterate underflows: each exits 6
+    (f"pde eigen --geom b1 --nl 1 --nr 0 --p 0.067cm2/s --d {d}cm2/s", (6,))
+    for d in ("1e12", "1e14", "1e18", "1e20", "1e40", "1e100", "1e200",
+              "1e300")] + [
+    # a weak-trapping root the mode scan cannot resolve exits 5
+    (f"eigenrate --geom b1 --nl 1 --nr 0 --p 0.067cm2/s --d {d}cm2/s "
+     "--form full", (5,)) for d in ("1e12", "1e16", "1e20")]
 
 
 @pytest.fixture()

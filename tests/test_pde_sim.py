@@ -6,7 +6,8 @@ import pytest
 
 from qpdyn.dynamics import RateParams, integrate_ode
 from qpdyn.eigenmode import TransportParams, VortexConfig, smallest_root
-from qpdyn.errors import InvalidParameterError, InvalidResolutionError
+from qpdyn.errors import (InvalidParameterError, InvalidResolutionError,
+                          NonConvergenceError)
 from qpdyn.pde_sim import (EvolveSpec, build, evolve,
                            factorized_dynamics_check, slowest_mode)
 
@@ -168,6 +169,16 @@ class TestSlowestMode:
         _, mode = slowest_mode(disc)
         pad = mode[disc.pad_left_index]
         assert pad < 0.6  # density at the trapping pads well below junction
+
+    @pytest.mark.parametrize("d_cm2, match", [
+        (1e12, "not above the round-off floor"),
+        (1e60, "LU factorization of the generator failed"),
+        (1e300, "norm .* left the float64 range")])
+    def test_extreme_diffusion_fails_typed(self, b1_geom, d_cm2, match):
+        disc = build(b1_geom, VortexConfig(1, 0, P_REF),
+                     TransportParams(d=d_cm2 * 1e-4))
+        with pytest.raises(NonConvergenceError, match=match):
+            slowest_mode(disc)
 
     def test_grid_convergence_second_order(self, b1_geom, transport):
         vc = VortexConfig(2, 1, P_REF)

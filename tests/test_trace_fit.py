@@ -74,6 +74,12 @@ class TestGammaModel:
         assert gamma_model(5e-3 * np.log(2), f) == pytest.approx(
             1e5 + 3e4, rel=1e-12)
 
+    def test_negative_time_rejected(self):
+        f = FitResult.from_params(1e5, 0.8, 1e-3, 3e4)
+        with pytest.raises(InvalidParameterError, match="t must be finite "
+                           "and >= 0"):
+            gamma_model(np.array([-1.0, 0.0]), f)
+
     def test_consistency_with_dynamics(self, coupling):
         # Gamma(t) = C * x_qp(t) + (Gamma0 - C x0) for matching parameters
         p = SolutionParams(x_i=8e-5, r_prime=0.85, tau_ss=12e-3, x0=1.5e-6)
@@ -223,6 +229,33 @@ class TestFitGammaTrace:
             fit_gamma_trace(DecayTrace(t=t, gamma=gamma),
                             weighting="absolute")
 
+    @pytest.mark.parametrize("truth, n, t_end, seed", [
+        ((803030.8708436053, 0.4141453127280166, 0.011834337404367548,
+          2613.66439982008), 114, 39.779e-3, 706),
+        ((1031782.9773902582, 0.6272468398009552, 0.013251717730657885,
+          3372.1617285004136), 84, 40.900e-3, 1492)])
+    def test_negative_gamma0_refit_is_constrained_optimum(self, truth, n,
+                                                          t_end, seed):
+        # the unconstrained optimum has Gamma0 < 0; the fit must return the
+        # optimum under Gamma0 >= 0, not the clamped unconstrained one
+        from scipy.optimize import least_squares
+        tr = synth_trace(FitResult.from_params(*truth),
+                         np.linspace(0.2e-3, t_end, n), 0.02, seed)
+        f = fit_gamma_trace(tr, weighting="absolute")
+
+        def resid(x):
+            return gamma_model(tr.t, FitResult.from_params(
+                x[0], 1 / (1 + np.exp(-x[1])), np.exp(x[2]), x[3])) - tr.gamma
+
+        ref = least_squares(
+            resid, [truth[0], np.log(truth[1] / (1 - truth[1])),
+                    np.log(truth[2]), truth[3]],
+            bounds=([-np.inf] * 3 + [0.0], np.inf), method="trf",
+            xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        assert f.gamma0 == 0.0
+        cost = 0.5 * float(np.sum((gamma_model(tr.t, f) - tr.gamma) ** 2))
+        assert cost <= ref.cost * (1 + 1e-9)
+
     def test_evaluation_budget_exhausted(self):
         truth = FitResult.from_params(1e5, 0.9, 18e-3, 4e4)
         tr = synth_trace(truth, TGRID, 0.02, 0)
@@ -272,6 +305,26 @@ class TestExtractRates:
         f = FitResult.from_params(3.9e6, 0.9, 18e-3, 4e4)
         with pytest.raises(InvalidParameterError, match="x_i must be finite"):
             extract_rates(f, 1e-320)
+
+    def test_sigmas_match_finite_differences(self, coupling):
+        sd = np.array([2e4, 0.01, 4e-4, 3e3])
+        corr = np.array([[1.0, 0.6, -0.3, 0.2], [0.6, 1.0, 0.5, -0.4],
+                         [-0.3, 0.5, 1.0, 0.1], [0.2, -0.4, 0.1, 1.0]])
+        theta = np.array([3.9e6, 0.9, 18e-3, 1.05e5])
+        f = FitResult(amplitude=theta[0], r_prime=theta[1], tau_ss=theta[2],
+                      gamma0=theta[3], covariance=corr * np.outer(sd, sd))
+        ex = extract_rates(f, coupling)
+
+        def outputs(th):
+            e = extract_rates(FitResult.from_params(*th), coupling)
+            return np.array([e.r, e.s_min, e.s_max])
+
+        jac = np.column_stack([
+            (outputs(theta + h) - outputs(theta - h)) / (2 * h[k])
+            for k, h in enumerate(np.diag(1e-6 * theta))])
+        fd = np.sqrt(np.einsum("ik,kl,il->i", jac, f.covariance, jac))
+        assert np.allclose([ex.r_sigma, ex.s_min_sigma, ex.s_max_sigma], fd,
+                           rtol=1e-6)
 
     def test_monte_carlo_coverage(self, coupling):
         rng = np.random.Generator(np.random.Philox(21))
