@@ -4,8 +4,8 @@ With N_L, N_R vortices of trapping power P (m^2/s) in the two pads, QP
 density decays as exp(-s t) in a spatial mode x ~ cos(k y) per segment,
 with s = D k^2 + s0.  The admissible k (dimensionless z = k L) solves a
 transcendental compatibility equation of the wire network; this module
-evaluates that equation, finds its smallest positive root with a
-pole-aware bracket scan, and provides the closed-form weak- and
+evaluates that equation, finds its smallest positive root by a scan
+between its poles, and provides the closed-form weak- and
 strong-trapping limits, the quantized vortex-step sequence, and
 field-sweep predictions.
 
@@ -16,12 +16,15 @@ symmetric under pad exchange.
 
 The equation is written once, in _mode_terms, as a numpy function of z
 (a float or an array); the groups are computed once per configuration.
-The root scan evaluates each inter-pole grid, each dip rescan and each
-fine polish grid in one array call; only Brent's polish and the Newton
-quality estimate evaluate single points.  The residual poles depend on
-the geometry and the form alone, so step_sequence and field_sweep locate
-them once per call, and field_sweep roots each distinct (N_L, N_R) once
-and reuses its rate for every field that maps to it.
+The residual poles depend on the geometry and the form alone:
+_scan_plan lists all of them below the pi/2 cap, with the scan step,
+once per call of smallest_root, step_sequence or field_sweep, and every
+root of that call scans between them.  With the list complete, each
+sign change of the residual is a root, polished with Brent's method.
+The root scan evaluates each inter-pole grid and each dip rescan in one
+array call; only Brent's polish and the Newton quality estimate evaluate
+single points.  field_sweep roots each distinct (N_L, N_R) once and
+reuses its rate for every field that maps to it.
 """
 
 from __future__ import annotations
@@ -202,86 +205,57 @@ def eigen_residual(z: float, geom: DeviceGeometry, vortices: VortexConfig,
     return float(_mode_terms(z, _groups(geom, vortices, tp), form)[2])
 
 
-def _pole_positions(geom: DeviceGeometry, z_max: float, form: str):
-    """All residual poles in (0, z_max): tan z, capacitor, central-wire tans."""
-    from scipy.optimize import brentq
+def _scan_plan(geom: DeviceGeometry, form: str):
+    """Scan edges [0, every residual pole below _Z_CAP, _Z_CAP] and step.
 
-    poles = []
-    # tan(z)
-    p = 0.5 * math.pi
-    while p < z_max:
-        poles.append(p)
-        p += math.pi
-    # capacitor denominator zeros, located by scan + bisection
-    scales = (geom.h_cap + geom.l_cap) / geom.l_wire + 1.0
-    step = 0.5 * math.pi / scales / 8.0
-    zs = np.arange(step, z_max, step)
-    if zs.size:
-        dvals = capacitor_denominator(zs, geom)
-        prev_z, prev_d = 1e-12, capacitor_denominator(1e-12, geom)
-        for zv, dv in zip(zs, dvals):
-            if prev_d == 0 or prev_d * dv < 0:
-                poles.append(brentq(capacitor_denominator, prev_z, zv,
-                                    args=(geom,), xtol=1e-14))
-            prev_z, prev_d = zv, dv
-    if form == "full":
-        lam = geom.l_half_gap / geom.l_wire
-        p = 0.5 * math.pi / lam
-        while p < z_max:
-            poles.append(p)
-            p += math.pi / lam
-        p = math.pi / lam  # cot poles
-        while p < z_max:
-            poles.append(p)
-            p += math.pi / lam
-    return sorted(poles)
-
-
-def _pole_indicators(z: float, geom: DeviceGeometry, form: str):
-    """Signs of every denominator whose zero is a residual pole."""
-    out = [math.cos(z), capacitor_denominator(z, geom)]
-    if form == "full":
-        lam = geom.l_half_gap / geom.l_wire
-        out.extend([math.cos(z * lam), math.sin(z * lam)])
-    return out
-
-
-def _same_branch(za: float, zb: float, geom: DeviceGeometry,
-                 form: str) -> bool:
-    ia = _pole_indicators(za, geom, form)
-    ib = _pole_indicators(zb, geom, form)
-    return all(a * b > 0 for a, b in zip(ia, ib))
-
-
-def _first_root(fn, geom: DeviceGeometry, form: str, poles, step: float,
-                z_cap: float):
-    """Smallest positive root of fn in (0, z_cap), or None.
-
-    fn maps an array of z to an array of residuals.  Scans each
-    inter-pole interval; a sign change whose bracket stays on one branch
-    of every tan factor is polished with Brent's method.  Deep local
-    minima of |fn| (two roots closer than the scan step) get a local
-    rescan before moving on.  Candidate samples are visited in grid
-    order, so the bracket returned is the lowest one.
+    The residual poles depend on the geometry and the form alone: tan z
+    at pi/2, the capacitor-plate resonances and, in the full form, the
+    central-wire tan/cot poles k pi / (2 lam).  The capacitor denominator
+    is sampled once on a grid closed at _Z_CAP, an eighth of its quarter
+    period apart, and each sign change is polished with Brent's method.
+    step is a quarter period of the fastest tan factor of the residual.
     """
     from scipy.optimize import brentq
 
-    edges = [0.0] + [p for p in poles if p < z_cap] + [z_cap]
+    def den(z):
+        return _capacitor(z, *_plate(geom))[1]
 
-    def brent(za, zb):
-        return brentq(fn, za, zb, xtol=1e-15,
-                      rtol=4 * np.finfo(float).eps, maxiter=200)
+    lam = geom.l_half_gap / geom.l_wire
+    plate = (geom.h_cap + geom.l_cap) / geom.l_wire
+    cell = 0.5 * math.pi / (plate + 1.0) / 8.0
+    zs = np.concatenate(([1e-12], np.arange(cell, _Z_CAP, cell), [_Z_CAP]))
+    d = den(zs)
+    poles = [0.5 * math.pi]
+    for k in np.flatnonzero((d[:-1] == 0) | (d[:-1] * d[1:] < 0)):
+        poles.append(brentq(den, zs[k], zs[k + 1], xtol=1e-14))
+    if form == "full":
+        half = 0.5 * math.pi / lam
+        poles.extend(k * half for k in range(1, math.ceil(_Z_CAP / half)))
+    step = 0.25 * math.pi / max(1.0, plate, lam if form == "full" else 0.0)
+    return [0.0, *sorted(poles), _Z_CAP], step
 
-    def polish(za, zb):
-        if _same_branch(za, zb, geom, form):
-            return brent(za, zb)
-        # an unlisted pole sneaked inside: resolve it locally
-        fine = np.linspace(za, zb, 33)
-        fvals = fn(fine)
-        for k in np.flatnonzero(fvals[:-1] * fvals[1:] < 0):
-            if _same_branch(fine[k], fine[k + 1], geom, form):
-                return brent(fine[k], fine[k + 1])
-        return None
+
+def _first_root(fn, edges, step: float):
+    """Smallest positive root of fn between edges[0] and edges[-1], or None.
+
+    fn maps an array of z to an array of residuals and is continuous
+    between consecutive edges, which hold every pole.  Each inter-pole
+    interval is scanned on a grid no coarser than step, and the first
+    sign change is polished with Brent's method.  Deep local minima of
+    |fn| (two roots closer than the scan step) get a local rescan before
+    moving on.  Candidate samples are visited in grid order, so the
+    bracket returned is the lowest one.
+    """
+    from scipy.optimize import brentq
+
+    def polish(zs, vals, j):
+        """Root and bracket in [zs[j], zs[j + 1]], where fn is 0 at zs[j]
+        or changes sign."""
+        za, zb = zs[j], zs[j + 1]
+        if vals[j] == 0.0:
+            return za, (za, za)
+        return brentq(fn, za, zb, xtol=1e-15, rtol=4 * np.finfo(float).eps,
+                      maxiter=200), (za, zb)
 
     for lo, hi in zip(edges[:-1], edges[1:]):
         guard = max(1e-12, (hi - lo) * 1e-10)
@@ -301,22 +275,14 @@ def _first_root(fn, geom: DeviceGeometry, form: str, poles, step: float,
             & (np.abs(va) < 0.3 * np.minimum(np.abs(prev), np.abs(vb)))
         hit = finite & ((va == 0.0) | (va * vb < 0))
         for j in np.flatnonzero(dip | hit):
-            if dip[j]:
-                sub = np.linspace(zs[j - 1], zs[j + 1], 129)
-                svals = fn(sub)
-                for k in np.flatnonzero((svals[:-1] == 0.0)
-                                        | (svals[:-1] * svals[1:] < 0)):
-                    if svals[k] == 0.0:
-                        return sub[k], (sub[k], sub[k])
-                    root = polish(sub[k], sub[k + 1])
-                    if root is not None:
-                        return root, (sub[k], sub[k + 1])
-            elif va[j] == 0.0:
-                return zs[j], (zs[j], zs[j])
-            else:
-                root = polish(zs[j], zs[j + 1])
-                if root is not None:
-                    return root, (zs[j], zs[j + 1])
+            if not dip[j]:
+                return polish(zs, vals, j)
+            sub = np.linspace(zs[j - 1], zs[j + 1], 129)
+            svals = fn(sub)
+            k = np.flatnonzero((svals[:-1] == 0.0)
+                               | (svals[:-1] * svals[1:] < 0))
+            if k.size:
+                return polish(sub, svals, k[0])
     return None
 
 
@@ -330,9 +296,8 @@ def _newton_quality(fn, root: float) -> float:
 
 
 def _root(geom: DeviceGeometry, vortices: VortexConfig, tp: TransportParams,
-          form: str, poles=None) -> ModeSolution:
-    """smallest_root for a checked form; poles, when given, are the
-    residual poles of (geom, form) below _Z_CAP, located by the caller."""
+          form: str, plan) -> ModeSolution:
+    """smallest_root for a checked form and the _scan_plan of (geom, form)."""
     g = _groups(geom, vortices, tp)
     if g.eps == 0 or vortices.n_left + vortices.n_right == 0:
         return ModeSolution(z=0.0, s=tp.s0, bracket=(0.0, 0.0),
@@ -344,45 +309,29 @@ def _root(geom: DeviceGeometry, vortices: VortexConfig, tp: TransportParams,
             "too small for the mode scan to resolve; use the weak-trapping "
             f"limit s = (N_L + N_R) P / A_total + s0 = "
             f"{g.z_w**2 / g.tau_d + tp.s0:.6g} 1/s")
-    if poles is None:
-        poles = _pole_positions(geom, _Z_CAP, form)
-    scales = [1.0, geom.h_cap / geom.l_wire, geom.l_cap / geom.l_wire,
-              (geom.h_cap + geom.l_cap) / geom.l_wire]
-    if form == "full":
-        scales.append(geom.l_half_gap / geom.l_wire)
-    step = 0.25 * math.pi / max(scales)
-
-    if g.dn == 0:
-        candidates = []
-        for idx in (0, 1):
-            def factor(z, idx=idx):
-                return _mode_terms(z, g, form)[idx]
-            hit = _first_root(factor, geom, form, poles, step, _Z_CAP)
-            if hit is not None:
-                candidates.append((hit[0], hit[1], factor, idx))
-        if candidates:
-            root, bracket, fn, idx = min(candidates, key=lambda c: c[0])
-            return ModeSolution(
-                z=root, s=root * root / g.tau_d + tp.s0,
-                bracket=(float(bracket[0]), float(bracket[1])),
-                residual_at_root=float(_newton_quality(fn, root)),
-                branch_note=f"{form}: symmetric-pads factor {idx}")
-    else:
-        def resid(z):
-            return _mode_terms(z, g, form)[2]
-        hit = _first_root(resid, geom, form, poles, step, _Z_CAP)
+    edges, step = plan
+    # equal pads: root each branch factor of u * v; otherwise the residual
+    factors = ([(0, "symmetric-pads factor 0"), (1, "symmetric-pads factor 1")]
+               if g.dn == 0 else [(2, "general scan")])
+    hits = []
+    for idx, note in factors:
+        def fn(z, idx=idx):
+            return _mode_terms(z, g, form)[idx]
+        hit = _first_root(fn, edges, step)
         if hit is not None:
-            root, bracket = hit
-            return ModeSolution(
-                z=root, s=root * root / g.tau_d + tp.s0,
-                bracket=(float(bracket[0]), float(bracket[1])),
-                residual_at_root=float(_newton_quality(resid, root)),
-                branch_note=f"{form}: general scan")
-    raise NoRootFoundError(
-        "no sign change below the first pole cluster; geometry or "
-        "parameters are pathological",
-        diagnostics={"poles": poles, "scan_step": step, "eps": g.eps,
-                     "nbar": g.nbar, "dn": g.dn})
+            hits.append((*hit, fn, note))
+    if not hits:
+        raise NoRootFoundError(
+            "no sign change below the first pole cluster; geometry or "
+            "parameters are pathological",
+            diagnostics={"poles": edges[1:-1], "scan_step": step,
+                         "eps": g.eps, "nbar": g.nbar, "dn": g.dn})
+    root, bracket, fn, note = min(hits, key=lambda h: h[0])
+    return ModeSolution(
+        z=root, s=root * root / g.tau_d + tp.s0,
+        bracket=(float(bracket[0]), float(bracket[1])),
+        residual_at_root=float(_newton_quality(fn, root)),
+        branch_note=f"{form}: {note}")
 
 
 def smallest_root(geom: DeviceGeometry, vortices: VortexConfig,
@@ -393,13 +342,13 @@ def smallest_root(geom: DeviceGeometry, vortices: VortexConfig,
     is exact and returned without a search.  With equal vortex counts the
     equation factorizes and each branch is rooted separately; otherwise
     the residual itself is scanned between consecutive poles with a step
-    no larger than a quarter of the smallest pole spacing.  z = 0 is
+    no larger than a quarter period of its fastest tan factor.  z = 0 is
     always a trivial zero of the residual and is excluded by starting the
     scan just above it.  A weak-trapping root estimate below 1e-6, which
     the scan cannot resolve, raises InvalidParameterError.
     """
     _check_form(form)
-    return _root(geom, vortices, tp, form)
+    return _root(geom, vortices, tp, form, _scan_plan(geom, form))
 
 
 def small_p_rate(geom: DeviceGeometry, vortices: VortexConfig,
@@ -446,13 +395,13 @@ def step_sequence(geom: DeviceGeometry, tp: TransportParams,
             f"series must be one of {sorted(_SERIES)}, got {series!r}")
     _check_form(form)
     der = derive(geom, tp.d)
-    poles = _pole_positions(geom, _Z_CAP, form)
+    plan = _scan_plan(geom, form)
     rows = []
     for k in range(max_steps + 1):
         nl, nr = _SERIES[series](k)
         vc = VortexConfig(n_left=nl, n_right=nr,
                           trapping_power=trapping_power)
-        s = _root(geom, vc, tp, form, poles).s
+        s = _root(geom, vc, tp, form, plan).s
         rows.append((nl, nr, s, s * der.a_total))
     return rows
 
@@ -490,8 +439,8 @@ def field_sweep(geom: DeviceGeometry, tp: TransportParams,
         else:
             total = round(2.0 * per_pad)
             counts.append(((total + 1) // 2, total // 2))
-    poles = _pole_positions(geom, _Z_CAP, form)
+    plan = _scan_plan(geom, form)
     rates = {c: _root(geom, VortexConfig(*c, trapping_power), tp, form,
-                      poles).s
+                      plan).s
              for c in dict.fromkeys(counts)}
     return [(b, nl, nr, rates[nl, nr]) for b, (nl, nr) in zip(fields, counts)]

@@ -177,7 +177,9 @@ def slowest_mode(disc: Discretization,
     at the junction node, with round-off noise clipped at zero.  A failed
     LU factorization, an iterate whose norm leaves the float64 range, and
     a converged rate not above the rounding error of its Rayleigh quotient
-    raise NonConvergenceError.
+    raise NonConvergenceError; when the factorization fails because the
+    trapping sink is below round-off of the diffusion operator, the
+    message names the weak-trapping limit s = (N_L + N_R) P / A + s0.
     """
     tp = disc.tp
     total_trapping = disc.vortices.trapping_power * (
@@ -188,18 +190,23 @@ def slowest_mode(disc: Discretization,
     from scipy.sparse.linalg import splu
 
     a_op = (-disc.generator).tocsc()
-    try:
-        lu = splu(a_op)
-    except RuntimeError as exc:  # e.g. "Factor is exactly singular"
-        raise NonConvergenceError(
-            f"LU factorization of the generator failed: {exc}") from None
     w = disc.areas
-    v = np.ones(n)
-    lam_prev = math.inf
     # round-off floors: Rayleigh quotient and residual carry noise of order
     # eps * ||A||, which dwarfs 1e-13 * lambda for a stiff mesh operator
     a_scale = float(np.abs(a_op.diagonal()).max())
     eps = float(np.finfo(float).eps)
+    try:
+        lu = splu(a_op)
+    except RuntimeError as exc:  # e.g. "Factor is exactly singular"
+        message = f"LU factorization of the generator failed: {exc}"
+        s_weak = total_trapping / float(w.sum()) + tp.s0
+        if s_weak <= 32.0 * eps * a_scale:
+            message += ("; the trapping sink is below round-off of the "
+                        "diffusion operator; the weak-trapping limit "
+                        f"s = {s_weak:.6g} 1/s applies")
+        raise NonConvergenceError(message) from None
+    v = np.ones(n)
+    lam_prev = math.inf
     for _ in range(max_iter):
         v = lu.solve(v)
         with np.errstate(over="ignore"):  # checked just below

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qpdyn.constants import QubitParams, qp_coupling_constant
 from qpdyn.eigenmode import TransportParams
 from qpdyn.geometry import DeviceGeometry
+
+# every run draws the same examples and writes no .hypothesis/ database
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -585,6 +585,20 @@ class TestCli:
                                "overflow with r = 1e+300 1/s, density scale "
                                "1e+300 ")
 
+    @pytest.mark.parametrize("p, s_weak", [("1e-300", "3.48554e-297"),
+                                           ("1e-20", "3.48554e-17")])
+    def test_pde_eigen_names_weak_trapping_limit(self, capsys, p, s_weak):
+        code, out, err = run_cli(capsys, *(
+            f"pde eigen --geom b1 --nl 1 --nr 1 --p {p}cm2/s --d 18cm2/s "
+            "--no-timestamp").split())
+        assert code == 6
+        assert out == ""
+        assert err == (
+            "qpdyn pde-eigen: LU factorization of the generator failed: "
+            "Factor is exactly singular; the trapping sink is below "
+            "round-off of the diffusion operator; the weak-trapping limit "
+            f"s = {s_weak} 1/s applies\n")
+
     def test_linalg_error_exits_6_without_traceback(self, capsys,
                                                     monkeypatch,
                                                     b1_trace_path):

@@ -7,12 +7,15 @@ from importlib import resources
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpdyn import eigenmode
 from qpdyn.eigenmode import (TransportParams, VortexConfig, eigen_residual,
                              field_sweep, smallest_root, step_sequence)
 from qpdyn.errors import InvalidParameterError
-from qpdyn.geometry import load_geometry
+from qpdyn.geometry import DeviceGeometry, load_geometry
+from qpdyn.pde_sim import build, slowest_mode
 
 P_REF = 0.067e-4  # m^2/s
 TP = TransportParams(d=18e-4, s0=1.0 / 30e-3)
@@ -156,8 +159,8 @@ def test_scan_evaluates_each_grid_in_one_call(monkeypatch, form):
         return run
 
     geom = bundled("b1")
-    n_intervals = len(eigenmode._pole_positions(geom, eigenmode._Z_CAP,
-                                                form)) + 1
+    edges, _ = eigenmode._scan_plan(geom, form)
+    n_intervals = len(edges) - 1
     monkeypatch.setattr(eigenmode, "_mode_terms", counted)
     monkeypatch.setattr(scipy.optimize, "brentq",
                         tagged("brent", scipy.optimize.brentq))
@@ -170,6 +173,66 @@ def test_scan_evaluates_each_grid_in_one_call(monkeypatch, form):
     assert set(grids) == {None}
     assert set(points) <= {"brent", "newton"}
     assert points.count("newton") == 3
+
+
+def box_geometry(u):
+    """Geometry from seven uniforms in [0, 1], inside the box that raises
+    no geometry warning: w_wire/l_wire < 0.2 and
+    l_half_gap < 0.5 min(h_cap, l_wire)."""
+    l_wire, h_cap = 100e-6 * 4.0 ** u[0], 20e-6 * 10.0 ** u[2]
+    return DeviceGeometry(
+        w_wire=l_wire * (0.02 + 0.17 * u[1]), l_wire=l_wire, h_cap=h_cap,
+        l_half_gap=(0.01 + 0.48 * u[3]) * min(h_cap, l_wire),
+        w_cap=2e-6 * 50.0 ** u[4],
+        l_cap=0.0 if u[5] < 0.2 else 20e-6 * 40.0 ** ((u[5] - 0.2) / 0.8),
+        s_pad=1e-9 * 10.0 ** u[6])
+
+
+geometries = st.lists(st.floats(0.0, 1.0), min_size=7,
+                      max_size=7).map(box_geometry)
+counts = st.integers(0, 6)
+powers = st.floats(-7.0, -4.0).map(lambda x: 10.0 ** x)  # P, m^2/s
+
+
+@settings(max_examples=100, deadline=None)
+@given(geom=geometries, n_left=counts, n_right=counts, p=powers)
+def test_full_root_matches_pde_slowest_mode(geom, n_left, n_right, p):
+    """Acceptance criterion 8's 0.5% over the valid geometry box."""
+    vc = VortexConfig(n_left, n_right, p)
+    s_eq = smallest_root(geom, vc, TP, form="full").s
+    s_pde = slowest_mode(build(geom, vc, TP, resolution=200))[0]
+    assert abs(s_pde - s_eq) / s_eq < 0.005
+
+
+@settings(max_examples=100, deadline=None)
+@given(geom=geometries, n_left=counts, n_right=counts, p=powers,
+       form=st.sampled_from(["reduced", "full"]))
+def test_rate_symmetric_under_pad_exchange(geom, n_left, n_right, p, form):
+    s_lr = smallest_root(geom, VortexConfig(n_left, n_right, p), TP, form)
+    s_rl = smallest_root(geom, VortexConfig(n_right, n_left, p), TP, form)
+    assert s_lr.s == s_rl.s
+
+
+# l_cap = 45um, w_cap = 50um put a plate resonance at z = 1.55309, in the
+# last partial cell of the capacitor grid below the pi/2 cap
+B1_LATE_POLE = DeviceGeometry(w_wire=12e-6, l_wire=200e-6, h_cap=75e-6,
+                              l_half_gap=7.5e-6, w_cap=50e-6, l_cap=45e-6,
+                              s_pad=6400e-12)
+
+
+@pytest.mark.parametrize("geom", [B1_LATE_POLE] + [
+    box_geometry(np.random.Generator(np.random.Philox(seed)).uniform(size=7))
+    for seed in range(40)], ids=["b1-late-pole"] + [
+        f"box-{seed}" for seed in range(40)])
+@pytest.mark.parametrize("form", ["reduced", "full"])
+def test_plan_lists_every_capacitor_pole(geom, form):
+    edges = np.array(eigenmode._scan_plan(geom, form)[0])
+    zs = np.linspace(0.0, eigenmode._Z_CAP, 200_001)[1:]
+    den = eigenmode.capacitor_denominator(zs, geom)
+    k = np.flatnonzero(np.sign(den[:-1]) != np.sign(den[1:]))
+    # the first edge at or above each sign change lies within 1e-9 of it
+    nearest = edges[np.searchsorted(edges, zs[k] - 1e-9)]
+    assert np.all(nearest <= zs[k + 1] + 1e-9), zs[k]
 
 
 class TestInputValidation:
