@@ -21,16 +21,21 @@ _scan_plan lists all of them below the pi/2 cap, with the scan step,
 once per call of smallest_root, step_sequence or field_sweep, and every
 root of that call scans between them.  With the list complete, each
 sign change of the residual is a root, polished with Brent's method.
-The root scan evaluates each inter-pole grid and each dip rescan in one
-array call; only Brent's polish and the Newton quality estimate evaluate
-single points.  field_sweep roots each distinct (N_L, N_R) once and
-reuses its rate for every field that maps to it.
+_brent is a step-for-step port of scipy's brentq on Python floats: it
+returns the same double, and it spares the mode solver the import of
+scipy.optimize, which takes longer than a whole eigenrate, steps or
+sweep command computes.  The root scan evaluates each inter-pole grid
+and each dip rescan in one array call; only Brent's polish and the
+Newton quality estimate evaluate single points.  field_sweep roots each
+distinct (N_L, N_R) once and reuses its rate for every field that maps
+to it.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -205,6 +210,82 @@ def eigen_residual(z: float, geom: DeviceGeometry, vortices: VortexConfig,
     return float(_mode_terms(z, _groups(geom, vortices, tp), form)[2])
 
 
+def _brent_step(xcur, fcur, xpre, fpre, xblk, fblk):
+    """Brent's trial step from xcur: secant or inverse quadratic."""
+    if xpre == xblk:
+        return -fcur * (xcur - xpre) / (fcur - fpre)
+    dpre = (fpre - fcur) / (xpre - xcur)
+    dblk = (fblk - fcur) / (xblk - xcur)
+    return -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+
+
+def _brent(f, a: float, b: float, xtol: float,
+           rtol: float = 4 * sys.float_info.epsilon,
+           maxiter: int = 100) -> float:
+    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A step-for-step port of scipy's brentq (scipy/optimize/Zeros/brentq.c)
+    that does its arithmetic on Python floats, so it returns the same
+    double for the same f and bracket.  An exact zero at an endpoint is
+    returned as is.  A non-finite f, endpoints of one sign, or maxiter
+    steps without convergence raise NoRootFoundError with the bracket in
+    its diagnostics.
+    """
+    a, b = float(a), float(b)
+
+    def value(x):
+        fx = float(f(x))
+        if not math.isfinite(fx):
+            raise NoRootFoundError(
+                f"Brent's method met f({x!r}) = {fx} in [{a!r}, {b!r}]",
+                diagnostics={"bracket": (a, b), "z": x, "value": fx})
+        return fx
+
+    xpre, xcur = a, b
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NoRootFoundError(
+            f"Brent's method needs a sign change; f = {fpre!r} and "
+            f"{fcur!r} at the ends of [{a!r}, {b!r}]",
+            diagnostics={"bracket": (a, b), "values": (fpre, fcur)})
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            args = (xcur, fcur, xpre, fpre, xblk, fblk)
+            try:
+                stry = _brent_step(*args)
+            except ZeroDivisionError:  # C divides to an inf or a NaN
+                with np.errstate(all="ignore"):
+                    stry = float(_brent_step(*map(np.float64, args)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise NoRootFoundError(
+        f"Brent's method did not converge in {maxiter} steps in "
+        f"[{a!r}, {b!r}]",
+        diagnostics={"bracket": (a, b), "z": xcur, "maxiter": maxiter})
+
+
 def _scan_plan(geom: DeviceGeometry, form: str):
     """Scan edges [0, every residual pole below _Z_CAP, _Z_CAP] and step.
 
@@ -215,8 +296,6 @@ def _scan_plan(geom: DeviceGeometry, form: str):
     period apart, and each sign change is polished with Brent's method.
     step is a quarter period of the fastest tan factor of the residual.
     """
-    from scipy.optimize import brentq
-
     def den(z):
         return _capacitor(z, *_plate(geom))[1]
 
@@ -227,7 +306,7 @@ def _scan_plan(geom: DeviceGeometry, form: str):
     d = den(zs)
     poles = [0.5 * math.pi]
     for k in np.flatnonzero((d[:-1] == 0) | (d[:-1] * d[1:] < 0)):
-        poles.append(brentq(den, zs[k], zs[k + 1], xtol=1e-14))
+        poles.append(_brent(den, zs[k], zs[k + 1], xtol=1e-14))
     if form == "full":
         half = 0.5 * math.pi / lam
         poles.extend(k * half for k in range(1, math.ceil(_Z_CAP / half)))
@@ -241,21 +320,18 @@ def _first_root(fn, edges, step: float):
     fn maps an array of z to an array of residuals and is continuous
     between consecutive edges, which hold every pole.  Each inter-pole
     interval is scanned on a grid no coarser than step, and the first
-    sign change is polished with Brent's method.  Deep local minima of
-    |fn| (two roots closer than the scan step) get a local rescan before
-    moving on.  Candidate samples are visited in grid order, so the
+    sign change is polished by _brent to xtol 1e-15, rtol 4 eps, in at
+    most 200 steps.  Deep local minima of |fn| (two roots closer than the
+    scan step) get a local rescan before moving on.  Candidate samples are visited in grid order, so the
     bracket returned is the lowest one.
     """
-    from scipy.optimize import brentq
-
     def polish(zs, vals, j):
         """Root and bracket in [zs[j], zs[j + 1]], where fn is 0 at zs[j]
         or changes sign."""
         za, zb = zs[j], zs[j + 1]
         if vals[j] == 0.0:
             return za, (za, za)
-        return brentq(fn, za, zb, xtol=1e-15, rtol=4 * np.finfo(float).eps,
-                      maxiter=200), (za, zb)
+        return _brent(fn, za, zb, xtol=1e-15, maxiter=200), (za, zb)
 
     for lo, hi in zip(edges[:-1], edges[1:]):
         guard = max(1e-12, (hi - lo) * 1e-10)

@@ -750,6 +750,42 @@ README_TOUR = [
 ]
 
 
+def test_mode_and_closed_form_commands_load_no_scipy(tmp_path):
+    """import qpdyn, then every command that needs no fit, PDE or ODE,
+    runs in one interpreter without importing any scipy module."""
+    import subprocess
+    import sys
+
+    import qpdyn
+    points = tmp_path / "points.csv"
+    points.write_text("tau_ss,inv_t1\n2e-3,1e5\n9e-3,2e5\n16e-3,3e5\n")
+    files = {"points": str(points), "synth": str(tmp_path / "t.csv")}
+    tour = [argv.format(**files).split() for argv, _ in README_TOUR
+            if argv.split()[0] not in ("fit", "pde")]
+    tour.insert(3, README_TOUR[2][0].split() + ["--form", "full"])
+    assert {a[0] for a in tour} == {"rates", "eigenrate", "steps", "sweep",
+                                    "synth", "t1fit", "estimate"}
+    probe = (
+        "import json, os, sys\n"
+        "def scipy():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "import qpdyn\n"
+        "report = [['import qpdyn', 0, scipy()]]\n"
+        "from qpdyn.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    code = main(argv + ['--out-file', os.devnull])\n"
+        "    report.append([' '.join(argv[:2]), code, scipy()])\n"
+        "print(json.dumps(report))\n")
+    src = str(Path(qpdyn.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", probe, json.dumps(tour)],
+                          capture_output=True, text=True, check=True,
+                          env={"PYTHONPATH": src})
+    report = json.loads(done.stdout)
+    assert len(report) == len(tour) + 1
+    assert all(code == 0 for _, code, _ in report), report
+    assert [cmd for cmd, _, loaded in report if loaded] == []
+
+
 def _leaf_parsers(parser):
     """(command name, parser) for every leaf subcommand of the CLI."""
     import argparse

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from qpdyn import eigenmode
 from qpdyn.eigenmode import (TransportParams, VortexConfig, eigen_residual,
-                             field_sweep, smallest_root, step_sequence)
-from qpdyn.errors import InvalidParameterError
-from qpdyn.geometry import DeviceGeometry, load_geometry
+                             field_sweep, small_p_rate, smallest_root,
+                             step_sequence)
+from qpdyn.errors import InvalidParameterError, NoRootFoundError
+from qpdyn.geometry import DeviceGeometry, derive, load_geometry
 from qpdyn.pde_sim import build, slowest_mode
 
 P_REF = 0.067e-4  # m^2/s
@@ -162,8 +163,8 @@ def test_scan_evaluates_each_grid_in_one_call(monkeypatch, form):
     edges, _ = eigenmode._scan_plan(geom, form)
     n_intervals = len(edges) - 1
     monkeypatch.setattr(eigenmode, "_mode_terms", counted)
-    monkeypatch.setattr(scipy.optimize, "brentq",
-                        tagged("brent", scipy.optimize.brentq))
+    monkeypatch.setattr(eigenmode, "_brent",
+                        tagged("brent", eigenmode._brent))
     monkeypatch.setattr(eigenmode, "_newton_quality",
                         tagged("newton", eigenmode._newton_quality))
     smallest_root(geom, VortexConfig(2, 1, P_REF), TP, form=form)
@@ -233,6 +234,89 @@ def test_plan_lists_every_capacitor_pole(geom, form):
     # the first edge at or above each sign change lies within 1e-9 of it
     nearest = edges[np.searchsorted(edges, zs[k] - 1e-9)]
     assert np.all(nearest <= zs[k + 1] + 1e-9), zs[k]
+
+
+@settings(max_examples=200, deadline=None)
+@given(geom=geometries, n=st.integers(1, 6), split=st.floats(0.0, 1.0),
+       log_eps=st.floats(-8.0, -4.0),
+       form=st.sampled_from(["reduced", "full"]))
+def test_weak_trapping_limit(geom, n, split, log_eps, form):
+    """Criterion 4's 1% of s - s0 for P tau_D / A_W <= 1e-4, where the
+    root z ~ sqrt(eps) is small and Brent's xtol dominates its error.
+
+    The full form's limit is small_p_rate, N P / A_total.  The reduced
+    form drops the central wire, so its limit has A_total - 2 l W."""
+    der = derive(geom, TP.d)
+    n_left = round(split * n)
+    vc = VortexConfig(n_left, n - n_left, 10.0**log_eps * der.a_w / der.tau_d)
+    s = smallest_root(geom, vc, TP, form).s
+    if form == "full":
+        s_lin = small_p_rate(geom, vc, TP)
+    else:
+        a_reduced = der.a_total - 2.0 * geom.l_half_gap * geom.w_wire
+        s_lin = n * vc.trapping_power / a_reduced + TP.s0
+    assert abs(s - s_lin) / (s_lin - TP.s0) < 0.01
+
+
+def test_brent_bit_identical_to_brentq(monkeypatch):
+    """_brent returns brentq's double on every bracket that the capacitor
+    pole search and the root polish hand it over a seeded panel."""
+    real, calls = eigenmode._brent, []
+
+    def recorded(fn, a, b, xtol, **kwargs):
+        calls.append((fn, a, b, dict(kwargs, xtol=xtol)))
+        return real(fn, a, b, xtol, **kwargs)
+
+    monkeypatch.setattr(eigenmode, "_brent", recorded)
+    rng = np.random.Generator(np.random.Philox(2014))
+    for _ in range(60):
+        geom = box_geometry(rng.uniform(size=7))
+        for form in ("reduced", "full"):
+            plan = eigenmode._scan_plan(geom, form)
+            for _ in range(9):
+                n_left, n_right = rng.integers(0, 7, size=2)
+                vc = VortexConfig(int(n_left), int(n_right),
+                                  10.0 ** rng.uniform(-7.0, -4.0))
+                eigenmode._root(geom, vc, TP, form, plan)
+    poles = [c for c in calls if c[3]["xtol"] == 1e-14]
+    assert len(calls) - len(poles) >= 1000 and len(poles) >= 30
+    # brackets whose trial step divides by an underflowed zero, where C
+    # arithmetic gives an inf or a NaN
+    calls += [(lambda z, k=k: 1e-300 * (z - 0.3) ** k, -1.0, 1.25,
+               {"xtol": 1e-15}) for k in (1, 3, 5)]
+    mismatches = [(a, b, kw) for fn, a, b, kw in calls
+                  if real(fn, a, b, **kw).hex()
+                  != float(scipy.optimize.brentq(fn, a, b, **kw)).hex()]
+    assert mismatches == []
+
+
+class TestBrentFailures:
+    def cubic(self, z):
+        return (z - 0.3) ** 3
+
+    def test_endpoint_zero_returned(self):
+        assert eigenmode._brent(self.cubic, 0.3, 1.0, 1e-15) == 0.3
+        assert eigenmode._brent(self.cubic, -1.0, 0.3, 1e-15) == 0.3
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bracket", [(0.0, 1.0), (-1.0, 1.25)])
+    def test_non_finite_value(self, bad, bracket):
+        """At an endpoint, and near the root, met after a few steps."""
+        def fn(z):
+            return bad if z == 1.0 or abs(z - 0.3) < 0.1 else self.cubic(z)
+        with pytest.raises(NoRootFoundError, match="met f") as exc:
+            eigenmode._brent(fn, *bracket, 1e-15)
+        assert exc.value.diagnostics["bracket"] == bracket
+
+    def test_same_sign_ends(self):
+        with pytest.raises(NoRootFoundError, match="sign change") as exc:
+            eigenmode._brent(self.cubic, 0.5, 1.0, 1e-15)
+        assert exc.value.diagnostics["bracket"] == (0.5, 1.0)
+
+    def test_maxiter_exhausted(self):
+        with pytest.raises(NoRootFoundError, match="3 steps") as exc:
+            eigenmode._brent(self.cubic, -1.0, 1.25, 1e-15, maxiter=3)
+        assert exc.value.diagnostics["bracket"] == (-1.0, 1.25)
 
 
 class TestInputValidation:
