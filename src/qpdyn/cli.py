@@ -25,23 +25,39 @@ import math
 import os
 import sys
 from importlib import resources
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__, io
-from .constants import QubitParams, qp_coupling_constant
 from .errors import (InvalidParameterError, NonConvergenceError, QpdynError,
                      UnitParseError, check_finite)
-from .eigenmode import (TransportParams, VortexConfig, field_sweep,
-                        smallest_root, step_sequence)
-from .estimates import (CavityQs, VortexMicro, frequency_shift,
-                        injection_power, microscopic_trapping_power,
-                        qp_injection_rate, vortex_profile)
-from .geometry import derive, load_geometry
-from .pde_sim import EvolveSpec, build, evolve, slowest_mode
-from .trace_fit import (FitResult, extract_rates, fit_gamma_trace,
-                        fit_t1_vs_tau, synth_trace)
 from .units import parse_angular_frequency, parse_quantity
+
+if TYPE_CHECKING:
+    from .trace_fit import FitResult
+
+# The library names the commands call.  Each resolves through the package
+# on first use, so a command imports only the modules it runs.  Commands
+# look them up on this module when they run (``_cli.smallest_root``), so
+# rebinding ``qpdyn.cli.smallest_root`` intercepts the call.
+_LIBRARY = frozenset("""
+    QubitParams qp_coupling_constant
+    TransportParams VortexConfig field_sweep smallest_root step_sequence
+    CavityQs VortexMicro frequency_shift injection_power
+    microscopic_trapping_power qp_injection_rate vortex_profile
+    derive load_geometry
+    EvolveSpec build evolve slowest_mode
+    FitResult extract_rates fit_gamma_trace fit_t1_vs_tau synth_trace
+""".split())
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in _LIBRARY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sys.modules[__package__], name)
+
 
 _MG = 1e-7  # tesla per milligauss
 
@@ -204,7 +220,7 @@ def _resolve_coupling(args) -> float:
         if args.omega_rad_per_s is None or args.delta_j is None:
             raise InvalidParameterError(
                 "provide either --c or both --omega and --delta")
-        args.coupling_per_s = qp_coupling_constant(QubitParams(
+        args.coupling_per_s = _cli.qp_coupling_constant(_cli.QubitParams(
             omega_q=args.omega_rad_per_s, delta_gap=args.delta_j))
     return args.coupling_per_s
 
@@ -246,37 +262,40 @@ def _rates_dict(ex) -> dict:
 
 
 def _fit_params(args) -> FitResult:
-    return FitResult.from_params(args.amplitude_per_s, args.r_prime,
-                                 args.tau_ss_s, args.gamma0_per_s)
+    return _cli.FitResult.from_params(args.amplitude_per_s, args.r_prime,
+                                      args.tau_ss_s, args.gamma0_per_s)
 
 
 def _cmd_fit(args):
     trace = io.read_trace(args.trace)
     coupling = _resolve_coupling(args)
-    f = fit_gamma_trace(trace, t_min=args.t_min_s, weighting=args.weighting)
-    fit, rates = _fit_result_dict(f), _rates_dict(extract_rates(f, coupling))
+    f = _cli.fit_gamma_trace(trace, t_min=args.t_min_s,
+                             weighting=args.weighting)
+    fit = _fit_result_dict(f)
+    rates = _rates_dict(_cli.extract_rates(f, coupling))
     result = {"fit": fit, "coupling_per_s": coupling, "rates": rates}
     return _quantities(result, {**fit, **rates})
 
 
 def _cmd_rates(args):
-    rates = _rates_dict(extract_rates(_fit_params(args), args.coupling_per_s))
+    rates = _rates_dict(_cli.extract_rates(_fit_params(args),
+                                           args.coupling_per_s))
     result = {"coupling_per_s": args.coupling_per_s, "rates": rates}
     return _quantities(result, rates)
 
 
 def _mode_params(args):
-    geom = load_geometry(_geom_path(args.geom))
-    tp = TransportParams(d=args.d_m2_per_s, s0=args.s0_per_s)
+    geom = _cli.load_geometry(_geom_path(args.geom))
+    tp = _cli.TransportParams(d=args.d_m2_per_s, s0=args.s0_per_s)
     return geom, tp
 
 
 def _cmd_eigenrate(args):
     geom, tp = _mode_params(args)
-    vc = VortexConfig(n_left=args.n_left, n_right=args.n_right,
-                      trapping_power=args.p_m2_per_s)
-    sol = smallest_root(geom, vc, tp, form=args.form)
-    der = derive(geom, tp.d)
+    vc = _cli.VortexConfig(n_left=args.n_left, n_right=args.n_right,
+                           trapping_power=args.p_m2_per_s)
+    sol = _cli.smallest_root(geom, vc, tp, form=args.form)
+    der = _cli.derive(geom, tp.d)
     return _quantities({"z": sol.z, "s_per_s": sol.s,
                         "sA_cm2_per_s": sol.s * der.a_total * 1e4,
                         "bracket": list(sol.bracket),
@@ -288,8 +307,8 @@ def _cmd_eigenrate(args):
 
 def _cmd_steps(args):
     geom, tp = _mode_params(args)
-    rows = step_sequence(geom, tp, args.p_m2_per_s, series=args.series,
-                         max_steps=args.max_steps, form=args.form)
+    rows = _cli.step_sequence(geom, tp, args.p_m2_per_s, series=args.series,
+                              max_steps=args.max_steps, form=args.form)
     return _table("steps",
                   ("step", "n_left", "n_right", "s_per_s", "sA_cm2_per_s"),
                   [(k, nl, nr, float(s), float(sa * 1e4))
@@ -302,9 +321,9 @@ def _cmd_sweep(args):
             f"--points must be >= 0, got {args.points}")
     geom, tp = _mode_params(args)
     b_grid = np.linspace(args.b_min_t, args.b_max_t, args.points)
-    rows = field_sweep(geom, tp, args.p_m2_per_s, b_grid, args.b_k_t,
-                       args.slope_per_t, pads=args.pads, form=args.form)
-    der = derive(geom, tp.d)
+    rows = _cli.field_sweep(geom, tp, args.p_m2_per_s, b_grid, args.b_k_t,
+                            args.slope_per_t, pads=args.pads, form=args.form)
+    der = _cli.derive(geom, tp.d)
     return _table("sweep",
                   ("b_mG", "n_left", "n_right", "s_per_s", "sA_cm2_per_s"),
                   [(float(b / _MG), nl, nr, float(s),
@@ -313,14 +332,14 @@ def _cmd_sweep(args):
 
 def _discretization(args):
     geom, tp = _mode_params(args)
-    vc = VortexConfig(n_left=args.n_left, n_right=args.n_right,
-                      trapping_power=args.p_m2_per_s)
-    return build(geom, vc, tp, resolution=args.resolution)
+    vc = _cli.VortexConfig(n_left=args.n_left, n_right=args.n_right,
+                           trapping_power=args.p_m2_per_s)
+    return _cli.build(geom, vc, tp, resolution=args.resolution)
 
 
 def _cmd_pde_eigen(args):
     disc = _discretization(args)
-    s, mode = slowest_mode(disc)
+    s, mode = _cli.slowest_mode(disc)
     result = {"s_per_s": float(s), "n_nodes": disc.n_nodes,
               "resolution": args.resolution}
     csv_rows = [(seg, float(y * 1e6), float(v)) for seg, y, v in
@@ -335,12 +354,12 @@ def _cmd_pde_evolve(args):
             f"got {args.points}")
     disc = _discretization(args)
     t_grid = np.linspace(0.0, args.t_max_s, args.points)[1:]
-    spec = EvolveSpec(r=args.r_per_s, g=args.g_per_s, t_grid=tuple(t_grid),
-                      x_init=args.x_init,
-                      injection_rate=args.injection_rate_per_s,
-                      injection_density=args.clamp_density,
-                      t_inj=args.t_inj_s)
-    xjj = evolve(disc, spec, tol=args.tol)
+    spec = _cli.EvolveSpec(r=args.r_per_s, g=args.g_per_s,
+                           t_grid=tuple(t_grid), x_init=args.x_init,
+                           injection_rate=args.injection_rate_per_s,
+                           injection_density=args.clamp_density,
+                           t_inj=args.t_inj_s)
+    xjj = _cli.evolve(disc, spec, tol=args.tol)
     return _table("trace", ("t_s", "x_jj"),
                   [(float(t), float(x)) for t, x in zip(t_grid, xjj)])
 
@@ -366,8 +385,8 @@ def _cmd_synth(args):
     if args.seed < 0:
         raise InvalidParameterError(f"--seed must be >= 0, got {args.seed}")
     f = _fit_params(args)
-    trace = synth_trace(f, _parse_tgrid(args.tgrid), args.noise_rel,
-                        args.seed)
+    trace = _cli.synth_trace(f, _parse_tgrid(args.tgrid), args.noise_rel,
+                             args.seed)
     columns = {"t": trace.t, "gamma": trace.gamma, "sigma": trace.sigma}
     header = tuple(k for k, v in columns.items() if v is not None)
     return None, header, zip(*(columns[k] for k in header))
@@ -376,7 +395,7 @@ def _cmd_synth(args):
 def _cmd_t1fit(args):
     points = io.read_points(args.points)
     coupling = _resolve_coupling(args)
-    res = fit_t1_vs_tau(points, coupling)
+    res = _cli.fit_t1_vs_tau(points, coupling)
     return _quantities({"g_per_s": res.g, "g_sigma": res.g_sigma,
                         "gamma_ex_per_s": res.gamma_ex,
                         "gamma_ex_sigma": res.gamma_ex_sigma,
@@ -384,16 +403,16 @@ def _cmd_t1fit(args):
 
 
 def _cmd_estimate_injection(args):
-    qs = CavityQs(q_in=args.q_in, q_out=args.q_out, q_w=args.q_w,
-                  q_j=args.q_j)
-    p_in = injection_power(args.r_j_ohm, args.delta_j, qs)
+    qs = _cli.CavityQs(q_in=args.q_in, q_out=args.q_out, q_w=args.q_w,
+                       q_j=args.q_j)
+    p_in = _cli.injection_power(args.r_j_ohm, args.delta_j, qs)
     return _quantities({"p_in_w": p_in,
                         "p_in_dbm": 10.0 * math.log10(p_in / 1e-3),
                         "q_tot": qs.q_tot})
 
 
 def _cmd_estimate_qprate(args):
-    g = qp_injection_rate(args.r_j_ohm, args.delta_j)
+    g = _cli.qp_injection_rate(args.r_j_ohm, args.delta_j)
     return _quantities({"g_per_s": g, "g_per_us": g * 1e-6})
 
 
@@ -401,15 +420,15 @@ def _cmd_estimate_trapping_power(args):
     if args.tau_n_s is None:
         check_finite("--rate", args.rate_per_s, ">")
         args.tau_n_s = 1.0 / args.rate_per_s
-    p = microscopic_trapping_power(VortexMicro(r_core=args.r_core_m,
-                                               tau_n=args.tau_n_s))
+    p = _cli.microscopic_trapping_power(
+        _cli.VortexMicro(r_core=args.r_core_m, tau_n=args.tau_n_s))
     return _quantities({"p_m2_per_s": p, "p_cm2_per_s": p * 1e4})
 
 
 def _cmd_estimate_freqshift(args):
-    shift = frequency_shift(args.gamma_per_s, args.omega_rad_per_s,
-                            args.delta_j,
-                            empirical_factor=args.empirical_factor)
+    shift = _cli.frequency_shift(args.gamma_per_s, args.omega_rad_per_s,
+                                 args.delta_j,
+                                 empirical_factor=args.empirical_factor)
     return _quantities({
         "delta_omega_rad_per_s": shift,
         "delta_f_hz": shift / (2.0 * math.pi),
@@ -419,8 +438,9 @@ def _cmd_estimate_freqshift(args):
 
 def _cmd_estimate_vortex_profile(args):
     rhos = [parse_quantity(tok, "length") for tok in args.rho.split(",")]
-    vals = [float(vortex_profile(rho, args.p_m2_per_s, args.d_m2_per_s,
-                                 args.r_core_m)) for rho in rhos]
+    vals = [float(_cli.vortex_profile(rho, args.p_m2_per_s,
+                                      args.d_m2_per_s, args.r_core_m))
+            for rho in rhos]
     return _table("profile", ("rho_m", "ratio"), list(zip(rhos, vals)))
 
 

@@ -150,7 +150,7 @@ def frequency_shift(gamma: float, omega: float, delta: float,
     check_finite("empirical_factor", empirical_factor, ">")
     shift = -0.5 * gamma * (
         1.0 + math.pi * math.sqrt(CODATA.hbar * omega / (2.0 * delta)))
-    return shift / empirical_factor
+    return shift / empirical_factor + 0.0  # + 0.0: no -0.0 at gamma = 0
 
 
 def frequency_shift_from_xqp(x_qp: float, omega: float, delta: float) -> float:
@@ -163,5 +163,6 @@ def frequency_shift_from_xqp(x_qp: float, omega: float, delta: float) -> float:
         raise InvalidParameterError(f"x_qp must lie in [0, 1], got {x_qp}")
     check_finite("omega", omega, ">")
     check_finite("delta", delta, ">")
-    return -0.5 * x_qp * omega * (
+    shift = -0.5 * x_qp * omega * (
         math.sqrt(2.0 * delta / (CODATA.hbar * omega)) / math.pi + 1.0)
+    return shift + 0.0  # + 0.0: no -0.0 at x_qp = 0

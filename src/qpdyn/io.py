@@ -19,12 +19,15 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NonConvergenceError, TraceParseError
-from .trace_fit import DecayTrace, SteadyStatePoint
 from .units import unit_factor
+
+if TYPE_CHECKING:
+    from .trace_fit import DecayTrace, SteadyStatePoint
 
 _TRACE_COLUMNS = ("t", "gamma", "sigma")
 _TRACE_KINDS = {"t": "time", "gamma": "rate", "sigma": "rate"}
@@ -93,6 +96,7 @@ def _read_table(text: str, columns, kinds, min_cols: int):
 
 def read_trace(path) -> DecayTrace:
     """Read a decay trace file, validating the DecayTrace invariants."""
+    from .trace_fit import DecayTrace
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     data, linenos = _read_table(text, _TRACE_COLUMNS, _TRACE_KINDS, 2)
@@ -134,6 +138,7 @@ def write_trace(trace: DecayTrace, path) -> None:
 
 def read_points(path) -> list[SteadyStatePoint]:
     """Read (tau_ss, 1/T1[, sigma]) points for the steady-state line fit."""
+    from .trace_fit import SteadyStatePoint
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     data, _ = _read_table(text, _POINT_COLUMNS, _POINT_KINDS, 2)

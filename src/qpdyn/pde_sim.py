@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dynamics import RateParams, integrate_ode, steady_state
 from .errors import (InvalidParameterError, InvalidResolutionError,
                      NonConvergenceError, StepSizeUnderflowError, check_finite,
                      check_time_grid)
@@ -166,12 +165,16 @@ def slowest_mode(disc: Discretization,
     Inverse power iteration on -G with an area-weighted Rayleigh quotient;
     the returned mode is the (strictly positive) slow mode normalized to 1
     at the junction node, with round-off noise clipped at zero.  A failed
-    LU factorization, an iterate whose norm leaves the float64 range, and
-    a converged rate not above the rounding error of its Rayleigh quotient
-    raise NonConvergenceError; when the factorization fails because the
-    trapping sink is below round-off of the diffusion operator, the
-    message names the weak-trapping limit s = (N_L + N_R) P / A + s0.
+    LU factorization, an iterate whose norm leaves the float64 range,
+    max_iter iterations without convergence (the message names the last
+    weighted residual and its bar) and a converged rate not above the
+    rounding error of its Rayleigh quotient raise NonConvergenceError;
+    when the factorization fails because the trapping sink is below
+    round-off of the diffusion operator, the message names the
+    weak-trapping limit s = (N_L + N_R) P / A + s0.
     """
+    if max_iter < 1:
+        raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
     tp = disc.tp
     total_trapping = disc.vortices.trapping_power * (
         disc.vortices.n_left + disc.vortices.n_right)
@@ -196,6 +199,13 @@ def slowest_mode(disc: Discretization,
                         "diffusion operator; the weak-trapping limit "
                         f"s = {s_weak:.6g} 1/s applies")
         raise NonConvergenceError(message) from None
+
+    def residual(v, lam):
+        """The weighted residual of (lam, v), and the bar it must meet."""
+        resid = a_op @ v - lam * v
+        rnorm = math.sqrt(float(w @ (resid * resid)) / float(w @ (v * v)))
+        return rnorm, 1e-10 * abs(lam) + 32.0 * eps * a_scale
+
     v = np.ones(n)
     lam_prev = math.inf
     for _ in range(max_iter):
@@ -209,15 +219,17 @@ def slowest_mode(disc: Discretization,
         v /= norm
         lam = float(w @ (v * (a_op @ v))) / float(w @ (v * v))
         if abs(lam - lam_prev) <= 1e-13 * abs(lam) + 4.0 * eps * a_scale:
-            resid = a_op @ v - lam * v
-            rnorm = math.sqrt(float(w @ (resid * resid)) / float(w @ (v * v)))
-            if rnorm <= 1e-10 * abs(lam) + 32.0 * eps * a_scale:
+            rnorm, bar = residual(v, lam)
+            if rnorm <= bar:
                 break
         lam_prev = lam
     else:
+        rnorm, bar = residual(v, lam)
         raise NonConvergenceError(
             f"inverse power iteration did not converge in {max_iter} "
-            "iterations", best_params=v, best_cost=lam)
+            f"iterations: the last weighted residual {rnorm:.6g} 1/s is "
+            f"above its bar 1e-10 lambda + 32 eps max|diag G| = {bar:.6g} "
+            "1/s", best_params=v, best_cost=lam)
     # rounding error of the Rayleigh quotient: 32 eps (|v|, |A| |v|) / (v, v)
     floor = 32.0 * eps * float(w @ (np.abs(v) * (abs(a_op) @ np.abs(v)))) \
         / float(w @ (v * v))
@@ -387,6 +399,8 @@ def factorized_dynamics_check(disc: Discretization, r: float, g: float,
     integrated a decade tighter than the default so solver error stays far
     below the model deviation being measured.
     """
+    from .dynamics import RateParams, integrate_ode, steady_state
+
     check_finite("t_window_start", t_window_start, ">=")
     s_mode, mode = slowest_mode(disc)
     rp = RateParams(r=r, s=s_mode, g=g)

@@ -1,10 +1,18 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from qpdyn.constants import QubitParams, qp_coupling_constant
-from qpdyn.eigenmode import TransportParams
-from qpdyn.geometry import DeviceGeometry
+# no bytecode cache under src/: a stray one changes how long every later
+# cold start of the CLI takes
+sys.dont_write_bytecode = True
+
+import qpdyn  # noqa: E402
+from qpdyn.constants import QubitParams, qp_coupling_constant  # noqa: E402
+from qpdyn.eigenmode import TransportParams  # noqa: E402
+from qpdyn.geometry import DeviceGeometry  # noqa: E402
 
 # every run draws the same examples and writes no .hypothesis/ database
 settings.register_profile("tier1", derandomize=True, database=None)
@@ -43,3 +51,10 @@ def transport():
 
 def log_grid(t0, t1, n):
     return np.logspace(np.log10(t0), np.log10(t1), n)
+
+
+def subprocess_env():
+    """The environment of a child interpreter that imports this checkout's
+    qpdyn and, like this process, writes no bytecode cache."""
+    return {"PYTHONPATH": str(Path(qpdyn.__file__).parents[1]),
+            "PYTHONDONTWRITEBYTECODE": "1"}

@@ -124,6 +124,13 @@ class TestFrequencyShift:
     def test_zero_rate(self):
         assert frequency_shift(0.0, self.OMEGA, DELTA) == 0.0
 
+    def test_zero_gives_positive_zero(self):
+        for shift in (frequency_shift(0.0, self.OMEGA, DELTA),
+                      frequency_shift(0.0, self.OMEGA, DELTA,
+                                      empirical_factor=1.7),
+                      frequency_shift_from_xqp(0.0, self.OMEGA, DELTA)):
+            assert math.copysign(1.0, shift) == 1.0
+
     def test_ratio_independent_of_rate_and_negative(self):
         r1 = frequency_shift(1e3, self.OMEGA, DELTA) / 1e3
         r2 = frequency_shift(1e7, self.OMEGA, DELTA) / 1e7

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import subprocess_env
 from qpdyn import io as qio
 from qpdyn.cli import main
 from qpdyn.errors import TraceParseError
@@ -632,6 +633,16 @@ class TestCli:
             assert f"{str(target)!r} is not writable" in err
         assert not (tmp_path / "missing").exists()
 
+    def test_freqshift_at_zero_rate_prints_no_negative_zero(self, capsys):
+        code, out, err = run_cli(capsys, "estimate", "freqshift", "--gamma",
+                                 "0/s", "--omega", "6GHz", "--delta",
+                                 "180ueV")
+        assert code == 0, err
+        result = json.loads(out)["result"]
+        assert result == {"delta_omega_rad_per_s": 0.0, "delta_f_hz": 0.0,
+                          "ratio_to_gamma": 0.0}
+        assert "-0.0" not in out
+
     def test_failed_run_leaves_out_file_untouched(self, capsys, tmp_path):
         target = tmp_path / "kept.json"
         target.write_text("earlier result\n")
@@ -671,18 +682,13 @@ class TestCli:
 
 
 def test_import_cli_loads_no_scipy():
-    import pathlib
     import subprocess
     import sys
 
-    import qpdyn
-    src = str(pathlib.Path(qpdyn.__file__).parents[1])
     probe = ("import sys, qpdyn.cli; print(sorted(m for m in sys.modules "
              "if m.split('.')[0] == 'scipy'))")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, check=True,
-                          env={"PYTHONPATH": src,
-                               "PYTHONDONTWRITEBYTECODE": "1"})
+                          text=True, check=True, env=subprocess_env())
     assert done.stdout.strip() == "[]"
 
 
@@ -759,7 +765,6 @@ def test_mode_and_closed_form_commands_load_no_scipy(tmp_path):
     import subprocess
     import sys
 
-    import qpdyn
     points = tmp_path / "points.csv"
     points.write_text("tau_ss,inv_t1\n2e-3,1e5\n9e-3,2e5\n16e-3,3e5\n")
     files = {"points": str(points), "synth": str(tmp_path / "t.csv")}
@@ -779,15 +784,67 @@ def test_mode_and_closed_form_commands_load_no_scipy(tmp_path):
         "    code = main(argv + ['--out-file', os.devnull])\n"
         "    report.append([' '.join(argv[:2]), code, scipy()])\n"
         "print(json.dumps(report))\n")
-    src = str(Path(qpdyn.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", probe, json.dumps(tour)],
                           capture_output=True, text=True, check=True,
-                          env={"PYTHONPATH": src,
-                               "PYTHONDONTWRITEBYTECODE": "1"})
+                          env=subprocess_env())
     report = json.loads(done.stdout)
     assert len(report) == len(tour) + 1
     assert all(code == 0 for _, code, _ in report), report
     assert [cmd for cmd, _, loaded in report if loaded] == []
+
+
+# the qpdyn modules a README-tour command must not load, by its first word
+# (its first two for "pde")
+_NOT_LOADED = {
+    "estimate": {"dynamics", "eigenmode", "geometry", "pde_sim", "trace_fit"},
+    **dict.fromkeys(("rates", "synth", "t1fit"),
+                    {"eigenmode", "geometry", "pde_sim", "estimates"}),
+    **dict.fromkeys(("eigenrate", "steps", "sweep"),
+                    {"pde_sim", "trace_fit", "estimates", "dynamics"}),
+    "pde eigen": {"trace_fit", "estimates", "dynamics"},
+}
+
+
+def test_each_command_loads_only_its_own_modules(tmp_path, b1_trace_path):
+    """Every README-tour command, run by main in one interpreter, each
+    from the state just after ``import qpdyn.cli``, loads none of the qpdyn
+    modules it does not run."""
+    import subprocess
+    import sys
+
+    points = tmp_path / "points.csv"
+    points.write_text("tau_ss,inv_t1\n2e-3,1e5\n9e-3,2e5\n16e-3,3e5\n")
+    tour = [argv.format(trace=b1_trace_path, points=points,
+                        synth=tmp_path / "t.csv").split()
+            for argv, _ in README_TOUR]
+    probe = (
+        "import json, os, sys\n"
+        "import qpdyn, qpdyn.cli\n"
+        "modules, names = set(sys.modules), set(vars(qpdyn))\n"
+        "report = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    code = qpdyn.cli.main(argv + ['--out-file', os.devnull])\n"
+        "    report.append([argv, code, [m[len('qpdyn.'):] for m in "
+        "sys.modules if m.startswith('qpdyn.')]])\n"
+        "    for m in set(sys.modules) - modules:\n"
+        "        if m.startswith('qpdyn.'):\n"
+        "            del sys.modules[m]\n"
+        "    for name in set(vars(qpdyn)) - names:\n"
+        "        delattr(qpdyn, name)\n"
+        "print(json.dumps(report))\n")
+    done = subprocess.run([sys.executable, "-c", probe, json.dumps(tour)],
+                          capture_output=True, text=True, check=True,
+                          env=subprocess_env())
+    report = json.loads(done.stdout)
+    assert [code for _, code, _ in report] == [0] * len(tour), report
+    checked, extra = set(), []
+    for argv, _, loaded in report:
+        key = " ".join(argv[:2]) if argv[0] == "pde" else argv[0]
+        if key in _NOT_LOADED:
+            checked.add(key)
+            extra += [(key, m) for m in sorted(_NOT_LOADED[key] & {*loaded})]
+    assert checked == set(_NOT_LOADED)
+    assert extra == []
 
 
 # the leading number of a flag value, and of each of its comma- or

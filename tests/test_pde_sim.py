@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -179,6 +180,31 @@ class TestSlowestMode:
                      TransportParams(d=d_cm2 * 1e-4))
         with pytest.raises(NonConvergenceError, match=match):
             slowest_mode(disc)
+
+    def test_iteration_limit_names_the_residual_and_its_bar(
+            self, disc_one_vortex):
+        with pytest.raises(NonConvergenceError) as info:
+            slowest_mode(disc_one_vortex, max_iter=2)
+        message = str(info.value)
+        assert "did not converge in 2 iterations" in message
+        assert "1e-10 lambda + 32 eps max|diag G|" in message
+        got_resid, got_bar = (float(x) for x in re.findall(
+            r"residual ([^ ]+) 1/s .* = ([^ ]+) 1/s", message)[0])
+        a_op, w = -disc_one_vortex.generator, disc_one_vortex.areas
+        v, lam = info.value.best_params, info.value.best_cost
+        r = a_op @ v - lam * v
+        resid = np.sqrt((w @ (r * r)) / (w @ (v * v)))
+        bar = 1e-10 * lam + 32 * np.finfo(float).eps * np.abs(
+            a_op.diagonal()).max()
+        assert got_resid == pytest.approx(resid, rel=1e-5)
+        assert got_bar == pytest.approx(bar, rel=1e-5)
+        assert resid > bar
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_iteration_limit_below_one_is_refused(self, disc_one_vortex,
+                                                  max_iter):
+        with pytest.raises(InvalidParameterError, match="max_iter"):
+            slowest_mode(disc_one_vortex, max_iter=max_iter)
 
     def test_grid_convergence_second_order(self, b1_geom, transport):
         vc = VortexConfig(2, 1, P_REF)
