@@ -30,9 +30,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__, io
+from .constants import DEFAULT_T_MIN
 from .errors import (InvalidParameterError, NonConvergenceError, QpdynError,
                      UnitParseError, check_finite)
-from .units import parse_angular_frequency, parse_quantity
+from .units import parse_angular_frequency, parse_quantity, unit_factor
 
 if TYPE_CHECKING:
     from .trace_fit import FitResult
@@ -59,7 +60,7 @@ def __getattr__(name):
     return getattr(sys.modules[__package__], name)
 
 
-_MG = 1e-7  # tesla per milligauss
+_MG = unit_factor("mG", "field")  # tesla per milligauss
 
 _EPILOG = """\
 exit codes:
@@ -95,7 +96,7 @@ _FLAGS = {
     "--rprime": dict(dest="r_prime", type=float),
     "--tauss": dict(dest="tau_ss_s", type=_qty("time")),
     "--gamma0": dict(dest="gamma0_per_s", type=_qty("rate")),
-    "--tmin": dict(dest="t_min_s", type=_qty("time"), default=200e-6,
+    "--tmin": dict(dest="t_min_s", type=_qty("time"), default=DEFAULT_T_MIN,
                    help="discard samples earlier than this (default 200us)"),
     "--weighting": dict(choices=("relative", "absolute", "sigma"),
                         default="relative"),

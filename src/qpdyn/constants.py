@@ -33,6 +33,8 @@ CODATA = PhysicalConstants()
 
 EV = CODATA.e_charge  # 1 eV in joules
 
+DEFAULT_T_MIN = 200e-6  # s, early-time truncation of trace fits
+
 
 @dataclass(frozen=True)
 class QubitParams:
@@ -40,8 +42,8 @@ class QubitParams:
 
     omega_q   : qubit angular frequency, rad/s
     delta_gap : superconducting gap of the electrode film, J
-    t_c       : critical temperature, K (optional; used by the
-                recombination-theory estimate)
+    t_c       : critical temperature, K (optional; validated and carried
+                along, but no library function reads it)
 
     The qubit must sit below the pair-breaking threshold,
     hbar*omega_q < 2*delta_gap.

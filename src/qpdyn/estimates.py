@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CODATA
+from .constants import CODATA, QubitParams
 from .errors import InvalidParameterError, check_finite
 
 
@@ -142,12 +142,15 @@ def frequency_shift(gamma: float, omega: float, delta: float,
 
     delta_omega = -(Gamma/2) [1 + pi sqrt(hbar omega / (2 Delta))],
     divided by empirical_factor when a measured calibration is applied
-    (EMPIRICAL_SHIFT_FACTOR holds the observed value).
+    (EMPIRICAL_SHIFT_FACTOR holds the observed value).  A qubit at or
+    above the pair-breaking threshold, hbar omega >= 2 Delta, is refused
+    by QubitParams' rule.
     """
     check_finite("gamma", gamma, ">=")
     check_finite("omega", omega, ">")
     check_finite("delta", delta, ">")
     check_finite("empirical_factor", empirical_factor, ">")
+    QubitParams(omega_q=omega, delta_gap=delta)  # below pair breaking
     shift = -0.5 * gamma * (
         1.0 + math.pi * math.sqrt(CODATA.hbar * omega / (2.0 * delta)))
     return shift / empirical_factor + 0.0  # + 0.0: no -0.0 at gamma = 0
@@ -157,12 +160,14 @@ def frequency_shift_from_xqp(x_qp: float, omega: float, delta: float) -> float:
     """Frequency shift directly from the QP density, rad/s.
 
     delta_omega/omega = -(x_qp/2) [(1/pi) sqrt(2 Delta/(hbar omega)) + 1];
-    identical to frequency_shift applied to Gamma = C x_qp.
+    identical to frequency_shift applied to Gamma = C x_qp, and refused
+    likewise at hbar omega >= 2 Delta.
     """
     if not (0 <= x_qp <= 1):
         raise InvalidParameterError(f"x_qp must lie in [0, 1], got {x_qp}")
     check_finite("omega", omega, ">")
     check_finite("delta", delta, ">")
+    QubitParams(omega_q=omega, delta_gap=delta)  # below pair breaking
     shift = -0.5 * x_qp * omega * (
         math.sqrt(2.0 * delta / (CODATA.hbar * omega)) / math.pi + 1.0)
     return shift + 0.0  # + 0.0: no -0.0 at x_qp = 0

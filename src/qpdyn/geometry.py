@@ -121,7 +121,7 @@ def edges(geom: DeviceGeometry, form: str = "full"):
             for name, a, b, length, width in table if length > 0]
 
 
-def parse_geometry(text: str, label_default: str = "") -> DeviceGeometry:
+def parse_geometry(text: str) -> DeviceGeometry:
     """Parse the flat key = value geometry format.
 
     One assignment per line, ``#`` starts a comment, blank lines ignored.
@@ -129,7 +129,7 @@ def parse_geometry(text: str, label_default: str = "") -> DeviceGeometry:
     (``6.4e-5cm2``).  ``label`` is free text and ``example_only`` a boolean.
     """
     values: dict = {}
-    label = label_default
+    label = ""
     example_only = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

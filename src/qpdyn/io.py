@@ -2,8 +2,9 @@
 
 Trace files are CSV with header ``t,gamma`` or ``t,gamma,sigma``; values
 are SI (seconds, 1/s) unless an optional comment line ``# units: t=us
-gamma=1/ms`` declares otherwise.  ``#`` lines are comments, encoding is
-UTF-8 with LF endings.  Numbers are written with repr, so a
+gamma=1/ms`` declares otherwise.  Every value must be finite, and all but
+t also > 0; a refusal names the line.  ``#`` lines are comments, encoding
+is UTF-8 with LF endings.  Numbers are written with repr, so a
 parse-serialize round trip is lossless.
 
 Every CLI output is accompanied by a RunManifest recording the command,
@@ -23,34 +24,38 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import NonConvergenceError, TraceParseError
+from .errors import NonConvergenceError, TraceParseError, finite_violation
 from .units import unit_factor
 
 if TYPE_CHECKING:
     from .trace_fit import DecayTrace, SteadyStatePoint
 
-_TRACE_COLUMNS = ("t", "gamma", "sigma")
-_TRACE_KINDS = {"t": "time", "gamma": "rate", "sigma": "rate"}
-_POINT_COLUMNS = ("tau_ss", "inv_t1", "sigma_inv_t1")
-_POINT_KINDS = {"tau_ss": "time", "inv_t1": "rate", "sigma_inv_t1": "rate"}
+# Each CSV format once: column -> (unit kind, the errors.finite_violation
+# bound of its SI values).  The third column is optional.
+_TRACE_FORMAT = {"t": ("time", ""), "gamma": ("rate", ">"),
+                 "sigma": ("rate", ">")}
+_POINTS_FORMAT = {"tau_ss": ("time", ">"), "inv_t1": ("rate", ">"),
+                  "sigma_inv_t1": ("rate", ">")}
 
 
-def _parse_units_comment(line: str, kinds: dict, lineno: int) -> dict:
+def _parse_units_comment(line: str, columns: dict, lineno: int) -> dict:
     factors = {}
     for tok in line.split(":", 1)[1].split():
         name, _, unit = tok.partition("=")
-        if name not in kinds:
+        if name not in columns:
             raise TraceParseError(f"units given for unknown column {name!r}",
                                   line=lineno)
         try:
-            factors[name] = unit_factor(unit, kinds[name])
+            factors[name] = unit_factor(unit, columns[name][0])
         except Exception as exc:
             raise TraceParseError(str(exc), line=lineno) from exc
     return factors
 
 
-def _read_table(text: str, columns, kinds, min_cols: int):
-    """Parse a comment-aware CSV into per-column float arrays."""
+def _read_table(text: str, columns: dict):
+    """Parse a comment-aware CSV into per-column SI float arrays and the
+    rows' line numbers; a value that breaks its column's bound is refused."""
+    names = tuple(columns)
     header = None
     factors = {}
     rows = []
@@ -60,14 +65,14 @@ def _read_table(text: str, columns, kinds, min_cols: int):
             continue
         if line.startswith("#"):
             if line[1:].lstrip().lower().startswith("units:"):
-                factors = _parse_units_comment(line, kinds, lineno)
+                factors = _parse_units_comment(line, columns, lineno)
             continue
         if header is None:
             header = [c.strip() for c in line.split(",")]
-            if tuple(header) not in (columns[:min_cols], columns):
+            if tuple(header) not in (names[:2], names):
                 raise TraceParseError(
-                    f"header must be {','.join(columns[:min_cols])} or "
-                    f"{','.join(columns)}, got {line!r}", line=lineno)
+                    f"header must be {','.join(names[:2])} or "
+                    f"{','.join(names)}, got {line!r}", line=lineno)
             continue
         parts = line.split(",")
         if len(parts) != len(header):
@@ -75,22 +80,22 @@ def _read_table(text: str, columns, kinds, min_cols: int):
                 f"expected {len(header)} fields, got {len(parts)}",
                 line=lineno)
         try:
-            vals = [float(p) for p in parts]
+            rows.append((lineno, [float(p) for p in parts]))
         except ValueError:
             raise TraceParseError(f"non-numeric value in {line!r}",
                                   line=lineno) from None
-        if not np.all(np.isfinite(vals)):
-            raise TraceParseError(f"non-finite value in {line!r}",
-                                  line=lineno)
-        rows.append((lineno, vals))
     if header is None:
         raise TraceParseError("file has no header row")
     if not rows:
         raise TraceParseError("file has no data rows")
-    data = {}
-    for k, name in enumerate(header):
-        factor = factors.get(name, 1.0)
-        data[name] = np.array([vals[k] for _, vals in rows]) * factor
+    for lineno, vals in rows:
+        for k, name in enumerate(header):
+            vals[k] *= factors.get(name, 1.0)
+            message = finite_violation(name, vals[k], columns[name][1])
+            if message:
+                raise TraceParseError(message, line=lineno)
+    data = {name: np.array([vals[k] for _, vals in rows])
+            for k, name in enumerate(header)}
     return data, [lineno for lineno, _ in rows]
 
 
@@ -99,23 +104,13 @@ def read_trace(path) -> DecayTrace:
     from .trace_fit import DecayTrace
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    data, linenos = _read_table(text, _TRACE_COLUMNS, _TRACE_KINDS, 2)
-    t = data["t"]
-    bad = np.nonzero(np.diff(t) <= 0)[0]
+    data, linenos = _read_table(text, _TRACE_FORMAT)
+    bad = np.nonzero(np.diff(data["t"]) <= 0)[0]
     if bad.size:
         raise TraceParseError("t values must be strictly increasing",
                               line=linenos[bad[0] + 1])
-    bad = np.nonzero(data["gamma"] <= 0)[0]
-    if bad.size:
-        raise TraceParseError("gamma values must be positive",
-                              line=linenos[bad[0]])
-    sigma = data.get("sigma")
-    if sigma is not None:
-        bad = np.nonzero(sigma <= 0)[0]
-        if bad.size:
-            raise TraceParseError("sigma values must be positive",
-                                  line=linenos[bad[0]])
-    return DecayTrace(t=t, gamma=data["gamma"], sigma=sigma, label=str(path))
+    return DecayTrace(t=data["t"], gamma=data["gamma"],
+                      sigma=data.get("sigma"), label=str(path))
 
 
 def format_trace(trace: DecayTrace) -> str:
@@ -141,7 +136,7 @@ def read_points(path) -> list[SteadyStatePoint]:
     from .trace_fit import SteadyStatePoint
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    data, _ = _read_table(text, _POINT_COLUMNS, _POINT_KINDS, 2)
+    data, _ = _read_table(text, _POINTS_FORMAT)
     sig = data.get("sigma_inv_t1")
     return [SteadyStatePoint(
                 tau_ss=float(data["tau_ss"][k]),

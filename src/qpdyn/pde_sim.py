@@ -26,7 +26,8 @@ import numpy as np
 from .errors import (InvalidParameterError, InvalidResolutionError,
                      NonConvergenceError, StepSizeUnderflowError, check_finite,
                      check_time_grid)
-from .eigenmode import TransportParams, VortexConfig
+from .constants import DEFAULT_T_MIN
+from .eigenmode import TransportParams, VortexConfig, small_p_rate
 from .geometry import DeviceGeometry, edges
 
 if TYPE_CHECKING:
@@ -162,16 +163,20 @@ def slowest_mode(disc: Discretization,
                  max_iter: int = 10_000) -> tuple[float, np.ndarray]:
     """Smallest decay rate of the generator and its spatial mode.
 
-    Inverse power iteration on -G with an area-weighted Rayleigh quotient;
-    the returned mode is the (strictly positive) slow mode normalized to 1
-    at the junction node, with round-off noise clipped at zero.  A failed
-    LU factorization, an iterate whose norm leaves the float64 range,
-    max_iter iterations without convergence (the message names the last
-    weighted residual and its bar) and a converged rate not above the
-    rounding error of its Rayleigh quotient raise NonConvergenceError;
-    when the factorization fails because the trapping sink is below
-    round-off of the diffusion operator, the message names the
-    weak-trapping limit s = (N_L + N_R) P / A + s0.
+    Inverse power iteration on -G with an area-weighted Rayleigh quotient.
+    Once the quotient has settled, the iteration stops when the weighted
+    residual meets its bar 1e-10 lambda + 32 eps max|diag G|, or when it
+    is no smaller than at the previous settled iterate: it has stalled at
+    the round-off of the LU solve.  The returned mode is the (strictly
+    positive) slow mode normalized to 1 at the junction node, with
+    round-off noise clipped at zero.  A failed LU factorization, an
+    iterate whose norm leaves the float64 range, max_iter iterations
+    without convergence (the message names the last weighted residual and
+    its bar) and a converged rate not above the rounding error of its
+    Rayleigh quotient raise NonConvergenceError; when the factorization
+    fails because the trapping sink is below round-off of the diffusion
+    operator, the message names the weak-trapping limit small_p_rate,
+    s = (N_L + N_R) P / A_total + s0.
     """
     if max_iter < 1:
         raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
@@ -193,7 +198,7 @@ def slowest_mode(disc: Discretization,
         lu = splu(a_op)
     except RuntimeError as exc:  # e.g. "Factor is exactly singular"
         message = f"LU factorization of the generator failed: {exc}"
-        s_weak = total_trapping / float(w.sum()) + tp.s0
+        s_weak = small_p_rate(disc.geom, disc.vortices, tp)
         if s_weak <= 32.0 * eps * a_scale:
             message += ("; the trapping sink is below round-off of the "
                         "diffusion operator; the weak-trapping limit "
@@ -207,7 +212,7 @@ def slowest_mode(disc: Discretization,
         return rnorm, 1e-10 * abs(lam) + 32.0 * eps * a_scale
 
     v = np.ones(n)
-    lam_prev = math.inf
+    lam_prev = r_prev = math.inf
     for _ in range(max_iter):
         v = lu.solve(v)
         with np.errstate(over="ignore"):  # checked just below
@@ -220,8 +225,9 @@ def slowest_mode(disc: Discretization,
         lam = float(w @ (v * (a_op @ v))) / float(w @ (v * v))
         if abs(lam - lam_prev) <= 1e-13 * abs(lam) + 4.0 * eps * a_scale:
             rnorm, bar = residual(v, lam)
-            if rnorm <= bar:
+            if rnorm <= bar or rnorm >= r_prev:  # met, or stalled at round-off
                 break
+            r_prev = rnorm
         lam_prev = lam
     else:
         rnorm, bar = residual(v, lam)
@@ -387,7 +393,7 @@ class FactorizationReport:
 
 def factorized_dynamics_check(disc: Discretization, r: float, g: float,
                               x_init_amp: float,
-                              t_window_start: float = 200e-6,
+                              t_window_start: float = DEFAULT_T_MIN,
                               t_end: float | None = None,
                               n_points: int = 120) -> FactorizationReport:
     """Compare full nonlinear PDE junction decay against the 0-D model.

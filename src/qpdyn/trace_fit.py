@@ -32,13 +32,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import DEFAULT_T_MIN
 from .dynamics import (SolutionParams, _rate_map, decay_shape,
                        extraction_bounds)
 from .errors import (DegenerateTraceError, InsufficientDataError,
                      InsufficientSpreadError, InvalidParameterError,
                      NonConvergenceError, check_finite, check_time_grid)
-
-DEFAULT_T_MIN = 200e-6  # s, early-time truncation of trace fits
 
 # least_squares stopping tolerances: relative step, relative cost
 # decrease, scaled gradient.  Variables are scaled by the Jacobian column

@@ -1,9 +1,11 @@
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 # no bytecode cache under src/: a stray one changes how long every later
 # cold start of the CLI takes
@@ -14,7 +16,10 @@ from qpdyn.constants import QubitParams, qp_coupling_constant  # noqa: E402
 from qpdyn.eigenmode import TransportParams  # noqa: E402
 from qpdyn.geometry import DeviceGeometry  # noqa: E402
 
-# every run draws the same examples and writes no .hypothesis/ database
+# every run draws the same examples and keeps no example database.
+# Hypothesis still caches each test module's constants in its home
+# directory, so that lives outside the checkout.
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "qpdyn-hypothesis")
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.load_profile("tier1")
 

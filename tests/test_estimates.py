@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qpdyn.constants import EV, QubitParams, gamma_from_xqp
+from qpdyn.constants import CODATA, EV, QubitParams, gamma_from_xqp
 from qpdyn.errors import InvalidParameterError
 from qpdyn.estimates import (EMPIRICAL_SHIFT_FACTOR, CavityQs, VortexMicro,
                              frequency_shift, frequency_shift_from_xqp,
@@ -150,6 +150,14 @@ class TestFrequencyShift:
         scaled = frequency_shift(1e5, self.OMEGA, DELTA,
                                  empirical_factor=EMPIRICAL_SHIFT_FACTOR)
         assert scaled == pytest.approx(pure / 1.7, rel=1e-14)
+
+    def test_above_pair_breaking_is_refused(self):
+        omega = 2.002 * DELTA / CODATA.hbar  # just above the threshold
+        for shift in (lambda: frequency_shift(1e5, omega, DELTA),
+                      lambda: frequency_shift_from_xqp(1e-6, omega, DELTA)):
+            with pytest.raises(InvalidParameterError,
+                               match="pair-breaking threshold"):
+                shift()
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidParameterError):

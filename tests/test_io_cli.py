@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import subprocess_env
 from qpdyn import io as qio
 from qpdyn.cli import main
-from qpdyn.errors import TraceParseError
+from qpdyn.errors import NonConvergenceError, TraceParseError
 from qpdyn.trace_fit import DecayTrace
 
 
@@ -109,6 +109,98 @@ class TestPointsFile:
         assert len(pts) == 2
         assert pts[1].tau_ss == 9e-3
         assert pts[1].sigma_inv_t1 == 2e3
+
+
+def test_non_finite_value_in_a_list_is_named():
+    manifest = qio.build_manifest("demo", {}, no_timestamp=True)
+    with pytest.raises(NonConvergenceError) as exc:
+        qio.format_json_result({"rows": [1.0, float("nan")]}, manifest)
+    assert "(result.rows[1] = nan)" in str(exc.value)
+
+
+# Refusals of each input reader, run through the CLI: the file's text,
+# the line its message names (None: the fault has no line) and a part of
+# that message.
+TRACE_REFUSALS = {
+    "units-unknown-column": ("# units: t=us tau=ms\nt,gamma\n100,50\n", 1,
+                             "unknown column 'tau'"),
+    "units-unknown-unit": ("# units: t=fortnight\nt,gamma\n100,50\n", 1,
+                           "unknown time unit 'fortnight'"),
+    "field-count": ("t,gamma\n1e-4,5e4\n2e-4,4e4,1\n", 3,
+                    "expected 2 fields, got 3"),
+    "no-header": ("# units: t=us\n\n", None, "no header row"),
+    "no-data-rows": ("t,gamma\n# nothing measured\n", None, "no data rows"),
+    "gamma-negative": ("t,gamma\n1e-4,5e4\n2e-4,-8e4\n", 3,
+                       "gamma must be finite and > 0, got -80000.0"),
+    "sigma-zero": ("t,gamma,sigma\n1e-4,5e4,1e3\n2e-4,4e4,0\n", 3,
+                   "sigma must be finite and > 0, got 0.0"),
+    "overflow-in-units": ("# units: gamma=1/ns\nt,gamma\n1e-4,1e300\n", 3,
+                          "gamma must be finite and > 0, got inf"),
+}
+POINTS_REFUSALS = {
+    "units-unknown-column": ("# units: tau=ms\ntau_ss,inv_t1\n2,1e5\n", 1,
+                             "unknown column 'tau'"),
+    "units-unknown-unit": ("# units: tau_ss=day\ntau_ss,inv_t1\n2,1e5\n",
+                           1, "unknown time unit 'day'"),
+    "field-count": ("tau_ss,inv_t1\n2e-3,1e5\n9e-3\n", 3,
+                    "expected 2 fields, got 1"),
+    "no-header": ("# units: tau_ss=ms\n", None, "no header row"),
+    "no-data-rows": ("tau_ss,inv_t1,sigma_inv_t1\n\n", None, "no data rows"),
+    "inv_t1-negative": ("tau_ss,inv_t1\n2e-3,1e5\n9e-3,-2e5\n16e-3,3e5\n",
+                        3, "inv_t1 must be finite and > 0, got -200000.0"),
+    "tau_ss-zero": ("tau_ss,inv_t1\n0,1e5\n9e-3,2e5\n16e-3,3e5\n", 2,
+                    "tau_ss must be finite and > 0, got 0.0"),
+    "sigma-non-finite": ("tau_ss,inv_t1,sigma_inv_t1\n2e-3,1e5,1e3\n"
+                         "9e-3,2e5,nan\n16e-3,3e5,1e3\n", 3,
+                         "sigma_inv_t1 must be finite and > 0, got nan"),
+}
+_B1_CFG = ("w_wire = 12um\nl_wire = 200um\nh_cap = 75um\n"
+           "l_half_gap = 7.5um\nw_cap = 15um\nl_cap = 600um\n"
+           "s_pad = 6400um2\n")
+GEOMETRY_REFUSALS = {
+    "no-equals": ("label = B1\nw_wire 12um\n" + _B1_CFG, 2,
+                  "expected 'key = value'"),
+    "unknown-key": (_B1_CFG + "h_pad = 3um\n", 8,
+                    "unknown geometry key 'h_pad'"),
+    "unit-kind": (_B1_CFG.replace("s_pad = 6400um2", "s_pad = 80um"), 7,
+                  "'um'"),
+    "missing-key": (_B1_CFG.replace("w_cap = 15um\n", ""), None,
+                    "missing geometry keys: ['w_cap']"),
+}
+
+
+def _refused(capsys, tmp_path, argv, text, line, words):
+    """Run ``argv`` with {file} holding ``text``: it exits 4 with one line
+    on stderr that holds ``words`` and names ``line``, and no traceback."""
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *argv.format(file=path).split(),
+                             "--no-timestamp")
+    assert code == 4, err
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert words in err
+    assert err.endswith(f" (line {line})\n") if line else "(line" not in err
+
+
+@pytest.mark.parametrize("text, line, words", TRACE_REFUSALS.values(),
+                         ids=TRACE_REFUSALS)
+def test_trace_file_refusals_exit_4(capsys, tmp_path, text, line, words):
+    _refused(capsys, tmp_path, "fit {file} --c 4.6e10/s", text, line, words)
+
+
+@pytest.mark.parametrize("text, line, words", POINTS_REFUSALS.values(),
+                         ids=POINTS_REFUSALS)
+def test_points_file_refusals_exit_4(capsys, tmp_path, text, line, words):
+    _refused(capsys, tmp_path, "t1fit {file} --c 4.6e10/s", text, line,
+             words)
+
+
+@pytest.mark.parametrize("text, line, words", GEOMETRY_REFUSALS.values(),
+                         ids=GEOMETRY_REFUSALS)
+def test_geometry_file_refusals_exit_4(capsys, tmp_path, text, line, words):
+    _refused(capsys, tmp_path, "eigenrate --geom {file} --nl 1 --nr 0 --p "
+             "0.067cm2/s --d 18cm2/s", text, line, words)
 
 
 class TestManifest:
@@ -642,6 +734,14 @@ class TestCli:
         assert result == {"delta_omega_rad_per_s": 0.0, "delta_f_hz": 0.0,
                           "ratio_to_gamma": 0.0}
         assert "-0.0" not in out
+
+    def test_freqshift_refuses_a_qubit_above_pair_breaking(self, capsys):
+        code, out, err = run_cli(capsys, "estimate", "freqshift", "--gamma",
+                                 "1e5/s", "--omega", "90GHz", "--delta",
+                                 "180ueV")
+        assert code == 5
+        assert out == ""
+        assert "below the pair-breaking threshold 2*Delta" in err
 
     def test_failed_run_leaves_out_file_untouched(self, capsys, tmp_path):
         target = tmp_path / "kept.json"

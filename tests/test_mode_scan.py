@@ -206,6 +206,35 @@ def test_full_root_matches_pde_slowest_mode(geom, n_left, n_right, p):
 
 
 @settings(max_examples=100, deadline=None)
+@given(geom=geometries, n_left=st.integers(1, 6), n_right=counts,
+       p=st.floats(-4.0, -1.0).map(lambda x: 10.0 ** x),
+       d=st.floats(5e-4, 50e-4))
+def test_full_root_matches_pde_slowest_mode_strong_trapping(
+        geom, n_left, n_right, p, d):
+    """Criterion 8's 0.5% under strong trapping, P 1e-4 to 1e-1 m^2/s,
+    where the weighted residual of slowest_mode can stall at round-off
+    above its bar."""
+    vc, tp = VortexConfig(n_left, n_right, p), TransportParams(d=d, s0=0.0)
+    s_pde = slowest_mode(build(geom, vc, tp, resolution=200))[0]
+    s_eq = smallest_root(geom, vc, tp, form="full").s
+    assert abs(s_pde - s_eq) / s_eq < 0.005
+
+
+def test_slowest_mode_stops_on_a_stalled_residual():
+    """A strong-trapping mesh whose weighted residual stalls at 1.25 times
+    its bar: the iteration used to run all 10 000 solves and raise."""
+    geom = DeviceGeometry(w_wire=4.1124e-6, l_wire=105.99e-6,
+                          h_cap=24.898e-6, l_half_gap=4.3542e-6,
+                          w_cap=6.862e-6, l_cap=467.26e-6, s_pad=9.2575e-9)
+    vc, tp = VortexConfig(1, 1, 0.035938), TransportParams(d=18.287e-4,
+                                                           s0=0.0)
+    s_pde = slowest_mode(build(geom, vc, tp, resolution=200), max_iter=100)[0]
+    assert s_pde == pytest.approx(6809.030775, rel=1e-9)
+    s_eq = smallest_root(geom, vc, tp, form="full").s
+    assert abs(s_pde - s_eq) / s_eq < 1e-7
+
+
+@settings(max_examples=100, deadline=None)
 @given(geom=geometries, n_left=counts, n_right=counts, p=powers,
        form=st.sampled_from(["reduced", "full"]))
 def test_rate_symmetric_under_pad_exchange(geom, n_left, n_right, p, form):
