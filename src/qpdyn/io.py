@@ -1,11 +1,12 @@
 """File ingestion and result serialization.
 
 Trace files are CSV with header ``t,gamma`` or ``t,gamma,sigma``; values
-are SI (seconds, 1/s) unless an optional comment line ``# units: t=us
-gamma=1/ms`` declares otherwise.  Every value must be finite, and all but
-t also > 0; a refusal names the line.  ``#`` lines are comments, encoding
-is UTF-8 with LF endings.  Numbers are written with repr, so a
-parse-serialize round trip is lossless.
+are SI (seconds, 1/s) unless optional comment lines ``# units: t=us
+gamma=1/ms`` declare otherwise.  Units lines come before the first data
+row; their factors merge, and a column takes a unit once.  Every value
+must be finite, and all but t also > 0; a refusal names the line.  ``#``
+lines are comments, encoding is UTF-8 with LF endings.  Numbers are
+written with repr, so a parse-serialize round trip is lossless.
 
 Every CLI output is accompanied by a RunManifest recording the command,
 all resolved parameters in SI, input file hashes, the seed, and the
@@ -38,18 +39,22 @@ _POINTS_FORMAT = {"tau_ss": ("time", ">"), "inv_t1": ("rate", ">"),
                   "sigma_inv_t1": ("rate", ">")}
 
 
-def _parse_units_comment(line: str, columns: dict, lineno: int) -> dict:
-    factors = {}
+def _parse_units_comment(line: str, columns: dict, lineno: int,
+                         factors: dict) -> None:
+    """Add the factors of one ``# units:`` line to ``factors``; a column
+    may be given a unit once."""
     for tok in line.split(":", 1)[1].split():
         name, _, unit = tok.partition("=")
         if name not in columns:
             raise TraceParseError(f"units given for unknown column {name!r}",
                                   line=lineno)
+        if name in factors:
+            raise TraceParseError(f"units given twice for column {name!r}",
+                                  line=lineno)
         try:
             factors[name] = unit_factor(unit, columns[name][0])
         except Exception as exc:
             raise TraceParseError(str(exc), line=lineno) from exc
-    return factors
 
 
 def _read_table(text: str, columns: dict):
@@ -65,7 +70,10 @@ def _read_table(text: str, columns: dict):
             continue
         if line.startswith("#"):
             if line[1:].lstrip().lower().startswith("units:"):
-                factors = _parse_units_comment(line, columns, lineno)
+                if rows:
+                    raise TraceParseError(
+                        "units line after the first data row", line=lineno)
+                _parse_units_comment(line, columns, lineno, factors)
             continue
         if header is None:
             header = [c.strip() for c in line.split(",")]

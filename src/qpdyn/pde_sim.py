@@ -3,9 +3,12 @@
 Independent oracle for the transcendental eigenmode solver, and a full
 nonlinear time evolver (diffusion + recombination + generation +
 injection drive) built on scipy's stiff Radau IIA integrator with the
-exact sparse Jacobian.  The network is the electrode graph of
-geometry.edges, the analytic model's: 1-D segments joined with
-width-weighted flux matching, pads as lumped nodes carrying the trapping.
+exact Jacobian.  The network is the electrode graph of geometry.edges,
+the analytic model's: 1-D segments joined with width-weighted flux
+matching, pads as lumped nodes carrying the trapping.  The graph is a
+tree, so in reverse Cuthill-McKee order every mesh is banded with
+kl = ku = 3, and a banded LU factors the integrator's linear systems in
+O(n).
 
 The spatial operator is a conservative finite-volume generator G
 (dx/dt = G x): with s0 = P = 0 the area-weighted column sums of G vanish
@@ -17,6 +20,7 @@ call, so its Python-level work grows with the chains, not the nodes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -282,6 +286,71 @@ class EvolveSpec:
         check_time_grid("t_grid", self.t_grid, from_zero=True)
 
 
+@functools.cache
+def _banded_radau():
+    """scipy's Radau IIA with its linear algebra in LAPACK band storage.
+
+    The class is made on first use, so that importing pde_sim loads no
+    scipy.integrate.  Radau keeps its step control, Newton iteration and
+    the caller's exact Jacobian; only the matrices change form.  The
+    Jacobian's pattern, permuted to reverse Cuthill-McKee order, fixes the
+    band widths kl and ku: 3 and 3 on the electrode tree, 2 and 2 once a
+    clamped junction leaves the unknowns.  Radau's own `MU / h * I - J`
+    then forms the band matrix that ?gbtrf factors and ?gbtrs solves in
+    O(n).  The permutation stays inside the Jacobian and
+    the solve, so states, `fun` and the returned solution keep the
+    caller's order.
+    """
+    from scipy.integrate import Radau
+    from scipy.linalg.lapack import dgbtrf, dgbtrs, zgbtrf, zgbtrs
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    class BandedRadau(Radau):
+        def __init__(self, fun, t0, y0, t_bound, **options):
+            super().__init__(fun, t0, y0, t_bound, **options)
+            order = reverse_cuthill_mckee(self.J, symmetric_mode=True)
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size)
+            pattern = self.J.tocoo()
+            offset = rank[pattern.row] - rank[pattern.col]
+            kl, ku = max(offset.max(), 0), max(-offset.min(), 0)
+            rows = 2 * kl + ku + 1  # the top kl rows hold ?gbtrf's fill-in
+
+            def band(a):
+                """Sparse a in caller order -> band storage in RCM order."""
+                a = a.tocoo()
+                out = np.zeros((rows, a.shape[1]), order="F")
+                out[kl + ku + rank[a.row] - rank[a.col], rank[a.col]] = a.data
+                return out
+
+            def lu(a):
+                self.nlu += 1
+                factor, piv, info = (zgbtrf if np.iscomplexobj(a) else
+                                     dgbtrf)(a, kl, ku, overwrite_ab=True)
+                # ?gbtrf passes NaN and inf through where SuperLU stops
+                if info != 0 or not np.isfinite(factor).all():
+                    raise RuntimeError(
+                        "banded LU factor is singular or not finite")
+                return factor, piv
+
+            def solve_lu(lu, b):
+                factor, piv = lu
+                x, _ = (zgbtrs if np.iscomplexobj(factor) else dgbtrs)(
+                    factor, kl, ku, b[order], piv, overwrite_b=True)
+                out = np.empty_like(x)
+                out[order] = x
+                return out
+
+            sparse_jac = self.jac
+            self.jac = lambda t, y, f=None: band(sparse_jac(t, y, f))
+            self.J = band(self.J)
+            self.I = np.zeros_like(self.J)
+            self.I[kl + ku] = 1.0
+            self.lu, self.solve_lu = lu, solve_lu
+
+    return BandedRadau
+
+
 def _solve_piece(disc: Discretization, spec: EvolveSpec, x: np.ndarray,
                  t0: float, t_eval: np.ndarray, tol: float, scale: float,
                  driven: bool) -> np.ndarray:
@@ -311,13 +380,13 @@ def _solve_piece(disc: Discretization, spec: EvolveSpec, x: np.ndarray,
             src[jj] += spec.injection_rate
         try:
             sol = solve_ivp(lambda t, y: gen @ y - r * y * y + src,
-                            (t0, t_eval[-1]), x[free], method="Radau",
-                            t_eval=t_eval,
+                            (t0, t_eval[-1]), x[free],
+                            method=_banded_radau(), t_eval=t_eval,
                             jac=lambda t, y: gen - sp.diags(2.0 * r * y),
                             rtol=tol,
                             atol=1e-3 * tol * scale or np.finfo(float).tiny)
             why = None if sol.success else sol.message
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        except RuntimeError as exc:  # banded LU: singular or not finite
             why = str(exc)
     if why is not None:
         if overflow:
@@ -336,14 +405,16 @@ def evolve(disc: Discretization, spec: EvolveSpec, tol: float = 1e-8,
     """Integrate the full nonlinear system; return junction density at t_grid.
 
     dx/dt = G x - r x^2 + g (+ the junction drive) is integrated by scipy's
-    Radau IIA with the exact sparse Jacobian G - 2 r diag(x), one solve per
-    drive piece, [0, t_inj] and [t_inj, t_end].  A clamped junction is a
-    Dirichlet node: it leaves the unknowns and feeds its neighbours through
-    G[:, junction] * injection_density.  `tol` is the relative tolerance;
-    the absolute tolerance is 1e-3 * tol times the largest density scale
-    of the inputs (x_init, injection_density, injection_rate * t_inj, or
-    g * t_end), so decaying tails keep relative accuracy over three
-    decades.  Densities are clipped at zero.
+    Radau IIA with the exact Jacobian G - 2 r diag(x), one solve per drive
+    piece, [0, t_inj] and [t_inj, t_end].  Radau's linear systems are
+    solved by a banded LU (LAPACK ?gbtrf / ?gbtrs) in reverse Cuthill-McKee
+    order, where the electrode tree has kl = ku = 3.  A clamped junction is
+    a Dirichlet node: it leaves the unknowns and feeds its neighbours
+    through G[:, junction] * injection_density.  `tol` is the relative
+    tolerance; the absolute tolerance is 1e-3 * tol times the largest
+    density scale of the inputs (x_init, injection_density,
+    injection_rate * t_inj, or g * t_end), so decaying tails keep relative
+    accuracy over three decades.  Densities are clipped at zero.
 
     With return_full=True also returns the (n_times, n_nodes) state matrix.
     """

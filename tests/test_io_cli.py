@@ -45,6 +45,14 @@ class TestTraceFiles:
         assert tr.gamma[0] == pytest.approx(50e3)
         assert tr.sigma[0] == pytest.approx(1.0)
 
+    def test_units_lines_merge(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("# units: t=us\nt,gamma\n# units: gamma=1/ms\n"
+                     "100,50\n200,30\n")
+        tr = qio.read_trace(p)
+        assert tr.t == pytest.approx([100e-6, 200e-6])
+        assert tr.gamma == pytest.approx([50e3, 30e3])
+
     def test_bad_header(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("time,rate\n1,2\n")
@@ -110,6 +118,16 @@ class TestPointsFile:
         assert pts[1].tau_ss == 9e-3
         assert pts[1].sigma_inv_t1 == 2e3
 
+    def test_units_lines_merge(self, tmp_path):
+        p = tmp_path / "pts.csv"
+        p.write_text("# units: tau_ss=ms\n# units: inv_t1=1/ms "
+                     "sigma_inv_t1=1/ms\ntau_ss,inv_t1,sigma_inv_t1\n"
+                     "2,100,1\n9,200,2\n")
+        pts = qio.read_points(p)
+        assert pts[1].tau_ss == pytest.approx(9e-3)
+        assert pts[1].inv_t1 == pytest.approx(2e5)
+        assert pts[1].sigma_inv_t1 == pytest.approx(2e3)
+
 
 def test_non_finite_value_in_a_list_is_named():
     manifest = qio.build_manifest("demo", {}, no_timestamp=True)
@@ -136,6 +154,10 @@ TRACE_REFUSALS = {
                    "sigma must be finite and > 0, got 0.0"),
     "overflow-in-units": ("# units: gamma=1/ns\nt,gamma\n1e-4,1e300\n", 3,
                           "gamma must be finite and > 0, got inf"),
+    "units-twice": ("# units: t=us gamma=1/ms\n# units: t=ms\nt,gamma\n"
+                    "100,50\n", 2, "units given twice for column 't'"),
+    "units-after-data": ("t,gamma\n100,50\n# units: t=us\n200,30\n", 3,
+                         "units line after the first data row"),
 }
 POINTS_REFUSALS = {
     "units-unknown-column": ("# units: tau=ms\ntau_ss,inv_t1\n2,1e5\n", 1,
@@ -153,6 +175,11 @@ POINTS_REFUSALS = {
     "sigma-non-finite": ("tau_ss,inv_t1,sigma_inv_t1\n2e-3,1e5,1e3\n"
                          "9e-3,2e5,nan\n16e-3,3e5,1e3\n", 3,
                          "sigma_inv_t1 must be finite and > 0, got nan"),
+    "units-twice": ("# units: tau_ss=ms tau_ss=us\ntau_ss,inv_t1\n2,1e5\n",
+                    1, "units given twice for column 'tau_ss'"),
+    "units-after-data": ("tau_ss,inv_t1\n2,1e5\n9,2e5\n"
+                         "# units: inv_t1=1/ms\n", 4,
+                         "units line after the first data row"),
 }
 _B1_CFG = ("w_wire = 12um\nl_wire = 200um\nh_cap = 75um\n"
            "l_half_gap = 7.5um\nw_cap = 15um\nl_cap = 600um\n"
@@ -891,6 +918,31 @@ def test_mode_and_closed_form_commands_load_no_scipy(tmp_path):
     assert len(report) == len(tour) + 1
     assert all(code == 0 for _, code, _ in report), report
     assert [cmd for cmd, _, loaded in report if loaded] == []
+
+
+def test_pde_eigen_loads_no_integrator_or_graph_module():
+    """pde eigen, run by main in a fresh interpreter, loads neither
+    scipy.integrate nor scipy.sparse.csgraph; pde evolve, run after it in
+    the same interpreter, loads both."""
+    import subprocess
+    import sys
+
+    tour = [argv.split() for argv, _ in README_TOUR if argv.startswith("pde")]
+    probe = (
+        "import json, os, sys\n"
+        "from qpdyn.cli import main\n"
+        "report = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    code = main(argv + ['--out-file', os.devnull])\n"
+        "    report.append([argv[1], code, [m for m in ('scipy.integrate', "
+        "'scipy.sparse.csgraph') if m in sys.modules]])\n"
+        "print(json.dumps(report))\n")
+    done = subprocess.run([sys.executable, "-c", probe, json.dumps(tour)],
+                          capture_output=True, text=True, check=True,
+                          env=subprocess_env())
+    assert json.loads(done.stdout) == [
+        ["eigen", 0, []],
+        ["evolve", 0, ["scipy.integrate", "scipy.sparse.csgraph"]]]
 
 
 # the qpdyn modules a README-tour command must not load, by its first word

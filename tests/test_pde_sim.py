@@ -1,6 +1,7 @@
 import itertools
 import re
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from qpdyn.dynamics import RateParams, integrate_ode
 from qpdyn.eigenmode import TransportParams, VortexConfig, smallest_root
 from qpdyn.errors import (InvalidParameterError, InvalidResolutionError,
-                          NonConvergenceError)
+                          NonConvergenceError, StepSizeUnderflowError)
+from qpdyn.geometry import load_geometry
 from qpdyn.pde_sim import (EvolveSpec, build, evolve,
                            factorized_dynamics_check, slowest_mode)
 
@@ -329,6 +331,95 @@ class TestEvolve:
             with pytest.raises(InvalidParameterError):
                 evolve(disc_free, EvolveSpec(r=0.0, g=0.0, t_grid=(1e-3,),
                                              x_init=bad))
+
+
+# evolve's drives, each to 200 us: the rate and clamp pulses last 50 us,
+# and the clamp starts from half its density
+DRIVES = {"rate": {"injection_rate": 1e4, "t_inj": 50e-6},
+          "clamp": {"x_init": 1e-4, "injection_density": 2e-4,
+                    "t_inj": 50e-6},
+          "free": {"x_init": 1e-4}}
+
+
+def _bundled(name):
+    return load_geometry(resources.files("qpdyn.data")
+                         / f"geometry_{name}_like.cfg")
+
+
+def _bundled_mesh(name, resolution):
+    return build(_bundled(name), VortexConfig(1, 2, P_REF),
+                 TransportParams(d=18e-4, s0=100.0), resolution=resolution)
+
+
+def _drive(drive):
+    return EvolveSpec(r=R_B1, g=1e-4, t_grid=(50e-6, 100e-6, 150e-6, 200e-6),
+                      **DRIVES[drive])
+
+
+class TestBandedRadau:
+    # a Latin square: each geometry meets each resolution and each drive
+    # once, and each resolution meets each drive once
+    @pytest.mark.parametrize("name, resolution, drive", [
+        ("b1", 20, "rate"), ("b1", 50, "clamp"), ("b1", 200, "free"),
+        ("b2", 20, "clamp"), ("b2", 50, "free"), ("b2", 200, "rate"),
+        ("b3", 20, "free"), ("b3", 50, "rate"), ("b3", 200, "clamp")])
+    def test_matches_radau_with_the_sparse_jacobian(self, monkeypatch, name,
+                                                    resolution, drive):
+        # the banded LU changes only round-off: Radau takes the same steps
+        from scipy.integrate import Radau
+
+        from qpdyn import pde_sim
+        disc, spec = _bundled_mesh(name, resolution), _drive(drive)
+        _, banded = evolve(disc, spec, tol=1e-8, return_full=True)
+        monkeypatch.setattr(pde_sim, "_banded_radau", lambda: Radau)
+        _, plain = evolve(disc, spec, tol=1e-8, return_full=True)
+        np.testing.assert_allclose(banded, plain, rtol=1e-9,
+                                   atol=1e-9 * np.abs(plain).max())
+
+    def test_superlu_is_never_called(self, monkeypatch):
+        # Radau's own factorization would reach splu; the banded hooks
+        # replace it, so evolve runs with splu broken
+        import scipy.integrate._ivp.radau as radau
+        from scipy.integrate import Radau
+
+        from qpdyn import pde_sim
+
+        def broken(matrix):
+            raise RuntimeError("splu called")
+
+        monkeypatch.setattr(radau, "splu", broken)
+        disc = _bundled_mesh("b1", 20)
+        for drive in DRIVES:
+            assert np.all(np.isfinite(evolve(disc, _drive(drive))))
+        monkeypatch.setattr(pde_sim, "_banded_radau", lambda: Radau)
+        with pytest.raises(StepSizeUnderflowError, match="splu called"):
+            evolve(disc, _drive("free"))
+
+    @pytest.mark.parametrize("extreme", [
+        {"r": 1e300}, {"g": 1e300}, {"x_init": 1e300},
+        {"injection_density": 1e300, "injection_rate": 0.0}],
+        ids=["r", "g", "x_init", "clamp"])
+    def test_non_finite_factors_fail_fast_and_typed(self, monkeypatch,
+                                                    extreme):
+        # a NaN step size never falls below Radau's min_step: without the
+        # factor check the step loop refactors forever
+        import scipy.integrate._ivp.radau as radau
+        newton = radau.solve_collocation_system
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            assert len(calls) < 1000, "Radau's step loop does not end"
+            return newton(*args)
+
+        monkeypatch.setattr(radau, "solve_collocation_system", counted)
+        disc = build(_bundled("b2"), VortexConfig(0, 0, 0.0),
+                     TransportParams(d=18e-4, s0=100.0))
+        spec = EvolveSpec(**{"r": 6.25e6, "g": 1e-4, "injection_rate": 1e4,
+                             "t_inj": 600e-6, "t_grid": (1e-3, 8e-3),
+                             **extreme})
+        with pytest.raises(StepSizeUnderflowError, match="overflow"):
+            evolve(disc, spec)
 
 
 class TestFactorizedDynamics:
