@@ -42,8 +42,6 @@ class QubitParams:
 
     omega_q   : qubit angular frequency, rad/s
     delta_gap : superconducting gap of the electrode film, J
-    t_c       : critical temperature, K (optional; validated and carried
-                along, but no library function reads it)
 
     The qubit must sit below the pair-breaking threshold,
     hbar*omega_q < 2*delta_gap.
@@ -51,7 +49,6 @@ class QubitParams:
 
     omega_q: float
     delta_gap: float
-    t_c: float | None = None
 
     def __post_init__(self):
         check_finite("omega_q", self.omega_q, ">")
@@ -61,15 +58,12 @@ class QubitParams:
                 "hbar*omega_q must be below the pair-breaking threshold "
                 f"2*Delta (got hbar*omega = {CODATA.hbar * self.omega_q:.4g} J, "
                 f"2*Delta = {2 * self.delta_gap:.4g} J)")
-        if self.t_c is not None:
-            check_finite("t_c", self.t_c, ">")
 
     @classmethod
-    def from_lab(cls, freq_ghz: float, gap_uev: float,
-                 t_c: float | None = None) -> "QubitParams":
+    def from_lab(cls, freq_ghz: float, gap_uev: float) -> "QubitParams":
         """Build from lab units: qubit frequency in GHz, gap in micro-eV."""
         return cls(omega_q=2 * math.pi * freq_ghz * 1e9,
-                   delta_gap=gap_uev * 1e-6 * EV, t_c=t_c)
+                   delta_gap=gap_uev * 1e-6 * EV)
 
 
 def qp_coupling_constant(q: QubitParams) -> float:

@@ -7,8 +7,11 @@ exact Jacobian.  The network is the electrode graph of geometry.edges,
 the analytic model's: 1-D segments joined with width-weighted flux
 matching, pads as lumped nodes carrying the trapping.  The graph is a
 tree, so in reverse Cuthill-McKee order every mesh is banded with
-kl = ku = 3, and a banded LU factors the integrator's linear systems in
-O(n).
+kl = ku = 3, and 2 and 2 once a clamped junction leaves the unknowns.
+Each drive piece of the evolver is put in that order once: the
+right-hand side's G y is one banded BLAS product, a banded LU factors
+the integrator's linear systems in O(n), and each solve is one LAPACK
+call.
 
 The spatial operator is a conservative finite-volume generator G
 (dx/dt = G x): with s0 = P = 0 the area-weighted column sums of G vanish
@@ -286,6 +289,22 @@ class EvolveSpec:
         check_time_grid("t_grid", self.t_grid, from_zero=True)
 
 
+def _band_widths(a: sp.spmatrix) -> tuple[int, int]:
+    """Lower and upper band widths kl, ku of the stored pattern of a."""
+    a = a.tocoo()
+    offset = a.row - a.col
+    return int(max(offset.max(), 0)), int(max(-offset.min(), 0))
+
+
+def _band(a: sp.spmatrix, kl: int, ku: int, fill: int = 0) -> np.ndarray:
+    """LAPACK band storage of a: a[i, j] at row fill + ku + i - j, column j,
+    below `fill` zero rows (?gbtrf's fill-in takes kl of them)."""
+    a = a.tocoo()
+    out = np.zeros((fill + kl + ku + 1, a.shape[1]), order="F")
+    out[fill + ku + a.row - a.col, a.col] = a.data
+    return out
+
+
 @functools.cache
 def _banded_radau():
     """scipy's Radau IIA with its linear algebra in LAPACK band storage.
@@ -293,57 +312,41 @@ def _banded_radau():
     The class is made on first use, so that importing pde_sim loads no
     scipy.integrate.  Radau keeps its step control, Newton iteration and
     the caller's exact Jacobian; only the matrices change form.  The
-    Jacobian's pattern, permuted to reverse Cuthill-McKee order, fixes the
-    band widths kl and ku: 3 and 3 on the electrode tree, 2 and 2 once a
-    clamped junction leaves the unknowns.  Radau's own `MU / h * I - J`
-    then forms the band matrix that ?gbtrf factors and ?gbtrs solves in
-    O(n).  The permutation stays inside the Jacobian and
-    the solve, so states, `fun` and the returned solution keep the
-    caller's order.
+    caller hands over a system already in band order (`_solve_piece` puts
+    it in reverse Cuthill-McKee order), so the Jacobian's own pattern
+    fixes the band widths kl and ku: 3 and 3 on the electrode tree, 2 and
+    2 once a clamped junction leaves the unknowns.  Radau's own
+    `MU / h * I - J` then forms the band matrix that ?gbtrf factors, and
+    each solve is one ?gbtrs call on the right-hand side in place: every
+    caller of `solve_lu` in Radau passes a temporary.
     """
     from scipy.integrate import Radau
     from scipy.linalg.lapack import dgbtrf, dgbtrs, zgbtrf, zgbtrs
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     class BandedRadau(Radau):
         def __init__(self, fun, t0, y0, t_bound, **options):
             super().__init__(fun, t0, y0, t_bound, **options)
-            order = reverse_cuthill_mckee(self.J, symmetric_mode=True)
-            rank = np.empty_like(order)
-            rank[order] = np.arange(order.size)
-            pattern = self.J.tocoo()
-            offset = rank[pattern.row] - rank[pattern.col]
-            kl, ku = max(offset.max(), 0), max(-offset.min(), 0)
-            rows = 2 * kl + ku + 1  # the top kl rows hold ?gbtrf's fill-in
-
-            def band(a):
-                """Sparse a in caller order -> band storage in RCM order."""
-                a = a.tocoo()
-                out = np.zeros((rows, a.shape[1]), order="F")
-                out[kl + ku + rank[a.row] - rank[a.col], rank[a.col]] = a.data
-                return out
+            kl, ku = _band_widths(self.J)
 
             def lu(a):
                 self.nlu += 1
-                factor, piv, info = (zgbtrf if np.iscomplexobj(a) else
-                                     dgbtrf)(a, kl, ku, overwrite_ab=True)
+                trf, trs = (zgbtrf, zgbtrs) if np.iscomplexobj(a) else \
+                    (dgbtrf, dgbtrs)
+                factor, piv, info = trf(a, kl, ku, overwrite_ab=True)
                 # ?gbtrf passes NaN and inf through where SuperLU stops
                 if info != 0 or not np.isfinite(factor).all():
                     raise RuntimeError(
                         "banded LU factor is singular or not finite")
-                return factor, piv
+                return trs, factor, piv
 
             def solve_lu(lu, b):
-                factor, piv = lu
-                x, _ = (zgbtrs if np.iscomplexobj(factor) else dgbtrs)(
-                    factor, kl, ku, b[order], piv, overwrite_b=True)
-                out = np.empty_like(x)
-                out[order] = x
-                return out
+                trs, factor, piv = lu
+                return trs(factor, kl, ku, b, piv, overwrite_b=True)[0]
 
             sparse_jac = self.jac
-            self.jac = lambda t, y, f=None: band(sparse_jac(t, y, f))
-            self.J = band(self.J)
+            self.jac = lambda t, y, f=None: _band(sparse_jac(t, y, f),
+                                                  kl, ku, kl)
+            self.J = _band(self.J, kl, ku, kl)
             self.I = np.zeros_like(self.J)
             self.I[kl + ku] = 1.0
             self.lu, self.solve_lu = lu, solve_lu
@@ -357,34 +360,67 @@ def _solve_piece(disc: Discretization, spec: EvolveSpec, x: np.ndarray,
     """Radau IIA solve of one drive piece, from state x at t0 to t_eval[-1].
 
     dy/dt = G y - r y^2 + g, plus the junction drive when `driven`; the
-    absolute tolerance is 1e-3 * tol * scale.  Returns the (n_nodes,
-    n_times) states at t_eval, clipped at zero.  Float overflow is not
-    left to numpy's warnings: the failed solve it causes raises
-    StepSizeUnderflowError naming the piece, r and the density scale.
+    absolute tolerance is 1e-3 * tol * scale.  The unknowns enter the
+    integrator in reverse Cuthill-McKee order, where G y is one banded
+    BLAS ?gbmv, and the states come back in node order.  Returns the
+    (n_nodes, n_times) states at t_eval, clipped at zero, and logs one
+    DEBUG record on the qpdyn.pde_sim logger with the interval, the
+    unknowns, the band widths and Radau's counts; its args are a dict.
+    Float overflow is not left to numpy's warnings: the failed solve it
+    causes raises StepSizeUnderflowError naming the piece, r and the
+    density scale.
     """
-    import scipy.sparse as sp
+    import logging
+
     from scipy.integrate import solve_ivp
+    from scipy.linalg.blas import dgbmv
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     gen, jj, r = disc.generator, disc.junction_index, spec.r
     src = np.full(x.size, spec.g)
     clamp = driven and spec.injection_density is not None
-    free = np.flatnonzero(np.arange(x.size) != jj) if clamp else slice(None)
+    keep = np.arange(x.size)
     overflow = []
     with np.errstate(over="call", invalid="ignore", divide="ignore",
                      call=lambda err, flag: overflow.append(err)):
         if clamp:  # the clamped junction leaves the unknowns
-            src = src[free] + spec.injection_density \
-                * gen[free, jj].toarray().ravel()
-            gen = gen[free][:, free]
+            keep = keep[keep != jj]
+            src[keep] += spec.injection_density \
+                * gen[keep, jj].toarray().ravel()
+            gen = gen[keep][:, keep]
         elif driven:
             src[jj] += spec.injection_rate
+        band_order = reverse_cuthill_mckee(gen, symmetric_mode=True)
+        gen = gen[band_order][:, band_order]
+        order = keep[band_order]
+        src, n = src[order], order.size
+        pattern = gen.tocoo()  # build stores every diagonal entry, once
+        diagonal = np.flatnonzero(pattern.row == pattern.col)
+        kl, ku = _band_widths(pattern)
+        gen_band = _band(pattern, kl, ku)
+
+        def fun(t, y):
+            return dgbmv(n, n, kl, ku, 1.0, gen_band, y) - r * y * y + src
+
+        def jac(t, y):  # G - 2 r diag(y), as a sparse matrix
+            out = gen.copy()
+            out.data[diagonal] -= 2.0 * r * y
+            return out
+
         try:
-            sol = solve_ivp(lambda t, y: gen @ y - r * y * y + src,
-                            (t0, t_eval[-1]), x[free],
-                            method=_banded_radau(), t_eval=t_eval,
-                            jac=lambda t, y: gen - sp.diags(2.0 * r * y),
+            sol = solve_ivp(fun, (t0, t_eval[-1]), x[order],
+                            method=_banded_radau(), t_eval=t_eval, jac=jac,
                             rtol=tol,
                             atol=1e-3 * tol * scale or np.finfo(float).tiny)
+            log = logging.getLogger(__name__)
+            if log.isEnabledFor(logging.DEBUG):
+                log.debug(
+                    "piece [%(t0).6g, %(t1).6g] s: %(unknowns)d unknowns, "
+                    "kl = %(kl)d, ku = %(ku)d; Radau nfev %(nfev)d, njev "
+                    "%(njev)d, nlu %(nlu)d, status %(status)d",
+                    {"t0": t0, "t1": float(t_eval[-1]), "unknowns": n,
+                     "kl": kl, "ku": ku, "nfev": sol.nfev, "njev": sol.njev,
+                     "nlu": sol.nlu, "status": sol.status})
             why = None if sol.success else sol.message
         except RuntimeError as exc:  # banded LU: singular or not finite
             why = str(exc)
@@ -396,8 +432,11 @@ def _solve_piece(disc: Discretization, spec: EvolveSpec, x: np.ndarray,
         raise StepSizeUnderflowError(
             f"stiff integrator failed on the {'' if driven else 'un'}driven "
             f"piece [{t0:.6g}, {t_eval[-1]:.6g}] s: {why}")
-    ys = np.maximum(sol.y, 0.0)
-    return np.insert(ys, jj, spec.injection_density, axis=0) if clamp else ys
+    ys = np.empty((x.size, t_eval.size))
+    ys[order] = np.maximum(sol.y, 0.0)
+    if clamp:
+        ys[jj] = spec.injection_density
+    return ys
 
 
 def evolve(disc: Discretization, spec: EvolveSpec, tol: float = 1e-8,
@@ -406,15 +445,17 @@ def evolve(disc: Discretization, spec: EvolveSpec, tol: float = 1e-8,
 
     dx/dt = G x - r x^2 + g (+ the junction drive) is integrated by scipy's
     Radau IIA with the exact Jacobian G - 2 r diag(x), one solve per drive
-    piece, [0, t_inj] and [t_inj, t_end].  Radau's linear systems are
-    solved by a banded LU (LAPACK ?gbtrf / ?gbtrs) in reverse Cuthill-McKee
-    order, where the electrode tree has kl = ku = 3.  A clamped junction is
-    a Dirichlet node: it leaves the unknowns and feeds its neighbours
-    through G[:, junction] * injection_density.  `tol` is the relative
-    tolerance; the absolute tolerance is 1e-3 * tol times the largest
-    density scale of the inputs (x_init, injection_density,
-    injection_rate * t_inj, or g * t_end), so decaying tails keep relative
-    accuracy over three decades.  Densities are clipped at zero.
+    piece, [0, t_inj] and [t_inj, t_end].  Each piece runs in reverse
+    Cuthill-McKee order, where the electrode tree has kl = ku = 3: G y is a
+    banded BLAS ?gbmv, and Radau's linear systems are solved by a banded LU
+    (LAPACK ?gbtrf / ?gbtrs).  A clamped junction is a Dirichlet node: it
+    leaves the unknowns, narrowing the band to kl = ku = 2, and feeds its
+    neighbours through G[:, junction] * injection_density.  The states are
+    returned in node order.  `tol` is the relative tolerance; the absolute
+    tolerance is 1e-3 * tol times the largest density scale of the inputs
+    (x_init, injection_density, injection_rate * t_inj, or g * t_end), so
+    decaying tails keep relative accuracy over three decades.  Densities
+    are clipped at zero.
 
     With return_full=True also returns the (n_times, n_nodes) state matrix.
     """

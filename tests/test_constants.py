@@ -71,7 +71,6 @@ def test_gamma_linearity(qubit):
 
 
 def test_from_lab_conversion():
-    q = QubitParams.from_lab(5.712, 180.0, t_c=1.2)
+    q = QubitParams.from_lab(5.712, 180.0)
     assert q.omega_q == pytest.approx(2 * math.pi * 5.712e9, rel=1e-15)
     assert q.delta_gap == pytest.approx(180e-6 * EV, rel=1e-15)
-    assert q.t_c == 1.2

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import re
 from dataclasses import replace
 from importlib import resources
@@ -420,6 +421,55 @@ class TestBandedRadau:
                              **extreme})
         with pytest.raises(StepSizeUnderflowError, match="overflow"):
             evolve(disc, spec)
+
+
+# the Latin square of test_matches_radau_with_the_sparse_jacobian
+LATIN_SQUARE = [
+    ("b1", 20, "rate"), ("b1", 50, "clamp"), ("b1", 200, "free"),
+    ("b2", 20, "clamp"), ("b2", 50, "free"), ("b2", 200, "rate"),
+    ("b3", 20, "free"), ("b3", 50, "rate"), ("b3", 200, "clamp")]
+
+
+def _pieces(caplog):
+    """The per-piece counts evolve logged, one dict per drive piece."""
+    return [record.args for record in caplog.records
+            if record.name == "qpdyn.pde_sim"]
+
+
+@pytest.mark.parametrize("name, resolution, drive", LATIN_SQUARE)
+def test_banded_radau_takes_the_same_steps(monkeypatch, caplog, name,
+                                           resolution, drive):
+    # same function calls, Jacobians and factorizations on every piece
+    from scipy.integrate import Radau
+
+    from qpdyn import pde_sim
+    caplog.set_level(logging.DEBUG, logger="qpdyn.pde_sim")
+    disc, spec = _bundled_mesh(name, resolution), _drive(drive)
+    evolve(disc, spec, tol=1e-8)
+    banded = _pieces(caplog)
+    caplog.clear()
+    monkeypatch.setattr(pde_sim, "_banded_radau", lambda: Radau)
+    evolve(disc, spec, tol=1e-8)
+    plain = _pieces(caplog)
+    assert len(banded) == (1 if drive == "free" else 2)
+    for ours, radau in zip(banded, plain, strict=True):
+        assert ours["status"] == radau["status"] == 0
+        for count in ("nfev", "njev", "nlu"):
+            assert ours[count] == radau[count], count
+
+
+@pytest.mark.parametrize("resolution", [20, 50, 200])
+@pytest.mark.parametrize("name", ["b1", "b2", "b3"])
+def test_band_widths_on_the_electrode_tree(caplog, name, resolution):
+    # a 1 ns clamp, then 1 ns of free decay: the clamped piece drops the
+    # junction from the unknowns, and with it one width on each side
+    caplog.set_level(logging.DEBUG, logger="qpdyn.pde_sim")
+    disc = _bundled_mesh(name, resolution)
+    evolve(disc, EvolveSpec(r=R_B1, g=1e-4, t_grid=(2e-9,),
+                            injection_density=2e-4, t_inj=1e-9))
+    assert [(piece["unknowns"], piece["kl"], piece["ku"])
+            for piece in _pieces(caplog)] == [
+        (disc.n_nodes - 1, 2, 2), (disc.n_nodes, 3, 3)]
 
 
 class TestFactorizedDynamics:

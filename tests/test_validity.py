@@ -63,8 +63,8 @@ NON_FINITE = [
      lambda v: recombination_theory(1.0, v, DELTA, 1.2), [INF]),
     ("QubitParams", "delta_gap", lambda v: QubitParams(QUBIT.omega_q, v),
      [INF]),
-    ("QubitParams", "t_c",
-     lambda v: QubitParams(QUBIT.omega_q, QUBIT.delta_gap, v), [INF]),
+    ("QubitParams", "omega_q", lambda v: QubitParams(v, QUBIT.delta_gap),
+     [INF]),
     ("derive", "D", lambda v: derive(DeviceGeometry(**GEOM), v), [INF]),
     ("vortex_profile", "rho", lambda v: vortex_profile(v, 6.7e-6, 18e-4, 1e-7),
      [NAN, INF]),
