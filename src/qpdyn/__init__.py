@@ -23,8 +23,8 @@ _MODULE_NAMES = {
                 "solution_from_rates steady_state xqp_analytic "
                 "xqp_recombination_only",
     "eigenmode": "ModeSolution TransportParams VortexConfig "
-                 "capacitor_substitution eigen_residual field_sweep "
-                 "large_p_z small_p_rate smallest_root step_sequence",
+                 "eigen_residual field_sweep large_p_z small_p_rate "
+                 "smallest_root step_sequence",
     "estimates": "CavityQs VortexMicro frequency_shift "
                  "frequency_shift_from_xqp injection_power "
                  "microscopic_trapping_power qp_injection_rate "

@@ -2,33 +2,32 @@
 
 With N_L, N_R vortices of trapping power P (m^2/s) in the two pads, QP
 density decays as exp(-s t) in a spatial mode x ~ cos(k y) per segment,
-with s = D k^2 + s0.  The admissible k (dimensionless z = k L) solves a
-transcendental compatibility equation of the wire network; this module
-evaluates that equation, finds its smallest positive root by a scan
-between its poles, and provides the closed-form weak- and
-strong-trapping limits, the quantized vortex-step sequence, and
-field-sweep predictions.
+with s = D k^2 + s0.  The admissible k (dimensionless z = k L) are the
+modes of the metric graph geometry.edges, whose pads trap and store QPs;
+this module evaluates its secular function, finds its smallest positive
+root, and provides the closed-form weak- and strong-trapping limits, the
+quantized vortex-step sequence, and field-sweep predictions.
 
 Dimensionless groups: eps = P * tau_D / A_W measures trapping strength;
-a = S_pad / A_W the pad-to-wire area ratio; nbar = (N_L + N_R)/2 and
-dN = N_R - N_L enter the equation only as nbar and dN^2, so s is exactly
-symmetric under pad exchange.
+a = S_pad / A_W the pad-to-wire area ratio.
 
-The equation is written once, in _mode_terms, as a numpy function of z
-(a float or an array); the groups are computed once per configuration.
-The residual poles depend on the geometry and the form alone:
-_scan_plan lists all of them below the pi/2 cap, with the scan step,
-once per call of smallest_root, step_sequence or field_sweep, and every
-root of that call scans between them, one array call per grid, to the
-first sign change.  _count, the Wittrick-Williams count of the modes on
-the graph of geometry.edges, checks that no mode lies below it; two
-roots in one scan cell show no sign change, and bisecting the count
-isolates the first.  Brent's method polishes the bracket.  _brent is a
-step-for-step port of scipy's brentq on Python floats: it returns the
-same double, and it spares the mode solver the import of scipy.optimize,
-which takes longer than a whole eigenrate, steps or sweep command
-computes.  field_sweep roots each distinct (N_L, N_R) once and reuses
-its rate for every field that maps to it.
+One leaf-first pass over the graph, rooted at junction, maps each
+subtree's admittance through the two-port of its parent edge (Wittrick &
+Williams 1971; Berkolaiko & Kuchment, Introduction to Quantum Graphs,
+2013).  It gives both the secular function F(z), which is entire, and the
+Wittrick-Williams count of the modes below z.  _plan fixes the
+elimination order, the scan grid and its trig once per (geometry, form),
+for all roots of one smallest_root, step_sequence or field_sweep call.  A
+root scans F on that grid, in one array pass, to its first sign change;
+the count checks that no mode lies below it, and when two roots share a
+scan cell bisecting the count isolates the first.  Both pad subtrees meet
+before the capacitor arms, so s is bit-for-bit symmetric under pad
+exchange.  Brent's method polishes the bracket.  _brent is a step-for-step
+port of scipy's brentq on Python floats: it returns the same double, and
+it spares the mode solver the import of scipy.optimize, which takes longer
+than a whole eigenrate, steps or sweep command computes.  field_sweep
+roots each distinct (N_L, N_R) once and reuses its rate for every field
+that maps to it.
 """
 
 from __future__ import annotations
@@ -45,7 +44,8 @@ from .errors import InvalidParameterError, NoRootFoundError, check_finite
 from .geometry import DeviceGeometry, derive, edges
 
 _FORMS = ("reduced", "full")
-# the scan stops just past the first tan(z) pole at pi/2
+# the scan stops just past pi/2, the mode of one wire clamped at its pad,
+# which bounds the slowest mode of the whole graph from above
 _Z_CAP = 0.5 * math.pi * (1.0 + 1e-9)
 
 
@@ -88,9 +88,10 @@ class TransportParams:
 class ModeSolution:
     """Smallest root z of the mode equation and the rate s = z^2/tau_D + s0.
 
-    residual_at_root is the Newton-normalized residual R/(R' z), i.e. the
-    estimated relative error of the root location; bracket is the scan
-    interval the root was isolated in.
+    residual_at_root is the Newton-normalized residual F/(F' z), i.e. the
+    estimated relative error of the root location; bracket is the cell
+    Brent's method polished: a cell of the scan grid, or the cell that
+    bisecting the mode count isolated.
     """
 
     z: float
@@ -100,46 +101,6 @@ class ModeSolution:
     branch_note: str
 
 
-def _plate(geom: DeviceGeometry):
-    """Capacitor-plate ratios beta = L_c/L, eta = h/L and w = W_c/W."""
-    return (geom.l_cap / geom.l_wire, geom.h_cap / geom.l_wire,
-            geom.w_cap / geom.w_wire)
-
-
-def _capacitor(z, beta: float, eta: float, w: float):
-    """Numerator and denominator of capacitor_substitution at z."""
-    cb, sb = np.cos(z * beta), np.sin(z * beta)
-    ce, se = np.cos(z * eta), np.sin(z * eta)
-    return cb * se + w * sb * ce, cb * ce - w * sb * se
-
-
-def capacitor_substitution(z, geom: DeviceGeometry):
-    """Effective tan of the composite capacitor plate (thin arm + wide arm).
-
-    Replaces tan(z h/L) of a plain thin arm by
-
-        [cos(z Lc/L) sin(z h/L) + (Wc/W) sin(z Lc/L) cos(z h/L)]
-        / [cos(z Lc/L) cos(z h/L) - (Wc/W) sin(z Lc/L) sin(z h/L)]
-
-    which reduces to tan(z h/L) at Lc = 0 and to tan(z (h+Lc)/L) at
-    Wc = W.  The denominator crosses zero at the plate resonances; the
-    value there is an IEEE infinity, not an error -- root finding must
-    bracket around those poles (see capacitor_denominator).
-    """
-    check_finite("z", z)
-    num, den = _capacitor(np.asarray(z, dtype=float), *_plate(geom))
-    with np.errstate(divide="ignore"):
-        out = num / den
-    return float(out) if np.isscalar(z) else out
-
-
-def capacitor_denominator(z, geom: DeviceGeometry):
-    """Denominator of capacitor_substitution; its zeros are pole locations."""
-    check_finite("z", z)
-    out = _capacitor(np.asarray(z, dtype=float), *_plate(geom))[1]
-    return float(out) if np.isscalar(z) else out
-
-
 class _Groups(NamedTuple):
     """Dimensionless groups of one mode equation, and its diffusion time."""
 
@@ -147,9 +108,6 @@ class _Groups(NamedTuple):
     eps: float    # P tau_D / A_W
     nbar: float   # (N_L + N_R) / 2
     dn: int       # N_R - N_L
-    beta: float   # L_c / L
-    eta: float    # h / L
-    w: float      # W_c / W
     lam: float    # l / L
     tau_d: float  # L^2 / D, s
     a_total: float  # A_total / A_W
@@ -158,48 +116,114 @@ class _Groups(NamedTuple):
 def _groups(geom: DeviceGeometry, vortices: VortexConfig,
             tp: TransportParams) -> _Groups:
     der = derive(geom, tp.d)
-    beta, eta, w = _plate(geom)
     return _Groups(
         a=der.aspect_a, eps=vortices.trapping_power * der.tau_d / der.a_w,
         nbar=0.5 * (vortices.n_left + vortices.n_right),
-        dn=vortices.n_right - vortices.n_left, beta=beta, eta=eta, w=w,
+        dn=vortices.n_right - vortices.n_left,
         lam=geom.l_half_gap / geom.l_wire, tau_d=der.tau_d,
         a_total=der.a_total / der.a_w)
 
 
-def _mode_terms(z, g: _Groups, form: str):
-    """The mode equation residual at z (a float or an array).
+def _tree(geom: DeviceGeometry, form: str):
+    """Leaf-first elimination order of the graph edges(geom, form), rooted
+    at junction (vertex 0): (child, parent, first child?, l / L, w / W) of
+    each edge, and the vertices of pad_left and pad_right.
 
-    It vanishes at admissible modes.  form 'reduced' is the
-    central-wire-length -> 0 equation; 'full' retains the finite half-gap
-    l.  Poles give IEEE infinities or NaNs here, not errors; the scan
-    skips non-finite samples.
+    Each vertex's edges are eliminated, depth first, before the edge to
+    its parent, and siblings in table order, so both pad subtrees meet
+    before the capacitor arms: F is then bit-for-bit even in N_R - N_L."""
+    segments = edges(geom, form)
+    names, tree = ["junction"], []
+
+    def below(parent: int, via):
+        first = True
+        for name, a, b, length, width in segments:
+            if name != via and names[parent] in (a, b):
+                names.append(b if a == names[parent] else a)
+                child = len(names) - 1
+                below(child, name)
+                tree.append((child, parent, first, length / geom.l_wire,
+                             width / geom.w_wire))
+                first = False
+
+    below(0, None)
+    return tuple(tree), (names.index("pad_left"), names.index("pad_right"))
+
+
+class _Plan(NamedTuple):
+    """The elimination order of one (geom, form) and its scan grid, shared
+    by all roots of that graph.  The grid runs from 1e-9 to _Z_CAP in at
+    least 64 cells, none wider than a quarter period of the longest edge."""
+
+    tree: tuple
+    pads: tuple
+    grid: np.ndarray
+    grid_trig: list  # _trig(grid, tree)
+
+
+def _plan(geom: DeviceGeometry, form: str) -> _Plan:
+    tree, pads = _tree(geom, form)
+    step = 0.5 * math.pi / max(edge[3] for edge in tree)
+    grid = np.linspace(1e-9, _Z_CAP, max(64, math.ceil(_Z_CAP / step)) + 1)
+    return _Plan(tree, pads, grid, _trig(grid, tree))
+
+
+def _trig(z, tree):
+    """cos(z l), w sin(z l) and sin(z l) / w of each edge (l, w) of tree,
+    at a float z or, one row per edge, at an array."""
+    if isinstance(z, np.ndarray):
+        lengths, widths = np.array([edge[3:] for edge in tree]).T[:, :, None]
+        sin = np.sin(lengths * z)
+        return list(zip(np.cos(lengths * z), widths * sin, sin / widths))
+    trig = []
+    for _, _, _, length, w in tree:
+        sin = math.sin(z * length)
+        trig.append((math.cos(z * length), w * sin, sin / w))
+    return trig
+
+
+def _pass(z, trig, g: _Groups, tree: tuple, pads: tuple):
+    """The leaf-first two-port pass at z (a float or an array) with the
+    _trig of z.
+
+    Each vertex carries a pair (P, R), its admittance z P / R: a free end
+    starts at (0, 1), a pad at (N eps - a z^2, z).  Each edge (l, w) maps
+    its child's pair through the unimodular two-port [[c, -w s], [s / w,
+    c]], c, s = cos, sin(z l), which carries flux / k and density along the
+    segment, and the children of a vertex add as fractions,
+    (P R' + P' R, R R').  Only arithmetic, so floats and arrays share it.
+
+    Returns the pairs of all vertices, junction's first, and R' of each
+    edge.  F(z) = P at junction is entire, with zeros at the modes and at
+    z = 0.
     """
-    with np.errstate(all="ignore"):
-        tz = np.tan(z)
-        num, den = _capacitor(z, g.beta, g.eta, g.w)
-        t_cap = num / den
-        q = g.a * z * z - g.nbar * g.eps
-        half_dn = 0.5 * g.dn * g.eps
-        f1 = z - tz * q
-        if form == "reduced":
-            f2 = z * (tz + 2.0 * t_cap) + q * (1.0 - 2.0 * t_cap * tz)
-            return f1 * f2 + half_dn**2 * tz * (1.0 - 2.0 * t_cap * tz)
-        tl = np.tan(z * g.lam)
-        cl = 1.0 / tl
-        f = 0.5 * tl - 0.5 * cl + 2.0 * t_cap
-        g1 = z * (tz + f) + q * (1.0 - tz * f)
-        cross = half_dn**2 * (1.0 - tz * f) ** 2
-        inner = f1**2 - half_dn**2 * tz * tz
-        return g1 * g1 - cross - 0.25 * (tl + cl) ** 2 * inner
+    n = len(tree) + 1
+    p, r, tails = [0.0] * n, [1.0] * n, []
+    mass = g.a * z * z
+    left, right = pads
+    p[left], r[left] = (g.nbar - 0.5 * g.dn) * g.eps - mass, z
+    p[right], r[right] = (g.nbar + 0.5 * g.dn) * g.eps - mass, z
+    for (child, parent, first, _, _), (c, ws, sw) in zip(tree, trig):
+        pc, rc = p[child], r[child]
+        pt, rt = c * pc - ws * rc, sw * pc + c * rc
+        tails.append(rt)
+        if first:  # (0, 1) + (pt, rt)
+            p[parent], r[parent] = pt, rt
+        else:
+            p[parent], r[parent] = (p[parent] * rt + pt * r[parent],
+                                    r[parent] * rt)
+    return p, r, tails
 
 
 def eigen_residual(z: float, geom: DeviceGeometry, vortices: VortexConfig,
                    tp: TransportParams, form: str = "reduced") -> float:
-    """Evaluate the mode equation residual at z (zero at admissible modes)."""
+    """The secular function F(z) of the electrode graph: zero at its modes
+    and at z = 0."""
     check_finite("z", z, ">=")
     _check_form(form)
-    return float(_mode_terms(z, _groups(geom, vortices, tp), form))
+    z, (tree, pads) = float(z), _tree(geom, form)
+    return _pass(z, _trig(z, tree), _groups(geom, vortices, tp), tree,
+                 pads)[0][0]
 
 
 def _brent_step(xcur, fcur, xpre, fpre, xblk, fblk):
@@ -278,82 +302,35 @@ def _brent(f, a: float, b: float, xtol: float,
         diagnostics={"bracket": (a, b), "z": xcur, "maxiter": maxiter})
 
 
-def _scan_plan(geom: DeviceGeometry, form: str):
-    """Scan edges [0, every residual pole below _Z_CAP, _Z_CAP] and step.
-
-    The residual poles depend on the geometry and the form alone: tan z
-    at pi/2, the capacitor-plate resonances and, in the full form, the
-    central-wire tan/cot poles k pi / (2 lam).  The capacitor denominator
-    is sampled once on a grid closed at _Z_CAP, an eighth of its quarter
-    period apart, and each sign change is polished with Brent's method.
-    step is a quarter period of the fastest tan factor of the residual.
-    """
-    def den(z):
-        return _capacitor(z, *_plate(geom))[1]
-
-    lam = geom.l_half_gap / geom.l_wire
-    plate = (geom.h_cap + geom.l_cap) / geom.l_wire
-    cell = 0.5 * math.pi / (plate + 1.0) / 8.0
-    zs = np.concatenate(([1e-12], np.arange(cell, _Z_CAP, cell), [_Z_CAP]))
-    d = den(zs)
-    poles = [0.5 * math.pi]
-    for k in np.flatnonzero((d[:-1] == 0) | (d[:-1] * d[1:] < 0)):
-        poles.append(_brent(den, zs[k], zs[k + 1], xtol=1e-14))
-    if form == "full":
-        half = 0.5 * math.pi / lam
-        poles.extend(k * half for k in range(1, math.ceil(_Z_CAP / half)))
-    step = 0.25 * math.pi / max(1.0, plate, lam if form == "full" else 0.0)
-    return [0.0, *sorted(poles), _Z_CAP], step
+def _first_root(g: _Groups, plan: _Plan):
+    """Lowest cell of the scan grid where the sign of F changes, or None,
+    from one array pass.  F beyond the float64 range raises
+    NoRootFoundError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _pass(plan.grid, plan.grid_trig, g, plan.tree,
+                     plan.pads)[0][0]
+    if not np.isfinite(vals).all():
+        raise NoRootFoundError(
+            "the secular function leaves the float64 range on the scan grid",
+            diagnostics={"z": float(plan.grid[~np.isfinite(vals)][0]),
+                         "eps": g.eps})
+    sign = np.sign(vals)
+    hit = np.flatnonzero(sign[:-1] != sign[1:])
+    return (plan.grid[hit[0]], plan.grid[hit[0] + 1]) if hit.size else None
 
 
-def _first_root(fn, edges, step: float):
-    """Lowest grid cell where fn changes sign, (z, z) if fn(z) == 0, or
-    None.  fn maps an array of z to residuals and is continuous between
-    consecutive edges, which hold every pole; each inter-pole interval is
-    scanned on a grid no coarser than step."""
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        guard = max(1e-12, (hi - lo) * 1e-10)
-        z_lo = max(lo + guard, 1e-9)
-        z_hi = hi - guard
-        if z_hi <= z_lo:
-            continue
-        n_sub = max(64, int(math.ceil((z_hi - z_lo) / step)))
-        zs = np.linspace(z_lo, z_hi, n_sub + 1)
-        vals = fn(zs)
-        va, vb = vals[:-1], vals[1:]
-        hit = np.flatnonzero(np.isfinite(va) & np.isfinite(vb)
-                             & ((va == 0.0) | (va * vb < 0)))
-        if hit.size:
-            j = hit[0]
-            return zs[j], zs[j] if vals[j] == 0.0 else zs[j + 1]
-    return None
-
-
-def _count(z: float, g: _Groups, geom: DeviceGeometry, form: str) -> int:
-    """Modes of the electrode graph below z (Wittrick & Williams 1971).
-
-    Each segment (l, w) of edges(geom, form) adds w k / sin(k l) [[cos k l,
-    -1], [-1, cos k l]], k = z / L, to the vertex matrix K(z), and each pad
-    N eps - a z^2, in units of W / L.  The count is sum_e floor(k l / pi)
-    plus the negative pivots of K(z) eliminated leaf first (no fill-in)."""
-    pivot = {"pad_left": (g.nbar - 0.5 * g.dn) * g.eps - g.a * z * z,
-             "pad_right": (g.nbar + 0.5 * g.dn) * g.eps - g.a * z * z}
-    links, count = {}, 0
-    for _, a, b, length, width in edges(geom, form):
-        kl = z * length / geom.l_wire
-        count += math.floor(kl / math.pi)
-        stiff = width / geom.w_wire * z / math.sin(kl)
-        for u, v in ((a, b), (b, a)):
-            pivot[u] = pivot.get(u, 0.0) + stiff * math.cos(kl)
-            links.setdefault(u, {})[v] = stiff
-    while pivot:
-        leaf = next(v for v in pivot if len(links[v]) <= 1)
-        d = pivot.pop(leaf) or sys.float_info.min  # 0.0: z is a mode
-        count += d < 0
-        for u, stiff in links[leaf].items():
-            del links[u][leaf]
-            pivot[u] -= stiff * stiff / d
-    return count
+def _count(z: float, g: _Groups, plan: _Plan) -> int:
+    """Modes of the electrode graph below z (Wittrick & Williams 1971):
+    sum_e floor(k l / pi), the modes of the segments clamped at both ends,
+    plus the negative pivots of the leaf-first elimination.  A vertex's
+    pivot has the sign of R' s R across its parent edge, junction's that
+    of P R."""
+    trig = _trig(z, plan.tree)
+    p, r, tails = _pass(z, trig, g, plan.tree, plan.pads)
+    return (p[0] * r[0] < 0) + sum(
+        (tail * ws * r[child] < 0) + math.floor(z * length / math.pi)
+        for (child, _, _, length, _), (_, ws, _), tail
+        in zip(plan.tree, trig, tails))
 
 
 def _newton_quality(fn, root: float) -> float:
@@ -367,7 +344,7 @@ def _newton_quality(fn, root: float) -> float:
 
 def _root(geom: DeviceGeometry, vortices: VortexConfig, tp: TransportParams,
           form: str, plan) -> ModeSolution:
-    """smallest_root for a checked form and the _scan_plan of (geom, form)."""
+    """smallest_root for a checked form and the _plan of (geom, form)."""
     g = _groups(geom, vortices, tp)
     if g.eps == 0 or vortices.n_left + vortices.n_right == 0:
         return ModeSolution(z=0.0, s=tp.s0, bracket=(0.0, 0.0),
@@ -376,38 +353,36 @@ def _root(geom: DeviceGeometry, vortices: VortexConfig, tp: TransportParams,
     area, a_form = ("A_total", g.a_total) if form == "full" else (
         "(A_total - 2 l W)", g.a_total - 2.0 * g.lam)  # no central wire
     z_w = math.sqrt(2.0 * g.nbar * g.eps / a_form)
-    if z_w < 1e-6:  # the scan from z = 1e-9 errs by ~1.6e-16 / z^2
+    if z_w < 1e-6:  # Brent's xtol of 1e-15 is 1e-9 of such a root
         raise InvalidParameterError(
             f"weak-trapping root estimate z_w = {z_w:.3g} is below 1e-6, "
             "too small for the mode scan to resolve; use the weak-trapping "
             f"limit s = (N_L + N_R) P / {area} + s0 = "
             f"{z_w**2 / g.tau_d + tp.s0:.6g} 1/s")
-    bounds, step = plan
 
     def fn(z):
-        return _mode_terms(z, g, form)
+        return _pass(z, _trig(z, plan.tree), g, plan.tree, plan.pads)[0][0]
 
-    bracket, note = _first_root(fn, bounds, step), "first sign change"
+    bracket, note = _first_root(g, plan), "first sign change"
     lo, hi = 1e-9, float(bracket[0]) if bracket else _Z_CAP
-    n_hi = _count(hi, g, geom, form)
-    if bracket is None or n_hi:  # bisect to a pole-free cell with one mode
-        while n_hi != 1 or any(lo < e < hi for e in bounds):
+    n_hi = _count(hi, g, plan)
+    if bracket is None or n_hi:  # bisect to a cell with one mode
+        while n_hi != 1:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
-                top = _count(_Z_CAP, g, geom, form)
                 raise NoRootFoundError(
-                    f"no pole-free cell below z = {hi!r} holds one mode",
-                    diagnostics=dict(poles=bounds[1:-1], scan_step=step,
-                                     eps=g.eps, dn=g.dn, count_at_top=top))
-            n_mid = _count(mid, g, geom, form)
+                    f"no cell below z = {hi!r} holds one mode",
+                    diagnostics=dict(eps=g.eps, dn=g.dn,
+                                     count_at_top=_count(_Z_CAP, g, plan)))
+            n_mid = _count(mid, g, plan)
             lo, hi, n_hi = (lo, mid, n_mid) if n_mid else (mid, hi, n_hi)
         bracket, note = (lo, hi), "split by eigenvalue count"
     za, zb = bracket
-    root = za if za == zb else _brent(fn, za, zb, xtol=1e-15, maxiter=200)
+    root = _brent(fn, za, zb, xtol=1e-15, maxiter=200)
     return ModeSolution(
         z=root, s=root * root / g.tau_d + tp.s0,
         bracket=(float(za), float(zb)),
-        residual_at_root=float(_newton_quality(fn, root)),
+        residual_at_root=_newton_quality(fn, root),
         branch_note=f"{form}: {note}")
 
 
@@ -416,16 +391,16 @@ def smallest_root(geom: DeviceGeometry, vortices: VortexConfig,
     """Smallest strictly positive root of the mode equation, as a ModeSolution.
 
     For zero total trapping power (N = 0 or P = 0) the uniform mode z = 0
-    is exact and returned without a search.  Otherwise the residual is
-    scanned between consecutive poles, with a step no larger than a
-    quarter period of its fastest tan factor, to its first sign change;
-    if the mode count finds a mode below it, bisecting the count brackets
-    that mode alone.  The scan starts just above the trivial zero z = 0.
-    A weak-trapping root estimate below 1e-6, which the scan cannot
-    resolve, raises InvalidParameterError.
+    is exact and returned without a search.  Otherwise the secular
+    function is scanned, with a step no larger than a quarter period of
+    the longest segment, to its first sign change; if the mode count finds
+    a mode below it, bisecting the count brackets that mode alone.  The
+    scan starts just above the trivial zero z = 0.  A weak-trapping root
+    estimate below 1e-6, which the scan cannot resolve, raises
+    InvalidParameterError.
     """
     _check_form(form)
-    return _root(geom, vortices, tp, form, _scan_plan(geom, form))
+    return _root(geom, vortices, tp, form, _plan(geom, form))
 
 
 def small_p_rate(geom: DeviceGeometry, vortices: VortexConfig,
@@ -441,8 +416,9 @@ def small_p_rate(geom: DeviceGeometry, vortices: VortexConfig,
 def large_p_z(geom: DeviceGeometry) -> float:
     """Strong-trapping limit z -> (pi/2) / (1 + A_c/A_W) of the root.
 
-    Leading order for A_c << A_W; the exact saturation root solves
-    2 tan(z) T_cap(z) = 1.
+    Leading order for A_c << A_W; the exact saturation root is the
+    slowest mode of the electrode graph with both pads clamped (x = 0),
+    the eps -> infinity limit of the secular function.
     """
     der = derive(geom, 1.0)
     return 0.5 * math.pi / (1.0 + der.a_c / der.a_w)
@@ -474,7 +450,7 @@ def step_sequence(geom: DeviceGeometry, tp: TransportParams,
             f"series must be one of {sorted(_SERIES)}, got {series!r}")
     _check_form(form)
     der = derive(geom, tp.d)
-    plan = _scan_plan(geom, form)
+    plan = _plan(geom, form)
     rows = []
     for k in range(max_steps + 1):
         nl, nr = _SERIES[series](k)
@@ -518,7 +494,7 @@ def field_sweep(geom: DeviceGeometry, tp: TransportParams,
         else:
             total = round(2.0 * per_pad)
             counts.append(((total + 1) // 2, total // 2))
-    plan = _scan_plan(geom, form)
+    plan = _plan(geom, form)
     rates = {c: _root(geom, VortexConfig(*c, trapping_power), tp, form,
                       plan).s
              for c in dict.fromkeys(counts)}

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from qpdyn.eigenmode import (ModeSolution, TransportParams, VortexConfig,
-                             capacitor_denominator, capacitor_substitution,
                              eigen_residual, field_sweep, large_p_z,
                              small_p_rate, smallest_root, step_sequence)
 from qpdyn.errors import InvalidParameterError
@@ -15,46 +14,27 @@ P_REF = 0.067e-4  # m^2/s
 D_REF = 18e-4     # m^2/s
 
 
-def transfer_matrix_tan(z, geom):
-    """Independent oracle: chain two segments as diffusion two-ports.
+@pytest.mark.parametrize("form", ["reduced", "full"])
+@pytest.mark.parametrize("geom_name", ["b1", "b2"])
+def test_capacitor_plate_roots(geom_name, form, request, transport):
+    """The wide capacitor arm joins the thin one at a degree-2 vertex.  Of
+    equal widths that vertex is transparent, so the arm is one thin arm of
+    length h + L_c; and the root tends to the thin arm's as L_c -> 0."""
+    geom = request.getfixturevalue(f"{geom_name}_geom")
+    vc = VortexConfig(2, 1, P_REF)
 
-    State (density, width * slope / k) propagates from the free outer end
-    of the wide arm through the thin arm; the effective tan is
-    -flux/(W * k * density) at the cross point.
-    """
-    def segment(width, length_ratio):
-        a = z * length_ratio
-        return np.array([[math.cos(a), math.sin(a) / width],
-                         [-width * math.sin(a), math.cos(a)]])
-    state = np.array([1.0, 0.0])  # zero flux at the free end
-    state = segment(geom.w_cap, geom.l_cap / geom.l_wire) @ state
-    state = segment(geom.w_wire, geom.h_cap / geom.l_wire) @ state
-    return -state[1] / (geom.w_wire * state[0])
+    def root(**dims):
+        return smallest_root(replace(geom, **dims), vc, transport, form).z
 
-
-class TestCapacitorSubstitution:
-    def test_reduces_to_thin_arm(self, b1_geom):
-        g = replace(b1_geom, l_cap=0.0)
-        for z in (0.1, 0.5, 1.2):
-            assert capacitor_substitution(z, g) == pytest.approx(
-                math.tan(z * g.h_cap / g.l_wire), rel=1e-12)
-
-    def test_uniform_width_concatenates(self, b1_geom):
-        g = replace(b1_geom, w_cap=b1_geom.w_wire)
-        for z in (0.05, 0.3, 0.9):
-            expect = math.tan(z * (g.h_cap + g.l_cap) / g.l_wire)
-            assert capacitor_substitution(z, g) == pytest.approx(
-                expect, rel=1e-12)
-
-    def test_transfer_matrix_oracle(self, b1_geom, b2_geom):
-        rng = np.random.Generator(np.random.Philox(5))
-        for geom in (b1_geom, b2_geom):
-            for _ in range(30):
-                z = rng.uniform(0.01, 1.5)
-                if abs(capacitor_denominator(z, geom)) < 1e-3:
-                    continue
-                assert capacitor_substitution(z, geom) == pytest.approx(
-                    transfer_matrix_tan(z, geom), rel=1e-9)
+    assert root(w_cap=geom.w_wire) == pytest.approx(
+        root(h_cap=geom.h_cap + geom.l_cap, l_cap=0.0), rel=1e-13, abs=0)
+    z0 = root(l_cap=0.0)
+    moves = [abs(root(l_cap=f * geom.h_cap) - z0) / z0
+             for f in (1e-2, 1e-4, 1e-6, 1e-8)]
+    # first order in L_c: each factor 100 shorter moves z 100 times less
+    assert moves[0] < 0.1
+    for longer, shorter in zip(moves, moves[1:]):
+        assert shorter == pytest.approx(longer / 100, rel=0.05)
 
 
 class TestEigenResidual:
@@ -68,22 +48,6 @@ class TestEigenResidual:
         for z in (0.05, 0.2, 0.6):
             assert eigen_residual(z, b1_geom, a, transport) == \
                 eigen_residual(z, b1_geom, b, transport)
-
-    def test_symmetric_equals_factor_product(self, b1_geom, transport):
-        # with n_left = n_right the cross term vanishes; the residual is
-        # the product of the two factors, so it changes sign exactly once
-        # per simple root
-        vc = VortexConfig(2, 2, P_REF)
-        der = derive(b1_geom, transport.d)
-        eps = P_REF * der.tau_d / der.a_w
-        for z in (0.1, 0.4):
-            t_cap = capacitor_substitution(z, b1_geom)
-            q = der.aspect_a * z * z - 2.0 * eps
-            f1 = z - math.tan(z) * q
-            f2 = z * (math.tan(z) + 2 * t_cap) + q * (
-                1 - 2 * t_cap * math.tan(z))
-            assert eigen_residual(z, b1_geom, vc, transport) == \
-                pytest.approx(f1 * f2, rel=1e-12)
 
     def test_sign_change_across_first_root(self, b1_geom, transport):
         vc = VortexConfig(1, 0, P_REF)

@@ -259,7 +259,7 @@ EXTREME_INPUTS = [
     "--c 4.6e10/s",
     "rates --amplitude 3.9e6/s --rprime 0.9 --tauss 1e300ms --gamma0 1e5/s "
     "--c 4.6e10/s",
-    "eigenrate --geom b1 --nl 1 --nr 0 --p 1e300cm2/s --d 18cm2/s",
+    "eigenrate --geom b1 --nl 1 --nr 1 --p 1e300cm2/s --d 18cm2/s",
     "steps --geom b1 --p 1e300cm2/s --d 18cm2/s --max 4",
     *(_EVOLVE.replace(old, new) for old, new in [
         ("--d 18cm2/s", "--d 1e300cm2/s"), ("--s0 100/s", "--s0 1e300/s"),
@@ -705,6 +705,21 @@ class TestCli:
                                "the undriven piece [0, 0.001] s: float64 "
                                "overflow with r = 1e+300 1/s, density scale "
                                "1e+300 ")
+
+    def test_one_saturated_pad_gives_the_clamped_pad_root(self, capsys,
+                                                           recwarn):
+        """One pad at P = 1e300 cm^2/s is a clamped end: the root is the
+        strong-trapping saturation; with two such pads the secular
+        function overflows, as the extreme-input case above shows."""
+        roots = []
+        for p in ("1e300", "1e12"):
+            code, out, err = run_cli(capsys, *(
+                f"eigenrate --geom b1 --nl 1 --nr 0 --p {p}cm2/s "
+                "--d 18cm2/s --no-timestamp").split())
+            assert code == 0, err
+            roots.append(json.loads(out)["result"]["z"])
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+        assert roots[0] == pytest.approx(roots[1], rel=1e-9)
 
     @pytest.mark.parametrize("p, s_weak", [("1e-300", "3.48554e-297"),
                                            ("1e-20", "3.48554e-17")])

@@ -4,6 +4,7 @@ scalar path."""
 import math
 from importlib import resources
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
@@ -21,77 +22,76 @@ from qpdyn.pde_sim import build, slowest_mode
 P_REF = 0.067e-4  # m^2/s
 TP = TransportParams(d=18e-4, s0=1.0 / 30e-3)
 
-# (n_left, n_right, bracket lo, bracket hi, z) on the bundled geometries,
-# recorded from the point-by-point scalar scan that the array scan
-# replaced.  Both scan the same grids, so brackets must match exactly; z
-# may move by a few ulp where numpy's array and scalar trig kernels round
-# differently.
+# (n_left, n_right, z) on the bundled geometries, recorded from the
+# point-by-point scalar scan of the closed-form mode equation that the
+# graph's secular function replaced.  Its scan grid differs, so only z is
+# pinned, to 1e-13.
 PARENT_ROOTS = {
     ('b1', 'reduced'): [
-        (1, 0, 0.04956532970942322, 0.056646090953626535, 0.04965593484320865),
-        (2, 1, 0.07788837468623648, 0.08496913593043981, 0.08486596611857018),
-        (0, 5, 0.09913065841884644, 0.10621141966304976, 0.10062274995239225),
-        (6, 2, 0.1274537033956597, 0.13453446463986302, 0.12854889469566122),
-        (3, 4, 0.12037294215145639, 0.1274537033956597, 0.1241099344124148),
-        (1, 1, 0.06372685219782985, 0.07080761344203317, 0.07043803989793325),
-        (3, 3, 0.11329218090725307, 0.12037294215145639, 0.11641102356958775),
-        (6, 6, 0.14869598712826965, 0.15577674837247296, 0.15400998695413093),
-        (60, 60, 0.25490740579131943, 0.26198816703552275, 0.25565119878919995),
+        (1, 0, 0.04965593484320865),
+        (2, 1, 0.08486596611857018),
+        (0, 5, 0.10062274995239225),
+        (6, 2, 0.12854889469566122),
+        (3, 4, 0.1241099344124148),
+        (1, 1, 0.07043803989793325),
+        (3, 3, 0.11641102356958775),
+        (6, 6, 0.15400998695413093),
+        (60, 60, 0.25565119878919995),
     ],
     ('b1', 'full'): [
-        (1, 0, 0.042484568465219905, 0.04956532970942322, 0.04955049330155886),
-        (2, 1, 0.07788837468623648, 0.08496913593043981, 0.08472064783236834),
-        (0, 5, 0.09913065841884644, 0.10621141966304976, 0.10022691448627621),
-        (6, 2, 0.1274537033956597, 0.13453446463986302, 0.1282624399344977),
-        (3, 4, 0.12037294215145639, 0.1274537033956597, 0.12391409878840665),
-        (1, 1, 0.06372685219782985, 0.07080761344203317, 0.07032818019121789),
-        (3, 3, 0.11329218090725307, 0.12037294215145639, 0.11623246837736823),
-        (6, 6, 0.14869598712826965, 0.15577674837247296, 0.15378081986093964),
-        (60, 60, 0.25490740579131943, 0.26198816703552275, 0.2553667940955531),
+        (1, 0, 0.04955049330155886),
+        (2, 1, 0.08472064783236834),
+        (0, 5, 0.10022691448627621),
+        (6, 2, 0.1282624399344977),
+        (3, 4, 0.12391409878840665),
+        (1, 1, 0.07032818019121789),
+        (3, 3, 0.11623246837736823),
+        (6, 6, 0.15378081986093964),
+        (60, 60, 0.2553667940955531),
     ],
     ('b2', 'reduced'): [
-        (1, 0, 0.05185018116098265, 0.05925734975540874, 0.0559468657771085),
-        (2, 1, 0.08888602413311311, 0.09629319272753921, 0.09590580922528505),
-        (0, 5, 0.11110752991639139, 0.11851469851081749, 0.11385846907599764),
-        (6, 2, 0.14073620429409578, 0.14814337288852186, 0.1460545955017819),
-        (3, 4, 0.14073620429409578, 0.14814337288852186, 0.14095636202256215),
-        (1, 1, 0.07407168694426093, 0.08147885553868703, 0.07949064663390996),
-        (3, 3, 0.12592186710524358, 0.13332903569966967, 0.13207052141267606),
-        (6, 6, 0.17036487867180014, 0.17777204726622622, 0.1757207297920019),
-        (60, 60, 0.28887957618261767, 0.29628674477704375, 0.2936063811437693),
+        (1, 0, 0.0559468657771085),
+        (2, 1, 0.09590580922528505),
+        (0, 5, 0.11385846907599764),
+        (6, 2, 0.1460545955017819),
+        (3, 4, 0.14095636202256215),
+        (1, 1, 0.07949064663390996),
+        (3, 3, 0.13207052141267606),
+        (6, 6, 0.1757207297920019),
+        (60, 60, 0.2936063811437693),
     ],
     ('b2', 'full'): [
-        (1, 0, 0.05185018116098265, 0.05925734975540874, 0.05585183085797281),
-        (2, 1, 0.08888602413311311, 0.09629319272753921, 0.09576890957795525),
-        (0, 5, 0.11110752991639139, 0.11851469851081749, 0.11352244121755761),
-        (6, 2, 0.14073620429409578, 0.14814337288852186, 0.14579275563325314),
-        (3, 4, 0.14073620429409578, 0.14814337288852186, 0.1407674638465923),
-        (1, 1, 0.07407168694426093, 0.08147885553868703, 0.07938555439724955),
-        (3, 3, 0.12592186710524358, 0.13332903569966967, 0.13189763769512305),
-        (6, 6, 0.17036487867180014, 0.17777204726622622, 0.17549637846031604),
-        (60, 60, 0.28887957618261767, 0.29628674477704375, 0.29333956637592773),
+        (1, 0, 0.05585183085797281),
+        (2, 1, 0.09576890957795525),
+        (0, 5, 0.11352244121755761),
+        (6, 2, 0.14579275563325314),
+        (3, 4, 0.1407674638465923),
+        (1, 1, 0.07938555439724955),
+        (3, 3, 0.13189763769512305),
+        (6, 6, 0.17549637846031604),
+        (60, 60, 0.29333956637592773),
     ],
     ('b3', 'reduced'): [
-        (1, 0, 0.037732993325420516, 0.044021825379657264, 0.03881400012878449),
-        (2, 1, 0.06288832154236752, 0.06917715359660427, 0.06605771929828326),
-        (0, 5, 0.07546598565084103, 0.08175481770507778, 0.0781857254148582),
-        (6, 2, 0.09433248181355129, 0.10062131386778804, 0.09934873718337345),
-        (3, 4, 0.09433248181355129, 0.10062131386778804, 0.0959658052665165),
-        (1, 1, 0.05031065743389402, 0.056599489488130775, 0.054932726064798154),
-        (3, 3, 0.08804364975931453, 0.09433248181355129, 0.09013815615235476),
-        (6, 6, 0.11319897797626155, 0.1194878100304983, 0.11840216716171975),
-        (60, 60, 0.19495379468133933, 0.20124262673557608, 0.1950070322239401),
+        (1, 0, 0.03881400012878449),
+        (2, 1, 0.06605771929828326),
+        (0, 5, 0.0781857254148582),
+        (6, 2, 0.09934873718337345),
+        (3, 4, 0.0959658052665165),
+        (1, 1, 0.054932726064798154),
+        (3, 3, 0.09013815615235476),
+        (6, 6, 0.11840216716171975),
+        (60, 60, 0.1950070322239401),
     ],
     ('b3', 'full'): [
-        (1, 0, 0.037732993325420516, 0.044021825379657264, 0.03869680122816568),
-        (2, 1, 0.06288832154236752, 0.06917715359660427, 0.06591252619329609),
-        (0, 5, 0.07546598565084103, 0.08175481770507778, 0.07767939305745637),
-        (6, 2, 0.09433248181355129, 0.10062131386778804, 0.09903381983766944),
-        (3, 4, 0.09433248181355129, 0.10062131386778804, 0.0957796130720355),
-        (1, 1, 0.05031065743389402, 0.056599489488130775, 0.05482825613507038),
-        (3, 3, 0.08804364975931453, 0.09433248181355129, 0.08997099604297845),
-        (6, 6, 0.11319897797626155, 0.1194878100304983, 0.11819032240573998),
-        (60, 60, 0.18866496262710258, 0.19495379468133933, 0.19473163966801155),
+        (1, 0, 0.03869680122816568),
+        (2, 1, 0.06591252619329609),
+        (0, 5, 0.07767939305745637),
+        (6, 2, 0.09903381983766944),
+        (3, 4, 0.0957796130720355),
+        (1, 1, 0.05482825613507038),
+        (3, 3, 0.08997099604297845),
+        (6, 6, 0.11819032240573998),
+        (60, 60, 0.19473163966801155),
     ],
 }
 
@@ -104,9 +104,9 @@ def bundled(name):
 @pytest.mark.parametrize("geom_name,form", sorted(PARENT_ROOTS))
 def test_roots_match_pinned_scalar_scan(geom_name, form):
     geom = bundled(geom_name)
-    for nl, nr, lo, hi, z in PARENT_ROOTS[geom_name, form]:
+    for nl, nr, z in PARENT_ROOTS[geom_name, form]:
         sol = smallest_root(geom, VortexConfig(nl, nr, P_REF), TP, form=form)
-        assert sol.bracket == (lo, hi), (nl, nr)
+        assert sol.bracket[0] <= sol.z <= sol.bracket[1], (nl, nr)
         assert sol.z == pytest.approx(z, rel=1e-13, abs=0), (nl, nr)
 
 
@@ -118,7 +118,9 @@ def test_array_residual_equals_scalar(form, counts):
     for name in ("b1", "b2", "b3"):
         geom = bundled(name)
         groups = eigenmode._groups(geom, vc, TP)
-        grid = eigenmode._mode_terms(zs, groups, form)
+        tree, pads = eigenmode._tree(geom, form)
+        grid = eigenmode._pass(zs, eigenmode._trig(zs, tree), groups, tree,
+                               pads)[0][0]
         scalar = [eigen_residual(float(z), geom, vc, TP, form) for z in zs]
         # equal up to the few-ulp rounding differences between numpy's
         # vector and scalar trig kernels
@@ -142,13 +144,13 @@ def test_sweep_rows_equal_per_field_roots(pads, form):
 @pytest.mark.parametrize("form", ["reduced", "full"])
 def test_scan_evaluates_each_grid_in_one_call(monkeypatch, form):
     """A per-point scan would show up as scalar calls outside Brent's
-    polish and the Newton quality estimate."""
+    polish, the Newton quality estimate and the mode count."""
     calls, inside = [], []
-    mode_terms = eigenmode._mode_terms
+    graph_pass = eigenmode._pass
 
     def counted(z, *args):
         calls.append((np.ndim(z) > 0, inside[-1] if inside else None))
-        return mode_terms(z, *args)
+        return graph_pass(z, *args)
 
     def tagged(name, fn):
         def run(*args, **kwargs):
@@ -159,21 +161,16 @@ def test_scan_evaluates_each_grid_in_one_call(monkeypatch, form):
                 inside.pop()
         return run
 
-    geom = bundled("b1")
-    edges, _ = eigenmode._scan_plan(geom, form)
-    n_intervals = len(edges) - 1
-    monkeypatch.setattr(eigenmode, "_mode_terms", counted)
-    monkeypatch.setattr(eigenmode, "_brent",
-                        tagged("brent", eigenmode._brent))
-    monkeypatch.setattr(eigenmode, "_newton_quality",
-                        tagged("newton", eigenmode._newton_quality))
-    smallest_root(geom, VortexConfig(2, 1, P_REF), TP, form=form)
+    monkeypatch.setattr(eigenmode, "_pass", counted)
+    for name in ("_brent", "_newton_quality", "_count"):
+        monkeypatch.setattr(eigenmode, name,
+                            tagged(name, getattr(eigenmode, name)))
+    smallest_root(bundled("b1"), VortexConfig(2, 1, P_REF), TP, form=form)
     grids = [who for is_array, who in calls if is_array]
     points = [who for is_array, who in calls if not is_array]
-    assert 1 <= len(grids) <= n_intervals
-    assert set(grids) == {None}
-    assert set(points) <= {"brent", "newton"}
-    assert points.count("newton") == 3
+    assert grids == [None]
+    assert set(points) <= {"_brent", "_newton_quality", "_count"}
+    assert points.count("_newton_quality") == 3
 
 
 def box_geometry(u):
@@ -243,28 +240,6 @@ def test_rate_symmetric_under_pad_exchange(geom, n_left, n_right, p, form):
     assert s_lr.s == s_rl.s
 
 
-# l_cap = 45um, w_cap = 50um put a plate resonance at z = 1.55309, in the
-# last partial cell of the capacitor grid below the pi/2 cap
-B1_LATE_POLE = DeviceGeometry(w_wire=12e-6, l_wire=200e-6, h_cap=75e-6,
-                              l_half_gap=7.5e-6, w_cap=50e-6, l_cap=45e-6,
-                              s_pad=6400e-12)
-
-
-@pytest.mark.parametrize("geom", [B1_LATE_POLE] + [
-    box_geometry(np.random.Generator(np.random.Philox(seed)).uniform(size=7))
-    for seed in range(40)], ids=["b1-late-pole"] + [
-        f"box-{seed}" for seed in range(40)])
-@pytest.mark.parametrize("form", ["reduced", "full"])
-def test_plan_lists_every_capacitor_pole(geom, form):
-    edges = np.array(eigenmode._scan_plan(geom, form)[0])
-    zs = np.linspace(0.0, eigenmode._Z_CAP, 200_001)[1:]
-    den = eigenmode.capacitor_denominator(zs, geom)
-    k = np.flatnonzero(np.sign(den[:-1]) != np.sign(den[1:]))
-    # the first edge at or above each sign change lies within 1e-9 of it
-    nearest = edges[np.searchsorted(edges, zs[k] - 1e-9)]
-    assert np.all(nearest <= zs[k + 1] + 1e-9), zs[k]
-
-
 @settings(max_examples=200, deadline=None)
 @given(geom=geometries, n=st.integers(1, 6), split=st.floats(0.0, 1.0),
        log_eps=st.floats(-8.0, -4.0),
@@ -300,9 +275,9 @@ def test_two_roots_in_one_scan_cell():
     assert sol.z == pytest.approx(1.2048106007766062, rel=1e-13, abs=0)
     assert sol.branch_note == "reduced: split by eigenvalue count"
     assert sol.bracket[0] < sol.z < sol.bracket[1]
-    g = eigenmode._groups(geom, vc, tp)
-    assert eigenmode._count(1.22, g, geom, "reduced") == 1
-    assert eigenmode._count(1.224, g, geom, "reduced") == 2
+    g, plan = eigenmode._groups(geom, vc, tp), eigenmode._plan(geom, "reduced")
+    assert eigenmode._count(1.22, g, plan) == 1
+    assert eigenmode._count(1.224, g, plan) == 2
 
 
 # 1 mm^2 pads, otherwise inside the valid box: the slow mode z = 0.0029
@@ -327,7 +302,7 @@ def test_count_alone_finds_the_root(monkeypatch, form):
     """With the scan finding no sign change, bisecting the count from the
     scan's top isolates the same root."""
     geom = bundled("b1")
-    expected = {c[:2]: c[4] for c in PARENT_ROOTS["b1", form]}
+    expected = {c[:2]: c[2] for c in PARENT_ROOTS["b1", form]}
     monkeypatch.setattr(eigenmode, "_first_root", lambda *args: None)
     for (nl, nr), z in expected.items():
         sol = smallest_root(geom, VortexConfig(nl, nr, P_REF), TP, form)
@@ -338,7 +313,7 @@ def test_count_alone_finds_the_root(monkeypatch, form):
 def test_no_mode_below_the_top_raises_with_the_count(monkeypatch):
     monkeypatch.setattr(eigenmode, "_first_root", lambda *args: None)
     monkeypatch.setattr(eigenmode, "_count", lambda *args: 0)
-    with pytest.raises(NoRootFoundError, match="pole-free cell") as exc:
+    with pytest.raises(NoRootFoundError, match="holds one mode") as exc:
         smallest_root(bundled("b1"), VortexConfig(1, 0, P_REF), TP)
     assert exc.value.diagnostics["count_at_top"] == 0
 
@@ -351,9 +326,9 @@ def test_count_brackets_returned_root(geom, n_left, n_right, log_p, form):
     assume(n_left + n_right > 0)
     vc = VortexConfig(n_left, n_right, 10.0**log_p)
     z = smallest_root(geom, vc, TP, form).z
-    g = eigenmode._groups(geom, vc, TP)
-    assert eigenmode._count(z * (1 - 1e-9), g, geom, form) == 0
-    assert eigenmode._count(z * (1 + 1e-9), g, geom, form) >= 1
+    g, plan = eigenmode._groups(geom, vc, TP), eigenmode._plan(geom, form)
+    assert eigenmode._count(z * (1 - 1e-9), g, plan) == 0
+    assert eigenmode._count(z * (1 + 1e-9), g, plan) >= 1
 
 
 @pytest.mark.parametrize("form", ["reduced", "full"])
@@ -383,12 +358,59 @@ def test_count_is_dense_inertia(form):
             k[[i, j], [i, j]] += stiff * math.cos(kl)
             k[i, j] = k[j, i] = -stiff
         dense = clamped + int((np.linalg.eigvalsh(k) < 0).sum())
-        assert eigenmode._count(z, g, geom, form) == dense
+        assert eigenmode._count(z, g, eigenmode._plan(geom, form)) == dense
+
+
+def dense_secular(z, geom, vc, tp, form):
+    """det K(z) prod_e sin(k l_e) at 50 digits from the dense vertex matrix:
+    the secular function up to a positive factor, by no code of the
+    solver, on the same float inputs."""
+    der = derive(geom, tp.d)
+    eps = mpmath.mpf(vc.trapping_power * der.tau_d / der.a_w)
+    segments = edges(geom, form)
+    names = sorted({v for _, a, b, _, _ in segments for v in (a, b)})
+    k, out = mpmath.zeros(len(names)), mpmath.mpf(1)
+    for pad, n in (("pad_left", vc.n_left), ("pad_right", vc.n_right)):
+        i = names.index(pad)
+        k[i, i] = n * eps - mpmath.mpf(der.aspect_a) * z * z
+    for _, a, b, length, width in segments:
+        kl = z * mpmath.mpf(length / geom.l_wire)
+        stiff = mpmath.mpf(width / geom.w_wire) * z / mpmath.sin(kl)
+        i, j = names.index(a), names.index(b)
+        k[i, i] += stiff * mpmath.cos(kl)
+        k[j, j] += stiff * mpmath.cos(kl)
+        k[i, j] = k[j, i] = -stiff
+        out *= mpmath.sin(kl)
+    return mpmath.det(k) * out
+
+
+def test_roots_match_50_digit_roots():
+    """On a seeded panel over the valid geometry box, both forms, 0-6
+    vortices a side, P 1e-7 to 1e-1 m^2/s and D 5 to 50 cm^2/s, each root
+    lies within 1e-13 of the secular function's 50-digit root."""
+    rng = np.random.Generator(np.random.Philox(1971))
+    errors = []
+    with mpmath.workdps(50):
+        while len(errors) < 100:
+            geom = box_geometry(rng.uniform(size=7))
+            vc = VortexConfig(*(int(n) for n in rng.integers(0, 7, size=2)),
+                              10.0 ** rng.uniform(-7.0, -1.0))
+            tp = TransportParams(d=rng.uniform(5e-4, 50e-4))
+            form = ("reduced", "full")[rng.integers(2)]
+            if vc.n_left + vc.n_right == 0:
+                continue
+            z = smallest_root(geom, vc, tp, form).z
+            exact = mpmath.findroot(
+                lambda x: dense_secular(x, geom, vc, tp, form),
+                (z * (1 - mpmath.mpf(1e-9)), z * (1 + mpmath.mpf(1e-9))),
+                solver="anderson", verify=False)
+            errors.append(float(abs(z - exact) / exact))
+    assert max(errors) < 1e-13
 
 
 def test_brent_bit_identical_to_brentq(monkeypatch):
-    """_brent returns brentq's double on every bracket that the capacitor
-    pole search and the root polish hand it over a seeded panel."""
+    """_brent returns brentq's double on every bracket that the root
+    polish hands it over a seeded panel."""
     real, calls = eigenmode._brent, []
 
     def recorded(fn, a, b, xtol, **kwargs):
@@ -400,14 +422,13 @@ def test_brent_bit_identical_to_brentq(monkeypatch):
     for _ in range(60):
         geom = box_geometry(rng.uniform(size=7))
         for form in ("reduced", "full"):
-            plan = eigenmode._scan_plan(geom, form)
+            plan = eigenmode._plan(geom, form)
             for _ in range(9):
                 n_left, n_right = rng.integers(0, 7, size=2)
                 vc = VortexConfig(int(n_left), int(n_right),
                                   10.0 ** rng.uniform(-7.0, -4.0))
                 eigenmode._root(geom, vc, TP, form, plan)
-    poles = [c for c in calls if c[3]["xtol"] == 1e-14]
-    assert len(calls) - len(poles) >= 1000 and len(poles) >= 30
+    assert len(calls) >= 1000
     # brackets whose trial step divides by an underflowed zero, where C
     # arithmetic gives an inf or a NaN
     calls += [(lambda z, k=k: 1e-300 * (z - 0.3) ** k, -1.0, 1.25,

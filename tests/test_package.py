@@ -17,9 +17,8 @@ PUBLIC = {
                  "recombination_theory", "solution_from_rates",
                  "steady_state", "xqp_analytic", "xqp_recombination_only"],
     "eigenmode": ["ModeSolution", "TransportParams", "VortexConfig",
-                  "capacitor_substitution", "eigen_residual", "field_sweep",
-                  "large_p_z", "small_p_rate", "smallest_root",
-                  "step_sequence"],
+                  "eigen_residual", "field_sweep", "large_p_z",
+                  "small_p_rate", "smallest_root", "step_sequence"],
     "estimates": ["CavityQs", "VortexMicro", "frequency_shift",
                   "frequency_shift_from_xqp", "injection_power",
                   "microscopic_trapping_power", "qp_injection_rate",
@@ -38,7 +37,7 @@ NAMES = [name for names in PUBLIC.values() for name in names]
 
 def test_all_lists_the_public_names():
     import qpdyn
-    assert len(NAMES) == 54
+    assert len(NAMES) == 53
     assert sorted(qpdyn.__all__) == sorted(NAMES)
 
 

@@ -9,8 +9,7 @@ from qpdyn.constants import EV, QubitParams, gamma_from_xqp
 from qpdyn.dynamics import (RateParams, SolutionParams, extraction_bounds,
                             integrate_ode, recombination_theory, xqp_analytic,
                             xqp_recombination_only)
-from qpdyn.eigenmode import (TransportParams, VortexConfig,
-                             capacitor_substitution)
+from qpdyn.eigenmode import TransportParams, VortexConfig, eigen_residual
 from qpdyn.errors import (InvalidParameterError, InvalidResolutionError,
                           QpdynError, check_finite, check_time_grid,
                           finite_violation)
@@ -74,8 +73,10 @@ NON_FINITE = [
      [INF]),
     ("frequency_shift_from_xqp", "omega",
      lambda v: frequency_shift_from_xqp(1e-6, v, DELTA), [NAN, INF]),
-    ("capacitor_substitution", "z",
-     lambda v: capacitor_substitution(v, DeviceGeometry(**GEOM)), [NAN, INF]),
+    ("eigen_residual", "z",
+     lambda v: eigen_residual(v, DeviceGeometry(**GEOM),
+                              VortexConfig(1, 0, 6.7e-6),
+                              TransportParams(d=18e-4)), [NAN, INF]),
     ("gamma_model", "t", lambda v: gamma_model(v, _fit()), [NAN, INF]),
     ("EvolveSpec", "t_grid",
      lambda v: EvolveSpec(r=0.0, g=0.0, t_grid=(1e-3, v)), [NAN, INF]),
