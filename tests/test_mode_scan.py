@@ -240,6 +240,49 @@ def test_rate_symmetric_under_pad_exchange(geom, n_left, n_right, p, form):
     assert s_lr.s == s_rl.s
 
 
+# l_cap = 45um, w_cap = 50um put a plate resonance at z = 1.55309, in the
+# last partial cell of the scan grid below the pi/2 cap
+B1_LATE_POLE = DeviceGeometry(w_wire=12e-6, l_wire=200e-6, h_cap=75e-6,
+                              l_half_gap=7.5e-6, w_cap=50e-6, l_cap=45e-6,
+                              s_pad=6400e-12)
+
+
+@pytest.mark.parametrize("geom", [B1_LATE_POLE] + [
+    box_geometry(np.random.Generator(np.random.Philox(seed)).uniform(size=7))
+    for seed in range(40)], ids=["b1-late-pole"] + [
+        f"box-{seed}" for seed in range(40)])
+@pytest.mark.parametrize("form", ["reduced", "full"])
+def test_plan_lists_every_capacitor_pole(geom, form):
+    """The plan used to list each pole of the capacitor plate's admittance
+    as a grid edge; with an entire F it needs none.  Across every pole
+    below the scan top, F stays finite, the mode count matches the dense
+    vertex-matrix count on both sides, and F changes sign exactly where
+    that count steps, so a pole inside a scan cell neither fakes nor hides
+    a root.  In the reduced form both arms meet at junction, and their
+    antisymmetric mode, with junction at rest, sits on the pole.
+
+    The poles are the sign changes of the plate's admittance denominator
+    cos(z h) cos(z l_cap) - (w_cap / W) sin(z h) sin(z l_cap), lengths in
+    units of L: a free end seen through the wide and the thin arm."""
+    plan = eigenmode._plan(geom, form)
+    zs = np.linspace(0.0, eigenmode._Z_CAP, 200_001)[1:]
+    h, lc = geom.h_cap / geom.l_wire, geom.l_cap / geom.l_wire
+    den = (np.cos(zs * h) * np.cos(zs * lc)
+           - geom.w_cap / geom.w_wire * np.sin(zs * h) * np.sin(zs * lc))
+    poles = np.flatnonzero(np.sign(den[:-1]) != np.sign(den[1:]))
+    for vc in (VortexConfig(2, 1, P_REF), VortexConfig(4, 1, 1e-2)):
+        g = eigenmode._groups(geom, vc, TP)
+        f = eigenmode._pass(zs, eigenmode._trig(zs, plan.tree), g,
+                            plan.tree, plan.pads)[0][0]
+        assert np.isfinite(f).all()
+        for k in poles:
+            below, above = (dense_count(z, geom, vc, form)
+                            for z in zs[k:k + 2])
+            assert eigenmode._count(zs[k], g, plan) == below, zs[k]
+            assert eigenmode._count(zs[k + 1], g, plan) == above, zs[k]
+            assert int(np.sign(f[k]) != np.sign(f[k + 1])) == above - below
+
+
 @settings(max_examples=200, deadline=None)
 @given(geom=geometries, n=st.integers(1, 6), split=st.floats(0.0, 1.0),
        log_eps=st.floats(-8.0, -4.0),
@@ -331,6 +374,28 @@ def test_count_brackets_returned_root(geom, n_left, n_right, log_p, form):
     assert eigenmode._count(z * (1 + 1e-9), g, plan) >= 1
 
 
+def dense_count(z, geom, vc, form):
+    """Modes below z from the inertia of the dense vertex matrix K(z),
+    plus the clamped-segment modes, by no code of the solver."""
+    g = eigenmode._groups(geom, vc, TP)
+    segments = edges(geom, form)
+    names = sorted({v for _, a, b, _, _ in segments for v in (a, b)})
+    k = np.zeros((len(names), len(names)))
+    k[names.index("pad_left"), names.index("pad_left")] = \
+        vc.n_left * g.eps - g.a * z * z
+    k[names.index("pad_right"), names.index("pad_right")] = \
+        vc.n_right * g.eps - g.a * z * z
+    clamped = 0
+    for _, a, b, length, width in segments:
+        kl = z * length / geom.l_wire
+        clamped += math.floor(kl / math.pi)
+        i, j = names.index(a), names.index(b)
+        stiff = width / geom.w_wire * z / math.sin(kl)
+        k[[i, j], [i, j]] += stiff * math.cos(kl)
+        k[i, j] = k[j, i] = -stiff
+    return clamped + int((np.linalg.eigvalsh(k) < 0).sum())
+
+
 @pytest.mark.parametrize("form", ["reduced", "full"])
 def test_count_is_dense_inertia(form):
     """The leaf-first pivots give the inertia of the dense vertex matrix
@@ -342,23 +407,8 @@ def test_count_is_dense_inertia(form):
                           10.0 ** rng.uniform(-7.0, -1.0))
         g = eigenmode._groups(geom, vc, TP)
         z = rng.uniform(1e-3, eigenmode._Z_CAP)
-        segments = edges(geom, form)
-        names = sorted({v for _, a, b, _, _ in segments for v in (a, b)})
-        k = np.zeros((len(names), len(names)))
-        k[names.index("pad_left"), names.index("pad_left")] = \
-            vc.n_left * g.eps - g.a * z * z
-        k[names.index("pad_right"), names.index("pad_right")] = \
-            vc.n_right * g.eps - g.a * z * z
-        clamped = 0
-        for _, a, b, length, width in segments:
-            kl = z * length / geom.l_wire
-            clamped += math.floor(kl / math.pi)
-            i, j = names.index(a), names.index(b)
-            stiff = width / geom.w_wire * z / math.sin(kl)
-            k[[i, j], [i, j]] += stiff * math.cos(kl)
-            k[i, j] = k[j, i] = -stiff
-        dense = clamped + int((np.linalg.eigvalsh(k) < 0).sum())
-        assert eigenmode._count(z, g, eigenmode._plan(geom, form)) == dense
+        assert eigenmode._count(z, g, eigenmode._plan(geom, form)) == \
+            dense_count(z, geom, vc, form)
 
 
 def dense_secular(z, geom, vc, tp, form):
