@@ -17,17 +17,20 @@ Williams 1971; Berkolaiko & Kuchment, Introduction to Quantum Graphs,
 2013).  It gives both the secular function F(z), which is entire, and the
 Wittrick-Williams count of the modes below z.  _plan fixes the
 elimination order, the scan grid and its trig once per (geometry, form),
-for all roots of one smallest_root, step_sequence or field_sweep call.  A
-root scans F on that grid, in one array pass, to its first sign change;
-the count checks that no mode lies below it, and when two roots share a
-scan cell bisecting the count isolates the first.  Both pad subtrees meet
-before the capacitor arms, so s is bit-for-bit symmetric under pad
-exchange.  Brent's method polishes the bracket.  _brent is a step-for-step
-port of scipy's brentq on Python floats: it returns the same double, and
-it spares the mode solver the import of scipy.optimize, which takes longer
-than a whole eigenrate, steps or sweep command computes.  field_sweep
-roots each distinct (N_L, N_R) once and reuses its rate for every field
-that maps to it.
+for all roots of one smallest_root, step_sequence or field_sweep call.
+One array pass per call scans F of every vortex configuration on that
+grid, the pads' seeds stacked as columns, to each row's first sign
+change; per root, the count checks that no mode lies below it, and when
+two roots share a scan cell bisecting the count isolates the first.  Both
+pad subtrees meet before the capacitor arms, so s is bit-for-bit
+symmetric under pad exchange.  Brent's method polishes the bracket.
+_brent is a step-for-step port of scipy's brentq on Python floats: it
+returns the same double, and it spares the mode solver the import of
+scipy.optimize, which takes longer than a whole eigenrate, steps or sweep
+command computes.  field_sweep roots each distinct (N_L, N_R) once and
+reuses its rate for every field that maps to it.  Each call logs one
+DEBUG record on the qpdyn.eigenmode logger, its data as a dict in
+record.args.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError, NoRootFoundError, check_finite
-from .geometry import DeviceGeometry, derive, edges
+from .geometry import DerivedGeometry, DeviceGeometry, derive, edges
 
 _FORMS = ("reduced", "full")
 # the scan stops just past pi/2, the mode of one wire clamped at its pad,
@@ -111,17 +114,32 @@ class _Groups(NamedTuple):
     lam: float    # l / L
     tau_d: float  # L^2 / D, s
     a_total: float  # A_total / A_W
+    n_eps: tuple  # N_L eps, N_R eps
+    scale: tuple  # per pad 2^-max(0, e - 64), e the binary exponent of N eps;
+    # () while both N eps are below 2^64
 
 
 def _groups(geom: DeviceGeometry, vortices: VortexConfig,
-            tp: TransportParams) -> _Groups:
-    der = derive(geom, tp.d)
+            tp: TransportParams, der: DerivedGeometry | None = None
+            ) -> _Groups:
+    """The groups of one configuration; der is derive(geom, tp.d) if given.
+
+    Once a pad's N eps reaches 2^64, each pad's seed is scaled by the
+    exact power of two 2^-max(0, e - 64), so two strongly trapping pads do
+    not overflow F at the junction; a positive factor per pad moves no
+    sign and no root.  Below 2^64, scale is () and no seed is scaled."""
+    if der is None:
+        der = derive(geom, tp.d)
+    eps = vortices.trapping_power * der.tau_d / der.a_w
+    nbar = 0.5 * (vortices.n_left + vortices.n_right)
+    dn = vortices.n_right - vortices.n_left
+    n_eps = ((nbar - 0.5 * dn) * eps, (nbar + 0.5 * dn) * eps)
+    scale = tuple(math.ldexp(1.0, -max(0, math.frexp(x)[1] - 64))
+                  for x in n_eps) if max(n_eps) >= 2.0**64 else ()
     return _Groups(
-        a=der.aspect_a, eps=vortices.trapping_power * der.tau_d / der.a_w,
-        nbar=0.5 * (vortices.n_left + vortices.n_right),
-        dn=vortices.n_right - vortices.n_left,
+        a=der.aspect_a, eps=eps, nbar=nbar, dn=dn,
         lam=geom.l_half_gap / geom.l_wire, tau_d=der.tau_d,
-        a_total=der.a_total / der.a_w)
+        a_total=der.a_total / der.a_w, n_eps=n_eps, scale=scale)
 
 
 def _tree(geom: DeviceGeometry, form: str):
@@ -187,11 +205,14 @@ def _pass(z, trig, g: _Groups, tree: tuple, pads: tuple):
     _trig of z.
 
     Each vertex carries a pair (P, R), its admittance z P / R: a free end
-    starts at (0, 1), a pad at (N eps - a z^2, z).  Each edge (l, w) maps
-    its child's pair through the unimodular two-port [[c, -w s], [s / w,
-    c]], c, s = cos, sin(z l), which carries flux / k and density along the
-    segment, and the children of a vertex add as fractions,
-    (P R' + P' R, R R').  Only arithmetic, so floats and arrays share it.
+    starts at (0, 1), a pad at (N eps - a z^2, z), times its factor in
+    g.scale if there is one.  Each edge (l, w) maps its child's pair
+    through the unimodular two-port [[c, -w s], [s / w, c]], c, s = cos,
+    sin(z l), which carries flux / k and density along the segment, and the
+    children of a vertex add as fractions, (P R' + P' R, R R').  Only
+    arithmetic, so floats and arrays share it: with g.n_eps and g.scale as
+    (K, 1) columns and z of shape (m,), F comes back as (K, m), one row
+    per configuration.
 
     Returns the pairs of all vertices, junction's first, and R' of each
     edge.  F(z) = P at junction is entire, with zeros at the modes and at
@@ -200,9 +221,12 @@ def _pass(z, trig, g: _Groups, tree: tuple, pads: tuple):
     n = len(tree) + 1
     p, r, tails = [0.0] * n, [1.0] * n, []
     mass = g.a * z * z
-    left, right = pads
-    p[left], r[left] = (g.nbar - 0.5 * g.dn) * g.eps - mass, z
-    p[right], r[right] = (g.nbar + 0.5 * g.dn) * g.eps - mass, z
+    (left, right), (n_left, n_right) = pads, g.n_eps
+    p[left], r[left] = n_left - mass, z
+    p[right], r[right] = n_right - mass, z
+    if g.scale:
+        for pad, factor in zip(pads, g.scale):
+            p[pad], r[pad] = p[pad] * factor, r[pad] * factor
     for (child, parent, first, _, _), (c, ws, sw) in zip(tree, trig):
         pc, rc = p[child], r[child]
         pt, rt = c * pc - ws * rc, sw * pc + c * rc
@@ -302,21 +326,37 @@ def _brent(f, a: float, b: float, xtol: float,
         diagnostics={"bracket": (a, b), "z": xcur, "maxiter": maxiter})
 
 
-def _first_root(g: _Groups, plan: _Plan):
+def _first_roots(groups: list, plan: _Plan) -> list:
     """Lowest cell of the scan grid where the sign of F changes, or None,
-    from one array pass.  F beyond the float64 range raises
-    NoRootFoundError."""
+    for each of groups, from one array pass over all of them.  A row of F
+    beyond the float64 range gives its NoRootFoundError in place of a
+    cell."""
+    g = groups[0]
+    if len(groups) > 1:  # only the pads' seeds differ: stack them
+        scaled = any(h.scale for h in groups)
+        g = g._replace(
+            n_eps=tuple(np.array(pad)[:, None]
+                        for pad in zip(*(h.n_eps for h in groups))),
+            scale=tuple(np.array(pad)[:, None] for pad in zip(
+                *(h.scale or (1.0, 1.0) for h in groups))) if scaled else ())
     with np.errstate(over="ignore", invalid="ignore"):
         vals = _pass(plan.grid, plan.grid_trig, g, plan.tree,
-                     plan.pads)[0][0]
-    if not np.isfinite(vals).all():
-        raise NoRootFoundError(
-            "the secular function leaves the float64 range on the scan grid",
-            diagnostics={"z": float(plan.grid[~np.isfinite(vals)][0]),
-                         "eps": g.eps})
+                     plan.pads)[0][0].reshape(len(groups), -1)
+    finite = np.isfinite(vals).all(axis=1)
     sign = np.sign(vals)
-    hit = np.flatnonzero(sign[:-1] != sign[1:])
-    return (plan.grid[hit[0]], plan.grid[hit[0] + 1]) if hit.size else None
+    change = sign[:, :-1] != sign[:, 1:]
+    cells = []
+    for row, hit in enumerate(change.argmax(axis=1)):
+        if not finite[row]:
+            cells.append(NoRootFoundError(
+                "the secular function leaves the float64 range on the scan "
+                "grid", diagnostics={
+                    "z": float(plan.grid[~np.isfinite(vals[row])][0]),
+                    "eps": groups[row].eps}))
+        else:
+            cells.append((float(plan.grid[hit]), float(plan.grid[hit + 1]))
+                         if change[row, hit] else None)
+    return cells
 
 
 def _count(z: float, g: _Groups, plan: _Plan) -> int:
@@ -342,14 +382,11 @@ def _newton_quality(fn, root: float) -> float:
     return fn(root) / (slope * root) if slope != 0 else 0.0
 
 
-def _root(geom: DeviceGeometry, vortices: VortexConfig, tp: TransportParams,
-          form: str, plan) -> ModeSolution:
-    """smallest_root for a checked form and the _plan of (geom, form)."""
-    g = _groups(geom, vortices, tp)
-    if g.eps == 0 or vortices.n_left + vortices.n_right == 0:
-        return ModeSolution(z=0.0, s=tp.s0, bracket=(0.0, 0.0),
-                            residual_at_root=0.0,
-                            branch_note=f"{form}: no trapping, uniform mode")
+def _root(g: _Groups, cell, tp: TransportParams, form: str, plan):
+    """One trapping configuration's root from its scan cell (or None, or
+    the scan's NoRootFoundError): the weak-trapping refusal, the count
+    check, Brent's polish and the Newton quality.  Returns the
+    ModeSolution and the numbers of scalar F and mode-count evaluations."""
     area, a_form = ("A_total", g.a_total) if form == "full" else (
         "(A_total - 2 l W)", g.a_total - 2.0 * g.lam)  # no central wire
     z_w = math.sqrt(2.0 * g.nbar * g.eps / a_form)
@@ -359,14 +396,19 @@ def _root(geom: DeviceGeometry, vortices: VortexConfig, tp: TransportParams,
             "too small for the mode scan to resolve; use the weak-trapping "
             f"limit s = (N_L + N_R) P / {area} + s0 = "
             f"{z_w**2 / g.tau_d + tp.s0:.6g} 1/s")
+    if isinstance(cell, NoRootFoundError):
+        raise cell
+    f_evals = 0
 
     def fn(z):
+        nonlocal f_evals
+        f_evals += 1
         return _pass(z, _trig(z, plan.tree), g, plan.tree, plan.pads)[0][0]
 
-    bracket, note = _first_root(g, plan), "first sign change"
-    lo, hi = 1e-9, float(bracket[0]) if bracket else _Z_CAP
-    n_hi = _count(hi, g, plan)
-    if bracket is None or n_hi:  # bisect to a cell with one mode
+    note = "first sign change"
+    lo, hi = 1e-9, cell[0] if cell else _Z_CAP
+    n_hi, counts = _count(hi, g, plan), 1
+    if cell is None or n_hi:  # bisect to a cell with one mode
         while n_hi != 1:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
@@ -374,16 +416,53 @@ def _root(geom: DeviceGeometry, vortices: VortexConfig, tp: TransportParams,
                     f"no cell below z = {hi!r} holds one mode",
                     diagnostics=dict(eps=g.eps, dn=g.dn,
                                      count_at_top=_count(_Z_CAP, g, plan)))
-            n_mid = _count(mid, g, plan)
+            n_mid, counts = _count(mid, g, plan), counts + 1
             lo, hi, n_hi = (lo, mid, n_mid) if n_mid else (mid, hi, n_hi)
-        bracket, note = (lo, hi), "split by eigenvalue count"
-    za, zb = bracket
+        cell, note = (lo, hi), "split by eigenvalue count"
+    za, zb = cell
     root = _brent(fn, za, zb, xtol=1e-15, maxiter=200)
     return ModeSolution(
-        z=root, s=root * root / g.tau_d + tp.s0,
-        bracket=(float(za), float(zb)),
+        z=root, s=root * root / g.tau_d + tp.s0, bracket=(za, zb),
         residual_at_root=_newton_quality(fn, root),
-        branch_note=f"{form}: {note}")
+        branch_note=f"{form}: {note}"), f_evals, counts
+
+
+def _roots(geom: DeviceGeometry, vortex_configs: list, tp: TransportParams,
+           form: str, plan: _Plan) -> list:
+    """smallest_root of each configuration, in order, for a checked form
+    and the _plan of (geom, form).  One array pass scans the configurations
+    that trap; each root then takes its turn, so the first failing
+    configuration raises, as a loop of smallest_root would."""
+    der = derive(geom, tp.d)
+    groups = [_groups(geom, vc, tp, der) for vc in vortex_configs]
+    trapping = [g for g in groups if g.eps != 0 and g.nbar != 0]
+    cells = iter(_first_roots(trapping, plan) if trapping else ())
+    sols, evals = [], []
+    for g in groups:
+        if g.eps == 0 or g.nbar == 0:
+            sols.append(ModeSolution(
+                z=0.0, s=tp.s0, bracket=(0.0, 0.0), residual_at_root=0.0,
+                branch_note=f"{form}: no trapping, uniform mode"))
+            evals.append((0, 0))
+        else:
+            sol, f_n, c_n = _root(g, next(cells), tp, form, plan)
+            sols.append(sol)
+            evals.append((f_n, c_n))
+    logging = sys.modules.get("logging")  # no listener before its import
+    log = logging and logging.getLogger(__name__)
+    if log and log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "%(form)s roots of %(configs)d configurations from "
+            "%(array_passes)d array pass(es)", {
+                "form": form, "configs": len(sols),
+                "array_passes": int(bool(trapping)),
+                "roots": [{"n_left": vc.n_left, "n_right": vc.n_right,
+                           "z": sol.z, "bracket": sol.bracket,
+                           "branch_note": sol.branch_note, "f_evals": f_n,
+                           "count_evals": c_n}
+                          for vc, sol, (f_n, c_n)
+                          in zip(vortex_configs, sols, evals)]})
+    return sols
 
 
 def smallest_root(geom: DeviceGeometry, vortices: VortexConfig,
@@ -400,7 +479,7 @@ def smallest_root(geom: DeviceGeometry, vortices: VortexConfig,
     InvalidParameterError.
     """
     _check_form(form)
-    return _root(geom, vortices, tp, form, _plan(geom, form))
+    return _roots(geom, [vortices], tp, form, _plan(geom, form))[0]
 
 
 def small_p_rate(geom: DeviceGeometry, vortices: VortexConfig,
@@ -449,16 +528,12 @@ def step_sequence(geom: DeviceGeometry, tp: TransportParams,
         raise InvalidParameterError(
             f"series must be one of {sorted(_SERIES)}, got {series!r}")
     _check_form(form)
-    der = derive(geom, tp.d)
-    plan = _plan(geom, form)
-    rows = []
-    for k in range(max_steps + 1):
-        nl, nr = _SERIES[series](k)
-        vc = VortexConfig(n_left=nl, n_right=nr,
-                          trapping_power=trapping_power)
-        s = _root(geom, vc, tp, form, plan).s
-        rows.append((nl, nr, s, s * der.a_total))
-    return rows
+    counts = [_SERIES[series](k) for k in range(max_steps + 1)]
+    sols = _roots(geom, [VortexConfig(*c, trapping_power) for c in counts],
+                  tp, form, _plan(geom, form))
+    a_total = derive(geom, tp.d).a_total
+    return [(nl, nr, sol.s, sol.s * a_total)
+            for (nl, nr), sol in zip(counts, sols)]
 
 
 def field_sweep(geom: DeviceGeometry, tp: TransportParams,
@@ -494,8 +569,8 @@ def field_sweep(geom: DeviceGeometry, tp: TransportParams,
         else:
             total = round(2.0 * per_pad)
             counts.append(((total + 1) // 2, total // 2))
-    plan = _plan(geom, form)
-    rates = {c: _root(geom, VortexConfig(*c, trapping_power), tp, form,
-                      plan).s
-             for c in dict.fromkeys(counts)}
+    configs = list(dict.fromkeys(counts))
+    sols = _roots(geom, [VortexConfig(*c, trapping_power) for c in configs],
+                  tp, form, _plan(geom, form))
+    rates = {c: sol.s for c, sol in zip(configs, sols)}
     return [(b, nl, nr, rates[nl, nr]) for b, (nl, nr) in zip(fields, counts)]

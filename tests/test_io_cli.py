@@ -259,8 +259,9 @@ EXTREME_INPUTS = [
     "--c 4.6e10/s",
     "rates --amplitude 3.9e6/s --rprime 0.9 --tauss 1e300ms --gamma0 1e5/s "
     "--c 4.6e10/s",
-    "eigenrate --geom b1 --nl 1 --nr 1 --p 1e300cm2/s --d 18cm2/s",
-    "steps --geom b1 --p 1e300cm2/s --d 18cm2/s --max 4",
+    # eps = P tau_D / A_W itself beyond the float64 range
+    "eigenrate --geom b1 --nl 1 --nr 1 --p 1e300cm2/s --d 1e-10cm2/s",
+    "steps --geom b1 --p 1e300cm2/s --d 1e-10cm2/s --max 4",
     *(_EVOLVE.replace(old, new) for old, new in [
         ("--d 18cm2/s", "--d 1e300cm2/s"), ("--s0 100/s", "--s0 1e300/s"),
         ("--r 6.25e6/s", "--r 1e300/s"), ("--g 1e-4/s", "--g 1e300/s")]),
@@ -709,8 +710,7 @@ class TestCli:
     def test_one_saturated_pad_gives_the_clamped_pad_root(self, capsys,
                                                            recwarn):
         """One pad at P = 1e300 cm^2/s is a clamped end: the root is the
-        strong-trapping saturation; with two such pads the secular
-        function overflows, as the extreme-input case above shows."""
+        strong-trapping saturation."""
         roots = []
         for p in ("1e300", "1e12"):
             code, out, err = run_cli(capsys, *(
@@ -720,6 +720,27 @@ class TestCli:
             roots.append(json.loads(out)["result"]["z"])
         assert not [w for w in recwarn if w.category is RuntimeWarning]
         assert roots[0] == pytest.approx(roots[1], rel=1e-9)
+
+    @pytest.mark.parametrize("argv, rates", [
+        ("eigenrate --geom b1 --nl 1 --nr 1", lambda r: [r["s_per_s"]]),
+        ("steps --geom b1 --max 4",
+         lambda r: [row["s_per_s"] for row in r["steps"]])])
+    def test_two_saturated_pads_give_the_clamped_pad_roots(self, capsys,
+                                                            recwarn, argv,
+                                                            rates):
+        """With both pads at P = 1e300 cm^2/s the scaled pad seeds keep F
+        in the float64 range: the rates are those of P = 1e12 cm^2/s,
+        where the pads are already clamped."""
+        out = []
+        for p in ("1e300", "1e12"):
+            code, text, err = run_cli(capsys, *(
+                f"{argv} --p {p}cm2/s --d 18cm2/s --no-timestamp").split())
+            assert code == 0, err
+            out.append(rates(json.loads(text)["result"]))
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+        assert len(out[0]) == len(out[1])
+        for saturated, clamped in zip(*out):
+            assert saturated == pytest.approx(clamped, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("p, s_weak", [("1e-300", "3.48554e-297"),
                                            ("1e-20", "3.48554e-17")])
@@ -933,6 +954,31 @@ def test_mode_and_closed_form_commands_load_no_scipy(tmp_path):
     assert len(report) == len(tour) + 1
     assert all(code == 0 for _, code, _ in report), report
     assert [cmd for cmd, _, loaded in report if loaded] == []
+
+
+def test_mode_commands_load_no_logging():
+    """eigenrate, steps and sweep log their roots only if the caller has
+    imported logging; run by main in a fresh interpreter, they do not
+    import it."""
+    import subprocess
+    import sys
+
+    tour = [argv.split() for argv, _ in README_TOUR
+            if argv.split()[0] in ("eigenrate", "steps", "sweep")]
+    assert len(tour) == 3
+    probe = (
+        "import json, os, sys\n"
+        "from qpdyn.cli import main\n"
+        "report = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    code = main(argv + ['--out-file', os.devnull])\n"
+        "    report.append([argv[0], code, 'logging' in sys.modules])\n"
+        "print(json.dumps(report))\n")
+    done = subprocess.run([sys.executable, "-c", probe, json.dumps(tour)],
+                          capture_output=True, text=True, check=True,
+                          env=subprocess_env())
+    assert json.loads(done.stdout) == [
+        [argv[0], 0, False] for argv in tour]
 
 
 def test_pde_eigen_loads_no_integrator_or_graph_module():

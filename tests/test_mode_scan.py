@@ -1,6 +1,7 @@
 """The vectorized mode-equation scan against pinned roots and its own
 scalar path."""
 
+import logging
 import math
 from importlib import resources
 
@@ -340,13 +341,209 @@ def test_slow_mode_hidden_in_the_first_scan_cell(form):
     assert abs(sol.s - s_pde) / s_pde < 0.005
 
 
+def batch_panel():
+    """A seeded panel of (geometry, form, P, D, configurations): box
+    geometries with 0-6 vortices a side and P 1e-7 to 1e-1 m^2/s, and
+    BIG_PADS, whose first scan cell hides a mode, at P 3e-7 to 1.6e-6."""
+    rng = np.random.Generator(np.random.Philox(18))
+    panel = []
+    for k in range(30):
+        big = k % 5 == 4
+        geom = BIG_PADS if big else box_geometry(rng.uniform(size=7))
+        p = 10.0 ** rng.uniform(*((-6.5, -5.8) if big else (-7.0, -1.0)))
+        configs = [(0, 0)] + [tuple(int(n) for n in rng.integers(0, 7, 2))
+                              for _ in range(7)]
+        panel.append((geom, ("reduced", "full")[k % 2], p,
+                      rng.uniform(5e-4, 50e-4), configs))
+    return panel
+
+
+def test_batched_roots_equal_single_roots():
+    """One _roots call over many configurations returns, bit for bit, the
+    ModeSolution of each configuration's own smallest_root, including the
+    uniform mode and roots that the count has to split."""
+    notes, rows = [], 0
+    for geom, form, p, d, configs in batch_panel():
+        tp = TransportParams(d=d, s0=1.0 / 30e-3)
+        vcs = [VortexConfig(nl, nr, p) for nl, nr in configs]
+        batch = eigenmode._roots(geom, vcs, tp, form,
+                                 eigenmode._plan(geom, form))
+        single = [smallest_root(geom, vc, tp, form) for vc in vcs]
+        assert [repr(s) for s in batch] == [repr(s) for s in single]
+        notes += [s.branch_note.split(": ")[1] for s in batch]
+        rows += len(batch)
+    assert rows >= 200
+    assert {"no trapping, uniform mode", "first sign change",
+            "split by eigenvalue count"} <= set(notes)
+
+
+def test_steps_and_sweep_equal_a_loop_of_single_roots():
+    """step_sequence and field_sweep rows, from one array pass each, equal
+    smallest_root of each row's configuration bit for bit."""
+    for k, (geom, form, p, d, _) in enumerate(batch_panel()):
+        tp = TransportParams(d=d, s0=1.0 / 30e-3)
+
+        def rate(nl, nr):
+            return smallest_root(geom, VortexConfig(nl, nr, p), tp, form).s
+
+        series = ("alternating", "pairs")[k // 2 % 2]
+        for nl, nr, s, _ in step_sequence(geom, tp, p, series, 6, form):
+            assert s.hex() == rate(nl, nr).hex(), (k, nl, nr)
+        rows = field_sweep(geom, tp, p, np.linspace(0.0, 150e-7, 31),
+                           b_k=11e-7, vortex_density_slope=6.2 / 139e-7,
+                           pads=("equal", "alternating")[k % 3 == 0],
+                           form=form)
+        assert max(nl + nr for _, nl, nr, _ in rows) == 12
+        for _, nl, nr, s in rows:
+            assert s.hex() == rate(nl, nr).hex(), (k, nl, nr)
+
+
+@pytest.mark.parametrize("call, trapping", [
+    (lambda geom: [smallest_root(geom, VortexConfig(2, 1, P_REF), TP,
+                                 "full")], lambda out: 1),
+    (lambda geom: step_sequence(geom, TP, P_REF, max_steps=6, form="full"),
+     lambda out: 6),
+    (lambda geom: field_sweep(geom, TP, P_REF, np.linspace(0.0, 150e-7, 41),
+                              b_k=11e-7, vortex_density_slope=0.3e7,
+                              pads="alternating", form="full"),
+     lambda out: len({row[1:3] for row in out} - {(0, 0)}))],
+    ids=["smallest_root", "step_sequence", "field_sweep"])
+def test_one_array_pass_per_call(monkeypatch, call, trapping):
+    """Each call scans all its trapping configurations in one (K, m) array
+    pass over the plan's grid."""
+    shapes = []
+    graph_pass = eigenmode._pass
+
+    def counted(z, *args):
+        out = graph_pass(z, *args)
+        if np.ndim(z):
+            shapes.append(np.shape(out[0][0]))
+        return out
+
+    monkeypatch.setattr(eigenmode, "_pass", counted)
+    out = call(bundled("b1"))
+    k, m = trapping(out), len(eigenmode._plan(bundled("b1"), "full").grid)
+    assert k >= 1
+    assert shapes == [(m,) if k == 1 else (k, m)]
+
+
+def test_no_array_pass_without_trapping(monkeypatch):
+    monkeypatch.setattr(eigenmode, "_pass", None)  # any call would fail
+    rows = step_sequence(bundled("b1"), TP, 0.0, max_steps=3)
+    assert [s for _, _, s, _ in rows] == [TP.s0] * 4
+
+
+def test_first_failing_configuration_raises_first():
+    """A weak-trapping refusal before a configuration whose F leaves the
+    float64 range is raised first, as a loop of smallest_root raises it,
+    and the other way round."""
+    geom, plan = bundled("b1"), eigenmode._plan(bundled("b1"), "reduced")
+    weak = VortexConfig(1, 0, 1e-30)
+    overflow = VortexConfig(1, 1, 1e307)  # eps itself is infinite
+    assert math.isinf(eigenmode._groups(geom, overflow, TP).eps)
+    with pytest.raises(InvalidParameterError, match="weak-trapping"):
+        eigenmode._roots(geom, [VortexConfig(2, 1, P_REF), weak, overflow],
+                         TP, "reduced", plan)
+    with pytest.raises(NoRootFoundError, match="float64 range"):
+        eigenmode._roots(geom, [VortexConfig(2, 1, P_REF), overflow, weak],
+                         TP, "reduced", plan)
+
+
+def test_strongly_trapping_pads_are_scaled_by_powers_of_two():
+    """Only a pad past 2^64 in N eps scales the seeds, by 2^-(e - 64);
+    the two pads at P = 1e300 cm^2/s then give the clamped-pad root of
+    P = 1e12 cm^2/s."""
+    geom = bundled("b1")
+    assert eigenmode._groups(geom, VortexConfig(6, 6, 0.1), TP).scale == ()
+    g = eigenmode._groups(geom, VortexConfig(1, 2, 1e296), TP)
+    for n_eps, scale in zip(g.n_eps, g.scale):
+        e = math.frexp(n_eps)[1]
+        assert scale == 2.0 ** (64 - e)
+        assert 2.0**63 <= n_eps * scale < 2.0**64
+    clamped = [smallest_root(geom, VortexConfig(nl, nr, p), TP).z
+               for nl, nr in ((1, 1), (2, 5)) for p in (1e296, 1e8)]
+    assert clamped[0] == pytest.approx(clamped[1], rel=1e-9, abs=0)
+    assert clamped[2] == pytest.approx(clamped[3], rel=1e-9, abs=0)
+
+
+def test_scaled_seeds_scale_f_exactly():
+    """A power of two per pad scales F by the product of the factors, bit
+    for bit, where nothing over- or underflows: no sign and no root moves."""
+    geom, zs = bundled("b2"), np.linspace(1e-3, 1.6, 200)
+    for form in ("reduced", "full"):
+        tree, pads = eigenmode._tree(geom, form)
+        g = eigenmode._groups(geom, VortexConfig(3, 1, 1e18), TP)
+        assert g.scale and g.scale[0] != g.scale[1]
+        args = (zs, eigenmode._trig(zs, tree))
+        scaled = eigenmode._pass(*args, g, tree, pads)[0][0]
+        plain = eigenmode._pass(*args, g._replace(scale=()), tree, pads)[0][0]
+        assert np.all(np.isfinite(plain))
+        assert np.array_equal(scaled, plain * g.scale[0] * g.scale[1])
+
+
+def test_first_sign_change_of_every_row(monkeypatch):
+    """The vectorised step on a (K, m) F: each row's first sign change, no
+    change, an exact zero and a row beyond the float64 range."""
+    plan = eigenmode._plan(bundled("b1"), "reduced")
+    m = len(plan.grid)
+    rows = np.ones((5, m))
+    rows[0, 7:] = -1.0
+    rows[0, 20:] = 1.0
+    rows[2, 3] = 0.0
+    rows[3, 40:] = -1.0
+    rows[3, 50] = np.inf
+    rows[4, :2] = -1.0
+    monkeypatch.setattr(eigenmode, "_pass", lambda *args: ([rows],))
+    g = eigenmode._groups(bundled("b1"), VortexConfig(1, 0, P_REF), TP)
+    cells = eigenmode._first_roots([g] * 5, plan)
+    grid = plan.grid.tolist()
+    assert cells[0] == (grid[6], grid[7])
+    assert cells[1] is None
+    assert cells[2] == (grid[2], grid[3])
+    assert isinstance(cells[3], NoRootFoundError)
+    assert cells[3].diagnostics["z"] == grid[50]
+    assert cells[4] == (grid[1], grid[2])
+
+
+def test_one_debug_record_per_call(caplog):
+    caplog.set_level(logging.DEBUG, logger="qpdyn.eigenmode")
+    rows = step_sequence(BIG_PADS, TransportParams(d=16e-4), 8.7e-7,
+                         "pairs", 2, "full")
+    (record,) = [r for r in caplog.records if r.name == "qpdyn.eigenmode"]
+    assert record.levelno == logging.DEBUG
+    stats = record.args
+    assert stats["form"] == "full"
+    assert stats["configs"] == 3
+    assert stats["array_passes"] == 1
+    assert [(r["n_left"], r["n_right"]) for r in stats["roots"]] == \
+        [(0, 0), (1, 1), (2, 2)]
+    uniform, *trapped = stats["roots"]
+    assert (uniform["z"], uniform["f_evals"], uniform["count_evals"]) == \
+        (0.0, 0, 0)
+    for root, (nl, nr, s, _) in zip(trapped, rows[1:]):
+        sol = smallest_root(BIG_PADS, VortexConfig(nl, nr, 8.7e-7),
+                            TransportParams(d=16e-4), "full")
+        assert (root["z"], root["bracket"], root["branch_note"]) == \
+            (sol.z, sol.bracket, sol.branch_note)
+        assert root["f_evals"] >= 5  # Brent's polish and 3 Newton points
+        split = sol.branch_note.endswith("split by eigenvalue count")
+        assert root["count_evals"] > 1 if split else root["count_evals"] == 1
+    assert "split by eigenvalue count" in trapped[0]["branch_note"]
+    caplog.clear()
+    smallest_root(BIG_PADS, VortexConfig(0, 0, 8.7e-7),
+                  TransportParams(d=16e-4))
+    (record,) = caplog.records
+    assert record.args["array_passes"] == 0
+
+
 @pytest.mark.parametrize("form", ["reduced", "full"])
 def test_count_alone_finds_the_root(monkeypatch, form):
     """With the scan finding no sign change, bisecting the count from the
     scan's top isolates the same root."""
     geom = bundled("b1")
     expected = {c[:2]: c[2] for c in PARENT_ROOTS["b1", form]}
-    monkeypatch.setattr(eigenmode, "_first_root", lambda *args: None)
+    monkeypatch.setattr(eigenmode, "_first_roots",
+                        lambda groups, plan: [None] * len(groups))
     for (nl, nr), z in expected.items():
         sol = smallest_root(geom, VortexConfig(nl, nr, P_REF), TP, form)
         assert sol.z == pytest.approx(z, rel=1e-12, abs=0), (nl, nr)
@@ -354,7 +551,8 @@ def test_count_alone_finds_the_root(monkeypatch, form):
 
 
 def test_no_mode_below_the_top_raises_with_the_count(monkeypatch):
-    monkeypatch.setattr(eigenmode, "_first_root", lambda *args: None)
+    monkeypatch.setattr(eigenmode, "_first_roots",
+                        lambda groups, plan: [None] * len(groups))
     monkeypatch.setattr(eigenmode, "_count", lambda *args: 0)
     with pytest.raises(NoRootFoundError, match="holds one mode") as exc:
         smallest_root(bundled("b1"), VortexConfig(1, 0, P_REF), TP)
@@ -477,7 +675,7 @@ def test_brent_bit_identical_to_brentq(monkeypatch):
                 n_left, n_right = rng.integers(0, 7, size=2)
                 vc = VortexConfig(int(n_left), int(n_right),
                                   10.0 ** rng.uniform(-7.0, -4.0))
-                eigenmode._root(geom, vc, TP, form, plan)
+                eigenmode._roots(geom, [vc], TP, form, plan)
     assert len(calls) >= 1000
     # brackets whose trial step divides by an underflowed zero, where C
     # arithmetic gives an inf or a NaN
