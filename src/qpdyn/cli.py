@@ -27,8 +27,6 @@ import sys
 from importlib import resources
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from . import __version__, io
 from .constants import DEFAULT_T_MIN
 from .errors import (InvalidParameterError, NonConvergenceError, QpdynError,
@@ -36,6 +34,8 @@ from .errors import (InvalidParameterError, NonConvergenceError, QpdynError,
 from .units import parse_angular_frequency, parse_quantity, unit_factor
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .trace_fit import FitResult
 
 # The library names the commands call.  Each resolves through the package
@@ -316,12 +316,25 @@ def _cmd_steps(args):
                    for k, (nl, nr, s, sa) in enumerate(rows)])
 
 
+def _linspace(start: float, stop: float, num: int) -> list:
+    """np.linspace(start, stop, num), bit for bit, as Python floats."""
+    div, delta = num - 1, stop - start
+    if div > 0 and delta / div != 0:
+        grid = [i * (delta / div) + start for i in range(num)]
+    else:  # no step, or one that underflows: numpy scales delta instead
+        grid = [(i / div if div > 0 else i) * delta + start
+                for i in range(num)]
+    if num > 1:
+        grid[-1] = stop
+    return grid
+
+
 def _cmd_sweep(args):
     if args.points < 0:
         raise InvalidParameterError(
             f"--points must be >= 0, got {args.points}")
     geom, tp = _mode_params(args)
-    b_grid = np.linspace(args.b_min_t, args.b_max_t, args.points)
+    b_grid = _linspace(args.b_min_t, args.b_max_t, args.points)
     rows = _cli.field_sweep(geom, tp, args.p_m2_per_s, b_grid, args.b_k_t,
                             args.slope_per_t, pads=args.pads, form=args.form)
     der = _cli.derive(geom, tp.d)
@@ -353,6 +366,7 @@ def _cmd_pde_evolve(args):
         raise InvalidParameterError(
             f"--points must be >= 2 (t = 0 is dropped from the grid), "
             f"got {args.points}")
+    import numpy as np
     disc = _discretization(args)
     t_grid = np.linspace(0.0, args.t_max_s, args.points)[1:]
     spec = _cli.EvolveSpec(r=args.r_per_s, g=args.g_per_s,
@@ -366,6 +380,7 @@ def _cmd_pde_evolve(args):
 
 
 def _parse_tgrid(spec: str) -> np.ndarray:
+    import numpy as np
     try:
         kind, lo, hi, n = spec.split(":")
         lo = parse_quantity(lo, "time")
@@ -554,9 +569,12 @@ def _manifest(args) -> io.RunManifest:
                              seed=seed, no_timestamp=args.no_timestamp)
 
 
-# stray numerical failures, e.g. 1/0, an overflow or an SVD that does not
-# converge, are reported as NonConvergenceError (exit 6)
-_NUMERICAL = (ArithmeticError, np.linalg.LinAlgError)
+def _numerical() -> tuple:
+    """Stray numerical failures, e.g. 1/0, an overflow or an SVD that does
+    not converge, reported as NonConvergenceError (exit 6).  numpy's
+    LinAlgError counts once a command has loaded numpy.linalg."""
+    linalg = sys.modules.get("numpy.linalg")
+    return (ArithmeticError, *((linalg.LinAlgError,) if linalg else ()))
 
 
 def main(argv=None) -> int:
@@ -578,8 +596,8 @@ def main(argv=None) -> int:
             text = io.format_json_result(result, manifest)
         io.write_text(text, args.out_file)
         return 0
-    except (*_NUMERICAL, OSError, QpdynError) as exc:
-        if isinstance(exc, _NUMERICAL):
+    except (*_numerical(), OSError, QpdynError) as exc:
+        if not isinstance(exc, (OSError, QpdynError)):  # numerical
             exc = NonConvergenceError(
                 f"numerical failure ({type(exc).__name__}: {exc})")
         print(f"qpdyn {args._command}: {exc}", file=sys.stderr)

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, InvalidParameterError, check_finite
 
 
@@ -80,6 +78,7 @@ def gamma_from_xqp(x_qp, q: QubitParams):
     x_qp is the dimensionless near-junction density, 0 <= x_qp <= 1; scalar
     or array.  Identical to Gamma/omega = (x_qp/pi) * sqrt(2*Delta/(hbar*omega)).
     """
+    import numpy as np
     x = np.asarray(x_qp, dtype=float)
     if not np.all((x >= 0) & (x <= 1)):
         raise DomainError(f"x_qp must lie in [0, 1], got {x_qp}")

@@ -16,39 +16,38 @@ subtree's admittance through the two-port of its parent edge (Wittrick &
 Williams 1971; Berkolaiko & Kuchment, Introduction to Quantum Graphs,
 2013).  It gives both the secular function F(z), which is entire, and the
 Wittrick-Williams count of the modes below z.  _plan fixes the
-elimination order, the scan grid and its trig once per (geometry, form),
-for all roots of one smallest_root, step_sequence or field_sweep call.
-One array pass per call scans F of every vortex configuration on that
-grid, the pads' seeds stacked as columns, to each row's first sign
-change; per root, the count checks that no mode lies below it, and when
-two roots share a scan cell bisecting the count isolates the first.  Both
-pad subtrees meet before the capacitor arms, so s is bit-for-bit
-symmetric under pad exchange.  Brent's method polishes the bracket.
+elimination order once per (geometry, form).  No scan grid is needed:
+the weak-trapping root z_w, the Rayleigh quotient of the uniform trial
+mode, bounds the slowest mode from above, so the count is at least 1
+there; halving down from it to a count of 0, and bisecting the count
+when more than one mode lies below the top, brackets the first mode
+alone.  Both pad subtrees meet before the capacitor arms, so s is
+bit-for-bit symmetric under pad exchange.  Brent's method polishes the
+bracket, starting from the F values that the counts' passes gave.
 _brent is a step-for-step port of scipy's brentq on Python floats: it
-returns the same double, and it spares the mode solver the import of
-scipy.optimize, which takes longer than a whole eigenrate, steps or sweep
-command computes.  field_sweep roots each distinct (N_L, N_R) once and
-reuses its rate for every field that maps to it.  Each call logs one
-DEBUG record on the qpdyn.eigenmode logger, its data as a dict in
-record.args.
+returns the same double, and it spares the mode solver the imports of
+scipy.optimize and numpy, which take longer than a whole eigenrate,
+steps or sweep command computes.  field_sweep roots each distinct
+(N_L, N_R) once and reuses its rate for every field that maps to it.
+Each call logs one DEBUG record on the qpdyn.eigenmode logger, its data
+as a dict in record.args.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import InvalidParameterError, NoRootFoundError, check_finite
 from .geometry import DerivedGeometry, DeviceGeometry, derive, edges
 
 _FORMS = ("reduced", "full")
-# the scan stops just past pi/2, the mode of one wire clamped at its pad,
-# which bounds the slowest mode of the whole graph from above
+# just past pi/2, the mode of one wire clamped at its pad, which bounds
+# the slowest mode of the whole graph from above
 _Z_CAP = 0.5 * math.pi * (1.0 + 1e-9)
 
 
@@ -93,8 +92,8 @@ class ModeSolution:
 
     residual_at_root is the Newton-normalized residual F/(F' z), i.e. the
     estimated relative error of the root location; bracket is the cell
-    Brent's method polished: a cell of the scan grid, or the cell that
-    bisecting the mode count isolated.
+    Brent's method polished, with no mode below its lower end and one
+    below its upper end.
     """
 
     z: float
@@ -114,7 +113,7 @@ class _Groups(NamedTuple):
     lam: float    # l / L
     tau_d: float  # L^2 / D, s
     a_total: float  # A_total / A_W
-    n_eps: tuple  # N_L eps, N_R eps
+    n_eps: tuple  # N_L eps, N_R eps; inf clamps its pad
     scale: tuple  # per pad 2^-max(0, e - 64), e the binary exponent of N eps;
     # () while both N eps are below 2^64
 
@@ -127,13 +126,16 @@ def _groups(geom: DeviceGeometry, vortices: VortexConfig,
     Once a pad's N eps reaches 2^64, each pad's seed is scaled by the
     exact power of two 2^-max(0, e - 64), so two strongly trapping pads do
     not overflow F at the junction; a positive factor per pad moves no
-    sign and no root.  Below 2^64, scale is () and no seed is scaled."""
+    sign and no root.  Below 2^64, scale is () and no seed is scaled.  An
+    N eps beyond the float64 range is kept as inf: _pass clamps that pad,
+    the eps -> infinity limit."""
     if der is None:
         der = derive(geom, tp.d)
     eps = vortices.trapping_power * der.tau_d / der.a_w
     nbar = 0.5 * (vortices.n_left + vortices.n_right)
     dn = vortices.n_right - vortices.n_left
-    n_eps = ((nbar - 0.5 * dn) * eps, (nbar + 0.5 * dn) * eps)
+    n_eps = tuple(n * eps if n else 0.0
+                  for n in (vortices.n_left, vortices.n_right))
     scale = tuple(math.ldexp(1.0, -max(0, math.frexp(x)[1] - 64))
                   for x in n_eps) if max(n_eps) >= 2.0**64 else ()
     return _Groups(
@@ -142,7 +144,7 @@ def _groups(geom: DeviceGeometry, vortices: VortexConfig,
         a_total=der.a_total / der.a_w, n_eps=n_eps, scale=scale)
 
 
-def _tree(geom: DeviceGeometry, form: str):
+class _Plan(NamedTuple):
     """Leaf-first elimination order of the graph edges(geom, form), rooted
     at junction (vertex 0): (child, parent, first child?, l / L, w / W) of
     each edge, and the vertices of pad_left and pad_right.
@@ -150,6 +152,13 @@ def _tree(geom: DeviceGeometry, form: str):
     Each vertex's edges are eliminated, depth first, before the edge to
     its parent, and siblings in table order, so both pad subtrees meet
     before the capacitor arms: F is then bit-for-bit even in N_R - N_L."""
+
+    tree: tuple
+    pads: tuple
+
+
+@functools.lru_cache(maxsize=256)  # DeviceGeometry is frozen, so hashable
+def _plan(geom: DeviceGeometry, form: str) -> _Plan:
     segments = edges(geom, form)
     names, tree = ["junction"], []
 
@@ -165,34 +174,12 @@ def _tree(geom: DeviceGeometry, form: str):
                 first = False
 
     below(0, None)
-    return tuple(tree), (names.index("pad_left"), names.index("pad_right"))
+    return _Plan(tuple(tree),
+                 (names.index("pad_left"), names.index("pad_right")))
 
 
-class _Plan(NamedTuple):
-    """The elimination order of one (geom, form) and its scan grid, shared
-    by all roots of that graph.  The grid runs from 1e-9 to _Z_CAP in at
-    least 64 cells, none wider than a quarter period of the longest edge."""
-
-    tree: tuple
-    pads: tuple
-    grid: np.ndarray
-    grid_trig: list  # _trig(grid, tree)
-
-
-def _plan(geom: DeviceGeometry, form: str) -> _Plan:
-    tree, pads = _tree(geom, form)
-    step = 0.5 * math.pi / max(edge[3] for edge in tree)
-    grid = np.linspace(1e-9, _Z_CAP, max(64, math.ceil(_Z_CAP / step)) + 1)
-    return _Plan(tree, pads, grid, _trig(grid, tree))
-
-
-def _trig(z, tree):
-    """cos(z l), w sin(z l) and sin(z l) / w of each edge (l, w) of tree,
-    at a float z or, one row per edge, at an array."""
-    if isinstance(z, np.ndarray):
-        lengths, widths = np.array([edge[3:] for edge in tree]).T[:, :, None]
-        sin = np.sin(lengths * z)
-        return list(zip(np.cos(lengths * z), widths * sin, sin / widths))
+def _trig(z: float, tree: tuple) -> list:
+    """cos(z l), w sin(z l) and sin(z l) / w of each edge (l, w) of tree."""
     trig = []
     for _, _, _, length, w in tree:
         sin = math.sin(z * length)
@@ -206,13 +193,12 @@ def _pass(z, trig, g: _Groups, tree: tuple, pads: tuple):
 
     Each vertex carries a pair (P, R), its admittance z P / R: a free end
     starts at (0, 1), a pad at (N eps - a z^2, z), times its factor in
-    g.scale if there is one.  Each edge (l, w) maps its child's pair
-    through the unimodular two-port [[c, -w s], [s / w, c]], c, s = cos,
-    sin(z l), which carries flux / k and density along the segment, and the
+    g.scale if there is one, and a pad whose N eps is inf at (1, 0),
+    clamped.  Each edge (l, w) maps its child's pair through the
+    unimodular two-port [[c, -w s], [s / w, c]], c, s = cos, sin(z l),
+    which carries flux / k and density along the segment, and the
     children of a vertex add as fractions, (P R' + P' R, R R').  Only
-    arithmetic, so floats and arrays share it: with g.n_eps and g.scale as
-    (K, 1) columns and z of shape (m,), F comes back as (K, m), one row
-    per configuration.
+    arithmetic, so z and its trig may also be arrays of one shape.
 
     Returns the pairs of all vertices, junction's first, and R' of each
     edge.  F(z) = P at junction is entire, with zeros at the modes and at
@@ -221,9 +207,8 @@ def _pass(z, trig, g: _Groups, tree: tuple, pads: tuple):
     n = len(tree) + 1
     p, r, tails = [0.0] * n, [1.0] * n, []
     mass = g.a * z * z
-    (left, right), (n_left, n_right) = pads, g.n_eps
-    p[left], r[left] = n_left - mass, z
-    p[right], r[right] = n_right - mass, z
+    for pad, n_eps in zip(pads, g.n_eps):
+        p[pad], r[pad] = (n_eps - mass, z) if n_eps < math.inf else (1, 0)
     if g.scale:
         for pad, factor in zip(pads, g.scale):
             p[pad], r[pad] = p[pad] * factor, r[pad] * factor
@@ -245,7 +230,7 @@ def eigen_residual(z: float, geom: DeviceGeometry, vortices: VortexConfig,
     and at z = 0."""
     check_finite("z", z, ">=")
     _check_form(form)
-    z, (tree, pads) = float(z), _tree(geom, form)
+    z, (tree, pads) = float(z), _plan(geom, form)
     return _pass(z, _trig(z, tree), _groups(geom, vortices, tp), tree,
                  pads)[0][0]
 
@@ -309,6 +294,7 @@ def _brent(f, a: float, b: float, xtol: float,
             try:
                 stry = _brent_step(*args)
             except ZeroDivisionError:  # C divides to an inf or a NaN
+                import numpy as np
                 with np.errstate(all="ignore"):
                     stry = float(_brent_step(*map(np.float64, args)))
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
@@ -326,47 +312,17 @@ def _brent(f, a: float, b: float, xtol: float,
         diagnostics={"bracket": (a, b), "z": xcur, "maxiter": maxiter})
 
 
-def _first_roots(groups: list, plan: _Plan) -> list:
-    """Lowest cell of the scan grid where the sign of F changes, or None,
-    for each of groups, from one array pass over all of them.  A row of F
-    beyond the float64 range gives its NoRootFoundError in place of a
-    cell."""
-    g = groups[0]
-    if len(groups) > 1:  # only the pads' seeds differ: stack them
-        scaled = any(h.scale for h in groups)
-        g = g._replace(
-            n_eps=tuple(np.array(pad)[:, None]
-                        for pad in zip(*(h.n_eps for h in groups))),
-            scale=tuple(np.array(pad)[:, None] for pad in zip(
-                *(h.scale or (1.0, 1.0) for h in groups))) if scaled else ())
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = _pass(plan.grid, plan.grid_trig, g, plan.tree,
-                     plan.pads)[0][0].reshape(len(groups), -1)
-    finite = np.isfinite(vals).all(axis=1)
-    sign = np.sign(vals)
-    change = sign[:, :-1] != sign[:, 1:]
-    cells = []
-    for row, hit in enumerate(change.argmax(axis=1)):
-        if not finite[row]:
-            cells.append(NoRootFoundError(
-                "the secular function leaves the float64 range on the scan "
-                "grid", diagnostics={
-                    "z": float(plan.grid[~np.isfinite(vals[row])][0]),
-                    "eps": groups[row].eps}))
-        else:
-            cells.append((float(plan.grid[hit]), float(plan.grid[hit + 1]))
-                         if change[row, hit] else None)
-    return cells
-
-
-def _count(z: float, g: _Groups, plan: _Plan) -> int:
+def _count(z: float, g: _Groups, plan: _Plan, seen: dict | None = None
+           ) -> int:
     """Modes of the electrode graph below z (Wittrick & Williams 1971):
     sum_e floor(k l / pi), the modes of the segments clamped at both ends,
     plus the negative pivots of the leaf-first elimination.  A vertex's
     pivot has the sign of R' s R across its parent edge, junction's that
-    of P R."""
+    of P R.  The same pass gives F(z), stored in seen if given."""
     trig = _trig(z, plan.tree)
     p, r, tails = _pass(z, trig, g, plan.tree, plan.pads)
+    if seen is not None:
+        seen[z] = p[0]
     return (p[0] * r[0] < 0) + sum(
         (tail * ws * r[child] < 0) + math.floor(z * length / math.pi)
         for (child, _, _, length, _), (_, ws, _), tail
@@ -382,44 +338,66 @@ def _newton_quality(fn, root: float) -> float:
     return fn(root) / (slope * root) if slope != 0 else 0.0
 
 
-def _root(g: _Groups, cell, tp: TransportParams, form: str, plan):
-    """One trapping configuration's root from its scan cell (or None, or
-    the scan's NoRootFoundError): the weak-trapping refusal, the count
-    check, Brent's polish and the Newton quality.  Returns the
-    ModeSolution and the numbers of scalar F and mode-count evaluations."""
+def _bracket(g: _Groups, plan: _Plan, hi: float, seen: dict):
+    """A cell (lo, hi) under hi with no mode below lo and one below hi, its
+    note, and the number of mode counts taken, each of which stores F in
+    seen.  lo halves down from hi / 2, taking hi along while a mode lies
+    below it, until the count is 0; if more than one mode lies below hi,
+    bisecting the count splits them."""
+    n_hi, lo = _count(hi, g, plan, seen), 0.5 * hi
+    n_lo, counts = _count(lo, g, plan, seen), 2
+    while n_lo:
+        if lo < 1e-9:
+            raise NoRootFoundError(
+                f"a mode lies below z = {lo!r}",
+                diagnostics=dict(eps=g.eps, dn=g.dn, count=n_lo))
+        hi, n_hi, lo = lo, n_lo, 0.5 * lo
+        n_lo, counts = _count(lo, g, plan, seen), counts + 1
+    note = ("counted under the weak-trapping bound" if n_hi == 1
+            else "split by eigenvalue count")
+    while n_hi != 1:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise NoRootFoundError(
+                f"no cell below z = {hi!r} holds one mode",
+                diagnostics=dict(eps=g.eps, dn=g.dn,
+                                 count_at_top=_count(_Z_CAP, g, plan)))
+        n_mid, counts = _count(mid, g, plan, seen), counts + 1
+        lo, hi, n_hi = (lo, mid, n_mid) if n_mid else (mid, hi, n_hi)
+    return (lo, hi), note, counts
+
+
+def _root(g: _Groups, tp: TransportParams, form: str, plan: _Plan):
+    """One trapping configuration's root: the weak-trapping refusal, the
+    counted bracket under the Rayleigh bound z_w, Brent's polish and the
+    Newton quality.  Returns the ModeSolution and the numbers of scalar F
+    and mode-count evaluations."""
     area, a_form = ("A_total", g.a_total) if form == "full" else (
         "(A_total - 2 l W)", g.a_total - 2.0 * g.lam)  # no central wire
+    # the Rayleigh quotient of the uniform trial mode
     z_w = math.sqrt(2.0 * g.nbar * g.eps / a_form)
     if z_w < 1e-6:  # Brent's xtol of 1e-15 is 1e-9 of such a root
         raise InvalidParameterError(
             f"weak-trapping root estimate z_w = {z_w:.3g} is below 1e-6, "
-            "too small for the mode scan to resolve; use the weak-trapping "
+            "too small for the mode solver to resolve; use the weak-trapping "
             f"limit s = (N_L + N_R) P / {area} + s0 = "
             f"{z_w**2 / g.tau_d + tp.s0:.6g} 1/s")
-    if isinstance(cell, NoRootFoundError):
-        raise cell
-    f_evals = 0
+    if math.isnan(z_w):  # P = 0 with an infinite tau_D
+        raise NoRootFoundError(
+            "the secular function leaves the float64 range: eps = "
+            "P tau_D / A_W is nan", diagnostics={"eps": g.eps})
+    seen, f_evals = {}, 0  # F at each z evaluated, by the counts too
 
     def fn(z):
         nonlocal f_evals
-        f_evals += 1
-        return _pass(z, _trig(z, plan.tree), g, plan.tree, plan.pads)[0][0]
+        if z not in seen:
+            f_evals += 1
+            seen[z] = _pass(z, _trig(z, plan.tree), g, plan.tree,
+                            plan.pads)[0][0]
+        return seen[z]
 
-    note = "first sign change"
-    lo, hi = 1e-9, cell[0] if cell else _Z_CAP
-    n_hi, counts = _count(hi, g, plan), 1
-    if cell is None or n_hi:  # bisect to a cell with one mode
-        while n_hi != 1:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                raise NoRootFoundError(
-                    f"no cell below z = {hi!r} holds one mode",
-                    diagnostics=dict(eps=g.eps, dn=g.dn,
-                                     count_at_top=_count(_Z_CAP, g, plan)))
-            n_mid, counts = _count(mid, g, plan), counts + 1
-            lo, hi, n_hi = (lo, mid, n_mid) if n_mid else (mid, hi, n_hi)
-        cell, note = (lo, hi), "split by eigenvalue count"
-    za, zb = cell
+    (za, zb), note, counts = _bracket(
+        g, plan, min(z_w * (1.0 + 1e-9), _Z_CAP), seen)
     root = _brent(fn, za, zb, xtol=1e-15, maxiter=200)
     return ModeSolution(
         z=root, s=root * root / g.tau_d + tp.s0, bracket=(za, zb),
@@ -430,32 +408,26 @@ def _root(g: _Groups, cell, tp: TransportParams, form: str, plan):
 def _roots(geom: DeviceGeometry, vortex_configs: list, tp: TransportParams,
            form: str, plan: _Plan) -> list:
     """smallest_root of each configuration, in order, for a checked form
-    and the _plan of (geom, form).  One array pass scans the configurations
-    that trap; each root then takes its turn, so the first failing
-    configuration raises, as a loop of smallest_root would."""
+    and the _plan of (geom, form)."""
     der = derive(geom, tp.d)
-    groups = [_groups(geom, vc, tp, der) for vc in vortex_configs]
-    trapping = [g for g in groups if g.eps != 0 and g.nbar != 0]
-    cells = iter(_first_roots(trapping, plan) if trapping else ())
     sols, evals = [], []
-    for g in groups:
+    for vc in vortex_configs:
+        g = _groups(geom, vc, tp, der)
         if g.eps == 0 or g.nbar == 0:
             sols.append(ModeSolution(
                 z=0.0, s=tp.s0, bracket=(0.0, 0.0), residual_at_root=0.0,
                 branch_note=f"{form}: no trapping, uniform mode"))
             evals.append((0, 0))
         else:
-            sol, f_n, c_n = _root(g, next(cells), tp, form, plan)
+            sol, f_n, c_n = _root(g, tp, form, plan)
             sols.append(sol)
             evals.append((f_n, c_n))
     logging = sys.modules.get("logging")  # no listener before its import
     log = logging and logging.getLogger(__name__)
     if log and log.isEnabledFor(logging.DEBUG):
         log.debug(
-            "%(form)s roots of %(configs)d configurations from "
-            "%(array_passes)d array pass(es)", {
+            "%(form)s roots of %(configs)d configurations", {
                 "form": form, "configs": len(sols),
-                "array_passes": int(bool(trapping)),
                 "roots": [{"n_left": vc.n_left, "n_right": vc.n_right,
                            "z": sol.z, "bracket": sol.bracket,
                            "branch_note": sol.branch_note, "f_evals": f_n,
@@ -470,13 +442,15 @@ def smallest_root(geom: DeviceGeometry, vortices: VortexConfig,
     """Smallest strictly positive root of the mode equation, as a ModeSolution.
 
     For zero total trapping power (N = 0 or P = 0) the uniform mode z = 0
-    is exact and returned without a search.  Otherwise the secular
-    function is scanned, with a step no larger than a quarter period of
-    the longest segment, to its first sign change; if the mode count finds
-    a mode below it, bisecting the count brackets that mode alone.  The
-    scan starts just above the trivial zero z = 0.  A weak-trapping root
-    estimate below 1e-6, which the scan cannot resolve, raises
-    InvalidParameterError.
+    is exact and returned without a search.  Otherwise the weak-trapping
+    root z_w = sqrt((N_L + N_R) eps / a_form), the Rayleigh quotient of
+    the uniform trial mode, bounds the root from above (as does pi/2, a
+    wire clamped at its pad).  The mode count brackets the first mode
+    under that bound: the cell's lower end halves down from the bound
+    until no mode lies below it, and bisecting the count splits the cell
+    if more than one mode lies below its top.  Brent's method polishes the
+    cell.  A weak-trapping root estimate below 1e-6, which Brent's
+    absolute tolerance cannot resolve, raises InvalidParameterError.
     """
     _check_form(form)
     return _roots(geom, [vortices], tp, form, _plan(geom, form))[0]

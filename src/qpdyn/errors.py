@@ -7,9 +7,13 @@ parameters, 6 for a numerical failure.  The validity rules for numeric
 parameters and time grids are written here once, for every module.
 """
 
-import math
+from __future__ import annotations
 
-import numpy as np
+import math
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class QpdynError(Exception):
@@ -118,16 +122,25 @@ _WITHIN = {"": lambda v: True, ">": lambda v: v > 0, ">=": lambda v: v >= 0}
 def finite_violation(name: str, value, bound: str = "") -> str | None:
     """Why ``value`` breaks the rule for numeric parameters, or None.
 
-    The rule: a scalar, or every element of an array, is finite and, with
-    ``bound`` ">" or ">=", also > 0 or >= 0.  The message reads
-    "<name> must be finite and > 0, got <v>", v the first offending value.
+    The rule: a scalar, or every element of a list, tuple or array, is
+    finite and, with ``bound`` ">" or ">=", also > 0 or >= 0.  The message
+    reads "<name> must be finite and > 0, got <v>", v the first offending
+    value.  Scalars and flat lists of numbers are checked with math, so
+    they need no numpy.
     """
     within = _WITHIN[bound]
     if isinstance(value, (int, float)):
         if math.isfinite(value) and within(value):
             return None
         bad = value
+    elif isinstance(value, (list, tuple)) and all(
+            isinstance(v, (int, float)) for v in value):
+        bad = next((float(v) for v in value
+                    if not (math.isfinite(v) and within(v))), None)
+        if bad is None:
+            return None
     else:
+        import numpy as np
         arr = np.asarray(value, dtype=float)
         ok = np.isfinite(arr) & within(arr)
         if ok.all():
@@ -148,6 +161,7 @@ def check_time_grid(name: str, t, from_zero: bool = False) -> np.ndarray:
     """``t`` as a 1-D float array, finite and strictly increasing; with
     ``from_zero`` also non-empty and starting at t >= 0.  Raises
     InvalidParameterError otherwise."""
+    import numpy as np
     t = np.asarray(t, dtype=float)
     if t.ndim != 1:
         raise InvalidParameterError(f"{name} must be a 1-D sequence")

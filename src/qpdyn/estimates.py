@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import CODATA, QubitParams
 from .errors import InvalidParameterError, check_finite
 
@@ -121,6 +119,7 @@ def vortex_profile(rho, trapping_power: float, diffusivity: float,
         warnings.warn(
             f"P/D = {trapping_power / diffusivity:.3g} > 0.1; first-order "
             "profile is unreliable", stacklevel=2)
+    import numpy as np
     rr = np.asarray(rho, dtype=float)
     check_finite("rho", rr, ">=")
     pd = trapping_power / diffusivity

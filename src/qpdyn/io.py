@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import NonConvergenceError, TraceParseError, finite_violation
 from .units import unit_factor
 
@@ -60,6 +58,7 @@ def _parse_units_comment(line: str, columns: dict, lineno: int,
 def _read_table(text: str, columns: dict):
     """Parse a comment-aware CSV into per-column SI float arrays and the
     rows' line numbers; a value that breaks its column's bound is refused."""
+    import numpy as np
     names = tuple(columns)
     header = None
     factors = {}
@@ -109,6 +108,8 @@ def _read_table(text: str, columns: dict):
 
 def read_trace(path) -> DecayTrace:
     """Read a decay trace file, validating the DecayTrace invariants."""
+    import numpy as np
+
     from .trace_fit import DecayTrace
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import subprocess_env
@@ -259,9 +259,9 @@ EXTREME_INPUTS = [
     "--c 4.6e10/s",
     "rates --amplitude 3.9e6/s --rprime 0.9 --tauss 1e300ms --gamma0 1e5/s "
     "--c 4.6e10/s",
-    # eps = P tau_D / A_W itself beyond the float64 range
-    "eigenrate --geom b1 --nl 1 --nr 1 --p 1e300cm2/s --d 1e-10cm2/s",
-    "steps --geom b1 --p 1e300cm2/s --d 1e-10cm2/s --max 4",
+    # diffusion so fast that the root is below the weak-trapping bar
+    "eigenrate --geom b1 --nl 1 --nr 1 --p 0.067cm2/s --d 1e300cm2/s",
+    "steps --geom b1 --p 0.067cm2/s --d 1e300cm2/s --max 4",
     *(_EVOLVE.replace(old, new) for old, new in [
         ("--d 18cm2/s", "--d 1e300cm2/s"), ("--s0 100/s", "--s0 1e300/s"),
         ("--r 6.25e6/s", "--r 1e300/s"), ("--g 1e-4/s", "--g 1e300/s")]),
@@ -742,6 +742,36 @@ class TestCli:
         for saturated, clamped in zip(*out):
             assert saturated == pytest.approx(clamped, rel=1e-9, abs=0)
 
+    @pytest.mark.parametrize("counts", ["--nl 1 --nr 1", "--nl 0 --nr 1"])
+    def test_infinite_trapping_strength_clamps_the_pads(self, capsys, recwarn,
+                                                        counts):
+        """eps = P tau_D / A_W beyond the float64 range is a clamped pad:
+        z is that of P = 1e12 cm^2/s, and steps' rates scale as D."""
+        roots, rates = [], []
+        for p, d in (("1e300", "1e-10"), ("1e12", "18")):
+            flags = f"--geom b1 --p {p}cm2/s --d {d}cm2/s --no-timestamp"
+            code, out, err = run_cli(capsys, *(
+                f"eigenrate {counts} {flags}").split())
+            assert code == 0, err
+            roots.append(json.loads(out)["result"]["z"])
+            code, out, err = run_cli(capsys, *f"steps {flags}".split())
+            assert code == 0, err
+            rates.append([row["s_per_s"] / float(d) for row in
+                          json.loads(out)["result"]["steps"]])
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+        assert roots[0] == pytest.approx(roots[1], rel=1e-9, abs=0)
+        assert rates[0] == pytest.approx(rates[1], rel=1e-9, abs=0)
+
+    def test_nan_trapping_strength_exits_6(self, capsys):
+        """P = 0 with tau_D = L^2 / D beyond the float64 range gives
+        eps = 0 inf: a numerical failure, not a traceback."""
+        code, out, err = run_cli(capsys, *(
+            "eigenrate --geom b1 --nl 1 --nr 1 --p 0cm2/s --d 5e-320cm2/s "
+            "--no-timestamp").split())
+        assert (code, out) == (6, "")
+        assert err == ("qpdyn eigenrate: the secular function leaves the "
+                       "float64 range: eps = P tau_D / A_W is nan\n")
+
     @pytest.mark.parametrize("p, s_weak", [("1e-300", "3.48554e-297"),
                                            ("1e-20", "3.48554e-17")])
     def test_pde_eigen_names_weak_trapping_limit(self, capsys, p, s_weak):
@@ -954,6 +984,56 @@ def test_mode_and_closed_form_commands_load_no_scipy(tmp_path):
     assert len(report) == len(tour) + 1
     assert all(code == 0 for _, code, _ in report), report
     assert [cmd for cmd, _, loaded in report if loaded] == []
+
+
+def test_mode_and_estimate_commands_load_no_numpy():
+    """eigenrate, steps, sweep and the estimate leaves but vortex-profile
+    run in one fresh interpreter without importing numpy."""
+    import subprocess
+    import sys
+
+    tour = [argv.split() for argv, _ in README_TOUR
+            if argv.split()[0] in ("eigenrate", "steps", "sweep")
+            or argv.startswith("estimate") and "vortex-profile" not in argv]
+    assert len(tour) == 7
+    probe = (
+        "import json, os, sys\n"
+        "from qpdyn.cli import main\n"
+        "report = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    code = main(argv + ['--out-file', os.devnull])\n"
+        "    report.append([' '.join(argv[:2]), code,\n"
+        "                   'numpy' in sys.modules])\n"
+        "print(json.dumps(report))\n")
+    done = subprocess.run([sys.executable, "-c", probe, json.dumps(tour)],
+                          capture_output=True, text=True, check=True,
+                          env=subprocess_env())
+    assert json.loads(done.stdout) == [
+        [" ".join(argv[:2]), 0, False] for argv in tour]
+
+
+@pytest.mark.parametrize("num", [0, 1, 2])
+@pytest.mark.parametrize("start, stop", [(0.0, 2e-5), (3.3e-7, 1.717e-5),
+                                         (-0.0, 0.0), (2e-5, -1e-6)])
+def test_sweep_grid_is_linspace_few_points(start, stop, num):
+    from qpdyn.cli import _linspace
+    assert [b.hex() for b in _linspace(start, stop, num)] == \
+        [b.hex() for b in np.linspace(start, stop, num).tolist()]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(start=st.floats(allow_nan=False, allow_infinity=False),
+       stop=st.floats(allow_nan=False, allow_infinity=False),
+       num=st.integers(0, 100))
+@example(start=0.0, stop=2e-323, num=9)  # a step that underflows to 0
+@example(start=1e308, stop=-1e308, num=5)  # a difference that overflows
+def test_sweep_grid_is_linspace_bit_for_bit(start, stop, num):
+    """sweep's field grid, built without numpy, is np.linspace's."""
+    from qpdyn.cli import _linspace
+    with np.errstate(all="ignore"):
+        expected = np.linspace(start, stop, num).tolist()
+    assert [b.hex() for b in _linspace(start, stop, num)] == \
+        [b.hex() for b in expected]
 
 
 def test_mode_commands_load_no_logging():

@@ -1,8 +1,9 @@
-"""The vectorized mode-equation scan against pinned roots and its own
-scalar path."""
+"""The mode-equation root solver against pinned roots, 50-digit roots, the
+PDE oracle and the dense mode count."""
 
 import logging
 import math
+import warnings
 from importlib import resources
 
 import mpmath
@@ -102,6 +103,16 @@ def bundled(name):
                          / f"geometry_{name}_like.cfg")
 
 
+def array_trig(zs, tree):
+    """The _trig of every z of the array zs, one array per edge term, for
+    an array _pass."""
+    trig = []
+    for *_, length, w in tree:
+        sin = np.sin(zs * length)
+        trig.append((np.cos(zs * length), w * sin, sin / w))
+    return trig
+
+
 @pytest.mark.parametrize("geom_name,form", sorted(PARENT_ROOTS))
 def test_roots_match_pinned_scalar_scan(geom_name, form):
     geom = bundled(geom_name)
@@ -119,12 +130,12 @@ def test_array_residual_equals_scalar(form, counts):
     for name in ("b1", "b2", "b3"):
         geom = bundled(name)
         groups = eigenmode._groups(geom, vc, TP)
-        tree, pads = eigenmode._tree(geom, form)
-        grid = eigenmode._pass(zs, eigenmode._trig(zs, tree), groups, tree,
+        tree, pads = eigenmode._plan(geom, form)
+        grid = eigenmode._pass(zs, array_trig(zs, tree), groups, tree,
                                pads)[0][0]
         scalar = [eigen_residual(float(z), geom, vc, TP, form) for z in zs]
-        # equal up to the few-ulp rounding differences between numpy's
-        # vector and scalar trig kernels
+        # the array F of the pole checks below equals the solver's scalar
+        # F up to the few-ulp differences between numpy's and math's trig
         np.testing.assert_allclose(grid, scalar, rtol=1e-13, atol=0)
 
 
@@ -144,8 +155,8 @@ def test_sweep_rows_equal_per_field_roots(pads, form):
 
 @pytest.mark.parametrize("form", ["reduced", "full"])
 def test_scan_evaluates_each_grid_in_one_call(monkeypatch, form):
-    """A per-point scan would show up as scalar calls outside Brent's
-    polish, the Newton quality estimate and the mode count."""
+    """No scan: every F that a root evaluates lies inside Brent's polish,
+    the Newton quality estimate or a mode count, and none is an array."""
     calls, inside = [], []
     graph_pass = eigenmode._pass
 
@@ -169,9 +180,10 @@ def test_scan_evaluates_each_grid_in_one_call(monkeypatch, form):
     smallest_root(bundled("b1"), VortexConfig(2, 1, P_REF), TP, form=form)
     grids = [who for is_array, who in calls if is_array]
     points = [who for is_array, who in calls if not is_array]
-    assert grids == [None]
-    assert set(points) <= {"_brent", "_newton_quality", "_count"}
-    assert points.count("_newton_quality") == 3
+    assert grids == []
+    assert set(points) == {"_brent", "_newton_quality", "_count"}
+    # F at the root is Brent's last value, so Newton adds two points
+    assert points.count("_newton_quality") == 2
 
 
 def box_geometry(u):
@@ -185,6 +197,20 @@ def box_geometry(u):
         w_cap=2e-6 * 50.0 ** u[4],
         l_cap=0.0 if u[5] < 0.2 else 20e-6 * 40.0 ** ((u[5] - 0.2) / 0.8),
         s_pad=1e-9 * 10.0 ** u[6])
+
+
+def stress_geometry(u):
+    """box_geometry's box widened to l_half_gap up to 0.99 L and pads up to
+    3e-6 m^2, which dwarf the wires; such a geometry warns."""
+    l_wire, h_cap = 100e-6 * 4.0 ** u[0], 20e-6 * 10.0 ** u[2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return DeviceGeometry(
+            w_wire=l_wire * (0.02 + 0.17 * u[1]), l_wire=l_wire, h_cap=h_cap,
+            l_half_gap=(0.01 + 0.98 * u[3]) * l_wire,
+            w_cap=2e-6 * 50.0 ** u[4],
+            l_cap=0.0 if u[5] < 0.2 else 20e-6 * 40.0 ** ((u[5] - 0.2) / 0.8),
+            s_pad=1e-9 * 3000.0 ** u[6])
 
 
 geometries = st.lists(st.floats(0.0, 1.0), min_size=7,
@@ -216,6 +242,44 @@ def test_full_root_matches_pde_slowest_mode_strong_trapping(
     s_pde = slowest_mode(build(geom, vc, tp, resolution=200))[0]
     s_eq = smallest_root(geom, vc, tp, form="full").s
     assert abs(s_pde - s_eq) / s_eq < 0.005
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(u=st.lists(st.floats(0.0, 1.0), min_size=7, max_size=7),
+       stress=st.booleans(), n_left=counts, n_right=st.integers(1, 6),
+       log_p=st.floats(-7.0, -1.0), form=st.sampled_from(["reduced", "full"]))
+def test_bracket_lies_under_the_weak_trapping_bound(u, stress, n_left,
+                                                     n_right, log_p, form):
+    """The root is at most z_w, the Rayleigh quotient of the uniform trial
+    mode; the returned bracket counts no mode below its lower end and one
+    below its upper end; and the halving and the bisection end within
+    their bounds, log2(top / 1e-9) halvings and 54 bisections."""
+    geom = (stress_geometry if stress else box_geometry)(u)
+    vc = VortexConfig(n_left, n_right, 10.0**log_p)
+    g, plan = eigenmode._groups(geom, vc, TP), eigenmode._plan(geom, form)
+    a_form = g.a_total - (2.0 * g.lam if form == "reduced" else 0.0)
+    z_w = math.sqrt(2.0 * g.nbar * g.eps / a_form)
+    sol = smallest_root(geom, vc, TP, form)
+    assert sol.z <= z_w
+    top = min(z_w * (1.0 + 1e-9), eigenmode._Z_CAP)
+    (lo, hi), note, counts = eigenmode._bracket(g, plan, top, {})
+    assert (lo, hi) == sol.bracket
+    assert lo < sol.z < hi <= top
+    assert [eigenmode._count(z, g, plan) for z in (lo, hi)] == [0, 1]
+    assert counts <= 3 + math.log2(top / 1e-9) + 54
+
+
+def test_infinite_n_eps_clamps_its_pad():
+    """A pad whose N eps is beyond the float64 range starts at (1, 0), the
+    clamped pad, so its root is the eps -> infinity limit that P = 1e8
+    m^2/s already reaches; a pad without vortices stays free."""
+    geom = bundled("b1")
+    g = eigenmode._groups(geom, VortexConfig(0, 1, 1e307), TP)
+    assert g.n_eps == (0.0, math.inf)
+    for nl, nr in ((0, 1), (1, 1), (3, 1)):
+        z_inf = smallest_root(geom, VortexConfig(nl, nr, 1e307), TP).z
+        z_big = smallest_root(geom, VortexConfig(nl, nr, 1e8), TP).z
+        assert z_inf == pytest.approx(z_big, rel=1e-9, abs=0)
 
 
 def test_slowest_mode_stops_on_a_stalled_residual():
@@ -273,8 +337,8 @@ def test_plan_lists_every_capacitor_pole(geom, form):
     poles = np.flatnonzero(np.sign(den[:-1]) != np.sign(den[1:]))
     for vc in (VortexConfig(2, 1, P_REF), VortexConfig(4, 1, 1e-2)):
         g = eigenmode._groups(geom, vc, TP)
-        f = eigenmode._pass(zs, eigenmode._trig(zs, plan.tree), g,
-                            plan.tree, plan.pads)[0][0]
+        f = eigenmode._pass(zs, array_trig(zs, plan.tree), g, plan.tree,
+                            plan.pads)[0][0]
         assert np.isfinite(f).all()
         for k in poles:
             below, above = (dense_count(z, geom, vc, form)
@@ -307,9 +371,8 @@ def test_weak_trapping_limit(geom, n, split, log_eps, form):
 
 
 def test_two_roots_in_one_scan_cell():
-    """Roots at z = 1.2048 and 1.2233 share one 0.0245-wide scan cell, so
-    the residual shows no sign change across either; the scan's first
-    sign change lies above them, and the mode count splits them."""
+    """Roots at z = 1.2048 and 1.2233 lie 0.0185 apart, with no sign change
+    of the residual across the pair: the mode count splits them."""
     with pytest.warns(UserWarning, match="l_half_gap is not small"):
         geom = DeviceGeometry(w_wire=1.7269e-6, l_wire=2e-4, h_cap=2.9438e-5,
                               l_half_gap=1.8748e-4, w_cap=1.5541e-4,
@@ -325,8 +388,9 @@ def test_two_roots_in_one_scan_cell():
 
 
 # 1 mm^2 pads, otherwise inside the valid box: the slow mode z = 0.0029
-# and the pad-exchange mode z = 0.024 share the first 0.0245-wide scan
-# cell, so the scan's first sign change is a mode ~1e5 times faster
+# and the pad-exchange mode z = 0.024 shared the first cell of the old
+# 0.0245-wide scan grid, whose first sign change was a mode ~1e5 times
+# faster; the weak-trapping bound brackets the slow mode alone
 BIG_PADS = DeviceGeometry(w_wire=4.6e-6, l_wire=130e-6, h_cap=24.5e-6,
                           l_half_gap=9.5e-6, w_cap=2.3e-6, l_cap=50e-6,
                           s_pad=1.04e-6)
@@ -336,7 +400,8 @@ BIG_PADS = DeviceGeometry(w_wire=4.6e-6, l_wire=130e-6, h_cap=24.5e-6,
 def test_slow_mode_hidden_in_the_first_scan_cell(form):
     vc, tp = VortexConfig(0, 2, 8.7e-7), TransportParams(d=16e-4, s0=0.0)
     sol = smallest_root(BIG_PADS, vc, tp, form)
-    assert sol.branch_note == f"{form}: split by eigenvalue count"
+    assert sol.branch_note == f"{form}: counted under the weak-trapping bound"
+    assert sol.bracket[1] < 0.024
     s_pde = slowest_mode(build(BIG_PADS, vc, tp, resolution=50))[0]
     assert abs(sol.s - s_pde) / s_pde < 0.005
 
@@ -373,13 +438,13 @@ def test_batched_roots_equal_single_roots():
         notes += [s.branch_note.split(": ")[1] for s in batch]
         rows += len(batch)
     assert rows >= 200
-    assert {"no trapping, uniform mode", "first sign change",
-            "split by eigenvalue count"} <= set(notes)
+    assert {"no trapping, uniform mode",
+            "counted under the weak-trapping bound"} <= set(notes)
 
 
 def test_steps_and_sweep_equal_a_loop_of_single_roots():
-    """step_sequence and field_sweep rows, from one array pass each, equal
-    smallest_root of each row's configuration bit for bit."""
+    """step_sequence and field_sweep rows equal smallest_root of each row's
+    configuration bit for bit."""
     for k, (geom, form, p, d, _) in enumerate(batch_panel()):
         tp = TransportParams(d=d, s0=1.0 / 30e-3)
 
@@ -398,55 +463,30 @@ def test_steps_and_sweep_equal_a_loop_of_single_roots():
             assert s.hex() == rate(nl, nr).hex(), (k, nl, nr)
 
 
-@pytest.mark.parametrize("call, trapping", [
-    (lambda geom: [smallest_root(geom, VortexConfig(2, 1, P_REF), TP,
-                                 "full")], lambda out: 1),
-    (lambda geom: step_sequence(geom, TP, P_REF, max_steps=6, form="full"),
-     lambda out: 6),
-    (lambda geom: field_sweep(geom, TP, P_REF, np.linspace(0.0, 150e-7, 41),
-                              b_k=11e-7, vortex_density_slope=0.3e7,
-                              pads="alternating", form="full"),
-     lambda out: len({row[1:3] for row in out} - {(0, 0)}))],
-    ids=["smallest_root", "step_sequence", "field_sweep"])
-def test_one_array_pass_per_call(monkeypatch, call, trapping):
-    """Each call scans all its trapping configurations in one (K, m) array
-    pass over the plan's grid."""
-    shapes = []
-    graph_pass = eigenmode._pass
-
-    def counted(z, *args):
-        out = graph_pass(z, *args)
-        if np.ndim(z):
-            shapes.append(np.shape(out[0][0]))
-        return out
-
-    monkeypatch.setattr(eigenmode, "_pass", counted)
-    out = call(bundled("b1"))
-    k, m = trapping(out), len(eigenmode._plan(bundled("b1"), "full").grid)
-    assert k >= 1
-    assert shapes == [(m,) if k == 1 else (k, m)]
-
-
 def test_no_array_pass_without_trapping(monkeypatch):
     monkeypatch.setattr(eigenmode, "_pass", None)  # any call would fail
     rows = step_sequence(bundled("b1"), TP, 0.0, max_steps=3)
     assert [s for _, _, s, _ in rows] == [TP.s0] * 4
 
 
-def test_first_failing_configuration_raises_first():
-    """A weak-trapping refusal before a configuration whose F leaves the
-    float64 range is raised first, as a loop of smallest_root raises it,
-    and the other way round."""
+def test_first_failing_configuration_raises_first(monkeypatch):
+    """A weak-trapping refusal before a configuration whose count never
+    drops to 0 above the 1e-9 floor is raised first, as a loop of
+    smallest_root raises it, and the other way round."""
     geom, plan = bundled("b1"), eigenmode._plan(bundled("b1"), "reduced")
     weak = VortexConfig(1, 0, 1e-30)
-    overflow = VortexConfig(1, 1, 1e307)  # eps itself is infinite
-    assert math.isinf(eigenmode._groups(geom, overflow, TP).eps)
+    stuck = VortexConfig(1, 1, 2 * P_REF)
+    eps = eigenmode._groups(geom, stuck, TP).eps
+    count = eigenmode._count
+    monkeypatch.setattr(eigenmode, "_count", lambda z, g, *args: 1 if
+                        g.eps == eps else count(z, g, *args))
     with pytest.raises(InvalidParameterError, match="weak-trapping"):
-        eigenmode._roots(geom, [VortexConfig(2, 1, P_REF), weak, overflow],
+        eigenmode._roots(geom, [VortexConfig(2, 1, P_REF), weak, stuck],
                          TP, "reduced", plan)
-    with pytest.raises(NoRootFoundError, match="float64 range"):
-        eigenmode._roots(geom, [VortexConfig(2, 1, P_REF), overflow, weak],
+    with pytest.raises(NoRootFoundError, match="a mode lies below") as exc:
+        eigenmode._roots(geom, [VortexConfig(2, 1, P_REF), stuck, weak],
                          TP, "reduced", plan)
+    assert exc.value.diagnostics["count"] == 1
 
 
 def test_strongly_trapping_pads_are_scaled_by_powers_of_two():
@@ -471,38 +511,14 @@ def test_scaled_seeds_scale_f_exactly():
     for bit, where nothing over- or underflows: no sign and no root moves."""
     geom, zs = bundled("b2"), np.linspace(1e-3, 1.6, 200)
     for form in ("reduced", "full"):
-        tree, pads = eigenmode._tree(geom, form)
+        tree, pads = eigenmode._plan(geom, form)
         g = eigenmode._groups(geom, VortexConfig(3, 1, 1e18), TP)
         assert g.scale and g.scale[0] != g.scale[1]
-        args = (zs, eigenmode._trig(zs, tree))
+        args = (zs, array_trig(zs, tree))
         scaled = eigenmode._pass(*args, g, tree, pads)[0][0]
         plain = eigenmode._pass(*args, g._replace(scale=()), tree, pads)[0][0]
         assert np.all(np.isfinite(plain))
         assert np.array_equal(scaled, plain * g.scale[0] * g.scale[1])
-
-
-def test_first_sign_change_of_every_row(monkeypatch):
-    """The vectorised step on a (K, m) F: each row's first sign change, no
-    change, an exact zero and a row beyond the float64 range."""
-    plan = eigenmode._plan(bundled("b1"), "reduced")
-    m = len(plan.grid)
-    rows = np.ones((5, m))
-    rows[0, 7:] = -1.0
-    rows[0, 20:] = 1.0
-    rows[2, 3] = 0.0
-    rows[3, 40:] = -1.0
-    rows[3, 50] = np.inf
-    rows[4, :2] = -1.0
-    monkeypatch.setattr(eigenmode, "_pass", lambda *args: ([rows],))
-    g = eigenmode._groups(bundled("b1"), VortexConfig(1, 0, P_REF), TP)
-    cells = eigenmode._first_roots([g] * 5, plan)
-    grid = plan.grid.tolist()
-    assert cells[0] == (grid[6], grid[7])
-    assert cells[1] is None
-    assert cells[2] == (grid[2], grid[3])
-    assert isinstance(cells[3], NoRootFoundError)
-    assert cells[3].diagnostics["z"] == grid[50]
-    assert cells[4] == (grid[1], grid[2])
 
 
 def test_one_debug_record_per_call(caplog):
@@ -514,7 +530,6 @@ def test_one_debug_record_per_call(caplog):
     stats = record.args
     assert stats["form"] == "full"
     assert stats["configs"] == 3
-    assert stats["array_passes"] == 1
     assert [(r["n_left"], r["n_right"]) for r in stats["roots"]] == \
         [(0, 0), (1, 1), (2, 2)]
     uniform, *trapped = stats["roots"]
@@ -526,33 +541,33 @@ def test_one_debug_record_per_call(caplog):
         assert (root["z"], root["bracket"], root["branch_note"]) == \
             (sol.z, sol.bracket, sol.branch_note)
         assert root["f_evals"] >= 5  # Brent's polish and 3 Newton points
-        split = sol.branch_note.endswith("split by eigenvalue count")
-        assert root["count_evals"] > 1 if split else root["count_evals"] == 1
-    assert "split by eigenvalue count" in trapped[0]["branch_note"]
+        assert root["count_evals"] >= 2  # the bracket's two ends
     caplog.clear()
     smallest_root(BIG_PADS, VortexConfig(0, 0, 8.7e-7),
                   TransportParams(d=16e-4))
     (record,) = caplog.records
-    assert record.args["array_passes"] == 0
+    assert record.args["roots"][0]["count_evals"] == 0
 
 
 @pytest.mark.parametrize("form", ["reduced", "full"])
 def test_count_alone_finds_the_root(monkeypatch, form):
-    """With the scan finding no sign change, bisecting the count from the
-    scan's top isolates the same root."""
+    """Without the weak-trapping bound, the count alone, from the top at
+    pi/2, isolates the same root."""
     geom = bundled("b1")
     expected = {c[:2]: c[2] for c in PARENT_ROOTS["b1", form]}
-    monkeypatch.setattr(eigenmode, "_first_roots",
-                        lambda groups, plan: [None] * len(groups))
+    bracket = eigenmode._bracket
+    monkeypatch.setattr(eigenmode, "_bracket", lambda g, plan, hi, seen:
+                        bracket(g, plan, eigenmode._Z_CAP, seen))
     for (nl, nr), z in expected.items():
         sol = smallest_root(geom, VortexConfig(nl, nr, P_REF), TP, form)
         assert sol.z == pytest.approx(z, rel=1e-12, abs=0), (nl, nr)
-        assert sol.branch_note == f"{form}: split by eigenvalue count"
+        g = eigenmode._groups(geom, VortexConfig(nl, nr, P_REF), TP)
+        assert sol.bracket[1] < eigenmode._Z_CAP
+        assert [eigenmode._count(z, g, eigenmode._plan(geom, form))
+                for z in sol.bracket] == [0, 1]
 
 
 def test_no_mode_below_the_top_raises_with_the_count(monkeypatch):
-    monkeypatch.setattr(eigenmode, "_first_roots",
-                        lambda groups, plan: [None] * len(groups))
     monkeypatch.setattr(eigenmode, "_count", lambda *args: 0)
     with pytest.raises(NoRootFoundError, match="holds one mode") as exc:
         smallest_root(bundled("b1"), VortexConfig(1, 0, P_REF), TP)

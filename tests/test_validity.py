@@ -168,6 +168,15 @@ class TestRule:
                            match=r"rho must be finite and >= 0, got -2\.0"):
             check_finite("rho", [1.0, -2.0, NAN], ">=")
 
+    @pytest.mark.parametrize("values, bound", [
+        ([1.0, -2.0, NAN], ">="), ([3, 0], ">"), ((INF, 1.0), ""),
+        ([1.0, 2], ">"), ((-0.0,), ">="), ([np.float64(-1.0)], "")])
+    def test_list_rule_is_the_array_rule(self, values, bound):
+        """A flat list or tuple of numbers, checked with math, gets the
+        message of the same values as an array."""
+        assert finite_violation("v", values, bound) == \
+            finite_violation("v", np.array(values, dtype=float), bound)
+
     @pytest.mark.parametrize("value, bound", [
         (0.0, ">"), (-0.5, ">="), (NAN, ""), (-INF, ""), (INF, ">="),
         (np.int64(0), ">"), ([1.0, NAN], "")])
