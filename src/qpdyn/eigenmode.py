@@ -9,28 +9,30 @@ root, and provides the closed-form weak- and strong-trapping limits, the
 quantized vortex-step sequence, and field-sweep predictions.
 
 Dimensionless groups: eps = P * tau_D / A_W measures trapping strength;
-a = S_pad / A_W the pad-to-wire area ratio.
+a = S_pad / A_W the pad-to-wire area ratio.  A pad whose N eps reaches
+2^64 is clamped (density 0 at the pad), the eps -> infinity limit, which
+it already meets to below one ulp.
 
 One leaf-first pass over the graph, rooted at junction, maps each
 subtree's admittance through the two-port of its parent edge (Wittrick &
 Williams 1971; Berkolaiko & Kuchment, Introduction to Quantum Graphs,
 2013).  It gives both the secular function F(z), which is entire, and the
 Wittrick-Williams count of the modes below z.  _plan fixes the
-elimination order once per (geometry, form).  No scan grid is needed:
-the weak-trapping root z_w, the Rayleigh quotient of the uniform trial
-mode, bounds the slowest mode from above, so the count is at least 1
-there; halving down from it to a count of 0, and bisecting the count
-when more than one mode lies below the top, brackets the first mode
-alone.  Both pad subtrees meet before the capacitor arms, so s is
-bit-for-bit symmetric under pad exchange.  Brent's method polishes the
-bracket, starting from the F values that the counts' passes gave.
-_brent is a step-for-step port of scipy's brentq on Python floats: it
-returns the same double, and it spares the mode solver the imports of
-scipy.optimize and numpy, which take longer than a whole eigenrate,
-steps or sweep command computes.  field_sweep roots each distinct
-(N_L, N_R) once and reuses its rate for every field that maps to it.
-Each call logs one DEBUG record on the qpdyn.eigenmode logger, its data
-as a dict in record.args.
+elimination order and the graph's area once per (geometry, form).  No
+scan grid is needed: the weak-trapping root z_w, the Rayleigh quotient of
+the uniform trial mode over the graph's area, bounds the slowest mode
+from above, so the count is at least 1 there; halving down from it to a
+count of 0, and bisecting the count when more than one mode lies below
+the top, brackets the first mode alone.  Both pad subtrees meet before
+the capacitor arms, so s is bit-for-bit symmetric under pad exchange.
+Brent's method polishes the bracket, starting from the F values that the
+counts' passes gave.  _brent is a step-for-step port of scipy's brentq
+on Python floats: it returns the same double, and it spares the mode
+solver the imports of scipy.optimize and numpy, which take longer than a
+whole eigenrate, steps or sweep command computes.  field_sweep roots
+each distinct (N_L, N_R) once and reuses its rate for every field that
+maps to it.  Each call logs one DEBUG record on the qpdyn.eigenmode
+logger, its data as a dict in record.args.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ from typing import NamedTuple
 from .errors import InvalidParameterError, NoRootFoundError, check_finite
 from .geometry import DerivedGeometry, DeviceGeometry, derive, edges
 
-_FORMS = ("reduced", "full")
+# each form and the area of its weak-trapping limit (reduced: no central wire)
+_FORMS = {"reduced": "(A_total - 2 l W)", "full": "A_total"}
 # just past pi/2, the mode of one wire clamped at its pad, which bounds
 # the slowest mode of the whole graph from above
 _Z_CAP = 0.5 * math.pi * (1.0 + 1e-9)
@@ -108,14 +111,8 @@ class _Groups(NamedTuple):
 
     a: float      # S_pad / A_W
     eps: float    # P tau_D / A_W
-    nbar: float   # (N_L + N_R) / 2
-    dn: int       # N_R - N_L
-    lam: float    # l / L
     tau_d: float  # L^2 / D, s
-    a_total: float  # A_total / A_W
-    n_eps: tuple  # N_L eps, N_R eps; inf clamps its pad
-    scale: tuple  # per pad 2^-max(0, e - 64), e the binary exponent of N eps;
-    # () while both N eps are below 2^64
+    n_eps: tuple  # N_L eps, N_R eps; 0 without vortices or P
 
 
 def _groups(geom: DeviceGeometry, vortices: VortexConfig,
@@ -123,31 +120,25 @@ def _groups(geom: DeviceGeometry, vortices: VortexConfig,
             ) -> _Groups:
     """The groups of one configuration; der is derive(geom, tp.d) if given.
 
-    Once a pad's N eps reaches 2^64, each pad's seed is scaled by the
-    exact power of two 2^-max(0, e - 64), so two strongly trapping pads do
-    not overflow F at the junction; a positive factor per pad moves no
-    sign and no root.  Below 2^64, scale is () and no seed is scaled.  An
-    N eps beyond the float64 range is kept as inf: _pass clamps that pad,
-    the eps -> infinity limit."""
+    A pad without vortices, or any pad at P = 0, has N eps = 0, even where
+    tau_D overflows and eps = 0 inf is nan.  An N eps beyond the float64
+    range is kept as inf; _pass clamps that pad."""
     if der is None:
         der = derive(geom, tp.d)
-    eps = vortices.trapping_power * der.tau_d / der.a_w
-    nbar = 0.5 * (vortices.n_left + vortices.n_right)
-    dn = vortices.n_right - vortices.n_left
-    n_eps = tuple(n * eps if n else 0.0
+    p = vortices.trapping_power
+    eps = p * der.tau_d / der.a_w
+    n_eps = tuple(n * eps if n and p else 0.0
                   for n in (vortices.n_left, vortices.n_right))
-    scale = tuple(math.ldexp(1.0, -max(0, math.frexp(x)[1] - 64))
-                  for x in n_eps) if max(n_eps) >= 2.0**64 else ()
-    return _Groups(
-        a=der.aspect_a, eps=eps, nbar=nbar, dn=dn,
-        lam=geom.l_half_gap / geom.l_wire, tau_d=der.tau_d,
-        a_total=der.a_total / der.a_w, n_eps=n_eps, scale=scale)
+    return _Groups(a=der.aspect_a, eps=eps, tau_d=der.tau_d, n_eps=n_eps)
 
 
 class _Plan(NamedTuple):
     """Leaf-first elimination order of the graph edges(geom, form), rooted
     at junction (vertex 0): (child, parent, first child?, l / L, w / W) of
-    each edge, and the vertices of pad_left and pad_right.
+    each edge; the vertices of pad_left and pad_right; and the graph's
+    area in units of A_W, 2 S_pad / A_W + sum (l / L)(w / W), which is
+    A_total / A_W in the full form and (A_total - 2 l W) / A_W in the
+    reduced form.
 
     Each vertex's edges are eliminated, depth first, before the edge to
     its parent, and siblings in table order, so both pad subtrees meet
@@ -155,6 +146,7 @@ class _Plan(NamedTuple):
 
     tree: tuple
     pads: tuple
+    area: float
 
 
 @functools.lru_cache(maxsize=256)  # DeviceGeometry is frozen, so hashable
@@ -174,8 +166,10 @@ def _plan(geom: DeviceGeometry, form: str) -> _Plan:
                 first = False
 
     below(0, None)
+    area = 2.0 * geom.s_pad / (geom.l_wire * geom.w_wire) + sum(
+        length * w for *_, length, w in tree)
     return _Plan(tuple(tree),
-                 (names.index("pad_left"), names.index("pad_right")))
+                 (names.index("pad_left"), names.index("pad_right")), area)
 
 
 def _trig(z: float, tree: tuple) -> list:
@@ -187,15 +181,16 @@ def _trig(z: float, tree: tuple) -> list:
     return trig
 
 
-def _pass(z, trig, g: _Groups, tree: tuple, pads: tuple):
-    """The leaf-first two-port pass at z (a float or an array) with the
-    _trig of z.
+def _pass(z, trig, g: _Groups, plan: _Plan):
+    """The leaf-first two-port pass of plan at z (a float or an array) with
+    the _trig of z.
 
     Each vertex carries a pair (P, R), its admittance z P / R: a free end
-    starts at (0, 1), a pad at (N eps - a z^2, z), times its factor in
-    g.scale if there is one, and a pad whose N eps is inf at (1, 0),
-    clamped.  Each edge (l, w) maps its child's pair through the
-    unimodular two-port [[c, -w s], [s / w, c]], c, s = cos, sin(z l),
+    starts at (0, 1), a pad at (N eps - a z^2, z), and a pad whose N eps
+    reaches 2^64 (inf included) at (1, 0), clamped: its admittance then
+    dwarfs the wire's by more than one ulp, so no root moves, and two such
+    pads cannot overflow F.  Each edge (l, w) maps its child's pair through
+    the unimodular two-port [[c, -w s], [s / w, c]], c, s = cos, sin(z l),
     which carries flux / k and density along the segment, and the
     children of a vertex add as fractions, (P R' + P' R, R R').  Only
     arithmetic, so z and its trig may also be arrays of one shape.
@@ -204,15 +199,12 @@ def _pass(z, trig, g: _Groups, tree: tuple, pads: tuple):
     edge.  F(z) = P at junction is entire, with zeros at the modes and at
     z = 0.
     """
-    n = len(tree) + 1
+    n = len(plan.tree) + 1
     p, r, tails = [0.0] * n, [1.0] * n, []
     mass = g.a * z * z
-    for pad, n_eps in zip(pads, g.n_eps):
-        p[pad], r[pad] = (n_eps - mass, z) if n_eps < math.inf else (1, 0)
-    if g.scale:
-        for pad, factor in zip(pads, g.scale):
-            p[pad], r[pad] = p[pad] * factor, r[pad] * factor
-    for (child, parent, first, _, _), (c, ws, sw) in zip(tree, trig):
+    for pad, n_eps in zip(plan.pads, g.n_eps):
+        p[pad], r[pad] = (n_eps - mass, z) if n_eps < 2.0**64 else (1, 0)
+    for (child, parent, first, _, _), (c, ws, sw) in zip(plan.tree, trig):
         pc, rc = p[child], r[child]
         pt, rt = c * pc - ws * rc, sw * pc + c * rc
         tails.append(rt)
@@ -230,9 +222,9 @@ def eigen_residual(z: float, geom: DeviceGeometry, vortices: VortexConfig,
     and at z = 0."""
     check_finite("z", z, ">=")
     _check_form(form)
-    z, (tree, pads) = float(z), _plan(geom, form)
-    return _pass(z, _trig(z, tree), _groups(geom, vortices, tp), tree,
-                 pads)[0][0]
+    z, plan = float(z), _plan(geom, form)
+    return _pass(z, _trig(z, plan.tree), _groups(geom, vortices, tp),
+                 plan)[0][0]
 
 
 def _brent_step(xcur, fcur, xpre, fpre, xblk, fblk):
@@ -320,7 +312,7 @@ def _count(z: float, g: _Groups, plan: _Plan, seen: dict | None = None
     pivot has the sign of R' s R across its parent edge, junction's that
     of P R.  The same pass gives F(z), stored in seen if given."""
     trig = _trig(z, plan.tree)
-    p, r, tails = _pass(z, trig, g, plan.tree, plan.pads)
+    p, r, tails = _pass(z, trig, g, plan)
     if seen is not None:
         seen[z] = p[0]
     return (p[0] * r[0] < 0) + sum(
@@ -350,7 +342,7 @@ def _bracket(g: _Groups, plan: _Plan, hi: float, seen: dict):
         if lo < 1e-9:
             raise NoRootFoundError(
                 f"a mode lies below z = {lo!r}",
-                diagnostics=dict(eps=g.eps, dn=g.dn, count=n_lo))
+                diagnostics=dict(eps=g.eps, n_eps=g.n_eps, count=n_lo))
         hi, n_hi, lo = lo, n_lo, 0.5 * lo
         n_lo, counts = _count(lo, g, plan, seen), counts + 1
     note = ("counted under the weak-trapping bound" if n_hi == 1
@@ -360,7 +352,7 @@ def _bracket(g: _Groups, plan: _Plan, hi: float, seen: dict):
         if not lo < mid < hi:
             raise NoRootFoundError(
                 f"no cell below z = {hi!r} holds one mode",
-                diagnostics=dict(eps=g.eps, dn=g.dn,
+                diagnostics=dict(eps=g.eps, n_eps=g.n_eps,
                                  count_at_top=_count(_Z_CAP, g, plan)))
         n_mid, counts = _count(mid, g, plan, seen), counts + 1
         lo, hi, n_hi = (lo, mid, n_mid) if n_mid else (mid, hi, n_hi)
@@ -372,17 +364,15 @@ def _root(g: _Groups, tp: TransportParams, form: str, plan: _Plan):
     counted bracket under the Rayleigh bound z_w, Brent's polish and the
     Newton quality.  Returns the ModeSolution and the numbers of scalar F
     and mode-count evaluations."""
-    area, a_form = ("A_total", g.a_total) if form == "full" else (
-        "(A_total - 2 l W)", g.a_total - 2.0 * g.lam)  # no central wire
     # the Rayleigh quotient of the uniform trial mode
-    z_w = math.sqrt(2.0 * g.nbar * g.eps / a_form)
+    z_w = math.sqrt(sum(g.n_eps) / plan.area)
     if z_w < 1e-6:  # Brent's xtol of 1e-15 is 1e-9 of such a root
         raise InvalidParameterError(
             f"weak-trapping root estimate z_w = {z_w:.3g} is below 1e-6, "
             "too small for the mode solver to resolve; use the weak-trapping "
-            f"limit s = (N_L + N_R) P / {area} + s0 = "
+            f"limit s = (N_L + N_R) P / {_FORMS[form]} + s0 = "
             f"{z_w**2 / g.tau_d + tp.s0:.6g} 1/s")
-    if math.isnan(z_w):  # P = 0 with an infinite tau_D
+    if math.isnan(z_w):  # P tau_D / A_W = inf / inf
         raise NoRootFoundError(
             "the secular function leaves the float64 range: eps = "
             "P tau_D / A_W is nan", diagnostics={"eps": g.eps})
@@ -392,8 +382,7 @@ def _root(g: _Groups, tp: TransportParams, form: str, plan: _Plan):
         nonlocal f_evals
         if z not in seen:
             f_evals += 1
-            seen[z] = _pass(z, _trig(z, plan.tree), g, plan.tree,
-                            plan.pads)[0][0]
+            seen[z] = _pass(z, _trig(z, plan.tree), g, plan)[0][0]
         return seen[z]
 
     (za, zb), note, counts = _bracket(
@@ -406,14 +395,13 @@ def _root(g: _Groups, tp: TransportParams, form: str, plan: _Plan):
 
 
 def _roots(geom: DeviceGeometry, vortex_configs: list, tp: TransportParams,
-           form: str, plan: _Plan) -> list:
-    """smallest_root of each configuration, in order, for a checked form
-    and the _plan of (geom, form)."""
-    der = derive(geom, tp.d)
+           form: str) -> list:
+    """smallest_root of each configuration, in order, for a checked form."""
+    der, plan = derive(geom, tp.d), _plan(geom, form)
     sols, evals = [], []
     for vc in vortex_configs:
         g = _groups(geom, vc, tp, der)
-        if g.eps == 0 or g.nbar == 0:
+        if not any(g.n_eps):
             sols.append(ModeSolution(
                 z=0.0, s=tp.s0, bracket=(0.0, 0.0), residual_at_root=0.0,
                 branch_note=f"{form}: no trapping, uniform mode"))
@@ -443,17 +431,18 @@ def smallest_root(geom: DeviceGeometry, vortices: VortexConfig,
 
     For zero total trapping power (N = 0 or P = 0) the uniform mode z = 0
     is exact and returned without a search.  Otherwise the weak-trapping
-    root z_w = sqrt((N_L + N_R) eps / a_form), the Rayleigh quotient of
-    the uniform trial mode, bounds the root from above (as does pi/2, a
-    wire clamped at its pad).  The mode count brackets the first mode
-    under that bound: the cell's lower end halves down from the bound
-    until no mode lies below it, and bisecting the count splits the cell
-    if more than one mode lies below its top.  Brent's method polishes the
-    cell.  A weak-trapping root estimate below 1e-6, which Brent's
-    absolute tolerance cannot resolve, raises InvalidParameterError.
+    root z_w = sqrt((N_L + N_R) eps / area), the Rayleigh quotient of the
+    uniform trial mode, with area the graph's metal in units of A_W,
+    bounds the root from above (as does pi/2, a wire clamped at its pad).
+    The mode count brackets the first mode under that bound: the cell's
+    lower end halves down from the bound until no mode lies below it, and
+    bisecting the count splits the cell if more than one mode lies below
+    its top.  Brent's method polishes the cell.  A weak-trapping root
+    estimate below 1e-6, which Brent's absolute tolerance cannot resolve,
+    raises InvalidParameterError.
     """
     _check_form(form)
-    return _roots(geom, [vortices], tp, form, _plan(geom, form))[0]
+    return _roots(geom, [vortices], tp, form)[0]
 
 
 def small_p_rate(geom: DeviceGeometry, vortices: VortexConfig,
@@ -504,7 +493,7 @@ def step_sequence(geom: DeviceGeometry, tp: TransportParams,
     _check_form(form)
     counts = [_SERIES[series](k) for k in range(max_steps + 1)]
     sols = _roots(geom, [VortexConfig(*c, trapping_power) for c in counts],
-                  tp, form, _plan(geom, form))
+                  tp, form)
     a_total = derive(geom, tp.d).a_total
     return [(nl, nr, sol.s, sol.s * a_total)
             for (nl, nr), sol in zip(counts, sols)]
@@ -545,6 +534,6 @@ def field_sweep(geom: DeviceGeometry, tp: TransportParams,
             counts.append(((total + 1) // 2, total // 2))
     configs = list(dict.fromkeys(counts))
     sols = _roots(geom, [VortexConfig(*c, trapping_power) for c in configs],
-                  tp, form, _plan(geom, form))
+                  tp, form)
     rates = {c: sol.s for c, sol in zip(configs, sols)}
     return [(b, nl, nr, rates[nl, nr]) for b, (nl, nr) in zip(fields, counts)]

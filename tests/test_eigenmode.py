@@ -84,6 +84,12 @@ class TestSmallestRoot:
     def test_zero_power(self, b1_geom, transport):
         sol = smallest_root(b1_geom, VortexConfig(3, 2, 0.0), transport)
         assert sol.z == 0.0 and sol.s == transport.s0
+        # also where tau_D = L^2 / D overflows and eps = 0 inf is nan
+        tp = TransportParams(d=5e-324, s0=transport.s0)
+        for form in ("reduced", "full"):
+            sol = smallest_root(b1_geom, VortexConfig(3, 2, 0.0), tp, form)
+            assert sol.z == 0.0 and sol.s == transport.s0
+            assert sol.branch_note == f"{form}: no trapping, uniform mode"
 
     def test_residual_small_at_root(self, b1_geom, transport):
         sol = smallest_root(b1_geom, VortexConfig(2, 1, P_REF), transport)

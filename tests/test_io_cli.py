@@ -728,7 +728,7 @@ class TestCli:
     def test_two_saturated_pads_give_the_clamped_pad_roots(self, capsys,
                                                             recwarn, argv,
                                                             rates):
-        """With both pads at P = 1e300 cm^2/s the scaled pad seeds keep F
+        """With both pads at P = 1e300 cm^2/s the clamped pad seeds keep F
         in the float64 range: the rates are those of P = 1e12 cm^2/s,
         where the pads are already clamped."""
         out = []
@@ -764,10 +764,26 @@ class TestCli:
 
     def test_nan_trapping_strength_exits_6(self, capsys):
         """P = 0 with tau_D = L^2 / D beyond the float64 range gives
-        eps = 0 inf: a numerical failure, not a traceback."""
+        eps = 0 inf = nan, but no pad traps: the root is the uniform mode,
+        and the infinite tau_D in the output exits 6, not a traceback."""
         code, out, err = run_cli(capsys, *(
             "eigenrate --geom b1 --nl 1 --nr 1 --p 0cm2/s --d 5e-320cm2/s "
             "--no-timestamp").split())
+        assert (code, out) == (6, "")
+        assert err == ("qpdyn eigenrate: non-finite value in the output "
+                       "(result.tau_d_s = inf)\n")
+
+    def test_overflowing_wire_area_exits_6(self, capsys, tmp_path):
+        """A_W = L W and tau_D = L^2 / D both beyond the float64 range give
+        eps = P tau_D / A_W = inf / inf: a numerical failure."""
+        geom = tmp_path / "huge.cfg"
+        geom.write_text("w_wire = 1e155m\nl_wire = 1e154m\nh_cap = 1e155m\n"
+                        "l_half_gap = 1e152m\nw_cap = 1e150m\nl_cap = 0m\n"
+                        "s_pad = 1m2\n")
+        with pytest.warns(UserWarning, match="W << L"):
+            code, out, err = run_cli(capsys, *(
+                f"eigenrate --geom {geom} --nl 1 --nr 1 --p 0.067cm2/s "
+                "--d 18cm2/s --no-timestamp").split())
         assert (code, out) == (6, "")
         assert err == ("qpdyn eigenrate: the secular function leaves the "
                        "float64 range: eps = P tau_D / A_W is nan\n")

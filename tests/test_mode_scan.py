@@ -130,9 +130,9 @@ def test_array_residual_equals_scalar(form, counts):
     for name in ("b1", "b2", "b3"):
         geom = bundled(name)
         groups = eigenmode._groups(geom, vc, TP)
-        tree, pads = eigenmode._plan(geom, form)
-        grid = eigenmode._pass(zs, array_trig(zs, tree), groups, tree,
-                               pads)[0][0]
+        plan = eigenmode._plan(geom, form)
+        grid = eigenmode._pass(zs, array_trig(zs, plan.tree), groups,
+                               plan)[0][0]
         scalar = [eigen_residual(float(z), geom, vc, TP, form) for z in zs]
         # the array F of the pole checks below equals the solver's scalar
         # F up to the few-ulp differences between numpy's and math's trig
@@ -257,8 +257,7 @@ def test_bracket_lies_under_the_weak_trapping_bound(u, stress, n_left,
     geom = (stress_geometry if stress else box_geometry)(u)
     vc = VortexConfig(n_left, n_right, 10.0**log_p)
     g, plan = eigenmode._groups(geom, vc, TP), eigenmode._plan(geom, form)
-    a_form = g.a_total - (2.0 * g.lam if form == "reduced" else 0.0)
-    z_w = math.sqrt(2.0 * g.nbar * g.eps / a_form)
+    z_w = math.sqrt(sum(g.n_eps) / plan.area)
     sol = smallest_root(geom, vc, TP, form)
     assert sol.z <= z_w
     top = min(z_w * (1.0 + 1e-9), eigenmode._Z_CAP)
@@ -280,6 +279,23 @@ def test_infinite_n_eps_clamps_its_pad():
         z_inf = smallest_root(geom, VortexConfig(nl, nr, 1e307), TP).z
         z_big = smallest_root(geom, VortexConfig(nl, nr, 1e8), TP).z
         assert z_inf == pytest.approx(z_big, rel=1e-9, abs=0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(u=st.lists(st.floats(0.0, 1.0), min_size=7, max_size=7),
+       stress=st.booleans())
+def test_graph_area_is_the_geometry_area(u, stress):
+    """_plan's area, summed over the graph's edges, is the geometry
+    module's A_total / A_W in the full form and (A_total - 2 l W) / A_W in
+    the reduced form, which has no central wire."""
+    geom = (stress_geometry if stress else box_geometry)(u)
+    der = derive(geom, TP.d)
+    full = der.a_total / der.a_w
+    reduced = (der.a_total - 2.0 * geom.l_half_gap * geom.w_wire) / der.a_w
+    assert eigenmode._plan(geom, "full").area == pytest.approx(
+        full, rel=1e-14, abs=0)
+    assert eigenmode._plan(geom, "reduced").area == pytest.approx(
+        reduced, rel=1e-14, abs=0)
 
 
 def test_slowest_mode_stops_on_a_stalled_residual():
@@ -337,8 +353,7 @@ def test_plan_lists_every_capacitor_pole(geom, form):
     poles = np.flatnonzero(np.sign(den[:-1]) != np.sign(den[1:]))
     for vc in (VortexConfig(2, 1, P_REF), VortexConfig(4, 1, 1e-2)):
         g = eigenmode._groups(geom, vc, TP)
-        f = eigenmode._pass(zs, array_trig(zs, plan.tree), g, plan.tree,
-                            plan.pads)[0][0]
+        f = eigenmode._pass(zs, array_trig(zs, plan.tree), g, plan)[0][0]
         assert np.isfinite(f).all()
         for k in poles:
             below, above = (dense_count(z, geom, vc, form)
@@ -431,8 +446,7 @@ def test_batched_roots_equal_single_roots():
     for geom, form, p, d, configs in batch_panel():
         tp = TransportParams(d=d, s0=1.0 / 30e-3)
         vcs = [VortexConfig(nl, nr, p) for nl, nr in configs]
-        batch = eigenmode._roots(geom, vcs, tp, form,
-                                 eigenmode._plan(geom, form))
+        batch = eigenmode._roots(geom, vcs, tp, form)
         single = [smallest_root(geom, vc, tp, form) for vc in vcs]
         assert [repr(s) for s in batch] == [repr(s) for s in single]
         notes += [s.branch_note.split(": ")[1] for s in batch]
@@ -473,7 +487,7 @@ def test_first_failing_configuration_raises_first(monkeypatch):
     """A weak-trapping refusal before a configuration whose count never
     drops to 0 above the 1e-9 floor is raised first, as a loop of
     smallest_root raises it, and the other way round."""
-    geom, plan = bundled("b1"), eigenmode._plan(bundled("b1"), "reduced")
+    geom = bundled("b1")
     weak = VortexConfig(1, 0, 1e-30)
     stuck = VortexConfig(1, 1, 2 * P_REF)
     eps = eigenmode._groups(geom, stuck, TP).eps
@@ -482,43 +496,46 @@ def test_first_failing_configuration_raises_first(monkeypatch):
                         g.eps == eps else count(z, g, *args))
     with pytest.raises(InvalidParameterError, match="weak-trapping"):
         eigenmode._roots(geom, [VortexConfig(2, 1, P_REF), weak, stuck],
-                         TP, "reduced", plan)
+                         TP, "reduced")
     with pytest.raises(NoRootFoundError, match="a mode lies below") as exc:
         eigenmode._roots(geom, [VortexConfig(2, 1, P_REF), stuck, weak],
-                         TP, "reduced", plan)
+                         TP, "reduced")
     assert exc.value.diagnostics["count"] == 1
+    assert exc.value.diagnostics["n_eps"] == (eps, eps)
 
 
-def test_strongly_trapping_pads_are_scaled_by_powers_of_two():
-    """Only a pad past 2^64 in N eps scales the seeds, by 2^-(e - 64);
-    the two pads at P = 1e300 cm^2/s then give the clamped-pad root of
-    P = 1e12 cm^2/s."""
+def test_strongly_trapping_pads_give_the_clamped_pad_root():
+    """Two pads at P = 1e296 m^2/s, whose N eps is far past 2^64, give the
+    clamped-pad root of P = 1e8 m^2/s."""
     geom = bundled("b1")
-    assert eigenmode._groups(geom, VortexConfig(6, 6, 0.1), TP).scale == ()
-    g = eigenmode._groups(geom, VortexConfig(1, 2, 1e296), TP)
-    for n_eps, scale in zip(g.n_eps, g.scale):
-        e = math.frexp(n_eps)[1]
-        assert scale == 2.0 ** (64 - e)
-        assert 2.0**63 <= n_eps * scale < 2.0**64
     clamped = [smallest_root(geom, VortexConfig(nl, nr, p), TP).z
                for nl, nr in ((1, 1), (2, 5)) for p in (1e296, 1e8)]
     assert clamped[0] == pytest.approx(clamped[1], rel=1e-9, abs=0)
     assert clamped[2] == pytest.approx(clamped[3], rel=1e-9, abs=0)
 
 
-def test_scaled_seeds_scale_f_exactly():
-    """A power of two per pad scales F by the product of the factors, bit
-    for bit, where nothing over- or underflows: no sign and no root moves."""
-    geom, zs = bundled("b2"), np.linspace(1e-3, 1.6, 200)
-    for form in ("reduced", "full"):
-        tree, pads = eigenmode._plan(geom, form)
-        g = eigenmode._groups(geom, VortexConfig(3, 1, 1e18), TP)
-        assert g.scale and g.scale[0] != g.scale[1]
-        args = (zs, array_trig(zs, tree))
-        scaled = eigenmode._pass(*args, g, tree, pads)[0][0]
-        plain = eigenmode._pass(*args, g._replace(scale=()), tree, pads)[0][0]
-        assert np.all(np.isfinite(plain))
-        assert np.array_equal(scaled, plain * g.scale[0] * g.scale[1])
+@pytest.mark.parametrize("form", ["reduced", "full"])
+@pytest.mark.parametrize("counts", [(1, 0), (1, 1), (2, 1), (0, 2), (4, 3)])
+def test_root_is_continuous_across_the_clamp(form, counts):
+    """A pad's N eps below 2^64 keeps its seed (N eps - a z^2, z); from 2^64
+    on, inf included, the pad is clamped at (1, 0).  With the fuller pad's
+    N eps at 2^64 (1 - 2^-40), 2^64, 2^64 (1 + 2^-40) and inf, the roots
+    agree to 1e-15."""
+    for name in ("b1", "b2", "b3"):
+        geom = bundled(name)
+        plan = eigenmode._plan(geom, form)
+        g = eigenmode._groups(geom, VortexConfig(*counts, P_REF), TP)
+        roots = []
+        for top in (2.0**64 * (1 - 2.0**-40), 2.0**64,
+                    2.0**64 * (1 + 2.0**-40), math.inf):
+            eps = top / max(counts)  # exact: max(counts) is a power of two
+            n_eps = tuple(n * eps if n else 0.0 for n in counts)
+            assert max(n_eps) == top
+            sol = eigenmode._root(g._replace(eps=eps, n_eps=n_eps), TP,
+                                  form, plan)[0]
+            roots.append(sol.z)
+        assert roots == pytest.approx([roots[-1]] * 4, rel=1e-15, abs=0), \
+            (name, roots)
 
 
 def test_one_debug_record_per_call(caplog):
@@ -685,12 +702,11 @@ def test_brent_bit_identical_to_brentq(monkeypatch):
     for _ in range(60):
         geom = box_geometry(rng.uniform(size=7))
         for form in ("reduced", "full"):
-            plan = eigenmode._plan(geom, form)
             for _ in range(9):
                 n_left, n_right = rng.integers(0, 7, size=2)
                 vc = VortexConfig(int(n_left), int(n_right),
                                   10.0 ** rng.uniform(-7.0, -4.0))
-                eigenmode._roots(geom, [vc], TP, form, plan)
+                eigenmode._roots(geom, [vc], TP, form)
     assert len(calls) >= 1000
     # brackets whose trial step divides by an underflowed zero, where C
     # arithmetic gives an inf or a NaN
