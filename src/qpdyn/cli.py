@@ -38,24 +38,15 @@ if TYPE_CHECKING:
 
     from .trace_fit import FitResult
 
-# The library names the commands call.  Each resolves through the package
-# on first use, so a command imports only the modules it runs.  Commands
-# look them up on this module when they run (``_cli.smallest_root``), so
-# rebinding ``qpdyn.cli.smallest_root`` intercepts the call.
-_LIBRARY = frozenset("""
-    QubitParams qp_coupling_constant
-    TransportParams VortexConfig field_sweep smallest_root step_sequence
-    CavityQs VortexMicro frequency_shift injection_power
-    microscopic_trapping_power qp_injection_rate vortex_profile
-    derive load_geometry
-    EvolveSpec build evolve slowest_mode
-    FitResult extract_rates fit_gamma_trace fit_t1_vs_tau synth_trace
-""".split())
+# Every public name of the package resolves here on first use, so a
+# command imports only the modules it runs.  Commands look the names up
+# on this module when they run (``_cli.smallest_root``), so rebinding
+# ``qpdyn.cli.smallest_root`` intercepts the call.
 _cli = sys.modules[__name__]
 
 
 def __getattr__(name):
-    if name not in _LIBRARY:
+    if name not in sys.modules[__package__].__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(sys.modules[__package__], name)
 

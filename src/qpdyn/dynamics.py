@@ -180,15 +180,15 @@ def _rate_map(r_prime, tau_ss, x_i, x0):
 def rates_from_solution(p: SolutionParams) -> RateParams:
     """Invert the solution parameters back to the rate triple.
 
-    Raises NegativeRateError if the parameters imply s < 0 or g < 0.
+    Raises NegativeRateError if the parameters imply s < 0.  They never
+    imply g < 0 alone: s >= 0 means r' x0 / ((1 - r') x_i) <= 1/2, and then
+    g >= x0 / (2 tau_ss).
     """
     if not (p.x_i > 0):
         raise InvalidParameterError("x_i must be > 0 to extract rates")
     r, s, g = _rate_map(p.r_prime, p.tau_ss, p.x_i, p.x0)
     if s < 0:
         raise NegativeRateError("s", s)
-    if g < 0:
-        raise NegativeRateError("g", g)
     return RateParams(r=r, s=s, g=g)
 
 

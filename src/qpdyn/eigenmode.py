@@ -47,17 +47,9 @@ from typing import NamedTuple
 from .errors import InvalidParameterError, NoRootFoundError, check_finite
 from .geometry import DerivedGeometry, DeviceGeometry, derive, edges
 
-# each form and the area of its weak-trapping limit (reduced: no central wire)
-_FORMS = {"reduced": "(A_total - 2 l W)", "full": "A_total"}
 # just past pi/2, the mode of one wire clamped at its pad, which bounds
 # the slowest mode of the whole graph from above
 _Z_CAP = 0.5 * math.pi * (1.0 + 1e-9)
-
-
-def _check_form(form: str) -> None:
-    if form not in _FORMS:
-        raise InvalidParameterError(
-            f"form must be 'reduced' or 'full', got {form!r}")
 
 
 @dataclass(frozen=True)
@@ -221,7 +213,6 @@ def eigen_residual(z: float, geom: DeviceGeometry, vortices: VortexConfig,
     """The secular function F(z) of the electrode graph: zero at its modes
     and at z = 0."""
     check_finite("z", z, ">=")
-    _check_form(form)
     z, plan = float(z), _plan(geom, form)
     return _pass(z, _trig(z, plan.tree), _groups(geom, vortices, tp),
                  plan)[0][0]
@@ -282,13 +273,10 @@ def _brent(f, a: float, b: float, xtol: float,
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            args = (xcur, fcur, xpre, fpre, xblk, fblk)
             try:
-                stry = _brent_step(*args)
-            except ZeroDivisionError:  # C divides to an inf or a NaN
-                import numpy as np
-                with np.errstate(all="ignore"):
-                    stry = float(_brent_step(*map(np.float64, args)))
+                stry = _brent_step(xcur, fcur, xpre, fpre, xblk, fblk)
+            except ZeroDivisionError:  # C's inf or NaN: Brent bisects
+                stry = math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:
@@ -323,8 +311,6 @@ def _count(z: float, g: _Groups, plan: _Plan, seen: dict | None = None
 
 def _newton_quality(fn, root: float) -> float:
     """Newton-normalized residual: estimated relative error of the root."""
-    if root <= 0:
-        return 0.0
     h = max(1e-8 * root, 1e-12)
     slope = (fn(root + h) - fn(root - h)) / (2.0 * h)
     return fn(root) / (slope * root) if slope != 0 else 0.0
@@ -370,7 +356,8 @@ def _root(g: _Groups, tp: TransportParams, form: str, plan: _Plan):
         raise InvalidParameterError(
             f"weak-trapping root estimate z_w = {z_w:.3g} is below 1e-6, "
             "too small for the mode solver to resolve; use the weak-trapping "
-            f"limit s = (N_L + N_R) P / {_FORMS[form]} + s0 = "
+            "limit s = (N_L + N_R) P / "
+            f"{'A_total' if form == 'full' else '(A_total - 2 l W)'} + s0 = "
             f"{z_w**2 / g.tau_d + tp.s0:.6g} 1/s")
     if math.isnan(z_w):  # P tau_D / A_W = inf / inf
         raise NoRootFoundError(
@@ -396,7 +383,8 @@ def _root(g: _Groups, tp: TransportParams, form: str, plan: _Plan):
 
 def _roots(geom: DeviceGeometry, vortex_configs: list, tp: TransportParams,
            form: str) -> list:
-    """smallest_root of each configuration, in order, for a checked form."""
+    """smallest_root of each configuration, in order; edges, through _plan,
+    refuses an unknown form."""
     der, plan = derive(geom, tp.d), _plan(geom, form)
     sols, evals = [], []
     for vc in vortex_configs:
@@ -441,7 +429,6 @@ def smallest_root(geom: DeviceGeometry, vortices: VortexConfig,
     estimate below 1e-6, which Brent's absolute tolerance cannot resolve,
     raises InvalidParameterError.
     """
-    _check_form(form)
     return _roots(geom, [vortices], tp, form)[0]
 
 
@@ -490,7 +477,6 @@ def step_sequence(geom: DeviceGeometry, tp: TransportParams,
     if series not in _SERIES:
         raise InvalidParameterError(
             f"series must be one of {sorted(_SERIES)}, got {series!r}")
-    _check_form(form)
     counts = [_SERIES[series](k) for k in range(max_steps + 1)]
     sols = _roots(geom, [VortexConfig(*c, trapping_power) for c in counts],
                   tp, form)
@@ -516,7 +502,6 @@ def field_sweep(geom: DeviceGeometry, tp: TransportParams,
     if pads not in ("equal", "alternating"):
         raise InvalidParameterError(
             f"pads must be 'equal' or 'alternating', got {pads!r}")
-    _check_form(form)
     fields = [float(b) for b in b_grid]
     check_finite("b_grid", fields)
     counts = []

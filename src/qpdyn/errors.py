@@ -86,7 +86,9 @@ class InvalidGeometryError(QpdynError, ValueError):
 
 
 class NoRootFoundError(QpdynError, RuntimeError):
-    """Root scan found no sign change.  Carries scan diagnostics."""
+    """The mode solver or Brent's method found no root: no cell holds one
+    mode, f has no sign change or is not finite, or the iteration limit is
+    reached.  Carries diagnostics such as the bracket."""
 
     exit_code = 6
 

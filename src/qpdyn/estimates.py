@@ -109,7 +109,8 @@ def vortex_profile(rho, trapping_power: float, diffusivity: float,
         1 + (P / 2 pi D) [1/2 + ln(rho/R_c)],
 
     continuous at rho = R_c.  The expansion assumes P/D << 1; a warning is
-    emitted above 0.1.
+    emitted above 0.1.  A scalar rho is evaluated with math, so it needs
+    no numpy.
     """
     check_finite("trapping_power", trapping_power, ">=")
     check_finite("diffusivity", diffusivity, ">")
@@ -119,10 +120,16 @@ def vortex_profile(rho, trapping_power: float, diffusivity: float,
         warnings.warn(
             f"P/D = {trapping_power / diffusivity:.3g} > 0.1; first-order "
             "profile is unreliable", stacklevel=2)
+    pd = trapping_power / diffusivity
+    if isinstance(rho, (int, float)):
+        check_finite("rho", rho, ">=")
+        if rho <= r_core:
+            return 1.0 + pd / (4.0 * math.pi) * (rho / r_core) ** 2
+        return 1.0 + pd / (2.0 * math.pi) * (
+            0.5 + math.log(max(rho, 1e-300) / r_core))
     import numpy as np
     rr = np.asarray(rho, dtype=float)
     check_finite("rho", rr, ">=")
-    pd = trapping_power / diffusivity
     inside = 1.0 + pd / (4.0 * math.pi) * (rr / r_core) ** 2
     with np.errstate(divide="ignore"):
         outside = 1.0 + pd / (2.0 * math.pi) * (

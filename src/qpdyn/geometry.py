@@ -28,7 +28,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 
-from .errors import InvalidGeometryError, TraceParseError, finite_violation
+from .errors import (InvalidGeometryError, InvalidParameterError,
+                     TraceParseError, finite_violation)
 from .units import parse_quantity
 
 _LENGTH_KEYS = ("w_wire", "l_wire", "h_cap", "l_half_gap", "w_cap", "l_cap")
@@ -97,14 +98,18 @@ def derive(geom: DeviceGeometry, diffusivity: float) -> DerivedGeometry:
                + 2.0 * geom.l_half_gap * geom.w_wire)
     return DerivedGeometry(a_w=a_w, a_c=a_c, a_total=a_total,
                            aspect_a=geom.s_pad / a_w,
-                           tau_d=geom.l_wire**2 / diffusivity)
+                           tau_d=geom.l_wire * geom.l_wire / diffusivity)
 
 
 def edges(geom: DeviceGeometry, form: str = "full"):
     """The 1-D segments of the electrode graph, (name, a, b, length, width)
     from vertex a to vertex b; each capacitor arm joins its up and down
     halves (twice the width).  form 'reduced' drops the central wire and
-    merges both cross points into 'junction'."""
+    merges both cross points into 'junction'.  Any other form raises
+    InvalidParameterError."""
+    if form not in ("reduced", "full"):
+        raise InvalidParameterError(
+            f"form must be 'reduced' or 'full', got {form!r}")
     w, h, lc, wc = geom.w_wire, geom.h_cap, geom.l_cap, 2.0 * geom.w_cap
     gap, merged = (geom.l_half_gap, {}) if form == "full" else (
         0.0, {"cross_left": "junction", "cross_right": "junction"})

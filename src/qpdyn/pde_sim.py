@@ -270,6 +270,9 @@ class EvolveSpec:
     injection_density : if set, the junction node is instead clamped to
                       this density while t < t_inj (fixed-density drive)
     t_inj           : injection pulse length, s
+
+    A spec has at most one drive, a nonzero injection_rate or an
+    injection_density, and a drive needs t_inj > 0.
     """
 
     r: float
@@ -286,6 +289,13 @@ class EvolveSpec:
             v = getattr(self, name)
             if v is not None:
                 check_finite(name, v, ">=")
+        clamp = self.injection_density is not None
+        if self.injection_rate and clamp:
+            raise InvalidParameterError(
+                "injection_rate and injection_density are two drives; "
+                "give one")
+        if (self.injection_rate or clamp) and not self.t_inj:
+            raise InvalidParameterError("a drive needs t_inj > 0")
         check_time_grid("t_grid", self.t_grid, from_zero=True)
 
 
@@ -470,7 +480,7 @@ def evolve(disc: Discretization, spec: EvolveSpec, tol: float = 1e-8,
         raise InvalidParameterError(f"tol must lie in (0, 1), got {tol}")
 
     jj = disc.junction_index
-    if spec.injection_density is not None and spec.t_inj > 0:
+    if spec.injection_density is not None:
         x[jj] = spec.injection_density
     t_end = float(t_grid[-1])
     scale = max(float(x.max()), spec.injection_rate * spec.t_inj,

@@ -34,7 +34,7 @@ import numpy as np
 
 from .constants import DEFAULT_T_MIN
 from .dynamics import (SolutionParams, _rate_map, decay_shape,
-                       extraction_bounds)
+                       extraction_bounds, xqp_analytic)
 from .errors import (DegenerateTraceError, InsufficientDataError,
                      InsufficientSpreadError, InvalidParameterError,
                      NonConvergenceError, check_finite, check_time_grid)
@@ -154,11 +154,9 @@ class SteadyStatePoint:
 
 
 def gamma_model(t, f: FitResult):
-    """Evaluate the decay model A * decay_shape + Gamma0 at times t >= 0."""
-    ts = np.asarray(t, dtype=float)
-    check_finite("t", ts, ">=")
-    out = f.amplitude * decay_shape(ts, f.r_prime, f.tau_ss) + f.gamma0
-    return float(out) if np.isscalar(t) else out
+    """A * decay_shape + Gamma0 at times t >= 0, through xqp_analytic."""
+    return xqp_analytic(t, SolutionParams(f.amplitude, f.r_prime, f.tau_ss,
+                                          f.gamma0))
 
 
 def _grid_start(t: np.ndarray, gamma: np.ndarray, unit: np.ndarray):

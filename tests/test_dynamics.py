@@ -87,6 +87,12 @@ class TestAnalyticSolution:
                            match=f"{field} must be finite"):
             SolutionParams(**{**good, field: math.inf})
 
+    @pytest.mark.parametrize("r_prime", [-0.1, 1.0, math.nan])
+    def test_r_prime_outside_unit_interval_rejected(self, r_prime):
+        with pytest.raises(InvalidParameterError,
+                           match=r"r_prime must lie in \[0, 1\)"):
+            SolutionParams(x_i=3e-5, r_prime=r_prime, tau_ss=5e-3, x0=1e-6)
+
 
 class TestSteadyState:
     def test_reference_values(self):
@@ -159,6 +165,26 @@ class TestRatesFromSolution:
         assert exc.value.name == "s"
         assert exc.value.value < 0
 
+    def test_zero_injected_density_rejected(self):
+        p = SolutionParams(x_i=0.0, r_prime=0.5, tau_ss=1e-3, x0=1e-6)
+        with pytest.raises(InvalidParameterError, match="x_i must be > 0"):
+            rates_from_solution(p)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(r_prime=st.floats(0.0, 1.0, exclude_max=True),
+           log_tau=st.floats(-9, 3), log_xi=st.floats(-12, 0),
+           x0_ratio=st.floats(0.0, 1e3))
+    def test_no_negative_generation_without_negative_trapping(
+            self, r_prime, log_tau, log_xi, x0_ratio):
+        """Any x0, here x0_ratio x_i, that makes g < 0 makes s < 0 first,
+        so rates_from_solution refuses s alone."""
+        p = SolutionParams(x_i=10**log_xi, r_prime=r_prime,
+                           tau_ss=10**log_tau, x0=x0_ratio * 10**log_xi)
+        try:
+            assert rates_from_solution(p).g >= 0
+        except NegativeRateError as exc:
+            assert exc.name == "s"
+
     def test_forward_simulation_consistency(self):
         rp = RateParams(r=5e6, s=30.0, g=5e-5)
         p = solution_from_rates(rp, 8e-5)
@@ -166,6 +192,12 @@ class TestRatesFromSolution:
         xa = xqp_analytic(t, p)
         xo = integrate_ode(rp, 8e-5 + p.x0, t)
         assert np.max(np.abs(xo - xa) / xa) < 1e-8
+
+
+class TestSolutionFromRates:
+    def test_pure_recombination_without_generation_rejected(self):
+        with pytest.raises(DegenerateSystemError, match="tau_ss = inf"):
+            solution_from_rates(RateParams(r=1e6, s=0.0, g=0.0), 1e-4)
 
 
 class TestExtractionBounds:
@@ -224,6 +256,10 @@ class TestIntegrateOde:
         below = integrate_ode(rp, 0.2 * x0, t)
         assert np.all(above >= x0 * (1 - 1e-9))
         assert np.all(below <= x0 * (1 + 1e-9))
+
+    def test_one_point_grid_returns_the_initial_density(self):
+        x = integrate_ode(B1_RATES, 1e-4, [2e-3])
+        assert x.tolist() == [1e-4]
 
     def test_grid_validation(self):
         with pytest.raises(InvalidParameterError):

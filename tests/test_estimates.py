@@ -113,6 +113,28 @@ class TestVortexProfile:
         with pytest.warns(UserWarning, match="P/D"):
             vortex_profile(1e-6, 0.2 * self.D, self.D, self.RC)
 
+    def test_scalar_rho_equals_the_array_path(self):
+        """A float rho, evaluated with math, gives the double of the numpy
+        path bit for bit, on a seeded panel at the center, at the core's
+        edge, inside and outside the core."""
+        rng = np.random.Generator(np.random.Philox(19))
+        for k in range(12000):
+            r_core = 10 ** rng.uniform(-9, -5)
+            p, d = 10 ** rng.uniform(-8, -5), 10 ** rng.uniform(-4, -2)
+            rho = (0.0, r_core, r_core * rng.uniform(0, 1),
+                   r_core * 10 ** rng.uniform(0, 4))[k % 4]
+            scalar = vortex_profile(rho, p, d, r_core)
+            assert type(scalar) is float
+            assert scalar.hex() == float(
+                vortex_profile(np.array(rho), p, d, r_core)).hex()
+
+    @pytest.mark.parametrize("bad", [-1e-9, math.inf, math.nan])
+    def test_bad_radius_rejected(self, bad):
+        for rho in (bad, [0.0, bad]):
+            with pytest.raises(InvalidParameterError,
+                               match="rho must be finite and >= 0"):
+                vortex_profile(rho, self.P, self.D, self.RC)
+
 
 class TestFrequencyShift:
     OMEGA = 2 * math.pi * 6e9
@@ -162,6 +184,10 @@ class TestFrequencyShift:
     def test_invalid_inputs(self):
         with pytest.raises(InvalidParameterError):
             frequency_shift(-1.0, self.OMEGA, DELTA)
+        for x_qp in (-1e-6, 1.5):
+            with pytest.raises(InvalidParameterError,
+                               match=r"x_qp must lie in \[0, 1\]"):
+                frequency_shift_from_xqp(x_qp, self.OMEGA, DELTA)
         with pytest.raises(InvalidParameterError):
             CavityQs(q_in=0.0, q_out=1e5, q_w=1e5, q_j=1e4)
 

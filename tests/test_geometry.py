@@ -1,10 +1,12 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from qpdyn.errors import InvalidGeometryError, TraceParseError
-from qpdyn.geometry import (DeviceGeometry, derive, format_geometry,
+from qpdyn.errors import (InvalidGeometryError, InvalidParameterError,
+                          TraceParseError)
+from qpdyn.geometry import (DeviceGeometry, derive, edges, format_geometry,
                             parse_geometry, scaled)
 
 
@@ -49,6 +51,22 @@ class TestDerive:
     def test_invalid_diffusivity(self, b1_geom):
         with pytest.raises(InvalidGeometryError):
             derive(b1_geom, 0.0)
+
+    def test_diffusion_time_overflows_to_inf(self, b1_geom):
+        """L^2 beyond the float64 range gives tau_D = inf, not an
+        OverflowError."""
+        from dataclasses import replace
+        huge = replace(b1_geom, l_wire=1e200)
+        assert derive(huge, 18e-4).tau_d == math.inf
+
+
+class TestEdges:
+    @pytest.mark.parametrize("form", ["bogus", "Full", ""])
+    def test_unknown_form_refused(self, b1_geom, form):
+        with pytest.raises(InvalidParameterError) as exc:
+            edges(b1_geom, form)
+        assert str(exc.value) == (
+            f"form must be 'reduced' or 'full', got {form!r}")
 
 
 class TestValidation:

@@ -266,7 +266,7 @@ EXTREME_INPUTS = [
         ("--d 18cm2/s", "--d 1e300cm2/s"), ("--s0 100/s", "--s0 1e300/s"),
         ("--r 6.25e6/s", "--r 1e300/s"), ("--g 1e-4/s", "--g 1e300/s")]),
     _EVOLVE + " --xinit 1e300",
-    _EVOLVE + " --clamp-density 1e300",
+    _EVOLVE.replace("--amp 1e4/s", "--clamp-density 1e300"),
     *("estimate injection --rj 8kohm --delta 180ueV "
       + " ".join(f"--{k} {'1e-320' if k == flag else v}"
                  for k, v in _INJECTION.items())
@@ -707,6 +707,22 @@ class TestCli:
                                "overflow with r = 1e+300 1/s, density scale "
                                "1e+300 ")
 
+    @pytest.mark.parametrize("drive, message", [
+        ("--amp 1e4/s --clamp-density 2e-4 --tinj 50us",
+         "injection_rate and injection_density are two drives; give one"),
+        ("--amp 1e4/s", "a drive needs t_inj > 0"),
+        ("--clamp-density 2e-4", "a drive needs t_inj > 0")])
+    def test_pde_evolve_refuses_a_drive_it_would_ignore(self, capsys, drive,
+                                                        message):
+        """The clamp used to win over the rate silently, and a drive
+        without a pulse ran as no drive at all."""
+        code, out, err = run_cli(capsys, *(
+            "pde evolve --geom b2 --nl 0 --nr 0 --p 0cm2/s --d 18cm2/s "
+            f"--r 6.25e6/s --g 1e-4/s --tmax 1ms --points 5 {drive} "
+            "--no-timestamp").split())
+        assert (code, out) == (5, "")
+        assert err == f"qpdyn pde-evolve: {message}\n"
+
     def test_one_saturated_pad_gives_the_clamped_pad_root(self, capsys,
                                                            recwarn):
         """One pad at P = 1e300 cm^2/s is a clamped end: the root is the
@@ -788,6 +804,20 @@ class TestCli:
         assert err == ("qpdyn eigenrate: the secular function leaves the "
                        "float64 range: eps = P tau_D / A_W is nan\n")
 
+    def test_overflowing_diffusion_time_exits_6(self, capsys, tmp_path):
+        """tau_D = L^2 / D beyond the float64 range is inf in the output, a
+        typed numerical failure, not an OverflowError."""
+        geom = tmp_path / "long.cfg"
+        geom.write_text("w_wire = 12um\nl_wire = 1e200m\nh_cap = 75um\n"
+                        "l_half_gap = 7.5um\nw_cap = 15um\nl_cap = 600um\n"
+                        "s_pad = 6400um2\n")
+        code, out, err = run_cli(capsys, *(
+            f"eigenrate --geom {geom} --nl 1 --nr 1 --p 0.067cm2/s "
+            "--d 18cm2/s --no-timestamp").split())
+        assert (code, out) == (6, "")
+        assert err == ("qpdyn eigenrate: non-finite value in the output "
+                       "(result.tau_d_s = inf)\n")
+
     @pytest.mark.parametrize("p, s_weak", [("1e-300", "3.48554e-297"),
                                            ("1e-20", "3.48554e-17")])
     def test_pde_eigen_names_weak_trapping_limit(self, capsys, p, s_weak):
@@ -833,6 +863,27 @@ class TestCli:
             assert out == ""
             assert f"{str(target)!r} is not writable" in err
         assert not (tmp_path / "missing").exists()
+
+    def test_cli_resolves_each_public_name_of_the_package(self, capsys,
+                                                          monkeypatch):
+        """qpdyn.cli resolves every name of qpdyn.__all__ and no other, and
+        rebinding one on qpdyn.cli intercepts a command's call."""
+        import qpdyn
+        import qpdyn.cli
+        for name in qpdyn.__all__:
+            assert getattr(qpdyn.cli, name) is getattr(qpdyn, name), name
+        with pytest.raises(AttributeError, match="module 'qpdyn.cli' has no "
+                                                 "attribute 'no_such_name'"):
+            qpdyn.cli.no_such_name
+        assert not hasattr(qpdyn.cli, "_MODULE_OF")
+        calls, root = [], qpdyn.smallest_root
+        monkeypatch.setattr(qpdyn.cli, "smallest_root",
+                            lambda *args, **kw: calls.append(kw)
+                            or root(*args, **kw))
+        code, _, _ = run_cli(capsys, *(
+            "eigenrate --geom b1 --nl 1 --nr 0 --p 0.067cm2/s --d 18cm2/s "
+            "--form full").split())
+        assert (code, calls) == (0, [{"form": "full"}])
 
     def test_freqshift_at_zero_rate_prints_no_negative_zero(self, capsys):
         code, out, err = run_cli(capsys, "estimate", "freqshift", "--gamma",
@@ -1003,15 +1054,15 @@ def test_mode_and_closed_form_commands_load_no_scipy(tmp_path):
 
 
 def test_mode_and_estimate_commands_load_no_numpy():
-    """eigenrate, steps, sweep and the estimate leaves but vortex-profile
-    run in one fresh interpreter without importing numpy."""
+    """eigenrate, steps, sweep and the five estimate leaves run in one
+    fresh interpreter without importing numpy."""
     import subprocess
     import sys
 
     tour = [argv.split() for argv, _ in README_TOUR
             if argv.split()[0] in ("eigenrate", "steps", "sweep")
-            or argv.startswith("estimate") and "vortex-profile" not in argv]
-    assert len(tour) == 7
+            or argv.startswith("estimate")]
+    assert len(tour) == 8
     probe = (
         "import json, os, sys\n"
         "from qpdyn.cli import main\n"

@@ -3,6 +3,7 @@ PDE oracle and the dense mode count."""
 
 import logging
 import math
+import random
 import warnings
 from importlib import resources
 
@@ -13,6 +14,7 @@ import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import subprocess_env
 from qpdyn import eigenmode
 from qpdyn.eigenmode import (TransportParams, VortexConfig, eigen_residual,
                              field_sweep, small_p_rate, smallest_root,
@@ -279,6 +281,20 @@ def test_infinite_n_eps_clamps_its_pad():
         z_inf = smallest_root(geom, VortexConfig(nl, nr, 1e307), TP).z
         z_big = smallest_root(geom, VortexConfig(nl, nr, 1e8), TP).z
         assert z_inf == pytest.approx(z_big, rel=1e-9, abs=0)
+
+
+def test_overflowing_diffusion_time_gives_the_background_rate():
+    """A wire so long that tau_D = L^2 / D overflows clamps both trapping
+    pads (eps = inf), and z^2 / tau_D = 0: the mode solver and the PDE's
+    slowest mode both return s0, where both used to raise OverflowError."""
+    from dataclasses import replace
+    geom = replace(bundled("b1"), l_wire=1e200)
+    vc = VortexConfig(1, 1, P_REF)
+    for form in ("reduced", "full"):
+        sol = smallest_root(geom, vc, TP, form)
+        assert (sol.z, sol.s) == (0.5 * math.pi, TP.s0)
+    assert slowest_mode(build(geom, vc, TP))[0] == pytest.approx(TP.s0,
+                                                                rel=1e-14)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -718,6 +734,79 @@ def test_brent_bit_identical_to_brentq(monkeypatch):
     assert mismatches == []
 
 
+def degenerate_function(rng: random.Random, family: int):
+    """A function on [-1, 1] with one sign change whose Brent trial steps
+    divide by zero in Python: a zero of odd order 15-101, a staircase of
+    plateaus, or a cubic rounded to multiples of the smallest subnormal;
+    each scale reaches into the subnormal range."""
+    c = rng.uniform(-0.9, 0.9)
+    if family == 0:
+        k, scale = rng.randrange(15, 102, 2), 10.0 ** rng.uniform(-320, 0)
+        return lambda z: scale * (z - c) ** k
+    if family == 1:
+        m, scale = rng.uniform(1.0, 1e3), 10.0 ** rng.uniform(-320, 0)
+        return lambda z: scale * (math.floor((z - c) * m) + 0.5)
+    scale = 5e-324 * rng.randrange(1, 8)
+    return lambda z: scale * round(1e6 * (z - c) ** 3)
+
+
+def test_brent_rejected_steps_bit_identical_to_brentq(monkeypatch):
+    """Where Python's division raises ZeroDivisionError, C's gives an inf
+    or a NaN, and either fails Brent's step test: on a seeded panel of
+    degenerate brackets that take that branch, _brent returns brentq's
+    double."""
+    step, rejected = eigenmode._brent_step, []
+
+    def counted(*args):
+        try:
+            return step(*args)
+        except ZeroDivisionError:
+            rejected.append(args)
+            raise
+
+    monkeypatch.setattr(eigenmode, "_brent_step", counted)
+    rng, brackets, mismatches = random.Random(2021), 0, []
+    for k in range(2400):
+        fn = degenerate_function(rng, k % 3)
+        before = len(rejected)
+        root = eigenmode._brent(fn, -1.0, 1.0, 1e-15, maxiter=500)
+        brackets += len(rejected) > before
+        expected = scipy.optimize.brentq(fn, -1.0, 1.0, xtol=1e-15,
+                                         maxiter=500)
+        if root.hex() != float(expected).hex():
+            mismatches.append((k, root, expected))
+    assert mismatches == []
+    assert brackets >= 1000
+
+
+def test_brent_rejected_step_loads_no_numpy():
+    """A bracket whose trial step divides by an underflowed zero runs in a
+    fresh interpreter without importing numpy."""
+    import subprocess
+    import sys
+    probe = (
+        "import sys\n"
+        "from qpdyn import eigenmode\n"
+        "step, rejected = eigenmode._brent_step, []\n"
+        "def counted(*args):\n"
+        "    try:\n"
+        "        return step(*args)\n"
+        "    except ZeroDivisionError:\n"
+        "        rejected.append(args)\n"
+        "        raise\n"
+        "eigenmode._brent_step = counted\n"
+        "root = eigenmode._brent(lambda z: 1e-300 * (z - 0.3) ** 5, -1.0, "
+        "1.25, 1e-15)\n"
+        "print(len(rejected), 'numpy' in sys.modules, root.hex())\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, env=subprocess_env())
+    n_rejected, numpy_loaded, root = done.stdout.split()
+    assert int(n_rejected) >= 1
+    assert numpy_loaded == "False"
+    assert root == float(scipy.optimize.brentq(
+        lambda z: 1e-300 * (z - 0.3) ** 5, -1.0, 1.25, xtol=1e-15)).hex()
+
+
 class TestBrentFailures:
     def cubic(self, z):
         return (z - 0.3) ** 3
@@ -764,14 +853,36 @@ class TestInputValidation:
             field_sweep(bundled("b1"), TP, P_REF, [1.0], 1e-7, 1e308)
 
     def test_form_checked_at_entry(self):
+        """Each public mode function refuses an unknown form, the uniform
+        mode and an empty sweep included, with the message of edges."""
         geom = bundled("b1")
-        with pytest.raises(InvalidParameterError, match="form"):
-            smallest_root(geom, VortexConfig(0, 0, P_REF), TP, form="bogus")
-        with pytest.raises(InvalidParameterError, match="form"):
-            step_sequence(geom, TP, P_REF, form="bogus")
-        with pytest.raises(InvalidParameterError, match="form"):
+        for form in ("bogus", "Full"):
+            for call in (
+                    lambda: eigen_residual(0.1, geom, VortexConfig(1, 0, P_REF),
+                                           TP, form=form),
+                    lambda: smallest_root(geom, VortexConfig(0, 0, P_REF), TP,
+                                          form=form),
+                    lambda: step_sequence(geom, TP, P_REF, form=form),
+                    lambda: field_sweep(geom, TP, P_REF, [0.0], 11e-7,
+                                        0.45 / 1e-7, form=form),
+                    lambda: field_sweep(geom, TP, P_REF, [], 11e-7,
+                                        0.45 / 1e-7, form=form)):
+                with pytest.raises(InvalidParameterError) as exc:
+                    call()
+                assert str(exc.value) == (
+                    f"form must be 'reduced' or 'full', got {form!r}")
+
+    def test_unknown_series_and_pads(self):
+        geom = bundled("b1")
+        with pytest.raises(InvalidParameterError,
+                           match=r"series must be one of \['alternating', "
+                                 r"'pairs'\], got 'triples'"):
+            step_sequence(geom, TP, P_REF, series="triples")
+        with pytest.raises(InvalidParameterError,
+                           match="pads must be 'equal' or 'alternating', "
+                                 "got 'left'"):
             field_sweep(geom, TP, P_REF, [0.0], 11e-7, 0.45 / 1e-7,
-                        form="bogus")
+                        pads="left")
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan, 1.5])
     def test_vortex_counts(self, bad):

@@ -334,6 +334,16 @@ class TestEvolve:
                                              x_init=bad))
 
 
+@pytest.mark.parametrize("drive", [
+    {"injection_rate": 1e4, "injection_density": 2e-4, "t_inj": 50e-6},
+    {"injection_rate": 1e4}, {"injection_density": 2e-4},
+    {"injection_density": 0.0}], ids=["both", "rate", "clamp", "zero-clamp"])
+def test_a_drive_evolve_would_ignore_is_refused(drive):
+    """One drive at a time, and only with a pulse length t_inj > 0."""
+    with pytest.raises(InvalidParameterError, match="drive"):
+        EvolveSpec(r=0.0, g=0.0, t_grid=(1e-3,), **drive)
+
+
 # evolve's drives, each to 200 us: the rate and clamp pulses last 50 us,
 # and the clamp starts from half its density
 DRIVES = {"rate": {"injection_rate": 1e4, "t_inj": 50e-6},

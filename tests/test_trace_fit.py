@@ -153,6 +153,22 @@ class TestFitGammaTrace:
         with pytest.raises(InvalidParameterError):
             DecayTrace(**cols)
 
+    @pytest.mark.parametrize("field", ["gamma", "sigma"])
+    def test_column_length_must_match_t(self, field):
+        cols = {"t": np.linspace(1e-3, 50e-3, 20),
+                "gamma": np.linspace(9e4, 5e4, 20), "sigma": np.full(20, 50.0)}
+        cols[field] = cols[field][:-1]
+        with pytest.raises(InvalidParameterError,
+                           match=f"{field} must match t in length"):
+            DecayTrace(**cols)
+
+    def test_unknown_weighting(self):
+        tr = synth_trace(FitResult.from_params(1e5, 0.5, 18e-3, 4e4), TGRID,
+                         0.0, 0)
+        with pytest.raises(InvalidParameterError,
+                           match="weighting must be relative"):
+            fit_gamma_trace(tr, weighting="log")
+
     def test_sigma_weighting_needs_sigma(self):
         truth = FitResult.from_params(1e5, 0.5, 18e-3, 4e4)
         tr = synth_trace(truth, TGRID, 0.0, 0)
@@ -284,6 +300,17 @@ class TestFitGammaTrace:
         f_cut = fit_gamma_trace(tr, t_min=1e-3)
         assert abs(f_cut.tau_ss - f_all.tau_ss) <= max(
             f_all.sigmas[2], 1e-8 * f_all.tau_ss)
+
+
+@pytest.mark.parametrize("covariance, match", [
+    (np.eye(3), "4x4"),
+    (np.eye(4) + np.triu(np.full((4, 4), 0.1), 1), "symmetric"),
+    (np.diag([1.0, 1.0, 1.0, -1.0]), "positive semidefinite")])
+def test_fit_result_refuses_a_bad_covariance(covariance, match):
+    with pytest.raises(InvalidParameterError, match=f"covariance must be "
+                                                    f"{match}"):
+        FitResult(amplitude=1e5, r_prime=0.5, tau_ss=18e-3, gamma0=4e4,
+                  covariance=covariance)
 
 
 class TestExtractRates:
@@ -418,6 +445,12 @@ class TestSynthTrace:
         truth = FitResult.from_params(1e5, 0.7, 9e-3, 2e4)
         with pytest.raises(InvalidParameterError, match="noise_rel"):
             synth_trace(truth, TGRID, bad, 42)
+
+    def test_noise_that_reaches_zero_is_refused(self):
+        truth = FitResult.from_params(1e5, 0.7, 9e-3, 2e4)
+        with pytest.raises(InvalidParameterError,
+                           match="non-positive Gamma; lower noise_rel"):
+            synth_trace(truth, TGRID, 5.0, 42)
 
     def test_law_of_large_numbers(self):
         truth = FitResult.from_params(1e5, 0.7, 9e-3, 2e4)
