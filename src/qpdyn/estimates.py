@@ -109,33 +109,33 @@ def vortex_profile(rho, trapping_power: float, diffusivity: float,
         1 + (P / 2 pi D) [1/2 + ln(rho/R_c)],
 
     continuous at rho = R_c.  The expansion assumes P/D << 1; a warning is
-    emitted above 0.1.  A scalar rho is evaluated with math, so it needs
-    no numpy.
+    emitted above 0.1.  The formula is evaluated with math, one radius at
+    a time, so a scalar rho needs no numpy; an array rho gives an array of
+    the same shape.
     """
     check_finite("trapping_power", trapping_power, ">=")
     check_finite("diffusivity", diffusivity, ">")
     check_finite("r_core", r_core, ">")
-    if trapping_power / diffusivity > 0.1:
-        import warnings
-        warnings.warn(
-            f"P/D = {trapping_power / diffusivity:.3g} > 0.1; first-order "
-            "profile is unreliable", stacklevel=2)
     pd = trapping_power / diffusivity
+    if pd > 0.1:
+        import warnings
+        warnings.warn(f"P/D = {pd:.3g} > 0.1; first-order profile is "
+                      "unreliable", stacklevel=2)
+
+    def profile(r: float) -> float:
+        q = r / r_core
+        if r <= r_core:
+            return 1.0 + pd / (4.0 * math.pi) * (q * q)
+        return 1.0 + pd / (2.0 * math.pi) * (0.5 + math.log(q))
+
     if isinstance(rho, (int, float)):
         check_finite("rho", rho, ">=")
-        if rho <= r_core:
-            return 1.0 + pd / (4.0 * math.pi) * (rho / r_core) ** 2
-        return 1.0 + pd / (2.0 * math.pi) * (
-            0.5 + math.log(max(rho, 1e-300) / r_core))
+        return profile(float(rho))
     import numpy as np
     rr = np.asarray(rho, dtype=float)
     check_finite("rho", rr, ">=")
-    inside = 1.0 + pd / (4.0 * math.pi) * (rr / r_core) ** 2
-    with np.errstate(divide="ignore"):
-        outside = 1.0 + pd / (2.0 * math.pi) * (
-            0.5 + np.log(np.maximum(rr, 1e-300) / r_core))
-    out = np.where(rr <= r_core, inside, outside)
-    return float(out) if np.isscalar(rho) else out
+    return np.array([profile(r) for r in rr.ravel().tolist()],
+                    dtype=float).reshape(rr.shape)
 
 
 # measured frequency-shift slopes fall below the theory by roughly this factor

@@ -113,20 +113,21 @@ class TestVortexProfile:
         with pytest.warns(UserWarning, match="P/D"):
             vortex_profile(1e-6, 0.2 * self.D, self.D, self.RC)
 
-    def test_scalar_rho_equals_the_array_path(self):
-        """A float rho, evaluated with math, gives the double of the numpy
-        path bit for bit, on a seeded panel at the center, at the core's
-        edge, inside and outside the core."""
-        rng = np.random.Generator(np.random.Philox(19))
-        for k in range(12000):
-            r_core = 10 ** rng.uniform(-9, -5)
-            p, d = 10 ** rng.uniform(-8, -5), 10 ** rng.uniform(-4, -2)
-            rho = (0.0, r_core, r_core * rng.uniform(0, 1),
-                   r_core * 10 ** rng.uniform(0, 4))[k % 4]
-            scalar = vortex_profile(rho, p, d, r_core)
-            assert type(scalar) is float
-            assert scalar.hex() == float(
-                vortex_profile(np.array(rho), p, d, r_core)).hex()
+    def test_readme_example_ratios(self):
+        """The README's `estimate vortex-profile` radii, to the double."""
+        assert [vortex_profile(r, self.P, self.D, self.RC)
+                for r in (0.0, self.RC, 80e-6)] == [
+            1.0, 1.0002962050329767, 1.0042562363074357]
+
+    def test_array_rho_keeps_its_shape(self):
+        rho = np.array([[0.0, self.RC], [0.5 * self.RC, 800 * self.RC]])
+        v = vortex_profile(rho, self.P, self.D, self.RC)
+        assert v.shape == (2, 2)
+        assert v.tolist() == [[vortex_profile(float(r), self.P, self.D,
+                                              self.RC) for r in row]
+                              for row in rho]
+        assert vortex_profile(np.array(self.RC), self.P, self.D,
+                              self.RC).shape == ()
 
     @pytest.mark.parametrize("bad", [-1e-9, math.inf, math.nan])
     def test_bad_radius_rejected(self, bad):
