@@ -357,9 +357,8 @@ def _cmd_pde_evolve(args):
         raise InvalidParameterError(
             f"--points must be >= 2 (t = 0 is dropped from the grid), "
             f"got {args.points}")
-    import numpy as np
     disc = _discretization(args)
-    t_grid = np.linspace(0.0, args.t_max_s, args.points)[1:]
+    t_grid = _linspace(0.0, args.t_max_s, args.points)[1:]
     spec = _cli.EvolveSpec(r=args.r_per_s, g=args.g_per_s,
                            t_grid=tuple(t_grid), x_init=args.x_init,
                            injection_rate=args.injection_rate_per_s,
@@ -367,10 +366,10 @@ def _cmd_pde_evolve(args):
                            t_inj=args.t_inj_s)
     xjj = _cli.evolve(disc, spec, tol=args.tol)
     return _table("trace", ("t_s", "x_jj"),
-                  [(float(t), float(x)) for t, x in zip(t_grid, xjj)])
+                  [(t, float(x)) for t, x in zip(t_grid, xjj)])
 
 
-def _parse_tgrid(spec: str) -> np.ndarray:
+def _parse_tgrid(spec: str) -> np.ndarray | list:
     import numpy as np
     try:
         kind, lo, hi, n = spec.split(":")
@@ -380,7 +379,7 @@ def _parse_tgrid(spec: str) -> np.ndarray:
         if n >= 2 and kind == "log":
             return np.logspace(math.log10(lo), math.log10(hi), n)
         if n >= 2 and kind == "lin":
-            return np.linspace(lo, hi, n)
+            return _linspace(lo, hi, n)
     except (ValueError, UnitParseError):
         pass
     raise UnitParseError(
@@ -413,9 +412,9 @@ def _cmd_estimate_injection(args):
     qs = _cli.CavityQs(q_in=args.q_in, q_out=args.q_out, q_w=args.q_w,
                        q_j=args.q_j)
     p_in = _cli.injection_power(args.r_j_ohm, args.delta_j, qs)
-    return _quantities({"p_in_w": p_in,
-                        "p_in_dbm": 10.0 * math.log10(p_in / 1e-3),
-                        "q_tot": qs.q_tot})
+    # 0 W (an underflow) is -inf dBm, which the output refuses by name
+    dbm = 10.0 * math.log10(p_in / 1e-3) if p_in != 0 else -math.inf
+    return _quantities({"p_in_w": p_in, "p_in_dbm": dbm, "q_tot": qs.q_tot})
 
 
 def _cmd_estimate_qprate(args):
@@ -549,7 +548,7 @@ def _check_writable(path) -> None:
         raise PermissionError(f"output file {path!r} is not writable")
 
 
-def _manifest(args) -> io.RunManifest:
+def _manifest(args) -> dict:
     """The run manifest: every parsed (or resolved) flag of the command."""
     params = {k: v for k, v in vars(args).items()
               if not k.startswith("_") and k not in _NOT_PARAMETERS}

@@ -72,15 +72,27 @@ def qp_coupling_constant(q: QubitParams) -> float:
     return math.sqrt(2 * q.omega_q * q.delta_gap / (math.pi**2 * CODATA.hbar))
 
 
+def _check_xqp(x_qp) -> None:
+    """DomainError unless x_qp, a scalar or an array, lies in [0, 1]; a
+    scalar needs no numpy."""
+    if isinstance(x_qp, (int, float)):
+        inside = 0 <= x_qp <= 1
+    else:
+        import numpy as np
+        x = np.asarray(x_qp, dtype=float)
+        inside = np.all((x >= 0) & (x <= 1))
+    if not inside:
+        raise DomainError(f"x_qp must lie in [0, 1], got {x_qp}")
+
+
 def gamma_from_xqp(x_qp, q: QubitParams):
     """Qubit decay rate Gamma = C * x_qp, in 1/s.
 
     x_qp is the dimensionless near-junction density, 0 <= x_qp <= 1; scalar
     or array.  Identical to Gamma/omega = (x_qp/pi) * sqrt(2*Delta/(hbar*omega)).
     """
+    _check_xqp(x_qp)
     import numpy as np
     x = np.asarray(x_qp, dtype=float)
-    if not np.all((x >= 0) & (x <= 1)):
-        raise DomainError(f"x_qp must lie in [0, 1], got {x_qp}")
     out = qp_coupling_constant(q) * x
     return float(out) if np.isscalar(x_qp) else out

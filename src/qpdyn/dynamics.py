@@ -164,14 +164,22 @@ def solution_from_rates(rp: RateParams, x_i: float) -> SolutionParams:
 
 
 def _rate_map(r_prime, tau_ss, x_i, x0):
-    """(r, s, g) of the solution parameters, unchecked; complex-step safe.
+    """(r, s, g) of the solution parameters; complex-step safe.
 
     r  = r' / ((1 - r') tau_ss x_i)
     s  = (1/tau_ss) [1 - 2 r' x0 / ((1 - r') x_i)]
     g  = (x0/tau_ss) [1 - r' x0 / ((1 - r') x_i)]
+
+    The one check: tau_ss x_i must not underflow to 0 (which also covers
+    x_i = 0), else InvalidParameterError.
     """
     ratio = r_prime / (1.0 - r_prime)
-    r = ratio / (tau_ss * x_i)
+    den = tau_ss * x_i
+    if den == 0:
+        raise InvalidParameterError(
+            f"tau_ss * x_i underflows to 0 (tau_ss = {tau_ss:.6g} s, "
+            f"x_i = {x_i:.6g}); r is beyond the float64 range")
+    r = ratio / den
     s = (1.0 - 2.0 * ratio * x0 / x_i) / tau_ss
     g = x0 / tau_ss * (1.0 - ratio * x0 / x_i)
     return r, s, g

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import CODATA, QubitParams
+from .constants import CODATA, QubitParams, _check_xqp
 from .errors import InvalidParameterError, check_finite
 
 
@@ -74,26 +74,38 @@ def injection_power(r_j: float, delta: float, qs: CavityQs) -> float:
 
     The incident power couples to the junction as
     P_j / P_in = 4 Q_tot^2 / (Q_in Q_j), so
-    P_in = P_j Q_in Q_j / (4 Q_tot^2).
+    P_in = P_j Q_in Q_j / (4 Q_tot^2).  A 4 Q_tot^2 that underflows to 0
+    raises InvalidParameterError.
     """
     q_tot = qs.q_tot
-    return junction_power(r_j, delta) * qs.q_in * qs.q_j / (4.0 * q_tot**2)
+    den = 4.0 * (q_tot * q_tot)
+    if den == 0:
+        raise InvalidParameterError(
+            f"4 Q_tot^2 underflows to 0 (Q_tot = {q_tot:.6g})")
+    return junction_power(r_j, delta) * qs.q_in * qs.q_j / den
 
 
 def qp_injection_rate(r_j: float, delta: float) -> float:
     """QP creation rate of the saturated injection drive, QPs per second.
 
     Each tunneling electron breaks one pair: G = 2 V_j/(R_j e) with
-    V_j = 2 Delta/e, giving G = 4 Delta / (e^2 R_j).
+    V_j = 2 Delta/e, giving G = 4 Delta / (e^2 R_j).  An e^2 R_j that
+    underflows to 0 raises InvalidParameterError.
     """
     check_finite("r_j", r_j, ">")
     check_finite("delta", delta, ">=")
-    return 4.0 * delta / (CODATA.e_charge**2 * r_j)
+    den = CODATA.e_charge**2 * r_j
+    if den == 0:
+        raise InvalidParameterError(
+            f"e^2 R_j underflows to 0 (r_j = {r_j:.6g} ohm)")
+    return 4.0 * delta / den
 
 
 def microscopic_trapping_power(v: VortexMicro) -> float:
-    """Trapping power of a normal-core disk trap: P = pi R_c^2 / tau_n, m^2/s."""
-    return math.pi * v.r_core**2 / v.tau_n
+    """Trapping power of a normal-core disk trap: P = pi R_c^2 / tau_n, m^2/s.
+
+    R_c^2 is R_c * R_c, so a core beyond the float64 range gives inf."""
+    return math.pi * (v.r_core * v.r_core) / v.tau_n
 
 
 def vortex_profile(rho, trapping_power: float, diffusivity: float,
@@ -169,8 +181,7 @@ def frequency_shift_from_xqp(x_qp: float, omega: float, delta: float) -> float:
     identical to frequency_shift applied to Gamma = C x_qp, and refused
     likewise at hbar omega >= 2 Delta.
     """
-    if not (0 <= x_qp <= 1):
-        raise InvalidParameterError(f"x_qp must lie in [0, 1], got {x_qp}")
+    _check_xqp(x_qp)
     check_finite("omega", omega, ">")
     check_finite("delta", delta, ">")
     QubitParams(omega_q=omega, delta_gap=delta)  # below pair breaking

@@ -8,18 +8,17 @@ must be finite, and all but t also > 0; a refusal names the line.  ``#``
 lines are comments, encoding is UTF-8 with LF endings.  Numbers are
 written with repr, so a parse-serialize round trip is lossless.
 
-Every CLI output is accompanied by a RunManifest recording the command,
-all resolved parameters in SI, input file hashes, the seed, and the
-library version: identical manifests imply bit-identical outputs.
+Every CLI output is accompanied by a run manifest, a plain dict of the
+command, all resolved parameters in SI, input file hashes, the seed and
+the library version: identical manifests imply bit-identical outputs.
+No output, JSON or CSV, holds an infinity or NaN; one is refused by name.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io as _io
 import json
 import math
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING
 
@@ -124,15 +123,9 @@ def read_trace(path) -> DecayTrace:
 
 def format_trace(trace: DecayTrace) -> str:
     """Serialize a trace in SI units; round trips losslessly."""
-    buf = _io.StringIO()
-    cols = "t,gamma,sigma" if trace.sigma is not None else "t,gamma"
-    buf.write(cols + "\n")
-    for k in range(trace.n):
-        row = [repr(float(trace.t[k])), repr(float(trace.gamma[k]))]
-        if trace.sigma is not None:
-            row.append(repr(float(trace.sigma[k])))
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+    columns = {"t": trace.t, "gamma": trace.gamma, "sigma": trace.sigma}
+    header = [k for k, v in columns.items() if v is not None]
+    return _csv_table(header, zip(*(columns[k] for k in header)))
 
 
 def write_trace(trace: DecayTrace, path) -> None:
@@ -154,26 +147,6 @@ def read_points(path) -> list[SteadyStatePoint]:
             for k in range(data["tau_ss"].size)]
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record emitted with every CLI output."""
-
-    command: str
-    parameters: dict
-    input_hashes: dict
-    seed: int | None
-    version: str
-    timestamp: str | None
-
-    def to_dict(self) -> dict:
-        d = {"command": self.command, "parameters": self.parameters,
-             "input_hashes": self.input_hashes, "seed": self.seed,
-             "version": self.version}
-        if self.timestamp is not None:
-            d["timestamp"] = self.timestamp
-        return d
-
-
 def file_sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -184,16 +157,15 @@ def file_sha256(path) -> str:
 
 def build_manifest(command: str, parameters: dict, input_paths=(),
                    seed: int | None = None,
-                   no_timestamp: bool = False) -> RunManifest:
+                   no_timestamp: bool = False) -> dict:
+    """The run manifest as a dict, keys in output order; UTC timestamp last."""
     from . import __version__
-    return RunManifest(
-        command=command,
-        parameters=parameters,
-        input_hashes={str(p): file_sha256(p) for p in input_paths},
-        seed=seed,
-        version=__version__,
-        timestamp=None if no_timestamp
-        else datetime.now(timezone.utc).isoformat())
+    manifest = {"command": command, "parameters": parameters,
+                "input_hashes": {str(p): file_sha256(p) for p in input_paths},
+                "seed": seed, "version": __version__}
+    if not no_timestamp:
+        manifest["timestamp"] = datetime.now(timezone.utc).isoformat()
+    return manifest
 
 
 def _non_finite_paths(obj, path: str):
@@ -209,31 +181,39 @@ def _non_finite_paths(obj, path: str):
         yield f"{path} = {obj}"
 
 
-def format_json_result(result: dict, manifest: RunManifest) -> str:
-    """JSON result document with stable field order.
-
-    JSON has no infinity or NaN, so a non-finite value raises
-    NonConvergenceError naming where it sits.
-    """
-    doc = {"result": result, "manifest": manifest.to_dict()}
-    try:
-        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    except ValueError:
-        bad = ", ".join(_non_finite_paths(doc, "")) or "unknown field"
-        raise NonConvergenceError(
-            f"non-finite value in the output ({bad})") from None
+def _refuse_non_finite(doc) -> None:
+    """The finite-value rule of every output: JSON has no infinity or NaN,
+    and a CSV reader would take one for data, so a non-finite value raises
+    NonConvergenceError naming where it sits."""
+    bad = ", ".join(_non_finite_paths(doc, ""))
+    if bad:
+        raise NonConvergenceError(f"non-finite value in the output ({bad})")
 
 
-def format_csv_result(header, rows, manifest: RunManifest) -> str:
+def _csv_table(header, rows) -> str:
+    """A header line, then one line per row: floats by repr, anything else
+    by str.  A non-finite value is refused, named by its quantity in a
+    quantity,value table and as column[row] in any other."""
+    rows = list(rows)
+    _refuse_non_finite(dict(rows) if tuple(header) == ("quantity", "value")
+                       else {name: [row[k] for row in rows]
+                             for k, name in enumerate(header)})
+    return "".join(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                            for v in row) + "\n"
+                   for row in [header, *rows])
+
+
+def format_json_result(result: dict, manifest: dict) -> str:
+    """JSON result document with stable field order."""
+    doc = {"result": result, "manifest": manifest}
+    _refuse_non_finite(doc)
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def format_csv_result(header, rows, manifest: dict) -> str:
     """CSV result with the manifest on a leading comment line."""
-    buf = _io.StringIO()
-    buf.write("# manifest: " + json.dumps(manifest.to_dict(),
-                                          separators=(",", ":")) + "\n")
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(repr(float(v)) if isinstance(v, float)
-                           else str(v) for v in row) + "\n")
-    return buf.getvalue()
+    return ("# manifest: " + json.dumps(manifest, separators=(",", ":"))
+            + "\n" + _csv_table(header, rows))
 
 
 def write_text(text: str, path=None) -> None:

@@ -170,6 +170,12 @@ class TestRatesFromSolution:
         with pytest.raises(InvalidParameterError, match="x_i must be > 0"):
             rates_from_solution(p)
 
+    def test_underflowing_denominator_rejected(self):
+        p = SolutionParams(x_i=1e-200, r_prime=0.5, tau_ss=1e-200, x0=0.0)
+        with pytest.raises(InvalidParameterError,
+                           match=r"tau_ss \* x_i underflows to 0"):
+            rates_from_solution(p)
+
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(r_prime=st.floats(0.0, 1.0, exclude_max=True),
            log_tau=st.floats(-9, 3), log_xi=st.floats(-12, 0),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qpdyn.constants import CODATA, EV, QubitParams, gamma_from_xqp
-from qpdyn.errors import InvalidParameterError
+from qpdyn.errors import DomainError, InvalidParameterError
 from qpdyn.estimates import (EMPIRICAL_SHIFT_FACTOR, CavityQs, VortexMicro,
                              frequency_shift, frequency_shift_from_xqp,
                              injection_power, junction_power,
@@ -43,6 +43,14 @@ class TestInjectionPower:
         lossier = CavityQs(q_in=2e6, q_out=1e5, q_w=1e5, q_j=1.1e4)
         assert lossier.q_tot < base.q_tot
 
+    def test_overflow_gives_inf_and_underflow_is_refused(self):
+        huge = CavityQs(q_in=1e200, q_out=1e200, q_w=1e200, q_j=1e200)
+        assert not math.isfinite(injection_power(R_J, DELTA, huge))
+        tiny = CavityQs(q_in=1e-320, q_out=1e5, q_w=1e8, q_j=1.1e4)
+        with pytest.raises(InvalidParameterError,
+                           match=r"4 Q_tot\^2 underflows to 0"):
+            injection_power(R_J, DELTA, tiny)
+
     def test_injection_needs_a_gap(self):
         # zero input power has no dBm value
         with pytest.raises(InvalidParameterError, match="delta"):
@@ -60,6 +68,11 @@ class TestQpInjectionRate:
 
     def test_vanishing_gap(self):
         assert qp_injection_rate(R_J, 0.0) == 0.0
+
+    def test_underflowing_denominator_rejected(self):
+        with pytest.raises(InvalidParameterError,
+                           match=r"e\^2 R_j underflows to 0"):
+            qp_injection_rate(1e-320, DELTA)
 
 
 class TestTrappingPower:
@@ -79,6 +92,10 @@ class TestTrappingPower:
         p1 = microscopic_trapping_power(VortexMicro(100e-9, 83e-9))
         p2 = microscopic_trapping_power(VortexMicro(200e-9, 83e-9))
         assert p2 == pytest.approx(4 * p1, rel=1e-14)
+
+    def test_huge_core_overflows_to_inf(self):
+        assert microscopic_trapping_power(
+            VortexMicro(r_core=1e200, tau_n=1e-7)) == math.inf
 
 
 class TestVortexProfile:
@@ -186,7 +203,7 @@ class TestFrequencyShift:
         with pytest.raises(InvalidParameterError):
             frequency_shift(-1.0, self.OMEGA, DELTA)
         for x_qp in (-1e-6, 1.5):
-            with pytest.raises(InvalidParameterError,
+            with pytest.raises(DomainError,
                                match=r"x_qp must lie in \[0, 1\]"):
                 frequency_shift_from_xqp(x_qp, self.OMEGA, DELTA)
         with pytest.raises(InvalidParameterError):

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -136,6 +137,21 @@ def test_non_finite_value_in_a_list_is_named():
     assert "(result.rows[1] = nan)" in str(exc.value)
 
 
+def test_csv_result_names_a_non_finite_value():
+    """CSV has the same finite-value rule as JSON: a quantity,value table
+    names the quantity, any other table the column and the row."""
+    manifest = qio.build_manifest("demo", {}, no_timestamp=True)
+    with pytest.raises(NonConvergenceError) as exc:
+        qio.format_csv_result(("quantity", "value"),
+                              [("z", 1.0), ("tau_d_s", math.inf)], manifest)
+    assert str(exc.value) == "non-finite value in the output (tau_d_s = inf)"
+    with pytest.raises(NonConvergenceError) as exc:
+        qio.format_csv_result(("t_s", "x_jj"),
+                              [(1.0, 2.0), (2.0, -math.inf)], manifest)
+    assert str(exc.value) == ("non-finite value in the output "
+                              "(x_jj[1] = -inf)")
+
+
 # Refusals of each input reader, run through the CLI: the file's text,
 # the line its message names (None: the fault has no line) and a part of
 # that message.
@@ -238,12 +254,12 @@ class TestManifest:
                                 no_timestamp=True)
         m2 = qio.build_manifest("demo", {"a": 1.0}, [f], seed=3,
                                 no_timestamp=True)
-        assert m1.to_dict() == m2.to_dict()
-        assert len(m1.input_hashes[str(f)]) == 64
+        assert m1 == m2
+        assert len(m1["input_hashes"][str(f)]) == 64
 
     def test_timestamp_present_by_default(self):
         m = qio.build_manifest("demo", {})
-        assert "timestamp" in m.to_dict()
+        assert "timestamp" in m
 
 
 # Each numeric flag of the README tour set to an extreme finite value (0,
@@ -694,6 +710,29 @@ class TestCli:
         assert err.count("\n") == 1
         assert err.startswith(f"qpdyn {command}: ")
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_zero_injection_power_is_named(self, capsys, fmt):
+        """0 W, from a junction power that underflows, is -inf dBm: refused
+        by name, not a math domain error."""
+        code, out, err = run_cli(capsys, *(
+            "estimate injection --rj 8kohm --delta 1e-160ueV --qin 2e6 "
+            f"--qout 1e5 --qw 1e8 --qj 1.1e4 --out {fmt} --no-timestamp"
+        ).split())
+        assert (code, out) == (6, "")
+        assert err.endswith("p_in_dbm = -inf)\n")
+
+    @pytest.mark.parametrize("argv", [
+        a for a in EXTREME_INPUTS
+        if a.startswith(("rates --amplitude 1e-320", "estimate"))
+        or "--tauss 1e-320ms" in a])
+    def test_underflow_and_overflow_are_typed(self, capsys, argv):
+        """A denominator that underflows to 0, or a square that overflows,
+        is a typed refusal or an inf the output names, never a bare
+        ZeroDivisionError or OverflowError."""
+        code, out, err = run_cli(capsys, *argv.split(), "--no-timestamp")
+        assert code in (5, 6)
+        assert "numerical failure (" not in err
+
     def test_pde_evolve_overflow_is_one_named_line(self, capsys, recwarn):
         code, out, err = run_cli(capsys, *(
             "pde evolve --geom b2 --nl 0 --nr 0 --p 0cm2/s --d 18cm2/s "
@@ -806,17 +845,31 @@ class TestCli:
 
     def test_overflowing_diffusion_time_exits_6(self, capsys, tmp_path):
         """tau_D = L^2 / D beyond the float64 range is inf in the output, a
-        typed numerical failure, not an OverflowError."""
+        typed numerical failure, not an OverflowError, in every format."""
         geom = tmp_path / "long.cfg"
         geom.write_text("w_wire = 12um\nl_wire = 1e200m\nh_cap = 75um\n"
                         "l_half_gap = 7.5um\nw_cap = 15um\nl_cap = 600um\n"
                         "s_pad = 6400um2\n")
+        for fmt, named in (("json", "result.tau_d_s"), ("csv", "tau_d_s")):
+            code, out, err = run_cli(capsys, *(
+                f"eigenrate --geom {geom} --nl 1 --nr 1 --p 0.067cm2/s "
+                f"--d 18cm2/s --out {fmt} --no-timestamp").split())
+            assert (code, out) == (6, "")
+            assert err == ("qpdyn eigenrate: non-finite value in the output "
+                           f"({named} = inf)\n")
+
+    @pytest.mark.parametrize("fmt, prefix", [("json", "result."),
+                                             ("csv", "")])
+    def test_overflowing_frequency_shift_exits_6(self, capsys, fmt, prefix):
         code, out, err = run_cli(capsys, *(
-            f"eigenrate --geom {geom} --nl 1 --nr 1 --p 0.067cm2/s "
-            "--d 18cm2/s --no-timestamp").split())
+            "estimate freqshift --gamma 1e300/s --omega 6GHz --delta 180ueV "
+            f"--factor 1e-300 --out {fmt} --no-timestamp").split())
         assert (code, out) == (6, "")
-        assert err == ("qpdyn eigenrate: non-finite value in the output "
-                       "(result.tau_d_s = inf)\n")
+        assert err == (
+            "qpdyn estimate-freqshift: non-finite value in the output ("
+            + ", ".join(f"{prefix}{name} = -inf" for name in (
+                "delta_omega_rad_per_s", "delta_f_hz", "ratio_to_gamma"))
+            + ")\n")
 
     @pytest.mark.parametrize("p, s_weak", [("1e-300", "3.48554e-297"),
                                            ("1e-20", "3.48554e-17")])
