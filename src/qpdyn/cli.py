@@ -393,9 +393,7 @@ def _cmd_synth(args):
     f = _fit_params(args)
     trace = _cli.synth_trace(f, _parse_tgrid(args.tgrid), args.noise_rel,
                              args.seed)
-    columns = {"t": trace.t, "gamma": trace.gamma, "sigma": trace.sigma}
-    header = tuple(k for k, v in columns.items() if v is not None)
-    return None, header, zip(*(columns[k] for k in header))
+    return None, *io.trace_table(trace)
 
 
 def _cmd_t1fit(args):

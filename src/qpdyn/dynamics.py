@@ -250,12 +250,15 @@ def recombination_theory(phonon_factor: float, tau0: float, delta: float,
 CANONICAL_GAP_RATIO = (21.8 / 4.0) ** (1.0 / 3.0)
 
 
-def integrate_ode(rp: RateParams, x_init: float, t_grid,
-                  rel_tol: float = 1e-10) -> np.ndarray:
+# Relative tolerance of the ODE oracle's DOP853 steps.
+_ODE_RTOL = 1e-10
+
+
+def integrate_ode(rp: RateParams, x_init: float, t_grid) -> np.ndarray:
     """Numerical oracle: integrate dx/dt = -r x^2 - s x + g on t_grid.
 
-    scipy's DOP853 (Dormand-Prince 8(5,3)) at relative tolerance rel_tol,
-    with an absolute floor of 1e-6 * rel_tol * x_init; output times are
+    scipy's DOP853 (Dormand-Prince 8(5,3)) at relative tolerance 1e-10,
+    with an absolute floor of 1e-6 * 1e-10 * x_init; output times are
     read off its dense output.  t_grid must be strictly increasing with
     t_grid[0] >= 0 (integration starts at t_grid[0] with x = x_init).
 
@@ -265,16 +268,13 @@ def integrate_ode(rp: RateParams, x_init: float, t_grid,
 
     t = check_time_grid("t_grid", t_grid, from_zero=True)
     check_finite("x_init", x_init, ">=")
-    if not (0 < rel_tol < 1):
-        raise InvalidParameterError(
-            f"rel_tol must lie in (0, 1), got {rel_tol}")
     if t.size == 1:
         return np.array([float(x_init)])
 
     sol = solve_ivp(lambda _, x: -rp.r * x * x - rp.s * x + rp.g,
                     (t[0], t[-1]), [float(x_init)], method="DOP853",
-                    t_eval=t, rtol=rel_tol,
-                    atol=1e-6 * rel_tol * x_init or np.finfo(float).tiny)
+                    t_eval=t, rtol=_ODE_RTOL,
+                    atol=1e-6 * _ODE_RTOL * x_init or np.finfo(float).tiny)
     if not sol.success:
         raise StepSizeUnderflowError(
             f"ODE oracle failed on [{t[0]:.6g}, {t[-1]:.6g}] s: "

@@ -118,14 +118,19 @@ def read_trace(path) -> DecayTrace:
         raise TraceParseError("t values must be strictly increasing",
                               line=linenos[bad[0] + 1])
     return DecayTrace(t=data["t"], gamma=data["gamma"],
-                      sigma=data.get("sigma"), label=str(path))
+                      sigma=data.get("sigma"))
+
+
+def trace_table(trace: DecayTrace):
+    """A trace's CSV header, t, gamma and sigma if it has one, and rows."""
+    columns = {"t": trace.t, "gamma": trace.gamma, "sigma": trace.sigma}
+    header = tuple(k for k, v in columns.items() if v is not None)
+    return header, zip(*(columns[k] for k in header))
 
 
 def format_trace(trace: DecayTrace) -> str:
     """Serialize a trace in SI units; round trips losslessly."""
-    columns = {"t": trace.t, "gamma": trace.gamma, "sigma": trace.sigma}
-    header = [k for k, v in columns.items() if v is not None]
-    return _csv_table(header, zip(*(columns[k] for k in header)))
+    return _csv_table(*trace_table(trace))
 
 
 def write_trace(trace: DecayTrace, path) -> None:

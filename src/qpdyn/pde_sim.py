@@ -45,6 +45,9 @@ if TYPE_CHECKING:
 # 1e5 nodes), so a finer request is refused before anything is allocated.
 MAX_NODES = 1_000_000
 
+# Inverse power iterations slowest_mode runs before it gives up.
+_MAX_ITER = 10_000
+
 
 @dataclass(frozen=True)
 class Discretization:
@@ -56,6 +59,10 @@ class Discretization:
     and both directions of every edge, nothing else, so its nnz is
     n_nodes + 2 * edges; areas[:, None] * generator is symmetric.
 
+    A lumped node's node_segment entry is its own name ("pad_left", ...);
+    a chain's interior nodes sit at node_y = dx, 2 dx, ...  geom, vortices
+    and tp are build's inputs.
+
     Immutable after build; a single instance can be shared by concurrent
     slowest_mode / evolve calls, which only read it.
     """
@@ -65,13 +72,9 @@ class Discretization:
     node_segment: list[str]           # segment name per node
     node_y: np.ndarray                # coordinate along segment, m
     junction_index: int
-    pad_left_index: int
-    pad_right_index: int
-    dx_by_segment: dict[str, float]
-    geom: DeviceGeometry = field(repr=False, default=None)
-    vortices: VortexConfig = field(repr=False, default=None)
-    tp: TransportParams = field(repr=False, default=None)
-    resolution: int = 0
+    geom: DeviceGeometry = field(repr=False)
+    vortices: VortexConfig = field(repr=False)
+    tp: TransportParams = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -99,7 +102,7 @@ def build(geom: DeviceGeometry, vortices: VortexConfig, tp: TransportParams,
             f"got {resolution}")
     resolution = int(resolution)
     seg, ys, own_area, half_cells, links = [], [], [], [], []
-    dx_by_segment, index = {}, {}
+    index = {}
 
     def node(name: str, y: float = 0.0) -> int:
         """A lumped node; its area is the half cells of its chains."""
@@ -118,7 +121,7 @@ def build(geom: DeviceGeometry, vortices: VortexConfig, tp: TransportParams,
             raise InvalidResolutionError(
                 f"resolution {resolution} needs more than {MAX_NODES} mesh "
                 "nodes for this geometry")
-        dx = dx_by_segment[name] = length / n_cells
+        dx = length / n_cells
         path = np.arange(len(seg) - 1, len(seg) + n_cells)
         path[[0, -1]] = a, b
         seg.extend([name] * (n_cells - 1))
@@ -160,14 +163,11 @@ def build(geom: DeviceGeometry, vortices: VortexConfig, tp: TransportParams,
         shape=(n, n))
     return Discretization(
         generator=gen, areas=areas, node_segment=seg,
-        node_y=np.concatenate(ys), junction_index=junction,
-        pad_left_index=pad_l, pad_right_index=pad_r,
-        dx_by_segment=dx_by_segment, geom=geom, vortices=vortices, tp=tp,
-        resolution=resolution)
+        node_y=np.concatenate(ys), junction_index=junction, geom=geom,
+        vortices=vortices, tp=tp)
 
 
-def slowest_mode(disc: Discretization,
-                 max_iter: int = 10_000) -> tuple[float, np.ndarray]:
+def slowest_mode(disc: Discretization) -> tuple[float, np.ndarray]:
     """Smallest decay rate of the generator and its spatial mode.
 
     Inverse power iteration on -G with an area-weighted Rayleigh quotient.
@@ -177,7 +177,7 @@ def slowest_mode(disc: Discretization,
     the round-off of the LU solve.  The returned mode is the (strictly
     positive) slow mode normalized to 1 at the junction node, with
     round-off noise clipped at zero.  A failed LU factorization, an
-    iterate whose norm leaves the float64 range, max_iter iterations
+    iterate whose norm leaves the float64 range, 10 000 iterations
     without convergence (the message names the last weighted residual and
     its bar) and a converged rate not above the rounding error of its
     Rayleigh quotient raise NonConvergenceError; when the factorization
@@ -185,8 +185,6 @@ def slowest_mode(disc: Discretization,
     operator, the message names the weak-trapping limit small_p_rate,
     s = (N_L + N_R) P / A_total + s0.
     """
-    if max_iter < 1:
-        raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
     tp = disc.tp
     total_trapping = disc.vortices.trapping_power * (
         disc.vortices.n_left + disc.vortices.n_right)
@@ -220,7 +218,7 @@ def slowest_mode(disc: Discretization,
 
     v = np.ones(n)
     lam_prev = r_prev = math.inf
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         v = lu.solve(v)
         with np.errstate(over="ignore"):  # checked just below
             norm = math.sqrt(float(w @ (v * v)) / float(w.sum()))
@@ -239,7 +237,7 @@ def slowest_mode(disc: Discretization,
     else:
         rnorm, bar = residual(v, lam)
         raise NonConvergenceError(
-            f"inverse power iteration did not converge in {max_iter} "
+            f"inverse power iteration did not converge in {_MAX_ITER} "
             f"iterations: the last weighted residual {rnorm:.6g} 1/s is "
             f"above its bar 1e-10 lambda + 32 eps max|diag G| = {bar:.6g} "
             "1/s", best_params=v, best_cost=lam)
@@ -449,8 +447,7 @@ def _solve_piece(disc: Discretization, spec: EvolveSpec, x: np.ndarray,
     return ys
 
 
-def evolve(disc: Discretization, spec: EvolveSpec, tol: float = 1e-8,
-           return_full: bool = False):
+def evolve(disc: Discretization, spec: EvolveSpec, tol: float = 1e-8):
     """Integrate the full nonlinear system; return junction density at t_grid.
 
     dx/dt = G x - r x^2 + g (+ the junction drive) is integrated by scipy's
@@ -460,15 +457,19 @@ def evolve(disc: Discretization, spec: EvolveSpec, tol: float = 1e-8,
     banded BLAS ?gbmv, and Radau's linear systems are solved by a banded LU
     (LAPACK ?gbtrf / ?gbtrs).  A clamped junction is a Dirichlet node: it
     leaves the unknowns, narrowing the band to kl = ku = 2, and feeds its
-    neighbours through G[:, junction] * injection_density.  The states are
-    returned in node order.  `tol` is the relative tolerance; the absolute
-    tolerance is 1e-3 * tol times the largest density scale of the inputs
-    (x_init, injection_density, injection_rate * t_inj, or g * t_end), so
-    decaying tails keep relative accuracy over three decades.  Densities
-    are clipped at zero.
-
-    With return_full=True also returns the (n_times, n_nodes) state matrix.
+    neighbours through G[:, junction] * injection_density.  `tol` is the
+    relative tolerance; the absolute tolerance is 1e-3 * tol times the
+    largest density scale of the inputs (x_init, injection_density,
+    injection_rate * t_inj, or g * t_end), so decaying tails keep relative
+    accuracy over three decades.  Densities are clipped at zero.
     """
+    return _evolve_states(disc, spec, tol)[:, disc.junction_index].copy()
+
+
+def _evolve_states(disc: Discretization, spec: EvolveSpec,
+                   tol: float) -> np.ndarray:
+    """The (n_times, n_nodes) states of evolve at spec.t_grid, in node
+    order; evolve returns their junction column."""
     t_grid = np.asarray(spec.t_grid, dtype=float)
     n = disc.n_nodes
     x = np.full(n, float(spec.x_init)) if np.isscalar(spec.x_init) \
@@ -498,8 +499,7 @@ def evolve(disc: Discretization, spec: EvolveSpec, tol: float = 1e-8,
         out[k0:k1] = ys[:, :k1 - k0].T
         x = ys[:, -1]
         k0, t0 = k1, t1
-    x_jj = out[:, jj].copy()
-    return (x_jj, out) if return_full else x_jj
+    return out
 
 
 @dataclass(frozen=True)
@@ -523,13 +523,22 @@ def factorized_dynamics_check(disc: Discretization, r: float, g: float,
     The PDE starts from x_init_amp times the slowest spatial mode; the 0-D
     model uses dx/dt = -r x^2 - s x + g with s the eigenmode decay rate and
     the same junction starting density.  Reports the maximum relative
-    deviation of the junction trace for t >= t_window_start.  The PDE is
+    deviation of the junction trace for t >= t_window_start, on n_points
+    (an integer >= 2) times from 0 to t_end; a t_end at or below
+    t_window_start leaves the window empty and is refused.  The PDE is
     integrated a decade tighter than the default so solver error stays far
     below the model deviation being measured.
     """
     from .dynamics import RateParams, integrate_ode, steady_state
 
     check_finite("t_window_start", t_window_start, ">=")
+    if not (isinstance(n_points, (int, np.integer)) and n_points >= 2):
+        raise InvalidParameterError(
+            f"n_points must be an integer >= 2, got {n_points}")
+    if t_end is not None and not t_window_start < t_end < math.inf:
+        raise InvalidParameterError(
+            "t_end must be finite and above t_window_start = "
+            f"{t_window_start}, so that the window holds a point; got {t_end}")
     s_mode, mode = slowest_mode(disc)
     rp = RateParams(r=r, s=s_mode, g=g)
     if t_end is None:

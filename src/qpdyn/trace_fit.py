@@ -40,11 +40,13 @@ from .errors import (DegenerateTraceError, InsufficientDataError,
                      NonConvergenceError, check_finite, check_time_grid)
 
 # least_squares stopping tolerances: relative step, relative cost
-# decrease, scaled gradient.  Variables are scaled by the Jacobian column
-# norms (x_scale="jac"), pinned because scipy's default changed in 1.16.
+# decrease, scaled gradient; and the residual evaluations of one polish.
+# Variables are scaled by the Jacobian column norms (x_scale="jac"),
+# pinned because scipy's default changed in 1.16.
 _XTOL = 1e-10
 _FTOL = 1e-12
 _GTOL = 1e-12
+_MAX_NFEV = 500
 
 # Grid of the global start: logit r' from -4 to 7 (r' 0.018 to 0.999) by
 # 40 geometric steps of tau_ss from the finest sample spacing to ten times
@@ -64,7 +66,6 @@ class DecayTrace:
     t: np.ndarray
     gamma: np.ndarray
     sigma: np.ndarray | None = None
-    label: str = ""
 
     def __post_init__(self):
         t = check_time_grid("t", self.t)
@@ -87,8 +88,8 @@ class DecayTrace:
         check_finite("t_min", t_min)
         keep = self.t >= t_min
         return DecayTrace(t=self.t[keep], gamma=self.gamma[keep],
-                          sigma=None if self.sigma is None else self.sigma[keep],
-                          label=self.label)
+                          sigma=None if self.sigma is None
+                          else self.sigma[keep])
 
 
 @dataclass(frozen=True)
@@ -190,9 +191,7 @@ def _grid_start(t: np.ndarray, gamma: np.ndarray, unit: np.ndarray):
 
 
 def fit_gamma_trace(trace: DecayTrace, t_min: float = DEFAULT_T_MIN,
-                    weighting: str = "relative",
-                    max_iter: int = 500,
-                    full_output: bool = False):
+                    weighting: str = "relative", full_output: bool = False):
     """Least-squares fit of a decay trace to the four-parameter model.
 
     Samples with t < t_min are excluded (diffusion transients); at least 6
@@ -206,8 +205,8 @@ def fit_gamma_trace(trace: DecayTrace, t_min: float = DEFAULT_T_MIN,
     a second one in (A, logit r', log tau_ss) with Gamma0 pinned at 0 gives
     the optimum under Gamma0 >= 0.
 
-    max_iter bounds the residual evaluations of each polish; a fit that
-    exhausts it raises NonConvergenceError carrying the best parameters and
+    Each polish may evaluate the residuals 500 times; a fit that exhausts
+    them raises NonConvergenceError carrying the best parameters and
     cost.  A fit with r' = 1 within one standard deviation raises
     DegenerateTraceError.  With full_output=True returns (FitResult, info)
     where info carries the cost history ([initial, final]) and the number
@@ -257,13 +256,13 @@ def fit_gamma_trace(trace: DecayTrace, t_min: float = DEFAULT_T_MIN,
             sol = least_squares(lambda x: resid_jac(x)[0], start,
                                 jac=lambda x: resid_jac(x)[1], method="lm",
                                 xtol=_XTOL, ftol=_FTOL, gtol=_GTOL,
-                                x_scale="jac", max_nfev=max_iter)
+                                x_scale="jac", max_nfev=_MAX_NFEV)
         except ValueError as exc:
             raise InvalidParameterError(
                 f"cannot start the fit: {exc}") from None
         if sol.status == 0:
             raise NonConvergenceError(
-                f"fit did not converge in {max_iter} evaluations",
+                f"fit did not converge in {_MAX_NFEV} evaluations",
                 best_params=np.array(params(sol.x)), best_cost=float(sol.cost))
         return sol
 
@@ -337,19 +336,21 @@ def _complex_step_sigmas(fn, theta, steps, cov) -> list[float]:
     complex step: d fn/d theta_k = Im fn(theta + i h_k e_k) / h_k, exact to
     rounding as nothing is subtracted (Squire & Trapp, SIAM Rev. 40, 110
     (1998)).  A nonzero Im below the normal float64 range has lost its
-    bits and raises FloatingPointError."""
+    bits and raises NonConvergenceError."""
     im = np.array([[complex(v).imag for v in fn(
         *theta[:k], theta[k] + 1j * h, *theta[k + 1:])]
         for k, h in enumerate(steps)])
     if np.any((im != 0) & (np.abs(im) < np.finfo(float).tiny)):
-        raise FloatingPointError("complex-step derivative underflows; the "
-                                 "error bars are below float64 range")
+        raise NonConvergenceError("complex-step derivative underflows; the "
+                                  "error bars are below float64 range")
     return [math.sqrt(max(float(g @ cov @ g), 0.0))
             for g in (im / steps[:, None]).T]
 
 
 def extract_rates(f: FitResult, coupling: float) -> ExtractedRates:
-    """Map fitted parameters to (r, s-range, g-range) with propagated errors."""
+    """Map fitted parameters to (r, s-range, g-range) with propagated errors.
+
+    Error bars below the float64 range raise NonConvergenceError."""
     check_finite("coupling", coupling, ">")
     check_finite("amplitude", f.amplitude, ">")
     amp, rp, tau, g0 = f.amplitude, f.r_prime, f.tau_ss, f.gamma0
@@ -444,11 +445,10 @@ def synth_trace(f: FitResult, t_grid, noise_rel: float,
     m = gamma_model(t, f)
     m = np.atleast_1d(np.asarray(m, dtype=float))
     if noise_rel == 0:
-        return DecayTrace(t=t, gamma=m.copy(), sigma=None, label="synthetic")
+        return DecayTrace(t=t, gamma=m.copy(), sigma=None)
     rng = np.random.Generator(np.random.Philox(seed))
     gamma = m * (1.0 + noise_rel * rng.standard_normal(t.size))
     if np.any(gamma <= 0):
         raise InvalidParameterError(
             "noise realization produced non-positive Gamma; lower noise_rel")
-    return DecayTrace(t=t, gamma=gamma, sigma=m * noise_rel,
-                      label="synthetic")
+    return DecayTrace(t=t, gamma=gamma, sigma=m * noise_rel)

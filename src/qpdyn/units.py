@@ -2,9 +2,9 @@
 
 Everything inside the library is SI (seconds, meters, joules, tesla).
 Quantities cross the boundary as strings with an explicit unit suffix,
-e.g. ``200us``, ``0.067cm2/s``, ``180ueV``, ``11mG``, ``8kohm``.  Bare
-numbers are accepted only for dimensionless quantities; everything else
-must carry a suffix so that no unit ambiguity survives parsing.
+e.g. ``200us``, ``0.067cm2/s``, ``180ueV``, ``11mG``, ``8kohm``.  Every
+quantity must carry a suffix so that no unit ambiguity survives parsing;
+dimensionless values are plain floats and do not pass through here.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ _UNIT_TABLES: dict[str, dict[str, float]] = {
     "frequency": {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9},
     "resistance": {"ohm": 1.0, "Ohm": 1.0, "kohm": 1e3, "kOhm": 1e3,
                    "Mohm": 1e6, "MOhm": 1e6},
-    "power": {"W": 1.0, "mW": 1e-3, "uW": 1e-6, "nW": 1e-9, "pW": 1e-12},
 }
 
 _NUMBER_RE = re.compile(
@@ -52,12 +51,6 @@ def parse_quantity(text: str, kind: str) -> float:
     the number itself does not parse, or the value is not finite (e.g.
     ``1e400um`` overflows).
     """
-    if kind == "dimensionless":
-        try:
-            value = float(text)
-        except ValueError:
-            raise UnitParseError(f"cannot parse {text!r} as a number") from None
-        return _finite(value, text)
     try:
         table = _UNIT_TABLES[kind]
     except KeyError:

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import subprocess_env
-from qpdyn import eigenmode
+from qpdyn import eigenmode, pde_sim
 from qpdyn.eigenmode import (TransportParams, VortexConfig, eigen_residual,
                              field_sweep, small_p_rate, smallest_root,
                              step_sequence)
@@ -314,7 +314,7 @@ def test_graph_area_is_the_geometry_area(u, stress):
         reduced, rel=1e-14, abs=0)
 
 
-def test_slowest_mode_stops_on_a_stalled_residual():
+def test_slowest_mode_stops_on_a_stalled_residual(monkeypatch):
     """A strong-trapping mesh whose weighted residual stalls at 1.25 times
     its bar: the iteration used to run all 10 000 solves and raise."""
     geom = DeviceGeometry(w_wire=4.1124e-6, l_wire=105.99e-6,
@@ -322,7 +322,8 @@ def test_slowest_mode_stops_on_a_stalled_residual():
                           w_cap=6.862e-6, l_cap=467.26e-6, s_pad=9.2575e-9)
     vc, tp = VortexConfig(1, 1, 0.035938), TransportParams(d=18.287e-4,
                                                            s0=0.0)
-    s_pde = slowest_mode(build(geom, vc, tp, resolution=200), max_iter=100)[0]
+    monkeypatch.setattr(pde_sim, "_MAX_ITER", 100)
+    s_pde = slowest_mode(build(geom, vc, tp, resolution=200))[0]
     assert s_pde == pytest.approx(6809.030775, rel=1e-9)
     s_eq = smallest_root(geom, vc, tp, form="full").s
     assert abs(s_pde - s_eq) / s_eq < 1e-7

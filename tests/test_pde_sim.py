@@ -7,12 +7,13 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from qpdyn import pde_sim
 from qpdyn.dynamics import RateParams, integrate_ode
 from qpdyn.eigenmode import TransportParams, VortexConfig, smallest_root
 from qpdyn.errors import (InvalidParameterError, InvalidResolutionError,
                           NonConvergenceError, StepSizeUnderflowError)
-from qpdyn.geometry import load_geometry
-from qpdyn.pde_sim import (EvolveSpec, build, evolve,
+from qpdyn.geometry import edges, load_geometry
+from qpdyn.pde_sim import (EvolveSpec, _evolve_states, build, evolve,
                            factorized_dynamics_check, slowest_mode)
 
 P_REF = 0.067e-4
@@ -45,6 +46,12 @@ def mesh(request, b1_geom):
                  TransportParams(d=18e-4, s0=s0), resolution=res)
 
 
+def _dx_by_segment(mesh):
+    """Each chain's cell width, read off its first interior node (y = dx)."""
+    seg = np.array(mesh.node_segment)
+    return {name: mesh.node_y[seg == name][0] for name, *_ in edges(mesh.geom)}
+
+
 def _length(geom, segment):
     """Length of a chain of cells, from its segment name."""
     kind = segment.split("_")[-1 if segment.startswith("arm") else 0]
@@ -61,14 +68,15 @@ class TestBuild:
         assert runs == ["pad_left", "pad_right", "cross_left", "cross_right",
                         "junction", "wire_left", "wire_right", "center_left",
                         "center_right", *arms]
-        assert (mesh.pad_left_index, mesh.pad_right_index,
+        assert (mesh.node_segment.index("pad_left"),
+                mesh.node_segment.index("pad_right"),
                 mesh.junction_index) == (0, 1, 4)
 
-    def test_nodes_per_segment_follow_the_cells_rule(self, mesh):
-        geom, res = mesh.geom, mesh.resolution
+    def test_nodes_per_segment_follow_the_cells_rule(self, mesh, request):
+        geom, res = mesh.geom, request.node.callspec.params["mesh"][3]
         counts = {seg: mesh.node_segment.count(seg)
                   for seg in set(mesh.node_segment)}
-        for seg, dx in mesh.dx_by_segment.items():
+        for seg, dx in _dx_by_segment(mesh).items():
             length = _length(geom, seg)
             cells = max(2, int(round(res * length / geom.l_wire)))
             assert counts.pop(seg) == cells - 1
@@ -77,14 +85,14 @@ class TestBuild:
 
     def test_node_y_is_k_dx_along_each_chain(self, mesh):
         seg = np.array(mesh.node_segment)
-        for name, dx in mesh.dx_by_segment.items():
+        for name, dx in _dx_by_segment(mesh).items():
             y = mesh.node_y[seg == name]
             assert np.array_equal(y, np.arange(1, y.size + 1) * dx)
 
     def test_pattern_is_diagonal_plus_both_edge_directions(self, mesh):
         gen, n = mesh.generator, mesh.n_nodes
         n_edges = sum(mesh.node_segment.count(seg) + 1
-                      for seg in mesh.dx_by_segment)
+                      for seg in _dx_by_segment(mesh))
         assert gen.nnz == n + 2 * n_edges
         assert np.all(gen.data != 0)
         assert np.all(gen.diagonal() != 0)
@@ -97,8 +105,8 @@ class TestBuild:
         gen, vc = mesh.generator.toarray(), mesh.vortices
         diag = np.diag(gen).copy()
         sink = np.full(mesh.n_nodes, mesh.tp.s0)
-        for pad, n_vortices in ((mesh.pad_left_index, vc.n_left),
-                                (mesh.pad_right_index, vc.n_right)):
+        pads = map(mesh.node_segment.index, ("pad_left", "pad_right"))
+        for pad, n_vortices in zip(pads, (vc.n_left, vc.n_right)):
             sink[pad] += n_vortices * vc.trapping_power / mesh.areas[pad]
         np.fill_diagonal(gen, 0.0)
         np.testing.assert_allclose(diag, -gen.sum(axis=1) - sink,
@@ -107,7 +115,7 @@ class TestBuild:
     def test_trapping_changes_only_the_pad_entry(self, b1_geom, transport):
         bare, trapped = (build(b1_geom, VortexConfig(n, 0, P_REF), transport,
                                resolution=37) for n in (0, 3))
-        pad = bare.pad_left_index
+        pad = bare.node_segment.index("pad_left")
         assert np.array_equal(bare.areas, trapped.areas)
         delta = (trapped.generator - bare.generator).toarray()
         step = delta[pad, pad]
@@ -136,8 +144,8 @@ class TestBuild:
         tp = TransportParams(d=18e-4, s0=250.0)
         disc = build(b1_geom, VortexConfig(0, 0, 0.0), tp, resolution=50)
         t_grid = (1e-3, 4e-3)
-        jj, full = evolve(disc, EvolveSpec(r=0.0, g=0.0, t_grid=t_grid,
-                                           x_init=1e-4), return_full=True)
+        full = _evolve_states(disc, EvolveSpec(r=0.0, g=0.0, t_grid=t_grid,
+                                               x_init=1e-4), 1e-8)
         for k, t in enumerate(t_grid):
             expect = 1e-4 * np.exp(-tp.s0 * t)
             assert np.allclose(full[k], expect, rtol=1e-6)
@@ -171,7 +179,7 @@ class TestSlowestMode:
     def test_pad_depression_with_many_vortices(self, b1_geom, transport):
         disc = build(b1_geom, VortexConfig(25, 25, P_REF), transport)
         _, mode = slowest_mode(disc)
-        pad = mode[disc.pad_left_index]
+        pad = mode[disc.node_segment.index("pad_left")]
         assert pad < 0.6  # density at the trapping pads well below junction
 
     @pytest.mark.parametrize("d_cm2, match", [
@@ -185,9 +193,10 @@ class TestSlowestMode:
             slowest_mode(disc)
 
     def test_iteration_limit_names_the_residual_and_its_bar(
-            self, disc_one_vortex):
+            self, disc_one_vortex, monkeypatch):
+        monkeypatch.setattr(pde_sim, "_MAX_ITER", 2)
         with pytest.raises(NonConvergenceError) as info:
-            slowest_mode(disc_one_vortex, max_iter=2)
+            slowest_mode(disc_one_vortex)
         message = str(info.value)
         assert "did not converge in 2 iterations" in message
         assert "1e-10 lambda + 32 eps max|diag G|" in message
@@ -202,12 +211,6 @@ class TestSlowestMode:
         assert got_resid == pytest.approx(resid, rel=1e-5)
         assert got_bar == pytest.approx(bar, rel=1e-5)
         assert resid > bar
-
-    @pytest.mark.parametrize("max_iter", [0, -1])
-    def test_iteration_limit_below_one_is_refused(self, disc_one_vortex,
-                                                  max_iter):
-        with pytest.raises(InvalidParameterError, match="max_iter"):
-            slowest_mode(disc_one_vortex, max_iter=max_iter)
 
     def test_grid_convergence_second_order(self, b1_geom, transport):
         vc = VortexConfig(2, 1, P_REF)
@@ -247,9 +250,9 @@ class TestEvolve:
         rng = np.random.Generator(np.random.Philox(8))
         x0 = rng.uniform(0.5e-4, 1.5e-4, disc_free.n_nodes)
         t_grid = (5e-4, 2e-3)
-        jj, full = evolve(disc_free, EvolveSpec(r=0.0, g=0.0, t_grid=t_grid,
-                                                x_init=x0),
-                          return_full=True, tol=1e-10)
+        full = _evolve_states(disc_free, EvolveSpec(r=0.0, g=0.0,
+                                                    t_grid=t_grid, x_init=x0),
+                              1e-10)
         n0 = float(disc_free.areas @ x0)
         for k in range(len(t_grid)):
             nk = float(disc_free.areas @ full[k])
@@ -379,11 +382,10 @@ class TestBandedRadau:
         # the banded LU changes only round-off: Radau takes the same steps
         from scipy.integrate import Radau
 
-        from qpdyn import pde_sim
         disc, spec = _bundled_mesh(name, resolution), _drive(drive)
-        _, banded = evolve(disc, spec, tol=1e-8, return_full=True)
+        banded = _evolve_states(disc, spec, 1e-8)
         monkeypatch.setattr(pde_sim, "_banded_radau", lambda: Radau)
-        _, plain = evolve(disc, spec, tol=1e-8, return_full=True)
+        plain = _evolve_states(disc, spec, 1e-8)
         np.testing.assert_allclose(banded, plain, rtol=1e-9,
                                    atol=1e-9 * np.abs(plain).max())
 
@@ -392,8 +394,6 @@ class TestBandedRadau:
         # replace it, so evolve runs with splu broken
         import scipy.integrate._ivp.radau as radau
         from scipy.integrate import Radau
-
-        from qpdyn import pde_sim
 
         def broken(matrix):
             raise RuntimeError("splu called")
@@ -452,7 +452,6 @@ def test_banded_radau_takes_the_same_steps(monkeypatch, caplog, name,
     # same function calls, Jacobians and factorizations on every piece
     from scipy.integrate import Radau
 
-    from qpdyn import pde_sim
     caplog.set_level(logging.DEBUG, logger="qpdyn.pde_sim")
     disc, spec = _bundled_mesh(name, resolution), _drive(drive)
     evolve(disc, spec, tol=1e-8)
@@ -502,3 +501,19 @@ class TestFactorizedDynamics:
         assert not rep.within_validity
         assert rep.regime_ratio > 10
         assert rep.max_rel_deviation >= 0.0
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"n_points": 1}, "n_points must be an integer >= 2, got 1"),
+        ({"n_points": np.nan}, "n_points must be an integer >= 2, got nan"),
+        ({"n_points": 2.0}, "n_points must be an integer >= 2, got 2.0"),
+        ({"t_end": 1e-4}, "t_end must be finite and above t_window_start "
+                          "= 0.0002, so that the window holds a point; "
+                          "got 0.0001"),
+        ({"t_end": 200e-6}, "got 0.0002"),
+        ({"t_end": np.inf}, "got inf"),
+        ({"t_end": np.nan}, "got nan")])
+    def test_a_window_without_points_is_refused(self, disc_one_vortex,
+                                                kwargs, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            factorized_dynamics_check(disc_one_vortex, r=R_B1, g=1e-4,
+                                      x_init_amp=1e-4, **kwargs)

@@ -142,9 +142,11 @@ def test_build_rejects_a_bad_resolution(resolution):
 def test_build_takes_a_whole_float_resolution():
     args = DeviceGeometry(**GEOM), VortexConfig(1, 0, 6.7e-6), \
         TransportParams(d=18e-4)
-    disc = build(*args, 20.0)
-    assert disc.resolution == 20 and type(disc.resolution) is int
-    assert disc.n_nodes == build(*args, 20).n_nodes
+    disc, whole = build(*args, 20.0), build(*args, 20)
+    assert disc.node_segment == whole.node_segment
+    assert np.array_equal(disc.node_y, whole.node_y)
+    assert np.array_equal(disc.areas, whole.areas)
+    assert (disc.generator != whole.generator).nnz == 0
 
 
 class TestRule:
