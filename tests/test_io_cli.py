@@ -722,6 +722,18 @@ class TestCli:
         assert (code, out) == (6, "")
         assert err.endswith("p_in_dbm = -inf)\n")
 
+    @pytest.mark.parametrize("argv", [
+        a for a in EXTREME_INPUTS
+        if a.startswith(("rates --amplitude 1e-320", "estimate"))
+        or "--tauss 1e-320ms" in a])
+    def test_underflow_and_overflow_are_typed(self, capsys, argv):
+        """A denominator that underflows to 0, or a square that overflows,
+        is a typed refusal or an inf the output names, never a bare
+        ZeroDivisionError or OverflowError."""
+        code, out, err = run_cli(capsys, *argv.split(), "--no-timestamp")
+        assert code in (5, 6)
+        assert "numerical failure (" not in err
+
     def test_pde_evolve_overflow_is_one_named_line(self, capsys, recwarn):
         code, out, err = run_cli(capsys, *(
             "pde evolve --geom b2 --nl 0 --nr 0 --p 0cm2/s --d 18cm2/s "
