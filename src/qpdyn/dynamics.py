@@ -258,9 +258,11 @@ def integrate_ode(rp: RateParams, x_init: float, t_grid) -> np.ndarray:
     """Numerical oracle: integrate dx/dt = -r x^2 - s x + g on t_grid.
 
     scipy's DOP853 (Dormand-Prince 8(5,3)) at relative tolerance 1e-10,
-    with an absolute floor of 1e-6 * 1e-10 * x_init; output times are
-    read off its dense output.  t_grid must be strictly increasing with
-    t_grid[0] >= 0 (integration starts at t_grid[0] with x = x_init).
+    with an absolute floor of 1e-6 * 1e-10 * x_init; when x_init is 0 the
+    steady state x0 (g times the span of t_grid if r = s = 0) takes its
+    place.  Output times are read off its dense output.  t_grid must be
+    strictly increasing with t_grid[0] >= 0 (integration starts at
+    t_grid[0] with x = x_init).
 
     Raises StepSizeUnderflowError if the tolerance cannot be met.
     """
@@ -271,10 +273,13 @@ def integrate_ode(rp: RateParams, x_init: float, t_grid) -> np.ndarray:
     if t.size == 1:
         return np.array([float(x_init)])
 
+    scale = x_init
+    if scale == 0:  # the density the solution heads for
+        scale = steady_state(rp).x0 if rp.r or rp.s else rp.g * (t[-1] - t[0])
     sol = solve_ivp(lambda _, x: -rp.r * x * x - rp.s * x + rp.g,
                     (t[0], t[-1]), [float(x_init)], method="DOP853",
                     t_eval=t, rtol=_ODE_RTOL,
-                    atol=1e-6 * _ODE_RTOL * x_init or np.finfo(float).tiny)
+                    atol=1e-6 * _ODE_RTOL * scale or np.finfo(float).tiny)
     if not sol.success:
         raise StepSizeUnderflowError(
             f"ODE oracle failed on [{t[0]:.6g}, {t[-1]:.6g}] s: "

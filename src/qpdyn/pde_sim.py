@@ -8,10 +8,12 @@ the analytic model's: 1-D segments joined with width-weighted flux
 matching, pads as lumped nodes carrying the trapping.  The graph is a
 tree, so in reverse Cuthill-McKee order every mesh is banded with
 kl = ku = 3, and 2 and 2 once a clamped junction leaves the unknowns.
-Each drive piece of the evolver is put in that order once: the
-right-hand side's G y is one banded BLAS product, a banded LU factors
-the integrator's linear systems in O(n), and each solve is one LAPACK
-call.
+Both kernels work in that order, and in LAPACK band storage.  The slow
+mode's inverse iteration factors the area-symmetrised generator
+W^1/2 (-G) W^-1/2 once by a banded Cholesky.  Each drive piece of the
+evolver is put in that order once: the right-hand side's G y is one
+banded BLAS product, a banded LU factors the integrator's linear
+systems in O(n), and each solve is one LAPACK call.
 
 The spatial operator is a conservative finite-volume generator G
 (dx/dt = G x): with s0 = P = 0 the area-weighted column sums of G vanish
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -170,20 +173,31 @@ def build(geom: DeviceGeometry, vortices: VortexConfig, tp: TransportParams,
 def slowest_mode(disc: Discretization) -> tuple[float, np.ndarray]:
     """Smallest decay rate of the generator and its spatial mode.
 
-    Inverse power iteration on -G with an area-weighted Rayleigh quotient.
-    Once the quotient has settled, the iteration stops when the weighted
-    residual meets its bar 1e-10 lambda + 32 eps max|diag G|, or when it
-    is no smaller than at the previous settled iterate: it has stalled at
-    the round-off of the LU solve.  The returned mode is the (strictly
-    positive) slow mode normalized to 1 at the junction node, with
-    round-off noise clipped at zero.  A failed LU factorization, an
-    iterate whose norm leaves the float64 range, 10 000 iterations
-    without convergence (the message names the last weighted residual and
-    its bar) and a converged rate not above the rounding error of its
-    Rayleigh quotient raise NonConvergenceError; when the factorization
-    fails because the trapping sink is below round-off of the diffusion
-    operator, the message names the weak-trapping limit small_p_rate,
-    s = (N_L + N_R) P / A_total + s0.
+    Inverse power iteration on S = W^1/2 (-G) W^-1/2, W = diag(areas),
+    which is symmetric because W G is.  In reverse Cuthill-McKee order S
+    is a symmetric band (kd = 3 on the electrode tree), factored once by
+    LAPACK's banded Cholesky ?pbtrf and solved by ?pbtrs; ?sbmv on the
+    same band gives the Rayleigh quotient, the residual and the round-off
+    floor.  The iterate is u = W^1/2 v for the node-order mode v, so S's
+    2-norm is the area-weighted norm of -G.  Once the quotient has
+    settled, the iteration stops when the residual meets its bar
+    1e-10 lambda + 32 eps max|diag G|, or when it is no smaller than at
+    the previous settled iterate: it has stalled at the round-off of the
+    solve.  The returned mode is the (strictly positive) slow mode v
+    normalized to 1 at the junction node, with round-off noise clipped at
+    zero.  Once logging is imported, each converged call logs one DEBUG
+    record on the qpdyn.pde_sim logger with the solves, kd, the rate, the
+    residual, its bar and whether it stalled; its args are a dict.
+
+    Raises NonConvergenceError before anything is factored when the
+    weak-trapping limit small_p_rate, s = (N_L + N_R) P / A_total + s0, is
+    at most 32 eps max|diag G|: the trapping sink is below round-off of
+    the diffusion operator, and the message names s.  A failed Cholesky
+    factorization, an iterate whose norm leaves the float64 range,
+    10 000 iterations without convergence (the message names the last
+    residual and its bar) and a converged rate not above the rounding
+    error of its Rayleigh quotient raise it too; the last three carry v
+    as best_params.
     """
     tp = disc.tp
     total_trapping = disc.vortices.trapping_power * (
@@ -191,59 +205,93 @@ def slowest_mode(disc: Discretization) -> tuple[float, np.ndarray]:
     n = disc.n_nodes
     if total_trapping == 0:
         return tp.s0, np.ones(n)
-    from scipy.sparse.linalg import splu
+    import scipy.sparse as sp
+    from scipy.linalg.blas import dsbmv
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-    a_op = (-disc.generator).tocsc()
-    w = disc.areas
     # round-off floors: Rayleigh quotient and residual carry noise of order
-    # eps * ||A||, which dwarfs 1e-13 * lambda for a stiff mesh operator
-    a_scale = float(np.abs(a_op.diagonal()).max())
+    # eps * ||S||, which dwarfs 1e-13 * lambda for a stiff mesh operator
+    a_scale = float(np.abs(disc.generator.diagonal()).max())
     eps = float(np.finfo(float).eps)
-    try:
-        lu = splu(a_op)
-    except RuntimeError as exc:  # e.g. "Factor is exactly singular"
-        message = f"LU factorization of the generator failed: {exc}"
-        s_weak = small_p_rate(disc.geom, disc.vortices, tp)
-        if s_weak <= 32.0 * eps * a_scale:
-            message += ("; the trapping sink is below round-off of the "
-                        "diffusion operator; the weak-trapping limit "
-                        f"s = {s_weak:.6g} 1/s applies")
-        raise NonConvergenceError(message) from None
+    s_weak = small_p_rate(disc.geom, disc.vortices, tp)
+    if s_weak <= 32.0 * eps * a_scale:
+        raise NonConvergenceError(
+            "the trapping sink is below round-off of the diffusion "
+            f"operator; the weak-trapping limit s = {s_weak:.6g} 1/s applies")
 
-    def residual(v, lam):
-        """The weighted residual of (lam, v), and the bar it must meet."""
-        resid = a_op @ v - lam * v
-        rnorm = math.sqrt(float(w @ (resid * resid)) / float(w @ (v * v)))
-        return rnorm, 1e-10 * abs(lam) + 32.0 * eps * a_scale
+    # S's upper triangle in band order: node i goes to rank[i]
+    order = _band_order(disc.generator)
+    rank = np.argsort(order)
+    gen = disc.generator.tocoo()
+    row, col = rank[gen.row], rank[gen.col]
+    keep = row <= col
+    root_w = np.sqrt(disc.areas)
+    upper = sp.coo_matrix(
+        (-gen.data[keep] * root_w[gen.row[keep]] / root_w[gen.col[keep]],
+         (row[keep], col[keep])), shape=(n, n))
+    kd = _band_widths(upper)[1]
+    s_band = _band(upper, 0, kd)
+    root_w = root_w[order]
+    factor, info = dpbtrf(s_band)
+    # ?pbtrf passes NaN and inf through, as ?gbtrf does
+    if info != 0 or not np.isfinite(factor).all():
+        raise NonConvergenceError(
+            "Cholesky factorization of the symmetrised generator failed: "
+            "its banded factor is not positive definite or not finite")
 
-    v = np.ones(n)
+    def mode(u):
+        """The node-order mode v = W^-1/2 u of the band-order iterate u."""
+        v = np.empty(n)
+        v[order] = u / root_w
+        return v
+
+    def residual(s_u, u, lam):
+        """The residual ||S u - lam u|| / ||u||, which is the weighted
+        residual of (lam, v), and the bar it must meet."""
+        resid = s_u - lam * u
+        return (math.sqrt(float(resid @ resid) / float(u @ u)),
+                1e-10 * abs(lam) + 32.0 * eps * a_scale)
+
+    w_sum = float(disc.areas.sum())
+    u = root_w  # v = 1
     lam_prev = r_prev = math.inf
-    for _ in range(_MAX_ITER):
-        v = lu.solve(v)
+    for solves in range(1, _MAX_ITER + 1):
+        u = dpbtrs(factor, u)[0]
         with np.errstate(over="ignore"):  # checked just below
-            norm = math.sqrt(float(w @ (v * v)) / float(w.sum()))
+            norm = math.sqrt(float(u @ u) / w_sum)
         if not 0.0 < norm < math.inf:
             raise NonConvergenceError(
                 f"inverse power iteration: the iterate's norm ({norm}) left "
-                "the float64 range", best_params=v)
-        v /= norm
-        lam = float(w @ (v * (a_op @ v))) / float(w @ (v * v))
+                "the float64 range", best_params=mode(u))
+        u /= norm
+        s_u = dsbmv(kd, 1.0, s_band, u)
+        lam = float(u @ s_u) / float(u @ u)
         if abs(lam - lam_prev) <= 1e-13 * abs(lam) + 4.0 * eps * a_scale:
-            rnorm, bar = residual(v, lam)
+            rnorm, bar = residual(s_u, u, lam)
             if rnorm <= bar or rnorm >= r_prev:  # met, or stalled at round-off
                 break
             r_prev = rnorm
         lam_prev = lam
     else:
-        rnorm, bar = residual(v, lam)
+        rnorm, bar = residual(s_u, u, lam)
         raise NonConvergenceError(
             f"inverse power iteration did not converge in {_MAX_ITER} "
             f"iterations: the last weighted residual {rnorm:.6g} 1/s is "
             f"above its bar 1e-10 lambda + 32 eps max|diag G| = {bar:.6g} "
-            "1/s", best_params=v, best_cost=lam)
-    # rounding error of the Rayleigh quotient: 32 eps (|v|, |A| |v|) / (v, v)
-    floor = 32.0 * eps * float(w @ (np.abs(v) * (abs(a_op) @ np.abs(v)))) \
-        / float(w @ (v * v))
+            "1/s", best_params=mode(u), best_cost=lam)
+    logging = sys.modules.get("logging")  # no listener before its import
+    log = logging and logging.getLogger(__name__)
+    if log and log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "slowest mode: %(solves)d solves, kd = %(kd)d; rate %(rate).6g "
+            "1/s, residual %(residual).6g 1/s, bar %(bar).6g 1/s, stalled "
+            "%(stalled)s", {"solves": solves, "kd": kd, "rate": lam,
+                             "residual": rnorm, "bar": bar,
+                             "stalled": rnorm > bar})
+    # rounding error of the Rayleigh quotient: 32 eps (|u|, |S| |u|) / (u, u)
+    floor = 32.0 * eps * float(
+        abs(u) @ dsbmv(kd, 1.0, abs(s_band), abs(u))) / float(u @ u)
+    v = mode(u)
     if not lam > floor:
         raise NonConvergenceError(
             f"slowest rate {lam:.6g} 1/s is not above the round-off floor "
@@ -302,6 +350,15 @@ def _band_widths(a: sp.spmatrix) -> tuple[int, int]:
     a = a.tocoo()
     offset = a.row - a.col
     return int(max(offset.max(), 0)), int(max(-offset.min(), 0))
+
+
+def _band_order(a: sp.spmatrix) -> np.ndarray:
+    """The reverse Cuthill-McKee order (Cuthill & McKee 1969) of a's
+    symmetric pattern: on the electrode tree it puts a in a band with
+    kl = ku = 3, and 2 and 2 once a clamped junction leaves the unknowns."""
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    return reverse_cuthill_mckee(a, symmetric_mode=True)
 
 
 def _band(a: sp.spmatrix, kl: int, ku: int, fill: int = 0) -> np.ndarray:
@@ -382,7 +439,6 @@ def _solve_piece(disc: Discretization, spec: EvolveSpec, x: np.ndarray,
 
     from scipy.integrate import solve_ivp
     from scipy.linalg.blas import dgbmv
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     gen, jj, r = disc.generator, disc.junction_index, spec.r
     src = np.full(x.size, spec.g)
@@ -398,7 +454,7 @@ def _solve_piece(disc: Discretization, spec: EvolveSpec, x: np.ndarray,
             gen = gen[keep][:, keep]
         elif driven:
             src[jj] += spec.injection_rate
-        band_order = reverse_cuthill_mckee(gen, symmetric_mode=True)
+        band_order = _band_order(gen)
         gen = gen[band_order][:, band_order]
         order = keep[band_order]
         src, n = src[order], order.size
@@ -525,7 +581,8 @@ def factorized_dynamics_check(disc: Discretization, r: float, g: float,
     the same junction starting density.  Reports the maximum relative
     deviation of the junction trace for t >= t_window_start, on n_points
     (an integer >= 2) times from 0 to t_end; a t_end at or below
-    t_window_start leaves the window empty and is refused.  The PDE is
+    t_window_start leaves the window empty and is refused, and so is
+    x_init_amp = 0 with g = 0, whose traces both stay at 0.  The PDE is
     integrated a decade tighter than the default so solver error stays far
     below the model deviation being measured.
     """
@@ -539,6 +596,10 @@ def factorized_dynamics_check(disc: Discretization, r: float, g: float,
         raise InvalidParameterError(
             "t_end must be finite and above t_window_start = "
             f"{t_window_start}, so that the window holds a point; got {t_end}")
+    if x_init_amp == 0 and g == 0:
+        raise InvalidParameterError(
+            "x_init_amp = 0 with g = 0 holds both junction traces at 0, so "
+            "there is no deviation to measure")
     s_mode, mode = slowest_mode(disc)
     rp = RateParams(r=r, s=s_mode, g=g)
     if t_end is None:

@@ -263,6 +263,22 @@ class TestIntegrateOde:
         assert np.all(above >= x0 * (1 - 1e-9))
         assert np.all(below <= x0 * (1 + 1e-9))
 
+    def test_zero_start_rises_to_the_steady_state(self):
+        # the absolute tolerance scales with x0 here, not with x_init = 0;
+        # x(t) = (a - b y) / (1 - y), y = (a / b) exp(-t / tau_ss), with
+        # a = x0 and b = -(x0 + s / r) the roots of -r x^2 - s x + g
+        rp = RateParams(r=1 / 170e-9, s=33.0, g=1e-4)
+        t = np.linspace(0, 1e-2, 5)
+        x = integrate_ode(rp, 0.0, t)
+        x0, tau = steady_state(rp)
+        a, b = x0, -(x0 + rp.s / rp.r)
+        y = a / b * np.exp(-t / tau)
+        np.testing.assert_allclose(x, (a - b * y) / (1 - y), rtol=1e-8,
+                                   atol=0.0)
+        # r = s = 0 has no steady state; x = g t
+        x = integrate_ode(RateParams(0.0, 0.0, 1e-4), 0.0, t)
+        np.testing.assert_allclose(x, 1e-4 * t, rtol=1e-12, atol=0.0)
+
     def test_one_point_grid_returns_the_initial_density(self):
         x = integrate_ode(B1_RATES, 1e-4, [2e-3])
         assert x.tolist() == [1e-4]

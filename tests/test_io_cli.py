@@ -300,8 +300,8 @@ BAD_INPUTS = [(argv, (5, 6)) for argv in EXTREME_INPUTS] + [
     (f"pde eigen --geom b1 --nl 1 --nr 0 --p 0.067cm2/s {flags}", (5, 6))
     for flags in ("--d 1e307cm2/s",
                   "--d 18cm2/s --resolution 10000000000000")] + [
-    # diffusion so fast that the slowest rate drowns in round-off, the LU
-    # factor is singular, or the iterate underflows: each exits 6
+    # diffusion so fast that the trapping sink drowns in the round-off of
+    # the diffusion operator: each is refused before factoring, exit 6
     (f"pde eigen --geom b1 --nl 1 --nr 0 --p 0.067cm2/s --d {d}cm2/s", (6,))
     for d in ("1e12", "1e14", "1e18", "1e20", "1e40", "1e100", "1e200",
               "1e300")] + [
@@ -881,9 +881,8 @@ class TestCli:
         assert code == 6
         assert out == ""
         assert err == (
-            "qpdyn pde-eigen: LU factorization of the generator failed: "
-            "Factor is exactly singular; the trapping sink is below "
-            "round-off of the diffusion operator; the weak-trapping limit "
+            "qpdyn pde-eigen: the trapping sink is below round-off of the "
+            "diffusion operator; the weak-trapping limit "
             f"s = {s_weak} 1/s applies\n")
 
     def test_linalg_error_exits_6_without_traceback(self, capsys,
@@ -1183,28 +1182,34 @@ def test_mode_commands_load_no_logging():
 
 
 def test_pde_eigen_loads_no_integrator_or_graph_module():
-    """pde eigen, run by main in a fresh interpreter, loads neither
-    scipy.integrate nor scipy.sparse.csgraph; pde evolve, run after it in
-    the same interpreter, loads both."""
+    """pde eigen, run by main in a fresh interpreter with SuperLU's factor
+    routine broken, succeeds and loads no integrator (scipy.integrate);
+    pde evolve, run after it in the same interpreter, succeeds and loads
+    one.  scipy.sparse.csgraph, whose reverse Cuthill-McKee order both
+    commands use, imports scipy.sparse.linalg itself, so the probe breaks
+    SuperLU instead of looking for its module."""
     import subprocess
     import sys
 
     tour = [argv.split() for argv, _ in README_TOUR if argv.startswith("pde")]
     probe = (
         "import json, os, sys\n"
+        "from scipy.sparse.linalg._dsolve import _superlu\n"
         "from qpdyn.cli import main\n"
+        "def gstrf(*args, **kwargs):\n"
+        "    raise RuntimeError('SuperLU called')\n"
+        "_superlu.gstrf = gstrf\n"
         "report = []\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    code = main(argv + ['--out-file', os.devnull])\n"
-        "    report.append([argv[1], code, [m for m in ('scipy.integrate', "
-        "'scipy.sparse.csgraph') if m in sys.modules]])\n"
+        "    report.append([argv[1], code, "
+        "'scipy.integrate' in sys.modules])\n"
         "print(json.dumps(report))\n")
     done = subprocess.run([sys.executable, "-c", probe, json.dumps(tour)],
                           capture_output=True, text=True, check=True,
                           env=subprocess_env())
-    assert json.loads(done.stdout) == [
-        ["eigen", 0, []],
-        ["evolve", 0, ["scipy.integrate", "scipy.sparse.csgraph"]]]
+    assert json.loads(done.stdout) == [["eigen", 0, False],
+                                       ["evolve", 0, True]]
 
 
 # the qpdyn modules a README-tour command must not load, by its first word

@@ -246,6 +246,72 @@ def test_full_root_matches_pde_slowest_mode_strong_trapping(
     assert abs(s_pde - s_eq) / s_eq < 0.005
 
 
+def slowest_mode_record(disc):
+    """slowest_mode's rate and the args of its DEBUG record, or None when
+    it logs none (no trapping)."""
+    log, records = logging.getLogger("qpdyn.pde_sim"), []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = records.append
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.DEBUG)
+    try:
+        rate = slowest_mode(disc)[0]
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+    return rate, records[0].args if records else None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(geom=geometries, n_left=counts, n_right=counts,
+       p=st.floats(-8.0, -1.0).map(lambda x: 10.0 ** x),
+       d=st.floats(5e-4, 50e-4),
+       s0=st.sampled_from([0.0]) | st.floats(0.0, 100.0),
+       resolution=st.integers(10, 30))
+def test_slowest_mode_is_the_smallest_dense_eigenvalue(
+        geom, n_left, n_right, p, d, s0, resolution):
+    """slowest_mode against dense eigvalsh of S = W^1/2 (-G) W^-1/2, the
+    operator it iterates on, with a derived bound.  S is symmetric, so a
+    Rayleigh quotient lies within its residual of an eigenvalue of S:
+    - within the bar 1e-10 lambda + 32 eps max|diag G| if the iteration
+      met it, or within its own residual if it stalled above it (the DEBUG
+      record says which);
+    - plus the rounding of that residual, at most (2 kd + 3) eps
+      (|| |S| ||_2 + lambda): ?sbmv sums 2 kd + 1 products a row;
+    - plus the gap between the triangle slowest_mode stores and the one
+      eigvalsh reads, at most ||S - S^T||_F (Weyl);
+    - plus eigvalsh's own error: its values are exact for S + E with
+      ||E||_2 <= p(n) eps ||S||_2, p(n) = n for n Householder reflections
+      (LAPACK Users' Guide, section 4.7.1)."""
+    import scipy.linalg
+
+    tp = TransportParams(d=d, s0=s0)
+    disc = build(geom, VortexConfig(n_left, n_right, p), tp, resolution)
+    rate, record = slowest_mode_record(disc)
+    root_w = np.sqrt(disc.areas)
+    s_op = -disc.generator.toarray() * root_w[:, None] / root_w
+    eigs = scipy.linalg.eigvalsh(s_op, lower=False)
+    eps = np.finfo(float).eps
+    eig_err = disc.n_nodes * eps * np.abs(eigs).max() \
+        + np.linalg.norm(s_op - s_op.T)
+    if record is None:  # no trapping: the uniform mode at s0
+        assert rate == s0
+        assert abs(eigs[0] - s0) <= eig_err
+        return
+    bar = 1e-10 * rate + 32 * eps * np.abs(disc.generator.diagonal()).max()
+    assert (record["rate"], record["bar"]) == (rate, pytest.approx(bar))
+    if record["stalled"]:
+        assert record["residual"] > bar
+        resid = record["residual"]
+    else:
+        assert record["residual"] <= bar
+        resid = bar
+    resid_err = (2 * record["kd"] + 3) * eps \
+        * (np.linalg.norm(np.abs(s_op), 2) + rate)
+    assert abs(rate - eigs[0]) <= resid + resid_err + eig_err
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(u=st.lists(st.floats(0.0, 1.0), min_size=7, max_size=7),
        stress=st.booleans(), n_left=counts, n_right=st.integers(1, 6),

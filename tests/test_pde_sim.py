@@ -182,14 +182,53 @@ class TestSlowestMode:
         pad = mode[disc.node_segment.index("pad_left")]
         assert pad < 0.6  # density at the trapping pads well below junction
 
-    @pytest.mark.parametrize("d_cm2, match", [
-        (1e12, "not above the round-off floor"),
-        (1e60, "LU factorization of the generator failed"),
-        (1e300, "norm .* left the float64 range")])
-    def test_extreme_diffusion_fails_typed(self, b1_geom, d_cm2, match):
+    @pytest.mark.parametrize("d_cm2", [1e12, 1e60, 1e300])
+    def test_extreme_diffusion_fails_typed(self, b1_geom, d_cm2):
+        # the one vortex's sink P / A_total is below 32 eps max|diag G|
         disc = build(b1_geom, VortexConfig(1, 0, P_REF),
                      TransportParams(d=d_cm2 * 1e-4))
+        with pytest.raises(NonConvergenceError, match=(
+                "^the trapping sink is below round-off of the diffusion "
+                r"operator; the weak-trapping limit s = 116\.765 1/s "
+                "applies$")):
+            slowest_mode(disc)
+
+    def test_rate_below_its_round_off_floor_is_refused(self, b1_geom):
+        # at D = 1e9 cm^2/s the sink is above 32 eps max|diag G|, but the
+        # rate is not above the rounding error of its Rayleigh quotient
+        disc = build(b1_geom, VortexConfig(1, 0, P_REF),
+                     TransportParams(d=1e9 * 1e-4))
+        with pytest.raises(NonConvergenceError,
+                           match="not above the round-off floor") as info:
+            slowest_mode(disc)
+        assert info.value.best_params.shape == (disc.n_nodes,)
+
+    @pytest.mark.parametrize("routine, result, match", [
+        ("dpbtrf", lambda ab: (ab, 1), "Cholesky factorization"),
+        ("dpbtrf", lambda ab: (np.full_like(ab, np.nan), 0),
+         "Cholesky factorization"),
+        ("dpbtrs", lambda c, b: (np.full_like(b, np.inf), 0),
+         r"norm \(inf\) left the float64 range")],
+        ids=["not-positive-definite", "non-finite-factor", "norm-overflow"])
+    def test_lapack_failures_fail_typed(self, disc_one_vortex, monkeypatch,
+                                        routine, result, match):
+        import scipy.linalg.lapack
+
+        monkeypatch.setattr(scipy.linalg.lapack, routine, result)
         with pytest.raises(NonConvergenceError, match=match):
+            slowest_mode(disc_one_vortex)
+
+    @pytest.mark.parametrize("d", [18e-4, 18 * 1e-4])
+    def test_weak_trapping_refusal_ignores_the_last_bit_of_d(self, b1_geom,
+                                                              d):
+        # 18e-4 and 18 * 1e-4 differ in their last bit; on both meshes the
+        # sink is far below 32 eps max|diag G|, so both are refused before
+        # anything is factored, with the same message
+        assert 18e-4 != 18 * 1e-4
+        disc = build(b1_geom, VortexConfig(1, 1, 1e-24),
+                     TransportParams(d=d, s0=0.0), resolution=50)
+        with pytest.raises(NonConvergenceError, match=(
+                r"the weak-trapping limit s = 3\.48554e-17 1/s applies$")):
             slowest_mode(disc)
 
     def test_iteration_limit_names_the_residual_and_its_bar(
@@ -501,6 +540,19 @@ class TestFactorizedDynamics:
         assert not rep.within_validity
         assert rep.regime_ratio > 10
         assert rep.max_rel_deviation >= 0.0
+
+    def test_zero_start_with_generation_is_compared(self, disc_one_vortex):
+        rep = factorized_dynamics_check(disc_one_vortex, r=R_B1, g=1e-4,
+                                        x_init_amp=0.0)
+        assert rep.regime_ratio == 0.0 and rep.within_validity
+        assert 0.0 < rep.max_rel_deviation < 0.05
+
+    def test_traces_held_at_zero_are_refused(self, b1_geom, transport):
+        disc = build(b1_geom, VortexConfig(1, 0, P_REF), transport,
+                     resolution=20)
+        with pytest.raises(InvalidParameterError,
+                           match="no deviation to measure"):
+            factorized_dynamics_check(disc, r=R_B1, g=0.0, x_init_amp=0.0)
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"n_points": 1}, "n_points must be an integer >= 2, got 1"),
