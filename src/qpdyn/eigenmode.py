@@ -25,18 +25,18 @@ from above, so the count is at least 1 there; halving down from it to a
 count of 0, and bisecting the count when more than one mode lies below
 the top, brackets the first mode alone.  Both pad subtrees meet before
 the capacitor arms, so s is bit-for-bit symmetric under pad exchange.
-Brent's method polishes the bracket, starting from the F values that the
-counts' passes gave.  _brent is a step-for-step port of scipy's brentq
-on Python floats: it returns the same double, and it spares the mode
-solver the imports of scipy.optimize and numpy, which take longer than a
-whole eigenrate, steps or sweep command computes.  field_sweep roots
-each distinct (N_L, N_R) once and reuses its rate for every field that
-maps to it.  Each call logs one DEBUG record on the qpdyn.eigenmode
-logger, its data as a dict in record.args.
+Newton's method polishes the bracket from the F values of the counts:
+_pass is arithmetic only, so one pass at a complex z gives F and its
+exact derivative.  The solver needs only math and cmath; scipy's and
+numpy's imports take longer than an eigenrate, steps or sweep command
+computes.  field_sweep roots each distinct (N_L, N_R) once and reuses its
+rate for every field that maps to it.  Each call logs one DEBUG record on
+the qpdyn.eigenmode logger, its data as a dict in record.args.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import numbers
@@ -50,6 +50,9 @@ from .geometry import DerivedGeometry, DeviceGeometry, derive, edges
 # just past pi/2, the mode of one wire clamped at its pad, which bounds
 # the slowest mode of the whole graph from above
 _Z_CAP = 0.5 * math.pi * (1.0 + 1e-9)
+
+# passes of Newton's polish before it gives up
+_NEWTON_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -85,10 +88,10 @@ class TransportParams:
 class ModeSolution:
     """Smallest root z of the mode equation and the rate s = z^2/tau_D + s0.
 
-    residual_at_root is the Newton-normalized residual F/(F' z), i.e. the
-    estimated relative error of the root location; bracket is the cell
-    Brent's method polished, with no mode below its lower end and one
-    below its upper end.
+    residual_at_root is the Newton-normalized residual F/(F' z) of the
+    polish's last pass, i.e. the estimated relative error of the root
+    location; bracket is the counted cell Newton's method polished, with
+    no mode below its lower end and one below its upper end.
     """
 
     z: float
@@ -164,18 +167,19 @@ def _plan(geom: DeviceGeometry, form: str) -> _Plan:
                  (names.index("pad_left"), names.index("pad_right")), area)
 
 
-def _trig(z: float, tree: tuple) -> list:
-    """cos(z l), w sin(z l) and sin(z l) / w of each edge (l, w) of tree."""
+def _trig(z, tree: tuple, m=math) -> list:
+    """cos(z l), w sin(z l) and sin(z l) / w of each edge (l, w) of tree,
+    by the functions of m: math for a float z, cmath for a complex one."""
     trig = []
     for _, _, _, length, w in tree:
-        sin = math.sin(z * length)
-        trig.append((math.cos(z * length), w * sin, sin / w))
+        sin = m.sin(z * length)
+        trig.append((m.cos(z * length), w * sin, sin / w))
     return trig
 
 
 def _pass(z, trig, g: _Groups, plan: _Plan):
-    """The leaf-first two-port pass of plan at z (a float or an array) with
-    the _trig of z.
+    """The leaf-first two-port pass of plan at z (a float, a complex or an
+    array) with the _trig of z.
 
     Each vertex carries a pair (P, R), its admittance z P / R: a free end
     starts at (0, 1), a pad at (N eps - a z^2, z), and a pad whose N eps
@@ -185,7 +189,8 @@ def _pass(z, trig, g: _Groups, plan: _Plan):
     the unimodular two-port [[c, -w s], [s / w, c]], c, s = cos, sin(z l),
     which carries flux / k and density along the segment, and the
     children of a vertex add as fractions, (P R' + P' R, R R').  Only
-    arithmetic, so z and its trig may also be arrays of one shape.
+    arithmetic, so z and its trig may also be complex, or arrays of one
+    shape.
 
     Returns the pairs of all vertices, junction's first, and R' of each
     edge.  F(z) = P at junction is entire, with zeros at the modes and at
@@ -218,80 +223,6 @@ def eigen_residual(z: float, geom: DeviceGeometry, vortices: VortexConfig,
                  plan)[0][0]
 
 
-def _brent_step(xcur, fcur, xpre, fpre, xblk, fblk):
-    """Brent's trial step from xcur: secant or inverse quadratic."""
-    if xpre == xblk:
-        return -fcur * (xcur - xpre) / (fcur - fpre)
-    dpre = (fpre - fcur) / (xpre - xcur)
-    dblk = (fblk - fcur) / (xblk - xcur)
-    return -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-
-
-def _brent(f, a: float, b: float, xtol: float,
-           rtol: float = 4 * sys.float_info.epsilon,
-           maxiter: int = 100) -> float:
-    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
-
-    A step-for-step port of scipy's brentq (scipy/optimize/Zeros/brentq.c)
-    that does its arithmetic on Python floats, so it returns the same
-    double for the same f and bracket.  An exact zero at an endpoint is
-    returned as is.  A non-finite f, endpoints of one sign, or maxiter
-    steps without convergence raise NoRootFoundError with the bracket in
-    its diagnostics.
-    """
-    a, b = float(a), float(b)
-
-    def value(x):
-        fx = float(f(x))
-        if not math.isfinite(fx):
-            raise NoRootFoundError(
-                f"Brent's method met f({x!r}) = {fx} in [{a!r}, {b!r}]",
-                diagnostics={"bracket": (a, b), "z": x, "value": fx})
-        return fx
-
-    xpre, xcur = a, b
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise NoRootFoundError(
-            f"Brent's method needs a sign change; f = {fpre!r} and "
-            f"{fcur!r} at the ends of [{a!r}, {b!r}]",
-            diagnostics={"bracket": (a, b), "values": (fpre, fcur)})
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                stry = _brent_step(xcur, fcur, xpre, fpre, xblk, fblk)
-            except ZeroDivisionError:  # C's inf or NaN: Brent bisects
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise NoRootFoundError(
-        f"Brent's method did not converge in {maxiter} steps in "
-        f"[{a!r}, {b!r}]",
-        diagnostics={"bracket": (a, b), "z": xcur, "maxiter": maxiter})
-
-
 def _count(z: float, g: _Groups, plan: _Plan, seen: dict | None = None
            ) -> int:
     """Modes of the electrode graph below z (Wittrick & Williams 1971):
@@ -307,13 +238,6 @@ def _count(z: float, g: _Groups, plan: _Plan, seen: dict | None = None
         (tail * ws * r[child] < 0) + math.floor(z * length / math.pi)
         for (child, _, _, length, _), (_, ws, _), tail
         in zip(plan.tree, trig, tails))
-
-
-def _newton_quality(fn, root: float) -> float:
-    """Newton-normalized residual: estimated relative error of the root."""
-    h = max(1e-8 * root, 1e-12)
-    slope = (fn(root + h) - fn(root - h)) / (2.0 * h)
-    return fn(root) / (slope * root) if slope != 0 else 0.0
 
 
 def _bracket(g: _Groups, plan: _Plan, hi: float, seen: dict):
@@ -345,14 +269,68 @@ def _bracket(g: _Groups, plan: _Plan, hi: float, seen: dict):
     return (lo, hi), note, counts
 
 
+def _newton(fn, lo: float, hi: float, f_lo: float, f_hi: float):
+    """Root of F in the cell [lo, hi], 0 < lo < hi, from F's values at its
+    ends, by Newton's method on the exact derivative: fn(z + i h),
+    h = 1e-20 z, is F(z) + i h F'(z) to rounding, as nothing is subtracted
+    (complex step; Squire & Trapp, SIAM Rev. 40, 110 (1998)).  The first
+    step is the secant of the ends; each pass narrows the cell by the sign
+    of F, a step that leaves the cell bisects it, and the root is the
+    first step of at most 1e-15 + 4 eps z.  An exact zero at an end is
+    returned as is; a non-finite F or F', a zero F', ends of one sign or
+    _NEWTON_STEPS passes raise NoRootFoundError with the cell in its
+    diagnostics.  Returns the root, the Newton-normalized residual
+    F / (F' z) of the last pass and the number of passes."""
+    cell, where = (lo, hi), f"[{lo!r}, {hi!r}]"
+    for z, f in ((lo, f_lo), (hi, f_hi)):
+        if not math.isfinite(f):
+            raise NoRootFoundError(
+                f"Newton's method met F = {f} at z = {z!r} in {where}",
+                diagnostics={"bracket": cell, "z": z, "value": f})
+    if f_lo == 0.0:
+        return lo, 0.0, 0
+    if f_hi == 0.0:
+        return hi, 0.0, 0
+    negative_below = f_lo < 0.0
+    if negative_below == (f_hi < 0.0):
+        raise NoRootFoundError(
+            f"Newton's method needs a sign change; F = {f_lo!r} and "
+            f"{f_hi!r} at the ends of {where}",
+            diagnostics={"bracket": cell, "values": (f_lo, f_hi)})
+    z = lo + (hi - lo) * (f_lo / (f_lo - f_hi))  # the secant of the ends
+    for passes in range(1, _NEWTON_STEPS + 1):
+        h = 1e-20 * z
+        value = complex(fn(complex(z, h)))
+        if not (cmath.isfinite(value) and value.imag):
+            raise NoRootFoundError(
+                f"Newton's method met F + i h F' = {value} at z = {z!r} in "
+                f"{where}", diagnostics={"bracket": cell, "z": z,
+                                         "value": value})
+        f, slope = value.real, value.imag / h
+        if (f < 0.0) == negative_below:
+            lo = z
+        else:
+            hi = z
+        new, tol = z - f / slope, 1e-15 + 4 * sys.float_info.epsilon * z
+        if not (abs(new - z) <= tol or lo < new < hi):  # leaves the cell
+            new = 0.5 * (lo + hi)
+        if abs(new - z) <= tol:
+            return new, f / (slope * z), passes
+        z = new
+    raise NoRootFoundError(
+        f"Newton's method did not converge in {_NEWTON_STEPS} steps in "
+        f"{where}",
+        diagnostics={"bracket": cell, "z": z, "maxiter": _NEWTON_STEPS})
+
+
 def _root(g: _Groups, tp: TransportParams, form: str, plan: _Plan):
     """One trapping configuration's root: the weak-trapping refusal, the
-    counted bracket under the Rayleigh bound z_w, Brent's polish and the
-    Newton quality.  Returns the ModeSolution and the numbers of scalar F
-    and mode-count evaluations."""
+    counted bracket under the Rayleigh bound z_w and Newton's polish.
+    Returns the ModeSolution and the numbers of polish passes and mode
+    counts."""
     # the Rayleigh quotient of the uniform trial mode
     z_w = math.sqrt(sum(g.n_eps) / plan.area)
-    if z_w < 1e-6:  # Brent's xtol of 1e-15 is 1e-9 of such a root
+    if z_w < 1e-6:  # the stop rule's absolute 1e-15 is 1e-9 of such a root
         raise InvalidParameterError(
             f"weak-trapping root estimate z_w = {z_w:.3g} is below 1e-6, "
             "too small for the mode solver to resolve; use the weak-trapping "
@@ -363,22 +341,16 @@ def _root(g: _Groups, tp: TransportParams, form: str, plan: _Plan):
         raise NoRootFoundError(
             "the secular function leaves the float64 range: eps = "
             "P tau_D / A_W is nan", diagnostics={"eps": g.eps})
-    seen, f_evals = {}, 0  # F at each z evaluated, by the counts too
-
-    def fn(z):
-        nonlocal f_evals
-        if z not in seen:
-            f_evals += 1
-            seen[z] = _pass(z, _trig(z, plan.tree), g, plan)[0][0]
-        return seen[z]
-
+    seen = {}  # F at each z the counts took
     (za, zb), note, counts = _bracket(
         g, plan, min(z_w * (1.0 + 1e-9), _Z_CAP), seen)
-    root = _brent(fn, za, zb, xtol=1e-15, maxiter=200)
+    root, residual, passes = _newton(
+        lambda z: _pass(z, _trig(z, plan.tree, cmath), g, plan)[0][0],
+        za, zb, seen[za], seen[zb])
     return ModeSolution(
         z=root, s=root * root / g.tau_d + tp.s0, bracket=(za, zb),
-        residual_at_root=_newton_quality(fn, root),
-        branch_note=f"{form}: {note}"), f_evals, counts
+        residual_at_root=residual,
+        branch_note=f"{form}: {note}"), passes, counts
 
 
 def _roots(geom: DeviceGeometry, vortex_configs: list, tp: TransportParams,
@@ -425,9 +397,10 @@ def smallest_root(geom: DeviceGeometry, vortices: VortexConfig,
     The mode count brackets the first mode under that bound: the cell's
     lower end halves down from the bound until no mode lies below it, and
     bisecting the count splits the cell if more than one mode lies below
-    its top.  Brent's method polishes the cell.  A weak-trapping root
-    estimate below 1e-6, which Brent's absolute tolerance cannot resolve,
-    raises InvalidParameterError.
+    its top.  Newton's method on the exact complex-step derivative
+    polishes the cell, until a step moves by at most 1e-15 + 4 eps z.  A
+    weak-trapping root estimate below 1e-6, of which that rule's absolute
+    1e-15 is 1e-9 already, raises InvalidParameterError.
     """
     return _roots(geom, [vortices], tp, form)[0]
 

@@ -86,9 +86,9 @@ class InvalidGeometryError(QpdynError, ValueError):
 
 
 class NoRootFoundError(QpdynError, RuntimeError):
-    """The mode solver or Brent's method found no root: no cell holds one
-    mode, f has no sign change or is not finite, or the iteration limit is
-    reached.  Carries diagnostics such as the bracket."""
+    """The mode solver or its Newton polish found no root: no cell holds
+    one mode, F has no sign change or is not finite, or the iteration
+    limit is reached.  Carries diagnostics such as the bracket."""
 
     exit_code = 6
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import CODATA, QubitParams, _check_xqp
+from .constants import CODATA, QubitParams, _check_xqp, qp_coupling_constant
 from .errors import InvalidParameterError, check_finite
 
 
@@ -177,14 +177,12 @@ def frequency_shift(gamma: float, omega: float, delta: float,
 def frequency_shift_from_xqp(x_qp: float, omega: float, delta: float) -> float:
     """Frequency shift directly from the QP density, rad/s.
 
+    frequency_shift at Gamma = C x_qp, C = qp_coupling_constant, which is
     delta_omega/omega = -(x_qp/2) [(1/pi) sqrt(2 Delta/(hbar omega)) + 1];
-    identical to frequency_shift applied to Gamma = C x_qp, and refused
-    likewise at hbar omega >= 2 Delta.
+    refused likewise at hbar omega >= 2 Delta.
     """
     _check_xqp(x_qp)
     check_finite("omega", omega, ">")
     check_finite("delta", delta, ">")
-    QubitParams(omega_q=omega, delta_gap=delta)  # below pair breaking
-    shift = -0.5 * x_qp * omega * (
-        math.sqrt(2.0 * delta / (CODATA.hbar * omega)) / math.pi + 1.0)
-    return shift + 0.0  # + 0.0: no -0.0 at x_qp = 0
+    q = QubitParams(omega_q=omega, delta_gap=delta)  # below pair breaking
+    return frequency_shift(qp_coupling_constant(q) * x_qp, omega, delta)

@@ -175,12 +175,15 @@ def slowest_mode(disc: Discretization) -> tuple[float, np.ndarray]:
 
     Inverse power iteration on S = W^1/2 (-G) W^-1/2, W = diag(areas),
     which is symmetric because W G is.  In reverse Cuthill-McKee order S
-    is a symmetric band (kd = 3 on the electrode tree), factored once by
-    LAPACK's banded Cholesky ?pbtrf and solved by ?pbtrs; ?sbmv on the
-    same band gives the Rayleigh quotient, the residual and the round-off
-    floor.  The iterate is u = W^1/2 v for the node-order mode v, so S's
-    2-norm is the area-weighted norm of -G.  Once the quotient has
-    settled, the iteration stops when the residual meets its bar
+    is a symmetric band (kd = 3 on the electrode tree).  No eigenvalue of
+    S is below s0, so S - sigma I, sigma = max(0, s0 - 32 eps max|diag G|),
+    is positive definite beyond round-off; LAPACK's banded Cholesky ?pbtrf
+    factors it once and ?pbtrs solves with it, and the iteration converges
+    at (lambda1 - sigma) / (lambda2 - sigma) however large s0 is.  ?sbmv on
+    the unshifted band gives the Rayleigh quotient, the residual and the
+    round-off floor.  The iterate is u = W^1/2 v for the node-order mode
+    v, so S's 2-norm is the area-weighted norm of -G.  Once the quotient
+    has settled, the iteration stops when the residual meets its bar
     1e-10 lambda + 32 eps max|diag G|, or when it is no smaller than at
     the previous settled iterate: it has stalled at the round-off of the
     solve.  The returned mode is the (strictly positive) slow mode v
@@ -232,7 +235,9 @@ def slowest_mode(disc: Discretization) -> tuple[float, np.ndarray]:
     kd = _band_widths(upper)[1]
     s_band = _band(upper, 0, kd)
     root_w = root_w[order]
-    factor, info = dpbtrf(s_band)
+    shifted = s_band.copy()
+    shifted[kd] -= max(0.0, tp.s0 - 32.0 * eps * a_scale)  # the diagonal
+    factor, info = dpbtrf(shifted)
     # ?pbtrf passes NaN and inf through, as ?gbtrf does
     if info != 0 or not np.isfinite(factor).all():
         raise NonConvergenceError(

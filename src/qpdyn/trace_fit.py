@@ -394,32 +394,44 @@ class T1TauFit:
 def fit_t1_vs_tau(points, coupling: float) -> T1TauFit:
     """Weighted linear regression of 1/T1 against tau_ss.
 
-    Needs at least 3 points whose tau_ss values span a factor >= 3.
-    slope/C is the generation rate g; the intercept is Gamma_ex.
+    Needs at least 3 points whose tau_ss values span a factor >= 3, with
+    sigma_inv_t1 on all (weights 1/sigma^2) or none (error bars scaled by
+    chi^2 / (N - 2)), and a weighted squared spread of tau_ss inside the
+    normal float64 range.  slope/C is the generation rate g; the
+    intercept is Gamma_ex.
     """
     check_finite("coupling", coupling, ">")
     pts = list(points)
     if len(pts) < 3:
         raise InsufficientDataError(
             f"need >= 3 steady-state points, have {len(pts)}")
+    sigmas = [p.sigma_inv_t1 for p in pts]
+    missing = sigmas.count(None)
+    if 0 < missing < len(pts):
+        raise InvalidParameterError(
+            f"sigma_inv_t1 is given for {len(pts) - missing} of {len(pts)} "
+            "points; give it for every point or for none")
     tau = np.array([p.tau_ss for p in pts])
     y = np.array([p.inv_t1 for p in pts])
     if tau.max() / tau.min() < 3.0:
         raise InsufficientSpreadError(
             f"tau_ss spans only a factor {tau.max() / tau.min():.2f}; "
             "need >= 3 for a stable slope")
-    sigmas = [p.sigma_inv_t1 for p in pts]
-    have_sigma = all(s is not None for s in sigmas)
-    w = 1.0 / np.array(sigmas, dtype=float) ** 2 if have_sigma \
-        else np.ones_like(y)
+    w = np.ones_like(y) if missing else 1.0 / np.array(sigmas) ** 2
     sw = w.sum()
     tbar = float(w @ tau) / sw
     ybar = float(w @ y) / sw
-    stt = float(w @ (tau - tbar) ** 2)
+    with np.errstate(over="ignore"):  # refused below
+        stt = float(w @ (tau - tbar) ** 2)
+    if not np.finfo(float).tiny <= stt < math.inf:
+        raise InvalidParameterError(
+            f"the weighted squared spread of tau_ss, {stt:.3g}, leaves the "
+            "normal float64 range; the line fit cannot resolve tau_ss "
+            f"values of {tau.min():.3g} to {tau.max():.3g} s")
     slope = float(w @ ((tau - tbar) * (y - ybar))) / stt
     intercept = ybar - slope * tbar
     resid = y - slope * tau - intercept
-    if have_sigma:
+    if not missing:
         scale = 1.0
     else:
         dof = max(len(pts) - 2, 1)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qpdyn.constants import CODATA, EV, QubitParams, gamma_from_xqp
+from qpdyn.constants import CODATA, EV
 from qpdyn.errors import DomainError, InvalidParameterError
 from qpdyn.estimates import (EMPIRICAL_SHIFT_FACTOR, CavityQs, VortexMicro,
                              frequency_shift, frequency_shift_from_xqp,
@@ -178,12 +178,14 @@ class TestFrequencyShift:
         assert r1 < 0
 
     def test_consistency_with_density_form(self):
-        q = QubitParams(omega_q=self.OMEGA, delta_gap=DELTA)
+        """The shift from x_qp is the density form delta_omega =
+        -(x_qp omega / 2) (sqrt(2 Delta / hbar omega) / pi + 1)."""
         for x in (1e-7, 3e-6, 1e-4):
-            via_gamma = frequency_shift(gamma_from_xqp(x, q), self.OMEGA,
-                                        DELTA)
+            density_form = -0.5 * x * self.OMEGA * (
+                math.sqrt(2.0 * DELTA / (CODATA.hbar * self.OMEGA)) / math.pi
+                + 1.0)
             direct = frequency_shift_from_xqp(x, self.OMEGA, DELTA)
-            assert via_gamma == pytest.approx(direct, rel=1e-12)
+            assert direct == pytest.approx(density_form, rel=1e-12)
 
     def test_empirical_factor(self):
         pure = frequency_shift(1e5, self.OMEGA, DELTA)

@@ -711,6 +711,27 @@ class TestCli:
         assert err.count("\n") == 1
         assert err.startswith(f"qpdyn {command}: ")
 
+    @pytest.mark.parametrize("taus, spread", [
+        (("1e-300", "3e-300", "9e-300"), "0"),
+        (("1e300", "3e300", "9e300"), "inf")], ids=["tiny", "huge"])
+    def test_t1fit_refuses_tau_ss_beyond_the_float64_range(
+            self, capsys, recwarn, tmp_path, taus, spread):
+        """tau_ss values whose squared spread underflows to 0 or overflows
+        are refused by name, exit 5, where the fit divided by zero or
+        warned of overflows before it exited 6."""
+        points = tmp_path / "points.csv"
+        points.write_text("tau_ss,inv_t1\n" + "".join(
+            f"{t},{y}\n" for t, y in zip(taus, ("1e5", "2e5", "3e5"))))
+        code, out, err = run_cli(capsys, "t1fit", str(points), "--c",
+                                 "4.6e10/s", "--no-timestamp")
+        assert (code, out) == (5, "")
+        assert err == (
+            f"qpdyn t1fit: the weighted squared spread of tau_ss, {spread}, "
+            "leaves the normal float64 range; the line fit cannot resolve "
+            f"tau_ss values of {float(taus[0]):.3g} to "
+            f"{float(taus[2]):.3g} s\n")
+        assert not recwarn.list
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_zero_injection_power_is_named(self, capsys, fmt):
         """0 W, from a junction power that underflows, is -inf dBm: refused

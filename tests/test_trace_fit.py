@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -414,6 +416,44 @@ class TestT1VsTau:
                SteadyStatePoint(tau_ss=9e-3, inv_t1=2e5)]
         with pytest.raises(InsufficientDataError):
             fit_t1_vs_tau(pts, coupling)
+
+    def test_mixed_sigmas_refused(self, coupling):
+        """Points with and without sigma_inv_t1 used to be fitted with
+        equal weights, their sigmas dropped."""
+        pts = [SteadyStatePoint(tau_ss=tv, inv_t1=y, sigma_inv_t1=sig)
+               for tv, y, sig in ((2e-3, 1.0e5, 1e3), (6e-3, 1.6e5, 1e3),
+                                  (18e-3, 3.1e5, None))]
+        with pytest.raises(InvalidParameterError,
+                           match="given for 2 of 3 points"):
+            fit_t1_vs_tau(pts, coupling)
+
+    @pytest.mark.parametrize("given", [True, False],
+                             ids=["known-sigma", "unit-weights"])
+    def test_error_bars_are_the_least_squares_standard_errors(
+            self, coupling, given):
+        """g_sigma and gamma_ex_sigma against the weighted least-squares
+        covariance from the normal matrix X^T W X of the design X = [tau, 1]:
+        with known sigmas its inverse; without them, with unit weights,
+        its inverse scaled by chi^2 / (N - 2)."""
+        rng = np.random.Generator(np.random.Philox(25))
+        taus = np.sort(rng.uniform(1e-3, 30e-3, 12))
+        y = coupling * 0.7e-4 * taus + 1 / 26e-6
+        sigma = y * rng.uniform(0.005, 0.05, taus.size)
+        y = y + sigma * rng.standard_normal(taus.size)
+        res = fit_t1_vs_tau([
+            SteadyStatePoint(tau_ss=tv, inv_t1=yv,
+                             sigma_inv_t1=sv if given else None)
+            for tv, yv, sv in zip(taus, y, sigma)], coupling)
+        x = np.column_stack([taus, np.ones_like(taus)])
+        w = 1.0 / sigma**2 if given else np.ones_like(taus)
+        cov = np.linalg.inv(x.T @ (w[:, None] * x))
+        if not given:
+            resid = y - x @ (cov @ (x.T @ (w * y)))
+            cov *= float(w @ resid**2) / (taus.size - 2)
+        assert res.g_sigma == pytest.approx(
+            math.sqrt(cov[0, 0]) / coupling, rel=1e-12, abs=0)
+        assert res.gamma_ex_sigma == pytest.approx(
+            math.sqrt(cov[1, 1]), rel=1e-12, abs=0)
 
     def test_insufficient_spread(self, coupling):
         pts = [SteadyStatePoint(tau_ss=tv, inv_t1=1e5)
