@@ -19,15 +19,16 @@ whose slope reveals the stray generation rate g.
 A and Gamma0 enter linearly: the trace fit profiles them out on a
 (logit r', log tau_ss) grid for a global start (variable projection,
 Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)), then polishes with
-scipy's Levenberg-Marquardt least_squares (MINPACK lmder) in
-(A, logit r', log tau_ss, Gamma0), again with Gamma0 pinned at 0 if it
-ends at Gamma0 < 0.  The default weighting is relative (residuals of
+a numpy Levenberg-Marquardt loop (_lm) in (A, logit r', log tau_ss,
+Gamma0), again with Gamma0 pinned at 0 if it ends at Gamma0 < 0.  The
+module loads no scipy.  The default weighting is relative (residuals of
 log Gamma) because traces span several decades.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,10 +40,9 @@ from .errors import (DegenerateTraceError, InsufficientDataError,
                      InsufficientSpreadError, InvalidParameterError,
                      NonConvergenceError, check_finite, check_time_grid)
 
-# least_squares stopping tolerances: relative step, relative cost
-# decrease, scaled gradient; and the residual evaluations of one polish.
-# Variables are scaled by the Jacobian column norms (x_scale="jac"),
-# pinned because scipy's default changed in 1.16.
+# _lm's stopping tolerances: relative step, relative cost decrease,
+# largest cosine between the residual and a Jacobian column; and the
+# residual evaluations of one polish.
 _XTOL = 1e-10
 _FTOL = 1e-12
 _GTOL = 1e-12
@@ -160,6 +160,86 @@ def gamma_model(t, f: FitResult):
                                           f.gamma0))
 
 
+def _expit(x):
+    """The logistic function 1 / (1 + exp(-x)); 0 where exp(-x) overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def _lm(resid_jac, x0):
+    """Levenberg-Marquardt minimum of 0.5 |f(x)|^2 from x0.
+
+    resid_jac(x) returns the residuals f and their Jacobian J.  Each trial
+    step h solves [J; sqrt(lam) D] h = [-f; 0] in the least-squares sense,
+    with D the largest column norms of J met so far (More, Lecture Notes
+    in Math. 630, 105 (1978); scipy's x_scale="jac").  A trial is accepted
+    when its gain ratio rho, actual over predicted cost decrease, exceeds
+    1e-4; lam then shrinks by max(1/3, 1 - (2 rho - 1)^3), and otherwise
+    grows by nu = 2, 4, 8, ... (Madsen, Nielsen & Tingleff, Methods for
+    non-linear least squares problems, 2004, eq. 3.16).  A trial whose f
+    or J is not finite is rejected.  MINPACK's stops end the loop: gtol,
+    every column of J at cosine <= _GTOL to f; ftol, both decreases <=
+    _FTOL of the cost; xtol, a step |D h| <= _XTOL |D x|.  It never
+    evaluates f more than _MAX_NFEV times.
+
+    Returns a dict: x, cost, the start's cost0, nfev, njev (the Jacobians
+    of accepted points, the start's included) and status ("gtol", "ftol",
+    "xtol", or "max_nfev" when the budget ran out first).  A start whose
+    f or J is not finite raises InvalidParameterError.
+    """
+    x = np.asarray(x0, dtype=float)
+    f, jac = resid_jac(x)
+    if not (np.isfinite(f).all() and np.isfinite(jac).all()):
+        raise InvalidParameterError(
+            "cannot start the fit: the residuals or their Jacobian are not "
+            "finite at the start")
+    cost = cost0 = 0.5 * float(f @ f)
+    nfev = njev = 1
+    scale, lam, nu, fresh = np.zeros(x.size), 1e-3, 2.0, True
+    while True:
+        if fresh:  # a new Jacobian: widen D, test the gradient
+            norms = np.linalg.norm(jac, axis=0)
+            scale = np.maximum(scale, np.where(norms > 0, norms, 1.0))
+            if np.all(np.abs(jac.T @ f)
+                      <= _GTOL * norms * math.sqrt(2.0 * cost)):
+                status = "gtol"
+                break
+        if nfev >= _MAX_NFEV:
+            status = "max_nfev"
+            break
+        step = np.linalg.lstsq(
+            np.vstack([jac, np.diag(math.sqrt(lam) * scale)]),
+            np.concatenate([-f, np.zeros(x.size)]), rcond=None)[0]
+        # predicted relative decrease, (|J h|^2 / 2 + lam |D h|^2) / cost
+        pred = (0.5 * float(np.sum((jac @ step) ** 2))
+                + lam * float(np.sum((scale * step) ** 2))) / cost
+        f_new, jac_new = resid_jac(x + step)
+        nfev += 1
+        cost_new = 0.5 * float(f_new @ f_new)
+        if math.isfinite(cost_new) and np.isfinite(jac_new).all():
+            actual = 1.0 - cost_new / cost
+        else:
+            actual = -math.inf
+        rho = actual / pred if pred > 0 else -math.inf
+        fresh = rho > 1e-4
+        if fresh:
+            x, f, jac, cost = x + step, f_new, jac_new, cost_new
+            njev += 1
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu = 2.0
+        else:
+            lam *= nu
+            nu *= 2.0
+        if abs(actual) <= _FTOL and pred <= _FTOL and rho <= 2.0:
+            status = "ftol"
+            break
+        if np.linalg.norm(scale * step) <= _XTOL * np.linalg.norm(scale * x):
+            status = "xtol"
+            break
+    return {"x": x, "cost": cost, "cost0": cost0, "nfev": nfev,
+            "njev": njev, "status": status}
+
+
 def _grid_start(t: np.ndarray, gamma: np.ndarray, unit: np.ndarray):
     """Best (A, logit r', log tau_ss, Gamma0) on the profile grid.
 
@@ -167,10 +247,9 @@ def _grid_start(t: np.ndarray, gamma: np.ndarray, unit: np.ndarray):
     normal equations of the residuals (A f + Gamma0 - gamma) / unit; the
     node of least cost with A > 0 wins.
     """
-    from scipy.special import expit
     tau = np.geomspace(float(np.diff(t).min()), 10.0 * (t[-1] - t[0]),
                        40)[:, None]
-    f = decay_shape(t, expit(_GRID_LOGIT_RP)[:, None, None], tau)
+    f = decay_shape(t, _expit(_GRID_LOGIT_RP)[:, None, None], tau)
     w2 = unit ** -2.0
     s_ff, s_f, s_1 = (f * f) @ w2, f @ w2, w2.sum()
     b_f, b_1 = f @ (w2 * gamma), w2 @ gamma
@@ -210,11 +289,11 @@ def fit_gamma_trace(trace: DecayTrace, t_min: float = DEFAULT_T_MIN,
     cost.  A fit with r' = 1 within one standard deviation raises
     DegenerateTraceError.  With full_output=True returns (FitResult, info)
     where info carries the cost history ([initial, final]) and the number
-    of Jacobian evaluations.
+    of Jacobian evaluations.  Each fit that ends its polish logs one DEBUG
+    record on the qpdyn.trace_fit logger, its args a dict: the weighting,
+    per polish its status, nfev and njev, the initial and final cost, and
+    whether the Gamma0 = 0 refit ran.
     """
-    from scipy.optimize import least_squares
-    from scipy.special import expit
-
     cut = trace.truncated(t_min)
     t, gamma = cut.t, cut.gamma
     if t.size < 6:
@@ -237,7 +316,7 @@ def fit_gamma_trace(trace: DecayTrace, t_min: float = DEFAULT_T_MIN,
             "sigma": cut.sigma}[weighting]
 
     def params(x):  # (A, r', tau_ss, Gamma0); Gamma0 = 0 when x omits it
-        return x[0], expit(x[1]), math.exp(x[2]), x[3] if len(x) > 3 else 0.0
+        return x[0], _expit(x[1]), math.exp(x[2]), x[3] if len(x) > 3 else 0.0
 
     def resid_jac(x):  # log m - log gamma, or (m - gamma) / unit
         amp, rp, tau, g0 = params(x)
@@ -252,32 +331,35 @@ def fit_gamma_trace(trace: DecayTrace, t_min: float = DEFAULT_T_MIN,
             return (m - gamma) / unit, jac / unit[:, None]
 
     def polish(start):
-        try:
-            sol = least_squares(lambda x: resid_jac(x)[0], start,
-                                jac=lambda x: resid_jac(x)[1], method="lm",
-                                xtol=_XTOL, ftol=_FTOL, gtol=_GTOL,
-                                x_scale="jac", max_nfev=_MAX_NFEV)
-        except ValueError as exc:
-            raise InvalidParameterError(
-                f"cannot start the fit: {exc}") from None
-        if sol.status == 0:
+        sol = _lm(resid_jac, start)
+        if sol["status"] == "max_nfev":
             raise NonConvergenceError(
                 f"fit did not converge in {_MAX_NFEV} evaluations",
-                best_params=np.array(params(sol.x)), best_cost=float(sol.cost))
+                best_params=np.array(params(sol["x"])),
+                best_cost=sol["cost"])
         return sol
 
-    x0 = _grid_start(t, gamma, unit)
-    sol = polish(x0)
-    n_jac = sol.njev
-    if sol.x[3] < 0:  # Gamma0 >= 0 is active: the optimum has Gamma0 = 0
-        sol = polish(sol.x[:3])
-        n_jac += sol.njev
-    amp, rp, tau, g0 = params(sol.x)
+    sols = [polish(_grid_start(t, gamma, unit))]
+    if sols[0]["x"][3] < 0:  # Gamma0 >= 0 is active: the optimum has 0
+        sols.append(polish(sols[0]["x"][:3]))
+    x = sols[-1]["x"]
+    amp, rp, tau, g0 = params(x)
+    costs = [sols[0]["cost0"], sols[-1]["cost"]]
+    logging = sys.modules.get("logging")  # no listener before its import
+    log = logging and logging.getLogger(__name__)
+    if log and log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "trace fit (%(weighting)s): cost %(cost0).6g -> %(cost).6g, "
+            "Gamma0 = 0 refit %(refit)s", {
+                "weighting": weighting, "cost0": costs[0], "cost": costs[1],
+                "refit": len(sols) == 2,
+                "polishes": [{k: sol[k] for k in ("status", "nfev", "njev")}
+                             for sol in sols]})
 
     # covariance from the weighted Jacobian, its columns scaled to unit
     # norm for the rank cut, mapped from (A, logit r', log tau_ss, Gamma0)
     # to (A, r', tau_ss, Gamma0)
-    res_w, jac_w = resid_jac(np.array([amp, sol.x[1], sol.x[2], g0]))
+    res_w, jac_w = resid_jac(np.array([amp, x[1], x[2], g0]))
     rss = float(res_w @ res_w)
     norms = np.linalg.norm(jac_w, axis=0)
     norms[norms == 0] = 1.0
@@ -302,10 +384,8 @@ def fit_gamma_trace(trace: DecayTrace, t_min: float = DEFAULT_T_MIN,
                        covariance=cov, residual_norm=resid_norm,
                        n_used=int(t.size), t_min_applied=float(t_min))
     if full_output:
-        res0 = resid_jac(x0)[0]
-        cost0 = 0.5 * float(res0 @ res0)
-        return result, {"cost_history": [cost0, float(sol.cost)],
-                        "n_iterations": int(n_jac)}
+        return result, {"cost_history": costs,
+                        "n_iterations": sum(sol["njev"] for sol in sols)}
     return result
 
 
@@ -395,9 +475,10 @@ def fit_t1_vs_tau(points, coupling: float) -> T1TauFit:
     """Weighted linear regression of 1/T1 against tau_ss.
 
     Needs at least 3 points whose tau_ss values span a factor >= 3, with
-    sigma_inv_t1 on all (weights 1/sigma^2) or none (error bars scaled by
-    chi^2 / (N - 2)), and a weighted squared spread of tau_ss inside the
-    normal float64 range.  slope/C is the generation rate g; the
+    sigma_inv_t1 on all (weights 1/sigma^2, each and their sum inside the
+    normal float64 range) or none (error bars scaled by chi^2 / (N - 2)),
+    and a weighted squared spread of tau_ss inside the normal float64
+    range.  slope/C is the generation rate g; the
     intercept is Gamma_ex.
     """
     check_finite("coupling", coupling, ">")
@@ -417,8 +498,15 @@ def fit_t1_vs_tau(points, coupling: float) -> T1TauFit:
         raise InsufficientSpreadError(
             f"tau_ss spans only a factor {tau.max() / tau.min():.2f}; "
             "need >= 3 for a stable slope")
-    w = np.ones_like(y) if missing else 1.0 / np.array(sigmas) ** 2
-    sw = w.sum()
+    with np.errstate(over="ignore", divide="ignore"):  # refused below
+        w = np.ones_like(y) if missing else 1.0 / np.array(sigmas) ** 2
+        sw = w.sum()
+    if not (np.all((np.finfo(float).tiny <= w) & (w < math.inf))
+            and sw < math.inf):
+        raise InvalidParameterError(
+            "the weights 1/sigma_inv_t1^2 leave the normal float64 range; "
+            "the line fit cannot weight sigma_inv_t1 values of "
+            f"{min(sigmas):.3g} to {max(sigmas):.3g} 1/s")
     tbar = float(w @ tau) / sw
     ybar = float(w @ y) / sw
     with np.errstate(over="ignore"):  # refused below

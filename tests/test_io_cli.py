@@ -732,6 +732,26 @@ class TestCli:
             f"{float(taus[2]):.3g} s\n")
         assert not recwarn.list
 
+    @pytest.mark.parametrize("sigma", ["1e-300", "1e160"],
+                             ids=["tiny", "huge"])
+    def test_t1fit_refuses_weights_beyond_the_float64_range(
+            self, capsys, recwarn, tmp_path, sigma):
+        """sigma_inv_t1 whose weight 1/sigma^2 overflows or underflows is
+        refused by name, exit 5, where the fit warned and blamed the spread
+        of tau_ss."""
+        points = tmp_path / "points.csv"
+        points.write_text("tau_ss,inv_t1,sigma_inv_t1\n" + "".join(
+            f"{t},{y},{sigma}\n"
+            for t, y in (("2e-3", "1e5"), ("9e-3", "2e5"), ("16e-3", "3e5"))))
+        code, out, err = run_cli(capsys, "t1fit", str(points), "--c",
+                                 "4.6e10/s", "--no-timestamp")
+        assert (code, out) == (5, "")
+        assert err == (
+            "qpdyn t1fit: the weights 1/sigma_inv_t1^2 leave the normal "
+            "float64 range; the line fit cannot weight sigma_inv_t1 values "
+            f"of {float(sigma):.3g} to {float(sigma):.3g} 1/s\n")
+        assert not recwarn.list
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_zero_injection_power_is_named(self, capsys, fmt):
         """0 W, from a junction power that underflows, is -inf dBm: refused
@@ -1125,6 +1145,32 @@ def test_mode_and_closed_form_commands_load_no_scipy(tmp_path):
     assert len(report) == len(tour) + 1
     assert all(code == 0 for _, code, _ in report), report
     assert [cmd for cmd, _, loaded in report if loaded] == []
+
+
+def test_fit_loads_no_scipy(b1_trace_path):
+    """The README fit, with each of the three weightings, runs in a fresh
+    interpreter without importing any scipy module."""
+    import subprocess
+    import sys
+
+    fit = README_TOUR[0][0].format(trace=b1_trace_path).split()
+    assert fit[0] == "fit"
+    weightings = ["relative", "absolute", "sigma"]
+    probe = (
+        "import json, os, sys\n"
+        "from qpdyn.cli import main\n"
+        "report = []\n"
+        "fit = json.loads(sys.argv[1])\n"
+        "for w in json.loads(sys.argv[2]):\n"
+        "    code = main(fit + ['--weighting', w, '--out-file', os.devnull])\n"
+        "    report.append([w, code, sorted(m for m in sys.modules\n"
+        "                                   if m.startswith('scipy'))])\n"
+        "print(json.dumps(report))\n")
+    done = subprocess.run([sys.executable, "-c", probe, json.dumps(fit),
+                           json.dumps(weightings)],
+                          capture_output=True, text=True, check=True,
+                          env=subprocess_env())
+    assert json.loads(done.stdout) == [[w, 0, []] for w in weightings]
 
 
 def test_mode_and_estimate_commands_load_no_numpy():

@@ -1,11 +1,14 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpdyn import trace_fit
-from qpdyn.dynamics import (RateParams, SolutionParams, solution_from_rates,
-                            xqp_analytic)
+from qpdyn.dynamics import (RateParams, SolutionParams, decay_shape,
+                            solution_from_rates, xqp_analytic)
 from qpdyn.errors import (DegenerateTraceError, InsufficientDataError,
                           InsufficientSpreadError, InvalidParameterError,
                           NonConvergenceError)
@@ -284,6 +287,33 @@ class TestFitGammaTrace:
         assert exc.value.best_params.shape == (4,)
         assert np.isfinite(exc.value.best_cost)
 
+    def test_one_debug_record_per_fit(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="qpdyn.trace_fit")
+        tr = synth_trace(FitResult.from_params(1e5, 0.9, 18e-3, 4e4), TGRID,
+                         0.02, 3)
+        _, info = fit_gamma_trace(tr, full_output=True)
+        (record,) = caplog.records
+        assert (record.name, record.levelno) == ("qpdyn.trace_fit",
+                                                 logging.DEBUG)
+        stats = record.args
+        assert (stats["weighting"], stats["refit"]) == ("relative", False)
+        assert [stats["cost0"], stats["cost"]] == info["cost_history"]
+        (polish,) = stats["polishes"]
+        assert polish["status"] in ("gtol", "ftol", "xtol")
+        assert polish["nfev"] >= polish["njev"] == info["n_iterations"]
+        caplog.clear()
+        # a trace whose unconstrained optimum has Gamma0 < 0: two polishes
+        refit = synth_trace(FitResult.from_params(
+            803030.8708436053, 0.4141453127280166, 0.011834337404367548,
+            2613.66439982008), np.linspace(0.2e-3, 39.779e-3, 114), 0.02, 706)
+        _, info = fit_gamma_trace(refit, weighting="absolute",
+                                  full_output=True)
+        (record,) = caplog.records
+        assert record.args["refit"] is True
+        assert len(record.args["polishes"]) == 2
+        assert info["n_iterations"] == sum(
+            p["njev"] for p in record.args["polishes"])
+
     def test_homogeneity_in_gamma_scale(self):
         truth = FitResult.from_params(1e5, 0.85, 15e-3, 4e4)
         tr = synth_trace(truth, TGRID, 0.02, 9)
@@ -304,6 +334,140 @@ class TestFitGammaTrace:
         f_cut = fit_gamma_trace(tr, t_min=1e-3)
         assert abs(f_cut.tau_ss - f_all.tau_ss) <= max(
             f_all.sigmas[2], 1e-8 * f_all.tau_ss)
+
+
+def scipy_polish(tr, weighting):
+    """least_squares' Levenberg-Marquardt (MINPACK lmder) from the fit's
+    grid start, with its tolerances and budget, again with Gamma0 pinned
+    at 0 if it ends below 0: the polish fit_gamma_trace ran on scipy."""
+    from scipy.optimize import least_squares
+    cut = tr.truncated(trace_fit.DEFAULT_T_MIN)
+    t, gamma = cut.t, cut.gamma
+    unit = {"relative": gamma, "absolute": np.ones_like(gamma),
+            "sigma": cut.sigma}[weighting]
+
+    def resid(x):
+        rp = 1.0 / (1.0 + math.exp(-x[1]))
+        g0 = x[3] if x.size > 3 else 0.0
+        f, df_u, df_v = decay_shape(t, rp, math.exp(x[2]), jac=True)
+        m = x[0] * f + g0
+        jac = np.column_stack([f, x[0] * df_u, x[0] * df_v,
+                               np.ones_like(t)])[:, :x.size]
+        if weighting == "relative":
+            return np.log(m) - np.log(gamma), jac / m[:, None]
+        return (m - gamma) / unit, jac / unit[:, None]
+
+    def polish(x0):
+        return least_squares(
+            lambda x: resid(x)[0], x0, jac=lambda x: resid(x)[1],
+            method="lm", xtol=trace_fit._XTOL, ftol=trace_fit._FTOL,
+            gtol=trace_fit._GTOL, x_scale="jac",
+            max_nfev=trace_fit._MAX_NFEV)
+
+    sol = polish(trace_fit._grid_start(t, gamma, unit))
+    if sol.x[3] < 0:
+        sol = polish(sol.x[:3])
+    return sol.cost, np.array([
+        sol.x[0], 1.0 / (1.0 + math.exp(-sol.x[1])), math.exp(sol.x[2]),
+        sol.x[3] if sol.x.size > 3 else 0.0])
+
+
+@settings(max_examples=240, deadline=None, derandomize=True)
+@given(grid=st.sampled_from(["linear", "log", "bench"]),
+       n=st.integers(40, 300), tail=st.floats(3.0, 6.0),
+       r_prime=st.floats(0.5, 0.95), log_tau=st.floats(-2.1, -1.6),
+       log_amp=st.floats(5.48, 6.78), log_g0=st.floats(-2.52, -1.3),
+       noisy=st.booleans(),
+       weighting=st.sampled_from(["relative", "absolute", "sigma"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_polish_matches_least_squares(grid, n, tail, r_prime, log_tau,
+                                      log_amp, log_g0, noisy, weighting,
+                                      seed):
+    """Over the round-trip ranges (linear and log grids, 40-300 samples,
+    tails of 3-6 tau_ss, r' 0.5-0.95) and the benchmark's traces (60
+    log-spaced samples to 80 ms, r' 0.7-0.95), with 2% noise the fit ends
+    at a cost within 1e-12 relative of scipy's least_squares, or below
+    it, and at a tau_ss within 1e-3 sigma of it; noise-free, both recover
+    the same parameters to 1e-6."""
+    tau, amp = 10.0**log_tau, 10.0**log_amp
+    if grid == "bench":
+        r_prime = 0.7 + (r_prime - 0.5) * (0.25 / 0.45)
+        t = log_grid(0.2e-3, 80e-3, 60)
+    else:
+        t = (np.linspace if grid == "linear" else np.geomspace)(
+            0.2e-3, tail * tau, n)
+    truth = FitResult.from_params(amp, r_prime, tau, amp * 10.0**log_g0)
+    if noisy:
+        tr = synth_trace(truth, t, 0.02, seed)
+    else:
+        m = gamma_model(t, truth)
+        tr = DecayTrace(t=t, gamma=m, sigma=0.02 * m)
+    f, info = fit_gamma_trace(tr, weighting=weighting, full_output=True)
+    ref_cost, ref_params = scipy_polish(tr, weighting)
+    if noisy:
+        assert info["cost_history"][1] <= ref_cost * (1 + 1e-12)
+        assert abs(f.tau_ss - ref_params[2]) <= 1e-3 * f.sigmas[2]
+    else:
+        assert np.abs(params(f) / ref_params - 1).max() <= 1e-6
+
+
+def log_residual(x):
+    """log(x) = 0: from x = 10 the first Gauss-Newton step lands at
+    x = -13, where the residual is not a number."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.log(x), np.diag(1.0 / x)
+
+
+def two_sided_residual(x):
+    """x - 1 and x + 1: least cost 1, at x = 0."""
+    return np.array([x[0] - 1.0, x[0] + 1.0]), np.ones((2, 1))
+
+
+class TestLevenbergMarquardt:
+    @pytest.mark.parametrize("resid_jac, x0, x_min, status", [
+        (lambda x: (x - 1.0, np.eye(1)), 1.0, 1.0, "gtol"),  # zero cost
+        (two_sided_residual, 0.3, 0.0, "ftol"),  # the decrease dies out
+        # zero residual: each step cuts the cost by half or more, so only
+        # the step size can stop it
+        (log_residual, 10.0, 1.0, "xtol")], ids=["gtol", "ftol", "xtol"])
+    def test_stop_rules(self, resid_jac, x0, x_min, status):
+        sol = trace_fit._lm(resid_jac, np.array([x0]))
+        assert sol["status"] == status
+        assert sol["x"][0] == pytest.approx(x_min, abs=1e-9)
+
+    @pytest.mark.parametrize("poison", ["residual", "jacobian"])
+    def test_non_finite_trial_is_rejected(self, poison):
+        """A trial with a non-finite residual, or a non-finite Jacobian
+        beside a residual of zero cost, is rejected; the loop damps the
+        step and converges to x = 1."""
+        trials = []
+
+        def resid_jac(x):
+            trials.append(float(x[0]))
+            f, jac = log_residual(x)
+            if x[0] <= 0 and poison == "jacobian":
+                return np.zeros(1), np.full((1, 1), np.nan)
+            return f, jac
+
+        sol = trace_fit._lm(resid_jac, np.array([10.0]))
+        assert trials[1] < 0  # the first trial was poisoned
+        assert sol["status"] != "max_nfev"
+        assert sol["x"][0] == pytest.approx(1.0, abs=1e-9)
+        assert sol["nfev"] == len(trials) > sol["njev"]
+        assert sol["cost0"] == 0.5 * math.log(10.0) ** 2
+        assert sol["cost"] == pytest.approx(0.0, abs=1e-20)
+
+    @pytest.mark.parametrize("start", [0.0, -1.0], ids=["inf", "nan"])
+    def test_non_finite_start_is_refused(self, start):
+        with pytest.raises(InvalidParameterError,
+                           match="cannot start the fit: the residuals"):
+            trace_fit._lm(log_residual, np.array([start]))
+
+    def test_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(trace_fit, "_MAX_NFEV", 3)
+        sol = trace_fit._lm(log_residual, np.array([10.0]))
+        assert (sol["status"], sol["nfev"]) == ("max_nfev", 3)
+        assert sol["x"][0] == 10.0  # both trials were rejected
 
 
 @pytest.mark.parametrize("covariance, match", [
@@ -454,6 +618,18 @@ class TestT1VsTau:
             math.sqrt(cov[0, 0]) / coupling, rel=1e-12, abs=0)
         assert res.gamma_ex_sigma == pytest.approx(
             math.sqrt(cov[1, 1]), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e160], ids=["tiny", "huge"])
+    def test_weights_beyond_the_float64_range_refused(self, coupling,
+                                                       recwarn, sigma):
+        """1/sigma^2 overflows or underflows: refused by the name of
+        sigma_inv_t1, with no numpy warning, where it blamed tau_ss."""
+        pts = [SteadyStatePoint(tau_ss=tv, inv_t1=y, sigma_inv_t1=sigma)
+               for tv, y in ((2e-3, 1e5), (9e-3, 2e5), (16e-3, 3e5))]
+        with pytest.raises(InvalidParameterError,
+                           match=r"weights 1/sigma_inv_t1\^2 leave"):
+            fit_t1_vs_tau(pts, coupling)
+        assert not recwarn.list
 
     def test_insufficient_spread(self, coupling):
         pts = [SteadyStatePoint(tau_ss=tv, inv_t1=1e5)
