@@ -44,7 +44,8 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InvalidParameterError, NoRootFoundError, check_finite
+from .errors import (InvalidParameterError, NoRootFoundError, _log_debug,
+                     check_finite)
 from .geometry import DerivedGeometry, DeviceGeometry, derive, edges
 
 # just past pi/2, the mode of one wire clamped at its pad, which bounds
@@ -370,18 +371,15 @@ def _roots(geom: DeviceGeometry, vortex_configs: list, tp: TransportParams,
             sol, f_n, c_n = _root(g, tp, form, plan)
             sols.append(sol)
             evals.append((f_n, c_n))
-    logging = sys.modules.get("logging")  # no listener before its import
-    log = logging and logging.getLogger(__name__)
-    if log and log.isEnabledFor(logging.DEBUG):
-        log.debug(
-            "%(form)s roots of %(configs)d configurations", {
-                "form": form, "configs": len(sols),
-                "roots": [{"n_left": vc.n_left, "n_right": vc.n_right,
-                           "z": sol.z, "bracket": sol.bracket,
-                           "branch_note": sol.branch_note, "f_evals": f_n,
-                           "count_evals": c_n}
-                          for vc, sol, (f_n, c_n)
-                          in zip(vortex_configs, sols, evals)]})
+    _log_debug(
+        __name__, "%(form)s roots of %(configs)d configurations",
+        lambda: {"form": form, "configs": len(sols),
+                 "roots": [{"n_left": vc.n_left, "n_right": vc.n_right,
+                            "z": sol.z, "bracket": sol.bracket,
+                            "branch_note": sol.branch_note, "f_evals": f_n,
+                            "count_evals": c_n}
+                           for vc, sol, (f_n, c_n)
+                           in zip(vortex_configs, sols, evals)]})
     return sols
 
 

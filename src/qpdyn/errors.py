@@ -4,12 +4,14 @@ Every failure mode that callers may want to handle separately gets its own
 class.  Each class carries the CLI exit code it maps to: 4 for an input
 file or unit parse error, 5 (the default) for invalid or degenerate
 parameters, 6 for a numerical failure.  The validity rules for numeric
-parameters and time grids are written here once, for every module.
+parameters and time grids are written here once, for every module, and so
+is the guard of the solvers' DEBUG records.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -174,3 +176,17 @@ def check_time_grid(name: str, t, from_zero: bool = False) -> np.ndarray:
         raise InvalidParameterError(
             f"{name} must be non-empty and start at t >= 0")
     return t
+
+
+def _log_debug(logger: str, message: str, args) -> None:
+    """Log one DEBUG record, ``message % args()``, on the named logger.
+
+    Nothing can listen before ``logging`` is imported, so it is looked up
+    in ``sys.modules``, never imported here; the record's dict ``args()``
+    is built only when the logger is enabled for DEBUG.  The record names
+    the caller's function and line.
+    """
+    logging = sys.modules.get("logging")
+    log = logging and logging.getLogger(logger)
+    if log and log.isEnabledFor(logging.DEBUG):
+        log.debug(message, args(), stacklevel=2)

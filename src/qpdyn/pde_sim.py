@@ -8,7 +8,7 @@ the analytic model's: 1-D segments joined with width-weighted flux
 matching, pads as lumped nodes carrying the trapping.  The graph is a
 tree, so in reverse Cuthill-McKee order every mesh is banded with
 kl = ku = 3, and 2 and 2 once a clamped junction leaves the unknowns.
-Both kernels work in that order, and in LAPACK band storage.  The slow
+Both kernels work in that order, in the band storage of `_band`.  The slow
 mode's inverse iteration factors the area-symmetrised generator
 W^1/2 (-G) W^-1/2 once by a banded Cholesky.  Each drive piece of the
 evolver is put in that order once: the right-hand side's G y is one
@@ -27,15 +27,14 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import (InvalidParameterError, InvalidResolutionError,
-                     NonConvergenceError, StepSizeUnderflowError, check_finite,
-                     check_time_grid)
+                     NonConvergenceError, StepSizeUnderflowError, _log_debug,
+                     check_finite, check_time_grid)
 from .constants import DEFAULT_T_MIN
 from .eigenmode import TransportParams, VortexConfig, small_p_rate
 from .geometry import DeviceGeometry, edges
@@ -208,35 +207,29 @@ def slowest_mode(disc: Discretization) -> tuple[float, np.ndarray]:
     n = disc.n_nodes
     if total_trapping == 0:
         return tp.s0, np.ones(n)
-    import scipy.sparse as sp
     from scipy.linalg.blas import dsbmv
     from scipy.linalg.lapack import dpbtrf, dpbtrs
 
+    order = _band_order(disc.generator)
+    g_band, _, kd = _band(disc.generator, order)
     # round-off floors: Rayleigh quotient and residual carry noise of order
     # eps * ||S||, which dwarfs 1e-13 * lambda for a stiff mesh operator
-    a_scale = float(np.abs(disc.generator.diagonal()).max())
+    a_scale = float(np.abs(g_band[kd]).max())
     eps = float(np.finfo(float).eps)
+    noise = 32.0 * eps * a_scale
     s_weak = small_p_rate(disc.geom, disc.vortices, tp)
-    if s_weak <= 32.0 * eps * a_scale:
+    if s_weak <= noise:
         raise NonConvergenceError(
             "the trapping sink is below round-off of the diffusion "
             f"operator; the weak-trapping limit s = {s_weak:.6g} 1/s applies")
 
-    # S's upper triangle in band order: node i goes to rank[i]
-    order = _band_order(disc.generator)
-    rank = np.argsort(order)
-    gen = disc.generator.tocoo()
-    row, col = rank[gen.row], rank[gen.col]
-    keep = row <= col
-    root_w = np.sqrt(disc.areas)
-    upper = sp.coo_matrix(
-        (-gen.data[keep] * root_w[gen.row[keep]] / root_w[gen.col[keep]],
-         (row[keep], col[keep])), shape=(n, n))
-    kd = _band_widths(upper)[1]
-    s_band = _band(upper, 0, kd)
-    root_w = root_w[order]
+    # S's upper band is G's rows 0..kd, where row k, column j holds
+    # G[j - kd + k, j]; entries off the matrix are 0 whatever they scale by
+    root_w = np.sqrt(disc.areas)[order]
+    row = np.maximum(np.arange(n) - kd + np.arange(kd + 1)[:, None], 0)
+    s_band = -g_band[:kd + 1] * root_w[row] / root_w
     shifted = s_band.copy()
-    shifted[kd] -= max(0.0, tp.s0 - 32.0 * eps * a_scale)  # the diagonal
+    shifted[kd] -= max(0.0, tp.s0 - noise)  # the diagonal
     factor, info = dpbtrf(shifted)
     # ?pbtrf passes NaN and inf through, as ?gbtrf does
     if info != 0 or not np.isfinite(factor).all():
@@ -255,7 +248,7 @@ def slowest_mode(disc: Discretization) -> tuple[float, np.ndarray]:
         residual of (lam, v), and the bar it must meet."""
         resid = s_u - lam * u
         return (math.sqrt(float(resid @ resid) / float(u @ u)),
-                1e-10 * abs(lam) + 32.0 * eps * a_scale)
+                1e-10 * abs(lam) + noise)
 
     w_sum = float(disc.areas.sum())
     u = root_w  # v = 1
@@ -284,15 +277,12 @@ def slowest_mode(disc: Discretization) -> tuple[float, np.ndarray]:
             f"iterations: the last weighted residual {rnorm:.6g} 1/s is "
             f"above its bar 1e-10 lambda + 32 eps max|diag G| = {bar:.6g} "
             "1/s", best_params=mode(u), best_cost=lam)
-    logging = sys.modules.get("logging")  # no listener before its import
-    log = logging and logging.getLogger(__name__)
-    if log and log.isEnabledFor(logging.DEBUG):
-        log.debug(
-            "slowest mode: %(solves)d solves, kd = %(kd)d; rate %(rate).6g "
-            "1/s, residual %(residual).6g 1/s, bar %(bar).6g 1/s, stalled "
-            "%(stalled)s", {"solves": solves, "kd": kd, "rate": lam,
-                             "residual": rnorm, "bar": bar,
-                             "stalled": rnorm > bar})
+    _log_debug(
+        __name__, "slowest mode: %(solves)d solves, kd = %(kd)d; rate "
+        "%(rate).6g 1/s, residual %(residual).6g 1/s, bar %(bar).6g 1/s, "
+        "stalled %(stalled)s",
+        lambda: {"solves": solves, "kd": kd, "rate": lam, "residual": rnorm,
+                 "bar": bar, "stalled": rnorm > bar})
     # rounding error of the Rayleigh quotient: 32 eps (|u|, |S| |u|) / (u, u)
     floor = 32.0 * eps * float(
         abs(u) @ dsbmv(kd, 1.0, abs(s_band), abs(u))) / float(u @ u)
@@ -350,13 +340,6 @@ class EvolveSpec:
         check_time_grid("t_grid", self.t_grid, from_zero=True)
 
 
-def _band_widths(a: sp.spmatrix) -> tuple[int, int]:
-    """Lower and upper band widths kl, ku of the stored pattern of a."""
-    a = a.tocoo()
-    offset = a.row - a.col
-    return int(max(offset.max(), 0)), int(max(-offset.min(), 0))
-
-
 def _band_order(a: sp.spmatrix) -> np.ndarray:
     """The reverse Cuthill-McKee order (Cuthill & McKee 1969) of a's
     symmetric pattern: on the electrode tree it puts a in a band with
@@ -366,29 +349,42 @@ def _band_order(a: sp.spmatrix) -> np.ndarray:
     return reverse_cuthill_mckee(a, symmetric_mode=True)
 
 
-def _band(a: sp.spmatrix, kl: int, ku: int, fill: int = 0) -> np.ndarray:
-    """LAPACK band storage of a: a[i, j] at row fill + ku + i - j, column j,
-    below `fill` zero rows (?gbtrf's fill-in takes kl of them)."""
+def _band(a: sp.spmatrix, order: np.ndarray | None = None,
+          fill: bool = False) -> tuple[np.ndarray, int, int]:
+    """LAPACK band storage of a, or of a[order][:, order], and the band
+    widths kl, ku of its stored pattern.
+
+    Entry (i, j) sits at row ku + i - j, column j, of kl + ku + 1 rows in
+    Fortran order; `fill` puts ?gbtrf's kl fill-in rows on top, moving
+    every row down by kl.  Rows 0..ku hold the upper triangle, row ku the
+    diagonal: for a symmetric pattern (kd = ku) they are ?pbtrf's and
+    ?sbmv's upper band.  Unstored entries hold 0.
+    """
     a = a.tocoo()
-    out = np.zeros((fill + kl + ku + 1, a.shape[1]), order="F")
-    out[fill + ku + a.row - a.col, a.col] = a.data
-    return out
+    row, col = a.row, a.col
+    if order is not None:
+        rank = np.argsort(order)  # node order[k] goes to position k
+        row, col = rank[row], rank[col]
+    offset = row - col
+    kl, ku = int(max(offset.max(), 0)), int(max(-offset.min(), 0))
+    top = kl if fill else 0
+    out = np.zeros((top + kl + ku + 1, a.shape[1]), order="F")
+    out[top + ku + offset, col] = a.data
+    return out, kl, ku
 
 
 @functools.cache
 def _banded_radau():
-    """scipy's Radau IIA with its linear algebra in LAPACK band storage.
+    """scipy's Radau IIA with its linear algebra in `_band`'s storage.
 
     The class is made on first use, so that importing pde_sim loads no
     scipy.integrate.  Radau keeps its step control, Newton iteration and
     the caller's exact Jacobian; only the matrices change form.  The
-    caller hands over a system already in band order (`_solve_piece` puts
-    it in reverse Cuthill-McKee order), so the Jacobian's own pattern
-    fixes the band widths kl and ku: 3 and 3 on the electrode tree, 2 and
-    2 once a clamped junction leaves the unknowns.  Radau's own
-    `MU / h * I - J` then forms the band matrix that ?gbtrf factors, and
-    each solve is one ?gbtrs call on the right-hand side in place: every
-    caller of `solve_lu` in Radau passes a temporary.
+    caller hands over a system already in `_band_order` (`_solve_piece`
+    does), so `_band` takes the widths kl and ku from the Jacobian's own
+    pattern.  Radau's own `MU / h * I - J` then forms the band matrix that
+    ?gbtrf factors, and each solve is one ?gbtrs call on the right-hand
+    side in place: every caller of `solve_lu` in Radau passes a temporary.
     """
     from scipy.integrate import Radau
     from scipy.linalg.lapack import dgbtrf, dgbtrs, zgbtrf, zgbtrs
@@ -396,7 +392,7 @@ def _banded_radau():
     class BandedRadau(Radau):
         def __init__(self, fun, t0, y0, t_bound, **options):
             super().__init__(fun, t0, y0, t_bound, **options)
-            kl, ku = _band_widths(self.J)
+            self.J, kl, ku = _band(self.J, fill=True)
 
             def lu(a):
                 self.nlu += 1
@@ -415,8 +411,7 @@ def _banded_radau():
 
             sparse_jac = self.jac
             self.jac = lambda t, y, f=None: _band(sparse_jac(t, y, f),
-                                                  kl, ku, kl)
-            self.J = _band(self.J, kl, ku, kl)
+                                                  fill=True)[0]
             self.I = np.zeros_like(self.J)
             self.I[kl + ku] = 1.0
             self.lu, self.solve_lu = lu, solve_lu
@@ -431,8 +426,8 @@ def _solve_piece(disc: Discretization, spec: EvolveSpec, x: np.ndarray,
 
     dy/dt = G y - r y^2 + g, plus the junction drive when `driven`; the
     absolute tolerance is 1e-3 * tol * scale.  The unknowns enter the
-    integrator in reverse Cuthill-McKee order, where G y is one banded
-    BLAS ?gbmv, and the states come back in node order.  Returns the
+    integrator in `_band_order`, where G y is one BLAS ?gbmv on `_band`'s
+    storage, and the states come back in node order.  Returns the
     (n_nodes, n_times) states at t_eval, clipped at zero, and logs one
     DEBUG record on the qpdyn.pde_sim logger with the interval, the
     unknowns, the band widths and Radau's counts; its args are a dict.
@@ -440,8 +435,6 @@ def _solve_piece(disc: Discretization, spec: EvolveSpec, x: np.ndarray,
     causes raises StepSizeUnderflowError naming the piece, r and the
     density scale.
     """
-    import logging
-
     from scipy.integrate import solve_ivp
     from scipy.linalg.blas import dgbmv
 
@@ -465,8 +458,7 @@ def _solve_piece(disc: Discretization, spec: EvolveSpec, x: np.ndarray,
         src, n = src[order], order.size
         pattern = gen.tocoo()  # build stores every diagonal entry, once
         diagonal = np.flatnonzero(pattern.row == pattern.col)
-        kl, ku = _band_widths(pattern)
-        gen_band = _band(pattern, kl, ku)
+        gen_band, kl, ku = _band(pattern)
 
         def fun(t, y):
             return dgbmv(n, n, kl, ku, 1.0, gen_band, y) - r * y * y + src
@@ -481,15 +473,14 @@ def _solve_piece(disc: Discretization, spec: EvolveSpec, x: np.ndarray,
                             method=_banded_radau(), t_eval=t_eval, jac=jac,
                             rtol=tol,
                             atol=1e-3 * tol * scale or np.finfo(float).tiny)
-            log = logging.getLogger(__name__)
-            if log.isEnabledFor(logging.DEBUG):
-                log.debug(
-                    "piece [%(t0).6g, %(t1).6g] s: %(unknowns)d unknowns, "
-                    "kl = %(kl)d, ku = %(ku)d; Radau nfev %(nfev)d, njev "
-                    "%(njev)d, nlu %(nlu)d, status %(status)d",
-                    {"t0": t0, "t1": float(t_eval[-1]), "unknowns": n,
-                     "kl": kl, "ku": ku, "nfev": sol.nfev, "njev": sol.njev,
-                     "nlu": sol.nlu, "status": sol.status})
+            _log_debug(
+                __name__, "piece [%(t0).6g, %(t1).6g] s: %(unknowns)d "
+                "unknowns, kl = %(kl)d, ku = %(ku)d; Radau nfev %(nfev)d, "
+                "njev %(njev)d, nlu %(nlu)d, status %(status)d",
+                lambda: {"t0": t0, "t1": float(t_eval[-1]), "unknowns": n,
+                         "kl": kl, "ku": ku, "nfev": sol.nfev,
+                         "njev": sol.njev, "nlu": sol.nlu,
+                         "status": sol.status})
             why = None if sol.success else sol.message
         except RuntimeError as exc:  # banded LU: singular or not finite
             why = str(exc)
@@ -513,12 +504,12 @@ def evolve(disc: Discretization, spec: EvolveSpec, tol: float = 1e-8):
 
     dx/dt = G x - r x^2 + g (+ the junction drive) is integrated by scipy's
     Radau IIA with the exact Jacobian G - 2 r diag(x), one solve per drive
-    piece, [0, t_inj] and [t_inj, t_end].  Each piece runs in reverse
-    Cuthill-McKee order, where the electrode tree has kl = ku = 3: G y is a
-    banded BLAS ?gbmv, and Radau's linear systems are solved by a banded LU
-    (LAPACK ?gbtrf / ?gbtrs).  A clamped junction is a Dirichlet node: it
-    leaves the unknowns, narrowing the band to kl = ku = 2, and feeds its
-    neighbours through G[:, junction] * injection_density.  `tol` is the
+    piece, [0, t_inj] and [t_inj, t_end].  Each piece runs in `_band_order`
+    and `_band`'s storage: G y is a banded BLAS ?gbmv, and Radau's linear
+    systems are solved by a banded LU (LAPACK ?gbtrf / ?gbtrs).  A clamped
+    junction is a Dirichlet node: it leaves the unknowns, narrowing the
+    band, and feeds its neighbours through G[:, junction] *
+    injection_density.  `tol` is the
     relative tolerance; the absolute tolerance is 1e-3 * tol times the
     largest density scale of the inputs (x_init, injection_density,
     injection_rate * t_inj, or g * t_end), so decaying tails keep relative

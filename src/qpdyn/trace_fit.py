@@ -28,7 +28,6 @@ log Gamma) because traces span several decades.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +37,8 @@ from .dynamics import (SolutionParams, _rate_map, decay_shape,
                        extraction_bounds, xqp_analytic)
 from .errors import (DegenerateTraceError, InsufficientDataError,
                      InsufficientSpreadError, InvalidParameterError,
-                     NonConvergenceError, check_finite, check_time_grid)
+                     NonConvergenceError, _log_debug, check_finite,
+                     check_time_grid)
 
 # _lm's stopping tolerances: relative step, relative cost decrease,
 # largest cosine between the residual and a Jacobian column; and the
@@ -345,16 +345,13 @@ def fit_gamma_trace(trace: DecayTrace, t_min: float = DEFAULT_T_MIN,
     x = sols[-1]["x"]
     amp, rp, tau, g0 = params(x)
     costs = [sols[0]["cost0"], sols[-1]["cost"]]
-    logging = sys.modules.get("logging")  # no listener before its import
-    log = logging and logging.getLogger(__name__)
-    if log and log.isEnabledFor(logging.DEBUG):
-        log.debug(
-            "trace fit (%(weighting)s): cost %(cost0).6g -> %(cost).6g, "
-            "Gamma0 = 0 refit %(refit)s", {
-                "weighting": weighting, "cost0": costs[0], "cost": costs[1],
-                "refit": len(sols) == 2,
-                "polishes": [{k: sol[k] for k in ("status", "nfev", "njev")}
-                             for sol in sols]})
+    _log_debug(
+        __name__, "trace fit (%(weighting)s): cost %(cost0).6g -> "
+        "%(cost).6g, Gamma0 = 0 refit %(refit)s",
+        lambda: {"weighting": weighting, "cost0": costs[0],
+                 "cost": costs[1], "refit": len(sols) == 2,
+                 "polishes": [{k: sol[k] for k in ("status", "nfev", "njev")}
+                              for sol in sols]})
 
     # covariance from the weighted Jacobian, its columns scaled to unit
     # norm for the rank cut, mapped from (A, logit r', log tau_ss, Gamma0)
@@ -477,9 +474,10 @@ def fit_t1_vs_tau(points, coupling: float) -> T1TauFit:
     Needs at least 3 points whose tau_ss values span a factor >= 3, with
     sigma_inv_t1 on all (weights 1/sigma^2, each and their sum inside the
     normal float64 range) or none (error bars scaled by chi^2 / (N - 2)),
-    and a weighted squared spread of tau_ss inside the normal float64
-    range.  slope/C is the generation rate g; the
-    intercept is Gamma_ex.
+    a weighted squared spread of tau_ss inside the normal float64 range,
+    and inv_t1 values whose weighted sums (the slope, the intercept and,
+    without sigmas, chi^2) stay finite.  slope/C is the generation rate g;
+    the intercept is Gamma_ex.
     """
     check_finite("coupling", coupling, ">")
     pts = list(points)
@@ -508,7 +506,6 @@ def fit_t1_vs_tau(points, coupling: float) -> T1TauFit:
             "the line fit cannot weight sigma_inv_t1 values of "
             f"{min(sigmas):.3g} to {max(sigmas):.3g} 1/s")
     tbar = float(w @ tau) / sw
-    ybar = float(w @ y) / sw
     with np.errstate(over="ignore"):  # refused below
         stt = float(w @ (tau - tbar) ** 2)
     if not np.finfo(float).tiny <= stt < math.inf:
@@ -516,14 +513,18 @@ def fit_t1_vs_tau(points, coupling: float) -> T1TauFit:
             f"the weighted squared spread of tau_ss, {stt:.3g}, leaves the "
             "normal float64 range; the line fit cannot resolve tau_ss "
             f"values of {tau.min():.3g} to {tau.max():.3g} s")
-    slope = float(w @ ((tau - tbar) * (y - ybar))) / stt
-    intercept = ybar - slope * tbar
-    resid = y - slope * tau - intercept
-    if not missing:
-        scale = 1.0
-    else:
-        dof = max(len(pts) - 2, 1)
-        scale = float(w @ resid**2) / dof
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        ybar = float(w @ y) / sw
+        slope = float(w @ ((tau - tbar) * (y - ybar))) / stt
+        intercept = ybar - slope * tbar
+        resid = y - slope * tau - intercept
+        scale = float(w @ resid**2) / max(len(pts) - 2, 1) if missing \
+            else 1.0
+    if not all(map(math.isfinite, (slope, intercept, scale))):
+        raise InvalidParameterError(
+            "the weighted sums of inv_t1 leave the float64 range; the line "
+            f"fit cannot resolve inv_t1 values of {y.min():.3g} to "
+            f"{y.max():.3g} 1/s")
     slope_sigma = math.sqrt(scale / stt)
     intercept_sigma = math.sqrt(scale * (1.0 / sw + tbar**2 / stt))
     return T1TauFit(g=slope / coupling, g_sigma=slope_sigma / coupling,

@@ -54,6 +54,19 @@ def transport():
     return TransportParams(d=18e-4, s0=1.0 / 30e-3)
 
 
+def box_geometry(u):
+    """Geometry from seven uniforms in [0, 1], inside the box that raises
+    no geometry warning: w_wire/l_wire < 0.2 and
+    l_half_gap < 0.5 min(h_cap, l_wire)."""
+    l_wire, h_cap = 100e-6 * 4.0 ** u[0], 20e-6 * 10.0 ** u[2]
+    return DeviceGeometry(
+        w_wire=l_wire * (0.02 + 0.17 * u[1]), l_wire=l_wire, h_cap=h_cap,
+        l_half_gap=(0.01 + 0.48 * u[3]) * min(h_cap, l_wire),
+        w_cap=2e-6 * 50.0 ** u[4],
+        l_cap=0.0 if u[5] < 0.2 else 20e-6 * 40.0 ** ((u[5] - 0.2) / 0.8),
+        s_pad=1e-9 * 10.0 ** u[6])
+
+
 def log_grid(t0, t1, n):
     return np.logspace(np.log10(t0), np.log10(t1), n)
 

@@ -752,6 +752,22 @@ class TestCli:
             f"of {float(sigma):.3g} to {float(sigma):.3g} 1/s\n")
         assert not recwarn.list
 
+    def test_t1fit_refuses_inv_t1_beyond_the_float64_range(
+            self, capsys, recwarn, tmp_path):
+        """inv_t1 values whose weighted sums overflow are refused by name,
+        exit 5, where the fit warned of overflows and exited 6 on NaN."""
+        points = tmp_path / "points.csv"
+        points.write_text("tau_ss,inv_t1\n2e-3,1e300\n9e-3,5e307\n"
+                          "16e-3,1.7e308\n")
+        code, out, err = run_cli(capsys, "t1fit", str(points), "--c",
+                                 "4.6e10/s", "--no-timestamp")
+        assert (code, out) == (5, "")
+        assert err == (
+            "qpdyn t1fit: the weighted sums of inv_t1 leave the float64 "
+            "range; the line fit cannot resolve inv_t1 values of 1e+300 to "
+            "1.7e+308 1/s\n")
+        assert not recwarn.list
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_zero_injection_power_is_named(self, capsys, fmt):
         """0 W, from a junction power that underflows, is -inf dBm: refused

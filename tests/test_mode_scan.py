@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import box_geometry
 from qpdyn import eigenmode, pde_sim
 from qpdyn.eigenmode import (TransportParams, VortexConfig, eigen_residual,
                              field_sweep, small_p_rate, smallest_root,
@@ -180,19 +181,6 @@ def test_scan_evaluates_each_grid_in_one_call(monkeypatch, form):
                             tagged(name, getattr(eigenmode, name)))
     smallest_root(bundled("b1"), VortexConfig(2, 1, P_REF), TP, form=form)
     assert set(calls) == {(float, "_count"), (complex, "_newton")}
-
-
-def box_geometry(u):
-    """Geometry from seven uniforms in [0, 1], inside the box that raises
-    no geometry warning: w_wire/l_wire < 0.2 and
-    l_half_gap < 0.5 min(h_cap, l_wire)."""
-    l_wire, h_cap = 100e-6 * 4.0 ** u[0], 20e-6 * 10.0 ** u[2]
-    return DeviceGeometry(
-        w_wire=l_wire * (0.02 + 0.17 * u[1]), l_wire=l_wire, h_cap=h_cap,
-        l_half_gap=(0.01 + 0.48 * u[3]) * min(h_cap, l_wire),
-        w_cap=2e-6 * 50.0 ** u[4],
-        l_cap=0.0 if u[5] < 0.2 else 20e-6 * 40.0 ** ((u[5] - 0.2) / 0.8),
-        s_pad=1e-9 * 10.0 ** u[6])
 
 
 def stress_geometry(u):

@@ -6,7 +6,10 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import box_geometry
 from qpdyn import pde_sim
 from qpdyn.dynamics import RateParams, integrate_ode
 from qpdyn.eigenmode import TransportParams, VortexConfig, smallest_root
@@ -518,6 +521,153 @@ def test_band_widths_on_the_electrode_tree(caplog, name, resolution):
     assert [(piece["unknowns"], piece["kl"], piece["ku"])
             for piece in _pieces(caplog)] == [
         (disc.n_nodes - 1, 2, 2), (disc.n_nodes, 3, 3)]
+
+
+@pytest.mark.parametrize("fill", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_band_holds_the_permuted_matrix_at_lapack_positions(seed, fill):
+    """_band on a random matrix with a symmetric pattern and a random
+    order: a[order][:, order]'s entries at row ku + i - j (plus kl fill
+    rows), column j, zeros elsewhere, and the pattern's own widths."""
+    import scipy.sparse as sp
+
+    rng = np.random.Generator(np.random.Philox(seed))
+    n = int(rng.integers(5, 40))
+    mask = sp.random(n, n, density=0.15, random_state=seed) != 0
+    mask = (mask + mask.T + sp.eye(n)).tocoo()
+    a = sp.csc_matrix((rng.uniform(0.5, 1.5, mask.nnz) * rng.choice(
+        [-1.0, 1.0], mask.nnz), (mask.row, mask.col)), shape=(n, n))
+    order = rng.permutation(n)
+    band, kl, ku = pde_sim._band(a, order, fill)
+    dense = a.toarray()[order][:, order]
+    i, j = np.nonzero(dense)
+    assert (kl, ku) == ((i - j).max(), (j - i).max())
+    top = kl if fill else 0
+    want = np.zeros((top + kl + ku + 1, n))
+    want[top + ku + i - j, j] = dense[i, j]
+    assert band.flags.f_contiguous
+    assert np.array_equal(band, want)
+    # without an order, the matrix is packed as it stands
+    same, *widths = pde_sim._band(sp.csc_matrix(dense), fill=fill)
+    assert widths == [kl, ku] and np.array_equal(same, want)
+
+
+@pytest.mark.parametrize("name", ["b1", "b2", "b3"])
+def test_slowest_mode_band_is_the_dense_symmetrised_generator(
+        monkeypatch, name):
+    """The upper band slowest_mode hands to ?sbmv equals, bit for bit, the
+    upper band of the dense W^1/2 (-G) W^-1/2 in band order."""
+    import scipy.linalg.blas
+
+    bands = []
+    real = scipy.linalg.blas.dsbmv
+
+    def recorded(kd, alpha, a, x):
+        bands.append((kd, a.copy()))
+        return real(kd, alpha, a, x)
+
+    monkeypatch.setattr(scipy.linalg.blas, "dsbmv", recorded)
+    disc = _bundled_mesh(name, 50)
+    slowest_mode(disc)
+    kd, got = bands[0]
+    order = pde_sim._band_order(disc.generator)
+    root_w = np.sqrt(disc.areas)
+    s_op = (-disc.generator.toarray() * root_w[:, None] / root_w)[order][
+        :, order]
+    n = disc.n_nodes
+    want = np.zeros((kd + 1, n))
+    for k in range(kd + 1):  # row k holds the diagonal j - i = kd - k
+        want[k, kd - k:] = np.diagonal(s_op, kd - k)
+    assert kd == 3
+    assert np.array_equal(got, want)
+
+
+def _spectral_states(disc, spec):
+    """The exact (n_times, n_nodes) states of evolve at r = 0, at the
+    times t > 0 of spec.t_grid.
+
+    On each drive piece dx/dt = G x + b with b constant, and
+    S = W^1/2 (-G) W^-1/2 = Q Lambda Q^T (dense eigh) is symmetric, so
+    y = W^1/2 x is y(t0 + tau) = Q [e^(-Lambda tau) Q^T y(t0)
+    - expm1(-Lambda tau) / Lambda Q^T W^1/2 b].  A clamped junction
+    leaves the unknowns, which keeps a symmetric principal submatrix of S.
+    Nothing here is shared with Radau, the banded LU or the band order."""
+    gen, n, jj = disc.generator.toarray(), disc.n_nodes, disc.junction_index
+    root_w = np.sqrt(disc.areas)
+    clamp = spec.injection_density is not None
+    x = np.full(n, float(spec.x_init))
+    if clamp:
+        x[jj] = spec.injection_density
+    t_grid = np.asarray(spec.t_grid)
+    states = np.empty((t_grid.size, n))
+    t0 = 0.0
+    for t1, driven in ((spec.t_inj, True), (np.inf, False)):
+        keep, b = np.arange(n), np.full(n, spec.g)
+        if driven and clamp:
+            keep = keep[keep != jj]
+            b += gen[:, jj] * spec.injection_density
+        elif driven:
+            b[jj] += spec.injection_rate
+        w = root_w[keep]
+        lam, q = np.linalg.eigh(-gen[np.ix_(keep, keep)] * w[:, None] / w)
+        c0, cb = q.T @ (w * x[keep]), q.T @ (w * b[keep])
+
+        def at(tau):
+            """The piece's state tau after t0."""
+            with np.errstate(divide="ignore", invalid="ignore"):
+                forced = np.where(lam == 0.0, tau,
+                                  -np.expm1(-lam * tau) / lam)
+            out = x.copy()
+            out[keep] = q @ (np.exp(-lam * tau) * c0 + forced * cb) / w
+            return out
+
+        piece = (t_grid > t0) & (t_grid <= t1)
+        states[piece] = [at(t - t0) for t in t_grid[piece]]
+        if driven:
+            x, t0 = at(t1 - t0), t1
+    return states
+
+
+@settings(max_examples=100, deadline=None)
+@given(u=st.lists(st.floats(0.0, 1.0), min_size=7, max_size=7),
+       n_left=st.integers(0, 6), n_right=st.integers(0, 6),
+       log_p=st.floats(-7.0, -4.0), log_d=st.floats(-4.0, -2.3),
+       s0=st.sampled_from([0.0]) | st.floats(0.0, 100.0),
+       resolution=st.integers(10, 30), clamp=st.booleans(),
+       x_init=st.sampled_from([0.0, 1e-4]), g=st.sampled_from([0.0, 1.0]),
+       log_inj=st.floats(-2.0, 0.0))
+def test_linear_evolve_matches_the_spectral_propagator(
+        u, n_left, n_right, log_p, log_d, s0, resolution, clamp, x_init, g,
+        log_inj):
+    """evolve at r = 0 against the mesh's exact propagator, at every node,
+    on a rate or clamp drive of 0.01 to 1 tau_D and its release out to
+    11 t_inj.
+
+    The bound: Radau accepts a step when the RMS over the n unknowns of
+    err_i / (atol + rtol |y_i|) is below 1, so one node may take sqrt(n)
+    of that scale.  At r = 0 the system is linear and dissipative (S is
+    positive semidefinite), so later steps do not amplify a step's error;
+    Radau's error estimate is of lower order than its order-5 step, and
+    its room is taken to cover the sum over steps.  So each node stays
+    within sqrt(n) (atol + rtol |x_ref|) of the reference, with
+    rtol = tol = 1e-8 and atol = 1e-3 tol times evolve's density scale."""
+    geom = box_geometry(u)
+    d = 10.0 ** log_d
+    disc = build(geom, VortexConfig(n_left, n_right, 10.0 ** log_p),
+                 TransportParams(d=d, s0=s0), resolution)
+    t_inj = 10.0 ** log_inj * geom.l_wire ** 2 / d
+    drive = {"injection_density": 2e-4} if clamp \
+        else {"injection_rate": 1e4}
+    spec = EvolveSpec(r=0.0, g=g, x_init=x_init, t_inj=t_inj, t_grid=tuple(
+        t_inj * np.array([0.5, 1.0, 1.1, 1.5, 2.5, 4.0, 7.0, 11.0])),
+        **drive)
+    tol = 1e-8
+    got = _evolve_states(disc, spec, tol)
+    want = _spectral_states(disc, spec)
+    scale = max(x_init, spec.injection_density or 0.0,
+                spec.injection_rate * t_inj, g * spec.t_grid[-1])
+    bound = np.sqrt(disc.n_nodes) * tol * (1e-3 * scale + np.abs(want))
+    assert np.all(np.abs(got - want) <= bound)
 
 
 class TestFactorizedDynamics:

@@ -631,6 +631,20 @@ class TestT1VsTau:
             fit_t1_vs_tau(pts, coupling)
         assert not recwarn.list
 
+    def test_inv_t1_beyond_the_float64_range_refused(self, coupling,
+                                                     recwarn):
+        """inv_t1 near the float64 limit overflows the weighted mean:
+        refused by the name of inv_t1, with no numpy warning, where the fit
+        returned NaN."""
+        pts = [SteadyStatePoint(tau_ss=tv, inv_t1=y)
+               for tv, y in ((2e-3, 1e300), (9e-3, 5e307), (16e-3, 1.7e308))]
+        with pytest.raises(InvalidParameterError, match=(
+                r"^the weighted sums of inv_t1 leave the float64 range; the "
+                r"line fit cannot resolve inv_t1 values of 1e\+300 to "
+                r"1\.7e\+308 1/s$")):
+            fit_t1_vs_tau(pts, coupling)
+        assert not recwarn.list
+
     def test_insufficient_spread(self, coupling):
         pts = [SteadyStatePoint(tau_ss=tv, inv_t1=1e5)
                for tv in (5e-3, 6e-3, 7e-3)]
