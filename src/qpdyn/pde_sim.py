@@ -13,14 +13,19 @@ mode's inverse iteration factors the area-symmetrised generator
 W^1/2 (-G) W^-1/2 once by a banded Cholesky.  Each drive piece of the
 evolver is put in that order once: the right-hand side's G y is one
 banded BLAS product, a banded LU factors the integrator's linear
-systems in O(n), and each solve is one LAPACK call.
+systems in O(n), and each solve is one LAPACK call.  The order and where
+`_band` puts each stored entry depend only on a matrix's stored pattern,
+so `_plan` keeps them per pattern: meshes of one shape, whatever their
+rates, reuse one plan, and packing a matrix is then one scatter.
 
 The spatial operator is a conservative finite-volume generator G
 (dx/dt = G x): with s0 = P = 0 the area-weighted column sums of G vanish
 identically, so total QP number is conserved to round-off; Radau's
 collocation steps preserve that linear invariant.  `build` assembles G
-from whole arrays, one set per chain of cells, in one sparse constructor
-call, so its Python-level work grows with the chains, not the nodes.
+from whole arrays, one set per chain of cells, sorts its entries into
+compressed-column order with one argsort and hands the CSC arrays to one
+sparse constructor call, so its Python-level work grows with the chains,
+not the nodes.
 """
 
 from __future__ import annotations
@@ -50,6 +55,14 @@ MAX_NODES = 1_000_000
 # Inverse power iterations slowest_mode runs before it gives up.
 _MAX_ITER = 10_000
 
+# `_plan` keeps the band plans of the last _PLANS stored patterns that have
+# at most _PLAN_SIZE rows plus stored entries.  A plan's arrays take at
+# most 24 bytes per row and entry (the pattern, its key; the order; four
+# scatter indices), so the cache holds at most ~12.6 MB; a res-200 mesh's
+# plan is ~60 kB.  A larger pattern gets a fresh plan on every call.
+_PLANS = 64
+_PLAN_SIZE = 8192
+
 
 @dataclass(frozen=True)
 class Discretization:
@@ -66,7 +79,9 @@ class Discretization:
     and tp are build's inputs.
 
     Immutable after build; a single instance can be shared by concurrent
-    slowest_mode / evolve calls, which only read it.
+    slowest_mode / evolve calls, which only read it.  Each instance owns
+    its arrays; meshes of one shape share only the cached, read-only band
+    plan of their generator's pattern (`_plan`).
     """
 
     generator: sp.csc_matrix          # dx/dt = generator @ x
@@ -158,11 +173,15 @@ def build(geom: DeviceGeometry, vortices: VortexConfig, tp: TransportParams,
         raise InvalidParameterError(
             f"generator rates overflow float64 at resolution {resolution}: "
             f"d = {tp.d:.6g} m^2/s, s0 = {tp.s0:.6g} 1/s, P = {p:.6g} m^2/s")
+    # the entries sorted by column, then row, are the CSC arrays: no
+    # entry repeats, so this is the matrix a COO conversion would give
     nodes = np.arange(n)
-    gen = sp.csc_matrix(
-        (rates,
-         (np.concatenate((i, j, nodes)), np.concatenate((j, i, nodes)))),
-        shape=(n, n))
+    rows, cols = np.concatenate((i, j, nodes)), np.concatenate((j, i, nodes))
+    csc = np.argsort(cols * n + rows, kind="stable")
+    indptr = np.zeros(n + 1, np.int32)
+    indptr[1:] = np.cumsum(np.bincount(cols, minlength=n))
+    gen = sp.csc_matrix((rates[csc], rows[csc].astype(np.int32), indptr),
+                        shape=(n, n))
     return Discretization(
         generator=gen, areas=areas, node_segment=seg,
         node_y=np.concatenate(ys), junction_index=junction, geom=geom,
@@ -189,7 +208,8 @@ def slowest_mode(disc: Discretization) -> tuple[float, np.ndarray]:
     normalized to 1 at the junction node, with round-off noise clipped at
     zero.  Once logging is imported, each converged call logs one DEBUG
     record on the qpdyn.pde_sim logger with the solves, kd, the rate, the
-    residual, its bar and whether it stalled; its args are a dict.
+    residual, its bar, whether it stalled and whether the generator's band
+    plan was reused from an earlier call (`_plan`); its args are a dict.
 
     Raises NonConvergenceError before anything is factored when the
     weak-trapping limit small_p_rate, s = (N_L + N_R) P / A_total + s0, is
@@ -210,8 +230,10 @@ def slowest_mode(disc: Discretization) -> tuple[float, np.ndarray]:
     from scipy.linalg.blas import dsbmv
     from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-    order = _band_order(disc.generator)
-    g_band, _, kd = _band(disc.generator, order)
+    plan = _plan_of(disc.generator)
+    reused = plan.order is not None
+    order = plan.band_order(disc.generator)
+    g_band, _, kd = plan.band(disc.generator, order)
     # round-off floors: Rayleigh quotient and residual carry noise of order
     # eps * ||S||, which dwarfs 1e-13 * lambda for a stiff mesh operator
     a_scale = float(np.abs(g_band[kd]).max())
@@ -224,11 +246,15 @@ def slowest_mode(disc: Discretization) -> tuple[float, np.ndarray]:
             f"operator; the weak-trapping limit s = {s_weak:.6g} 1/s applies")
 
     # S's upper band is G's rows 0..kd, where row k, column j holds
-    # G[j - kd + k, j]; entries off the matrix are 0 whatever they scale by
+    # G[j - kd + k, j], scaled by root_w[j - kd + k] / root_w[j]; the
+    # first kd - k columns are off the matrix and stay -0.  Fortran order,
+    # which ?pbtrf and ?sbmv take without a copy.
     root_w = np.sqrt(disc.areas)[order]
-    row = np.maximum(np.arange(n) - kd + np.arange(kd + 1)[:, None], 0)
-    s_band = -g_band[:kd + 1] * root_w[row] / root_w
-    shifted = s_band.copy()
+    s_band = np.negative(g_band[:kd + 1], order="F")
+    for k in range(kd + 1):
+        s_band[k, kd - k:] *= root_w[:n - kd + k]
+    s_band /= root_w
+    shifted = s_band.copy(order="F")
     shifted[kd] -= max(0.0, tp.s0 - noise)  # the diagonal
     factor, info = dpbtrf(shifted)
     # ?pbtrf passes NaN and inf through, as ?gbtrf does
@@ -282,7 +308,7 @@ def slowest_mode(disc: Discretization) -> tuple[float, np.ndarray]:
         "%(rate).6g 1/s, residual %(residual).6g 1/s, bar %(bar).6g 1/s, "
         "stalled %(stalled)s",
         lambda: {"solves": solves, "kd": kd, "rate": lam, "residual": rnorm,
-                 "bar": bar, "stalled": rnorm > bar})
+                 "bar": bar, "stalled": rnorm > bar, "plan_reused": reused})
     # rounding error of the Rayleigh quotient: 32 eps (|u|, |S| |u|) / (u, u)
     floor = 32.0 * eps * float(
         abs(u) @ dsbmv(kd, 1.0, abs(s_band), abs(u))) / float(u @ u)
@@ -340,13 +366,71 @@ class EvolveSpec:
         check_time_grid("t_grid", self.t_grid, from_zero=True)
 
 
+class _Plan:
+    """What `_band_order` and `_band` derive from one stored pattern: its
+    reverse Cuthill-McKee order, and per (ordered, fill) where each stored
+    entry goes in `_band`'s storage (a flat index into the band's Fortran
+    order, int32) with the widths kl, ku and the band's row count.  Each
+    part is made from the first matrix that needs it and is read-only;
+    concurrent callers racing on one part make equal arrays, and either is
+    kept."""
+
+    __slots__ = ("order", "places")
+
+    def __init__(self):
+        self.order, self.places = None, {}
+
+    def band_order(self, a: sp.spmatrix) -> np.ndarray:
+        """`_band_order` of a, which has this plan's pattern."""
+        if self.order is None:
+            from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+            order = reverse_cuthill_mckee(a, symmetric_mode=True)
+            order.flags.writeable = False
+            self.order = order
+        return self.order
+
+    def band(self, a: sp.spmatrix, order: np.ndarray | None = None,
+             fill: bool = False) -> tuple[np.ndarray, int, int]:
+        """`_band` of a, which has this plan's pattern.  Only this plan's
+        own order is kept; any other order is placed afresh."""
+        if order is None or order is self.order:
+            key = (order is not None, fill)
+            if key not in self.places:
+                index, *rest = _place(a, order, fill)
+                index = index.astype(np.int32)
+                index.flags.writeable = False
+                self.places[key] = (index, *rest)
+            index, kl, ku, rows = self.places[key]
+        else:
+            index, kl, ku, rows = _place(a, order, fill)
+        out = np.zeros((a.shape[1], rows))
+        out.reshape(-1)[index] = a.data
+        return out.T, kl, ku
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _plan(shape: tuple, dtypes: str, indptr: bytes, indices: bytes) -> _Plan:
+    """The cached plan of one CSC pattern, keyed on its shape, index dtypes
+    and index bytes: equal keys are equal patterns."""
+    return _Plan()
+
+
+def _plan_of(a: sp.spmatrix) -> _Plan:
+    """The band plan of a's stored pattern: `_plan`'s for a CSC matrix of
+    at most _PLAN_SIZE rows plus stored entries, else a fresh one."""
+    if a.format != "csc" or a.shape[0] + a.nnz > _PLAN_SIZE:
+        return _Plan()
+    return _plan(a.shape, a.indptr.dtype.str + a.indices.dtype.str,
+                 a.indptr.tobytes(), a.indices.tobytes())
+
+
 def _band_order(a: sp.spmatrix) -> np.ndarray:
     """The reverse Cuthill-McKee order (Cuthill & McKee 1969) of a's
     symmetric pattern: on the electrode tree it puts a in a band with
-    kl = ku = 3, and 2 and 2 once a clamped junction leaves the unknowns."""
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    return reverse_cuthill_mckee(a, symmetric_mode=True)
+    kl = ku = 3, and 2 and 2 once a clamped junction leaves the unknowns.
+    The order is read-only: it is the one `_plan_of(a)` keeps."""
+    return _plan_of(a).band_order(a)
 
 
 def _band(a: sp.spmatrix, order: np.ndarray | None = None,
@@ -358,8 +442,16 @@ def _band(a: sp.spmatrix, order: np.ndarray | None = None,
     Fortran order; `fill` puts ?gbtrf's kl fill-in rows on top, moving
     every row down by kl.  Rows 0..ku hold the upper triangle, row ku the
     diagonal: for a symmetric pattern (kd = ku) they are ?pbtrf's and
-    ?sbmv's upper band.  Unstored entries hold 0.
+    ?sbmv's upper band.  Unstored entries hold 0.  Where the entries go is
+    kept in `_plan_of(a)` when order is None or a's `_band_order`.
     """
+    return _plan_of(a).band(a, order, fill)
+
+
+def _place(a: sp.spmatrix, order: np.ndarray | None,
+           fill: bool) -> tuple[np.ndarray, int, int, int]:
+    """Where `_band` puts each stored entry of a, in a.data's order: the
+    flat index into the band's Fortran order; kl, ku; the band's rows."""
     a = a.tocoo()
     row, col = a.row, a.col
     if order is not None:
@@ -368,9 +460,9 @@ def _band(a: sp.spmatrix, order: np.ndarray | None = None,
     offset = row - col
     kl, ku = int(max(offset.max(), 0)), int(max(-offset.min(), 0))
     top = kl if fill else 0
-    out = np.zeros((top + kl + ku + 1, a.shape[1]), order="F")
-    out[top + ku + offset, col] = a.data
-    return out, kl, ku
+    rows = top + kl + ku + 1
+    index = col.astype(np.intp) * rows + top + ku + offset
+    return index, kl, ku, rows
 
 
 @functools.cache
@@ -430,7 +522,9 @@ def _solve_piece(disc: Discretization, spec: EvolveSpec, x: np.ndarray,
     storage, and the states come back in node order.  Returns the
     (n_nodes, n_times) states at t_eval, clipped at zero, and logs one
     DEBUG record on the qpdyn.pde_sim logger with the interval, the
-    unknowns, the band widths and Radau's counts; its args are a dict.
+    unknowns, the band widths, Radau's counts and whether the band plan of
+    the piece's generator was reused from an earlier call (`_plan`); its
+    args are a dict.
     Float overflow is not left to numpy's warnings: the failed solve it
     causes raises StepSizeUnderflowError naming the piece, r and the
     density scale.
@@ -452,13 +546,15 @@ def _solve_piece(disc: Discretization, spec: EvolveSpec, x: np.ndarray,
             gen = gen[keep][:, keep]
         elif driven:
             src[jj] += spec.injection_rate
-        band_order = _band_order(gen)
+        plan = _plan_of(gen)
+        reused = plan.order is not None
+        band_order = plan.band_order(gen)
         gen = gen[band_order][:, band_order]
         order = keep[band_order]
         src, n = src[order], order.size
         pattern = gen.tocoo()  # build stores every diagonal entry, once
         diagonal = np.flatnonzero(pattern.row == pattern.col)
-        gen_band, kl, ku = _band(pattern)
+        gen_band, kl, ku = _band(gen)
 
         def fun(t, y):
             return dgbmv(n, n, kl, ku, 1.0, gen_band, y) - r * y * y + src
@@ -480,7 +576,7 @@ def _solve_piece(disc: Discretization, spec: EvolveSpec, x: np.ndarray,
                 lambda: {"t0": t0, "t1": float(t_eval[-1]), "unknowns": n,
                          "kl": kl, "ku": ku, "nfev": sol.nfev,
                          "njev": sol.njev, "nlu": sol.nlu,
-                         "status": sol.status})
+                         "status": sol.status, "plan_reused": reused})
             why = None if sol.success else sol.message
         except RuntimeError as exc:  # banded LU: singular or not finite
             why = str(exc)

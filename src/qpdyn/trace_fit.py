@@ -476,8 +476,8 @@ def fit_t1_vs_tau(points, coupling: float) -> T1TauFit:
     normal float64 range) or none (error bars scaled by chi^2 / (N - 2)),
     a weighted squared spread of tau_ss inside the normal float64 range,
     and inv_t1 values whose weighted sums (the slope, the intercept and,
-    without sigmas, chi^2) stay finite.  slope/C is the generation rate g;
-    the intercept is Gamma_ex.
+    without sigmas, chi^2) and error bars stay finite.  slope/C is the
+    generation rate g; the intercept is Gamma_ex.
     """
     check_finite("coupling", coupling, ">")
     pts = list(points)
@@ -527,6 +527,11 @@ def fit_t1_vs_tau(points, coupling: float) -> T1TauFit:
             f"{y.max():.3g} 1/s")
     slope_sigma = math.sqrt(scale / stt)
     intercept_sigma = math.sqrt(scale * (1.0 / sw + tbar**2 / stt))
+    if not (slope_sigma < math.inf and intercept_sigma < math.inf):
+        raise InvalidParameterError(
+            "the error bars of the line fit leave the float64 range; it "
+            f"cannot bound inv_t1 values of {y.min():.3g} to {y.max():.3g} "
+            f"1/s over tau_ss values of {tau.min():.3g} to {tau.max():.3g} s")
     return T1TauFit(g=slope / coupling, g_sigma=slope_sigma / coupling,
                     gamma_ex=intercept, gamma_ex_sigma=intercept_sigma,
                     n_points=len(pts))

@@ -768,6 +768,22 @@ class TestCli:
             "1.7e+308 1/s\n")
         assert not recwarn.list
 
+    def test_t1fit_refuses_error_bars_beyond_the_float64_range(
+            self, capsys, recwarn, tmp_path):
+        """Error bars that overflow are refused by name, exit 5, where the
+        output gate caught g_sigma = inf and exited 6."""
+        points = tmp_path / "points.csv"
+        points.write_text("tau_ss,inv_t1\n1e-100,1e150\n3e-100,3e150\n"
+                          "9e-100,5e150\n")
+        code, out, err = run_cli(capsys, "t1fit", str(points), "--c",
+                                 "4.6e10/s", "--no-timestamp")
+        assert (code, out) == (5, "")
+        assert err == (
+            "qpdyn t1fit: the error bars of the line fit leave the float64 "
+            "range; it cannot bound inv_t1 values of 1e+150 to 5e+150 1/s "
+            "over tau_ss values of 1e-100 to 9e-100 s\n")
+        assert not recwarn.list
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_zero_injection_power_is_named(self, capsys, fmt):
         """0 W, from a junction power that underflows, is -inf dBm: refused

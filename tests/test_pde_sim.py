@@ -582,6 +582,183 @@ def test_slowest_mode_band_is_the_dense_symmetrised_generator(
     assert np.array_equal(got, want)
 
 
+
+def test_slowest_mode_hands_lapack_fortran_order_bands(monkeypatch):
+    """?pbtrf and ?sbmv take a Fortran-order band as it is; f2py copies
+    any other layout on every call."""
+    import scipy.linalg.blas
+    import scipy.linalg.lapack
+
+    layouts = []
+
+    def recording(module, name, band_arg):
+        real = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            layouts.append((name, args[band_arg].flags.f_contiguous))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+
+    recording(scipy.linalg.lapack, "dpbtrf", 0)
+    recording(scipy.linalg.blas, "dsbmv", 2)
+    slowest_mode(_bundled_mesh("b1", 50))
+    assert {name for name, _ in layouts} == {"dpbtrf", "dsbmv"}
+    assert all(f_order for _, f_order in layouts)
+
+
+def _count_orders(monkeypatch):
+    """The calls of reverse_cuthill_mckee, by the size of each matrix."""
+    import scipy.sparse.csgraph
+
+    calls, real = [], scipy.sparse.csgraph.reverse_cuthill_mckee
+
+    def counted(a, **kwargs):
+        calls.append(a.shape[0])
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.csgraph, "reverse_cuthill_mckee",
+                        counted)
+    return calls
+
+
+def _plan_bytes(a):
+    """The bytes `_plan` holds for a's pattern: its key, the order and the
+    scatter indices."""
+    plan = pde_sim._plan_of(a)
+    arrays = [a.indptr, a.indices, plan.order] + [
+        place[0] for place in plan.places.values()]
+    return sum(x.nbytes for x in arrays if x is not None)
+
+
+class TestBandPlan:
+    def test_one_shape_is_planned_once_and_reused_bit_for_bit(
+            self, monkeypatch, b1_geom):
+        """Two meshes of one shape with other P, D, s0 and vortex counts
+        share one order; slowest_mode and evolve on a warm plan give what
+        they give on a cold one, to the bit."""
+        pde_sim._plan.cache_clear()
+        calls = _count_orders(monkeypatch)
+        meshes = [build(b1_geom, VortexConfig(1, 0, P_REF),
+                        TransportParams(d=18e-4, s0=33.0), resolution=50),
+                  build(b1_geom, VortexConfig(2, 3, 4 * P_REF),
+                        TransportParams(d=12e-4, s0=0.0), resolution=50)]
+        spec = _drive("rate")
+        warm = [(*slowest_mode(disc), _evolve_states(disc, spec, 1e-6))
+                for disc in meshes]
+        assert calls == [meshes[0].n_nodes]
+        for disc, results in zip(meshes, warm):
+            pde_sim._plan.cache_clear()
+            cold = (*slowest_mode(disc), _evolve_states(disc, spec, 1e-6))
+            assert cold[0] == results[0]
+            for got, want in zip(cold[1:], results[1:]):
+                assert np.array_equal(got, want)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("first, second", [
+        (("b1", 50), ("b3", 50)), (("b1", 50), ("b1", 51))],
+        ids=["b1-b3", "res50-res51"])
+    def test_other_shapes_share_no_plan(self, monkeypatch, first, second):
+        pde_sim._plan.cache_clear()
+        calls = _count_orders(monkeypatch)
+        meshes = [_bundled_mesh(*first), _bundled_mesh(*second)]
+        plans = [pde_sim._plan_of(disc.generator) for disc in meshes]
+        for disc in meshes:
+            slowest_mode(disc)
+        assert plans[0] is not plans[1]
+        assert calls == [disc.n_nodes for disc in meshes]
+        # the same node count and number of entries in another pattern
+        gen = meshes[0].generator
+        flip = np.arange(gen.shape[0])[::-1]
+        relabelled = gen[flip][:, flip]
+        assert relabelled.nnz == gen.nnz
+        assert pde_sim._plan_of(relabelled) is not plans[0]
+
+    def test_the_cache_keeps_its_entry_and_byte_bounds(self, b1_geom):
+        pde_sim._plan.cache_clear()
+        tp = TransportParams(d=18e-4, s0=33.0)
+        gens = [build(b1_geom, VortexConfig(1, 0, P_REF), tp,
+                      resolution=res).generator
+                for res in range(10, 15 + pde_sim._PLANS)]
+        for gen in gens:
+            pde_sim._band(gen, pde_sim._band_order(gen))
+            pde_sim._band(gen, fill=True)
+        assert pde_sim._plan.cache_info().currsize == pde_sim._PLANS
+        kept = gens[-pde_sim._PLANS:]
+        for gen in kept:
+            assert gen.shape[0] + gen.nnz <= pde_sim._PLAN_SIZE
+            assert _plan_bytes(gen) <= 24 * (gen.shape[0] + gen.nnz)
+        assert sum(map(_plan_bytes, kept)) <= \
+            24 * pde_sim._PLAN_SIZE * pde_sim._PLANS
+        # a pattern beyond _PLAN_SIZE is planned afresh, and not kept
+        big = build(b1_geom, VortexConfig(1, 0, P_REF), tp,
+                    resolution=300).generator
+        assert big.shape[0] + big.nnz > pde_sim._PLAN_SIZE
+        assert pde_sim._plan_of(big) is not pde_sim._plan_of(big)
+        info = pde_sim._plan.cache_info()
+        assert (info.currsize, info.misses) == (
+            pde_sim._PLANS, len(gens))
+
+    def test_meshes_of_one_shape_share_no_writable_array(self, b1_geom):
+        tp = TransportParams(d=18e-4, s0=33.0)
+        first, second = (build(b1_geom, VortexConfig(n, 1, P_REF), tp,
+                               resolution=50) for n in (1, 2))
+        slowest_mode(first)
+        plan = pde_sim._plan_of(second.generator)
+        assert plan is pde_sim._plan_of(first.generator)
+        arrays = [lambda d: d.generator.data, lambda d: d.generator.indices,
+                  lambda d: d.generator.indptr, lambda d: d.areas,
+                  lambda d: d.node_y]
+        for array in arrays:
+            assert not np.shares_memory(array(first), array(second))
+        assert not plan.order.flags.writeable
+        assert not any(place[0].flags.writeable
+                       for place in plan.places.values())
+        indices, order = second.generator.indices.copy(), plan.order.copy()
+        first.generator.indices[:2] = first.generator.indices[1::-1]
+        assert np.array_equal(second.generator.indices, indices)
+        assert np.array_equal(plan.order, order)
+        assert pde_sim._plan_of(second.generator) is plan
+        assert pde_sim._plan_of(first.generator) is not plan
+
+    @pytest.mark.parametrize("fill", [False, True])
+    def test_band_helper_holds_on_a_cold_and_a_warm_plan(self, fill):
+        pde_sim._plan.cache_clear()
+        for _ in range(2):  # every pattern's plan cold, then warm
+            for seed in range(6):
+                test_band_holds_the_permuted_matrix_at_lapack_positions(
+                    seed, fill)
+        # in another order, which the plan does not keep, then in its own
+        gen = _bundled_mesh("b2", 50).generator
+        rng = np.random.Generator(np.random.Philox(0))
+        for order in [rng.permutation(gen.shape[0])] \
+                + [pde_sim._band_order(gen)] * 2:
+            band, kl, ku = pde_sim._band(gen, order, fill)
+            dense = gen.toarray()[order][:, order]
+            i, j = np.nonzero(dense)
+            top = kl if fill else 0
+            want = np.zeros((top + kl + ku + 1, gen.shape[0]))
+            want[top + ku + i - j, j] = dense[i, j]
+            assert band.flags.f_contiguous and np.array_equal(band, want)
+        assert (kl, ku) == (3, 3)
+
+    def test_debug_records_say_whether_the_plan_was_reused(self, caplog,
+                                                            b1_geom):
+        pde_sim._plan.cache_clear()
+        caplog.set_level(logging.DEBUG, logger="qpdyn.pde_sim")
+        disc = build(b1_geom, VortexConfig(1, 0, P_REF),
+                     TransportParams(d=18e-4, s0=33.0), resolution=20)
+        spec = _drive("clamp")
+        for _ in range(2):
+            slowest_mode(disc)
+            evolve(disc, spec, tol=1e-6)
+        reused = [record.args["plan_reused"] for record in caplog.records
+                  if record.name == "qpdyn.pde_sim"]
+        # slowest_mode, then the clamped and the free piece, twice; the
+        # free piece runs on the generator slowest_mode planned
+        assert reused == [False, False, True, True, True, True]
+
+
 def _spectral_states(disc, spec):
     """The exact (n_times, n_nodes) states of evolve at r = 0, at the
     times t > 0 of spec.t_grid.

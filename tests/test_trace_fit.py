@@ -645,6 +645,19 @@ class TestT1VsTau:
             fit_t1_vs_tau(pts, coupling)
         assert not recwarn.list
 
+    def test_error_bars_beyond_the_float64_range_refused(self, coupling,
+                                                         recwarn):
+        """A finite fit whose error bars overflow (chi^2 / (N - 2) over
+        the tau_ss spread) is refused by name, where it returned inf."""
+        pts = [SteadyStatePoint(tau_ss=tv, inv_t1=y) for tv, y in (
+            (1e-100, 1e150), (3e-100, 3e150), (9e-100, 5e150))]
+        with pytest.raises(InvalidParameterError, match=(
+                r"^the error bars of the line fit leave the float64 range; "
+                r"it cannot bound inv_t1 values of 1e\+150 to 5e\+150 1/s "
+                r"over tau_ss values of 1e-100 to 9e-100 s$")):
+            fit_t1_vs_tau(pts, coupling)
+        assert not recwarn.list
+
     def test_insufficient_spread(self, coupling):
         pts = [SteadyStatePoint(tau_ss=tv, inv_t1=1e5)
                for tv in (5e-3, 6e-3, 7e-3)]
