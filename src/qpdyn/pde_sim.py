@@ -8,15 +8,16 @@ the analytic model's: 1-D segments joined with width-weighted flux
 matching, pads as lumped nodes carrying the trapping.  The graph is a
 tree, so in reverse Cuthill-McKee order every mesh is banded with
 kl = ku = 3, and 2 and 2 once a clamped junction leaves the unknowns.
-Both kernels work in that order, in the band storage of `_band`.  The slow
+The order and where each stored entry goes in that order's LAPACK band
+storage depend only on a matrix's stored pattern, so `_plan` makes them
+once per pattern, and meshes of one shape, whatever their rates, reuse
+one plan: packing a matrix is then one scatter (`_Plan.band`).  The slow
 mode's inverse iteration factors the area-symmetrised generator
 W^1/2 (-G) W^-1/2 once by a banded Cholesky.  Each drive piece of the
-evolver is put in that order once: the right-hand side's G y is one
-banded BLAS product, a banded LU factors the integrator's linear
-systems in O(n), and each solve is one LAPACK call.  The order and where
-`_band` puts each stored entry depend only on a matrix's stored pattern,
-so `_plan` keeps them per pattern: meshes of one shape, whatever their
-rates, reuse one plan, and packing a matrix is then one scatter.
+evolver packs its generator once: the right-hand side's G y is one
+banded BLAS product, Radau takes its Jacobian as that band, a banded LU
+factors the integrator's linear systems in O(n), and each solve is one
+LAPACK call.
 
 The spatial operator is a conservative finite-volume generator G
 (dx/dt = G x): with s0 = P = 0 the area-weighted column sums of G vanish
@@ -33,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -56,10 +57,11 @@ MAX_NODES = 1_000_000
 _MAX_ITER = 10_000
 
 # `_plan` keeps the band plans of the last _PLANS stored patterns that have
-# at most _PLAN_SIZE rows plus stored entries.  A plan's arrays take at
-# most 24 bytes per row and entry (the pattern, its key; the order; four
-# scatter indices), so the cache holds at most ~12.6 MB; a res-200 mesh's
-# plan is ~60 kB.  A larger pattern gets a fresh plan on every call.
+# at most _PLAN_SIZE rows plus stored entries.  A plan's arrays take 8
+# bytes per row and entry, plus 4 (the pattern's int32 indptr and
+# indices, its key; the int32 order; one int32 scatter index), so the
+# cache holds at most ~4.2 MB; a res-200 mesh's plan is ~57 kB.  A larger
+# pattern gets a fresh plan on every call.
 _PLANS = 64
 _PLAN_SIZE = 8192
 
@@ -208,8 +210,11 @@ def slowest_mode(disc: Discretization) -> tuple[float, np.ndarray]:
     normalized to 1 at the junction node, with round-off noise clipped at
     zero.  Once logging is imported, each converged call logs one DEBUG
     record on the qpdyn.pde_sim logger with the solves, kd, the rate, the
-    residual, its bar, whether it stalled and whether the generator's band
-    plan was reused from an earlier call (`_plan`); its args are a dict.
+    residual, its bar, whether it stalled and plan_reused, whether an
+    earlier call made the generator's band plan (`_plan_of`); its args are
+    a dict.  A call that makes its plan says False, and so do both of two
+    threads that plan one pattern at once; a call that finds its plan
+    while another thread makes one may say False too.
 
     Raises NonConvergenceError before anything is factored when the
     weak-trapping limit small_p_rate, s = (N_L + N_R) P / A_total + s0, is
@@ -230,10 +235,9 @@ def slowest_mode(disc: Discretization) -> tuple[float, np.ndarray]:
     from scipy.linalg.blas import dsbmv
     from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-    plan = _plan_of(disc.generator)
-    reused = plan.order is not None
-    order = plan.band_order(disc.generator)
-    g_band, _, kd = plan.band(disc.generator, order)
+    plan, reused = _plan_of(disc.generator)
+    order, kd = plan.order, plan.ku
+    g_band = plan.band(disc.generator)
     # round-off floors: Rayleigh quotient and residual carry noise of order
     # eps * ||S||, which dwarfs 1e-13 * lambda for a stiff mesh operator
     a_scale = float(np.abs(g_band[kd]).max())
@@ -366,125 +370,97 @@ class EvolveSpec:
         check_time_grid("t_grid", self.t_grid, from_zero=True)
 
 
-class _Plan:
-    """What `_band_order` and `_band` derive from one stored pattern: its
-    reverse Cuthill-McKee order, and per (ordered, fill) where each stored
-    entry goes in `_band`'s storage (a flat index into the band's Fortran
-    order, int32) with the widths kl, ku and the band's row count.  Each
-    part is made from the first matrix that needs it and is read-only;
-    concurrent callers racing on one part make equal arrays, and either is
-    kept."""
+class _Plan(NamedTuple):
+    """The band plan of one stored pattern: its reverse Cuthill-McKee
+    order (Cuthill & McKee 1969), where each stored entry goes in that
+    order's LAPACK band storage (a flat index into the band's Fortran
+    order, int32, read-only like the order) and the band widths kl, ku.
+    On the electrode tree kl = ku = 3, and 2 and 2 once a clamped junction
+    leaves the unknowns."""
 
-    __slots__ = ("order", "places")
+    order: np.ndarray
+    index: np.ndarray
+    kl: int
+    ku: int
 
-    def __init__(self):
-        self.order, self.places = None, {}
+    def band(self, a: sp.csc_matrix) -> np.ndarray:
+        """a, which has this plan's pattern, in LAPACK band storage in the
+        plan's order: entry (i, j) of a[order][:, order] sits at row
+        ku + i - j, column j, of kl + ku + 1 rows in Fortran order, and
+        unstored entries hold 0.  Rows 0..ku hold the upper triangle, row
+        ku the diagonal: for a symmetric pattern (kd = ku) they are
+        ?pbtrf's and ?sbmv's upper band."""
+        out = np.zeros((a.shape[1], self.kl + self.ku + 1))
+        out.reshape(-1)[self.index] = a.data
+        return out.T
 
-    def band_order(self, a: sp.spmatrix) -> np.ndarray:
-        """`_band_order` of a, which has this plan's pattern."""
-        if self.order is None:
-            from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-            order = reverse_cuthill_mckee(a, symmetric_mode=True)
-            order.flags.writeable = False
-            self.order = order
-        return self.order
+def _new_plan(indptr: np.ndarray, indices: np.ndarray) -> _Plan:
+    """The `_Plan` of the square CSC pattern (indptr, indices)."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    def band(self, a: sp.spmatrix, order: np.ndarray | None = None,
-             fill: bool = False) -> tuple[np.ndarray, int, int]:
-        """`_band` of a, which has this plan's pattern.  Only this plan's
-        own order is kept; any other order is placed afresh."""
-        if order is None or order is self.order:
-            key = (order is not None, fill)
-            if key not in self.places:
-                index, *rest = _place(a, order, fill)
-                index = index.astype(np.int32)
-                index.flags.writeable = False
-                self.places[key] = (index, *rest)
-            index, kl, ku, rows = self.places[key]
-        else:
-            index, kl, ku, rows = _place(a, order, fill)
-        out = np.zeros((a.shape[1], rows))
-        out.reshape(-1)[index] = a.data
-        return out.T, kl, ku
+    n = indptr.size - 1
+    order = reverse_cuthill_mckee(sp.csc_matrix(
+        (np.ones(indices.size), indices, indptr), shape=(n, n)),
+        symmetric_mode=True)
+    rank = np.argsort(order)  # node order[k] goes to position k
+    row = rank[indices]
+    col = rank[np.repeat(np.arange(n), np.diff(indptr))]
+    offset = row - col
+    kl, ku = int(max(offset.max(), 0)), int(max(-offset.min(), 0))
+    index = (col * (kl + ku + 1) + ku + offset).astype(np.int32)
+    order.flags.writeable = index.flags.writeable = False
+    return _Plan(order, index, kl, ku)
 
 
 @functools.lru_cache(maxsize=_PLANS)
 def _plan(shape: tuple, dtypes: str, indptr: bytes, indices: bytes) -> _Plan:
     """The cached plan of one CSC pattern, keyed on its shape, index dtypes
     and index bytes: equal keys are equal patterns."""
-    return _Plan()
+    return _new_plan(np.frombuffer(indptr, dtypes[:3]),
+                     np.frombuffer(indices, dtypes[3:]))
 
 
-def _plan_of(a: sp.spmatrix) -> _Plan:
-    """The band plan of a's stored pattern: `_plan`'s for a CSC matrix of
-    at most _PLAN_SIZE rows plus stored entries, else a fresh one."""
-    if a.format != "csc" or a.shape[0] + a.nnz > _PLAN_SIZE:
-        return _Plan()
-    return _plan(a.shape, a.indptr.dtype.str + a.indices.dtype.str,
+def _plan_of(a: sp.csc_matrix) -> tuple[_Plan, bool]:
+    """The band plan of a's stored pattern, and whether an earlier call
+    made it (`_plan`'s miss count stood still): `_plan`'s for at most
+    _PLAN_SIZE rows plus stored entries, else a fresh one."""
+    if a.shape[0] + a.nnz > _PLAN_SIZE:
+        return _new_plan(a.indptr, a.indices), False
+    misses = _plan.cache_info().misses
+    plan = _plan(a.shape, a.indptr.dtype.str + a.indices.dtype.str,
                  a.indptr.tobytes(), a.indices.tobytes())
-
-
-def _band_order(a: sp.spmatrix) -> np.ndarray:
-    """The reverse Cuthill-McKee order (Cuthill & McKee 1969) of a's
-    symmetric pattern: on the electrode tree it puts a in a band with
-    kl = ku = 3, and 2 and 2 once a clamped junction leaves the unknowns.
-    The order is read-only: it is the one `_plan_of(a)` keeps."""
-    return _plan_of(a).band_order(a)
-
-
-def _band(a: sp.spmatrix, order: np.ndarray | None = None,
-          fill: bool = False) -> tuple[np.ndarray, int, int]:
-    """LAPACK band storage of a, or of a[order][:, order], and the band
-    widths kl, ku of its stored pattern.
-
-    Entry (i, j) sits at row ku + i - j, column j, of kl + ku + 1 rows in
-    Fortran order; `fill` puts ?gbtrf's kl fill-in rows on top, moving
-    every row down by kl.  Rows 0..ku hold the upper triangle, row ku the
-    diagonal: for a symmetric pattern (kd = ku) they are ?pbtrf's and
-    ?sbmv's upper band.  Unstored entries hold 0.  Where the entries go is
-    kept in `_plan_of(a)` when order is None or a's `_band_order`.
-    """
-    return _plan_of(a).band(a, order, fill)
-
-
-def _place(a: sp.spmatrix, order: np.ndarray | None,
-           fill: bool) -> tuple[np.ndarray, int, int, int]:
-    """Where `_band` puts each stored entry of a, in a.data's order: the
-    flat index into the band's Fortran order; kl, ku; the band's rows."""
-    a = a.tocoo()
-    row, col = a.row, a.col
-    if order is not None:
-        rank = np.argsort(order)  # node order[k] goes to position k
-        row, col = rank[row], rank[col]
-    offset = row - col
-    kl, ku = int(max(offset.max(), 0)), int(max(-offset.min(), 0))
-    top = kl if fill else 0
-    rows = top + kl + ku + 1
-    index = col.astype(np.intp) * rows + top + ku + offset
-    return index, kl, ku, rows
+    return plan, _plan.cache_info().misses == misses
 
 
 @functools.cache
 def _banded_radau():
-    """scipy's Radau IIA with its linear algebra in `_band`'s storage.
+    """scipy's Radau IIA with its linear algebra in LAPACK band storage.
 
     The class is made on first use, so that importing pde_sim loads no
     scipy.integrate.  Radau keeps its step control, Newton iteration and
     the caller's exact Jacobian; only the matrices change form.  The
-    caller hands over a system already in `_band_order` (`_solve_piece`
-    does), so `_band` takes the widths kl and ku from the Jacobian's own
-    pattern.  Radau's own `MU / h * I - J` then forms the band matrix that
-    ?gbtrf factors, and each solve is one ?gbtrs call on the right-hand
-    side in place: every caller of `solve_lu` in Radau passes a temporary.
+    solver takes the band widths kl and ku as options, and `jac(t, y)`
+    returns the Jacobian as ?gbtrf takes it, `_Plan.band`'s storage below
+    kl fill-in rows (`_solve_piece` hands over all three).
+    `_validate_jac` takes that band past Radau's (n, n) check; the first
+    one reaches Radau's `__init__` as a sparse view, so Radau makes an O(n)
+    sparse identity, never its dense n x n one.  Radau's own
+    `MU / h * I - J` then forms the band matrix that ?gbtrf factors, and
+    each solve is one ?gbtrs call on the right-hand side in place: every
+    caller of `solve_lu` in Radau passes a temporary.
     """
+    import scipy.sparse as sp
     from scipy.integrate import Radau
-    from scipy.linalg.lapack import dgbtrf, dgbtrs, zgbtrf, zgbtrs
 
     class BandedRadau(Radau):
-        def __init__(self, fun, t0, y0, t_bound, **options):
+        def __init__(self, fun, t0, y0, t_bound, kl, ku, **options):
+            from scipy.linalg.lapack import dgbtrf, dgbtrs, zgbtrf, zgbtrs
+
+            self.kl, self.ku = kl, ku
             super().__init__(fun, t0, y0, t_bound, **options)
-            self.J, kl, ku = _band(self.J, fill=True)
+            self.J = self.J.data  # the band under the sparse view
 
             def lu(a):
                 self.nlu += 1
@@ -501,12 +477,21 @@ def _banded_radau():
                 trs, factor, piv = lu
                 return trs(factor, kl, ku, b, piv, overwrite_b=True)[0]
 
-            sparse_jac = self.jac
-            self.jac = lambda t, y, f=None: _band(sparse_jac(t, y, f),
-                                                  fill=True)[0]
             self.I = np.zeros_like(self.J)
             self.I[kl + ku] = 1.0
             self.lu, self.solve_lu = lu, solve_lu
+
+        def _validate_jac(self, jac, sparsity):
+            """The band Jacobian jac(t, y), counted as Radau counts it,
+            and its first value as a dia_matrix view of the band."""
+            def banded(t, y, _=None):
+                self.njev += 1
+                return jac(t, y)
+
+            band = banded(self.t, self.y)
+            offsets = self.kl + self.ku - np.arange(band.shape[0])
+            return banded, sp.dia_matrix((band, offsets),
+                                         shape=(self.n, self.n))
 
     return BandedRadau
 
@@ -517,14 +502,19 @@ def _solve_piece(disc: Discretization, spec: EvolveSpec, x: np.ndarray,
     """Radau IIA solve of one drive piece, from state x at t0 to t_eval[-1].
 
     dy/dt = G y - r y^2 + g, plus the junction drive when `driven`; the
-    absolute tolerance is 1e-3 * tol * scale.  The unknowns enter the
-    integrator in `_band_order`, where G y is one BLAS ?gbmv on `_band`'s
-    storage, and the states come back in node order.  Returns the
+    absolute tolerance is 1e-3 * tol * scale.  The piece's generator (the
+    full one, or the clamped one without the junction) is packed once, in
+    its plan's order (`_plan_of`): the unknowns enter the integrator in
+    that order, G y is one BLAS ?gbmv on the band, Radau's Jacobian is
+    that band below ?gbtrf's kl fill-in rows, minus 2 r y on its diagonal
+    row, and the states come back in node order.  Returns the
     (n_nodes, n_times) states at t_eval, clipped at zero, and logs one
     DEBUG record on the qpdyn.pde_sim logger with the interval, the
-    unknowns, the band widths, Radau's counts and whether the band plan of
-    the piece's generator was reused from an earlier call (`_plan`); its
-    args are a dict.
+    unknowns, the band widths, Radau's counts and plan_reused, whether an
+    earlier call made the band plan of the piece's generator; its args are
+    a dict.  A call that makes its plan says False, and so do both of two
+    threads that plan one pattern at once; a call that finds its plan
+    while another thread makes one may say False too.
     Float overflow is not left to numpy's warnings: the failed solve it
     causes raises StepSizeUnderflowError naming the piece, r and the
     density scale.
@@ -546,28 +536,26 @@ def _solve_piece(disc: Discretization, spec: EvolveSpec, x: np.ndarray,
             gen = gen[keep][:, keep]
         elif driven:
             src[jj] += spec.injection_rate
-        plan = _plan_of(gen)
-        reused = plan.order is not None
-        band_order = plan.band_order(gen)
-        gen = gen[band_order][:, band_order]
-        order = keep[band_order]
+        plan, reused = _plan_of(gen)
+        order, kl, ku = keep[plan.order], plan.kl, plan.ku
         src, n = src[order], order.size
-        pattern = gen.tocoo()  # build stores every diagonal entry, once
-        diagonal = np.flatnonzero(pattern.row == pattern.col)
-        gen_band, kl, ku = _band(gen)
+        gen_band = plan.band(gen)
+        # the Jacobian's band: gen_band below ?gbtrf's kl fill-in rows
+        padded = np.zeros((2 * kl + ku + 1, n), order="F")
+        padded[kl:] = gen_band
 
         def fun(t, y):
             return dgbmv(n, n, kl, ku, 1.0, gen_band, y) - r * y * y + src
 
-        def jac(t, y):  # G - 2 r diag(y), as a sparse matrix
-            out = gen.copy()
-            out.data[diagonal] -= 2.0 * r * y
+        def jac(t, y):  # G - 2 r diag(y)
+            out = padded.copy(order="F")
+            out[kl + ku] -= 2.0 * r * y
             return out
 
         try:
             sol = solve_ivp(fun, (t0, t_eval[-1]), x[order],
                             method=_banded_radau(), t_eval=t_eval, jac=jac,
-                            rtol=tol,
+                            kl=kl, ku=ku, rtol=tol,
                             atol=1e-3 * tol * scale or np.finfo(float).tiny)
             _log_debug(
                 __name__, "piece [%(t0).6g, %(t1).6g] s: %(unknowns)d "
@@ -600,8 +588,9 @@ def evolve(disc: Discretization, spec: EvolveSpec, tol: float = 1e-8):
 
     dx/dt = G x - r x^2 + g (+ the junction drive) is integrated by scipy's
     Radau IIA with the exact Jacobian G - 2 r diag(x), one solve per drive
-    piece, [0, t_inj] and [t_inj, t_end].  Each piece runs in `_band_order`
-    and `_band`'s storage: G y is a banded BLAS ?gbmv, and Radau's linear
+    piece, [0, t_inj] and [t_inj, t_end].  Each piece runs in its
+    generator's reverse Cuthill-McKee order and LAPACK band storage: G y is
+    a banded BLAS ?gbmv, Radau takes its Jacobian as a band, and its linear
     systems are solved by a banded LU (LAPACK ?gbtrf / ?gbtrs).  A clamped
     junction is a Dirichlet node: it leaves the unknowns, narrowing the
     band, and feeds its neighbours through G[:, junction] *
@@ -680,7 +669,9 @@ def factorized_dynamics_check(disc: Discretization, r: float, g: float,
     """
     from .dynamics import RateParams, integrate_ode, steady_state
 
-    check_finite("t_window_start", t_window_start, ">=")
+    for name, value in (("r", r), ("g", g), ("x_init_amp", x_init_amp),
+                        ("t_window_start", t_window_start)):
+        check_finite(name, value, ">=")
     if not (isinstance(n_points, (int, np.integer)) and n_points >= 2):
         raise InvalidParameterError(
             f"n_points must be an integer >= 2, got {n_points}")

@@ -412,6 +412,25 @@ def _drive(drive):
                       **DRIVES[drive])
 
 
+def _sparse_radau():
+    """scipy's plain Radau, with SuperLU, on the banded solver's options:
+    it turns each band Jacobian back into a CSC matrix."""
+    import scipy.sparse as sp
+    from scipy.integrate import Radau
+
+    class SparseRadau(Radau):
+        def __init__(self, fun, t0, y0, t_bound, kl, ku, jac, **options):
+            offsets = kl + ku - np.arange(2 * kl + ku + 1)
+
+            def sparse(t, y):
+                return sp.dia_matrix((jac(t, y), offsets),
+                                     shape=(y.size, y.size)).tocsc()
+
+            super().__init__(fun, t0, y0, t_bound, jac=sparse, **options)
+
+    return SparseRadau
+
+
 class TestBandedRadau:
     # a Latin square: each geometry meets each resolution and each drive
     # once, and each resolution meets each drive once
@@ -422,11 +441,9 @@ class TestBandedRadau:
     def test_matches_radau_with_the_sparse_jacobian(self, monkeypatch, name,
                                                     resolution, drive):
         # the banded LU changes only round-off: Radau takes the same steps
-        from scipy.integrate import Radau
-
         disc, spec = _bundled_mesh(name, resolution), _drive(drive)
         banded = _evolve_states(disc, spec, 1e-8)
-        monkeypatch.setattr(pde_sim, "_banded_radau", lambda: Radau)
+        monkeypatch.setattr(pde_sim, "_banded_radau", _sparse_radau)
         plain = _evolve_states(disc, spec, 1e-8)
         np.testing.assert_allclose(banded, plain, rtol=1e-9,
                                    atol=1e-9 * np.abs(plain).max())
@@ -435,7 +452,6 @@ class TestBandedRadau:
         # Radau's own factorization would reach splu; the banded hooks
         # replace it, so evolve runs with splu broken
         import scipy.integrate._ivp.radau as radau
-        from scipy.integrate import Radau
 
         def broken(matrix):
             raise RuntimeError("splu called")
@@ -444,9 +460,34 @@ class TestBandedRadau:
         disc = _bundled_mesh("b1", 20)
         for drive in DRIVES:
             assert np.all(np.isfinite(evolve(disc, _drive(drive))))
-        monkeypatch.setattr(pde_sim, "_banded_radau", lambda: Radau)
+        monkeypatch.setattr(pde_sim, "_banded_radau", _sparse_radau)
         with pytest.raises(StepSizeUnderflowError, match="splu called"):
             evolve(disc, _drive("free"))
+
+    def test_radau_never_takes_its_dense_branch(self, monkeypatch):
+        """b1 at res 200 runs with Radau's SuperLU and dense LU broken, and
+        a warm evolve's peak stays far below the 25 MB of Radau's dense
+        n x n identity."""
+        import tracemalloc
+
+        import scipy.integrate._ivp.radau as radau
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("Radau's own LU called")
+
+        monkeypatch.setattr(radau, "splu", broken)
+        monkeypatch.setattr(radau, "lu_factor", broken)
+        disc = _bundled_mesh("b1", 200)
+        assert disc.n_nodes == 1767
+        for drive in DRIVES:
+            assert np.all(np.isfinite(evolve(disc, _drive(drive))))
+        tracemalloc.start()
+        try:
+            evolve(disc, _drive("rate"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     @pytest.mark.parametrize("extreme", [
         {"r": 1e300}, {"g": 1e300}, {"x_init": 1e300},
@@ -492,14 +533,12 @@ def _pieces(caplog):
 def test_banded_radau_takes_the_same_steps(monkeypatch, caplog, name,
                                            resolution, drive):
     # same function calls, Jacobians and factorizations on every piece
-    from scipy.integrate import Radau
-
     caplog.set_level(logging.DEBUG, logger="qpdyn.pde_sim")
     disc, spec = _bundled_mesh(name, resolution), _drive(drive)
     evolve(disc, spec, tol=1e-8)
     banded = _pieces(caplog)
     caplog.clear()
-    monkeypatch.setattr(pde_sim, "_banded_radau", lambda: Radau)
+    monkeypatch.setattr(pde_sim, "_banded_radau", _sparse_radau)
     evolve(disc, spec, tol=1e-8)
     plain = _pieces(caplog)
     assert len(banded) == (1 if drive == "free" else 2)
@@ -523,13 +562,27 @@ def test_band_widths_on_the_electrode_tree(caplog, name, resolution):
         (disc.n_nodes - 1, 2, 2), (disc.n_nodes, 3, 3)]
 
 
-@pytest.mark.parametrize("fill", [False, True])
+def _banded(dense, kl, ku, top=0):
+    """dense in LAPACK band storage: entry (i, j) at row top + ku + i - j,
+    column j, below `top` zero rows; dense must lie within the band."""
+    n = dense.shape[0]
+    assert not np.any(np.tril(dense, -kl - 1)) \
+        and not np.any(np.triu(dense, ku + 1))
+    out = np.zeros((top + kl + ku + 1, n))
+    for d in range(-kl, ku + 1):  # j - i = d sits at row top + ku - d
+        out[top + ku - d, max(d, 0):n + min(d, 0)] = np.diagonal(dense, d)
+    return out
+
+
+@pytest.mark.parametrize("warm", [False, True])
 @pytest.mark.parametrize("seed", range(6))
-def test_band_holds_the_permuted_matrix_at_lapack_positions(seed, fill):
-    """_band on a random matrix with a symmetric pattern and a random
-    order: a[order][:, order]'s entries at row ku + i - j (plus kl fill
-    rows), column j, zeros elsewhere, and the pattern's own widths."""
+def test_band_holds_the_permuted_matrix_at_lapack_positions(seed, warm):
+    """The plan of a random matrix with a symmetric pattern, cold or kept
+    from an earlier call: reverse_cuthill_mckee's order on that pattern,
+    the pattern's widths in it, and a[order][:, order]'s entries at row
+    ku + i - j, column j, zeros elsewhere."""
     import scipy.sparse as sp
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     rng = np.random.Generator(np.random.Philox(seed))
     n = int(rng.integers(5, 40))
@@ -537,19 +590,19 @@ def test_band_holds_the_permuted_matrix_at_lapack_positions(seed, fill):
     mask = (mask + mask.T + sp.eye(n)).tocoo()
     a = sp.csc_matrix((rng.uniform(0.5, 1.5, mask.nnz) * rng.choice(
         [-1.0, 1.0], mask.nnz), (mask.row, mask.col)), shape=(n, n))
-    order = rng.permutation(n)
-    band, kl, ku = pde_sim._band(a, order, fill)
+    pde_sim._plan.cache_clear()
+    if warm:
+        pde_sim._plan_of(a)
+    plan, reused = pde_sim._plan_of(a)
+    assert reused == warm
+    order = reverse_cuthill_mckee(a, symmetric_mode=True)
+    assert np.array_equal(plan.order, order)
     dense = a.toarray()[order][:, order]
     i, j = np.nonzero(dense)
-    assert (kl, ku) == ((i - j).max(), (j - i).max())
-    top = kl if fill else 0
-    want = np.zeros((top + kl + ku + 1, n))
-    want[top + ku + i - j, j] = dense[i, j]
+    assert (plan.kl, plan.ku) == ((i - j).max(), (j - i).max())
+    band = plan.band(a)
     assert band.flags.f_contiguous
-    assert np.array_equal(band, want)
-    # without an order, the matrix is packed as it stands
-    same, *widths = pde_sim._band(sp.csc_matrix(dense), fill=fill)
-    assert widths == [kl, ku] and np.array_equal(same, want)
+    assert np.array_equal(band, _banded(dense, plan.kl, plan.ku))
 
 
 @pytest.mark.parametrize("name", ["b1", "b2", "b3"])
@@ -570,7 +623,7 @@ def test_slowest_mode_band_is_the_dense_symmetrised_generator(
     disc = _bundled_mesh(name, 50)
     slowest_mode(disc)
     kd, got = bands[0]
-    order = pde_sim._band_order(disc.generator)
+    order = pde_sim._plan_of(disc.generator)[0].order
     root_w = np.sqrt(disc.areas)
     s_op = (-disc.generator.toarray() * root_w[:, None] / root_w)[order][
         :, order]
@@ -583,28 +636,83 @@ def test_slowest_mode_band_is_the_dense_symmetrised_generator(
 
 
 
-def test_slowest_mode_hands_lapack_fortran_order_bands(monkeypatch):
-    """?pbtrf and ?sbmv take a Fortran-order band as it is; f2py copies
-    any other layout on every call."""
+def _band_layouts(monkeypatch, routines):
+    """Record, per call, each LAPACK or BLAS routine's name and whether
+    its band argument was Fortran-order: routines maps "blas.dsbmv" to
+    the band's position among the arguments."""
     import scipy.linalg.blas
     import scipy.linalg.lapack
 
     layouts = []
+    for path, band_arg in routines.items():
+        module, name = path.split(".")
+        module = getattr(scipy.linalg, module)
 
-    def recording(module, name, band_arg):
-        real = getattr(module, name)
-
-        def recorded(*args, **kwargs):
+        def recorded(*args, real=getattr(module, name), name=name,
+                     band_arg=band_arg, **kwargs):
             layouts.append((name, args[band_arg].flags.f_contiguous))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, recorded)
+    return layouts
 
-    recording(scipy.linalg.lapack, "dpbtrf", 0)
-    recording(scipy.linalg.blas, "dsbmv", 2)
+
+def test_slowest_mode_hands_lapack_fortran_order_bands(monkeypatch):
+    """?pbtrf and ?sbmv take a Fortran-order band as it is; f2py copies
+    any other layout on every call."""
+    layouts = _band_layouts(monkeypatch,
+                            {"lapack.dpbtrf": 0, "blas.dsbmv": 2})
     slowest_mode(_bundled_mesh("b1", 50))
     assert {name for name, _ in layouts} == {"dpbtrf", "dsbmv"}
     assert all(f_order for _, f_order in layouts)
+
+
+def test_evolve_hands_lapack_fortran_order_bands(monkeypatch):
+    """So do ?gbmv, ?gbtrf and ?gbtrs, on the full and the clamped
+    generator alike."""
+    routines = {"blas.dgbmv": 5, "lapack.dgbtrf": 0, "lapack.dgbtrs": 0,
+                "lapack.zgbtrf": 0, "lapack.zgbtrs": 0}
+    layouts = _band_layouts(monkeypatch, routines)
+    evolve(_bundled_mesh("b1", 50), _drive("clamp"))
+    assert {name for name, _ in layouts} == {
+        path.split(".")[1] for path in routines}
+    assert all(f_order for _, f_order in layouts)
+
+
+@pytest.mark.parametrize("drive", ["rate", "clamp"])
+def test_radau_takes_the_band_of_the_exact_jacobian(monkeypatch, drive):
+    """Every Jacobian Radau takes is, bit for bit, the dense
+    G - 2 r diag(y) of its piece's generator in the plan's order, in LAPACK
+    band storage below kl zero fill-in rows for ?gbtrf."""
+    banded_radau = pde_sim._banded_radau()
+    seen = []
+
+    class Recording(banded_radau):
+        def _validate_jac(self, jac, sparsity):
+            def recorded(t, y):
+                band = jac(t, y)
+                seen.append((y.copy(), band.copy()))
+                return band
+
+            return super()._validate_jac(recorded, sparsity)
+
+    monkeypatch.setattr(pde_sim, "_banded_radau", lambda: Recording)
+    disc, spec = _bundled_mesh("b1", 50), _drive(drive)
+    evolve(disc, spec)
+    gen, jj = disc.generator, disc.junction_index
+    keep = np.arange(disc.n_nodes)
+    keep = keep[keep != jj]
+    pieces = {disc.n_nodes: gen, disc.n_nodes - 1: gen[keep][:, keep]}
+    assert {y.size for y, _ in seen} == (
+        set(pieces) if drive == "clamp" else {disc.n_nodes})
+    for y, got in seen:
+        piece = pieces[y.size]
+        plan = pde_sim._plan_of(piece)[0]
+        assert (plan.kl, plan.ku) == ((3, 3) if piece is gen else (2, 2))
+        dense = piece.toarray()[plan.order][:, plan.order]
+        dense[np.diag_indices(y.size)] -= 2.0 * spec.r * y
+        assert np.array_equal(got, _banded(dense, plan.kl, plan.ku,
+                                           top=plan.kl))
 
 
 def _count_orders(monkeypatch):
@@ -624,11 +732,10 @@ def _count_orders(monkeypatch):
 
 def _plan_bytes(a):
     """The bytes `_plan` holds for a's pattern: its key, the order and the
-    scatter indices."""
-    plan = pde_sim._plan_of(a)
-    arrays = [a.indptr, a.indices, plan.order] + [
-        place[0] for place in plan.places.values()]
-    return sum(x.nbytes for x in arrays if x is not None)
+    scatter index."""
+    plan = pde_sim._plan_of(a)[0]
+    return sum(x.nbytes for x in (a.indptr, a.indices, plan.order,
+                                  plan.index))
 
 
 class TestBandPlan:
@@ -662,7 +769,7 @@ class TestBandPlan:
         pde_sim._plan.cache_clear()
         calls = _count_orders(monkeypatch)
         meshes = [_bundled_mesh(*first), _bundled_mesh(*second)]
-        plans = [pde_sim._plan_of(disc.generator) for disc in meshes]
+        plans = [pde_sim._plan_of(disc.generator)[0] for disc in meshes]
         for disc in meshes:
             slowest_mode(disc)
         assert plans[0] is not plans[1]
@@ -672,7 +779,7 @@ class TestBandPlan:
         flip = np.arange(gen.shape[0])[::-1]
         relabelled = gen[flip][:, flip]
         assert relabelled.nnz == gen.nnz
-        assert pde_sim._plan_of(relabelled) is not plans[0]
+        assert pde_sim._plan_of(relabelled)[0] is not plans[0]
 
     def test_the_cache_keeps_its_entry_and_byte_bounds(self, b1_geom):
         pde_sim._plan.cache_clear()
@@ -681,20 +788,19 @@ class TestBandPlan:
                       resolution=res).generator
                 for res in range(10, 15 + pde_sim._PLANS)]
         for gen in gens:
-            pde_sim._band(gen, pde_sim._band_order(gen))
-            pde_sim._band(gen, fill=True)
+            pde_sim._plan_of(gen)
         assert pde_sim._plan.cache_info().currsize == pde_sim._PLANS
         kept = gens[-pde_sim._PLANS:]
         for gen in kept:
             assert gen.shape[0] + gen.nnz <= pde_sim._PLAN_SIZE
-            assert _plan_bytes(gen) <= 24 * (gen.shape[0] + gen.nnz)
+            assert _plan_bytes(gen) <= 8 * (gen.shape[0] + gen.nnz) + 4
         assert sum(map(_plan_bytes, kept)) <= \
-            24 * pde_sim._PLAN_SIZE * pde_sim._PLANS
+            (8 * pde_sim._PLAN_SIZE + 4) * pde_sim._PLANS
         # a pattern beyond _PLAN_SIZE is planned afresh, and not kept
         big = build(b1_geom, VortexConfig(1, 0, P_REF), tp,
                     resolution=300).generator
         assert big.shape[0] + big.nnz > pde_sim._PLAN_SIZE
-        assert pde_sim._plan_of(big) is not pde_sim._plan_of(big)
+        assert pde_sim._plan_of(big)[0] is not pde_sim._plan_of(big)[0]
         info = pde_sim._plan.cache_info()
         assert (info.currsize, info.misses) == (
             pde_sim._PLANS, len(gens))
@@ -704,43 +810,43 @@ class TestBandPlan:
         first, second = (build(b1_geom, VortexConfig(n, 1, P_REF), tp,
                                resolution=50) for n in (1, 2))
         slowest_mode(first)
-        plan = pde_sim._plan_of(second.generator)
-        assert plan is pde_sim._plan_of(first.generator)
+        plan = pde_sim._plan_of(second.generator)[0]
+        assert plan is pde_sim._plan_of(first.generator)[0]
         arrays = [lambda d: d.generator.data, lambda d: d.generator.indices,
                   lambda d: d.generator.indptr, lambda d: d.areas,
                   lambda d: d.node_y]
         for array in arrays:
             assert not np.shares_memory(array(first), array(second))
         assert not plan.order.flags.writeable
-        assert not any(place[0].flags.writeable
-                       for place in plan.places.values())
+        assert not plan.index.flags.writeable
         indices, order = second.generator.indices.copy(), plan.order.copy()
         first.generator.indices[:2] = first.generator.indices[1::-1]
         assert np.array_equal(second.generator.indices, indices)
         assert np.array_equal(plan.order, order)
-        assert pde_sim._plan_of(second.generator) is plan
-        assert pde_sim._plan_of(first.generator) is not plan
+        assert pde_sim._plan_of(second.generator)[0] is plan
+        assert pde_sim._plan_of(first.generator)[0] is not plan
 
-    @pytest.mark.parametrize("fill", [False, True])
-    def test_band_helper_holds_on_a_cold_and_a_warm_plan(self, fill):
+    @pytest.mark.parametrize("clamped", [False, True])
+    def test_band_helper_holds_on_a_cold_and_a_warm_plan(self, clamped):
+        """b2's generator, whole or without its junction as a clamp leaves
+        it, packed by a cold plan and then by the same plan kept."""
         pde_sim._plan.cache_clear()
-        for _ in range(2):  # every pattern's plan cold, then warm
-            for seed in range(6):
-                test_band_holds_the_permuted_matrix_at_lapack_positions(
-                    seed, fill)
-        # in another order, which the plan does not keep, then in its own
-        gen = _bundled_mesh("b2", 50).generator
-        rng = np.random.Generator(np.random.Philox(0))
-        for order in [rng.permutation(gen.shape[0])] \
-                + [pde_sim._band_order(gen)] * 2:
-            band, kl, ku = pde_sim._band(gen, order, fill)
-            dense = gen.toarray()[order][:, order]
-            i, j = np.nonzero(dense)
-            top = kl if fill else 0
-            want = np.zeros((top + kl + ku + 1, gen.shape[0]))
-            want[top + ku + i - j, j] = dense[i, j]
-            assert band.flags.f_contiguous and np.array_equal(band, want)
-        assert (kl, ku) == (3, 3)
+        disc = _bundled_mesh("b2", 50)
+        gen, keep = disc.generator, np.arange(disc.n_nodes)
+        if clamped:
+            keep = keep[keep != disc.junction_index]
+            gen = gen[keep][:, keep]
+        plans = []
+        for warm in (False, True):
+            plan, reused = pde_sim._plan_of(gen)
+            assert reused == warm
+            dense = gen.toarray()[plan.order][:, plan.order]
+            band = plan.band(gen)
+            assert band.flags.f_contiguous
+            assert np.array_equal(band, _banded(dense, plan.kl, plan.ku))
+            plans.append(plan)
+        assert plans[0] is plans[1]
+        assert (plan.kl, plan.ku) == ((2, 2) if clamped else (3, 3))
 
     def test_debug_records_say_whether_the_plan_was_reused(self, caplog,
                                                             b1_geom):
@@ -896,3 +1002,25 @@ class TestFactorizedDynamics:
         with pytest.raises(InvalidParameterError, match=match):
             factorized_dynamics_check(disc_one_vortex, r=R_B1, g=1e-4,
                                       x_init_amp=1e-4, **kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"x_init_amp": -1e-4},
+         "x_init_amp must be finite and >= 0, got -0.0001"),
+        ({"x_init_amp": np.nan},
+         "x_init_amp must be finite and >= 0, got nan"),
+        ({"x_init_amp": np.inf},
+         "x_init_amp must be finite and >= 0, got inf"),
+        ({"r": -1.0}, "r must be finite and >= 0, got -1.0"),
+        ({"g": np.nan}, "g must be finite and >= 0, got nan")])
+    def test_rates_and_amplitude_are_refused_by_their_own_names(
+            self, monkeypatch, disc_one_vortex, kwargs, message):
+        """Before the slow mode is even sought."""
+        def not_reached(disc):
+            raise AssertionError("slowest_mode ran")
+
+        monkeypatch.setattr(pde_sim, "slowest_mode", not_reached)
+        with pytest.raises(InvalidParameterError) as refused:
+            factorized_dynamics_check(
+                disc_one_vortex, **{"r": R_B1, "g": 1e-4, "x_init_amp": 1e-4,
+                                    **kwargs})
+        assert str(refused.value) == message
