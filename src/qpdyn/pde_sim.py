@@ -5,28 +5,31 @@ nonlinear time evolver (diffusion + recombination + generation +
 injection drive) built on scipy's stiff Radau IIA integrator with the
 exact Jacobian.  The network is the electrode graph of geometry.edges,
 the analytic model's: 1-D segments joined with width-weighted flux
-matching, pads as lumped nodes carrying the trapping.  The graph is a
-tree, so in reverse Cuthill-McKee order every mesh is banded with
-kl = ku = 3, and 2 and 2 once a clamped junction leaves the unknowns.
-The order and where each stored entry goes in that order's LAPACK band
-storage depend only on a matrix's stored pattern, so `_plan` makes them
-once per pattern, and meshes of one shape, whatever their rates, reuse
-one plan: packing a matrix is then one scatter (`_Plan.band`).  The slow
-mode's inverse iteration factors the area-symmetrised generator
-W^1/2 (-G) W^-1/2 once by a banded Cholesky.  Each drive piece of the
-evolver packs its generator once: the right-hand side's G y is one
-banded BLAS product, Radau takes its Jacobian as that band, a banded LU
-factors the integrator's linear systems in O(n), and each solve is one
-LAPACK call.
+matching, pads as lumped nodes carrying the trapping.  What depends only
+on a matrix's stored pattern is planned once per pattern (`_plan`), and
+meshes of one shape, whatever their rates, reuse one plan.  The graph is
+a tree, so in reverse Cuthill-McKee order every mesh is banded with
+kl = ku = 3 (2 and 2 once a clamped junction leaves the unknowns), and
+the plan says where each stored entry goes in that order's LAPACK band
+storage: each drive piece of the evolver packs its generator once by one
+scatter (`_Plan.band`), the right-hand side's G y is one banded BLAS
+product, Radau takes its Jacobian as that band, a banded LU factors the
+integrator's linear systems in O(n), and each solve is one LAPACK call.
+With its branch nodes (the border) taken out, the tree falls apart into
+paths, which the plan also orders one after another: the slow mode's
+inverse iteration factors the area-symmetrised generator
+W^1/2 (-G) W^-1/2 as one symmetric positive definite tridiagonal over the
+paths (LAPACK ?pttrf, a plain loop) and the border's small Schur
+complement.
 
 The spatial operator is a conservative finite-volume generator G
 (dx/dt = G x): with s0 = P = 0 the area-weighted column sums of G vanish
 identically, so total QP number is conserved to round-off; Radau's
-collocation steps preserve that linear invariant.  `build` assembles G
-from whole arrays, one set per chain of cells, sorts its entries into
-compressed-column order with one argsort and hands the CSC arrays to one
-sparse constructor call, so its Python-level work grows with the chains,
-not the nodes.
+collocation steps preserve that linear invariant.  `build` takes what
+depends only on the mesh's shape (its node layout and the generator's
+compressed-column arrays) from a per-shape template and computes the
+values from whole arrays, so its Python-level work grows with the
+chains, not the nodes.
 """
 
 from __future__ import annotations
@@ -53,15 +56,23 @@ if TYPE_CHECKING:
 # 1e5 nodes), so a finer request is refused before anything is allocated.
 MAX_NODES = 1_000_000
 
+# The lumped nodes every mesh starts with, in node order.
+_LUMPED = ("pad_left", "pad_right", "cross_left", "cross_right", "junction")
+
 # Inverse power iterations slowest_mode runs before it gives up.
 _MAX_ITER = 10_000
 
-# `_plan` keeps the band plans of the last _PLANS stored patterns that have
-# at most _PLAN_SIZE rows plus stored entries.  A plan's arrays take 8
-# bytes per row and entry, plus 4 (the pattern's int32 indptr and
-# indices, its key; the int32 order; one int32 scatter index), so the
-# cache holds at most ~4.2 MB; a res-200 mesh's plan is ~57 kB.  A larger
-# pattern gets a fresh plan on every call.
+# `_plan` keeps the plans of the last _PLANS stored patterns that have at
+# most _PLAN_SIZE rows plus stored entries, and `_template` the templates
+# of as many mesh shapes of that size.  A plan holds its key (the int32
+# indptr and indices), the int32 band order and scatter index, and the
+# int32 split (the chains order, 2 n - 1 slots and 12 bytes per border
+# coupling): 20 bytes per row and 8 per entry, plus 12 per border
+# coupling, at most 20 per row and entry; ~10.5 MB for the cache, and
+# ~78 kB for a res-200 mesh.  A template holds 16 bytes per row (two
+# int32 arrays and a tuple of shared names) and 12 per entry (the int32
+# links, CSC permutation and indices), plus a few per chain; ~92 kB for a
+# res-200 mesh.  A larger pattern or shape is planned afresh each time.
 _PLANS = 64
 _PLAN_SIZE = 8192
 
@@ -82,8 +93,9 @@ class Discretization:
 
     Immutable after build; a single instance can be shared by concurrent
     slowest_mode / evolve calls, which only read it.  Each instance owns
-    its arrays; meshes of one shape share only the cached, read-only band
-    plan of their generator's pattern (`_plan`).
+    its arrays; meshes of one shape share only the cached, read-only
+    template of their shape (`_template`) and plan of their generator's
+    pattern (`_plan`).
     """
 
     generator: sp.csc_matrix          # dx/dt = generator @ x
@@ -105,12 +117,16 @@ def build(geom: DeviceGeometry, vortices: VortexConfig, tp: TransportParams,
     """Discretize the device at `resolution` cells per wire length L.
 
     `resolution` is a whole number >= 10 that gives at most MAX_NODES
-    nodes.  Shorter segments get proportionally fewer cells (at least 2).
-    Pads are lumped nodes; the vortex trapping N P enters as a linear sink
-    on them, normalized by the pad node's control area.  Nodes are
-    numbered in creation order; each chain of cells adds its nodes and
-    edges as whole arrays.  Generator rates that overflow float64 raise
-    InvalidParameterError.
+    nodes, which is checked before anything is allocated.  Shorter
+    segments get proportionally fewer cells (at least 2).  Pads are lumped
+    nodes; the vortex trapping N P enters as a linear sink on them,
+    normalized by the pad node's control area.  Everything that depends
+    only on the mesh's shape, its chains and their cell counts, comes from
+    that shape's `_Template`: the node layout and names, the link and
+    half-cell ends, and the generator's compressed-column permutation,
+    indices and indptr.  `build` computes only the values: the cell widths,
+    the areas, the link fluxes and the generator's rates.  Generator rates
+    that overflow float64 raise InvalidParameterError.
     """
     import scipy.sparse as sp
 
@@ -120,111 +136,176 @@ def build(geom: DeviceGeometry, vortices: VortexConfig, tp: TransportParams,
             "resolution must be a whole number >= 10 cells per wire length, "
             f"got {resolution}")
     resolution = int(resolution)
-    seg, ys, own_area, half_cells, links = [], [], [], [], []
-    index = {}
+    shape, lengths, widths, n = _shape(geom, resolution)
+    t = _template(shape) if 2 * n + 2 * sum(c[3] for c in shape) \
+        <= _PLAN_SIZE else _new_template(shape)
 
-    def node(name: str, y: float = 0.0) -> int:
-        """A lumped node; its area is the half cells of its chains."""
-        seg.append(name)
-        ys.append([y])
-        own_area.append([0.0])
-        index[name] = len(seg) - 1
-        return index[name]
-
-    def chain(name: str, a: str, b: str, length: float, width: float):
-        """Connect vertex a to vertex b through uniform cells of `width`;
-        a new end vertex is numbered first, at y = length."""
-        a, b = index[a], index[b] if b in index else node(b, length)
-        n_cells = max(2, int(round(resolution * length / geom.l_wire)))
-        if len(seg) + n_cells > MAX_NODES:
-            raise InvalidResolutionError(
-                f"resolution {resolution} needs more than {MAX_NODES} mesh "
-                "nodes for this geometry")
-        dx = length / n_cells
-        path = np.arange(len(seg) - 1, len(seg) + n_cells)
-        path[[0, -1]] = a, b
-        seg.extend([name] * (n_cells - 1))
-        ys.append(np.arange(1, n_cells) * dx)
-        own_area.append(np.full(n_cells - 1, width * dx))
-        links.append((path[:-1], path[1:], np.full(n_cells,
-                                                   tp.d * width / dx)))
-        half_cells.append(([a, b], 0.5 * width * dx))
-
-    pad_l, pad_r, _, _, junction = map(node, (
-        "pad_left", "pad_right", "cross_left", "cross_right", "junction"))
-    for segment in edges(geom):
-        chain(*segment)
-
-    areas = np.concatenate(own_area)
-    for ends, half in half_cells:
-        np.add.at(areas, ends, half)
-    areas[[pad_l, pad_r]] += geom.s_pad
+    dx = lengths / t.cells
+    zeros = np.zeros(len(shape) + 1)
+    # a lumped node's own area is 0, and its chains' half cells add to it
+    areas = np.concatenate((widths * dx, zeros)).take(t.src) + np.bincount(
+        t.ends, np.repeat(0.5 * widths * dx, 2), n)
+    areas[:2] += geom.s_pad  # pad_left, pad_right
 
     # edge (i, j, flux) puts flux / areas[i] at G[i, j] and flux / areas[j]
     # at G[j, i]; the diagonal takes the outflow, s0 and the pad sinks
-    i, j, flux = map(np.concatenate, zip(*links))
-    n = areas.size
+    i, j = t.links
+    flux = np.repeat(tp.d * widths / dx, t.cells)
     p = vortices.trapping_power
     with np.errstate(over="ignore", invalid="ignore"):
         diag = -(np.bincount(i, flux, n) + np.bincount(j, flux, n)) / areas \
             - tp.s0
-        diag[pad_l] -= vortices.n_left * p / areas[pad_l]
-        diag[pad_r] -= vortices.n_right * p / areas[pad_r]
-        rates = np.concatenate((flux / areas[i], flux / areas[j], diag))
+        diag[0] -= vortices.n_left * p / areas[0]
+        diag[1] -= vortices.n_right * p / areas[1]
+        rates = np.concatenate((flux / areas.take(i), flux / areas.take(j),
+                                diag))
     if not np.all(np.isfinite(rates)):
         raise InvalidParameterError(
             f"generator rates overflow float64 at resolution {resolution}: "
             f"d = {tp.d:.6g} m^2/s, s0 = {tp.s0:.6g} 1/s, P = {p:.6g} m^2/s")
+    gen = sp.csc_matrix((rates.take(t.csc), t.indices.copy(),
+                         t.indptr.copy()), shape=(n, n))
+    return Discretization(
+        generator=gen, areas=areas, node_segment=list(t.segment),
+        node_y=t.step * np.concatenate((dx, lengths, zeros)).take(t.src),
+        junction_index=_LUMPED.index("junction"), geom=geom,
+        vortices=vortices, tp=tp)
+
+
+def _shape(geom: DeviceGeometry, resolution: int) -> tuple:
+    """The mesh's shape, its chains (name, a, b, cells) in `edges` order,
+    each segment's length and width, and the node count.  A segment of
+    length l gets max(2, round(resolution l / L)) cells; past MAX_NODES
+    nodes InvalidResolutionError is raised, before the later segments are
+    counted."""
+    shape, lengths, widths = [], [], []
+    n, ends = len(_LUMPED), set(_LUMPED)
+    for name, a, b, length, width in edges(geom):
+        cells = max(2, int(round(resolution * length / geom.l_wire)))
+        n += cells - 1 + (b not in ends)
+        if n > MAX_NODES:
+            raise InvalidResolutionError(
+                f"resolution {resolution} needs more than {MAX_NODES} mesh "
+                "nodes for this geometry")
+        ends.add(b)
+        shape.append((name, a, b, cells))
+        lengths.append(length)
+        widths.append(width)
+    return tuple(shape), np.array(lengths), np.array(widths), n
+
+
+class _Template(NamedTuple):
+    """What `build` makes of one mesh shape, its chains (name, a, b, cells)
+    in `edges` order.  Nodes are numbered in creation order: the lumped
+    nodes of _LUMPED, then chain after chain a new end vertex (if any) and
+    the interior nodes.  A node's y and own area are step * x[src] for x
+    the chains' (dx, length, 0) and (width dx, 0, 0): an interior node
+    sits at k dx, a new end vertex at its chain's length and a first
+    lumped node at 0.  `ends` holds each chain's two end vertices (they
+    take its half cells), `links` each cell's two nodes, and csc, indices
+    and indptr put the rates (the links' i -> j and j -> i entries, then
+    the diagonal) in compressed-column order.  The arrays are int32 and
+    read-only, like `_Plan`'s."""
+
+    segment: tuple
+    src: np.ndarray
+    step: np.ndarray
+    cells: np.ndarray
+    ends: np.ndarray
+    links: np.ndarray
+    csc: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+def _new_template(shape: tuple) -> _Template:
+    """The `_Template` of the chains `shape`."""
+    n_chains = len(shape)
+    index = {name: k for k, name in enumerate(_LUMPED)}
+    segment = list(_LUMPED)
+    src, step = [np.full(len(_LUMPED), 2 * n_chains)], [np.zeros(len(_LUMPED))]
+    ends, links = [], []
+    for k, (name, a, b, cells) in enumerate(shape):
+        if b not in index:  # a new end vertex, at y = length
+            index[b] = len(segment)
+            segment.append(b)
+            src.append([n_chains + k])
+            step.append([1])
+        n = len(segment)
+        path = np.arange(n - 1, n + cells)
+        path[[0, -1]] = index[a], index[b]
+        segment.extend([name] * (cells - 1))
+        src.append(np.full(cells - 1, k))
+        step.append(np.arange(1, cells))
+        ends.append(path[[0, -1]])
+        links.append((path[:-1], path[1:]))
     # the entries sorted by column, then row, are the CSC arrays: no
     # entry repeats, so this is the matrix a COO conversion would give
+    n = len(segment)
+    i, j = map(np.concatenate, zip(*links))
     nodes = np.arange(n)
     rows, cols = np.concatenate((i, j, nodes)), np.concatenate((j, i, nodes))
     csc = np.argsort(cols * n + rows, kind="stable")
     indptr = np.zeros(n + 1, np.int32)
     indptr[1:] = np.cumsum(np.bincount(cols, minlength=n))
-    gen = sp.csc_matrix((rates[csc], rows[csc].astype(np.int32), indptr),
-                        shape=(n, n))
-    return Discretization(
-        generator=gen, areas=areas, node_segment=seg,
-        node_y=np.concatenate(ys), junction_index=junction, geom=geom,
-        vortices=vortices, tp=tp)
+    arrays = [np.asarray(x, np.int32) for x in (
+        np.concatenate(src), np.concatenate(step), [c[3] for c in shape],
+        np.concatenate(ends), (i, j), csc, rows[csc], indptr)]
+    for x in arrays:
+        x.flags.writeable = False
+    return _Template(tuple(segment), *arrays)
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _template(shape: tuple) -> _Template:
+    """The cached `_Template` of the chains `shape`."""
+    return _new_template(shape)
 
 
 def slowest_mode(disc: Discretization) -> tuple[float, np.ndarray]:
     """Smallest decay rate of the generator and its spatial mode.
 
     Inverse power iteration on S = W^1/2 (-G) W^-1/2, W = diag(areas),
-    which is symmetric because W G is.  In reverse Cuthill-McKee order S
-    is a symmetric band (kd = 3 on the electrode tree).  No eigenvalue of
-    S is below s0, so S - sigma I, sigma = max(0, s0 - 32 eps max|diag G|),
-    is positive definite beyond round-off; LAPACK's banded Cholesky ?pbtrf
-    factors it once and ?pbtrs solves with it, and the iteration converges
-    at (lambda1 - sigma) / (lambda2 - sigma) however large s0 is.  ?sbmv on
-    the unshifted band gives the Rayleigh quotient, the residual and the
-    round-off floor.  The iterate is u = W^1/2 v for the node-order mode
-    v, so S's 2-norm is the area-weighted norm of -G.  Once the quotient
-    has settled, the iteration stops when the residual meets its bar
-    1e-10 lambda + 32 eps max|diag G|, or when it is no smaller than at
-    the previous settled iterate: it has stalled at the round-off of the
-    solve.  The returned mode is the (strictly positive) slow mode v
-    normalized to 1 at the junction node, with round-off noise clipped at
-    zero.  Once logging is imported, each converged call logs one DEBUG
-    record on the qpdyn.pde_sim logger with the solves, kd, the rate, the
-    residual, its bar, whether it stalled and plan_reused, whether an
-    earlier call made the generator's band plan (`_plan_of`); its args are
-    a dict.  A call that makes its plan says False, and so do both of two
-    threads that plan one pattern at once; a call that finds its plan
-    while another thread makes one may say False too.
+    which is symmetric because W G is.  The generator's plan (`_plan_of`)
+    orders the nodes as the mesh's paths, one after another, then its
+    border, the nodes of degree >= 3 (the two cross points of Type B).  In
+    that order S is one symmetric tridiagonal T over the paths, couplings
+    K from the paths to the border and the border's block S_bb, which
+    `_Plan.symmetrised` reads off G's stored upper triangle.  No
+    eigenvalue of S is below s0, so S - sigma I, sigma = max(0, s0 - 32 eps
+    max|diag G|), is positive definite beyond round-off: LAPACK's ?pttrf
+    factors T - sigma I once, Z = (T - sigma I)^-1 K and the Cholesky
+    factor (?potrf) of the border's Schur complement
+    C = S_bb - sigma I - K^T Z are formed once, and each solve is one
+    ?pttrs plus the border's B x B solve.  The iteration converges at
+    (lambda1 - sigma) / (lambda2 - sigma) however large s0 is.  S u, the
+    tridiagonal product plus the border couplings, gives the Rayleigh
+    quotient, the residual and the round-off floor.  The iterate is
+    u = W^1/2 v for the node-order mode v, so S's 2-norm is the
+    area-weighted norm of -G.  Once the quotient has settled, the
+    iteration stops when the residual meets its bar 1e-10 lambda +
+    32 eps max|diag G|, or when it is no smaller than at the previous
+    settled iterate: it has stalled at the round-off of the solve.  The
+    returned mode is the (strictly positive) slow mode v normalized to 1 at
+    the junction node, with round-off noise clipped at zero.  Once logging
+    is imported, each converged call logs one DEBUG record on the
+    qpdyn.pde_sim logger with the solves, the border size, terms (the most
+    products any row of S u sums), the rate, the residual, its bar,
+    whether it stalled and plan_reused, whether an earlier call made the
+    generator's plan (`_plan_of`); its args are a dict.  A call that makes
+    its plan says False, and so do both of two threads that plan one
+    pattern at once; a call that finds its plan while another thread makes
+    one may say False too.
 
     Raises NonConvergenceError before anything is factored when the
     weak-trapping limit small_p_rate, s = (N_L + N_R) P / A_total + s0, is
     at most 32 eps max|diag G|: the trapping sink is below round-off of
-    the diffusion operator, and the message names s.  A failed Cholesky
-    factorization, an iterate whose norm leaves the float64 range,
-    10 000 iterations without convergence (the message names the last
-    residual and its bar) and a converged rate not above the rounding
-    error of its Rayleigh quotient raise it too; the last three carry v
-    as best_params.
+    the diffusion operator, and the message names s.  A failed or not
+    finite factor (the tridiagonal's or the border's), an iterate whose
+    norm leaves the float64 range, 10 000 iterations without convergence
+    (the message names the last residual and its bar) and a converged rate
+    not above the rounding error of its Rayleigh quotient raise it too;
+    the last three carry v as best_params.
     """
     tp = disc.tp
     total_trapping = disc.vortices.trapping_power * (
@@ -232,15 +313,15 @@ def slowest_mode(disc: Discretization) -> tuple[float, np.ndarray]:
     n = disc.n_nodes
     if total_trapping == 0:
         return tp.s0, np.ones(n)
-    from scipy.linalg.blas import dsbmv
-    from scipy.linalg.lapack import dpbtrf, dpbtrs
+    from scipy.linalg.lapack import dpotrf, dpotrs, dpttrf, dpttrs
 
     plan, reused = _plan_of(disc.generator)
-    order, kd = plan.order, plan.ku
-    g_band = plan.band(disc.generator)
+    order, m = plan.chains, plan.n_path
+    root_w = np.sqrt(disc.areas).take(order)
+    tri, x, g_diag = plan.symmetrised(disc.generator, root_w)
     # round-off floors: Rayleigh quotient and residual carry noise of order
     # eps * ||S||, which dwarfs 1e-13 * lambda for a stiff mesh operator
-    a_scale = float(np.abs(g_band[kd]).max())
+    a_scale = float(np.abs(g_diag).max())
     eps = float(np.finfo(float).eps)
     noise = 32.0 * eps * a_scale
     s_weak = small_p_rate(disc.geom, disc.vortices, tp)
@@ -249,26 +330,52 @@ def slowest_mode(disc: Discretization) -> tuple[float, np.ndarray]:
             "the trapping sink is below round-off of the diffusion "
             f"operator; the weak-trapping limit s = {s_weak:.6g} 1/s applies")
 
-    # S's upper band is G's rows 0..kd, where row k, column j holds
-    # G[j - kd + k, j], scaled by root_w[j - kd + k] / root_w[j]; the
-    # first kd - k columns are off the matrix and stay -0.  Fortran order,
-    # which ?pbtrf and ?sbmv take without a copy.
-    root_w = np.sqrt(disc.areas)[order]
-    s_band = np.negative(g_band[:kd + 1], order="F")
-    for k in range(kd + 1):
-        s_band[k, kd - k:] *= root_w[:n - kd + k]
-    s_band /= root_w
-    shifted = s_band.copy(order="F")
-    shifted[kd] -= max(0.0, tp.s0 - noise)  # the diagonal
-    factor, info = dpbtrf(shifted)
-    # ?pbtrf passes NaN and inf through, as ?gbtrf does
-    if info != 0 or not np.isfinite(factor).all():
-        raise NonConvergenceError(
+    def failed():
+        return NonConvergenceError(
             "Cholesky factorization of the symmetrised generator failed: "
-            "its banded factor is not positive definite or not finite")
+            "its factor is not positive definite or not finite")
+
+    # T - sigma I over the paths and the identity over the border (tri's
+    # couplings between them are 0), so a solve leaves border rows as they
+    # are.  ?pttrf and ?potrf pass NaN and inf through.
+    sigma = max(0.0, tp.s0 - noise)
+    t_diag = tri[1] - sigma
+    t_diag[m:] = 1.0
+    t_diag, t_off, info = dpttrf(t_diag, tri[2, :-1])
+    if info != 0 or not (np.isfinite(t_diag).all()
+                         and np.isfinite(t_off).all()):
+        raise failed()
+    # the border by block elimination.  With y = (T - sigma I)^-1 b on the
+    # paths and b on the border, the solution is y_paths - Z b' on the
+    # paths and b' = C^-1 (b_border - K^T y_paths) on the border, for
+    # Z = (T - sigma I)^-1 K: it is y - (lift @ y) @ drop, where
+    # lift = (C^-1 (-K^T, I), pick) gives (b', b_border) and
+    # drop = ((Z^T, -I), pick).  pick's rows pick the border's nodes.
+    pick = np.eye(n - m, n, m)
+    lift = drop = np.zeros((0, n))
+    if m < n:
+        z = dpttrs(t_diag, t_off, x.T)[0].T
+        c_factor, info = dpotrf(np.diag(tri[1, m:] - sigma) + x[:, m:]
+                                + x[:, m:].T - x[:, :m] @ z[:, :m].T)
+        if info != 0 or not np.isfinite(c_factor).all():
+            raise failed()
+        z[:, m:] = -pick[:, m:]
+        q = pick - x
+        q[:, m:] = pick[:, m:]
+        lift = np.concatenate((dpotrs(c_factor, pick[:, m:])[0] @ q, pick))
+        drop = np.concatenate((z, pick))
+    # S u: the tridiagonal rows on u's neighbourhood, then the border's
+    # couplings x^T u_border and, on the border's rows, x u
+    spread, gather = np.concatenate((x, pick)), np.concatenate((pick, x))
+
+    def product(tri, spread, gather, padded):
+        """S u, for u = padded[1:-1] and S's parts as they are or, for
+        |S| |u|, as their absolute values."""
+        near = np.ndarray((3, n), buffer=padded, strides=(8, 8))
+        return (tri * near).sum(axis=0) + (gather @ near[1]) @ spread
 
     def mode(u):
-        """The node-order mode v = W^-1/2 u of the band-order iterate u."""
+        """The node-order mode v = W^-1/2 u of the plan-order iterate u."""
         v = np.empty(n)
         v[order] = u / root_w
         return v
@@ -281,18 +388,22 @@ def slowest_mode(disc: Discretization) -> tuple[float, np.ndarray]:
                 1e-10 * abs(lam) + noise)
 
     w_sum = float(disc.areas.sum())
-    u = root_w  # v = 1
+    padded = np.zeros(n + 2)  # the iterate u, with a zero at each end
+    u = padded[1:-1]
+    u[:] = root_w  # v = 1
     lam_prev = r_prev = math.inf
     for solves in range(1, _MAX_ITER + 1):
-        u = dpbtrs(factor, u)[0]
-        with np.errstate(over="ignore"):  # checked just below
-            norm = math.sqrt(float(u @ u) / w_sum)
+        y = dpttrs(t_diag, t_off, u)[0]
+        np.subtract(y, (lift @ y) @ drop, out=u)
+        norm = math.sqrt(float(np.vdot(u, u)) / w_sum)  # vdot: no warning
         if not 0.0 < norm < math.inf:
+            with np.errstate(over="ignore"):
+                v = mode(u)
             raise NonConvergenceError(
                 f"inverse power iteration: the iterate's norm ({norm}) left "
-                "the float64 range", best_params=mode(u))
+                "the float64 range", best_params=v)
         u /= norm
-        s_u = dsbmv(kd, 1.0, s_band, u)
+        s_u = product(tri, spread, gather, padded)
         lam = float(u @ s_u) / float(u @ u)
         if abs(lam - lam_prev) <= 1e-13 * abs(lam) + 4.0 * eps * a_scale:
             rnorm, bar = residual(s_u, u, lam)
@@ -308,14 +419,15 @@ def slowest_mode(disc: Discretization) -> tuple[float, np.ndarray]:
             f"above its bar 1e-10 lambda + 32 eps max|diag G| = {bar:.6g} "
             "1/s", best_params=mode(u), best_cost=lam)
     _log_debug(
-        __name__, "slowest mode: %(solves)d solves, kd = %(kd)d; rate "
-        "%(rate).6g 1/s, residual %(residual).6g 1/s, bar %(bar).6g 1/s, "
-        "stalled %(stalled)s",
-        lambda: {"solves": solves, "kd": kd, "rate": lam, "residual": rnorm,
-                 "bar": bar, "stalled": rnorm > bar, "plan_reused": reused})
+        __name__, "slowest mode: %(solves)d solves, border %(border)d, "
+        "%(terms)d terms a row; rate %(rate).6g 1/s, residual "
+        "%(residual).6g 1/s, bar %(bar).6g 1/s, stalled %(stalled)s",
+        lambda: {"solves": solves, "border": n - m, "terms": plan.terms,
+                 "rate": lam, "residual": rnorm, "bar": bar,
+                 "stalled": rnorm > bar, "plan_reused": reused})
     # rounding error of the Rayleigh quotient: 32 eps (|u|, |S| |u|) / (u, u)
-    floor = 32.0 * eps * float(
-        abs(u) @ dsbmv(kd, 1.0, abs(s_band), abs(u))) / float(u @ u)
+    floor = 32.0 * eps * float(abs(u) @ product(
+        abs(tri), abs(spread), abs(gather), abs(padded))) / float(u @ u)
     v = mode(u)
     if not lam > floor:
         raise NonConvergenceError(
@@ -371,28 +483,113 @@ class EvolveSpec:
 
 
 class _Plan(NamedTuple):
-    """The band plan of one stored pattern: its reverse Cuthill-McKee
-    order (Cuthill & McKee 1969), where each stored entry goes in that
-    order's LAPACK band storage (a flat index into the band's Fortran
-    order, int32, read-only like the order) and the band widths kl, ku.
-    On the electrode tree kl = ku = 3, and 2 and 2 once a clamped junction
-    leaves the unknowns."""
+    """What depends only on one stored pattern, made in one go.
+
+    For `evolve`'s band: the reverse Cuthill-McKee order (Cuthill & McKee
+    1969), where each stored entry goes in that order's LAPACK band
+    storage (a flat index into the band's Fortran order) and the band
+    widths kl, ku.  On the electrode tree kl = ku = 3, and 2 and 2 once a
+    clamped junction leaves the unknowns.
+
+    For `slowest_mode`'s split: `chains`, the pattern's paths one after
+    another (n_path nodes), then its border.  With the border removed a
+    tree falls apart into paths, each one run of a depth-first preorder
+    from a leaf (George & Liu 1981: a tree's chains eliminate without
+    fill).  The border is every node of degree >= 3, the nodes the search
+    does not reach and, so that any pattern is solved correctly, one end
+    of each coupling between path nodes that are not neighbours in the
+    order (a cycle, say).  In that order `at` indexes the pattern's
+    stored entries, with nnz for an unstored one: the n diagonal entries,
+    the n - 1 entries (k, k + 1) the tridiagonal holds (unstored where a
+    path ends) and then each coupling of the border above the diagonal,
+    at row and column `couplings[:, k]`.  terms is the most products any
+    row of S u sums.  All arrays are int32 and read-only."""
 
     order: np.ndarray
     index: np.ndarray
     kl: int
     ku: int
+    chains: np.ndarray
+    n_path: int
+    at: np.ndarray
+    couplings: np.ndarray
+    terms: int
 
     def band(self, a: sp.csc_matrix) -> np.ndarray:
         """a, which has this plan's pattern, in LAPACK band storage in the
         plan's order: entry (i, j) of a[order][:, order] sits at row
         ku + i - j, column j, of kl + ku + 1 rows in Fortran order, and
-        unstored entries hold 0.  Rows 0..ku hold the upper triangle, row
-        ku the diagonal: for a symmetric pattern (kd = ku) they are
-        ?pbtrf's and ?sbmv's upper band."""
+        unstored entries hold 0."""
         out = np.zeros((a.shape[1], self.kl + self.ku + 1))
         out.reshape(-1)[self.index] = a.data
         return out.T
+
+    def symmetrised(self, a: sp.csc_matrix, root_w: np.ndarray) -> tuple:
+        """S = W^1/2 (-a) W^-1/2 in `chains` order, for root_w = W^1/2 in
+        that order, as (tri, x), and a's diagonal in that order.  Row k of
+        the tridiagonal part is tri[:, k] = (S[k, k - 1], S[k, k],
+        S[k, k + 1]), 0 off the ends and where a path ends; row j of the
+        (border, n) array x holds S[:, n_path + j] above the diagonal.
+        Each entry is (-a[i, j] root_w[i]) / root_w[j] for its stored
+        upper entry a[i, j] (the lower ones of tri copy them); unstored
+        ones are 0."""
+        n, m = root_w.size, self.n_path
+        g = np.append(a.data, 0.0).take(self.at)
+        s = np.negative(g)
+        tri = np.zeros((3, n))
+        tri[1] = s[:n] * root_w / root_w
+        tri[0, 1:] = tri[2, :-1] = s[n:2 * n - 1] * root_w[:-1] / root_w[1:]
+        row, col = self.couplings
+        x = np.zeros((n - m, n))
+        x[col - m, row] = s[2 * n - 1:] * root_w.take(row) / root_w.take(col)
+        return tri, x, g[:n]
+
+
+def _split(indptr: np.ndarray, indices: np.ndarray, cols: np.ndarray):
+    """`_Plan`'s chains, n_path, at, couplings and terms of the square,
+    symmetric CSC pattern (indptr, indices), whose entry k is in column
+    cols[k]."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import depth_first_order
+
+    n, nnz = indptr.size - 1, indices.size
+    diag = indices == cols
+    degree = np.diff(indptr)
+    degree[indices[diag]] -= 1
+    start = int(np.argmin(degree))  # a leaf of a tree
+    walk = depth_first_order(sp.csr_matrix((np.ones(nnz), indices, indptr),
+                                           shape=(n, n)),
+                             start, return_predecessors=False)
+    border = np.ones(n, bool)  # and so are the nodes the search misses
+    border[walk] = degree.take(walk) >= 3
+    border[start] = False  # so the tridiagonal is never empty
+    walk = walk[~border.take(walk)]
+    # a coupling of two path nodes that are not neighbours in the walk
+    # moves its later end into the border (a border node's rank is NaN)
+    rank = np.full(n, np.nan)
+    rank[walk] = np.arange(walk.size)
+    row, col = rank.take(indices), rank.take(cols)
+    cut = np.abs(row - col) > 1
+    border[walk.take(np.maximum(row, col)[cut].astype(np.intp))] = True
+    chains = np.concatenate((walk[~border.take(walk)], np.flatnonzero(border)))
+    m = n - int(border.sum())
+    rank = np.empty(n, np.intp)
+    rank[chains] = np.arange(n)
+    row, col = rank.take(indices), rank.take(cols)
+    # slot k < n holds the diagonal, n + k the coupling (k, k + 1) of a
+    # path; the border's couplings above the diagonal follow
+    held = (col == row + 1) & (col < m)
+    at = np.full(2 * n - 1, nnz)
+    at[row[diag]] = np.flatnonzero(diag)
+    at[n + row[held]] = np.flatnonzero(held)
+    rest = np.flatnonzero((row < col) & ~held)
+    couplings = np.array([row.take(rest), col.take(rest)], np.int32)
+    at = np.concatenate((at, rest)).astype(np.int32)
+    chains = chains.astype(np.int32)
+    for x in (chains, at, couplings):
+        x.flags.writeable = False
+    # a row of S u sums its stored diagonal and each of its couplings once
+    return chains, m, at, couplings, int(np.diff(indptr).max())
 
 
 def _new_plan(indptr: np.ndarray, indices: np.ndarray) -> _Plan:
@@ -405,13 +602,13 @@ def _new_plan(indptr: np.ndarray, indices: np.ndarray) -> _Plan:
         (np.ones(indices.size), indices, indptr), shape=(n, n)),
         symmetric_mode=True)
     rank = np.argsort(order)  # node order[k] goes to position k
-    row = rank[indices]
-    col = rank[np.repeat(np.arange(n), np.diff(indptr))]
+    cols = np.repeat(np.arange(n), np.diff(indptr))
+    row, col = rank.take(indices), rank.take(cols)
     offset = row - col
     kl, ku = int(max(offset.max(), 0)), int(max(-offset.min(), 0))
     index = (col * (kl + ku + 1) + ku + offset).astype(np.int32)
     order.flags.writeable = index.flags.writeable = False
-    return _Plan(order, index, kl, ku)
+    return _Plan(order, index, kl, ku, *_split(indptr, indices, cols))
 
 
 @functools.lru_cache(maxsize=_PLANS)

@@ -259,8 +259,9 @@ def test_slowest_mode_is_the_smallest_dense_eigenvalue(
     - within the bar 1e-10 lambda + 32 eps max|diag G| if the iteration
       met it, or within its own residual if it stalled above it (the DEBUG
       record says which);
-    - plus the rounding of that residual, at most (2 kd + 3) eps
-      (|| |S| ||_2 + lambda): ?sbmv sums 2 kd + 1 products a row;
+    - plus the rounding of that residual, at most (terms + 2) eps
+      (|| |S| ||_2 + lambda): S u sums at most `terms` products a row
+      (the DEBUG record's count);
     - plus the gap between the triangle slowest_mode stores and the one
       eigvalsh reads, at most ||S - S^T||_F (Weyl);
     - plus eigvalsh's own error: its values are exact for S + E with
@@ -289,7 +290,7 @@ def test_slowest_mode_is_the_smallest_dense_eigenvalue(
     else:
         assert record["residual"] <= bar
         resid = bar
-    resid_err = (2 * record["kd"] + 3) * eps \
+    resid_err = (record["terms"] + 2) * eps \
         * (np.linalg.norm(np.abs(s_op), 2) + rate)
     assert abs(rate - eigs[0]) <= resid + resid_err + eig_err
 

@@ -206,18 +206,26 @@ class TestSlowestMode:
             slowest_mode(disc)
         assert info.value.best_params.shape == (disc.n_nodes,)
 
-    @pytest.mark.parametrize("routine, result, match", [
-        ("dpbtrf", lambda ab: (ab, 1), "Cholesky factorization"),
-        ("dpbtrf", lambda ab: (np.full_like(ab, np.nan), 0),
+    @pytest.mark.parametrize("routine, fake, match", [
+        ("dpttrf", lambda real: lambda d, e: (d, e, 1),
          "Cholesky factorization"),
-        ("dpbtrs", lambda c, b: (np.full_like(b, np.inf), 0),
-         r"norm \(inf\) left the float64 range")],
-        ids=["not-positive-definite", "non-finite-factor", "norm-overflow"])
+        ("dpotrf", lambda real: lambda c: (np.full_like(c, np.nan), 0),
+         "Cholesky factorization"),
+        # the iterate's solves overflow, not the one for Z = T^-1 K
+        ("dpttrs", lambda real: lambda d, e, b: (
+            np.full_like(b, 1e300), 0) if b.ndim == 1 else real(d, e, b),
+         r"norm \(inf\) left the float64 range"),
+        ("dpttrf", lambda real: lambda d, e: (d, np.full_like(e, np.inf), 0),
+         "Cholesky factorization"),
+        ("dpotrf", lambda real: lambda c: (c, 2), "Cholesky factorization")],
+        ids=["not-positive-definite", "non-finite-factor", "norm-overflow",
+             "non-finite-path-factor", "border-not-positive-definite"])
     def test_lapack_failures_fail_typed(self, disc_one_vortex, monkeypatch,
-                                        routine, result, match):
+                                        routine, fake, match):
         import scipy.linalg.lapack
 
-        monkeypatch.setattr(scipy.linalg.lapack, routine, result)
+        monkeypatch.setattr(scipy.linalg.lapack, routine,
+                            fake(getattr(scipy.linalg.lapack, routine)))
         with pytest.raises(NonConvergenceError, match=match):
             slowest_mode(disc_one_vortex)
 
@@ -605,40 +613,84 @@ def test_band_holds_the_permuted_matrix_at_lapack_positions(seed, warm):
     assert np.array_equal(band, _banded(dense, plan.kl, plan.ku))
 
 
-@pytest.mark.parametrize("name", ["b1", "b2", "b3"])
-def test_slowest_mode_band_is_the_dense_symmetrised_generator(
-        monkeypatch, name):
-    """The upper band slowest_mode hands to ?sbmv equals, bit for bit, the
-    upper band of the dense W^1/2 (-G) W^-1/2 in band order."""
-    import scipy.linalg.blas
-
-    bands = []
-    real = scipy.linalg.blas.dsbmv
-
-    def recorded(kd, alpha, a, x):
-        bands.append((kd, a.copy()))
-        return real(kd, alpha, a, x)
-
-    monkeypatch.setattr(scipy.linalg.blas, "dsbmv", recorded)
-    disc = _bundled_mesh(name, 50)
-    slowest_mode(disc)
-    kd, got = bands[0]
-    order = pde_sim._plan_of(disc.generator)[0].order
+def _symmetrised_dense(disc, order):
+    """The dense W^1/2 (-G) W^-1/2 in the node order `order`."""
     root_w = np.sqrt(disc.areas)
-    s_op = (-disc.generator.toarray() * root_w[:, None] / root_w)[order][
-        :, order]
-    n = disc.n_nodes
-    want = np.zeros((kd + 1, n))
-    for k in range(kd + 1):  # row k holds the diagonal j - i = kd - k
-        want[k, kd - k:] = np.diagonal(s_op, kd - k)
-    assert kd == 3
-    assert np.array_equal(got, want)
+    s_op = -disc.generator.toarray() * root_w[:, None] / root_w
+    return s_op[order][:, order]
 
+
+@pytest.mark.parametrize("name", ["b1", "b2", "b3"])
+def test_slowest_mode_parts_are_the_dense_symmetrised_generator(name):
+    """In the plan's chains order, the tridiagonal, the border couplings and
+    S_bb that slowest_mode works with equal, bit for bit, the dense
+    W^1/2 (-G) W^-1/2; the paths' block of it is tridiagonal, and the
+    border is the two cross points."""
+    disc = _bundled_mesh(name, 50)
+    plan = pde_sim._plan_of(disc.generator)[0]
+    order, m = plan.chains, plan.n_path
+    tri, x, g_diag = plan.symmetrised(disc.generator,
+                                      np.sqrt(disc.areas)[order])
+    want = _symmetrised_dense(disc, order)
+    n = disc.n_nodes
+    assert sorted(disc.node_segment[k] for k in order[m:]) == [
+        "cross_left", "cross_right"]
+    assert not np.triu(want[:m, :m], 2).any()
+    assert np.array_equal(tri[1], np.diagonal(want))
+    assert np.array_equal(tri[2, :m - 1], np.diagonal(want[:m, :m], 1))
+    assert np.array_equal(tri[0, 1:], tri[2, :-1])
+    assert not tri[2, m - 1:].any() and tri[0, 0] == tri[2, -1] == 0
+    assert np.array_equal(x.T, np.triu(want, 1)[:, m:])  # K, S_bb's upper
+    s_bb = np.diag(tri[1, m:]) + x[:, m:] + x[:, m:].T
+    assert np.array_equal(s_bb, np.triu(want[m:, m:]) + np.triu(
+        want[m:, m:], 1).T)
+    assert np.array_equal(g_diag, disc.generator.diagonal()[order])
+    assert x.shape == (n - m, n)
+
+
+def test_slowest_mode_hands_lapack_the_dense_tridiagonal_and_border(
+        monkeypatch):
+    """?pttrf gets the paths' T - sigma I, bit for bit from the dense
+    W^1/2 (-G) W^-1/2, with the identity over the border, as contiguous
+    arrays that f2py takes without a copy; ?potrf gets the border's Schur
+    complement C = S_bb - sigma I - K^T T^-1 K."""
+    import scipy.linalg.lapack
+
+    calls = []
+    for name in ("dpttrf", "dpotrf"):
+        def recorded(*args, real=getattr(scipy.linalg.lapack, name),
+                     name=name):
+            calls.append((name, [a.copy() for a in args],
+                          all(a.flags.contiguous for a in args)))
+            return real(*args)
+
+        monkeypatch.setattr(scipy.linalg.lapack, name, recorded)
+    disc = _bundled_mesh("b1", 50)
+    slowest_mode(disc)
+    plan = pde_sim._plan_of(disc.generator)[0]
+    order, m = plan.chains, plan.n_path
+    want = _symmetrised_dense(disc, order)
+    sigma = max(0.0, disc.tp.s0 - 32 * EPS * np.abs(
+        disc.generator.diagonal()).max())
+    assert [name for name, _, _ in calls] == ["dpttrf", "dpotrf"]
+    (_, (d, e), contiguous), (_, (c,), _) = calls
+    assert contiguous
+    assert sigma > 0
+    assert np.array_equal(d[:m], np.diagonal(want)[:m] - sigma)
+    assert np.array_equal(d[m:], np.ones(disc.n_nodes - m))
+    assert np.array_equal(e[:m - 1], np.diagonal(want[:m, :m], 1))
+    assert not e[m - 1:].any()
+    t = want[:m, :m] - sigma * np.eye(m)
+    t = np.triu(t) + np.triu(t, 1).T
+    k = want[:m, m:]
+    schur = want[m:, m:] - sigma * np.eye(disc.n_nodes - m) \
+        - k.T @ np.linalg.solve(t, k)
+    np.testing.assert_allclose(c, schur, rtol=1e-12)
 
 
 def _band_layouts(monkeypatch, routines):
     """Record, per call, each LAPACK or BLAS routine's name and whether
-    its band argument was Fortran-order: routines maps "blas.dsbmv" to
+    its band argument was Fortran-order: routines maps "blas.dgbmv" to
     the band's position among the arguments."""
     import scipy.linalg.blas
     import scipy.linalg.lapack
@@ -657,18 +709,9 @@ def _band_layouts(monkeypatch, routines):
     return layouts
 
 
-def test_slowest_mode_hands_lapack_fortran_order_bands(monkeypatch):
-    """?pbtrf and ?sbmv take a Fortran-order band as it is; f2py copies
-    any other layout on every call."""
-    layouts = _band_layouts(monkeypatch,
-                            {"lapack.dpbtrf": 0, "blas.dsbmv": 2})
-    slowest_mode(_bundled_mesh("b1", 50))
-    assert {name for name, _ in layouts} == {"dpbtrf", "dsbmv"}
-    assert all(f_order for _, f_order in layouts)
-
-
 def test_evolve_hands_lapack_fortran_order_bands(monkeypatch):
-    """So do ?gbmv, ?gbtrf and ?gbtrs, on the full and the clamped
+    """?gbmv, ?gbtrf and ?gbtrs take a Fortran-order band as it is (f2py
+    copies any other layout on every call), on the full and the clamped
     generator alike."""
     routines = {"blas.dgbmv": 5, "lapack.dgbtrf": 0, "lapack.dgbtrs": 0,
                 "lapack.zgbtrf": 0, "lapack.zgbtrs": 0}
@@ -731,11 +774,12 @@ def _count_orders(monkeypatch):
 
 
 def _plan_bytes(a):
-    """The bytes `_plan` holds for a's pattern: its key, the order and the
-    scatter index."""
+    """The bytes `_plan` holds for a's pattern: its key, the order, the
+    scatter index and the split's chains, slots and couplings."""
     plan = pde_sim._plan_of(a)[0]
     return sum(x.nbytes for x in (a.indptr, a.indices, plan.order,
-                                  plan.index))
+                                  plan.index, plan.chains, plan.at,
+                                  plan.couplings))
 
 
 class TestBandPlan:
@@ -793,9 +837,9 @@ class TestBandPlan:
         kept = gens[-pde_sim._PLANS:]
         for gen in kept:
             assert gen.shape[0] + gen.nnz <= pde_sim._PLAN_SIZE
-            assert _plan_bytes(gen) <= 8 * (gen.shape[0] + gen.nnz) + 4
+            assert _plan_bytes(gen) <= 20 * (gen.shape[0] + gen.nnz)
         assert sum(map(_plan_bytes, kept)) <= \
-            (8 * pde_sim._PLAN_SIZE + 4) * pde_sim._PLANS
+            20 * pde_sim._PLAN_SIZE * pde_sim._PLANS
         # a pattern beyond _PLAN_SIZE is planned afresh, and not kept
         big = build(b1_geom, VortexConfig(1, 0, P_REF), tp,
                     resolution=300).generator
@@ -863,6 +907,225 @@ class TestBandPlan:
         # slowest_mode, then the clamped and the free piece, twice; the
         # free piece runs on the generator slowest_mode planned
         assert reused == [False, False, True, True, True, True]
+
+
+def _template_of(geom, resolution):
+    return pde_sim._template(pde_sim._shape(geom, resolution)[0])
+
+
+def _template_bytes(t):
+    """The bytes a `_Template` holds: its arrays and its tuple of names
+    (the names themselves are shared)."""
+    return 8 * len(t.segment) + sum(x.nbytes for x in t[1:])
+
+
+class TestBuildTemplate:
+    @pytest.mark.parametrize("resolution", [10, 20, 50, 200, 333])
+    @pytest.mark.parametrize("name", ["b1", "b2", "b3"])
+    def test_a_cold_and_a_warm_build_are_bit_identical(self, name,
+                                                       resolution):
+        pde_sim._template.cache_clear()
+        builds = [_bundled_mesh(name, resolution) for _ in range(2)]
+        info = pde_sim._template.cache_info()
+        cached = builds[0].n_nodes + builds[0].generator.nnz \
+            <= pde_sim._PLAN_SIZE
+        assert (info.hits, info.misses) == ((1, 1) if cached else (0, 0))
+        cold, warm = builds
+        assert cold.node_segment == warm.node_segment
+        assert cold.junction_index == warm.junction_index == 4
+        for array in (lambda d: d.areas, lambda d: d.node_y,
+                      lambda d: d.generator.data,
+                      lambda d: d.generator.indices,
+                      lambda d: d.generator.indptr):
+            got, want = array(warm), array(cold)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_meshes_of_one_shape_share_no_writable_array(self, b1_geom):
+        tp = TransportParams(d=18e-4, s0=33.0)
+        first, second = (build(b1_geom, VortexConfig(n, 1, P_REF), tp,
+                               resolution=50) for n in (1, 2))
+        template = _template_of(b1_geom, 50)
+        assert pde_sim._template.cache_info().hits >= 1
+        assert first.node_segment is not second.node_segment
+        for array in (lambda d: d.generator.data,
+                      lambda d: d.generator.indices,
+                      lambda d: d.generator.indptr, lambda d: d.areas,
+                      lambda d: d.node_y):
+            assert not np.shares_memory(array(first), array(second))
+            for x in template[1:]:
+                assert not np.shares_memory(array(first), x)
+        assert all(not x.flags.writeable and x.dtype == np.int32
+                   for x in template[1:])
+        first.node_segment[0] = "changed"
+        first.generator.indices[:2] = first.generator.indices[1::-1]
+        again = build(b1_geom, VortexConfig(1, 1, P_REF), tp, resolution=50)
+        assert again.node_segment == second.node_segment
+        assert np.array_equal(again.generator.indices,
+                              second.generator.indices)
+
+    def test_other_cell_counts_or_topology_share_no_template(self,
+                                                             b1_geom):
+        pde_sim._template.cache_clear()
+        no_wide = replace(b1_geom, l_cap=0.0)
+        shapes = [pde_sim._shape(geom, res)[0] for geom, res in (
+            (b1_geom, 50), (b1_geom, 51), (no_wide, 50))]
+        assert len(set(shapes)) == 3
+        templates = [pde_sim._template(shape) for shape in shapes]
+        assert len({id(t) for t in templates}) == 3
+        assert pde_sim._template.cache_info().misses == 3
+        # one shape, whatever the rates and the scale of the geometry
+        scaled = replace(b1_geom, **{f: getattr(b1_geom, f) * 1.1 for f in (
+            "w_wire", "l_wire", "h_cap", "l_half_gap", "w_cap", "l_cap")})
+        assert pde_sim._shape(scaled, 50)[0] == shapes[0]
+        assert _template_of(scaled, 50) is templates[0]
+
+    def test_the_cache_keeps_its_entry_and_byte_bounds(self, b1_geom):
+        """64 shapes of at most _PLAN_SIZE rows plus stored entries are
+        kept, each in at most 16 bytes per row, 12 per entry and 12 per
+        chain, plus 4; a larger shape is made afresh."""
+        pde_sim._template.cache_clear()
+        tp = TransportParams(d=18e-4, s0=33.0)
+        resolutions = range(10, 15 + pde_sim._PLANS)
+        meshes = [build(b1_geom, VortexConfig(1, 0, P_REF), tp,
+                        resolution=res) for res in resolutions]
+        assert pde_sim._template.cache_info().currsize == pde_sim._PLANS
+        for res, disc in zip(resolutions[-pde_sim._PLANS:],
+                             meshes[-pde_sim._PLANS:]):
+            size = disc.n_nodes + disc.generator.nnz
+            assert size <= pde_sim._PLAN_SIZE
+            t = _template_of(b1_geom, res)
+            assert _template_bytes(t) <= 16 * disc.n_nodes \
+                + 12 * disc.generator.nnz + 12 * t.cells.size + 4
+        assert pde_sim._template.cache_info().misses == len(meshes)
+        big = build(b1_geom, VortexConfig(1, 0, P_REF), tp, resolution=300)
+        assert big.n_nodes + big.generator.nnz > pde_sim._PLAN_SIZE
+        info = pde_sim._template.cache_info()
+        assert (info.currsize, info.misses) == (pde_sim._PLANS, len(meshes))
+
+    def test_max_nodes_is_refused_before_anything_is_allocated(
+            self, b1_geom, transport, monkeypatch):
+        import tracemalloc
+
+        def no_template(shape):
+            raise AssertionError("a template was made")
+
+        monkeypatch.setattr(pde_sim, "_new_template", no_template)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidResolutionError,
+                               match="needs more than 1000000 mesh nodes"):
+                build(b1_geom, VortexConfig(1, 0, P_REF), transport,
+                      resolution=10**13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+
+def _with_couplings(disc, pairs, flux=1e-3):
+    """disc with an extra edge of `flux` (m^4/s, as build's D w / dx) between
+    each pair of nodes: conservative, and area-weighted symmetric."""
+    import scipy.sparse as sp
+
+    i, j = np.array(pairs).T
+    a = disc.areas
+    extra = sp.coo_matrix((np.concatenate((flux / a[i], flux / a[j],
+                                           -flux / a[i], -flux / a[j])),
+                           (np.concatenate((i, j, i, j)),
+                            np.concatenate((j, i, i, j)))),
+                          shape=disc.generator.shape)
+    gen = (disc.generator + extra).tocsc()
+    gen.sort_indices()
+    return replace(disc, generator=gen)
+
+
+@pytest.mark.parametrize("kind", ["cycle", "degree-4"])
+def test_hand_made_patterns_give_the_smallest_dense_eigenvalue(kind,
+                                                               caplog):
+    """Cycles through both pads and both arm ends, so no node is a leaf and
+    the search closes a cycle with a coupling the path order cannot hold
+    (one of its ends joins the border), and the junction joined to both
+    arm ends (degree 4), against dense eigvalsh with the bound of
+    test_slowest_mode_is_the_smallest_dense_eigenvalue."""
+    import scipy.linalg
+
+    disc = _bundled_mesh("b1", 20)
+    seg = disc.node_segment
+    pairs = {"cycle": [(seg.index(a), seg.index(b)) for a, b in (
+                 ("pad_left", "pad_right"),
+                 ("arm_left_wide_end", "arm_right_wide_end"))],
+             "degree-4": [(disc.junction_index, seg.index(end)) for end in (
+                 "arm_left_wide_end", "arm_right_wide_end")]}[kind]
+    disc = _with_couplings(disc, pairs)
+    plan = pde_sim._plan_of(disc.generator)[0]
+    border = [seg[k] for k in plan.chains[plan.n_path:]]
+    assert len(border) == 3
+    assert {"cross_left", "cross_right"} <= set(border)
+    assert kind == "cycle" or "junction" in border
+    s_paths = disc.generator[plan.chains[:plan.n_path]][
+        :, plan.chains[:plan.n_path]].toarray()
+    assert not np.triu(s_paths, 2).any()  # the paths are one tridiagonal
+    caplog.set_level(logging.DEBUG, logger="qpdyn.pde_sim")
+    rate = slowest_mode(disc)[0]
+    record = caplog.records[-1].args
+    assert record["border"] == 3
+    assert record["terms"] == {"cycle": 4, "degree-4": 5}[kind]
+    root_w = np.sqrt(disc.areas)
+    s_op = -disc.generator.toarray() * root_w[:, None] / root_w
+    eigs = scipy.linalg.eigvalsh(s_op, lower=False)
+    eig_err = disc.n_nodes * EPS * np.abs(eigs).max() \
+        + np.linalg.norm(s_op - s_op.T)
+    resid = max(record["residual"], record["bar"])
+    resid_err = (record["terms"] + 2) * EPS \
+        * (np.linalg.norm(np.abs(s_op), 2) + rate)
+    assert abs(rate - eigs[0]) <= resid + resid_err + eig_err
+
+
+def _smallest_banded_eigenvalue(disc):
+    """The smallest eigenvalue of S = W^1/2 (-G) W^-1/2 by LAPACK's banded
+    symmetric eigensolver (?sbevx through eig_banded), on S's upper band
+    in scipy's reverse Cuthill-McKee order, built here from the sparse
+    generator: nothing is shared with slowest_mode's factor."""
+    import scipy.linalg
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    root_w = np.sqrt(disc.areas)
+    s_op = sp.diags(root_w) @ (-disc.generator) @ sp.diags(1 / root_w)
+    order = reverse_cuthill_mckee(disc.generator.tocsr(),
+                                  symmetric_mode=True)
+    s_op = s_op.tocsr()[order][:, order]
+    kd = 3
+    band = np.zeros((kd + 1, disc.n_nodes))
+    for k in range(kd + 1):  # row k holds the diagonal j - i = kd - k
+        band[k, kd - k:] = s_op.diagonal(kd - k)
+    assert not sp.triu(s_op, kd + 1).count_nonzero()
+    return scipy.linalg.eig_banded(band, eigvals_only=True, select="i",
+                                   select_range=(0, 0))[0]
+
+
+@pytest.mark.parametrize("name, scale, counts, d, s0, resolution", [
+    ("b1", 0.85, (1, 0), 12e-4, 33.0, 200),
+    ("b2", 1.2, (3, 5), 25e-4, 80.0, 200),
+    ("b3", 1.0, (6, 6), 18e-4, 0.0, 200),
+    ("b2", 0.95, (2, 3), 18e-4, 50.0, 800)])
+def test_fine_meshes_agree_with_a_banded_eigensolver(
+        caplog, name, scale, counts, d, s0, resolution):
+    """slowest_mode's rate lies within its residual bar (its residual, if
+    it stalled) of the smallest eigenvalue that eig_banded finds, on
+    vortex-modes-like meshes at resolution 200 and one at 800."""
+    from qpdyn.geometry import scaled
+
+    disc = build(scaled(_bundled(name), scale),
+                 VortexConfig(*counts, 0.1e-4), TransportParams(d=d, s0=s0),
+                 resolution=resolution)
+    caplog.set_level(logging.DEBUG, logger="qpdyn.pde_sim")
+    rate = slowest_mode(disc)[0]
+    record = caplog.records[-1].args
+    assert record["border"] == 2 and record["terms"] == 4
+    assert abs(rate - _smallest_banded_eigenvalue(disc)) \
+        <= max(record["bar"], record["residual"])
 
 
 def _spectral_states(disc, spec):
