@@ -354,14 +354,17 @@ def slowest_mode(disc: Discretization) -> tuple[float, np.ndarray]:
     pick = np.eye(n - m, n, m)
     lift = drop = np.zeros((0, n))
     if m < n:
+        # z's border columns are x's, as the solve leaves them, so
+        # q @ z^T is S_bb above its diagonal - K^T Z; x's add S_bb below
         z = dpttrs(t_diag, t_off, x.T)[0].T
-        c_factor, info = dpotrf(np.diag(tri[1, m:] - sigma) + x[:, m:]
-                                + x[:, m:].T - x[:, :m] @ z[:, :m].T)
+        q = pick - x
+        q[:, m:] = pick[:, m:]
+        c = q @ z.T + x[:, m:]
+        c.flat[::n - m + 1] += tri[1, m:] - sigma
+        c_factor, info = dpotrf(c)
         if info != 0 or not np.isfinite(c_factor).all():
             raise failed()
         z[:, m:] = -pick[:, m:]
-        q = pick - x
-        q[:, m:] = pick[:, m:]
         lift = np.concatenate((dpotrs(c_factor, pick[:, m:])[0] @ q, pick))
         drop = np.concatenate((z, pick))
     # S u: the tridiagonal rows on u's neighbourhood, then the border's
@@ -553,9 +556,8 @@ def _split(indptr: np.ndarray, indices: np.ndarray, cols: np.ndarray):
     from scipy.sparse.csgraph import depth_first_order
 
     n, nnz = indptr.size - 1, indices.size
-    diag = indices == cols
-    degree = np.diff(indptr)
-    degree[indices[diag]] -= 1
+    diag = np.flatnonzero(indices == cols)
+    degree = np.diff(indptr) - np.bincount(cols.take(diag), minlength=n)
     start = int(np.argmin(degree))  # a leaf of a tree
     walk = depth_first_order(sp.csr_matrix((np.ones(nnz), indices, indptr),
                                            shape=(n, n)),
@@ -579,10 +581,11 @@ def _split(indptr: np.ndarray, indices: np.ndarray, cols: np.ndarray):
     # slot k < n holds the diagonal, n + k the coupling (k, k + 1) of a
     # path; the border's couplings above the diagonal follow
     held = (col == row + 1) & (col < m)
-    at = np.full(2 * n - 1, nnz)
-    at[row[diag]] = np.flatnonzero(diag)
-    at[n + row[held]] = np.flatnonzero(held)
     rest = np.flatnonzero((row < col) & ~held)
+    held = np.flatnonzero(held)
+    at = np.full(2 * n - 1, nnz)
+    at[row.take(diag)] = diag
+    at[n + row.take(held)] = held
     couplings = np.array([row.take(rest), col.take(rest)], np.int32)
     at = np.concatenate((at, rest)).astype(np.int32)
     chains = chains.astype(np.int32)
