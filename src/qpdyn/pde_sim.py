@@ -137,6 +137,7 @@ def build(geom: DeviceGeometry, vortices: VortexConfig, tp: TransportParams,
             f"got {resolution}")
     resolution = int(resolution)
     shape, lengths, widths, n = _shape(geom, resolution)
+    # rows plus entries: n rows, n diagonal entries and two per cell
     t = _template(shape) if 2 * n + 2 * sum(c[3] for c in shape) \
         <= _PLAN_SIZE else _new_template(shape)
 
