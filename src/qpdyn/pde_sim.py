@@ -2,34 +2,34 @@
 
 Independent oracle for the transcendental eigenmode solver, and a full
 nonlinear time evolver (diffusion + recombination + generation +
-injection drive) built on scipy's stiff Radau IIA integrator with the
-exact Jacobian.  The network is the electrode graph of geometry.edges,
-the analytic model's: 1-D segments joined with width-weighted flux
-matching, pads as lumped nodes carrying the trapping.  What depends only
-on a matrix's stored pattern is planned once per pattern (`_plan`), and
-meshes of one shape, whatever their rates, reuse one plan.  The graph is
-a tree, so in reverse Cuthill-McKee order every mesh is banded with
-kl = ku = 3 (2 and 2 once a clamped junction leaves the unknowns), and
-the plan says where each stored entry goes in that order's LAPACK band
-storage: each drive piece of the evolver packs its generator once by one
-scatter (`_Plan.band`), the right-hand side's G y is one banded BLAS
-product, Radau takes its Jacobian as that band, a banded LU factors the
-integrator's linear systems in O(n), and each solve is one LAPACK call.
-With its branch nodes (the border) taken out, the tree falls apart into
-paths, which the plan also orders one after another: the slow mode's
-inverse iteration factors the area-symmetrised generator
-W^1/2 (-G) W^-1/2 as one symmetric positive definite tridiagonal over the
-paths (LAPACK ?pttrf, a plain loop) and the border's small Schur
-complement.
+injection drive) built on a linearly implicit Rosenbrock method (RODAS,
+`_rodas`) with the exact Jacobian.  The network is the electrode graph of
+geometry.edges, the analytic model's: 1-D segments joined with
+width-weighted flux matching, pads as lumped nodes carrying the trapping.
+What depends only on a matrix's stored pattern is planned once per
+pattern (`_plan`), and meshes of one shape, whatever their rates, reuse
+one plan.  The graph is a tree, so in reverse Cuthill-McKee order every
+mesh is banded with kl = ku = 3 (2 and 2 once a clamped junction leaves
+the unknowns), and the plan says where each stored entry goes in that
+order's LAPACK band storage: each drive piece of the evolver packs its
+generator once by one scatter (`_Plan.band`), the right-hand side's G y
+is one banded BLAS product, each step factors its one matrix
+1/(h gamma) I - J from that band by a banded LU in O(n), and each stage
+is one LAPACK solve.  With its branch nodes (the border) taken out, the
+tree falls apart into paths, which the plan also orders one after
+another: the slow mode's inverse iteration factors the area-symmetrised
+generator W^1/2 (-G) W^-1/2 as one symmetric positive definite
+tridiagonal over the paths (LAPACK ?pttrf, a plain loop) and the
+border's small Schur complement.
 
 The spatial operator is a conservative finite-volume generator G
 (dx/dt = G x): with s0 = P = 0 the area-weighted column sums of G vanish
-identically, so total QP number is conserved to round-off; Radau's
-collocation steps preserve that linear invariant.  `build` takes what
-depends only on the mesh's shape (its node layout and the generator's
-compressed-column arrays) from a per-shape template and computes the
-values from whole arrays, so its Python-level work grows with the
-chains, not the nodes.
+identically, so total QP number is conserved to round-off; each
+Rosenbrock stage solves with fac I - G, which keeps that linear
+invariant.  `build` takes what depends only on the mesh's shape (its node
+layout and the generator's compressed-column arrays) from a per-shape
+template and computes the values from whole arrays, so its Python-level
+work grows with the chains, not the nodes.
 """
 
 from __future__ import annotations
@@ -493,7 +493,10 @@ class _Plan(NamedTuple):
     1969), where each stored entry goes in that order's LAPACK band
     storage (a flat index into the band's Fortran order) and the band
     widths kl, ku.  On the electrode tree kl = ku = 3, and 2 and 2 once a
-    clamped junction leaves the unknowns.
+    clamped junction leaves the unknowns.  Each drive piece packs its
+    generator G once (`band`); ?gbmv takes that band for G y, and each
+    Rosenbrock step's 1/(h gamma) I - J for ?gbtrf is -G's band with its
+    diagonal row replaced.
 
     For `slowest_mode`'s split: `chains`, the pattern's paths one after
     another (n_path nodes), then its border.  With the border removed a
@@ -635,93 +638,40 @@ def _plan_of(a: sp.csc_matrix) -> tuple[_Plan, bool]:
     return plan, _plan.cache_info().misses == misses
 
 
-@functools.cache
-def _banded_radau():
-    """scipy's Radau IIA with its linear algebra in LAPACK band storage.
-
-    The class is made on first use, so that importing pde_sim loads no
-    scipy.integrate.  Radau keeps its step control, Newton iteration and
-    the caller's exact Jacobian; only the matrices change form.  The
-    solver takes the band widths kl and ku as options, and `jac(t, y)`
-    returns the Jacobian as ?gbtrf takes it, `_Plan.band`'s storage below
-    kl fill-in rows (`_solve_piece` hands over all three).
-    `_validate_jac` takes that band past Radau's (n, n) check; the first
-    one reaches Radau's `__init__` as a sparse view, so Radau makes an O(n)
-    sparse identity, never its dense n x n one.  Radau's own
-    `MU / h * I - J` then forms the band matrix that ?gbtrf factors, and
-    each solve is one ?gbtrs call on the right-hand side in place: every
-    caller of `solve_lu` in Radau passes a temporary.
-    """
-    import scipy.sparse as sp
-    from scipy.integrate import Radau
-
-    class BandedRadau(Radau):
-        def __init__(self, fun, t0, y0, t_bound, kl, ku, **options):
-            from scipy.linalg.lapack import dgbtrf, dgbtrs, zgbtrf, zgbtrs
-
-            self.kl, self.ku = kl, ku
-            super().__init__(fun, t0, y0, t_bound, **options)
-            self.J = self.J.data  # the band under the sparse view
-
-            def lu(a):
-                self.nlu += 1
-                trf, trs = (zgbtrf, zgbtrs) if np.iscomplexobj(a) else \
-                    (dgbtrf, dgbtrs)
-                factor, piv, info = trf(a, kl, ku, overwrite_ab=True)
-                # ?gbtrf passes NaN and inf through where SuperLU stops
-                if info != 0 or not np.isfinite(factor).all():
-                    raise RuntimeError(
-                        "banded LU factor is singular or not finite")
-                return trs, factor, piv
-
-            def solve_lu(lu, b):
-                trs, factor, piv = lu
-                return trs(factor, kl, ku, b, piv, overwrite_b=True)[0]
-
-            self.I = np.zeros_like(self.J)
-            self.I[kl + ku] = 1.0
-            self.lu, self.solve_lu = lu, solve_lu
-
-        def _validate_jac(self, jac, sparsity):
-            """The band Jacobian jac(t, y), counted as Radau counts it,
-            and its first value as a dia_matrix view of the band."""
-            def banded(t, y, _=None):
-                self.njev += 1
-                return jac(t, y)
-
-            band = banded(self.t, self.y)
-            offsets = self.kl + self.ku - np.arange(band.shape[0])
-            return banded, sp.dia_matrix((band, offsets),
-                                         shape=(self.n, self.n))
-
-    return BandedRadau
-
-
 def _solve_piece(disc: Discretization, spec: EvolveSpec, x: np.ndarray,
                  t0: float, t_eval: np.ndarray, tol: float, scale: float,
                  driven: bool) -> np.ndarray:
-    """Radau IIA solve of one drive piece, from state x at t0 to t_eval[-1].
+    """Rosenbrock solve of one drive piece, from state x at t0 to t_eval[-1].
 
-    dy/dt = G y - r y^2 + g, plus the junction drive when `driven`; the
-    absolute tolerance is 1e-3 * tol * scale.  The piece's generator (the
-    full one, or the clamped one without the junction) is packed once, in
-    its plan's order (`_plan_of`): the unknowns enter the integrator in
-    that order, G y is one BLAS ?gbmv on the band, Radau's Jacobian is
-    that band below ?gbtrf's kl fill-in rows, minus 2 r y on its diagonal
-    row, and the states come back in node order.  Returns the
+    dy/dt = G y - r y^2 + g, plus the junction drive when `driven`, by
+    `_rodas.integrate` (RODAS, order 4) with rtol = tol and the absolute
+    tolerance 1e-3 * tol * scale.  The piece is autonomous: its drive is
+    constant.  The piece's generator (the full one, or the clamped one
+    without the junction) is packed once, in its plan's order (`_plan_of`):
+    the unknowns enter the integrator in that order, G y is one BLAS ?gbmv
+    on the band, each step's 1/(h gamma) I - (G - 2 r diag(y)) is -G's
+    band below ?gbtrf's kl fill-in rows with its diagonal row replaced,
+    and the states come back in node order.  Elimination keeps the slow
+    modes only while a row's margin, 1/(h gamma) plus its decay rate (the
+    row sum of -G, at least s0), exceeds the factor's round-off
+    32 eps max|G_ii|, so no step is longer than that allows.  Returns the
     (n_nodes, n_times) states at t_eval, clipped at zero, and logs one
     DEBUG record on the qpdyn.pde_sim logger with the interval, the
-    unknowns, the band widths, Radau's counts and plan_reused, whether an
-    earlier call made the band plan of the piece's generator; its args are
-    a dict.  A call that makes its plan says False, and so do both of two
-    threads that plan one pattern at once; a call that finds its plan
-    while another thread makes one may say False too.
-    Float overflow is not left to numpy's warnings: the failed solve it
-    causes raises StepSizeUnderflowError naming the piece, r and the
-    density scale.
+    unknowns, the band widths, the integrator's steps, rejected steps,
+    nfev and nlu, and plan_reused, whether an earlier call made the band
+    plan of the piece's generator; its args are a dict.  A call that makes
+    its plan says False, and so do both of two threads that plan one
+    pattern at once; a call that finds its plan while another thread makes
+    one may say False too.  A failed solve (a singular or not finite
+    factor, a not finite error estimate, a step below 10 ulp of t, or
+    more than 100 000 steps) raises StepSizeUnderflowError naming the
+    piece; float overflow is not left to numpy's warnings, and when it
+    caused the failure the message names r, the density scale and the
+    largest generator rate.
     """
-    from scipy.integrate import solve_ivp
     from scipy.linalg.blas import dgbmv
+
+    from ._rodas import GAMMA, integrate
 
     gen, jj, r = disc.generator, disc.junction_index, spec.r
     src = np.full(x.size, spec.g)
@@ -741,33 +691,39 @@ def _solve_piece(disc: Discretization, spec: EvolveSpec, x: np.ndarray,
         order, kl, ku = keep[plan.order], plan.kl, plan.ku
         src, n = src[order], order.size
         gen_band = plan.band(gen)
-        # the Jacobian's band: gen_band below ?gbtrf's kl fill-in rows
-        padded = np.zeros((2 * kl + ku + 1, n), order="F")
-        padded[kl:] = gen_band
+        g_diag = gen_band[ku].copy()
+        # -G's band below ?gbtrf's kl fill-in rows
+        negated = np.zeros((2 * kl + ku + 1, n), order="F")
+        negated[kl:] = -gen_band
 
-        def fun(t, y):
-            return dgbmv(n, n, kl, ku, 1.0, gen_band, y) - r * y * y + src
-
-        def jac(t, y):  # G - 2 r diag(y)
-            out = padded.copy(order="F")
-            out[kl + ku] -= 2.0 * r * y
+        def fun(y):  # G y + src by ?gbmv, then - r y^2
+            out = dgbmv(n, n, kl, ku, 1.0, gen_band, y, beta=1.0, y=src)
+            out -= r * y * y
             return out
 
+        def shifted(fac, y):  # fac I - (G - 2 r diag(y))
+            out = negated.copy(order="F")
+            out[kl + ku] = fac - (g_diag - 2.0 * r * y)
+            return out
+
+        # the round-off cap on h: past 1/(gamma (noise - decay)) the
+        # factor's rounding swamps the slowest rows' margin
+        noise = 32.0 * np.finfo(float).eps * float(np.abs(g_diag).max())
+        decay = -float(dgbmv(n, n, kl, ku, 1.0, gen_band, np.ones(n)).max())
+        h_max = 1.0 / (GAMMA * (noise - decay)) if noise > decay else math.inf
         try:
-            sol = solve_ivp(fun, (t0, t_eval[-1]), x[order],
-                            method=_banded_radau(), t_eval=t_eval, jac=jac,
-                            kl=kl, ku=ku, rtol=tol,
-                            atol=1e-3 * tol * scale or np.finfo(float).tiny)
+            states, counts = integrate(
+                fun, shifted, x[order], t0, t_eval, tol,
+                1e-3 * tol * scale or np.finfo(float).tiny, kl, ku, h_max)
             _log_debug(
                 __name__, "piece [%(t0).6g, %(t1).6g] s: %(unknowns)d "
-                "unknowns, kl = %(kl)d, ku = %(ku)d; Radau nfev %(nfev)d, "
-                "njev %(njev)d, nlu %(nlu)d, status %(status)d",
+                "unknowns, kl = %(kl)d, ku = %(ku)d; %(steps)d steps, "
+                "%(rejected)d rejected, nfev %(nfev)d, nlu %(nlu)d",
                 lambda: {"t0": t0, "t1": float(t_eval[-1]), "unknowns": n,
-                         "kl": kl, "ku": ku, "nfev": sol.nfev,
-                         "njev": sol.njev, "nlu": sol.nlu,
-                         "status": sol.status, "plan_reused": reused})
-            why = None if sol.success else sol.message
-        except RuntimeError as exc:  # banded LU: singular or not finite
+                         "kl": kl, "ku": ku, **counts,
+                         "plan_reused": reused})
+            why = None
+        except ArithmeticError as exc:
             why = str(exc)
     if why is not None:
         if overflow:
@@ -778,7 +734,7 @@ def _solve_piece(disc: Discretization, spec: EvolveSpec, x: np.ndarray,
             f"stiff integrator failed on the {'' if driven else 'un'}driven "
             f"piece [{t0:.6g}, {t_eval[-1]:.6g}] s: {why}")
     ys = np.empty((x.size, t_eval.size))
-    ys[order] = np.maximum(sol.y, 0.0)
+    ys[order] = np.maximum(states, 0.0)
     if clamp:
         ys[jj] = spec.injection_density
     return ys
@@ -787,19 +743,24 @@ def _solve_piece(disc: Discretization, spec: EvolveSpec, x: np.ndarray,
 def evolve(disc: Discretization, spec: EvolveSpec, tol: float = 1e-8):
     """Integrate the full nonlinear system; return junction density at t_grid.
 
-    dx/dt = G x - r x^2 + g (+ the junction drive) is integrated by scipy's
-    Radau IIA with the exact Jacobian G - 2 r diag(x), one solve per drive
-    piece, [0, t_inj] and [t_inj, t_end].  Each piece runs in its
-    generator's reverse Cuthill-McKee order and LAPACK band storage: G y is
-    a banded BLAS ?gbmv, Radau takes its Jacobian as a band, and its linear
-    systems are solved by a banded LU (LAPACK ?gbtrf / ?gbtrs).  A clamped
-    junction is a Dirichlet node: it leaves the unknowns, narrowing the
-    band, and feeds its neighbours through G[:, junction] *
-    injection_density.  `tol` is the
-    relative tolerance; the absolute tolerance is 1e-3 * tol times the
-    largest density scale of the inputs (x_init, injection_density,
+    dx/dt = G x - r x^2 + g (+ the junction drive) is integrated by
+    Hairer & Wanner's RODAS (`_rodas`), a linearly implicit Rosenbrock
+    method of order 4 on the exact Jacobian G - 2 r diag(x), one solve per
+    drive piece, [0, t_inj] and [t_inj, t_end]; each piece's drive is
+    constant, so the system is autonomous and needs no time derivative.
+    Each piece runs in its generator's reverse Cuthill-McKee order and
+    LAPACK band storage: G y is a banded BLAS ?gbmv, and each step makes
+    one banded LU of 1/(h gamma) I - J (LAPACK ?gbtrf) and one ?gbtrs per
+    stage, with no Newton iteration.  Steps land on every output time;
+    nothing is interpolated.  A clamped junction is a Dirichlet node: it
+    leaves the unknowns, narrowing the band, and feeds its neighbours
+    through G[:, junction] * injection_density.  `tol` is the relative
+    tolerance; the absolute tolerance is 1e-3 * tol times the largest
+    density scale of the inputs (x_init, injection_density,
     injection_rate * t_inj, or g * t_end), so decaying tails keep relative
-    accuracy over three decades.  Densities are clipped at zero.
+    accuracy over three decades.  A step is accepted when the RMS over the
+    unknowns of err_i / (atol + rtol max(|y_i|, |y1_i|)) is at most 1.
+    Densities are clipped at zero.
     """
     return _evolve_states(disc, spec, tol)[:, disc.junction_index].copy()
 

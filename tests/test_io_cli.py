@@ -290,6 +290,10 @@ EXTREME_INPUTS = [
     "estimate qprate --rj 1e-320kohm --delta 180ueV",
     "estimate trapping-power --rcore 1e300nm --rate 1.2e7/s",
 ]
+# pde evolve integrates this one to its exact steady states
+# (test_pde_evolve_holds_the_steady_states_of_a_huge_s0), so it is left out
+# of the refusals below, whose ids keep their indices
+_HUGE_S0 = _EVOLVE.replace("--s0 100/s", "--s0 1e300/s")
 # a zero amplitude or coupling is an invalid parameter (exit 5), not a
 # division by zero
 BAD_INPUTS = [(argv, (5, 6)) for argv in EXTREME_INPUTS] + [
@@ -638,19 +642,19 @@ class TestCli:
         assert code == 5
 
     def test_integrator_failure_exits_6(self, capsys, monkeypatch):
-        import types
+        import scipy.linalg.lapack
 
-        import scipy.integrate
-        monkeypatch.setattr(scipy.integrate, "solve_ivp",
-                            lambda *a, **k: types.SimpleNamespace(
-                                success=False, message="step size too small"))
+        def singular(ab, kl, ku, **kwargs):  # ?gbtrf's info > 0
+            return ab, np.zeros(ab.shape[1], np.int32), 1
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", singular)
         code, out, err = run_cli(capsys, "pde", "evolve", "--geom", "b1",
                                  "--nl", "0", "--nr", "0", "--p", "0cm2/s",
                                  "--d", "18cm2/s", "--xinit", "1e-4",
                                  "--tmax", "1ms", "--points", "5")
         assert code == 6
         assert out == ""
-        assert "step size too small" in err
+        assert "banded LU factor is singular or not finite" in err
 
     def test_every_error_class_maps_to_a_documented_exit_code(self):
         import inspect
@@ -692,9 +696,9 @@ class TestCli:
         assert named.format(dir=tmp_path) in err
 
     @pytest.mark.parametrize(
-        "argv, codes", BAD_INPUTS,
+        "argv, codes", [case for case in BAD_INPUTS if case[0] != _HUGE_S0],
         ids=[f"{a.split(' --')[0].split(' {')[0].replace(' ', '-')}-{k}"
-             for k, (a, _) in enumerate(BAD_INPUTS)])
+             for k, (a, _) in enumerate(BAD_INPUTS) if a != _HUGE_S0])
     def test_extreme_finite_input_exits_without_traceback(self, capsys,
                                                           recwarn, tmp_path,
                                                           argv, codes):
@@ -806,6 +810,20 @@ class TestCli:
         code, out, err = run_cli(capsys, *argv.split(), "--no-timestamp")
         assert code in (5, 6)
         assert "numerical failure (" not in err
+
+    def test_pde_evolve_holds_the_steady_states_of_a_huge_s0(self, capsys,
+                                                             recwarn):
+        """At s0 = 1e300 /s every node relaxes at once, so the junction sits
+        at (g + amp) / s0 while the 600 us drive lasts and at g / s0 after
+        it, with g = 1e-4 /s and amp = 1e4 /s."""
+        code, out, err = run_cli(capsys, *_HUGE_S0.split(), "--no-timestamp")
+        assert (code, err) == (0, "")
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+        trace = json.loads(out)["result"]["trace"]
+        assert len(trace) == 99
+        for point in trace:
+            source = 1e-4 + (1e4 if point["t_s"] < 600e-6 else 0.0)
+            assert point["x_jj"] == pytest.approx(source / 1e300, rel=1e-12)
 
     def test_pde_evolve_overflow_is_one_named_line(self, capsys, recwarn):
         code, out, err = run_cli(capsys, *(
@@ -1281,12 +1299,13 @@ def test_mode_commands_load_no_logging():
 
 
 def test_pde_eigen_loads_no_integrator_or_graph_module():
-    """pde eigen, run by main in a fresh interpreter with SuperLU's factor
-    routine broken, succeeds and loads no integrator (scipy.integrate);
-    pde evolve, run after it in the same interpreter, succeeds and loads
-    one.  scipy.sparse.csgraph, whose reverse Cuthill-McKee order both
-    commands use, imports scipy.sparse.linalg itself, so the probe breaks
-    SuperLU instead of looking for its module."""
+    """pde eigen, then pde evolve, run by main in a fresh interpreter with
+    SuperLU's factor routine broken, succeed and load neither
+    scipy.integrate nor scipy.optimize (which it imports): evolve's
+    Rosenbrock method is qpdyn's own.  scipy.sparse.csgraph, whose reverse
+    Cuthill-McKee order both commands use, imports scipy.sparse.linalg
+    itself, so the probe breaks SuperLU instead of looking for its
+    module."""
     import subprocess
     import sys
 
@@ -1302,13 +1321,13 @@ def test_pde_eigen_loads_no_integrator_or_graph_module():
         "for argv in json.loads(sys.argv[1]):\n"
         "    code = main(argv + ['--out-file', os.devnull])\n"
         "    report.append([argv[1], code, "
-        "'scipy.integrate' in sys.modules])\n"
+        "'scipy.integrate' in sys.modules, 'scipy.optimize' in sys.modules])\n"
         "print(json.dumps(report))\n")
     done = subprocess.run([sys.executable, "-c", probe, json.dumps(tour)],
                           capture_output=True, text=True, check=True,
                           env=subprocess_env())
-    assert json.loads(done.stdout) == [["eigen", 0, False],
-                                       ["evolve", 0, True]]
+    assert json.loads(done.stdout) == [["eigen", 0, False, False],
+                                       ["evolve", 0, False, False]]
 
 
 # the qpdyn modules a README-tour command must not load, by its first word
@@ -1319,7 +1338,7 @@ _NOT_LOADED = {
                     {"eigenmode", "geometry", "pde_sim", "estimates"}),
     **dict.fromkeys(("eigenrate", "steps", "sweep"),
                     {"pde_sim", "trace_fit", "estimates", "dynamics"}),
-    "pde eigen": {"trace_fit", "estimates", "dynamics"},
+    "pde eigen": {"trace_fit", "estimates", "dynamics", "_rodas"},
 }
 
 

@@ -420,82 +420,89 @@ def _drive(drive):
                       **DRIVES[drive])
 
 
-def _sparse_radau():
-    """scipy's plain Radau, with SuperLU, on the banded solver's options:
-    it turns each band Jacobian back into a CSC matrix."""
+# a Latin square: each geometry meets each resolution and each drive once,
+# and each resolution meets each drive once
+LATIN_SQUARE = [
+    ("b1", 20, "rate"), ("b1", 50, "clamp"), ("b1", 200, "free"),
+    ("b2", 20, "clamp"), ("b2", 50, "free"), ("b2", 200, "rate"),
+    ("b3", 20, "free"), ("b3", 50, "rate"), ("b3", 200, "clamp")]
+
+
+def _radau_states(disc, spec, tol):
+    """The states of _evolve_states(disc, spec, tol) from scipy's Radau IIA
+    with the sparse exact Jacobian (SuperLU), a test-only reference: on
+    each drive piece, at rtol = tol and evolve's absolute tolerance, with
+    a clamped junction held by zeroing its row, and clipped at zero."""
     import scipy.sparse as sp
-    from scipy.integrate import Radau
+    from scipy.integrate import solve_ivp
 
-    class SparseRadau(Radau):
-        def __init__(self, fun, t0, y0, t_bound, kl, ku, jac, **options):
-            offsets = kl + ku - np.arange(2 * kl + ku + 1)
+    gen, jj, n = disc.generator, disc.junction_index, disc.n_nodes
+    t_grid = np.asarray(spec.t_grid)
+    x = np.full(n, float(spec.x_init))
+    clamp = spec.injection_density is not None
+    if clamp:
+        x[jj] = spec.injection_density
+    scale = max(x.max(), spec.injection_rate * spec.t_inj,
+                spec.g * t_grid[-1])
+    states, t0 = [], 0.0
+    for t1 in sorted({min(spec.t_inj, t_grid[-1]), t_grid[-1]} - {0.0}):
+        src, held = np.full(n, spec.g), np.ones(n)
+        if t1 <= spec.t_inj and clamp:
+            held[jj] = 0.0
+        elif t1 <= spec.t_inj:
+            src[jj] += spec.injection_rate
+        held = sp.diags(held)
 
-            def sparse(t, y):
-                return sp.dia_matrix((jac(t, y), offsets),
-                                     shape=(y.size, y.size)).tocsc()
+        def fun(t, y, src=src, held=held):
+            return held @ (gen @ y - spec.r * y * y + src)
 
-            super().__init__(fun, t0, y0, t_bound, jac=sparse, **options)
+        def jac(t, y, held=held):
+            return (held @ (gen - sp.diags(2.0 * spec.r * y))).tocsc()
 
-    return SparseRadau
+        piece = t_grid[(t_grid > t0) & (t_grid <= t1)]
+        sol = solve_ivp(fun, (t0, t1), x, method="Radau", jac=jac, rtol=tol,
+                        atol=1e-3 * tol * scale,
+                        t_eval=np.union1d(piece, t1))
+        assert sol.success, sol.message
+        states.append(sol.y[:, :piece.size].T)
+        x, t0 = sol.y[:, -1], t1
+    return np.maximum(np.concatenate(states), 0.0)
+
+
+def _break_superlu(monkeypatch):
+    """Make SuperLU's factor routine, which splu calls, raise."""
+    from scipy.sparse.linalg._dsolve import _superlu
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("SuperLU called")
+
+    monkeypatch.setattr(_superlu, "gstrf", broken)
 
 
 class TestBandedRadau:
-    # a Latin square: each geometry meets each resolution and each drive
-    # once, and each resolution meets each drive once
-    @pytest.mark.parametrize("name, resolution, drive", [
-        ("b1", 20, "rate"), ("b1", 50, "clamp"), ("b1", 200, "free"),
-        ("b2", 20, "clamp"), ("b2", 50, "free"), ("b2", 200, "rate"),
-        ("b3", 20, "free"), ("b3", 50, "rate"), ("b3", 200, "clamp")])
-    def test_matches_radau_with_the_sparse_jacobian(self, monkeypatch, name,
-                                                    resolution, drive):
-        # the banded LU changes only round-off: Radau takes the same steps
+    """evolve's banded Rosenbrock integrator, with scipy's Radau IIA as a
+    test-only reference."""
+
+    @pytest.mark.parametrize("name, resolution, drive", LATIN_SQUARE)
+    def test_matches_radau_with_the_sparse_jacobian(self, name, resolution,
+                                                    drive):
+        """At tol 1e-8, evolve's largest error over all nodes and output
+        times, against Radau with the sparse Jacobian at rtol 1e-12, is no
+        larger than Radau's own at tol 1e-8 (with the same tolerances)."""
         disc, spec = _bundled_mesh(name, resolution), _drive(drive)
-        banded = _evolve_states(disc, spec, 1e-8)
-        monkeypatch.setattr(pde_sim, "_banded_radau", _sparse_radau)
-        plain = _evolve_states(disc, spec, 1e-8)
-        np.testing.assert_allclose(banded, plain, rtol=1e-9,
-                                   atol=1e-9 * np.abs(plain).max())
+        exact = _radau_states(disc, spec, 1e-12)
+        ours = _evolve_states(disc, spec, 1e-8)
+        radau = _radau_states(disc, spec, 1e-8)
+        assert np.abs(ours - exact).max() <= np.abs(radau - exact).max()
 
     def test_superlu_is_never_called(self, monkeypatch):
-        # Radau's own factorization would reach splu; the banded hooks
-        # replace it, so evolve runs with splu broken
-        import scipy.integrate._ivp.radau as radau
-
-        def broken(matrix):
-            raise RuntimeError("splu called")
-
-        monkeypatch.setattr(radau, "splu", broken)
+        # evolve runs with SuperLU broken, which the reference needs
+        _break_superlu(monkeypatch)
         disc = _bundled_mesh("b1", 20)
         for drive in DRIVES:
             assert np.all(np.isfinite(evolve(disc, _drive(drive))))
-        monkeypatch.setattr(pde_sim, "_banded_radau", _sparse_radau)
-        with pytest.raises(StepSizeUnderflowError, match="splu called"):
-            evolve(disc, _drive("free"))
-
-    def test_radau_never_takes_its_dense_branch(self, monkeypatch):
-        """b1 at res 200 runs with Radau's SuperLU and dense LU broken, and
-        a warm evolve's peak stays far below the 25 MB of Radau's dense
-        n x n identity."""
-        import tracemalloc
-
-        import scipy.integrate._ivp.radau as radau
-
-        def broken(*args, **kwargs):
-            raise RuntimeError("Radau's own LU called")
-
-        monkeypatch.setattr(radau, "splu", broken)
-        monkeypatch.setattr(radau, "lu_factor", broken)
-        disc = _bundled_mesh("b1", 200)
-        assert disc.n_nodes == 1767
-        for drive in DRIVES:
-            assert np.all(np.isfinite(evolve(disc, _drive(drive))))
-        tracemalloc.start()
-        try:
-            evolve(disc, _drive("rate"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5e6
+        with pytest.raises(RuntimeError, match="SuperLU called"):
+            _radau_states(disc, _drive("free"), 1e-8)
 
     @pytest.mark.parametrize("extreme", [
         {"r": 1e300}, {"g": 1e300}, {"x_init": 1e300},
@@ -503,18 +510,17 @@ class TestBandedRadau:
         ids=["r", "g", "x_init", "clamp"])
     def test_non_finite_factors_fail_fast_and_typed(self, monkeypatch,
                                                     extreme):
-        # a NaN step size never falls below Radau's min_step: without the
-        # factor check the step loop refactors forever
-        import scipy.integrate._ivp.radau as radau
-        newton = radau.solve_collocation_system
-        calls = []
+        # a NaN error estimate or factor must end the step loop at once
+        import scipy.linalg.lapack
 
-        def counted(*args):
+        factor, calls = scipy.linalg.lapack.dgbtrf, []
+
+        def counted(*args, **kwargs):
             calls.append(1)
-            assert len(calls) < 1000, "Radau's step loop does not end"
-            return newton(*args)
+            assert len(calls) < 1000, "the step loop does not end"
+            return factor(*args, **kwargs)
 
-        monkeypatch.setattr(radau, "solve_collocation_system", counted)
+        monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", counted)
         disc = build(_bundled("b2"), VortexConfig(0, 0, 0.0),
                      TransportParams(d=18e-4, s0=100.0))
         spec = EvolveSpec(**{"r": 6.25e6, "g": 1e-4, "injection_rate": 1e4,
@@ -524,11 +530,41 @@ class TestBandedRadau:
             evolve(disc, spec)
 
 
-# the Latin square of test_matches_radau_with_the_sparse_jacobian
-LATIN_SQUARE = [
-    ("b1", 20, "rate"), ("b1", 50, "clamp"), ("b1", 200, "free"),
-    ("b2", 20, "clamp"), ("b2", 50, "free"), ("b2", 200, "rate"),
-    ("b3", 20, "free"), ("b3", 50, "rate"), ("b3", 200, "clamp")]
+def test_a_piece_past_the_step_budget_is_refused_typed(monkeypatch):
+    """The step loop ends at the budget (100 000 steps; 20 here), with a
+    typed error naming the piece and how far it got."""
+    from qpdyn import _rodas
+
+    monkeypatch.setattr(_rodas, "_MAX_STEPS", 20)
+    with pytest.raises(StepSizeUnderflowError,
+                       match=r"undriven piece \[0, 0.0002\] s: 20 steps "
+                             r"reached t = "):
+        evolve(_bundled_mesh("b1", 20), _drive("free"))
+
+
+def test_res_200_evolve_stays_banded_and_small(monkeypatch):
+    """b1 at res 200 runs with SuperLU and the dense LU broken, and a warm
+    evolve's peak stays far below the 25 MB of one dense n x n matrix."""
+    import tracemalloc
+
+    import scipy.linalg.lapack
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("dense LU called")
+
+    _break_superlu(monkeypatch)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", broken)
+    disc = _bundled_mesh("b1", 200)
+    assert disc.n_nodes == 1767
+    for drive in DRIVES:
+        assert np.all(np.isfinite(evolve(disc, _drive(drive))))
+    tracemalloc.start()
+    try:
+        evolve(disc, _drive("rate"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def _pieces(caplog):
@@ -537,23 +573,108 @@ def _pieces(caplog):
             if record.name == "qpdyn.pde_sim"]
 
 
-@pytest.mark.parametrize("name, resolution, drive", LATIN_SQUARE)
-def test_banded_radau_takes_the_same_steps(monkeypatch, caplog, name,
-                                           resolution, drive):
-    # same function calls, Jacobians and factorizations on every piece
+def test_an_output_a_rounding_error_after_t_inj_is_the_state_there():
+    """A grid point a few ulp after t_inj (np.linspace(0, 2e-3, 21) puts
+    3e-4 + 5e-20 there) is the release piece's first output; evolve
+    returns the state at t_inj for it, as it does for t_inj itself."""
+    disc = _bundled_mesh("b2", 25)
+    t_grid = np.linspace(0.0, 2e-3, 21)[1:]
+    assert 0 < t_grid[2] - 300e-6 < 1e-19
+    exact = t_grid.copy()
+    exact[2] = 300e-6
+    got, want = (evolve(disc, EvolveSpec(
+        r=R_B1, g=1e-4, t_grid=tuple(t), injection_rate=1e4, t_inj=300e-6))
+        for t in (t_grid, exact))
+    assert np.array_equal(got, want)
+
+
+def test_the_coefficients_meet_the_order_conditions():
+    """RODAS's table, taken back from the variables u_i of its stages to
+    the Rosenbrock form (alpha, Gamma, b) of Hairer & Wanner, Table IV.7.1,
+    meets the eight conditions of order 4 with b and the four of order 3
+    with the embedded b-hat (and misses order 4 with it), to round-off."""
+    from scipy.linalg import solve_triangular
+
+    from qpdyn._rodas import A, C, GAMMA
+
+    g = GAMMA
+    # u = Gamma k: Gamma^-1 = I / gamma - C, alpha = A Gamma, b = m Gamma
+    gam = solve_triangular(np.eye(6) / g - C, np.eye(6), lower=True)
+    alpha = A @ gam
+    beta = alpha + gam - np.diag(np.diag(gam))  # below the diagonal
+    a_sum, b_sum = alpha.sum(axis=1), beta.sum(axis=1)
+
+    def residuals(m):
+        b = m @ gam
+        return np.array([
+            b.sum() - 1, b @ b_sum - (0.5 - g),
+            b @ a_sum ** 2 - 1 / 3, b @ beta @ b_sum - (1 / 6 - g + g * g),
+            b @ a_sum ** 3 - 1 / 4,
+            (b * a_sum) @ alpha @ b_sum - (1 / 8 - g / 3),
+            b @ beta @ a_sum ** 2 - (1 / 12 - g / 3),
+            b @ beta @ beta @ b_sum - (1 / 24 - g / 2 + 1.5 * g * g - g ** 3)])
+
+    assert np.array_equal(np.diag(gam), np.full(6, g))
+    # stiffly accurate: y1 is the sixth stage's argument plus u_6, and the
+    # embedded solution that argument
+    main = np.append(A[5, :5], 1.0)
+    assert np.abs(residuals(main)).max() < 1e-14
+    embedded = residuals(np.append(A[5, :5], 0.0))
+    assert np.abs(embedded[:4]).max() < 1e-14
+    assert np.abs(embedded[4:]).max() > 1e-3
+    np.testing.assert_allclose(a_sum, [0.0, 0.386, 0.21, 0.63, 1.0, 1.0],
+                               atol=1e-15)
+
+
+def test_fixed_steps_converge_at_order_4():
+    """On y' = G y + b, G a small tridiagonal band, steps of h = 1e-7 s down
+    to h / 8 (each step lands on the next output time, with tolerances so
+    loose that none is rejected) leave errors against expm that fall by
+    16 per halving."""
+    from scipy.linalg import expm
+
+    from qpdyn._rodas import integrate
+
+    n, kl, ku = 6, 1, 1
+    gen = 1e6 * (np.diag(np.full(n - 1, 0.5), -1) - np.eye(n)
+                 + np.diag(np.full(n - 1, 0.3), 1))
+    b, y0 = np.linspace(1.0, 2.0, n) * 1e5, np.linspace(1.0, -1.0, n)
+    t_end = 1e-6
+    aug = np.zeros((n + 1, n + 1))  # y' = G y + b as a homogeneous system
+    aug[:n, :n], aug[:n, n] = gen, b
+    exact = (expm(t_end * aug) @ np.append(y0, 1.0))[:n]
+
+    def shifted(fac, y):
+        return _banded(fac * np.eye(n) - gen, kl, ku, top=kl).copy(
+            order="F")
+
+    errors = []
+    for k in range(4):
+        h = 1e-7 / 2 ** k
+        t_eval = h * np.arange(1, round(t_end / h) + 1)
+        ys, counts = integrate(lambda y: gen @ y + b, shifted, y0, 0.0,
+                               t_eval, 1e10, 1e10, kl, ku, h_max=h)
+        assert (counts["steps"], counts["rejected"]) == (t_eval.size, 0)
+        errors.append(np.abs(ys[:, -1] - exact).max())
+    ratios = np.array(errors[:-1]) / errors[1:]
+    assert np.all((13.0 < ratios) & (ratios < 19.0)), ratios
+
+
+def test_each_piece_record_counts_its_steps(caplog):
+    """A piece's DEBUG record holds the interval, the unknowns, the band,
+    plan_reused and the integrator's counts: one factor per step tried,
+    and five right-hand sides per step tried, one per accepted step and
+    one at the start."""
     caplog.set_level(logging.DEBUG, logger="qpdyn.pde_sim")
-    disc, spec = _bundled_mesh(name, resolution), _drive(drive)
-    evolve(disc, spec, tol=1e-8)
-    banded = _pieces(caplog)
-    caplog.clear()
-    monkeypatch.setattr(pde_sim, "_banded_radau", _sparse_radau)
-    evolve(disc, spec, tol=1e-8)
-    plain = _pieces(caplog)
-    assert len(banded) == (1 if drive == "free" else 2)
-    for ours, radau in zip(banded, plain, strict=True):
-        assert ours["status"] == radau["status"] == 0
-        for count in ("nfev", "njev", "nlu"):
-            assert ours[count] == radau[count], count
+    evolve(_bundled_mesh("b2", 50), _drive("clamp"))
+    pieces = _pieces(caplog)
+    assert [(p["t0"], p["t1"]) for p in pieces] == [(0.0, 50e-6),
+                                                    (50e-6, 200e-6)]
+    for p in pieces:
+        assert set(p) == {"t0", "t1", "unknowns", "kl", "ku", "steps",
+                          "rejected", "nfev", "nlu", "plan_reused"}
+        assert p["nlu"] == p["steps"] + p["rejected"]
+        assert p["nfev"] == 1 + 5 * p["nlu"] + p["steps"]
 
 
 @pytest.mark.parametrize("resolution", [20, 50, 200])
@@ -713,8 +834,7 @@ def test_evolve_hands_lapack_fortran_order_bands(monkeypatch):
     """?gbmv, ?gbtrf and ?gbtrs take a Fortran-order band as it is (f2py
     copies any other layout on every call), on the full and the clamped
     generator alike."""
-    routines = {"blas.dgbmv": 5, "lapack.dgbtrf": 0, "lapack.dgbtrs": 0,
-                "lapack.zgbtrf": 0, "lapack.zgbtrs": 0}
+    routines = {"blas.dgbmv": 5, "lapack.dgbtrf": 0, "lapack.dgbtrs": 0}
     layouts = _band_layouts(monkeypatch, routines)
     evolve(_bundled_mesh("b1", 50), _drive("clamp"))
     assert {name for name, _ in layouts} == {
@@ -723,39 +843,50 @@ def test_evolve_hands_lapack_fortran_order_bands(monkeypatch):
 
 
 @pytest.mark.parametrize("drive", ["rate", "clamp"])
-def test_radau_takes_the_band_of_the_exact_jacobian(monkeypatch, drive):
-    """Every Jacobian Radau takes is, bit for bit, the dense
-    G - 2 r diag(y) of its piece's generator in the plan's order, in LAPACK
-    band storage below kl zero fill-in rows for ?gbtrf."""
-    banded_radau = pde_sim._banded_radau()
-    seen = []
+def test_each_factored_band_is_the_dense_shifted_jacobian(monkeypatch, drive):
+    """Every band ?gbtrf factors is, bit for bit and in the order the steps
+    make them, the dense 1/(h gamma) I - (G - 2 r diag(y)) of its piece's
+    generator in the plan's order, in LAPACK band storage below kl zero
+    fill-in rows."""
+    import scipy.linalg.lapack
 
-    class Recording(banded_radau):
-        def _validate_jac(self, jac, sparsity):
-            def recorded(t, y):
-                band = jac(t, y)
-                seen.append((y.copy(), band.copy()))
-                return band
+    from qpdyn import _rodas
 
-            return super()._validate_jac(recorded, sparsity)
+    made, factored = [], []
 
-    monkeypatch.setattr(pde_sim, "_banded_radau", lambda: Recording)
+    def recording(fun, shifted, *args, **kwargs):
+        def recorded(fac, y):
+            band = shifted(fac, y)
+            made.append((fac, y.copy(), band.copy()))
+            return band
+
+        return integrate(fun, recorded, *args, **kwargs)
+
+    def factor(ab, *args, real=scipy.linalg.lapack.dgbtrf, **kwargs):
+        factored.append(ab.copy())
+        return real(ab, *args, **kwargs)
+
+    integrate = _rodas.integrate
+    monkeypatch.setattr(_rodas, "integrate", recording)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", factor)
     disc, spec = _bundled_mesh("b1", 50), _drive(drive)
     evolve(disc, spec)
     gen, jj = disc.generator, disc.junction_index
     keep = np.arange(disc.n_nodes)
     keep = keep[keep != jj]
     pieces = {disc.n_nodes: gen, disc.n_nodes - 1: gen[keep][:, keep]}
-    assert {y.size for y, _ in seen} == (
+    assert {y.size for _, y, _ in made} == (
         set(pieces) if drive == "clamp" else {disc.n_nodes})
-    for y, got in seen:
+    assert len(factored) == len(made)
+    for (fac, y, got), band in zip(made, factored):
         piece = pieces[y.size]
         plan = pde_sim._plan_of(piece)[0]
         assert (plan.kl, plan.ku) == ((3, 3) if piece is gen else (2, 2))
         dense = piece.toarray()[plan.order][:, plan.order]
-        dense[np.diag_indices(y.size)] -= 2.0 * spec.r * y
-        assert np.array_equal(got, _banded(dense, plan.kl, plan.ku,
+        want = fac * np.eye(y.size) - (dense - np.diag(2.0 * spec.r * y))
+        assert np.array_equal(got, _banded(want, plan.kl, plan.ku,
                                            top=plan.kl))
+        assert np.array_equal(band, got)
 
 
 def _count_orders(monkeypatch):
@@ -1137,7 +1268,8 @@ def _spectral_states(disc, spec):
     y = W^1/2 x is y(t0 + tau) = Q [e^(-Lambda tau) Q^T y(t0)
     - expm1(-Lambda tau) / Lambda Q^T W^1/2 b].  A clamped junction
     leaves the unknowns, which keeps a symmetric principal submatrix of S.
-    Nothing here is shared with Radau, the banded LU or the band order."""
+    Nothing here is shared with the integrator, the banded LU or the band
+    order."""
     gen, n, jj = disc.generator.toarray(), disc.n_nodes, disc.junction_index
     root_w = np.sqrt(disc.areas)
     clamp = spec.injection_density is not None
@@ -1189,12 +1321,13 @@ def test_linear_evolve_matches_the_spectral_propagator(
     on a rate or clamp drive of 0.01 to 1 tau_D and its release out to
     11 t_inj.
 
-    The bound: Radau accepts a step when the RMS over the n unknowns of
-    err_i / (atol + rtol |y_i|) is below 1, so one node may take sqrt(n)
-    of that scale.  At r = 0 the system is linear and dissipative (S is
-    positive semidefinite), so later steps do not amplify a step's error;
-    Radau's error estimate is of lower order than its order-5 step, and
-    its room is taken to cover the sum over steps.  So each node stays
+    The bound: the integrator accepts a step when the RMS over the n
+    unknowns of err_i / (atol + rtol max(|y_i|, |y1_i|)) is at most 1, so
+    one node may take sqrt(n) of that scale.  At r = 0 the system is
+    linear and dissipative (S is positive semidefinite), so later steps do
+    not amplify a step's error; the error estimate is of lower order than
+    the order-4 step, and its room is taken to cover the sum over steps,
+    with steps aimed at err ~ 0.13.  So each node stays
     within sqrt(n) (atol + rtol |x_ref|) of the reference, with
     rtol = tol = 1e-8 and atol = 1e-3 tol times evolve's density scale."""
     geom = box_geometry(u)
