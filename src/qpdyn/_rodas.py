@@ -45,14 +45,20 @@ for _x in (A, C, _AC):
 # evolve's global error stays at or below that of scipy's Radau IIA at the
 # same tolerances (test_matches_radau_with_the_sparse_jacobian), for ~1.5
 # times the steps.  A call takes at most _MAX_STEPS steps, accepted or
-# not (rodas.f's NMAX).
+# not (rodas.f's NMAX), and checks every _CHECK steps whether the factor's
+# round-off keeps them too short to finish.  One slow check is no proof:
+# where round-off bounds the steps they grow as the state falls toward
+# atol (b2, res 50, D = 1e10 cm^2/s: one check's pace needs 1.3 times the
+# steps left, and the piece takes 14 000), so it takes three in a row.
 _SHRINK, _GROW, _SAFE = 0.2, 6.0, 0.6
 _MAX_STEPS = 100_000
+_CHECK = 1000
 
 
 def integrate(fun, shifted, y, t0: float, t_eval: np.ndarray, rtol: float,
               atol: float, kl: int, ku: int,
-              h_max: float = math.inf) -> tuple[np.ndarray, dict]:
+              h_max: float = math.inf,
+              roundoff: float = 0.0) -> tuple[np.ndarray, dict]:
     """The autonomous y' = fun(y) from y at t0, at the times t_eval > t0.
 
     shifted(fac, y) returns 1/(h gamma) I - J(y) for fac = 1/(h gamma) in
@@ -66,12 +72,21 @@ def integrate(fun, shifted, y, t0: float, t_eval: np.ndarray, rtol: float,
     10 ulp of t_eval[-1] after t, a rounding error of the time grid,
     takes the state at t.  No step exceeds h_max.
 
+    `roundoff`, eps max|J_ii| (1/s), puts an error of up to about
+    roundoff h gamma |y_i| into a step h: the RMS of roundoff h gamma
+    |y_i| / (atol + rtol |y_i|) times the tolerance.  Every 1000 steps
+    the check is slow when that is at least 1 at their mean step h and
+    the rest of the interval at that pace needs more steps than are left;
+    after three slow checks in a row round-off holds the steps too short
+    to finish.
+
     Returns the (n, t_eval.size) states and the counts: accepted steps,
     rejected ones, nfev and nlu.  Raises ArithmeticError, naming the
     cause, when a factor is singular or not finite, when an error
-    estimate is not finite, when the step falls below 10 ulp of t, or
-    when the interval needs more than 100 000 steps (before the first,
-    if steps of h_max cannot cover it).
+    estimate is not finite, when the step falls below 10 ulp of t, when
+    round-off holds the steps too short to finish, or when the interval
+    needs more than 100 000 steps (before the first, if steps of h_max
+    cannot cover it).
     """
     from scipy.linalg.lapack import dgbtrf, dgbtrs
 
@@ -84,6 +99,7 @@ def integrate(fun, shifted, y, t0: float, t_eval: np.ndarray, rtol: float,
     ys = np.empty((n, t_eval.size))
     u = np.empty((6, n))
     t, f0 = t0, fun(y)
+    t_mark, slow = t0, 0  # t at the last check, and slow checks in a row
     h = min(h_max, _first_step(y, f0, span, rtol, atol))
     steps = rejected = nlu = 0
     nfev, retry = 1, False
@@ -101,6 +117,21 @@ def integrate(fun, shifted, y, t0: float, t_eval: np.ndarray, rtol: float,
                 raise ArithmeticError(
                     f"{_MAX_STEPS} steps reached t = {t:.6g} s of "
                     f"{t_eval[-1]:.6g} s")
+            if nlu and nlu % _CHECK == 0:
+                pace, t_mark = (t - t_mark) / _CHECK, t
+                q = np.abs(y)
+                q /= atol + rtol * q
+                floor = roundoff * GAMMA * pace * math.sqrt(float(q @ q) / n)
+                slow = slow + 1 if floor >= 1.0 and t_eval[-1] - t > (
+                    _MAX_STEPS - nlu) * pace else 0
+                if slow == 3:
+                    raise ArithmeticError(
+                        f"the factor's round-off eps max|J_ii| h gamma |y| "
+                        f"is {floor:.3g} times the tolerance at the "
+                        f"{pace:.3g} s a step the last {_CHECK} steps "
+                        f"averaged (eps max|J_ii| = {roundoff:.3g} 1/s): "
+                        f"t = {t:.6g} s of {t_eval[-1]:.6g} s would take "
+                        f"more than {_MAX_STEPS} steps")
             fac = 1.0 / (step * GAMMA)
             lu, piv, info = dgbtrf(shifted(fac, y), kl, ku, overwrite_ab=True)
             nlu += 1

@@ -6,36 +6,28 @@ injection drive) built on a linearly implicit Rosenbrock method (RODAS,
 `_rodas`) with the exact Jacobian.  The network is the electrode graph of
 geometry.edges, the analytic model's: 1-D segments joined with
 width-weighted flux matching, pads as lumped nodes carrying the trapping.
-What depends only on a matrix's stored pattern is planned once per
-pattern (`_plan`), and meshes of one shape, whatever their rates, reuse
-one plan.  The graph is a tree, so in reverse Cuthill-McKee order every
-mesh is banded with kl = ku = 3 (2 and 2 once a clamped junction leaves
-the unknowns), and the plan says where each stored entry goes in that
-order's LAPACK band storage: each drive piece of the evolver packs its
-generator once by one scatter (`_Plan.band`), the right-hand side's G y
-is one banded BLAS product, each step factors its one matrix
-1/(h gamma) I - J from that band by a banded LU in O(n), and each stage
-is one LAPACK solve.  With its branch nodes (the border) taken out, the
-tree falls apart into paths, which the plan also orders one after
-another: the slow mode's inverse iteration factors the area-symmetrised
-generator W^1/2 (-G) W^-1/2 as one symmetric positive definite
-tridiagonal over the paths (LAPACK ?pttrf, a plain loop) and the
-border's small Schur complement.
+What depends only on a mesh's shape, its chain table, is one record per
+shape (`_Template`) that `build` attaches to the mesh: the node layout and
+the generator's compressed-column arrays; each drive piece's band order
+(kl = ku = 3 on the tree, 2 and 2 without a clamped junction) and band
+layout, so a piece packs its generator by one scatter and a Rosenbrock
+step makes one banded LU; and the paths, then the branch vertices, so
+the slow mode's inverse iteration factors the area-symmetrised generator
+as one positive definite tridiagonal (LAPACK ?pttrf) and a small Schur
+complement.
 
 The spatial operator is a conservative finite-volume generator G
 (dx/dt = G x): with s0 = P = 0 the area-weighted column sums of G vanish
 identically, so total QP number is conserved to round-off; each
 Rosenbrock stage solves with fac I - G, which keeps that linear
-invariant.  `build` takes what depends only on the mesh's shape (its node
-layout and the generator's compressed-column arrays) from a per-shape
-template and computes the values from whole arrays, so its Python-level
-work grows with the chains, not the nodes.
+invariant.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -62,19 +54,16 @@ _LUMPED = ("pad_left", "pad_right", "cross_left", "cross_right", "junction")
 # Inverse power iterations slowest_mode runs before it gives up.
 _MAX_ITER = 10_000
 
-# `_plan` keeps the plans of the last _PLANS stored patterns that have at
-# most _PLAN_SIZE rows plus stored entries, and `_template` the templates
-# of as many mesh shapes of that size.  A plan holds its key (the int32
-# indptr and indices), the int32 band order and scatter index, and the
-# int32 split (the chains order, 2 n - 1 slots and 12 bytes per border
-# coupling): 20 bytes per row and 8 per entry, plus 12 per border
-# coupling, at most 20 per row and entry; ~10.5 MB for the cache, and
-# ~78 kB for a res-200 mesh.  A template holds 16 bytes per row (two
-# int32 arrays and a tuple of shared names) and 12 per entry (the int32
-# links, CSC permutation and indices), plus a few per chain; ~92 kB for a
-# res-200 mesh.  A larger pattern or shape is planned afresh each time.
-_PLANS = 64
-_PLAN_SIZE = 8192
+# `_template` keeps the records of the last _SHAPES shapes of at most
+# _SHAPE_SIZE rows plus stored entries.  A record holds 40 bytes per row
+# (shared names and eight int32 values), 16 per entry (four int32
+# indices), 8 per cell (its link) and 12 per chain and border coupling:
+# at most 36 per row and entry, ~18.9 MB in all, ~170 kB at res 200.
+_SHAPES = 64
+_SHAPE_SIZE = 8192
+
+# the record `_new_template` last made in this thread (build clears it)
+_made = threading.local()
 
 
 @dataclass(frozen=True)
@@ -93,9 +82,9 @@ class Discretization:
 
     Immutable after build; a single instance can be shared by concurrent
     slowest_mode / evolve calls, which only read it.  Each instance owns
-    its arrays; meshes of one shape share only the cached, read-only
-    template of their shape (`_template`) and plan of their generator's
-    pattern (`_plan`).
+    its arrays.  build attaches the shared, read-only record of its shape
+    (`_Template`) as a private attribute that is no field (not in the
+    constructor, repr or equality); slowest_mode and evolve need it.
     """
 
     generator: sp.csc_matrix          # dx/dt = generator @ x
@@ -122,11 +111,10 @@ def build(geom: DeviceGeometry, vortices: VortexConfig, tp: TransportParams,
     nodes; the vortex trapping N P enters as a linear sink on them,
     normalized by the pad node's control area.  Everything that depends
     only on the mesh's shape, its chains and their cell counts, comes from
-    that shape's `_Template`: the node layout and names, the link and
-    half-cell ends, and the generator's compressed-column permutation,
-    indices and indptr.  `build` computes only the values: the cell widths,
-    the areas, the link fluxes and the generator's rates.  Generator rates
-    that overflow float64 raise InvalidParameterError.
+    that shape's record (`_Template`), which build attaches to the mesh.
+    `build` computes only the values: the cell widths, the areas, the link
+    fluxes and the generator's rates.  Generator rates that overflow
+    float64 raise InvalidParameterError.
     """
     import scipy.sparse as sp
 
@@ -138,8 +126,10 @@ def build(geom: DeviceGeometry, vortices: VortexConfig, tp: TransportParams,
     resolution = int(resolution)
     shape, lengths, widths, n = _shape(geom, resolution)
     # rows plus entries: n rows, n diagonal entries and two per cell
+    _made.template = None
     t = _template(shape) if 2 * n + 2 * sum(c[3] for c in shape) \
-        <= _PLAN_SIZE else _new_template(shape)
+        <= _SHAPE_SIZE else _new_template(shape)
+    reused = t is not _made.template
 
     dx = lengths / t.cells
     zeros = np.zeros(len(shape) + 1)
@@ -166,11 +156,13 @@ def build(geom: DeviceGeometry, vortices: VortexConfig, tp: TransportParams,
             f"d = {tp.d:.6g} m^2/s, s0 = {tp.s0:.6g} 1/s, P = {p:.6g} m^2/s")
     gen = sp.csc_matrix((rates.take(t.csc), t.indices.copy(),
                          t.indptr.copy()), shape=(n, n))
-    return Discretization(
+    disc = Discretization(
         generator=gen, areas=areas, node_segment=list(t.segment),
         node_y=t.step * np.concatenate((dx, lengths, zeros)).take(t.src),
         junction_index=_LUMPED.index("junction"), geom=geom,
         vortices=vortices, tp=tp)
+    object.__setattr__(disc, "_mesh", (t, reused))
+    return disc
 
 
 def _shape(geom: DeviceGeometry, resolution: int) -> tuple:
@@ -195,18 +187,47 @@ def _shape(geom: DeviceGeometry, resolution: int) -> tuple:
     return tuple(shape), np.array(lengths), np.array(widths), n
 
 
+class _Band(NamedTuple):
+    """A drive piece's unknowns in band order, the flat index of each
+    stored entry in that order's LAPACK band storage (Fortran order; one
+    past the band for an entry of a node the piece leaves out), kl, ku."""
+
+    order: np.ndarray
+    index: np.ndarray
+    kl: int
+    ku: int
+
+    def pack(self, data: np.ndarray) -> np.ndarray:
+        """G, of compressed-column values `data`, in LAPACK band storage:
+        G[order][:, order][i, j] at row ku + i - j, column j, else 0."""
+        n, width = self.order.size, self.kl + self.ku + 1
+        out = np.zeros(n * width + 1)
+        out[self.index] = data
+        return out[:-1].reshape(n, width).T
+
+
 class _Template(NamedTuple):
-    """What `build` makes of one mesh shape, its chains (name, a, b, cells)
-    in `edges` order.  Nodes are numbered in creation order: the lumped
-    nodes of _LUMPED, then chain after chain a new end vertex (if any) and
-    the interior nodes.  A node's y and own area are step * x[src] for x
-    the chains' (dx, length, 0) and (width dx, 0, 0): an interior node
-    sits at k dx, a new end vertex at its chain's length and a first
-    lumped node at 0.  `ends` holds each chain's two end vertices (they
-    take its half cells), `links` each cell's two nodes, and csc, indices
-    and indptr put the rates (the links' i -> j and j -> i entries, then
-    the diagonal) in compressed-column order.  The arrays are int32 and
-    read-only, like `_Plan`'s."""
+    """What depends only on one mesh shape, its chains (name, a, b, cells)
+    in `edges` order, made from that chain table; arrays are int32 and
+    read-only.  For `build`: nodes are numbered in creation order (the
+    lumped nodes, then chain after chain a new end vertex, if any, and the
+    interior nodes); a node's y and own area are step * x[src] for x the
+    chains' (dx, length, 0) and (width dx, 0, 0); `ends` holds each
+    chain's two end vertices, `links` each cell's two nodes, and csc,
+    indices and indptr put the rates (the links' i -> j and j -> i, then
+    the diagonal) in compressed-column order.  For `evolve`: `bands`, the
+    `_Band` of the full mesh and of the clamped piece without the
+    junction, ordered by component, cell distance from its pad and lane
+    (Cuthill & McKee 1969's rule: a chain through a vertex of degree 2
+    keeps its lane, and the chains leaving a branch vertex take sub-lanes
+    in its place, ranked lexicographically), reversed as in reverse
+    Cuthill-McKee.  For `slowest_mode`:
+    `chains`, the paths (runs of chains through vertices of degree 2,
+    which eliminate without fill; George & Liu 1981) one after another,
+    n_path nodes, then the border, every vertex where three or more chains
+    meet; in that order `at` indexes the stored entries (nnz for none) of
+    the diagonal, the tridiagonal's (k, k + 1) and each border coupling
+    above the diagonal, at `couplings[:, k]`."""
 
     segment: tuple
     src: np.ndarray
@@ -217,6 +238,28 @@ class _Template(NamedTuple):
     csc: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
+    bands: tuple
+    chains: np.ndarray
+    n_path: int
+    at: np.ndarray
+    couplings: np.ndarray
+
+    def symmetrised(self, data: np.ndarray, root_w: np.ndarray) -> tuple:
+        """S = W^1/2 (-G) W^-1/2 in `chains` order as (tri, x), and G's
+        diagonal, for G's values `data` and root_w = W^1/2 in that order:
+        tri[:, k] = S[k, k - 1:k + 2] (0 where a path ends), row j of x is
+        S[:, n_path + j] above the diagonal, and each entry is
+        (-G[i, j] root_w[i]) / root_w[j] for its stored upper G[i, j]."""
+        n, m = root_w.size, self.n_path
+        g = np.append(data, 0.0).take(self.at)
+        s = np.negative(g)
+        tri = np.zeros((3, n))
+        tri[1] = s[:n] * root_w / root_w
+        tri[0, 1:] = tri[2, :-1] = s[n:2 * n - 1] * root_w[:-1] / root_w[1:]
+        row, col = self.couplings
+        x = np.zeros((n - m, n))
+        x[col - m, row] = s[2 * n - 1:] * root_w.take(row) / root_w.take(col)
+        return tri, x, g[:n]
 
 
 def _new_template(shape: tuple) -> _Template:
@@ -225,10 +268,12 @@ def _new_template(shape: tuple) -> _Template:
     index = {name: k for k, name in enumerate(_LUMPED)}
     segment = list(_LUMPED)
     src, step = [np.full(len(_LUMPED), 2 * n_chains)], [np.zeros(len(_LUMPED))]
-    ends, links = [], []
+    ends, links, table = [], [], []
+    vertices = {k: [] for k in index.values()}  # each vertex's chains
     for k, (name, a, b, cells) in enumerate(shape):
         if b not in index:  # a new end vertex, at y = length
             index[b] = len(segment)
+            vertices[index[b]] = []
             segment.append(b)
             src.append([n_chains + k])
             step.append([1])
@@ -240,6 +285,9 @@ def _new_template(shape: tuple) -> _Template:
         step.append(np.arange(1, cells))
         ends.append(path[[0, -1]])
         links.append((path[:-1], path[1:]))
+        table.append((index[a], index[b], n, cells))
+        vertices[index[a]].append(k)
+        vertices[index[b]].append(k)
     # the entries sorted by column, then row, are the CSC arrays: no
     # entry repeats, so this is the matrix a COO conversion would give
     n = len(segment)
@@ -249,65 +297,172 @@ def _new_template(shape: tuple) -> _Template:
     csc = np.argsort(cols * n + rows, kind="stable")
     indptr = np.zeros(n + 1, np.int32)
     indptr[1:] = np.cumsum(np.bincount(cols, minlength=n))
-    arrays = [np.asarray(x, np.int32) for x in (
-        np.concatenate(src), np.concatenate(step), [c[3] for c in shape],
-        np.concatenate(ends), (i, j), csc, rows[csc], indptr)]
-    for x in arrays:
-        x.flags.writeable = False
-    return _Template(tuple(segment), *arrays)
+    links = np.array((i, j))
+    walks = [_walk(table, vertices, n, gone)
+             for gone in (-1, index["junction"])]
+    _made.template = _Template(
+        tuple(segment), *map(_frozen, (
+            np.concatenate(src), np.concatenate(step), [c[3] for c in shape],
+            np.concatenate(ends), links, csc, rows[csc], indptr)),
+        tuple(_band(order, n, links, csc) for order, _, _ in walks),
+        *_split(vertices, *walks[0][1:], links, csc))
+    return _made.template
 
 
-@functools.lru_cache(maxsize=_PLANS)
-def _template(shape: tuple) -> _Template:
-    """The cached `_Template` of the chains `shape`."""
-    return _new_template(shape)
+def _frozen(x) -> np.ndarray:
+    """x as a read-only int32 array."""
+    x = np.asarray(x, np.int32)
+    x.flags.writeable = False
+    return x
+
+
+def _walk(table: list, vertices: dict, n: int, gone: int) -> tuple:
+    """The n nodes but `gone` (-1 keeps all) in `_Template`'s band order,
+    and each node's cell distance and lane rank, from `_new_template`'s
+    chains (a, b, first interior node, cells) and each vertex's chains."""
+    # each node's component, cell distance and lane (an index into lanes)
+    comp, dist, lane = np.full(n, -1), np.zeros(n, np.int64), np.zeros(n, int)
+    lanes, done = [()], set()
+    for root in vertices:
+        if root == gone or comp[root] >= 0:
+            continue
+        comp[root], stack = comp.max() + 1, [root]
+        while stack:
+            v = stack.pop()
+            out = [k for k in vertices[v] if k not in done]
+            done.update(out)
+            for branch, chain in enumerate(out):
+                a, b, first, cells = table[chain]
+                lanes.append(lanes[lane[v]] + ((branch,) if out[1:] else ()))
+                w, steps = (b, np.arange(1, cells)) if a == v \
+                    else (a, np.arange(cells - 1, 0, -1))
+                inner = slice(first, first + cells - 1)
+                comp[inner], lane[inner] = comp[v], len(lanes) - 1
+                dist[inner] = dist[v] + steps
+                if w != gone:
+                    comp[w], lane[w] = comp[v], len(lanes) - 1
+                    dist[w] = dist[v] + cells
+                    stack.append(w)
+    rank = np.empty(len(lanes), np.int64)
+    rank[sorted(range(len(lanes)), key=lanes.__getitem__)] = range(len(lanes))
+    lane = rank.take(lane)
+    keep = np.flatnonzero(np.arange(n) != gone)
+    # one key per node, unique on a tree: a lane holds one node a distance.
+    # A chain's nodes are one run of it, which the stable sort merges.
+    key = (comp * (n + 1) + dist) * len(lanes) + lane
+    return keep[np.argsort(key.take(keep), kind="stable")[::-1]], dist, lane
+
+
+def _band(order: np.ndarray, n: int, links: np.ndarray,
+          csc: np.ndarray) -> _Band:
+    """The `_Band` of the nodes `order` of n, the others left out, for the
+    cells' `links` and the entries' CSC order `csc`."""
+    rank = np.full(n, -1)
+    rank[order] = np.arange(order.size)
+    # the pattern is symmetric, so kl = ku.  Entry (i, j) sits at
+    # j width + k + i - j; an entry of a node left out goes past the band
+    i, j = rank.take(links)
+    on = (i >= 0) & (j >= 0)
+    k = int(np.abs(i - j).max(initial=0, where=on))
+    width = 2 * k + 1
+    index = np.concatenate((j * (width - 1) + i, i * (width - 1) + j,
+                            rank * width)) + k
+    index[np.concatenate((~on, ~on, rank < 0))] = order.size * width
+    return _Band(_frozen(order), _frozen(index.take(csc)), k, k)
+
+
+def _split(vertices: dict, dist: np.ndarray, lane: np.ndarray,
+           links: np.ndarray, csc: np.ndarray) -> tuple:
+    """`_Template`'s chains, n_path, at and couplings, from each vertex's
+    chains and the full mesh's `_walk`.  A lane runs from its root, a
+    leaf (pad_left) or a branch vertex, through vertices of degree 2, so
+    its nodes off the border, by distance, are a path."""
+    n = dist.size
+    border = np.array([v for v, at in vertices.items() if len(at) >= 3], int)
+    path = np.ones(n, bool)
+    path[border] = False
+    path = np.flatnonzero(path)
+    chains = np.concatenate((path[np.argsort(
+        lane.take(path) * n + dist.take(path), kind="stable")], border))
+    m = path.size
+    rank = np.empty(n, np.intp)
+    rank[chains] = np.arange(n)
+    # each entry's position in compressed-column order; a link's upper
+    # entry, in the chains order, is its i -> j entry or its j -> i one
+    pos = np.empty(csc.size, np.intp)
+    pos[csc] = np.arange(csc.size)
+    i, j = rank.take(links)
+    upper = np.where(i < j, *pos[:-n].reshape(2, -1))
+    low, high = np.minimum(i, j), np.maximum(i, j)
+    # slot k < n holds the diagonal, n + k the coupling (k, k + 1) of a
+    # path; the border's couplings above the diagonal follow
+    held = (high == low + 1) & (high < m)
+    at = np.full(2 * n - 1, csc.size)
+    at[rank] = pos[-n:]
+    at[n + low[held]] = upper[held]
+    rest = ~held
+    return (_frozen(chains), m, _frozen(np.concatenate((at, upper[rest]))),
+            _frozen((low[rest], high[rest])))
+
+
+_template = functools.lru_cache(maxsize=_SHAPES)(_new_template)
+
+
+def _mesh_of(disc: Discretization) -> tuple[_Template, bool]:
+    """The record build attached to disc and whether build reused it;
+    InvalidParameterError if there is none or disc's generator is not the
+    compressed-column matrix of its indptr and indices."""
+    template, reused = getattr(disc, "_mesh", (None, False))
+    gen = disc.generator
+    if template is None or getattr(gen, "format", None) != "csc" \
+            or not np.array_equal(gen.indptr, template.indptr) \
+            or not np.array_equal(gen.indices, template.indices):
+        raise InvalidParameterError(
+            "the discretization's generator does not have the stored "
+            "pattern of the mesh build made; use build's, unchanged")
+    return template, reused
 
 
 def slowest_mode(disc: Discretization) -> tuple[float, np.ndarray]:
     """Smallest decay rate of the generator and its spatial mode.
 
     Inverse power iteration on S = W^1/2 (-G) W^-1/2, W = diag(areas),
-    which is symmetric because W G is.  The generator's plan (`_plan_of`)
-    orders the nodes as the mesh's paths, one after another, then its
-    border, the nodes of degree >= 3 (the two cross points of Type B).  In
-    that order S is one symmetric tridiagonal T over the paths, couplings
-    K from the paths to the border and the border's block S_bb, which
-    `_Plan.symmetrised` reads off G's stored upper triangle.  No
-    eigenvalue of S is below s0, so S - sigma I, sigma = max(0, s0 - 32 eps
-    max|diag G|), is positive definite beyond round-off: LAPACK's ?pttrf
-    factors T - sigma I once, Z = (T - sigma I)^-1 K and the Cholesky
-    factor (?potrf) of the border's Schur complement
-    C = S_bb - sigma I - K^T Z are formed once, and each solve is one
-    ?pttrs plus the border's B x B solve.  The iteration converges at
-    (lambda1 - sigma) / (lambda2 - sigma) however large s0 is.  S u, the
-    tridiagonal product plus the border couplings, gives the Rayleigh
-    quotient, the residual and the round-off floor.  The iterate is
+    which is symmetric because W G is.  In the record's order, the paths
+    then the border (the two cross points of Type B), S is one symmetric
+    tridiagonal T over the paths, couplings K to the border and the
+    border's block S_bb (`_Template.symmetrised`).  No eigenvalue of S is
+    below s0, so S - sigma I, sigma = max(0, s0 - 32 eps max|diag G|), is
+    positive definite beyond round-off: LAPACK's ?pttrf factors
+    T - sigma I once, Z = (T - sigma I)^-1 K and the Cholesky factor
+    (?potrf) of the border's Schur complement C = S_bb - sigma I - K^T Z
+    are formed once, and each solve is one ?pttrs plus the border's B x B
+    solve, so the iteration converges at (lambda1 - sigma) /
+    (lambda2 - sigma) however large s0 is.  S u gives the Rayleigh
+    quotient, the residual and the round-off floor; the iterate is
     u = W^1/2 v for the node-order mode v, so S's 2-norm is the
     area-weighted norm of -G.  Once the quotient has settled, the
     iteration stops when the residual meets its bar 1e-10 lambda +
     32 eps max|diag G|, or when it is no smaller than at the previous
-    settled iterate: it has stalled at the round-off of the solve.  The
-    returned mode is the (strictly positive) slow mode v normalized to 1 at
-    the junction node, with round-off noise clipped at zero.  Once logging
-    is imported, each converged call logs one DEBUG record on the
-    qpdyn.pde_sim logger with the solves, the border size, terms (the most
-    products any row of S u sums), the rate, the residual, its bar,
-    whether it stalled and plan_reused, whether an earlier call made the
-    generator's plan (`_plan_of`); its args are a dict.  A call that makes
-    its plan says False, and so do both of two threads that plan one
-    pattern at once; a call that finds its plan while another thread makes
-    one may say False too.
+    settled iterate (stalled at the round-off of the solve).  The mode is
+    the (strictly positive) slow mode v normalized to 1 at the junction
+    node, with round-off noise clipped at zero.  Each converged call logs
+    one DEBUG record on the qpdyn.pde_sim logger, a dict of the solves,
+    the border size, terms (the most products any row of S u sums), the
+    rate, the residual, its bar, whether it stalled and plan_reused
+    (whether build reused the record of the mesh's shape).
 
-    Raises NonConvergenceError before anything is factored when the
-    weak-trapping limit small_p_rate, s = (N_L + N_R) P / A_total + s0, is
-    at most 32 eps max|diag G|: the trapping sink is below round-off of
-    the diffusion operator, and the message names s.  A failed or not
+    Raises InvalidParameterError for a mesh `_mesh_of` refuses, and
+    NonConvergenceError before anything is factored when the weak-trapping
+    limit small_p_rate, s = (N_L + N_R) P / A_total + s0, is at most
+    32 eps max|diag G|: the trapping sink is below round-off of the
+    diffusion operator, and the message names s.  A failed or not
     finite factor (the tridiagonal's or the border's), an iterate whose
     norm leaves the float64 range, 10 000 iterations without convergence
     (the message names the last residual and its bar) and a converged rate
     not above the rounding error of its Rayleigh quotient raise it too;
     the last three carry v as best_params.
     """
+    mesh, reused = _mesh_of(disc)
     tp = disc.tp
     total_trapping = disc.vortices.trapping_power * (
         disc.vortices.n_left + disc.vortices.n_right)
@@ -316,10 +471,9 @@ def slowest_mode(disc: Discretization) -> tuple[float, np.ndarray]:
         return tp.s0, np.ones(n)
     from scipy.linalg.lapack import dpotrf, dpotrs, dpttrf, dpttrs
 
-    plan, reused = _plan_of(disc.generator)
-    order, m = plan.chains, plan.n_path
+    order, m = mesh.chains, mesh.n_path
     root_w = np.sqrt(disc.areas).take(order)
-    tri, x, g_diag = plan.symmetrised(disc.generator, root_w)
+    tri, x, g_diag = mesh.symmetrised(disc.generator.data, root_w)
     # round-off floors: Rayleigh quotient and residual carry noise of order
     # eps * ||S||, which dwarfs 1e-13 * lambda for a stiff mesh operator
     a_scale = float(np.abs(g_diag).max())
@@ -379,7 +533,7 @@ def slowest_mode(disc: Discretization) -> tuple[float, np.ndarray]:
         return (tri * near).sum(axis=0) + (gather @ near[1]) @ spread
 
     def mode(u):
-        """The node-order mode v = W^-1/2 u of the plan-order iterate u."""
+        """The node-order mode v = W^-1/2 u of the path-order iterate u."""
         v = np.empty(n)
         v[order] = u / root_w
         return v
@@ -426,7 +580,8 @@ def slowest_mode(disc: Discretization) -> tuple[float, np.ndarray]:
         __name__, "slowest mode: %(solves)d solves, border %(border)d, "
         "%(terms)d terms a row; rate %(rate).6g 1/s, residual "
         "%(residual).6g 1/s, bar %(bar).6g 1/s, stalled %(stalled)s",
-        lambda: {"solves": solves, "border": n - m, "terms": plan.terms,
+        lambda: {"solves": solves, "border": n - m,
+                 "terms": int(np.diff(mesh.indptr).max()),
                  "rate": lam, "residual": rnorm, "bar": bar,
                  "stalled": rnorm > bar, "plan_reused": reused})
     # rounding error of the Rayleigh quotient: 32 eps (|u|, |S| |u|) / (u, u)
@@ -486,211 +641,46 @@ class EvolveSpec:
         check_time_grid("t_grid", self.t_grid, from_zero=True)
 
 
-class _Plan(NamedTuple):
-    """What depends only on one stored pattern, made in one go.
-
-    For `evolve`'s band: the reverse Cuthill-McKee order (Cuthill & McKee
-    1969), where each stored entry goes in that order's LAPACK band
-    storage (a flat index into the band's Fortran order) and the band
-    widths kl, ku.  On the electrode tree kl = ku = 3, and 2 and 2 once a
-    clamped junction leaves the unknowns.  Each drive piece packs its
-    generator G once (`band`); ?gbmv takes that band for G y, and each
-    Rosenbrock step's 1/(h gamma) I - J for ?gbtrf is -G's band with its
-    diagonal row replaced.
-
-    For `slowest_mode`'s split: `chains`, the pattern's paths one after
-    another (n_path nodes), then its border.  With the border removed a
-    tree falls apart into paths, each one run of a depth-first preorder
-    from a leaf (George & Liu 1981: a tree's chains eliminate without
-    fill).  The border is every node of degree >= 3, the nodes the search
-    does not reach and, so that any pattern is solved correctly, one end
-    of each coupling between path nodes that are not neighbours in the
-    order (a cycle, say).  In that order `at` indexes the pattern's
-    stored entries, with nnz for an unstored one: the n diagonal entries,
-    the n - 1 entries (k, k + 1) the tridiagonal holds (unstored where a
-    path ends) and then each coupling of the border above the diagonal,
-    at row and column `couplings[:, k]`.  terms is the most products any
-    row of S u sums.  All arrays are int32 and read-only."""
-
-    order: np.ndarray
-    index: np.ndarray
-    kl: int
-    ku: int
-    chains: np.ndarray
-    n_path: int
-    at: np.ndarray
-    couplings: np.ndarray
-    terms: int
-
-    def band(self, a: sp.csc_matrix) -> np.ndarray:
-        """a, which has this plan's pattern, in LAPACK band storage in the
-        plan's order: entry (i, j) of a[order][:, order] sits at row
-        ku + i - j, column j, of kl + ku + 1 rows in Fortran order, and
-        unstored entries hold 0."""
-        out = np.zeros((a.shape[1], self.kl + self.ku + 1))
-        out.reshape(-1)[self.index] = a.data
-        return out.T
-
-    def symmetrised(self, a: sp.csc_matrix, root_w: np.ndarray) -> tuple:
-        """S = W^1/2 (-a) W^-1/2 in `chains` order, for root_w = W^1/2 in
-        that order, as (tri, x), and a's diagonal in that order.  Row k of
-        the tridiagonal part is tri[:, k] = (S[k, k - 1], S[k, k],
-        S[k, k + 1]), 0 off the ends and where a path ends; row j of the
-        (border, n) array x holds S[:, n_path + j] above the diagonal.
-        Each entry is (-a[i, j] root_w[i]) / root_w[j] for its stored
-        upper entry a[i, j] (the lower ones of tri copy them); unstored
-        ones are 0."""
-        n, m = root_w.size, self.n_path
-        g = np.append(a.data, 0.0).take(self.at)
-        s = np.negative(g)
-        tri = np.zeros((3, n))
-        tri[1] = s[:n] * root_w / root_w
-        tri[0, 1:] = tri[2, :-1] = s[n:2 * n - 1] * root_w[:-1] / root_w[1:]
-        row, col = self.couplings
-        x = np.zeros((n - m, n))
-        x[col - m, row] = s[2 * n - 1:] * root_w.take(row) / root_w.take(col)
-        return tri, x, g[:n]
-
-
-def _split(indptr: np.ndarray, indices: np.ndarray, cols: np.ndarray):
-    """`_Plan`'s chains, n_path, at, couplings and terms of the square,
-    symmetric CSC pattern (indptr, indices), whose entry k is in column
-    cols[k]."""
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import depth_first_order
-
-    n, nnz = indptr.size - 1, indices.size
-    diag = np.flatnonzero(indices == cols)
-    degree = np.diff(indptr) - np.bincount(cols.take(diag), minlength=n)
-    start = int(np.argmin(degree))  # a leaf of a tree
-    walk = depth_first_order(sp.csr_matrix((np.ones(nnz), indices, indptr),
-                                           shape=(n, n)),
-                             start, return_predecessors=False)
-    border = np.ones(n, bool)  # and so are the nodes the search misses
-    border[walk] = degree.take(walk) >= 3
-    border[start] = False  # so the tridiagonal is never empty
-    walk = walk[~border.take(walk)]
-    # a coupling of two path nodes that are not neighbours in the walk
-    # moves its later end into the border (a border node's rank is NaN)
-    rank = np.full(n, np.nan)
-    rank[walk] = np.arange(walk.size)
-    row, col = rank.take(indices), rank.take(cols)
-    cut = np.abs(row - col) > 1
-    border[walk.take(np.maximum(row, col)[cut].astype(np.intp))] = True
-    chains = np.concatenate((walk[~border.take(walk)], np.flatnonzero(border)))
-    m = n - int(border.sum())
-    rank = np.empty(n, np.intp)
-    rank[chains] = np.arange(n)
-    row, col = rank.take(indices), rank.take(cols)
-    # slot k < n holds the diagonal, n + k the coupling (k, k + 1) of a
-    # path; the border's couplings above the diagonal follow
-    held = (col == row + 1) & (col < m)
-    rest = np.flatnonzero((row < col) & ~held)
-    held = np.flatnonzero(held)
-    at = np.full(2 * n - 1, nnz)
-    at[row.take(diag)] = diag
-    at[n + row.take(held)] = held
-    couplings = np.array([row.take(rest), col.take(rest)], np.int32)
-    at = np.concatenate((at, rest)).astype(np.int32)
-    chains = chains.astype(np.int32)
-    for x in (chains, at, couplings):
-        x.flags.writeable = False
-    # a row of S u sums its stored diagonal and each of its couplings once
-    return chains, m, at, couplings, int(np.diff(indptr).max())
-
-
-def _new_plan(indptr: np.ndarray, indices: np.ndarray) -> _Plan:
-    """The `_Plan` of the square CSC pattern (indptr, indices)."""
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    n = indptr.size - 1
-    order = reverse_cuthill_mckee(sp.csc_matrix(
-        (np.ones(indices.size), indices, indptr), shape=(n, n)),
-        symmetric_mode=True)
-    rank = np.argsort(order)  # node order[k] goes to position k
-    cols = np.repeat(np.arange(n), np.diff(indptr))
-    row, col = rank.take(indices), rank.take(cols)
-    offset = row - col
-    kl, ku = int(max(offset.max(), 0)), int(max(-offset.min(), 0))
-    index = (col * (kl + ku + 1) + ku + offset).astype(np.int32)
-    order.flags.writeable = index.flags.writeable = False
-    return _Plan(order, index, kl, ku, *_split(indptr, indices, cols))
-
-
-@functools.lru_cache(maxsize=_PLANS)
-def _plan(shape: tuple, dtypes: str, indptr: bytes, indices: bytes) -> _Plan:
-    """The cached plan of one CSC pattern, keyed on its shape, index dtypes
-    and index bytes: equal keys are equal patterns."""
-    return _new_plan(np.frombuffer(indptr, dtypes[:3]),
-                     np.frombuffer(indices, dtypes[3:]))
-
-
-def _plan_of(a: sp.csc_matrix) -> tuple[_Plan, bool]:
-    """The band plan of a's stored pattern, and whether an earlier call
-    made it (`_plan`'s miss count stood still): `_plan`'s for at most
-    _PLAN_SIZE rows plus stored entries, else a fresh one."""
-    if a.shape[0] + a.nnz > _PLAN_SIZE:
-        return _new_plan(a.indptr, a.indices), False
-    misses = _plan.cache_info().misses
-    plan = _plan(a.shape, a.indptr.dtype.str + a.indices.dtype.str,
-                 a.indptr.tobytes(), a.indices.tobytes())
-    return plan, _plan.cache_info().misses == misses
-
-
-def _solve_piece(disc: Discretization, spec: EvolveSpec, x: np.ndarray,
-                 t0: float, t_eval: np.ndarray, tol: float, scale: float,
+def _solve_piece(disc: Discretization, mesh: _Template, reused: bool,
+                 spec: EvolveSpec, x: np.ndarray, t0: float,
+                 t_eval: np.ndarray, tol: float, scale: float,
                  driven: bool) -> np.ndarray:
     """Rosenbrock solve of one drive piece, from state x at t0 to t_eval[-1].
 
     dy/dt = G y - r y^2 + g, plus the junction drive when `driven`, by
-    `_rodas.integrate` (RODAS, order 4) with rtol = tol and the absolute
-    tolerance 1e-3 * tol * scale.  The piece is autonomous: its drive is
-    constant.  The piece's generator (the full one, or the clamped one
-    without the junction) is packed once, in its plan's order (`_plan_of`):
-    the unknowns enter the integrator in that order, G y is one BLAS ?gbmv
-    on the band, each step's 1/(h gamma) I - (G - 2 r diag(y)) is -G's
-    band below ?gbtrf's kl fill-in rows with its diagonal row replaced,
-    and the states come back in node order.  Elimination keeps the slow
-    modes only while a row's margin, 1/(h gamma) plus its decay rate (the
-    row sum of -G, at least s0), exceeds the factor's round-off
-    32 eps max|G_ii|, so no step is longer than that allows.  Returns the
+    `_rodas.integrate` with rtol = tol and atol = 1e-3 tol scale, in the
+    piece's band order of disc's record `mesh`: G (without the junction
+    when clamped; the junction's column feeds the source) is packed once
+    from disc.generator.data, G y is one ?gbmv on the band, and each
+    step's 1/(h gamma) I - (G - 2 r diag(y)) is -G's band below ?gbtrf's
+    kl fill-in rows with its diagonal row replaced.  No step is so long
+    that the factor's round-off 32 eps max|G_ii| swamps a row's margin,
+    1/(h gamma) plus its decay rate (the row sum of -G).  Returns the
     (n_nodes, n_times) states at t_eval, clipped at zero, and logs one
-    DEBUG record on the qpdyn.pde_sim logger with the interval, the
-    unknowns, the band widths, the integrator's steps, rejected steps,
-    nfev and nlu, and plan_reused, whether an earlier call made the band
-    plan of the piece's generator; its args are a dict.  A call that makes
-    its plan says False, and so do both of two threads that plan one
-    pattern at once; a call that finds its plan while another thread makes
-    one may say False too.  A failed solve (a singular or not finite
-    factor, a not finite error estimate, a step below 10 ulp of t, or
-    more than 100 000 steps) raises StepSizeUnderflowError naming the
-    piece; float overflow is not left to numpy's warnings, and when it
-    caused the failure the message names r, the density scale and the
-    largest generator rate.
+    DEBUG record on the qpdyn.pde_sim logger, a dict of the interval, the
+    unknowns, kl, ku, the integrator's counts and plan_reused (`reused`).
+    A failed solve raises StepSizeUnderflowError naming the piece, and,
+    when float overflow caused it, r, the density scale and the largest
+    generator rate; overflow is not left to numpy's warnings.
     """
     from scipy.linalg.blas import dgbmv
 
     from ._rodas import GAMMA, integrate
 
-    gen, jj, r = disc.generator, disc.junction_index, spec.r
+    data, jj, r = disc.generator.data, disc.junction_index, spec.r
     src = np.full(x.size, spec.g)
     clamp = driven and spec.injection_density is not None
-    keep = np.arange(x.size)
     overflow = []
     with np.errstate(over="call", invalid="ignore", divide="ignore",
                      call=lambda err, flag: overflow.append(err)):
         if clamp:  # the clamped junction leaves the unknowns
-            keep = keep[keep != jj]
-            src[keep] += spec.injection_density \
-                * gen[keep, jj].toarray().ravel()
-            gen = gen[keep][:, keep]
+            column = slice(*mesh.indptr[jj:jj + 2])
+            src[mesh.indices[column]] += spec.injection_density * data[column]
         elif driven:
             src[jj] += spec.injection_rate
-        plan, reused = _plan_of(gen)
-        order, kl, ku = keep[plan.order], plan.kl, plan.ku
+        order, _, kl, ku = band = mesh.bands[clamp]
         src, n = src[order], order.size
-        gen_band = plan.band(gen)
+        gen_band = band.pack(data)
         g_diag = gen_band[ku].copy()
         # -G's band below ?gbtrf's kl fill-in rows
         negated = np.zeros((2 * kl + ku + 1, n), order="F")
@@ -708,13 +698,15 @@ def _solve_piece(disc: Discretization, spec: EvolveSpec, x: np.ndarray,
 
         # the round-off cap on h: past 1/(gamma (noise - decay)) the
         # factor's rounding swamps the slowest rows' margin
-        noise = 32.0 * np.finfo(float).eps * float(np.abs(g_diag).max())
+        roundoff = np.finfo(float).eps * float(np.abs(g_diag).max())
+        noise = 32.0 * roundoff
         decay = -float(dgbmv(n, n, kl, ku, 1.0, gen_band, np.ones(n)).max())
         h_max = 1.0 / (GAMMA * (noise - decay)) if noise > decay else math.inf
         try:
             states, counts = integrate(
                 fun, shifted, x[order], t0, t_eval, tol,
-                1e-3 * tol * scale or np.finfo(float).tiny, kl, ku, h_max)
+                1e-3 * tol * scale or np.finfo(float).tiny, kl, ku, h_max,
+                roundoff)
             _log_debug(
                 __name__, "piece [%(t0).6g, %(t1).6g] s: %(unknowns)d "
                 "unknowns, kl = %(kl)d, ku = %(ku)d; %(steps)d steps, "
@@ -729,7 +721,7 @@ def _solve_piece(disc: Discretization, spec: EvolveSpec, x: np.ndarray,
         if overflow:
             why = (f"float64 overflow with r = {r:.6g} 1/s, density scale "
                    f"{scale:.6g} and generator rates up to "
-                   f"{abs(gen.diagonal()).max():.6g} 1/s")
+                   f"{np.abs(g_diag).max():.6g} 1/s")
         raise StepSizeUnderflowError(
             f"stiff integrator failed on the {'' if driven else 'un'}driven "
             f"piece [{t0:.6g}, {t_eval[-1]:.6g}] s: {why}")
@@ -748,8 +740,8 @@ def evolve(disc: Discretization, spec: EvolveSpec, tol: float = 1e-8):
     method of order 4 on the exact Jacobian G - 2 r diag(x), one solve per
     drive piece, [0, t_inj] and [t_inj, t_end]; each piece's drive is
     constant, so the system is autonomous and needs no time derivative.
-    Each piece runs in its generator's reverse Cuthill-McKee order and
-    LAPACK band storage: G y is a banded BLAS ?gbmv, and each step makes
+    Each piece runs in the band order of the mesh's record (`_Template`)
+    and LAPACK band storage: G y is a banded BLAS ?gbmv, and each step makes
     one banded LU of 1/(h gamma) I - J (LAPACK ?gbtrf) and one ?gbtrs per
     stage, with no Newton iteration.  Steps land on every output time;
     nothing is interpolated.  A clamped junction is a Dirichlet node: it
@@ -760,7 +752,8 @@ def evolve(disc: Discretization, spec: EvolveSpec, tol: float = 1e-8):
     injection_rate * t_inj, or g * t_end), so decaying tails keep relative
     accuracy over three decades.  A step is accepted when the RMS over the
     unknowns of err_i / (atol + rtol max(|y_i|, |y1_i|)) is at most 1.
-    Densities are clipped at zero.
+    Densities are clipped at zero.  A mesh `_mesh_of` refuses raises
+    InvalidParameterError.
     """
     return _evolve_states(disc, spec, tol)[:, disc.junction_index].copy()
 
@@ -769,6 +762,7 @@ def _evolve_states(disc: Discretization, spec: EvolveSpec,
                    tol: float) -> np.ndarray:
     """The (n_times, n_nodes) states of evolve at spec.t_grid, in node
     order; evolve returns their junction column."""
+    mesh, reused = _mesh_of(disc)
     t_grid = np.asarray(spec.t_grid, dtype=float)
     n = disc.n_nodes
     x = np.full(n, float(spec.x_init)) if np.isscalar(spec.x_init) \
@@ -793,8 +787,8 @@ def _evolve_states(disc: Discretization, spec: EvolveSpec,
     for t1 in sorted({min(spec.t_inj, t_end), t_end} - {0.0}):
         k1 = int(np.searchsorted(t_grid, t1, side="right"))
         t_eval = np.union1d(t_grid[k0:k1], t1)
-        ys = _solve_piece(disc, spec, x, t0, t_eval, tol, scale,
-                          driven=t1 <= spec.t_inj)
+        ys = _solve_piece(disc, mesh, reused, spec, x, t0, t_eval, tol,
+                          scale, driven=t1 <= spec.t_inj)
         out[k0:k1] = ys[:, :k1 - k0].T
         x = ys[:, -1]
         k0, t0 = k1, t1

@@ -838,6 +838,24 @@ class TestCli:
                                "overflow with r = 1e+300 1/s, density scale "
                                "1e+300 ")
 
+    def test_pde_evolve_refuses_steps_held_short_by_round_off(self, capsys):
+        """At D = 1e12 cm^2/s the factor's round-off, eps max|G_ii| h gamma
+        |x|, keeps the steps at a few ns, and the piece would need millions
+        of them: the refusal names that round-off within 2 s of CPU time,
+        where running out the 100 000-step budget took 20 s."""
+        import time
+
+        start = time.process_time()
+        code, out, err = run_cli(capsys, *_EVOLVE.replace(
+            "--d 18cm2/s", "--d 1e12cm2/s").split())
+        assert time.process_time() - start < 2.0
+        assert (code, out) == (6, "")
+        assert err.startswith(
+            "qpdyn pde-evolve: stiff integrator failed on the driven piece "
+            "[0, 0.0006] s: the factor's round-off eps max|J_ii| h gamma |y| "
+            "is ")
+        assert "would take more than 100000 steps" in err
+
     @pytest.mark.parametrize("drive, message", [
         ("--amp 1e4/s --clamp-density 2e-4 --tinj 50us",
          "injection_rate and injection_density are two drives; give one"),
@@ -1300,12 +1318,12 @@ def test_mode_commands_load_no_logging():
 
 def test_pde_eigen_loads_no_integrator_or_graph_module():
     """pde eigen, then pde evolve, run by main in a fresh interpreter with
-    SuperLU's factor routine broken, succeed and load neither
-    scipy.integrate nor scipy.optimize (which it imports): evolve's
-    Rosenbrock method is qpdyn's own.  scipy.sparse.csgraph, whose reverse
-    Cuthill-McKee order both commands use, imports scipy.sparse.linalg
-    itself, so the probe breaks SuperLU instead of looking for its
-    module."""
+    SuperLU's factor routine broken, succeed and load none of
+    scipy.integrate, scipy.optimize (which it imports) and
+    scipy.sparse.csgraph: evolve's Rosenbrock method is qpdyn's own, and
+    both commands take their node orders from the mesh's chain table.
+    Breaking SuperLU loads scipy.sparse.linalg, so that module is not
+    probed."""
     import subprocess
     import sys
 
@@ -1320,14 +1338,14 @@ def test_pde_eigen_loads_no_integrator_or_graph_module():
         "report = []\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    code = main(argv + ['--out-file', os.devnull])\n"
-        "    report.append([argv[1], code, "
-        "'scipy.integrate' in sys.modules, 'scipy.optimize' in sys.modules])\n"
+        "    report.append([argv[1], code, *(m in sys.modules for m in ("
+        "'scipy.integrate', 'scipy.optimize', 'scipy.sparse.csgraph'))])\n"
         "print(json.dumps(report))\n")
     done = subprocess.run([sys.executable, "-c", probe, json.dumps(tour)],
                           capture_output=True, text=True, check=True,
                           env=subprocess_env())
-    assert json.loads(done.stdout) == [["eigen", 0, False, False],
-                                       ["evolve", 0, False, False]]
+    assert json.loads(done.stdout) == [["eigen", 0, False, False, False],
+                                       ["evolve", 0, False, False, False]]
 
 
 # the qpdyn modules a README-tour command must not load, by its first word

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import logging
 import re
@@ -6,7 +7,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import box_geometry
@@ -703,35 +704,88 @@ def _banded(dense, kl, ku, top=0):
     return out
 
 
+def _mesh(disc):
+    """The record build attached to disc (`_Template`)."""
+    return pde_sim._mesh_of(disc)[0]
+
+
+def _widths(a, order):
+    """The band widths (kl, ku) of a[order][:, order]."""
+    rank = np.empty(a.shape[0], np.intp)
+    rank[order] = np.arange(order.size)
+    a = a.tocoo()
+    offset = rank[a.row] - rank[a.col]
+    return offset.max(), -offset.min()
+
+
 @pytest.mark.parametrize("warm", [False, True])
 @pytest.mark.parametrize("seed", range(6))
 def test_band_holds_the_permuted_matrix_at_lapack_positions(seed, warm):
-    """The plan of a random matrix with a symmetric pattern, cold or kept
-    from an earlier call: reverse_cuthill_mckee's order on that pattern,
-    the pattern's widths in it, and a[order][:, order]'s entries at row
+    """The record of a random box-geometry mesh, cold or kept from an
+    earlier build: for the full mesh and the clamped piece, the order
+    holds every node (all but the junction), the widths are the pattern's
+    in that order, and G[order][:, order]'s entries sit at row
     ku + i - j, column j, zeros elsewhere."""
-    import scipy.sparse as sp
+    rng = np.random.Generator(np.random.Philox(seed))
+    geom = box_geometry(rng.uniform(size=7))
+    build_it = functools.partial(
+        build, geom, VortexConfig(1, 2, 1e-6),
+        TransportParams(d=10.0 ** rng.uniform(-4, -2.3), s0=50.0),
+        int(rng.integers(10, 60)))
+    pde_sim._template.cache_clear()
+    if warm:
+        build_it()
+    disc = build_it()
+    mesh, reused = pde_sim._mesh_of(disc)
+    assert reused == warm
+    nodes = np.arange(disc.n_nodes)
+    for band, keep in zip(mesh.bands, (nodes, nodes[nodes != 4])):
+        assert np.array_equal(np.sort(band.order), keep)
+        dense = disc.generator.toarray()[band.order][:, band.order]
+        i, j = np.nonzero(dense)
+        assert (band.kl, band.ku) == ((i - j).max(), (j - i).max())
+        packed = band.pack(disc.generator.data)
+        assert packed.flags.f_contiguous
+        assert np.array_equal(packed, _banded(dense, band.kl, band.ku))
+
+
+def _check_orders(disc):
+    """The record's band widths are reverse Cuthill-McKee's on the full
+    mesh and on the clamped piece (without the junction), and its split
+    orders every node: the paths' block is one tridiagonal and the border
+    is exactly the nodes of degree >= 3."""
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    rng = np.random.Generator(np.random.Philox(seed))
-    n = int(rng.integers(5, 40))
-    mask = sp.random(n, n, density=0.15, random_state=seed) != 0
-    mask = (mask + mask.T + sp.eye(n)).tocoo()
-    a = sp.csc_matrix((rng.uniform(0.5, 1.5, mask.nnz) * rng.choice(
-        [-1.0, 1.0], mask.nnz), (mask.row, mask.col)), shape=(n, n))
-    pde_sim._plan.cache_clear()
-    if warm:
-        pde_sim._plan_of(a)
-    plan, reused = pde_sim._plan_of(a)
-    assert reused == warm
-    order = reverse_cuthill_mckee(a, symmetric_mode=True)
-    assert np.array_equal(plan.order, order)
-    dense = a.toarray()[order][:, order]
-    i, j = np.nonzero(dense)
-    assert (plan.kl, plan.ku) == ((i - j).max(), (j - i).max())
-    band = plan.band(a)
-    assert band.flags.f_contiguous
-    assert np.array_equal(band, _banded(dense, plan.kl, plan.ku))
+    mesh, gen, n = _mesh(disc), disc.generator, disc.n_nodes
+    keep = np.flatnonzero(np.arange(n) != disc.junction_index)
+    clamped = gen[keep][:, keep]
+    for band, a in zip(mesh.bands, (gen, clamped)):
+        rcm = reverse_cuthill_mckee(a.tocsr(), symmetric_mode=True)
+        assert _widths(a, np.searchsorted(keep, band.order)
+                       if a is clamped else band.order) == _widths(a, rcm)
+    m, chains = mesh.n_path, mesh.chains
+    assert np.array_equal(np.sort(chains), np.arange(n))
+    degree = np.diff(gen.indptr) - 1
+    assert set(chains[m:]) == set(np.flatnonzero(degree >= 3))
+    paths = gen[chains[:m]][:, chains[:m]]
+    assert _widths(paths, np.arange(m)) == (1, 1)
+
+
+@pytest.mark.parametrize("resolution", [10, 20, 50, 200, 333, 800])
+@pytest.mark.parametrize("name", ["b1", "b2", "b3"])
+def test_orders_of_the_bundled_meshes(name, resolution):
+    disc = _bundled_mesh(name, resolution)
+    _check_orders(disc)
+    assert [(b.kl, b.ku) for b in _mesh(disc).bands] == [(3, 3), (2, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(u=st.lists(st.floats(0.0, 1.0), min_size=7, max_size=7),
+       resolution=st.integers(10, 200))
+@example(u=[0.5, 0.5, 0.5, 0.5, 0.5, 0.0, 0.5], resolution=10)  # l_cap = 0
+def test_orders_of_random_box_meshes(u, resolution):
+    _check_orders(build(box_geometry(u), VortexConfig(1, 0, 1e-6),
+                        TransportParams(d=1e-3, s0=0.0), resolution))
 
 
 def _symmetrised_dense(disc, order):
@@ -743,14 +797,14 @@ def _symmetrised_dense(disc, order):
 
 @pytest.mark.parametrize("name", ["b1", "b2", "b3"])
 def test_slowest_mode_parts_are_the_dense_symmetrised_generator(name):
-    """In the plan's chains order, the tridiagonal, the border couplings and
+    """In the record's chains order, the tridiagonal, the border couplings and
     S_bb that slowest_mode works with equal, bit for bit, the dense
     W^1/2 (-G) W^-1/2; the paths' block of it is tridiagonal, and the
     border is the two cross points."""
     disc = _bundled_mesh(name, 50)
-    plan = pde_sim._plan_of(disc.generator)[0]
-    order, m = plan.chains, plan.n_path
-    tri, x, g_diag = plan.symmetrised(disc.generator,
+    mesh = _mesh(disc)
+    order, m = mesh.chains, mesh.n_path
+    tri, x, g_diag = mesh.symmetrised(disc.generator.data,
                                       np.sqrt(disc.areas)[order])
     want = _symmetrised_dense(disc, order)
     n = disc.n_nodes
@@ -788,8 +842,8 @@ def test_slowest_mode_hands_lapack_the_dense_tridiagonal_and_border(
         monkeypatch.setattr(scipy.linalg.lapack, name, recorded)
     disc = _bundled_mesh("b1", 50)
     slowest_mode(disc)
-    plan = pde_sim._plan_of(disc.generator)[0]
-    order, m = plan.chains, plan.n_path
+    mesh = _mesh(disc)
+    order, m = mesh.chains, mesh.n_path
     want = _symmetrised_dense(disc, order)
     sigma = max(0.0, disc.tp.s0 - 32 * EPS * np.abs(
         disc.generator.diagonal()).max())
@@ -846,7 +900,7 @@ def test_evolve_hands_lapack_fortran_order_bands(monkeypatch):
 def test_each_factored_band_is_the_dense_shifted_jacobian(monkeypatch, drive):
     """Every band ?gbtrf factors is, bit for bit and in the order the steps
     make them, the dense 1/(h gamma) I - (G - 2 r diag(y)) of its piece's
-    generator in the plan's order, in LAPACK band storage below kl zero
+    generator in the record's band order, in LAPACK band storage below kl zero
     fill-in rows."""
     import scipy.linalg.lapack
 
@@ -871,173 +925,163 @@ def test_each_factored_band_is_the_dense_shifted_jacobian(monkeypatch, drive):
     monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", factor)
     disc, spec = _bundled_mesh("b1", 50), _drive(drive)
     evolve(disc, spec)
-    gen, jj = disc.generator, disc.junction_index
-    keep = np.arange(disc.n_nodes)
-    keep = keep[keep != jj]
-    pieces = {disc.n_nodes: gen, disc.n_nodes - 1: gen[keep][:, keep]}
+    gen = disc.generator.toarray()
+    pieces = {band.order.size: band for band in _mesh(disc).bands}
     assert {y.size for _, y, _ in made} == (
         set(pieces) if drive == "clamp" else {disc.n_nodes})
     assert len(factored) == len(made)
-    for (fac, y, got), band in zip(made, factored):
-        piece = pieces[y.size]
-        plan = pde_sim._plan_of(piece)[0]
-        assert (plan.kl, plan.ku) == ((3, 3) if piece is gen else (2, 2))
-        dense = piece.toarray()[plan.order][:, plan.order]
+    for (fac, y, got), factor in zip(made, factored):
+        band = pieces[y.size]
+        assert (band.kl, band.ku) == (
+            (3, 3) if y.size == disc.n_nodes else (2, 2))
+        dense = gen[band.order][:, band.order]
         want = fac * np.eye(y.size) - (dense - np.diag(2.0 * spec.r * y))
-        assert np.array_equal(got, _banded(want, plan.kl, plan.ku,
-                                           top=plan.kl))
-        assert np.array_equal(band, got)
+        assert np.array_equal(got, _banded(want, band.kl, band.ku,
+                                           top=band.kl))
+        assert np.array_equal(factor, got)
 
 
-def _count_orders(monkeypatch):
-    """The calls of reverse_cuthill_mckee, by the size of each matrix."""
-    import scipy.sparse.csgraph
-
-    calls, real = [], scipy.sparse.csgraph.reverse_cuthill_mckee
-
-    def counted(a, **kwargs):
-        calls.append(a.shape[0])
-        return real(a, **kwargs)
-
-    monkeypatch.setattr(scipy.sparse.csgraph, "reverse_cuthill_mckee",
-                        counted)
-    return calls
+def _records_made():
+    """How many records the cache has made since it was last cleared."""
+    return pde_sim._template.cache_info().misses
 
 
-def _plan_bytes(a):
-    """The bytes `_plan` holds for a's pattern: its key, the order, the
-    scatter index and the split's chains, slots and couplings."""
-    plan = pde_sim._plan_of(a)[0]
-    return sum(x.nbytes for x in (a.indptr, a.indices, plan.order,
-                                  plan.index, plan.chains, plan.at,
-                                  plan.couplings))
+def _record_arrays(t):
+    """The arrays of a `_Template`, its bands' included."""
+    return [x for x in (*t, *(x for band in t.bands for x in band))
+            if isinstance(x, np.ndarray)]
+
+
+def _solver_bytes(t):
+    """The bytes of the record's solver part, what the pattern-keyed plans
+    held without their key: the band orders and scatter indices and the
+    split's chains, slots and couplings."""
+    return sum(x.nbytes for x in (t.chains, t.at, t.couplings,
+                                  *(x for band in t.bands for x in band[:2])))
 
 
 class TestBandPlan:
-    def test_one_shape_is_planned_once_and_reused_bit_for_bit(
-            self, monkeypatch, b1_geom):
+    def test_one_shape_is_planned_once_and_reused_bit_for_bit(self,
+                                                              b1_geom):
         """Two meshes of one shape with other P, D, s0 and vortex counts
-        share one order; slowest_mode and evolve on a warm plan give what
-        they give on a cold one, to the bit."""
-        pde_sim._plan.cache_clear()
-        calls = _count_orders(monkeypatch)
-        meshes = [build(b1_geom, VortexConfig(1, 0, P_REF),
-                        TransportParams(d=18e-4, s0=33.0), resolution=50),
-                  build(b1_geom, VortexConfig(2, 3, 4 * P_REF),
-                        TransportParams(d=12e-4, s0=0.0), resolution=50)]
+        share one record; slowest_mode and evolve on a warm record give
+        what they give on a cold one, to the bit."""
+        pde_sim._template.cache_clear()
+        args = [(b1_geom, VortexConfig(1, 0, P_REF),
+                 TransportParams(d=18e-4, s0=33.0), 50),
+                (b1_geom, VortexConfig(2, 3, 4 * P_REF),
+                 TransportParams(d=12e-4, s0=0.0), 50)]
+        meshes = [build(*a) for a in args]
+        assert _records_made() == 1 and _mesh(meshes[0]) is _mesh(meshes[1])
         spec = _drive("rate")
         warm = [(*slowest_mode(disc), _evolve_states(disc, spec, 1e-6))
                 for disc in meshes]
-        assert calls == [meshes[0].n_nodes]
-        for disc, results in zip(meshes, warm):
-            pde_sim._plan.cache_clear()
+        for a, results in zip(args, warm):
+            pde_sim._template.cache_clear()
+            disc = build(*a)
+            assert not pde_sim._mesh_of(disc)[1]
             cold = (*slowest_mode(disc), _evolve_states(disc, spec, 1e-6))
             assert cold[0] == results[0]
             for got, want in zip(cold[1:], results[1:]):
                 assert np.array_equal(got, want)
-        assert len(calls) == 3
+            assert _records_made() == 1
 
     @pytest.mark.parametrize("first, second", [
         (("b1", 50), ("b3", 50)), (("b1", 50), ("b1", 51))],
         ids=["b1-b3", "res50-res51"])
-    def test_other_shapes_share_no_plan(self, monkeypatch, first, second):
-        pde_sim._plan.cache_clear()
-        calls = _count_orders(monkeypatch)
+    def test_other_shapes_share_no_plan(self, first, second):
+        pde_sim._template.cache_clear()
         meshes = [_bundled_mesh(*first), _bundled_mesh(*second)]
-        plans = [pde_sim._plan_of(disc.generator)[0] for disc in meshes]
+        assert _records_made() == 2
+        assert _mesh(meshes[0]) is not _mesh(meshes[1])
         for disc in meshes:
             slowest_mode(disc)
-        assert plans[0] is not plans[1]
-        assert calls == [disc.n_nodes for disc in meshes]
-        # the same node count and number of entries in another pattern
-        gen = meshes[0].generator
-        flip = np.arange(gen.shape[0])[::-1]
-        relabelled = gen[flip][:, flip]
-        assert relabelled.nnz == gen.nnz
-        assert pde_sim._plan_of(relabelled)[0] is not plans[0]
+        assert _records_made() == 2
 
     def test_the_cache_keeps_its_entry_and_byte_bounds(self, b1_geom):
-        pde_sim._plan.cache_clear()
+        """The record's solver part holds at most 20 bytes per row and
+        entry, as the pattern-keyed plans did with their key; 64 shapes
+        are kept, and a larger one is not."""
+        pde_sim._template.cache_clear()
         tp = TransportParams(d=18e-4, s0=33.0)
-        gens = [build(b1_geom, VortexConfig(1, 0, P_REF), tp,
-                      resolution=res).generator
-                for res in range(10, 15 + pde_sim._PLANS)]
-        for gen in gens:
-            pde_sim._plan_of(gen)
-        assert pde_sim._plan.cache_info().currsize == pde_sim._PLANS
-        kept = gens[-pde_sim._PLANS:]
-        for gen in kept:
-            assert gen.shape[0] + gen.nnz <= pde_sim._PLAN_SIZE
-            assert _plan_bytes(gen) <= 20 * (gen.shape[0] + gen.nnz)
-        assert sum(map(_plan_bytes, kept)) <= \
-            20 * pde_sim._PLAN_SIZE * pde_sim._PLANS
-        # a pattern beyond _PLAN_SIZE is planned afresh, and not kept
-        big = build(b1_geom, VortexConfig(1, 0, P_REF), tp,
-                    resolution=300).generator
-        assert big.shape[0] + big.nnz > pde_sim._PLAN_SIZE
-        assert pde_sim._plan_of(big)[0] is not pde_sim._plan_of(big)[0]
-        info = pde_sim._plan.cache_info()
-        assert (info.currsize, info.misses) == (
-            pde_sim._PLANS, len(gens))
+        resolutions = range(10, 15 + pde_sim._SHAPES)
+        meshes = [build(b1_geom, VortexConfig(1, 0, P_REF), tp,
+                        resolution=res) for res in resolutions]
+        assert pde_sim._template.cache_info().currsize == pde_sim._SHAPES
+        for res, disc in zip(resolutions[-pde_sim._SHAPES:],
+                             meshes[-pde_sim._SHAPES:]):
+            size = disc.n_nodes + disc.generator.nnz
+            assert size <= pde_sim._SHAPE_SIZE
+            assert _solver_bytes(_mesh(disc)) <= 20 * size
+            again = build(b1_geom, VortexConfig(0, 1, P_REF), tp,
+                          resolution=res)
+            assert pde_sim._mesh_of(again) == (_mesh(disc), True)
+        big = build(b1_geom, VortexConfig(1, 0, P_REF), tp, resolution=300)
+        assert big.n_nodes + big.generator.nnz > pde_sim._SHAPE_SIZE
+        again = build(b1_geom, VortexConfig(1, 0, P_REF), tp, resolution=300)
+        assert _mesh(again) is not _mesh(big)
+        assert not pde_sim._mesh_of(again)[1]
+        info = pde_sim._template.cache_info()
+        assert (info.currsize, info.misses) == (pde_sim._SHAPES, len(meshes))
 
     def test_meshes_of_one_shape_share_no_writable_array(self, b1_geom):
         tp = TransportParams(d=18e-4, s0=33.0)
         first, second = (build(b1_geom, VortexConfig(n, 1, P_REF), tp,
                                resolution=50) for n in (1, 2))
         slowest_mode(first)
-        plan = pde_sim._plan_of(second.generator)[0]
-        assert plan is pde_sim._plan_of(first.generator)[0]
+        mesh = _mesh(second)
+        assert mesh is _mesh(first)
         arrays = [lambda d: d.generator.data, lambda d: d.generator.indices,
                   lambda d: d.generator.indptr, lambda d: d.areas,
                   lambda d: d.node_y]
         for array in arrays:
             assert not np.shares_memory(array(first), array(second))
-        assert not plan.order.flags.writeable
-        assert not plan.index.flags.writeable
-        indices, order = second.generator.indices.copy(), plan.order.copy()
+        assert not any(x.flags.writeable for x in _record_arrays(mesh))
+        indices, chains = second.generator.indices.copy(), mesh.chains.copy()
         first.generator.indices[:2] = first.generator.indices[1::-1]
         assert np.array_equal(second.generator.indices, indices)
-        assert np.array_equal(plan.order, order)
-        assert pde_sim._plan_of(second.generator)[0] is plan
-        assert pde_sim._plan_of(first.generator)[0] is not plan
+        assert np.array_equal(mesh.chains, chains)
+        slowest_mode(second)
+        # the changed pattern is not the one the record describes
+        with pytest.raises(InvalidParameterError, match="pattern"):
+            slowest_mode(first)
 
     @pytest.mark.parametrize("clamped", [False, True])
     def test_band_helper_holds_on_a_cold_and_a_warm_plan(self, clamped):
         """b2's generator, whole or without its junction as a clamp leaves
-        it, packed by a cold plan and then by the same plan kept."""
-        pde_sim._plan.cache_clear()
-        disc = _bundled_mesh("b2", 50)
-        gen, keep = disc.generator, np.arange(disc.n_nodes)
-        if clamped:
-            keep = keep[keep != disc.junction_index]
-            gen = gen[keep][:, keep]
-        plans = []
+        it, packed by a cold record and then by the same record kept."""
+        pde_sim._template.cache_clear()
+        records = []
         for warm in (False, True):
-            plan, reused = pde_sim._plan_of(gen)
+            disc = _bundled_mesh("b2", 50)
+            mesh, reused = pde_sim._mesh_of(disc)
             assert reused == warm
-            dense = gen.toarray()[plan.order][:, plan.order]
-            band = plan.band(gen)
-            assert band.flags.f_contiguous
-            assert np.array_equal(band, _banded(dense, plan.kl, plan.ku))
-            plans.append(plan)
-        assert plans[0] is plans[1]
-        assert (plan.kl, plan.ku) == ((2, 2) if clamped else (3, 3))
+            band = mesh.bands[clamped]
+            dense = disc.generator.toarray()[band.order][:, band.order]
+            packed = band.pack(disc.generator.data)
+            assert packed.flags.f_contiguous
+            assert np.array_equal(packed, _banded(dense, band.kl, band.ku))
+            records.append(mesh)
+        assert records[0] is records[1]
+        assert (band.kl, band.ku) == ((2, 2) if clamped else (3, 3))
+        assert band.order.size == disc.n_nodes - clamped
 
     def test_debug_records_say_whether_the_plan_was_reused(self, caplog,
                                                             b1_geom):
-        pde_sim._plan.cache_clear()
+        """plan_reused says whether build took the record of the mesh's
+        shape from the cache; a shape too large to keep never does."""
+        pde_sim._template.cache_clear()
         caplog.set_level(logging.DEBUG, logger="qpdyn.pde_sim")
-        disc = build(b1_geom, VortexConfig(1, 0, P_REF),
-                     TransportParams(d=18e-4, s0=33.0), resolution=20)
         spec = _drive("clamp")
-        for _ in range(2):
+        for res in (20, 20, 300, 300):
+            disc = build(b1_geom, VortexConfig(1, 0, P_REF),
+                         TransportParams(d=18e-4, s0=33.0), resolution=res)
             slowest_mode(disc)
             evolve(disc, spec, tol=1e-6)
         reused = [record.args["plan_reused"] for record in caplog.records
                   if record.name == "qpdyn.pde_sim"]
-        # slowest_mode, then the clamped and the free piece, twice; the
-        # free piece runs on the generator slowest_mode planned
-        assert reused == [False, False, True, True, True, True]
+        # slowest_mode, then the clamped and the free piece, per mesh
+        assert reused == [False] * 3 + [True] * 3 + [False] * 6
 
 
 def _template_of(geom, resolution):
@@ -1045,9 +1089,9 @@ def _template_of(geom, resolution):
 
 
 def _template_bytes(t):
-    """The bytes a `_Template` holds: its arrays and its tuple of names
-    (the names themselves are shared)."""
-    return 8 * len(t.segment) + sum(x.nbytes for x in t[1:])
+    """The bytes a `_Template` holds: its arrays, its bands' included, and
+    its tuple of names (the names themselves are shared)."""
+    return 8 * len(t.segment) + sum(x.nbytes for x in _record_arrays(t))
 
 
 class TestBuildTemplate:
@@ -1059,7 +1103,7 @@ class TestBuildTemplate:
         builds = [_bundled_mesh(name, resolution) for _ in range(2)]
         info = pde_sim._template.cache_info()
         cached = builds[0].n_nodes + builds[0].generator.nnz \
-            <= pde_sim._PLAN_SIZE
+            <= pde_sim._SHAPE_SIZE
         assert (info.hits, info.misses) == ((1, 1) if cached else (0, 0))
         cold, warm = builds
         assert cold.node_segment == warm.node_segment
@@ -1084,10 +1128,10 @@ class TestBuildTemplate:
                       lambda d: d.generator.indptr, lambda d: d.areas,
                       lambda d: d.node_y):
             assert not np.shares_memory(array(first), array(second))
-            for x in template[1:]:
+            for x in _record_arrays(template):
                 assert not np.shares_memory(array(first), x)
         assert all(not x.flags.writeable and x.dtype == np.int32
-                   for x in template[1:])
+                   for x in _record_arrays(template))
         first.node_segment[0] = "changed"
         first.generator.indices[:2] = first.generator.indices[1::-1]
         again = build(b1_geom, VortexConfig(1, 1, P_REF), tp, resolution=50)
@@ -1112,27 +1156,36 @@ class TestBuildTemplate:
         assert _template_of(scaled, 50) is templates[0]
 
     def test_the_cache_keeps_its_entry_and_byte_bounds(self, b1_geom):
-        """64 shapes of at most _PLAN_SIZE rows plus stored entries are
-        kept, each in at most 16 bytes per row, 12 per entry and 12 per
-        chain, plus 4; a larger shape is made afresh."""
+        """64 shapes of at most _SHAPE_SIZE rows plus stored entries are
+        kept, each record, its orders included, in at most 36 bytes per
+        row, 20 per entry and 12 per chain and border coupling, so at most
+        36 per row and entry: the cache's worst case is what the shape and
+        pattern caches it replaces held together.  A larger shape is made
+        afresh."""
         pde_sim._template.cache_clear()
         tp = TransportParams(d=18e-4, s0=33.0)
-        resolutions = range(10, 15 + pde_sim._PLANS)
+        resolutions = range(10, 15 + pde_sim._SHAPES)
         meshes = [build(b1_geom, VortexConfig(1, 0, P_REF), tp,
                         resolution=res) for res in resolutions]
-        assert pde_sim._template.cache_info().currsize == pde_sim._PLANS
-        for res, disc in zip(resolutions[-pde_sim._PLANS:],
-                             meshes[-pde_sim._PLANS:]):
+        assert pde_sim._template.cache_info().currsize == pde_sim._SHAPES
+        total = 0
+        for res, disc in zip(resolutions[-pde_sim._SHAPES:],
+                             meshes[-pde_sim._SHAPES:]):
             size = disc.n_nodes + disc.generator.nnz
-            assert size <= pde_sim._PLAN_SIZE
+            assert size <= pde_sim._SHAPE_SIZE
             t = _template_of(b1_geom, res)
-            assert _template_bytes(t) <= 16 * disc.n_nodes \
-                + 12 * disc.generator.nnz + 12 * t.cells.size + 4
+            assert t is _mesh(disc)
+            held = _template_bytes(t)
+            assert held <= 36 * disc.n_nodes + 20 * disc.generator.nnz \
+                + 12 * (t.cells.size + t.couplings.shape[1])
+            assert held <= 36 * size
+            total += held
+        assert total <= 36 * pde_sim._SHAPE_SIZE * pde_sim._SHAPES
         assert pde_sim._template.cache_info().misses == len(meshes)
         big = build(b1_geom, VortexConfig(1, 0, P_REF), tp, resolution=300)
-        assert big.n_nodes + big.generator.nnz > pde_sim._PLAN_SIZE
+        assert big.n_nodes + big.generator.nnz > pde_sim._SHAPE_SIZE
         info = pde_sim._template.cache_info()
-        assert (info.currsize, info.misses) == (pde_sim._PLANS, len(meshes))
+        assert (info.currsize, info.misses) == (pde_sim._SHAPES, len(meshes))
 
     def test_max_nodes_is_refused_before_anything_is_allocated(
             self, b1_geom, transport, monkeypatch):
@@ -1154,9 +1207,10 @@ class TestBuildTemplate:
         assert peak < 100_000
 
 
-def _with_couplings(disc, pairs, flux=1e-3):
-    """disc with an extra edge of `flux` (m^4/s, as build's D w / dx) between
-    each pair of nodes: conservative, and area-weighted symmetric."""
+def _coupled(disc, pairs, flux=1e-3):
+    """disc's generator with an extra edge of `flux` (m^4/s, as build's
+    D w / dx) between each pair of nodes: conservative, and area-weighted
+    symmetric."""
     import scipy.sparse as sp
 
     i, j = np.array(pairs).T
@@ -1168,49 +1222,52 @@ def _with_couplings(disc, pairs, flux=1e-3):
                           shape=disc.generator.shape)
     gen = (disc.generator + extra).tocsc()
     gen.sort_indices()
+    return gen
+
+
+def _altered(disc, how):
+    """disc with its generator changed `how`: by dataclasses.replace (no
+    record), or in a copy that keeps build's record."""
+    import copy
+
+    seg, flip = disc.node_segment, np.arange(disc.n_nodes)[::-1]
+    gen = {"replaced": lambda: disc.generator,
+           "cycle": lambda: _coupled(disc, [
+               (seg.index(a), seg.index(b)) for a, b in (
+                   ("pad_left", "pad_right"),
+                   ("arm_left_wide_end", "arm_right_wide_end"))]),
+           "degree-4": lambda: _coupled(disc, [
+               (disc.junction_index, seg.index(end)) for end in (
+                   "arm_left_wide_end", "arm_right_wide_end")]),
+           "relabelled": lambda: disc.generator[flip][:, flip],
+           "csr": lambda: disc.generator.tocsr()}[how.removeprefix("kept-")]()
+    if how.startswith("kept-"):
+        disc = copy.copy(disc)
+        object.__setattr__(disc, "generator", gen)
+        return disc
     return replace(disc, generator=gen)
 
 
-@pytest.mark.parametrize("kind", ["cycle", "degree-4"])
-def test_hand_made_patterns_give_the_smallest_dense_eigenvalue(kind,
-                                                               caplog):
-    """Cycles through both pads and both arm ends, so no node is a leaf and
-    the search closes a cycle with a coupling the path order cannot hold
-    (one of its ends joins the border), and the junction joined to both
-    arm ends (degree 4), against dense eigvalsh with the bound of
-    test_slowest_mode_is_the_smallest_dense_eigenvalue."""
-    import scipy.linalg
-
+@pytest.mark.parametrize("how", [
+    "replaced", "cycle", "degree-4", "kept-cycle", "kept-relabelled",
+    "kept-csr"])
+def test_a_generator_its_record_does_not_describe_is_refused(how):
+    """slowest_mode and evolve refuse, typed, a Discretization that
+    dataclasses.replace made (it has no record, even with the same
+    generator) or whose generator's stored pattern is not its record's: a
+    hand-made coupling (a cycle through both pads, or the junction joined
+    to both arm ends), the nodes relabelled (the same nnz), or the same
+    pattern compressed by rows, which would be solved transposed."""
     disc = _bundled_mesh("b1", 20)
-    seg = disc.node_segment
-    pairs = {"cycle": [(seg.index(a), seg.index(b)) for a, b in (
-                 ("pad_left", "pad_right"),
-                 ("arm_left_wide_end", "arm_right_wide_end"))],
-             "degree-4": [(disc.junction_index, seg.index(end)) for end in (
-                 "arm_left_wide_end", "arm_right_wide_end")]}[kind]
-    disc = _with_couplings(disc, pairs)
-    plan = pde_sim._plan_of(disc.generator)[0]
-    border = [seg[k] for k in plan.chains[plan.n_path:]]
-    assert len(border) == 3
-    assert {"cross_left", "cross_right"} <= set(border)
-    assert kind == "cycle" or "junction" in border
-    s_paths = disc.generator[plan.chains[:plan.n_path]][
-        :, plan.chains[:plan.n_path]].toarray()
-    assert not np.triu(s_paths, 2).any()  # the paths are one tridiagonal
-    caplog.set_level(logging.DEBUG, logger="qpdyn.pde_sim")
-    rate = slowest_mode(disc)[0]
-    record = caplog.records[-1].args
-    assert record["border"] == 3
-    assert record["terms"] == {"cycle": 4, "degree-4": 5}[kind]
-    root_w = np.sqrt(disc.areas)
-    s_op = -disc.generator.toarray() * root_w[:, None] / root_w
-    eigs = scipy.linalg.eigvalsh(s_op, lower=False)
-    eig_err = disc.n_nodes * EPS * np.abs(eigs).max() \
-        + np.linalg.norm(s_op - s_op.T)
-    resid = max(record["residual"], record["bar"])
-    resid_err = (record["terms"] + 2) * EPS \
-        * (np.linalg.norm(np.abs(s_op), 2) + rate)
-    assert abs(rate - eigs[0]) <= resid + resid_err + eig_err
+    slowest_mode(disc)
+    altered = _altered(disc, how)
+    if how == "replaced":  # the record is no field
+        assert altered == disc
+    for solve in (slowest_mode, lambda d: evolve(d, _drive("rate"))):
+        with pytest.raises(InvalidParameterError,
+                           match="stored pattern of the mesh build made"):
+            solve(altered)
+    assert slowest_mode(disc)[0] > 0  # the original still solves
 
 
 def _smallest_banded_eigenvalue(disc):
