@@ -93,10 +93,11 @@ class ExtractionBounds(NamedTuple):
 
 def decay_shape(t, r_prime, tau_ss, jac: bool = False):
     """Shape f = (1 - r') e / (1 - r' e), e = exp(-t/tau_ss), of the law
-    x = x_i f + x0, broadcast; jac=True adds df/d logit r' and
-    df/d log tau_ss.  Nothing overflows for t >= 0 (t/tau_ss is capped at
-    2^1000, where e = 0 anyway), and the denominator
-    (1 - r') - r' (e - 1) is exact as r' -> 1.
+    x = x_i f + x0, broadcast, for r' in (-1, 1): r' < 0 is a start below
+    x0 (x_i < 0), and a start at x >= 0 keeps r' above -1.  jac=True adds
+    df/d logit r' and df/d log tau_ss.  Nothing overflows for t >= 0
+    (t/tau_ss is capped at 2^1000, where e = 0 anyway), and the
+    denominator (1 - r') - r' (e - 1) is exact as r' -> 1.
     """
     u = t / np.maximum(tau_ss, t * 2.0**-1000)
     em = np.expm1(-u)

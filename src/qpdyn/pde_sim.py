@@ -8,13 +8,12 @@ geometry.edges, the analytic model's: 1-D segments joined with
 width-weighted flux matching, pads as lumped nodes carrying the trapping.
 What depends only on a mesh's shape, its chain table, is one record per
 shape (`_Template`) that `build` attaches to the mesh: the node layout and
-the generator's compressed-column arrays; each drive piece's band order
-(kl = ku = 3 on the tree, 2 and 2 without a clamped junction) and band
-layout, so a piece packs its generator by one scatter and a Rosenbrock
-step makes one banded LU; and the paths, then the branch vertices, so
-the slow mode's inverse iteration factors the area-symmetrised generator
-as one positive definite tridiagonal (LAPACK ?pttrf) and a small Schur
-complement.
+the generator's compressed-column arrays; the band order (kl = ku = 3 on
+the tree) and band layout, so a drive piece packs its generator by one
+scatter and a Rosenbrock step makes one banded LU; and the paths, then
+the branch vertices, so the slow mode's inverse iteration factors the
+area-symmetrised generator as one positive definite tridiagonal (LAPACK
+?pttrf) and a small Schur complement.
 
 The spatial operator is a conservative finite-volume generator G
 (dx/dt = G x): with s0 = P = 0 the area-weighted column sums of G vanish
@@ -27,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -55,15 +53,12 @@ _LUMPED = ("pad_left", "pad_right", "cross_left", "cross_right", "junction")
 _MAX_ITER = 10_000
 
 # `_template` keeps the records of the last _SHAPES shapes of at most
-# _SHAPE_SIZE rows plus stored entries.  A record holds 40 bytes per row
-# (shared names and eight int32 values), 16 per entry (four int32
+# _SHAPE_SIZE rows plus stored entries.  A record holds 36 bytes per row
+# (shared names and seven int32 values), 12 per entry (three int32
 # indices), 8 per cell (its link) and 12 per chain and border coupling:
-# at most 36 per row and entry, ~18.9 MB in all, ~170 kB at res 200.
+# at most 36 per row and entry, ~18.9 MB in all, ~140 kB at res 200.
 _SHAPES = 64
 _SHAPE_SIZE = 8192
-
-# the record `_new_template` last made in this thread (build clears it)
-_made = threading.local()
 
 
 @dataclass(frozen=True)
@@ -126,10 +121,8 @@ def build(geom: DeviceGeometry, vortices: VortexConfig, tp: TransportParams,
     resolution = int(resolution)
     shape, lengths, widths, n = _shape(geom, resolution)
     # rows plus entries: n rows, n diagonal entries and two per cell
-    _made.template = None
     t = _template(shape) if 2 * n + 2 * sum(c[3] for c in shape) \
         <= _SHAPE_SIZE else _new_template(shape)
-    reused = t is not _made.template
 
     dx = lengths / t.cells
     zeros = np.zeros(len(shape) + 1)
@@ -161,7 +154,7 @@ def build(geom: DeviceGeometry, vortices: VortexConfig, tp: TransportParams,
         node_y=t.step * np.concatenate((dx, lengths, zeros)).take(t.src),
         junction_index=_LUMPED.index("junction"), geom=geom,
         vortices=vortices, tp=tp)
-    object.__setattr__(disc, "_mesh", (t, reused))
+    object.__setattr__(disc, "_mesh", t)
     return disc
 
 
@@ -187,25 +180,6 @@ def _shape(geom: DeviceGeometry, resolution: int) -> tuple:
     return tuple(shape), np.array(lengths), np.array(widths), n
 
 
-class _Band(NamedTuple):
-    """A drive piece's unknowns in band order, the flat index of each
-    stored entry in that order's LAPACK band storage (Fortran order; one
-    past the band for an entry of a node the piece leaves out), kl, ku."""
-
-    order: np.ndarray
-    index: np.ndarray
-    kl: int
-    ku: int
-
-    def pack(self, data: np.ndarray) -> np.ndarray:
-        """G, of compressed-column values `data`, in LAPACK band storage:
-        G[order][:, order][i, j] at row ku + i - j, column j, else 0."""
-        n, width = self.order.size, self.kl + self.ku + 1
-        out = np.zeros(n * width + 1)
-        out[self.index] = data
-        return out[:-1].reshape(n, width).T
-
-
 class _Template(NamedTuple):
     """What depends only on one mesh shape, its chains (name, a, b, cells)
     in `edges` order, made from that chain table; arrays are int32 and
@@ -215,13 +189,14 @@ class _Template(NamedTuple):
     chains' (dx, length, 0) and (width dx, 0, 0); `ends` holds each
     chain's two end vertices, `links` each cell's two nodes, and csc,
     indices and indptr put the rates (the links' i -> j and j -> i, then
-    the diagonal) in compressed-column order.  For `evolve`: `bands`, the
-    `_Band` of the full mesh and of the clamped piece without the
-    junction, ordered by component, cell distance from its pad and lane
-    (Cuthill & McKee 1969's rule: a chain through a vertex of degree 2
-    keeps its lane, and the chains leaving a branch vertex take sub-lanes
-    in its place, ranked lexicographically), reversed as in reverse
-    Cuthill-McKee.  For `slowest_mode`:
+    the diagonal) in compressed-column order.  For `evolve`: `order`, the
+    nodes by cell distance from pad_left and lane (Cuthill & McKee 1969's
+    rule: a chain through a vertex of degree 2 keeps its lane, and the
+    chains leaving a branch vertex take sub-lanes in its place, ranked
+    lexicographically), reversed as in reverse Cuthill-McKee; `band_at`,
+    the flat index of each stored entry in that order's LAPACK band
+    storage (Fortran order); and kl = ku, the band's half width.  For
+    `slowest_mode`:
     `chains`, the paths (runs of chains through vertices of degree 2,
     which eliminate without fill; George & Liu 1981) one after another,
     n_path nodes, then the border, every vertex where three or more chains
@@ -238,11 +213,21 @@ class _Template(NamedTuple):
     csc: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
-    bands: tuple
+    order: np.ndarray
+    band_at: np.ndarray
+    kl: int
     chains: np.ndarray
     n_path: int
     at: np.ndarray
     couplings: np.ndarray
+
+    def pack(self, data: np.ndarray) -> np.ndarray:
+        """G, of compressed-column values `data`, in LAPACK band storage:
+        G[order][:, order][i, j] at row kl + i - j, column j, else 0."""
+        n, width = self.order.size, 2 * self.kl + 1
+        out = np.zeros(n * width)
+        out[self.band_at] = data
+        return out.reshape(n, width).T
 
     def symmetrised(self, data: np.ndarray, root_w: np.ndarray) -> tuple:
         """S = W^1/2 (-G) W^-1/2 in `chains` order as (tri, x), and G's
@@ -298,15 +283,12 @@ def _new_template(shape: tuple) -> _Template:
     indptr = np.zeros(n + 1, np.int32)
     indptr[1:] = np.cumsum(np.bincount(cols, minlength=n))
     links = np.array((i, j))
-    walks = [_walk(table, vertices, n, gone)
-             for gone in (-1, index["junction"])]
-    _made.template = _Template(
+    order, dist, lane = _walk(table, vertices, n)
+    return _Template(
         tuple(segment), *map(_frozen, (
             np.concatenate(src), np.concatenate(step), [c[3] for c in shape],
             np.concatenate(ends), links, csc, rows[csc], indptr)),
-        tuple(_band(order, n, links, csc) for order, _, _ in walks),
-        *_split(vertices, *walks[0][1:], links, csc))
-    return _made.template
+        *_band(order, links, csc), *_split(vertices, dist, lane, links, csc))
 
 
 def _frozen(x) -> np.ndarray:
@@ -316,65 +298,56 @@ def _frozen(x) -> np.ndarray:
     return x
 
 
-def _walk(table: list, vertices: dict, n: int, gone: int) -> tuple:
-    """The n nodes but `gone` (-1 keeps all) in `_Template`'s band order,
-    and each node's cell distance and lane rank, from `_new_template`'s
-    chains (a, b, first interior node, cells) and each vertex's chains."""
-    # each node's component, cell distance and lane (an index into lanes)
-    comp, dist, lane = np.full(n, -1), np.zeros(n, np.int64), np.zeros(n, int)
-    lanes, done = [()], set()
-    for root in vertices:
-        if root == gone or comp[root] >= 0:
-            continue
-        comp[root], stack = comp.max() + 1, [root]
-        while stack:
-            v = stack.pop()
-            out = [k for k in vertices[v] if k not in done]
-            done.update(out)
-            for branch, chain in enumerate(out):
-                a, b, first, cells = table[chain]
-                lanes.append(lanes[lane[v]] + ((branch,) if out[1:] else ()))
-                w, steps = (b, np.arange(1, cells)) if a == v \
-                    else (a, np.arange(cells - 1, 0, -1))
-                inner = slice(first, first + cells - 1)
-                comp[inner], lane[inner] = comp[v], len(lanes) - 1
-                dist[inner] = dist[v] + steps
-                if w != gone:
-                    comp[w], lane[w] = comp[v], len(lanes) - 1
-                    dist[w] = dist[v] + cells
-                    stack.append(w)
+def _walk(table: list, vertices: dict, n: int) -> tuple:
+    """The n nodes in `_Template`'s band order, and each node's cell
+    distance and lane rank, from `_new_template`'s chains (a, b, first
+    interior node, cells) and each vertex's chains; the mesh is one tree,
+    walked from pad_left."""
+    # each node's cell distance and lane (an index into lanes)
+    dist, lane = np.zeros(n, np.int64), np.zeros(n, int)
+    lanes, done, stack = [()], set(), [_LUMPED.index("pad_left")]
+    while stack:
+        v = stack.pop()
+        out = [k for k in vertices[v] if k not in done]
+        done.update(out)
+        for branch, chain in enumerate(out):
+            a, b, first, cells = table[chain]
+            lanes.append(lanes[lane[v]] + ((branch,) if out[1:] else ()))
+            w, steps = (b, np.arange(1, cells)) if a == v \
+                else (a, np.arange(cells - 1, 0, -1))
+            inner = slice(first, first + cells - 1)
+            lane[inner] = lane[w] = len(lanes) - 1
+            dist[inner] = dist[v] + steps
+            dist[w] = dist[v] + cells
+            stack.append(w)
     rank = np.empty(len(lanes), np.int64)
     rank[sorted(range(len(lanes)), key=lanes.__getitem__)] = range(len(lanes))
     lane = rank.take(lane)
-    keep = np.flatnonzero(np.arange(n) != gone)
     # one key per node, unique on a tree: a lane holds one node a distance.
     # A chain's nodes are one run of it, which the stable sort merges.
-    key = (comp * (n + 1) + dist) * len(lanes) + lane
-    return keep[np.argsort(key.take(keep), kind="stable")[::-1]], dist, lane
+    key = dist * len(lanes) + lane
+    return np.argsort(key, kind="stable")[::-1], dist, lane
 
 
-def _band(order: np.ndarray, n: int, links: np.ndarray,
-          csc: np.ndarray) -> _Band:
-    """The `_Band` of the nodes `order` of n, the others left out, for the
+def _band(order: np.ndarray, links: np.ndarray, csc: np.ndarray) -> tuple:
+    """`_Template`'s order, band_at and kl for the band order `order`, the
     cells' `links` and the entries' CSC order `csc`."""
-    rank = np.full(n, -1)
+    rank = np.empty(order.size, np.intp)
     rank[order] = np.arange(order.size)
     # the pattern is symmetric, so kl = ku.  Entry (i, j) sits at
-    # j width + k + i - j; an entry of a node left out goes past the band
+    # j width + k + i - j
     i, j = rank.take(links)
-    on = (i >= 0) & (j >= 0)
-    k = int(np.abs(i - j).max(initial=0, where=on))
+    k = int(np.abs(i - j).max())
     width = 2 * k + 1
     index = np.concatenate((j * (width - 1) + i, i * (width - 1) + j,
                             rank * width)) + k
-    index[np.concatenate((~on, ~on, rank < 0))] = order.size * width
-    return _Band(_frozen(order), _frozen(index.take(csc)), k, k)
+    return _frozen(order), _frozen(index.take(csc)), k
 
 
 def _split(vertices: dict, dist: np.ndarray, lane: np.ndarray,
            links: np.ndarray, csc: np.ndarray) -> tuple:
     """`_Template`'s chains, n_path, at and couplings, from each vertex's
-    chains and the full mesh's `_walk`.  A lane runs from its root, a
+    chains and `_walk`'s distances and lanes.  A lane runs from its root, a
     leaf (pad_left) or a branch vertex, through vertices of degree 2, so
     its nodes off the border, by distance, are a path."""
     n = dist.size
@@ -408,11 +381,11 @@ def _split(vertices: dict, dist: np.ndarray, lane: np.ndarray,
 _template = functools.lru_cache(maxsize=_SHAPES)(_new_template)
 
 
-def _mesh_of(disc: Discretization) -> tuple[_Template, bool]:
-    """The record build attached to disc and whether build reused it;
-    InvalidParameterError if there is none or disc's generator is not the
-    compressed-column matrix of its indptr and indices."""
-    template, reused = getattr(disc, "_mesh", (None, False))
+def _mesh_of(disc: Discretization) -> _Template:
+    """The record build attached to disc; InvalidParameterError if there
+    is none or disc's generator is not the compressed-column matrix of its
+    indptr and indices."""
+    template = getattr(disc, "_mesh", None)
     gen = disc.generator
     if template is None or getattr(gen, "format", None) != "csc" \
             or not np.array_equal(gen.indptr, template.indptr) \
@@ -420,7 +393,7 @@ def _mesh_of(disc: Discretization) -> tuple[_Template, bool]:
         raise InvalidParameterError(
             "the discretization's generator does not have the stored "
             "pattern of the mesh build made; use build's, unchanged")
-    return template, reused
+    return template
 
 
 def slowest_mode(disc: Discretization) -> tuple[float, np.ndarray]:
@@ -448,8 +421,7 @@ def slowest_mode(disc: Discretization) -> tuple[float, np.ndarray]:
     node, with round-off noise clipped at zero.  Each converged call logs
     one DEBUG record on the qpdyn.pde_sim logger, a dict of the solves,
     the border size, terms (the most products any row of S u sums), the
-    rate, the residual, its bar, whether it stalled and plan_reused
-    (whether build reused the record of the mesh's shape).
+    rate, the residual, its bar and whether it stalled.
 
     Raises InvalidParameterError for a mesh `_mesh_of` refuses, and
     NonConvergenceError before anything is factored when the weak-trapping
@@ -462,7 +434,7 @@ def slowest_mode(disc: Discretization) -> tuple[float, np.ndarray]:
     not above the rounding error of its Rayleigh quotient raise it too;
     the last three carry v as best_params.
     """
-    mesh, reused = _mesh_of(disc)
+    mesh = _mesh_of(disc)
     tp = disc.tp
     total_trapping = disc.vortices.trapping_power * (
         disc.vortices.n_left + disc.vortices.n_right)
@@ -583,7 +555,7 @@ def slowest_mode(disc: Discretization) -> tuple[float, np.ndarray]:
         lambda: {"solves": solves, "border": n - m,
                  "terms": int(np.diff(mesh.indptr).max()),
                  "rate": lam, "residual": rnorm, "bar": bar,
-                 "stalled": rnorm > bar, "plan_reused": reused})
+                 "stalled": rnorm > bar})
     # rounding error of the Rayleigh quotient: 32 eps (|u|, |S| |u|) / (u, u)
     floor = 32.0 * eps * float(abs(u) @ product(
         abs(tri), abs(spread), abs(gather), abs(padded))) / float(u @ u)
@@ -641,24 +613,24 @@ class EvolveSpec:
         check_time_grid("t_grid", self.t_grid, from_zero=True)
 
 
-def _solve_piece(disc: Discretization, mesh: _Template, reused: bool,
-                 spec: EvolveSpec, x: np.ndarray, t0: float,
-                 t_eval: np.ndarray, tol: float, scale: float,
-                 driven: bool) -> np.ndarray:
+def _solve_piece(disc: Discretization, mesh: _Template, spec: EvolveSpec,
+                 x: np.ndarray, t0: float, t_eval: np.ndarray, tol: float,
+                 scale: float, driven: bool) -> np.ndarray:
     """Rosenbrock solve of one drive piece, from state x at t0 to t_eval[-1].
 
     dy/dt = G y - r y^2 + g, plus the junction drive when `driven`, by
     `_rodas.integrate` with rtol = tol and atol = 1e-3 tol scale, in the
-    piece's band order of disc's record `mesh`: G (without the junction
-    when clamped; the junction's column feeds the source) is packed once
-    from disc.generator.data, G y is one ?gbmv on the band, and each
-    step's 1/(h gamma) I - (G - 2 r diag(y)) is -G's band below ?gbtrf's
-    kl fill-in rows with its diagonal row replaced.  No step is so long
-    that the factor's round-off 32 eps max|G_ii| swamps a row's margin,
+    band order of disc's record `mesh`: G is packed once from
+    disc.generator.data, G y is one ?gbmv on the band, and each step's
+    1/(h gamma) I - (G - 2 r diag(y)) is -G's band below ?gbtrf's kl
+    fill-in rows with its diagonal row replaced.  A clamped junction, at
+    density d, is a frozen row: its row of G is 0 and its source r d d,
+    so its right-hand side is 0 at d.  No step is so long that the
+    factor's round-off 32 eps max|G_ii| swamps an evolving row's margin,
     1/(h gamma) plus its decay rate (the row sum of -G).  Returns the
     (n_nodes, n_times) states at t_eval, clipped at zero, and logs one
     DEBUG record on the qpdyn.pde_sim logger, a dict of the interval, the
-    unknowns, kl, ku, the integrator's counts and plan_reused (`reused`).
+    unknowns, kl, ku and the integrator's counts.
     A failed solve raises StepSizeUnderflowError naming the piece, and,
     when float overflow caused it, r, the density scale and the largest
     generator rate; overflow is not left to numpy's warnings.
@@ -670,17 +642,18 @@ def _solve_piece(disc: Discretization, mesh: _Template, reused: bool,
     data, jj, r = disc.generator.data, disc.junction_index, spec.r
     src = np.full(x.size, spec.g)
     clamp = driven and spec.injection_density is not None
+    order, n, kl = mesh.order, x.size, mesh.kl
+    ku = kl
     overflow = []
     with np.errstate(over="call", invalid="ignore", divide="ignore",
                      call=lambda err, flag: overflow.append(err)):
-        if clamp:  # the clamped junction leaves the unknowns
-            column = slice(*mesh.indptr[jj:jj + 2])
-            src[mesh.indices[column]] += spec.injection_density * data[column]
+        if clamp:  # f's junction row is r d d - r y y: 0 at y = d
+            data = np.where(mesh.indices == jj, 0.0, data)
+            src[jj] = r * spec.injection_density * spec.injection_density
         elif driven:
             src[jj] += spec.injection_rate
-        order, _, kl, ku = band = mesh.bands[clamp]
-        src, n = src[order], order.size
-        gen_band = band.pack(data)
+        src = src[order]
+        gen_band = mesh.pack(data)
         g_diag = gen_band[ku].copy()
         # -G's band below ?gbtrf's kl fill-in rows
         negated = np.zeros((2 * kl + ku + 1, n), order="F")
@@ -697,10 +670,13 @@ def _solve_piece(disc: Discretization, mesh: _Template, reused: bool,
             return out
 
         # the round-off cap on h: past 1/(gamma (noise - decay)) the
-        # factor's rounding swamps the slowest rows' margin
+        # factor's rounding swamps the slowest evolving rows' margin
         roundoff = np.finfo(float).eps * float(np.abs(g_diag).max())
         noise = 32.0 * roundoff
-        decay = -float(dgbmv(n, n, kl, ku, 1.0, gen_band, np.ones(n)).max())
+        sums = dgbmv(n, n, kl, ku, 1.0, gen_band, np.ones(n))
+        if clamp:  # the frozen row has no margin to keep
+            sums[order == jj] = -math.inf
+        decay = -float(sums.max())
         h_max = 1.0 / (GAMMA * (noise - decay)) if noise > decay else math.inf
         try:
             states, counts = integrate(
@@ -712,8 +688,7 @@ def _solve_piece(disc: Discretization, mesh: _Template, reused: bool,
                 "unknowns, kl = %(kl)d, ku = %(ku)d; %(steps)d steps, "
                 "%(rejected)d rejected, nfev %(nfev)d, nlu %(nlu)d",
                 lambda: {"t0": t0, "t1": float(t_eval[-1]), "unknowns": n,
-                         "kl": kl, "ku": ku, **counts,
-                         "plan_reused": reused})
+                         "kl": kl, "ku": ku, **counts})
             why = None
         except ArithmeticError as exc:
             why = str(exc)
@@ -727,8 +702,6 @@ def _solve_piece(disc: Discretization, mesh: _Template, reused: bool,
             f"piece [{t0:.6g}, {t_eval[-1]:.6g}] s: {why}")
     ys = np.empty((x.size, t_eval.size))
     ys[order] = np.maximum(states, 0.0)
-    if clamp:
-        ys[jj] = spec.injection_density
     return ys
 
 
@@ -744,9 +717,10 @@ def evolve(disc: Discretization, spec: EvolveSpec, tol: float = 1e-8):
     and LAPACK band storage: G y is a banded BLAS ?gbmv, and each step makes
     one banded LU of 1/(h gamma) I - J (LAPACK ?gbtrf) and one ?gbtrs per
     stage, with no Newton iteration.  Steps land on every output time;
-    nothing is interpolated.  A clamped junction is a Dirichlet node: it
-    leaves the unknowns, narrowing the band, and feeds its neighbours
-    through G[:, junction] * injection_density.  `tol` is the relative
+    nothing is interpolated.  A clamped junction is a Dirichlet node, a
+    frozen unknown: its row of G is zeroed and its right-hand side is 0 at
+    injection_density, and its column feeds its neighbours through G x.
+    `tol` is the relative
     tolerance; the absolute tolerance is 1e-3 * tol times the largest
     density scale of the inputs (x_init, injection_density,
     injection_rate * t_inj, or g * t_end), so decaying tails keep relative
@@ -762,7 +736,7 @@ def _evolve_states(disc: Discretization, spec: EvolveSpec,
                    tol: float) -> np.ndarray:
     """The (n_times, n_nodes) states of evolve at spec.t_grid, in node
     order; evolve returns their junction column."""
-    mesh, reused = _mesh_of(disc)
+    mesh = _mesh_of(disc)
     t_grid = np.asarray(spec.t_grid, dtype=float)
     n = disc.n_nodes
     x = np.full(n, float(spec.x_init)) if np.isscalar(spec.x_init) \
@@ -787,8 +761,8 @@ def _evolve_states(disc: Discretization, spec: EvolveSpec,
     for t1 in sorted({min(spec.t_inj, t_end), t_end} - {0.0}):
         k1 = int(np.searchsorted(t_grid, t1, side="right"))
         t_eval = np.union1d(t_grid[k0:k1], t1)
-        ys = _solve_piece(disc, mesh, reused, spec, x, t0, t_eval, tol,
-                          scale, driven=t1 <= spec.t_inj)
+        ys = _solve_piece(disc, mesh, spec, x, t0, t_eval, tol, scale,
+                          driven=t1 <= spec.t_inj)
         out[k0:k1] = ys[:, :k1 - k0].T
         x = ys[:, -1]
         k0, t0 = k1, t1
@@ -814,16 +788,23 @@ def factorized_dynamics_check(disc: Discretization, r: float, g: float,
     """Compare full nonlinear PDE junction decay against the 0-D model.
 
     The PDE starts from x_init_amp times the slowest spatial mode; the 0-D
-    model uses dx/dt = -r x^2 - s x + g with s the eigenmode decay rate and
-    the same junction starting density.  Reports the maximum relative
+    model is dx/dt = -r x^2 - s x + g with s the eigenmode decay rate and
+    the same junction starting density, in closed form:
+    x0 + x_i decay_shape(t, q / (1 + q), tau_ss) for the steady state x0,
+    x_i = x_init_amp - x0 (negative below x0) and q = r tau_ss x_i, or
+    xqp_recombination_only when s = g = 0.  Reports the maximum relative
     deviation of the junction trace for t >= t_window_start, on n_points
-    (an integer >= 2) times from 0 to t_end; a t_end at or below
-    t_window_start leaves the window empty and is refused, and so is
-    x_init_amp = 0 with g = 0, whose traces both stay at 0.  The PDE is
-    integrated a decade tighter than the default so solver error stays far
-    below the model deviation being measured.
+    (an integer >= 2) times from 0 to t_end (by default
+    2 t_window_start + 4 tau_ss); a t_end at or below t_window_start
+    leaves the window empty and is refused, and so is x_init_amp = 0 with
+    g = 0, whose traces both stay at 0, and a default t_end when
+    s = g = 0, where tau_ss is infinite.  r = s = 0 has no steady state
+    and raises DegenerateSystemError.  The PDE is integrated a decade
+    tighter than the default so solver error stays far below the model
+    deviation being measured.
     """
-    from .dynamics import RateParams, integrate_ode, steady_state
+    from .dynamics import (RateParams, decay_shape, steady_state,
+                           xqp_recombination_only)
 
     for name, value in (("r", r), ("g", g), ("x_init_amp", x_init_amp),
                         ("t_window_start", t_window_start)):
@@ -840,14 +821,22 @@ def factorized_dynamics_check(disc: Discretization, r: float, g: float,
             "x_init_amp = 0 with g = 0 holds both junction traces at 0, so "
             "there is no deviation to measure")
     s_mode, mode = slowest_mode(disc)
-    rp = RateParams(r=r, s=s_mode, g=g)
+    x0, tau = steady_state(RateParams(r=r, s=s_mode, g=g))
     if t_end is None:
-        tau = steady_state(rp).tau_ss
+        if math.isinf(tau):
+            raise InvalidParameterError(
+                "s = g = 0 (pure recombination) has no tail time tau_ss to "
+                "set the default t_end; give t_end")
         t_end = t_window_start * 2 + 4.0 * tau
     t_grid = np.linspace(0.0, t_end, n_points)
     pde_jj = evolve(disc, EvolveSpec(r=r, g=g, t_grid=tuple(t_grid),
                                      x_init=x_init_amp * mode), tol=1e-9)
-    ode_jj = integrate_ode(rp, x_init_amp, t_grid)
+    if math.isinf(tau):
+        ode_jj = xqp_recombination_only(t_grid, x_init_amp, r)
+    else:
+        x_i = x_init_amp - x0
+        q = r * tau * x_i
+        ode_jj = x0 + x_i * decay_shape(t_grid, q / (1.0 + q), tau)
     sel = t_grid >= t_window_start
     dev = float(np.max(np.abs(pde_jj[sel] - ode_jj[sel]) / ode_jj[sel]))
     ratio = r * x_init_amp / s_mode if s_mode > 0 else math.inf

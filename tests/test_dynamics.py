@@ -80,6 +80,30 @@ class TestAnalyticSolution:
             assert np.max(np.abs(xo - xa) / xa) < 1e-8
 
 
+    @pytest.mark.parametrize("fraction", [0.0, 0.2, 0.9])
+    def test_a_start_below_the_steady_state(self, fraction):
+        """From x = fraction x0 the law rises to x0 with x_i < 0, and
+        r' = q / (1 + q), q = r tau_ss x_i, lies in (-1, 0)."""
+        rp = RateParams(r=1 / 170e-9, s=33.0, g=1e-4)
+        x0, tau = steady_state(rp)
+        x_i = (fraction - 1.0) * x0
+        q = rp.r * tau * x_i
+        r_prime = q / (1.0 + q)
+        assert -1.0 < r_prime < 0.0
+        t = np.concatenate([[0.0], np.logspace(-7, np.log10(8 * tau), 40)])
+        x = x0 + x_i * decay_shape(t, r_prime, tau)
+        xo = integrate_ode(rp, fraction * x0, t)
+        np.testing.assert_allclose(x, xo, rtol=1e-8, atol=1e-8 * x0)
+
+    def test_pure_recombination_matches_the_ode(self):
+        """s = g = 0, where tau_ss is infinite: the hyperbola."""
+        r, x_init = 1 / 170e-9, 1e-4
+        t = np.concatenate([[0.0], np.logspace(-9, -3, 30)])
+        assert math.isinf(steady_state(RateParams(r, 0.0, 0.0)).tau_ss)
+        np.testing.assert_allclose(
+            xqp_recombination_only(t, x_init, r),
+            integrate_ode(RateParams(r, 0.0, 0.0), x_init, t), rtol=1e-8)
+
     @pytest.mark.parametrize("field", ["x_i", "tau_ss", "x0"])
     def test_non_finite_rejected(self, field):
         good = dict(x_i=3e-5, r_prime=0.7, tau_ss=5e-3, x0=1e-6)

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import box_geometry
+from conftest import box_geometry, subprocess_env
 from qpdyn import pde_sim
 from qpdyn.dynamics import RateParams, integrate_ode
 from qpdyn.eigenmode import TransportParams, VortexConfig, smallest_root
-from qpdyn.errors import (InvalidParameterError, InvalidResolutionError,
-                          NonConvergenceError, StepSizeUnderflowError)
+from qpdyn.errors import (DegenerateSystemError, InvalidParameterError,
+                          InvalidResolutionError, NonConvergenceError,
+                          StepSizeUnderflowError)
 from qpdyn.geometry import edges, load_geometry
 from qpdyn.pde_sim import (EvolveSpec, _evolve_states, build, evolve,
                            factorized_dynamics_check, slowest_mode)
@@ -662,8 +663,8 @@ def test_fixed_steps_converge_at_order_4():
 
 
 def test_each_piece_record_counts_its_steps(caplog):
-    """A piece's DEBUG record holds the interval, the unknowns, the band,
-    plan_reused and the integrator's counts: one factor per step tried,
+    """A piece's DEBUG record holds the interval, the unknowns, the band
+    and the integrator's counts: one factor per step tried,
     and five right-hand sides per step tried, one per accepted step and
     one at the start."""
     caplog.set_level(logging.DEBUG, logger="qpdyn.pde_sim")
@@ -673,7 +674,7 @@ def test_each_piece_record_counts_its_steps(caplog):
                                                     (50e-6, 200e-6)]
     for p in pieces:
         assert set(p) == {"t0", "t1", "unknowns", "kl", "ku", "steps",
-                          "rejected", "nfev", "nlu", "plan_reused"}
+                          "rejected", "nfev", "nlu"}
         assert p["nlu"] == p["steps"] + p["rejected"]
         assert p["nfev"] == 1 + 5 * p["nlu"] + p["steps"]
 
@@ -681,15 +682,14 @@ def test_each_piece_record_counts_its_steps(caplog):
 @pytest.mark.parametrize("resolution", [20, 50, 200])
 @pytest.mark.parametrize("name", ["b1", "b2", "b3"])
 def test_band_widths_on_the_electrode_tree(caplog, name, resolution):
-    # a 1 ns clamp, then 1 ns of free decay: the clamped piece drops the
-    # junction from the unknowns, and with it one width on each side
+    # a 1 ns clamp, then 1 ns of free decay: the clamped junction stays
+    # among the unknowns, so both pieces factor one band
     caplog.set_level(logging.DEBUG, logger="qpdyn.pde_sim")
     disc = _bundled_mesh(name, resolution)
     evolve(disc, EvolveSpec(r=R_B1, g=1e-4, t_grid=(2e-9,),
                             injection_density=2e-4, t_inj=1e-9))
     assert [(piece["unknowns"], piece["kl"], piece["ku"])
-            for piece in _pieces(caplog)] == [
-        (disc.n_nodes - 1, 2, 2), (disc.n_nodes, 3, 3)]
+            for piece in _pieces(caplog)] == [(disc.n_nodes, 3, 3)] * 2
 
 
 def _banded(dense, kl, ku, top=0):
@@ -706,7 +706,7 @@ def _banded(dense, kl, ku, top=0):
 
 def _mesh(disc):
     """The record build attached to disc (`_Template`)."""
-    return pde_sim._mesh_of(disc)[0]
+    return pde_sim._mesh_of(disc)
 
 
 def _widths(a, order):
@@ -722,10 +722,9 @@ def _widths(a, order):
 @pytest.mark.parametrize("seed", range(6))
 def test_band_holds_the_permuted_matrix_at_lapack_positions(seed, warm):
     """The record of a random box-geometry mesh, cold or kept from an
-    earlier build: for the full mesh and the clamped piece, the order
-    holds every node (all but the junction), the widths are the pattern's
-    in that order, and G[order][:, order]'s entries sit at row
-    ku + i - j, column j, zeros elsewhere."""
+    earlier build: its band order holds every node, the widths are the
+    pattern's in that order, and G[order][:, order]'s entries sit at row
+    kl + i - j, column j, zeros elsewhere."""
     rng = np.random.Generator(np.random.Philox(seed))
     geom = box_geometry(rng.uniform(size=7))
     build_it = functools.partial(
@@ -736,33 +735,26 @@ def test_band_holds_the_permuted_matrix_at_lapack_positions(seed, warm):
     if warm:
         build_it()
     disc = build_it()
-    mesh, reused = pde_sim._mesh_of(disc)
-    assert reused == warm
-    nodes = np.arange(disc.n_nodes)
-    for band, keep in zip(mesh.bands, (nodes, nodes[nodes != 4])):
-        assert np.array_equal(np.sort(band.order), keep)
-        dense = disc.generator.toarray()[band.order][:, band.order]
-        i, j = np.nonzero(dense)
-        assert (band.kl, band.ku) == ((i - j).max(), (j - i).max())
-        packed = band.pack(disc.generator.data)
-        assert packed.flags.f_contiguous
-        assert np.array_equal(packed, _banded(dense, band.kl, band.ku))
+    assert pde_sim._template.cache_info().hits == warm
+    mesh = _mesh(disc)
+    assert np.array_equal(np.sort(mesh.order), np.arange(disc.n_nodes))
+    dense = disc.generator.toarray()[mesh.order][:, mesh.order]
+    i, j = np.nonzero(dense)
+    assert (mesh.kl, mesh.kl) == ((i - j).max(), (j - i).max())
+    packed = mesh.pack(disc.generator.data)
+    assert packed.flags.f_contiguous
+    assert np.array_equal(packed, _banded(dense, mesh.kl, mesh.kl))
 
 
 def _check_orders(disc):
-    """The record's band widths are reverse Cuthill-McKee's on the full
-    mesh and on the clamped piece (without the junction), and its split
+    """The record's band widths are reverse Cuthill-McKee's, and its split
     orders every node: the paths' block is one tridiagonal and the border
     is exactly the nodes of degree >= 3."""
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     mesh, gen, n = _mesh(disc), disc.generator, disc.n_nodes
-    keep = np.flatnonzero(np.arange(n) != disc.junction_index)
-    clamped = gen[keep][:, keep]
-    for band, a in zip(mesh.bands, (gen, clamped)):
-        rcm = reverse_cuthill_mckee(a.tocsr(), symmetric_mode=True)
-        assert _widths(a, np.searchsorted(keep, band.order)
-                       if a is clamped else band.order) == _widths(a, rcm)
+    rcm = reverse_cuthill_mckee(gen.tocsr(), symmetric_mode=True)
+    assert _widths(gen, mesh.order) == _widths(gen, rcm)
     m, chains = mesh.n_path, mesh.chains
     assert np.array_equal(np.sort(chains), np.arange(n))
     degree = np.diff(gen.indptr) - 1
@@ -776,7 +768,7 @@ def _check_orders(disc):
 def test_orders_of_the_bundled_meshes(name, resolution):
     disc = _bundled_mesh(name, resolution)
     _check_orders(disc)
-    assert [(b.kl, b.ku) for b in _mesh(disc).bands] == [(3, 3), (2, 2)]
+    assert _mesh(disc).kl == 3
 
 
 @settings(max_examples=60, deadline=None)
@@ -900,15 +892,19 @@ def test_evolve_hands_lapack_fortran_order_bands(monkeypatch):
 def test_each_factored_band_is_the_dense_shifted_jacobian(monkeypatch, drive):
     """Every band ?gbtrf factors is, bit for bit and in the order the steps
     make them, the dense 1/(h gamma) I - (G - 2 r diag(y)) of its piece's
-    generator in the record's band order, in LAPACK band storage below kl zero
-    fill-in rows."""
+    generator in the record's band order, in LAPACK band storage below kl
+    zero fill-in rows; a clamped piece's generator has the junction's row
+    zeroed."""
     import scipy.linalg.lapack
 
     from qpdyn import _rodas
 
-    made, factored = [], []
+    pieces, factored = [], []
 
     def recording(fun, shifted, *args, **kwargs):
+        made = []
+        pieces.append(made)
+
         def recorded(fac, y):
             band = shifted(fac, y)
             made.append((fac, y.copy(), band.copy()))
@@ -925,19 +921,18 @@ def test_each_factored_band_is_the_dense_shifted_jacobian(monkeypatch, drive):
     monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", factor)
     disc, spec = _bundled_mesh("b1", 50), _drive(drive)
     evolve(disc, spec)
-    gen = disc.generator.toarray()
-    pieces = {band.order.size: band for band in _mesh(disc).bands}
-    assert {y.size for _, y, _ in made} == (
-        set(pieces) if drive == "clamp" else {disc.n_nodes})
+    mesh, gen = _mesh(disc), disc.generator.toarray()
+    order, kl = mesh.order, mesh.kl
+    held = gen.copy()
+    held[disc.junction_index] = 0.0
+    gens = (held if drive == "clamp" else gen, gen)
+    made = [(g, *m) for g, piece in zip(gens, pieces) for m in piece]
+    assert len(pieces) == 2 and kl == 3
     assert len(factored) == len(made)
-    for (fac, y, got), factor in zip(made, factored):
-        band = pieces[y.size]
-        assert (band.kl, band.ku) == (
-            (3, 3) if y.size == disc.n_nodes else (2, 2))
-        dense = gen[band.order][:, band.order]
+    for (g, fac, y, got), factor in zip(made, factored):
+        dense = g[order][:, order]
         want = fac * np.eye(y.size) - (dense - np.diag(2.0 * spec.r * y))
-        assert np.array_equal(got, _banded(want, band.kl, band.ku,
-                                           top=band.kl))
+        assert np.array_equal(got, _banded(want, kl, kl, top=kl))
         assert np.array_equal(factor, got)
 
 
@@ -947,141 +942,8 @@ def _records_made():
 
 
 def _record_arrays(t):
-    """The arrays of a `_Template`, its bands' included."""
-    return [x for x in (*t, *(x for band in t.bands for x in band))
-            if isinstance(x, np.ndarray)]
-
-
-def _solver_bytes(t):
-    """The bytes of the record's solver part, what the pattern-keyed plans
-    held without their key: the band orders and scatter indices and the
-    split's chains, slots and couplings."""
-    return sum(x.nbytes for x in (t.chains, t.at, t.couplings,
-                                  *(x for band in t.bands for x in band[:2])))
-
-
-class TestBandPlan:
-    def test_one_shape_is_planned_once_and_reused_bit_for_bit(self,
-                                                              b1_geom):
-        """Two meshes of one shape with other P, D, s0 and vortex counts
-        share one record; slowest_mode and evolve on a warm record give
-        what they give on a cold one, to the bit."""
-        pde_sim._template.cache_clear()
-        args = [(b1_geom, VortexConfig(1, 0, P_REF),
-                 TransportParams(d=18e-4, s0=33.0), 50),
-                (b1_geom, VortexConfig(2, 3, 4 * P_REF),
-                 TransportParams(d=12e-4, s0=0.0), 50)]
-        meshes = [build(*a) for a in args]
-        assert _records_made() == 1 and _mesh(meshes[0]) is _mesh(meshes[1])
-        spec = _drive("rate")
-        warm = [(*slowest_mode(disc), _evolve_states(disc, spec, 1e-6))
-                for disc in meshes]
-        for a, results in zip(args, warm):
-            pde_sim._template.cache_clear()
-            disc = build(*a)
-            assert not pde_sim._mesh_of(disc)[1]
-            cold = (*slowest_mode(disc), _evolve_states(disc, spec, 1e-6))
-            assert cold[0] == results[0]
-            for got, want in zip(cold[1:], results[1:]):
-                assert np.array_equal(got, want)
-            assert _records_made() == 1
-
-    @pytest.mark.parametrize("first, second", [
-        (("b1", 50), ("b3", 50)), (("b1", 50), ("b1", 51))],
-        ids=["b1-b3", "res50-res51"])
-    def test_other_shapes_share_no_plan(self, first, second):
-        pde_sim._template.cache_clear()
-        meshes = [_bundled_mesh(*first), _bundled_mesh(*second)]
-        assert _records_made() == 2
-        assert _mesh(meshes[0]) is not _mesh(meshes[1])
-        for disc in meshes:
-            slowest_mode(disc)
-        assert _records_made() == 2
-
-    def test_the_cache_keeps_its_entry_and_byte_bounds(self, b1_geom):
-        """The record's solver part holds at most 20 bytes per row and
-        entry, as the pattern-keyed plans did with their key; 64 shapes
-        are kept, and a larger one is not."""
-        pde_sim._template.cache_clear()
-        tp = TransportParams(d=18e-4, s0=33.0)
-        resolutions = range(10, 15 + pde_sim._SHAPES)
-        meshes = [build(b1_geom, VortexConfig(1, 0, P_REF), tp,
-                        resolution=res) for res in resolutions]
-        assert pde_sim._template.cache_info().currsize == pde_sim._SHAPES
-        for res, disc in zip(resolutions[-pde_sim._SHAPES:],
-                             meshes[-pde_sim._SHAPES:]):
-            size = disc.n_nodes + disc.generator.nnz
-            assert size <= pde_sim._SHAPE_SIZE
-            assert _solver_bytes(_mesh(disc)) <= 20 * size
-            again = build(b1_geom, VortexConfig(0, 1, P_REF), tp,
-                          resolution=res)
-            assert pde_sim._mesh_of(again) == (_mesh(disc), True)
-        big = build(b1_geom, VortexConfig(1, 0, P_REF), tp, resolution=300)
-        assert big.n_nodes + big.generator.nnz > pde_sim._SHAPE_SIZE
-        again = build(b1_geom, VortexConfig(1, 0, P_REF), tp, resolution=300)
-        assert _mesh(again) is not _mesh(big)
-        assert not pde_sim._mesh_of(again)[1]
-        info = pde_sim._template.cache_info()
-        assert (info.currsize, info.misses) == (pde_sim._SHAPES, len(meshes))
-
-    def test_meshes_of_one_shape_share_no_writable_array(self, b1_geom):
-        tp = TransportParams(d=18e-4, s0=33.0)
-        first, second = (build(b1_geom, VortexConfig(n, 1, P_REF), tp,
-                               resolution=50) for n in (1, 2))
-        slowest_mode(first)
-        mesh = _mesh(second)
-        assert mesh is _mesh(first)
-        arrays = [lambda d: d.generator.data, lambda d: d.generator.indices,
-                  lambda d: d.generator.indptr, lambda d: d.areas,
-                  lambda d: d.node_y]
-        for array in arrays:
-            assert not np.shares_memory(array(first), array(second))
-        assert not any(x.flags.writeable for x in _record_arrays(mesh))
-        indices, chains = second.generator.indices.copy(), mesh.chains.copy()
-        first.generator.indices[:2] = first.generator.indices[1::-1]
-        assert np.array_equal(second.generator.indices, indices)
-        assert np.array_equal(mesh.chains, chains)
-        slowest_mode(second)
-        # the changed pattern is not the one the record describes
-        with pytest.raises(InvalidParameterError, match="pattern"):
-            slowest_mode(first)
-
-    @pytest.mark.parametrize("clamped", [False, True])
-    def test_band_helper_holds_on_a_cold_and_a_warm_plan(self, clamped):
-        """b2's generator, whole or without its junction as a clamp leaves
-        it, packed by a cold record and then by the same record kept."""
-        pde_sim._template.cache_clear()
-        records = []
-        for warm in (False, True):
-            disc = _bundled_mesh("b2", 50)
-            mesh, reused = pde_sim._mesh_of(disc)
-            assert reused == warm
-            band = mesh.bands[clamped]
-            dense = disc.generator.toarray()[band.order][:, band.order]
-            packed = band.pack(disc.generator.data)
-            assert packed.flags.f_contiguous
-            assert np.array_equal(packed, _banded(dense, band.kl, band.ku))
-            records.append(mesh)
-        assert records[0] is records[1]
-        assert (band.kl, band.ku) == ((2, 2) if clamped else (3, 3))
-        assert band.order.size == disc.n_nodes - clamped
-
-    def test_debug_records_say_whether_the_plan_was_reused(self, caplog,
-                                                            b1_geom):
-        """plan_reused says whether build took the record of the mesh's
-        shape from the cache; a shape too large to keep never does."""
-        pde_sim._template.cache_clear()
-        caplog.set_level(logging.DEBUG, logger="qpdyn.pde_sim")
-        spec = _drive("clamp")
-        for res in (20, 20, 300, 300):
-            disc = build(b1_geom, VortexConfig(1, 0, P_REF),
-                         TransportParams(d=18e-4, s0=33.0), resolution=res)
-            slowest_mode(disc)
-            evolve(disc, spec, tol=1e-6)
-        reused = [record.args["plan_reused"] for record in caplog.records
-                  if record.name == "qpdyn.pde_sim"]
-        # slowest_mode, then the clamped and the free piece, per mesh
-        assert reused == [False] * 3 + [True] * 3 + [False] * 6
+    """The arrays of a `_Template`."""
+    return [x for x in t if isinstance(x, np.ndarray)]
 
 
 def _template_of(geom, resolution):
@@ -1089,12 +951,14 @@ def _template_of(geom, resolution):
 
 
 def _template_bytes(t):
-    """The bytes a `_Template` holds: its arrays, its bands' included, and
-    its tuple of names (the names themselves are shared)."""
+    """The bytes a `_Template` holds: its arrays and its tuple of names
+    (the names themselves are shared)."""
     return 8 * len(t.segment) + sum(x.nbytes for x in _record_arrays(t))
 
 
 class TestBuildTemplate:
+    """The per-shape record (`_Template`) build attaches to a mesh."""
+
     @pytest.mark.parametrize("resolution", [10, 20, 50, 200, 333])
     @pytest.mark.parametrize("name", ["b1", "b2", "b3"])
     def test_a_cold_and_a_warm_build_are_bit_identical(self, name,
@@ -1116,11 +980,41 @@ class TestBuildTemplate:
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
+    def test_one_shape_makes_one_record_reused_bit_for_bit(self, b1_geom):
+        """Two meshes of one shape with other P, D, s0 and vortex counts
+        share one record; slowest_mode and evolve on a warm record give
+        what they give on a cold one, to the bit."""
+        pde_sim._template.cache_clear()
+        args = [(b1_geom, VortexConfig(1, 0, P_REF),
+                 TransportParams(d=18e-4, s0=33.0), 50),
+                (b1_geom, VortexConfig(2, 3, 4 * P_REF),
+                 TransportParams(d=12e-4, s0=0.0), 50)]
+        meshes = [build(*a) for a in args]
+        assert _records_made() == 1 and _mesh(meshes[0]) is _mesh(meshes[1])
+        spec = _drive("rate")
+        warm = [(*slowest_mode(disc), _evolve_states(disc, spec, 1e-6))
+                for disc in meshes]
+        for a, results in zip(args, warm):
+            pde_sim._template.cache_clear()
+            disc = build(*a)
+            cold = (*slowest_mode(disc), _evolve_states(disc, spec, 1e-6))
+            assert cold[0] == results[0]
+            for got, want in zip(cold[1:], results[1:]):
+                assert np.array_equal(got, want)
+            info = pde_sim._template.cache_info()
+            assert (info.hits, info.misses) == (0, 1)
+
     def test_meshes_of_one_shape_share_no_writable_array(self, b1_geom):
+        """The record's arrays are read-only int32 and share no memory with
+        a mesh's; after one mesh's indices are changed, another of its
+        shape still solves and a rebuild is unchanged, and the changed
+        mesh is refused."""
         tp = TransportParams(d=18e-4, s0=33.0)
         first, second = (build(b1_geom, VortexConfig(n, 1, P_REF), tp,
                                resolution=50) for n in (1, 2))
+        slowest_mode(first)
         template = _template_of(b1_geom, 50)
+        assert template is _mesh(first) is _mesh(second)
         assert pde_sim._template.cache_info().hits >= 1
         assert first.node_segment is not second.node_segment
         for array in (lambda d: d.generator.data,
@@ -1132,15 +1026,24 @@ class TestBuildTemplate:
                 assert not np.shares_memory(array(first), x)
         assert all(not x.flags.writeable and x.dtype == np.int32
                    for x in _record_arrays(template))
+        indices, chains = second.generator.indices.copy(), \
+            template.chains.copy()
         first.node_segment[0] = "changed"
         first.generator.indices[:2] = first.generator.indices[1::-1]
+        assert np.array_equal(second.generator.indices, indices)
+        assert np.array_equal(template.chains, chains)
+        slowest_mode(second)
         again = build(b1_geom, VortexConfig(1, 1, P_REF), tp, resolution=50)
         assert again.node_segment == second.node_segment
-        assert np.array_equal(again.generator.indices,
-                              second.generator.indices)
+        assert np.array_equal(again.generator.indices, indices)
+        # the changed pattern is not the one the record describes
+        with pytest.raises(InvalidParameterError, match="pattern"):
+            slowest_mode(first)
 
     def test_other_cell_counts_or_topology_share_no_template(self,
                                                              b1_geom):
+        """Other cell counts, another topology (no wide arm) or another
+        bundled geometry make other records, and solving makes none."""
         pde_sim._template.cache_clear()
         no_wide = replace(b1_geom, l_cap=0.0)
         shapes = [pde_sim._shape(geom, res)[0] for geom, res in (
@@ -1148,20 +1051,26 @@ class TestBuildTemplate:
         assert len(set(shapes)) == 3
         templates = [pde_sim._template(shape) for shape in shapes]
         assert len({id(t) for t in templates}) == 3
-        assert pde_sim._template.cache_info().misses == 3
+        assert _records_made() == 3
         # one shape, whatever the rates and the scale of the geometry
         scaled = replace(b1_geom, **{f: getattr(b1_geom, f) * 1.1 for f in (
             "w_wire", "l_wire", "h_cap", "l_half_gap", "w_cap", "l_cap")})
         assert pde_sim._shape(scaled, 50)[0] == shapes[0]
         assert _template_of(scaled, 50) is templates[0]
+        meshes = [_bundled_mesh("b1", 50), _bundled_mesh("b3", 50)]
+        made = _records_made()
+        assert _mesh(meshes[0]) is not _mesh(meshes[1])
+        for disc in meshes:
+            slowest_mode(disc)
+            evolve(disc, _drive("clamp"), tol=1e-6)
+        assert _records_made() == made
 
     def test_the_cache_keeps_its_entry_and_byte_bounds(self, b1_geom):
         """64 shapes of at most _SHAPE_SIZE rows plus stored entries are
-        kept, each record, its orders included, in at most 36 bytes per
-        row, 20 per entry and 12 per chain and border coupling, so at most
-        36 per row and entry: the cache's worst case is what the shape and
-        pattern caches it replaces held together.  A larger shape is made
-        afresh."""
+        kept, and a rebuild of each reuses its record.  Each record holds
+        at most 36 bytes per row, 16 per entry and 12 per chain and border
+        coupling, so at most 36 per row and entry and 36 x _SHAPE_SIZE x 64
+        bytes in all.  A larger shape is made afresh on every build."""
         pde_sim._template.cache_clear()
         tp = TransportParams(d=18e-4, s0=33.0)
         resolutions = range(10, 15 + pde_sim._SHAPES)
@@ -1173,19 +1082,25 @@ class TestBuildTemplate:
                              meshes[-pde_sim._SHAPES:]):
             size = disc.n_nodes + disc.generator.nnz
             assert size <= pde_sim._SHAPE_SIZE
-            t = _template_of(b1_geom, res)
-            assert t is _mesh(disc)
+            t = _mesh(disc)
+            again = build(b1_geom, VortexConfig(0, 1, P_REF), tp,
+                          resolution=res)
+            assert _mesh(again) is t
             held = _template_bytes(t)
-            assert held <= 36 * disc.n_nodes + 20 * disc.generator.nnz \
+            assert held <= 36 * disc.n_nodes + 16 * disc.generator.nnz \
                 + 12 * (t.cells.size + t.couplings.shape[1])
             assert held <= 36 * size
             total += held
         assert total <= 36 * pde_sim._SHAPE_SIZE * pde_sim._SHAPES
-        assert pde_sim._template.cache_info().misses == len(meshes)
-        big = build(b1_geom, VortexConfig(1, 0, P_REF), tp, resolution=300)
-        assert big.n_nodes + big.generator.nnz > pde_sim._SHAPE_SIZE
         info = pde_sim._template.cache_info()
-        assert (info.currsize, info.misses) == (pde_sim._SHAPES, len(meshes))
+        assert (info.hits, info.misses) == (pde_sim._SHAPES, len(meshes))
+        big, again = (build(b1_geom, VortexConfig(1, 0, P_REF), tp,
+                            resolution=300) for _ in range(2))
+        assert big.n_nodes + big.generator.nnz > pde_sim._SHAPE_SIZE
+        assert _mesh(again) is not _mesh(big)
+        info = pde_sim._template.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (
+            pde_sim._SHAPES, pde_sim._SHAPES, len(meshes))
 
     def test_max_nodes_is_refused_before_anything_is_allocated(
             self, b1_geom, transport, monkeypatch):
@@ -1477,3 +1392,55 @@ class TestFactorizedDynamics:
                 disc_one_vortex, **{"r": R_B1, "g": 1e-4, "x_init_amp": 1e-4,
                                     **kwargs})
         assert str(refused.value) == message
+
+    def test_pure_recombination_without_t_end_is_refused(self, b1_geom):
+        """s = g = 0 has an infinite tail time, so no default t_end: the
+        refusal names it, and nothing warns on the way."""
+        import warnings
+
+        disc = build(b1_geom, VortexConfig(0, 0, 0.0),
+                     TransportParams(d=18e-4, s0=0.0), resolution=20)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidParameterError,
+                               match="no tail time tau_ss .* give t_end"):
+                factorized_dynamics_check(disc, r=R_B1, g=0.0,
+                                          x_init_amp=1e-4)
+        assert caught == []
+        # with a t_end, the 0-D model is the pure-recombination hyperbola
+        rep = factorized_dynamics_check(disc, r=R_B1, g=0.0, x_init_amp=1e-4,
+                                        t_end=1e-3)
+        assert rep.mode_rate == 0.0 and rep.max_rel_deviation < 1e-6
+
+    @pytest.mark.parametrize("t_end", [None, 1e-3])
+    def test_no_decay_channel_is_degenerate(self, b1_geom, t_end):
+        disc = build(b1_geom, VortexConfig(0, 0, 0.0),
+                     TransportParams(d=18e-4, s0=0.0), resolution=20)
+        with pytest.raises(DegenerateSystemError, match="r = s = 0"):
+            factorized_dynamics_check(disc, r=0.0, g=1e-4, x_init_amp=1e-4,
+                                      t_end=t_end)
+
+    def test_loads_no_integrator_module(self):
+        """The 0-D model is dynamics' closed form, so a check on a b1 mesh
+        in a fresh interpreter loads no scipy.integrate."""
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys\n"
+            "from importlib import resources\n"
+            "from qpdyn.eigenmode import TransportParams, VortexConfig\n"
+            "from qpdyn.geometry import load_geometry\n"
+            "from qpdyn.pde_sim import build, factorized_dynamics_check\n"
+            "geom = load_geometry(resources.files('qpdyn.data')\n"
+            "                     / 'geometry_b1_like.cfg')\n"
+            "disc = build(geom, VortexConfig(1, 0, 0.067e-4),\n"
+            "             TransportParams(d=18e-4, s0=33.0), resolution=20)\n"
+            "rep = factorized_dynamics_check(disc, r=1 / 170e-9, g=1e-4,\n"
+            "                                x_init_amp=1e-4)\n"
+            "print(rep.max_rel_deviation < 0.05,\n"
+            "      'scipy.integrate' in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, check=True,
+                              env=subprocess_env())
+        assert done.stdout.split() == ["True", "False"]
