@@ -1006,13 +1006,11 @@ class TestBuildTemplate:
 
     def test_meshes_of_one_shape_share_no_writable_array(self, b1_geom):
         """The record's arrays are read-only int32 and share no memory with
-        a mesh's; after one mesh's indices are changed, another of its
-        shape still solves and a rebuild is unchanged, and the changed
-        mesh is refused."""
+        a mesh's; after one mesh's names and indices are changed, a rebuild
+        is unchanged."""
         tp = TransportParams(d=18e-4, s0=33.0)
         first, second = (build(b1_geom, VortexConfig(n, 1, P_REF), tp,
                                resolution=50) for n in (1, 2))
-        slowest_mode(first)
         template = _template_of(b1_geom, 50)
         assert template is _mesh(first) is _mesh(second)
         assert pde_sim._template.cache_info().hits >= 1
@@ -1026,24 +1024,17 @@ class TestBuildTemplate:
                 assert not np.shares_memory(array(first), x)
         assert all(not x.flags.writeable and x.dtype == np.int32
                    for x in _record_arrays(template))
-        indices, chains = second.generator.indices.copy(), \
-            template.chains.copy()
+        indices = second.generator.indices.copy()
         first.node_segment[0] = "changed"
         first.generator.indices[:2] = first.generator.indices[1::-1]
-        assert np.array_equal(second.generator.indices, indices)
-        assert np.array_equal(template.chains, chains)
-        slowest_mode(second)
         again = build(b1_geom, VortexConfig(1, 1, P_REF), tp, resolution=50)
         assert again.node_segment == second.node_segment
         assert np.array_equal(again.generator.indices, indices)
-        # the changed pattern is not the one the record describes
-        with pytest.raises(InvalidParameterError, match="pattern"):
-            slowest_mode(first)
 
     def test_other_cell_counts_or_topology_share_no_template(self,
                                                              b1_geom):
-        """Other cell counts, another topology (no wide arm) or another
-        bundled geometry make other records, and solving makes none."""
+        """Other cell counts or another topology (no wide arm) make other
+        records; the geometry's scale does not."""
         pde_sim._template.cache_clear()
         no_wide = replace(b1_geom, l_cap=0.0)
         shapes = [pde_sim._shape(geom, res)[0] for geom, res in (
@@ -1057,20 +1048,12 @@ class TestBuildTemplate:
             "w_wire", "l_wire", "h_cap", "l_half_gap", "w_cap", "l_cap")})
         assert pde_sim._shape(scaled, 50)[0] == shapes[0]
         assert _template_of(scaled, 50) is templates[0]
-        meshes = [_bundled_mesh("b1", 50), _bundled_mesh("b3", 50)]
-        made = _records_made()
-        assert _mesh(meshes[0]) is not _mesh(meshes[1])
-        for disc in meshes:
-            slowest_mode(disc)
-            evolve(disc, _drive("clamp"), tol=1e-6)
-        assert _records_made() == made
 
     def test_the_cache_keeps_its_entry_and_byte_bounds(self, b1_geom):
         """64 shapes of at most _SHAPE_SIZE rows plus stored entries are
-        kept, and a rebuild of each reuses its record.  Each record holds
-        at most 36 bytes per row, 16 per entry and 12 per chain and border
-        coupling, so at most 36 per row and entry and 36 x _SHAPE_SIZE x 64
-        bytes in all.  A larger shape is made afresh on every build."""
+        kept, each record in at most 36 bytes per row, 16 per entry and 12
+        per chain and border coupling, so at most 36 per row and entry and
+        36 x _SHAPE_SIZE x 64 bytes in all.  A larger shape is not kept."""
         pde_sim._template.cache_clear()
         tp = TransportParams(d=18e-4, s0=33.0)
         resolutions = range(10, 15 + pde_sim._SHAPES)
@@ -1082,25 +1065,19 @@ class TestBuildTemplate:
                              meshes[-pde_sim._SHAPES:]):
             size = disc.n_nodes + disc.generator.nnz
             assert size <= pde_sim._SHAPE_SIZE
-            t = _mesh(disc)
-            again = build(b1_geom, VortexConfig(0, 1, P_REF), tp,
-                          resolution=res)
-            assert _mesh(again) is t
+            t = _template_of(b1_geom, res)
+            assert t is _mesh(disc)
             held = _template_bytes(t)
             assert held <= 36 * disc.n_nodes + 16 * disc.generator.nnz \
                 + 12 * (t.cells.size + t.couplings.shape[1])
             assert held <= 36 * size
             total += held
         assert total <= 36 * pde_sim._SHAPE_SIZE * pde_sim._SHAPES
-        info = pde_sim._template.cache_info()
-        assert (info.hits, info.misses) == (pde_sim._SHAPES, len(meshes))
-        big, again = (build(b1_geom, VortexConfig(1, 0, P_REF), tp,
-                            resolution=300) for _ in range(2))
+        assert _records_made() == len(meshes)
+        big = build(b1_geom, VortexConfig(1, 0, P_REF), tp, resolution=300)
         assert big.n_nodes + big.generator.nnz > pde_sim._SHAPE_SIZE
-        assert _mesh(again) is not _mesh(big)
         info = pde_sim._template.cache_info()
-        assert (info.currsize, info.hits, info.misses) == (
-            pde_sim._SHAPES, pde_sim._SHAPES, len(meshes))
+        assert (info.currsize, info.misses) == (pde_sim._SHAPES, len(meshes))
 
     def test_max_nodes_is_refused_before_anything_is_allocated(
             self, b1_geom, transport, monkeypatch):
@@ -1120,6 +1097,118 @@ class TestBuildTemplate:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+
+def _solver_bytes(t):
+    """The bytes of the record's solver part, what the pattern-keyed plans
+    held without their key: the band order and scatter index and the
+    split's chains, slots and couplings."""
+    return sum(x.nbytes for x in (t.order, t.band_at, t.chains, t.at,
+                                  t.couplings))
+
+
+class TestBandPlan:
+    """The solver part of the record: the band order, scatter index and
+    width `evolve` packs with, and the split `slowest_mode` takes."""
+
+    @pytest.mark.parametrize("first, second", [
+        (("b1", 50), ("b3", 50)), (("b1", 50), ("b1", 51))],
+        ids=["b1-b3", "res50-res51"])
+    def test_other_shapes_share_no_plan(self, first, second):
+        """Meshes of other shapes get other records, and slowest_mode and
+        a clamped evolve make none."""
+        pde_sim._template.cache_clear()
+        meshes = [_bundled_mesh(*first), _bundled_mesh(*second)]
+        assert _records_made() == 2
+        assert _mesh(meshes[0]) is not _mesh(meshes[1])
+        for disc in meshes:
+            slowest_mode(disc)
+            evolve(disc, _drive("clamp"), tol=1e-6)
+        assert _records_made() == 2
+
+    def test_the_cache_keeps_its_entry_and_byte_bounds(self, b1_geom):
+        """The record's solver part holds at most 20 bytes per row and
+        entry, as the pattern-keyed plans did with their key; a rebuild of
+        each of the 64 kept shapes reuses its record, and a larger shape
+        is made afresh on every build."""
+        pde_sim._template.cache_clear()
+        tp = TransportParams(d=18e-4, s0=33.0)
+        resolutions = range(10, 15 + pde_sim._SHAPES)
+        meshes = [build(b1_geom, VortexConfig(1, 0, P_REF), tp,
+                        resolution=res) for res in resolutions]
+        assert pde_sim._template.cache_info().currsize == pde_sim._SHAPES
+        for res, disc in zip(resolutions[-pde_sim._SHAPES:],
+                             meshes[-pde_sim._SHAPES:]):
+            size = disc.n_nodes + disc.generator.nnz
+            assert size <= pde_sim._SHAPE_SIZE
+            assert _solver_bytes(_mesh(disc)) <= 20 * size
+            again = build(b1_geom, VortexConfig(0, 1, P_REF), tp,
+                          resolution=res)
+            assert _mesh(again) is _mesh(disc)
+        info = pde_sim._template.cache_info()
+        assert (info.hits, info.misses) == (pde_sim._SHAPES, len(meshes))
+        big, again = (build(b1_geom, VortexConfig(1, 0, P_REF), tp,
+                            resolution=300) for _ in range(2))
+        assert big.n_nodes + big.generator.nnz > pde_sim._SHAPE_SIZE
+        assert _mesh(again) is not _mesh(big)
+        info = pde_sim._template.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (
+            pde_sim._SHAPES, pde_sim._SHAPES, len(meshes))
+
+    def test_meshes_of_one_shape_share_no_writable_array(self, b1_geom):
+        """After one mesh's indices are changed, the record's orders are
+        unchanged, another mesh of its shape still solves, and the changed
+        mesh is refused."""
+        tp = TransportParams(d=18e-4, s0=33.0)
+        first, second = (build(b1_geom, VortexConfig(n, 1, P_REF), tp,
+                               resolution=50) for n in (1, 2))
+        slowest_mode(first)
+        mesh = _mesh(second)
+        assert mesh is _mesh(first)
+        for array in (lambda d: d.generator.data,
+                      lambda d: d.generator.indices,
+                      lambda d: d.generator.indptr):
+            assert not np.shares_memory(array(first), array(second))
+        assert not any(x.flags.writeable for x in (
+            mesh.order, mesh.band_at, mesh.chains, mesh.at, mesh.couplings))
+        indices = second.generator.indices.copy()
+        order, chains = mesh.order.copy(), mesh.chains.copy()
+        first.generator.indices[:2] = first.generator.indices[1::-1]
+        assert np.array_equal(second.generator.indices, indices)
+        assert np.array_equal(mesh.order, order)
+        assert np.array_equal(mesh.chains, chains)
+        slowest_mode(second)
+        evolve(second, _drive("clamp"), tol=1e-6)
+        # the changed pattern is not the one the record describes
+        with pytest.raises(InvalidParameterError, match="pattern"):
+            slowest_mode(first)
+        with pytest.raises(InvalidParameterError, match="pattern"):
+            evolve(first, _drive("clamp"), tol=1e-6)
+
+    @pytest.mark.parametrize("clamped", [False, True])
+    def test_band_helper_holds_on_a_cold_and_a_warm_plan(self, clamped):
+        """b2's generator, whole or with its junction's row zeroed as a
+        clamp leaves it, packed by a cold record and then by the same
+        record kept: one band of half width 3 either way."""
+        pde_sim._template.cache_clear()
+        records = []
+        for warm in (False, True):
+            disc = _bundled_mesh("b2", 50)
+            assert pde_sim._template.cache_info().hits == warm
+            mesh = _mesh(disc)
+            data = disc.generator.data
+            dense = disc.generator.toarray()
+            if clamped:
+                data = np.where(mesh.indices == disc.junction_index, 0.0,
+                                data)
+                dense[disc.junction_index] = 0.0
+            dense = dense[mesh.order][:, mesh.order]
+            packed = mesh.pack(data)
+            assert packed.flags.f_contiguous
+            assert np.array_equal(packed, _banded(dense, mesh.kl, mesh.kl))
+            records.append(mesh)
+        assert records[0] is records[1]
+        assert mesh.kl == 3 and mesh.order.size == disc.n_nodes
 
 
 def _coupled(disc, pairs, flux=1e-3):
